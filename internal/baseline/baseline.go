@@ -90,9 +90,9 @@ func scanTopK(st *store.FeatureStore, k int, q, w vec.Vector) []int {
 
 // scanTopKQuant is the SQ8 two-phase variant of the unweighted scanTopK: a
 // quantized sweep of the codes table retains rerankFactor*k candidate rows,
-// the exact float kernel re-ranks them, and the rerank guarantee (see
-// rstar.KNNQuantFromStatsCtx for the derivation) certifies the result equals
-// scanTopK's before returning it. When the guarantee fails the candidate set
+// the exact float kernel re-ranks them, and the rerank guarantee
+// (store.Quantized.Certifies) certifies the result equals scanTopK's before
+// returning it. When the guarantee fails the candidate set
 // widens, degenerating to an exact rerank of every row; unclean quantizers
 // and NaN queries route straight to scanTopK. Ties in exact distance at the
 // k boundary are the one caveat, as on the tree path: either equal-distance
@@ -112,7 +112,6 @@ func scanTopKQuant(st *store.FeatureStore, qz *store.Quantized, k int, q vec.Vec
 	if math.IsNaN(qErr) {
 		return scanTopK(st, k, q, nil)
 	}
-	const safety = 1e-9
 	m := k * rerankFactor
 	if rerankFactor <= 0 || m > n || m < k {
 		m = n
@@ -174,9 +173,7 @@ func scanTopKQuant(st *store.FeatureStore, qz *store.Quantized, k int, q vec.Vec
 		if m >= n {
 			break
 		}
-		dk := cands[len(cands)-1].dist
-		lower := qz.DecodedDist(threshold) - qErr - qz.DBErr()
-		if dk*(1+safety) < lower*(1-safety) {
+		if qz.Certifies(threshold, qErr, cands[len(cands)-1].dist) {
 			break
 		}
 		if m > n/2 {

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"context"
+
 	"qdcbir/internal/disk"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/store"
@@ -151,7 +153,8 @@ func (t *TreeKNN) Name() string { return "TreeKNN" }
 
 // Search runs a weighted global k-NN through the index.
 func (t *TreeKNN) Search(k int) []int {
-	ns := t.tree.KNNWeighted(t.query, t.weights, k, t.acc)
+	// The error can only be the context's, and Background never cancels.
+	ns, _ := t.tree.KNNOne(context.Background(), t.tree.Root(), rstar.Scan{Weights: t.weights}, t.query, k, t.acc, nil)
 	out := make([]int, len(ns))
 	for i, n := range ns {
 		out[i] = int(n.ID)

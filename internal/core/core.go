@@ -53,8 +53,8 @@ type Config struct {
 	// either way.
 	Observer *obs.Observer
 	// Quantized routes unweighted localized k-NN searches through the SQ8
-	// two-phase scan (quantized sweep + exact rerank; see
-	// rstar.KNNQuantFromStatsCtx). Results are bit-identical to the exact
+	// two-phase scan (quantized sweep + exact rerank; see rstar.Scan and
+	// rstar/quant.go). Results are bit-identical to the exact
 	// path — the rerank guarantee falls back rather than approximate.
 	// NewEngine trains the tree's quantizer if none is installed yet.
 	// Weighted searches (§6 feature importance) always use the exact path.
@@ -64,7 +64,7 @@ type Config struct {
 	// rstar.DefaultRerankFactor.
 	RerankFactor int
 	// Float32 routes unweighted localized k-NN searches through the float32
-	// sweep (rstar.KNNF32FromStatsCtx): half-width rows, double the SIMD
+	// sweep (rstar.Scan, rstar/f32.go): half-width rows, double the SIMD
 	// lanes. Unlike Quantized this is a distinct PRECISION, not an
 	// optimization of the float64 path — distances are computed in float32
 	// and may rank close neighbours differently — so it takes precedence
@@ -726,105 +726,74 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 	// subqueries can run concurrently; the traces are then replayed into the
 	// session cache in group order, so results AND simulated I/O counts are
 	// identical at every Parallelism setting.
-	neighborLists := make([][]rstar.Neighbor, len(order))
+	//
+	// Subqueries whose boundary-expanded search areas resolved to the SAME
+	// node sweep identical leaves, so they are laid out as one contiguous run
+	// of queries and answered by one KNNSearch call, amortizing every
+	// leaf-block load across the run. A run is bit-identical per subquery to
+	// independent calls — results, stats, and recorder traces alike — so
+	// grouping changes throughput only; a run of one is the plain search.
+	type run struct {
+		search *rstar.Node
+		lo, hi int // the run is queries[lo:hi]
+	}
+	var runs []run
+	queries := make([]rstar.Query, 0, len(order))
+	slot := make([]int, len(order)) // subquery i is queries[slot[i]]
+	for i := range slot {
+		slot[i] = -1
+	}
 	recorders := make([]*disk.Recorder, len(order))
 	var sqStats []rstar.SearchStats
 	var sqDur, sqOff []int64
 	if o != nil {
 		sqStats = make([]rstar.SearchStats, len(order))
-		for i := range sqStats {
-			sqStats[i].Timed = true // per-phase scan/rerank wall time for the spans
-		}
 		sqDur = make([]int64, len(order))
 		sqOff = make([]int64, len(order))
 	}
-	subqueryBody := func(i int) error {
-		p := preps[order[i]]
-		rec := &disk.Recorder{}
-		var st *rstar.SearchStats
-		var start time.Time
-		if o != nil {
-			st = &sqStats[i]
-			sqOff[i] = trace.SinceStart()
-			start = time.Now()
+	for i := range order {
+		if slot[i] >= 0 {
+			continue // already placed in an earlier subquery's run
 		}
-		ns, err := localKNN(ctx, eng, weights, rec, p.search, p.centroid, alloc[order[i]]+k, st)
-		if err != nil {
-			return err
-		}
-		if o != nil {
-			sqDur[i] = time.Since(start).Nanoseconds()
-		}
-		neighborLists[i] = ns
-		recorders[i] = rec
-		return nil
-	}
-	// Coalesce subqueries whose boundary-expanded search areas resolved to the
-	// SAME node: their sweeps cover identical leaves, so the engine answers
-	// each such bundle with one multi-query batch search, amortizing every
-	// leaf-block load across the bundle. The batch paths are bit-identical per
-	// subquery to the independent calls — results, stats, and recorder traces
-	// alike (rstar/batch.go) — so grouping changes throughput only. Weighted
-	// queries keep the single-query path (there is no weighted multi kernel).
-	var batches [][]int
-	if weights == nil {
-		batchOf := make(map[*rstar.Node]int, len(order))
-		for i, nodeID := range order {
-			search := preps[nodeID].search
-			if b, ok := batchOf[search]; ok {
-				batches[b] = append(batches[b], i)
+		r := run{search: preps[order[i]].search, lo: len(queries)}
+		for j := i; j < len(order); j++ {
+			p := preps[order[j]]
+			if p.search != r.search {
 				continue
 			}
-			batchOf[search] = len(batches)
-			batches = append(batches, []int{i})
-		}
-	} else {
-		for i := range order {
-			batches = append(batches, []int{i})
-		}
-	}
-	batchBody := func(b int) error {
-		idxs := batches[b]
-		if len(idxs) == 1 {
-			return subqueryBody(idxs[0])
-		}
-		qs := make([]vec.Vector, len(idxs))
-		ks := make([]int, len(idxs))
-		accs := make([]disk.Accounter, len(idxs))
-		var sts []*rstar.SearchStats
-		if o != nil {
-			sts = make([]*rstar.SearchStats, len(idxs))
-		}
-		for bi, i := range idxs {
-			p := preps[order[i]]
-			qs[bi] = p.centroid
-			ks[bi] = alloc[order[i]] + k
-			rec := &disk.Recorder{}
-			accs[bi] = rec
-			recorders[i] = rec
+			slot[j] = len(queries)
+			recorders[j] = &disk.Recorder{}
+			q := rstar.Query{Q: p.centroid, K: alloc[order[j]] + k, Acc: recorders[j]}
 			if o != nil {
-				sts[bi] = &sqStats[i]
-				sqOff[i] = trace.SinceStart()
+				sqStats[j].Timed = true // per-phase scan/rerank wall time for the spans
+				q.Stats = &sqStats[j]
 			}
+			queries = append(queries, q)
 		}
-		var start time.Time
-		if o != nil {
-			start = time.Now()
-		}
-		lists, err := localKNNBatch(ctx, eng, preps[order[idxs[0]]].search, qs, ks, accs, sts)
-		if err != nil {
-			return err
-		}
-		for bi, i := range idxs {
-			neighborLists[i] = lists[bi]
-			if o != nil {
-				sqDur[i] = time.Since(start).Nanoseconds()
-			}
-		}
-		return nil
+		r.hi = len(queries)
+		runs = append(runs, r)
 	}
+	scan := eng.scan(weights)
 	runSubqueries := func() error {
-		return par.Do(ctx, len(batches), eng.cfg.Parallelism, batchBody)
+		return par.Do(ctx, len(runs), eng.cfg.Parallelism, func(ri int) error {
+			r := runs[ri]
+			var start time.Time
+			if o != nil {
+				for s := r.lo; s < r.hi; s++ {
+					sqOff[s] = trace.SinceStart()
+				}
+				start = time.Now()
+			}
+			if err := eng.rfs.Tree().KNNSearch(ctx, r.search, scan, queries[r.lo:r.hi]); err != nil {
+				return err
+			}
+			if o != nil {
+				for s := r.lo; s < r.hi; s++ {
+					sqDur[s] = time.Since(start).Nanoseconds()
+				}
+			}
+			return nil
+		})
 	}
 	if o != nil {
 		// Tag the subquery pool so CPU profiles attribute samples to the
@@ -861,7 +830,7 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 		p := preps[nodeID]
 		g := &Group{Node: p.l.node, SearchNode: p.search, QueryIDs: p.l.ids}
 		recorders[i].Replay(finalIO)
-		for _, n := range neighborLists[i] {
+		for _, n := range queries[slot[i]].Result {
 			if len(g.Images) >= alloc[nodeID] {
 				break
 			}
@@ -885,7 +854,7 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 				continue
 			}
 			want := len(g.Images) + deficit + len(seen)
-			more, err := localKNN(ctx, eng, weights, finalIO, p.search, p.centroid, want, topupSt)
+			more, err := eng.rfs.Tree().KNNOne(ctx, p.search, scan, p.centroid, want, finalIO, topupSt)
 			if err != nil {
 				return nil, err
 			}
@@ -932,7 +901,7 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 			span.RerankFallbacks += sqStats[i].RerankFallbacks
 			span.Subspans = append(span.Subspans, obs.SubquerySpan{
 				Node:            uint64(nodeID),
-				OffsetNS:        sqOff[i],
+				OffsetNS:        sqOff[slot[i]],
 				QueryImages:     len(p.l.ids),
 				Allocated:       alloc[nodeID],
 				Expanded:        p.search != p.l.node,
@@ -943,7 +912,7 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 				ScanNS:          sqStats[i].ScanNS,
 				RerankNS:        sqStats[i].RerankNS,
 				RerankFallbacks: sqStats[i].RerankFallbacks,
-				DurationNS:      sqDur[i],
+				DurationNS:      sqDur[slot[i]],
 			})
 		}
 		o.FinalizeDone(trace, span)
@@ -951,31 +920,15 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 	return res, nil
 }
 
-// localKNN runs one localized subquery search, honouring an optional
-// feature-importance weighting. st, when non-nil, accumulates the search's
-// effort counters.
-func localKNN(ctx context.Context, eng *Engine, weights vec.Vector, acc disk.Accounter, n *rstar.Node, q vec.Vector, k int, st *rstar.SearchStats) ([]rstar.Neighbor, error) {
-	if weights != nil {
-		return eng.rfs.Tree().KNNWeightedFromStatsCtx(ctx, n, q, weights, k, acc, st)
+// scan is the engine's scan request for a search under the optional
+// feature-importance weights: the configured precision flags passed through
+// as they are. Which of them applies, and every fallback to the exact
+// descent, is rstar.Tree.KNNSearch's decision.
+func (e *Engine) scan(weights vec.Vector) rstar.Scan {
+	return rstar.Scan{
+		Weights:      weights,
+		Float32:      e.cfg.Float32,
+		Quantized:    e.cfg.Quantized,
+		RerankFactor: e.cfg.RerankFactor,
 	}
-	if eng.cfg.Float32 {
-		return eng.rfs.Tree().KNNF32FromStatsCtx(ctx, n, q, k, acc, st)
-	}
-	if eng.cfg.Quantized {
-		return eng.rfs.Tree().KNNQuantFromStatsCtx(ctx, n, q, k, eng.cfg.RerankFactor, acc, st)
-	}
-	return eng.rfs.Tree().KNNFromStatsCtx(ctx, n, q, k, acc, st)
-}
-
-// localKNNBatch answers several coalesced subqueries over the same search node
-// with one multi-query batch search in the configured scan mode. Per query it
-// is bit-identical to localKNN; weighted queries never reach here.
-func localKNNBatch(ctx context.Context, eng *Engine, n *rstar.Node, qs []vec.Vector, ks []int, accs []disk.Accounter, sts []*rstar.SearchStats) ([][]rstar.Neighbor, error) {
-	if eng.cfg.Float32 {
-		return eng.rfs.Tree().KNNF32BatchFromStatsCtx(ctx, n, qs, ks, accs, sts)
-	}
-	if eng.cfg.Quantized {
-		return eng.rfs.Tree().KNNQuantBatchFromStatsCtx(ctx, n, qs, ks, eng.cfg.RerankFactor, accs, sts)
-	}
-	return eng.rfs.Tree().KNNBatchFromStatsCtx(ctx, n, qs, ks, accs, sts)
 }

@@ -25,9 +25,9 @@ func runKNN(t *testing.T, tr *Tree, q vec.Vector, k int, weights vec.Vector) knn
 	var ns []Neighbor
 	var err error
 	if weights != nil {
-		ns, err = tr.KNNWeightedFromStatsCtx(context.Background(), tr.Root(), q, weights, k, acc, &st)
+		ns, err = tr.KNNOne(context.Background(), tr.Root(), Scan{Weights: weights}, q, k, acc, &st)
 	} else {
-		ns, err = tr.KNNFromStatsCtx(context.Background(), tr.Root(), q, k, acc, &st)
+		ns, err = tr.KNNOne(context.Background(), tr.Root(), Scan{}, q, k, acc, &st)
 	}
 	if err != nil {
 		t.Fatalf("knn: %v", err)

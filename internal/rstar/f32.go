@@ -2,10 +2,10 @@ package rstar
 
 // This file wires the float32 precision mode into the tree as a slab sweep:
 // SetFloat32Scoring narrows the float64 leaf slab to a float32 mirror ONCE,
-// and KNNF32FromStatsCtx answers a subtree-restricted k-NN with one linear
-// sweep of the mirror's rows through the float32 batch kernel
-// (vec.SquaredDistsTo32) feeding a bounded vec.TopK32 — the query itself is
-// narrowed once per search, so the hot loop never converts per-row.
+// and sweepF32 answers subtree-restricted k-NN queries with one linear sweep
+// of the mirror's rows through the float32 batch kernels feeding a bounded
+// vec.TopK32 per query — each query is narrowed once per search, so the hot
+// loop never converts per-row.
 //
 // Unlike the SQ8 two-phase path (quant.go), which reranks against the float64
 // rows and certifies bit-equality with the exact search, float32 is a
@@ -25,7 +25,6 @@ import (
 	"sort"
 	"sync"
 
-	"qdcbir/internal/disk"
 	"qdcbir/internal/vec"
 )
 
@@ -38,7 +37,8 @@ const f32CtxInterval = 1024
 // quantized path, and narrows the slab to a float32 mirror (one rounding per
 // component — exact when the indexed points came from float32 data, since
 // float32→float64→float32 round-trips bit-for-bit). Disabling drops the
-// mirror; KNNF32* then delegates to the exact float64 search. Enabling an
+// mirror; a Scan asking for Float32 then runs the exact float64 descent
+// (KNNSearch holds that fallback). Enabling an
 // empty tree is a no-op. Like all mutations, the toggle requires external
 // exclusion against readers.
 func (t *Tree) SetFloat32Scoring(enabled bool) {
@@ -68,140 +68,132 @@ func (t *Tree) invalidateFloat32() {
 	t.dropRangesIfUnused()
 }
 
-// f32Scratch is the pooled working memory of one float32 search: the
-// narrowed query, the chunk distance buffer, the selector, and the
-// candidate log (every row that was at or below the admission threshold
-// when scored — a superset of the final top-k that includes all boundary
-// ties).
+// f32Scratch is the pooled working memory of one float32 sweep. Per active
+// query (K > 0) it holds the narrowed vector, the selector, and the candidate
+// log (every row that was at or below the admission threshold when scored — a
+// superset of the final top-k that includes all boundary ties).
 type f32Scratch struct {
-	q32   []float32
-	dists []float32
+	act   []int     // indices of the active queries
+	q32   []float32 // their narrowed vectors, packed for the multi kernel
+	dists []float32 // one chunk's distances, query-major
+	per   []f32Query
+}
+
+// f32Query is one active query's selector and candidate log.
+type f32Query struct {
 	sel   vec.TopK32
 	cands []vec.Entry32
 }
 
 var f32ScratchPool = sync.Pool{New: func() interface{} { return new(f32Scratch) }}
 
-func (sc *f32Scratch) distBuf(n int) []float32 {
-	if cap(sc.dists) < n {
-		sc.dists = make([]float32, n)
-	}
-	return sc.dists[:n]
-}
-
-// KNNF32 returns the k nearest items to q under float32 distances, sweeping
-// the whole tree. When float32 scoring is not active it delegates to the
-// exact float64 search.
-func (t *Tree) KNNF32(q vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := t.KNNF32FromStatsCtx(context.Background(), t.root, q, k, acc, nil)
-	return ns
-}
-
-// KNNF32FromStatsCtx runs the float32 k-NN restricted to the subtree rooted
-// at n: the query narrows to float32 once, the subtree's contiguous mirror
-// rows [qlo, qhi) sweep through the float32 batch kernel in chunks, and a
-// bounded selector keeps the k smallest (distance, row) pairs. Results are
-// the float32 mode's deterministic answer (see the file comment) ordered
-// ascending (Dist, ID); equal-float32-distance candidates at the k boundary
-// resolve by ItemID, matching the exact search's documented tie rule — the
-// sweep logs every row scored at or below the admission threshold, then
-// selects the k smallest under (distance, ItemID), so the winners do not
-// depend on slab layout (and therefore not on how the corpus was
-// segmented).
-// Leaf pages in the swept range are reported to acc once; scored rows land in
-// st.ItemsScored. Searches over trees without float32 scoring delegate to
-// the exact float64 path.
-func (t *Tree) KNNF32FromStatsCtx(ctx context.Context, n *Node, q vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
-	if k <= 0 || n == nil || n.Len() == 0 {
-		return nil, ctx.Err()
-	}
-	if !t.f32OK {
-		return t.KNNFromStatsCtx(ctx, n, q, k, acc, st)
-	}
-	if acc == nil {
-		acc = disk.Nop{}
-	}
+// sweepF32 answers qs over the subtree rooted at n in the float32 mode: each
+// query narrows to float32 once, the subtree's contiguous mirror rows
+// [qlo, qhi) pass ONCE through the float32 batch kernel in chunks — every
+// chunk scored for all the queries — and a bounded selector per query keeps
+// its k smallest (distance, row) pairs. Results are the float32 mode's
+// deterministic answer (see the file comment) ordered ascending (Dist, ID);
+// equal-float32-distance candidates at the k boundary resolve by ItemID,
+// matching the exact search's documented tie rule — the sweep logs every row
+// scored at or below the admission threshold, then selects the k smallest
+// under (distance, ItemID), so the winners do not depend on slab layout (and
+// therefore not on how the corpus was segmented). Each query's accounter is
+// charged every leaf page in the swept range once; scored rows land in its
+// Stats.ItemsScored.
+func (t *Tree) sweepF32(ctx context.Context, n *Node, qs []Query) error {
 	sc := f32ScratchPool.Get().(*f32Scratch)
 	defer f32ScratchPool.Put(sc)
-	sc.q32 = vec.Narrow32(q, sc.q32)
-
 	lo, hi := n.qlo, n.qhi
 	rows := hi - lo
-	if k > rows {
-		k = rows
-	}
-	// The sweep reads every leaf's mirror rows, so each leaf page in the
-	// range is charged exactly once — same accounting as the quantized path.
-	var nodes uint64
-	var chargeLeaves func(nd *Node)
-	chargeLeaves = func(nd *Node) {
-		if nd.leaf {
-			acc.Access(nd.id)
-			nodes++
-			return
-		}
-		for _, c := range nd.children {
-			chargeLeaves(c)
-		}
-	}
-	chargeLeaves(n)
-
 	dim := t.dim
-	sel := &sc.sel
-	sel.Reset(k)
-	// The selector only maintains the admission threshold (the exact kth
+
+	act := sc.act[:0]
+	for j := range qs {
+		if qs[j].K > 0 {
+			act = append(act, j)
+		}
+	}
+	sc.act = act
+	ma := len(act)
+	if ma == 0 {
+		return nil
+	}
+	sc.q32 = grown(sc.q32, ma*dim)
+	q32 := sc.q32
+	for len(sc.per) < ma {
+		sc.per = append(sc.per, f32Query{})
+	}
+	// The sweep reads every leaf's mirror rows, so each query is charged each
+	// leaf page in the range exactly once.
+	var leaves uint64
+	for a, j := range act {
+		vec.Narrow32(qs[j].Q, q32[a*dim:(a+1)*dim:(a+1)*dim])
+		sc.per[a].sel.Reset(min(qs[j].K, rows))
+		sc.per[a].cands = sc.per[a].cands[:0]
+		leaves = chargeLeaves(n, qs[j].accounter())
+	}
+
+	// A selector only maintains the admission threshold (the exact kth
 	// smallest distance, whichever rows the heap happens to retain); the
 	// candidate log keeps every row scored at or below the threshold current
 	// at its time. The threshold never increases, so the log is a superset
 	// of both the true top-k and every row tying the final kth distance.
-	sc.cands = sc.cands[:0]
 	for base := lo; base < hi; base += f32CtxInterval {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		end := base + f32CtxInterval
-		if end > hi {
-			end = hi
+		end := min(base+f32CtxInterval, hi)
+		cr := end - base
+		sc.dists = grown(sc.dists, ma*cr)
+		dists := sc.dists
+		if ma == 1 {
+			vec.SquaredDistsTo32(q32, t.fslab[base*dim:end*dim], dists)
+		} else {
+			vec.SquaredDistsToMulti32(q32, ma, t.fslab[base*dim:end*dim], dists)
 		}
-		dists := sc.distBuf(end - base)
-		vec.SquaredDistsTo32(sc.q32, t.fslab[base*dim:end*dim], dists)
-		thr := sel.Threshold()
-		for i, d := range dists {
-			if d < thr {
-				sel.Add(d, base+i)
-				thr = sel.Threshold()
-				sc.cands = append(sc.cands, vec.Entry32{Dist: d, ID: base + i})
-			} else if d == thr {
-				sc.cands = append(sc.cands, vec.Entry32{Dist: d, ID: base + i})
+		for a := range act {
+			p := &sc.per[a]
+			thr := p.sel.Threshold()
+			for i, d := range dists[a*cr : (a+1)*cr] {
+				if d < thr {
+					p.sel.Add(d, base+i)
+					thr = p.sel.Threshold()
+					p.cands = append(p.cands, vec.Entry32{Dist: d, ID: base + i})
+				} else if d == thr {
+					p.cands = append(p.cands, vec.Entry32{Dist: d, ID: base + i})
+				}
 			}
 		}
 	}
-	// Keep rows at or below the final threshold, order them by
-	// (distance, ItemID), and take the k smallest.
-	final := sel.Threshold()
-	kept := sc.cands[:0]
-	for _, c := range sc.cands {
-		if c.Dist <= final {
-			kept = append(kept, c)
+	for a, j := range act {
+		// Keep rows at or below the final threshold, order them by
+		// (distance, ItemID), and take the k smallest.
+		final := sc.per[a].sel.Threshold()
+		kept := sc.per[a].cands[:0]
+		for _, c := range sc.per[a].cands {
+			if c.Dist <= final {
+				kept = append(kept, c)
+			}
+		}
+		sort.Slice(kept, func(x, y int) bool {
+			if kept[x].Dist != kept[y].Dist {
+				return kept[x].Dist < kept[y].Dist
+			}
+			return t.qids[kept[x].ID] < t.qids[kept[y].ID]
+		})
+		if k := min(qs[j].K, rows); len(kept) > k {
+			kept = kept[:k]
+		}
+		out := make([]Neighbor, len(kept))
+		for i, e := range kept {
+			rowF := t.slab[e.ID*dim : e.ID*dim+dim : e.ID*dim+dim]
+			out[i] = Neighbor{ID: t.qids[e.ID], Point: rowF, Dist: math.Sqrt(float64(e.Dist))}
+		}
+		qs[j].Result = out
+		if st := qs[j].Stats; st != nil {
+			st.NodesRead += leaves
+			st.ItemsScored += uint64(rows)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Dist != kept[j].Dist {
-			return kept[i].Dist < kept[j].Dist
-		}
-		return t.qids[kept[i].ID] < t.qids[kept[j].ID]
-	})
-	if len(kept) > k {
-		kept = kept[:k]
-	}
-	out := make([]Neighbor, len(kept))
-	for i, e := range kept {
-		rowF := t.slab[e.ID*dim : e.ID*dim+dim : e.ID*dim+dim]
-		out[i] = Neighbor{ID: t.qids[e.ID], Point: rowF, Dist: math.Sqrt(float64(e.Dist))}
-	}
-	if st != nil {
-		st.NodesRead += nodes
-		st.ItemsScored += uint64(rows)
-	}
-	return out, nil
+	return nil
 }

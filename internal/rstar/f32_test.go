@@ -77,7 +77,7 @@ func TestKNNF32MatchesBruteForce(t *testing.T) {
 			for _, root := range roots {
 				for _, k := range []int{1, 5, root.Len() + 3} {
 					var st SearchStats
-					got, err := tr.KNNF32FromStatsCtx(context.Background(), root, q, k, nil, &st)
+					got, err := tr.KNNOne(context.Background(), root, Scan{Float32: true}, q, k, nil, &st)
 					if err != nil {
 						t.Fatalf("seed %d: %v", tc.seed, err)
 					}
@@ -109,7 +109,7 @@ func TestKNNF32DelegatesWhenDisabled(t *testing.T) {
 	pts := randPoints(rng, 150, 6, 1)
 	tr := BulkLoad(6, smallCfg, bulkItems(pts), 8)
 	q := pts[3]
-	got := tr.KNNF32(q, 10, nil)
+	got := knnScan(tr, Scan{Float32: true}, q, 10, nil)
 	want := tr.KNN(q, 10, nil)
 	if len(got) != len(want) {
 		t.Fatalf("delegate returned %d, exact %d", len(got), len(want))
@@ -134,14 +134,14 @@ func TestFloat32SurvivesQuantToggle(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := pts[7]
-	before := tr.KNNF32(q, 9, nil)
+	before := knnScan(tr, Scan{Float32: true}, q, 9, nil)
 	if err := tr.SetQuantizedScoring(false); err != nil {
 		t.Fatal(err)
 	}
 	if !tr.Float32Scoring() {
 		t.Fatal("disabling quantized scoring dropped float32 scoring")
 	}
-	after := tr.KNNF32(q, 9, nil)
+	after := knnScan(tr, Scan{Float32: true}, q, 9, nil)
 	for i := range before {
 		if before[i].ID != after[i].ID || before[i].Dist != after[i].Dist {
 			t.Fatalf("rank %d changed across quant toggle", i)
@@ -154,7 +154,7 @@ func TestFloat32SurvivesQuantToggle(t *testing.T) {
 		t.Fatal("ID table retained with both sweep paths off")
 	}
 	tr.SetFloat32Scoring(true)
-	again := tr.KNNF32(q, 9, nil)
+	again := knnScan(tr, Scan{Float32: true}, q, 9, nil)
 	for i := range before {
 		if before[i].ID != again[i].ID || before[i].Dist != again[i].Dist {
 			t.Fatalf("rank %d changed across re-enable", i)
@@ -175,7 +175,7 @@ func TestFloat32InvalidatedByMutation(t *testing.T) {
 	if tr.Float32Scoring() {
 		t.Fatal("float32 scoring survived a structural mutation")
 	}
-	ns := tr.KNNF32(p, 5, nil)
+	ns := knnScan(tr, Scan{Float32: true}, p, 5, nil)
 	if len(ns) != 5 || ns[0].ID != ItemID(len(pts)) {
 		t.Fatalf("post-mutation delegate missed the inserted point: %v", ns)
 	}

@@ -87,20 +87,20 @@ func TestKNNCtxCancelled(t *testing.T) {
 	tr := BulkLoad(5, Config{MaxFill: 16}, items, 14)
 	q := items[0].Point
 
-	ns, err := tr.KNNCtx(context.Background(), q, 10, nil)
+	ns, err := tr.KNNOne(context.Background(), tr.Root(), Scan{}, q, 10, nil, nil)
 	if err != nil || len(ns) != 10 {
 		t.Fatalf("live context: %d results, err=%v", len(ns), err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.KNNCtx(ctx, q, 10, nil); !errors.Is(err, context.Canceled) {
+	if _, err := tr.KNNOne(ctx, tr.Root(), Scan{}, q, 10, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	w := make(vec.Vector, 5)
 	for i := range w {
 		w[i] = 1
 	}
-	if _, err := tr.KNNWeightedFromCtx(ctx, tr.Root(), q, w, 10, nil); !errors.Is(err, context.Canceled) {
+	if _, err := tr.KNNOne(ctx, tr.Root(), Scan{Weights: w}, q, 10, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("weighted err = %v, want context.Canceled", err)
 	}
 }

@@ -13,22 +13,15 @@ package rstar
 //     kernels against their slab rows and sorted ascending (Dist, ItemID) —
 //     the same values and ordering the exact search produces.
 //
-// Exactness guarantee. Let delta be the quantizer step, qErr the query's
-// measured decode error, dbErr = (delta/2)*sqrt(dim) the per-point bound, and
-// T the selector's final threshold. QuantTopK admission thresholds only
-// decrease, so every row NOT retained had code distance >= T, i.e. decoded
-// distance >= delta*sqrt(T). By the triangle inequality its true distance to
-// the query is at least
-//
-//	lower = delta*sqrt(T) - qErr - dbErr
-//
-// If the k-th reranked exact distance d_k satisfies d_k < lower (with a small
-// relative safety margin absorbing float rounding), no excluded row can enter
-// the top-k and the reranked result equals the exact search's bit-for-bit.
-// When the check fails the search widens the candidate set (doubling
-// rerankFactor*k) and ultimately reranks every row in the range — trivially
-// exact — so the quantized path NEVER returns an approximate answer; failures
-// only cost time and are counted as RerankFallbacks.
+// Exactness guarantee. QuantTopK admission thresholds only decrease, so every
+// row NOT retained had code distance >= the selector's final threshold T.
+// store.Quantized.Certifies turns T, the query's measured decode error and
+// the k-th reranked exact distance into a proof that no excluded row can
+// enter the top-k, in which case the reranked result equals the exact
+// search's bit-for-bit. When the proof fails the search widens the candidate
+// set (doubling rerankFactor*k) and ultimately reranks every row in the range
+// — trivially exact — so the quantized path NEVER returns an approximate
+// answer; failures only cost time and are counted as RerankFallbacks.
 //
 // Unclean corpora (NaN/±Inf components) have dbErr = +Inf and are routed to
 // the exact search up front; a NaN query defeats the bound the same way and
@@ -57,10 +50,15 @@ const DefaultRerankFactor = 4
 // correspondingly larger than ctxCheckInterval).
 const quantCtxInterval = 1024
 
-// quantSafety is the relative margin applied to the exactness comparison so
-// float rounding in sqrt/delta arithmetic can never certify a candidate set
-// the real-number inequality would reject.
-const quantSafety = 1e-9
+// firstCandidates is a query's SQ8 selector size before any widening:
+// k*rerankFactor clamped to the range's rows.
+func firstCandidates(k, rerankFactor, rows int) int {
+	m := k * rerankFactor
+	if m > rows || m < k { // m < k: multiplication overflow
+		m = rows
+	}
+	return m
+}
 
 // setQuantRanges assigns every node's slab row range [qlo, qhi) and builds
 // the slab-ordered item ID table. Leaves are walked in the same depth-first
@@ -89,8 +87,9 @@ func (t *Tree) setQuantRanges() {
 // blocks if needed and trains a quantizer over the tree's own slab (the slab
 // is a permutation of the indexed points, and min/max training is
 // order-independent, so the parameters are identical to training over the
-// points in any other order). Disabling drops the codes; KNNQuant* then
-// delegates to the exact search. Enabling an empty tree is a no-op. Like all
+// points in any other order). Disabling drops the codes; a Scan asking for
+// Quantized then runs the exact descent (KNNSearch holds that fallback).
+// Enabling an empty tree is a no-op. Like all
 // mutations, the toggle requires external exclusion against readers.
 func (t *Tree) SetQuantizedScoring(enabled bool) error {
 	if !enabled {
@@ -170,208 +169,233 @@ func (t *Tree) dropRangesIfUnused() {
 	}
 }
 
-// quantScratch is the pooled working memory of one quantized search: the
-// encoded query, the candidate selector, and the rerank buffers.
+// chargeLeaves reports every leaf page under n to acc, in the depth-first
+// order the slab rows were packed in, and returns how many there are. Both
+// slab sweeps charge their range this way: a sweep reads every leaf's rows,
+// so each leaf page is charged exactly once per query.
+func chargeLeaves(n *Node, acc disk.Accounter) uint64 {
+	if n.leaf {
+		acc.Access(n.id)
+		return 1
+	}
+	var leaves uint64
+	for _, c := range n.children {
+		leaves += chargeLeaves(c, acc)
+	}
+	return leaves
+}
+
+// quantScratch is the pooled working memory of one quantized sweep: per
+// active query (K > 0, finite decode error) its code row, decode error and
+// candidate selector, plus the shared scan and rerank buffers.
 type quantScratch struct {
-	qcodes []uint8
-	sel    vec.QuantTopK
+	act    []int           // indices of the active queries
+	qcodes []uint8         // their code rows, packed for the multi kernel
+	qErrs  []float64       // per active query
+	sels   []vec.QuantTopK // per active query
+	dists  []int32         // one chunk's code distances, query-major
 	ids    []int
 	cands  []Neighbor
-	dists  []int32
 }
 
 var quantScratchPool = sync.Pool{New: func() interface{} { return new(quantScratch) }}
 
-func (sc *quantScratch) candBuf(n int) []Neighbor {
-	if cap(sc.cands) < n {
-		sc.cands = make([]Neighbor, n)
+// scanCodes sweeps the code rows [lo, hi) once for the queries whose code
+// rows are packed in qcodes, admitting rows into their selectors sels. One
+// query without SIMD support scores row by row with early exit against its
+// threshold; otherwise each chunk of rows is scored by a batch kernel — for
+// all the queries at once when there are several — and filtered against the
+// thresholds. Capped and full distances admit the same rows (the capped
+// contract), so the retained sets and final thresholds are identical
+// whichever branch runs.
+func (t *Tree) scanCodes(ctx context.Context, lo, hi int, qcodes []uint8, sels []vec.QuantTopK, sc *quantScratch) error {
+	dim := t.dim
+	codes := t.qcodes
+	g := len(sels)
+	if g == 1 && !vec.HasAcceleratedUint8Batch() {
+		sel := &sels[0]
+		for r := lo; r < hi; r++ {
+			if (r-lo)%quantCtxInterval == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			row := codes[r*dim : r*dim+dim : r*dim+dim]
+			sel.Add(vec.Uint8SquaredDistCapped(qcodes, row, sel.Threshold()), r)
+		}
+		return nil
 	}
-	return sc.cands[:n]
+	for base := lo; base < hi; base += quantCtxInterval {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		end := min(base+quantCtxInterval, hi)
+		cr := end - base
+		sc.dists = grown(sc.dists, g*cr)
+		dists := sc.dists
+		if g == 1 {
+			vec.Uint8SquaredDistsTo(qcodes, codes[base*dim:end*dim], dists)
+		} else {
+			vec.Uint8SquaredDistsToMulti(qcodes, g, codes[base*dim:end*dim], dists)
+		}
+		for a := range sels {
+			sel := &sels[a]
+			thr := sel.Threshold()
+			for i, d := range dists[a*cr : (a+1)*cr] {
+				if d < thr {
+					sel.Add(d, base+i)
+					thr = sel.Threshold()
+				}
+			}
+		}
+	}
+	return nil
 }
 
-func (sc *quantScratch) distBuf(n int) []int32 {
-	if cap(sc.dists) < n {
-		sc.dists = make([]int32, n)
-	}
-	return sc.dists[:n]
-}
-
-// KNNQuant returns the k nearest items to q using the two-phase quantized
-// scan over the whole tree. Results are identical to KNN (see the exactness
-// guarantee above); when quantized scoring is not active it simply delegates
-// to the exact search.
-func (t *Tree) KNNQuant(q vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := t.KNNQuantFromStatsCtx(context.Background(), t.root, q, k, 0, acc, nil)
-	return ns
-}
-
-// KNNQuantFromStatsCtx runs the two-phase quantized k-NN restricted to the
-// subtree rooted at n: an SQ8 sweep of the subtree's code rows selects
-// rerankFactor*k candidates (rerankFactor <= 0 uses DefaultRerankFactor),
-// the exact float kernels re-rank them, and the candidate set widens until
-// the rerank guarantee certifies the result. Output is bit-identical to
-// KNNFromStatsCtx. Leaf pages in the scanned range are reported to acc once;
-// effort lands in st's CodesScanned/Reranked/RerankFallbacks counters, with
-// per-phase wall time in ScanNS/RerankNS when st.Timed is set. Searches over
-// trees without quantized scoring, unclean corpora, or NaN queries delegate
-// to the exact path.
-func (t *Tree) KNNQuantFromStatsCtx(ctx context.Context, n *Node, q vec.Vector, k, rerankFactor int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
-	if k <= 0 || n == nil || n.Len() == 0 {
-		return nil, ctx.Err()
-	}
-	if !t.quantOK || !t.quant.Clean() {
-		return t.KNNFromStatsCtx(ctx, n, q, k, acc, st)
-	}
+// sweepSQ8 answers qs over the subtree rooted at n with the two-phase
+// quantized search: one shared SQ8 sweep of the subtree's code rows selects
+// rerankFactor*k candidates per query (rerankFactor <= 0 uses
+// DefaultRerankFactor); then, query by query, the exact float kernels re-rank
+// them and the candidate set widens until the rerank guarantee certifies the
+// result. Results are bit-identical to the exact descent's. Each query's
+// accounter is charged every leaf page in the scanned range once, retries
+// included — re-reads hit memory the first pass already paid for; effort
+// lands in its Stats' CodesScanned/Reranked/RerankFallbacks counters, with
+// per-phase wall time in ScanNS/RerankNS when Stats.Timed is set (the shared
+// sweep's time is attributed to every query that rode it). A NaN query
+// defeats the bound and runs the exact descent instead, counted as a
+// fallback.
+func (t *Tree) sweepSQ8(ctx context.Context, n *Node, rerankFactor int, qs []Query) error {
 	if rerankFactor <= 0 {
 		rerankFactor = DefaultRerankFactor
 	}
-	if acc == nil {
-		acc = disk.Nop{}
-	}
 	sc := quantScratchPool.Get().(*quantScratch)
 	defer quantScratchPool.Put(sc)
-	var qErr float64
-	sc.qcodes, qErr = t.quant.EncodeQuery(q, sc.qcodes)
-	if math.IsNaN(qErr) {
-		if st != nil {
-			st.RerankFallbacks++
-		}
-		return t.KNNFromStatsCtx(ctx, n, q, k, acc, st)
-	}
-
 	lo, hi := n.qlo, n.qhi
 	rows := hi - lo
-	if k > rows {
-		k = rows
-	}
-	// The sweep reads every leaf's code rows (and the rerank its slab rows),
-	// so each leaf page in the range is charged exactly once, retries
-	// included — re-reads hit memory the first pass already paid for.
-	var nodes uint64
-	var chargeLeaves func(nd *Node)
-	chargeLeaves = func(nd *Node) {
-		if nd.leaf {
-			acc.Access(nd.id)
-			nodes++
-			return
-		}
-		for _, c := range nd.children {
-			chargeLeaves(c)
-		}
-	}
-	chargeLeaves(n)
-
-	timed := st != nil && st.Timed
 	dim := t.dim
-	codes := t.qcodes
-	m := k * rerankFactor
-	if m > rows || m < k { // m < k: multiplication overflow
-		m = rows
+
+	act, qcodes, qErrs := sc.act[:0], sc.qcodes[:0], sc.qErrs[:0]
+	for j := range qs {
+		q := &qs[j]
+		if q.K <= 0 {
+			continue
+		}
+		used := len(qcodes)
+		qcodes = append(qcodes, make([]uint8, dim)...)
+		_, qErr := t.quant.EncodeQuery(q.Q, qcodes[used:])
+		if math.IsNaN(qErr) {
+			qcodes = qcodes[:used]
+			if q.Stats != nil {
+				q.Stats.RerankFallbacks++
+			}
+			if err := t.descend(ctx, n, metric{}, qs[j:j+1]); err != nil {
+				return err
+			}
+			continue
+		}
+		act = append(act, j)
+		qErrs = append(qErrs, qErr)
 	}
-	var fellBack bool
-	var codesScanned, reranked uint64
-	var scanNS, rerankNS int64
-	var results []Neighbor
-	for {
-		// Phase 1: quantized sweep of the subtree's code rows.
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		sel := &sc.sel
-		sel.Reset(m)
-		if vec.HasAcceleratedUint8Batch() {
-			// Chunked batch sweep: score a block of rows with the SIMD batch
-			// kernel, then filter against the selector threshold. Capped and
-			// full distances admit the same rows (the capped contract), so the
-			// retained set and final threshold are identical to the per-row
-			// path below.
-			for base := lo; base < hi; base += quantCtxInterval {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				end := base + quantCtxInterval
-				if end > hi {
-					end = hi
-				}
-				dists := sc.distBuf(end - base)
-				vec.Uint8SquaredDistsTo(sc.qcodes, codes[base*dim:end*dim], dists)
-				thr := sel.Threshold()
-				for i, d := range dists {
-					if d < thr {
-						sel.Add(d, base+i)
-						thr = sel.Threshold()
-					}
-				}
-			}
-		} else {
-			for r := lo; r < hi; r++ {
-				if (r-lo)%quantCtxInterval == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				row := codes[r*dim : r*dim+dim : r*dim+dim]
-				d := vec.Uint8SquaredDistCapped(sc.qcodes, row, sel.Threshold())
-				sel.Add(d, r)
-			}
-		}
-		codesScanned += uint64(rows)
-		threshold := sel.Threshold()
-		if timed {
-			scanNS += time.Since(t0).Nanoseconds()
-			t0 = time.Now()
-		}
+	sc.act, sc.qcodes, sc.qErrs = act, qcodes, qErrs
+	ma := len(act)
+	if ma == 0 {
+		return nil
+	}
+	for len(sc.sels) < ma {
+		sc.sels = append(sc.sels, vec.QuantTopK{})
+	}
+	sels := sc.sels[:ma]
 
-		// Phase 2: exact rerank. SqL2 over a slab row computes the identical
-		// value the exact search's batch kernel produces for that item, and
-		// (Dist, ID) ordering matches stabilize, so the certified output is
-		// bit-for-bit the exact search's.
-		sc.ids = sel.AppendIDs(sc.ids[:0])
-		cands := sc.candBuf(len(sc.ids))
-		for i, r := range sc.ids {
-			rowF := t.slab[r*dim : r*dim+dim : r*dim+dim]
-			cands[i] = Neighbor{ID: t.qids[r], Point: rowF, Dist: math.Sqrt(vec.SqL2(q, rowF))}
-		}
-		reranked += uint64(len(cands))
-		sort.Slice(cands, func(i, j int) bool { return neighborLess(cands[i], cands[j]) })
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		if timed {
-			rerankNS += time.Since(t0).Nanoseconds()
-		}
-
-		if m >= rows {
-			// Every row in range was reranked exactly; nothing was excluded.
-			results = cands
-			break
-		}
-		dk := cands[len(cands)-1].Dist
-		lower := t.quant.DecodedDist(threshold) - qErr - t.quant.DBErr()
-		if dk*(1+quantSafety) < lower*(1-quantSafety) {
-			results = cands
-			break
-		}
-		fellBack = true
-		if m > rows/2 {
-			m = rows
-		} else {
-			m *= 2
+	var leaves uint64
+	anyTimed := false
+	for a, j := range act {
+		leaves = chargeLeaves(n, qs[j].accounter())
+		sels[a].Reset(firstCandidates(min(qs[j].K, rows), rerankFactor, rows))
+		if st := qs[j].Stats; st != nil && st.Timed {
+			anyTimed = true
 		}
 	}
-	out := make([]Neighbor, len(results))
-	copy(out, results)
-	if st != nil {
-		st.NodesRead += nodes
-		st.ItemsScored += reranked
-		st.CodesScanned += codesScanned
-		st.Reranked += reranked
-		st.ScanNS += scanNS
-		st.RerankNS += rerankNS
-		if fellBack {
+
+	// Phase 1, shared: the quantized sweep of the subtree's code rows.
+	var t0 time.Time
+	if anyTimed {
+		t0 = time.Now()
+	}
+	if err := t.scanCodes(ctx, lo, hi, qcodes, sels, sc); err != nil {
+		return err
+	}
+	var sharedScanNS int64
+	if anyTimed {
+		sharedScanNS = time.Since(t0).Nanoseconds()
+	}
+
+	for a, j := range act {
+		q := &qs[j]
+		sel := &sels[a]
+		k := min(q.K, rows)
+		st := q.Stats
+		if st == nil {
+			st = new(SearchStats) // unobserved: counted into the void
+		}
+		st.NodesRead += leaves
+		st.CodesScanned += uint64(rows)
+		st.ScanNS += sharedScanNS
+		widened := false
+		var cands []Neighbor
+		for m := firstCandidates(k, rerankFactor, rows); ; {
+			// Phase 2: exact rerank. SqL2 over a slab row computes the
+			// identical value the exact search's batch kernel produces for
+			// that item, and (Dist, ID) ordering matches stabilize, so the
+			// certified output is bit-for-bit the exact search's.
+			if st.Timed {
+				t0 = time.Now()
+			}
+			threshold := sel.Threshold() // read first: AppendIDs reorders the selector
+			sc.ids = sel.AppendIDs(sc.ids[:0])
+			sc.cands = grown(sc.cands, len(sc.ids))
+			cands = sc.cands
+			for i, r := range sc.ids {
+				rowF := t.slab[r*dim : r*dim+dim : r*dim+dim]
+				cands[i] = Neighbor{ID: t.qids[r], Point: rowF, Dist: math.Sqrt(vec.SqL2(q.Q, rowF))}
+			}
+			st.Reranked += uint64(len(cands))
+			st.ItemsScored += uint64(len(cands))
+			sort.Slice(cands, func(x, y int) bool { return neighborLess(cands[x], cands[y]) })
+			if len(cands) > k {
+				cands = cands[:k]
+			}
+			if st.Timed {
+				st.RerankNS += time.Since(t0).Nanoseconds()
+			}
+			// Done when every row in range was reranked (nothing was
+			// excluded) or the certificate holds; otherwise widen the
+			// candidate set and rescan for this query alone.
+			if m >= rows || t.quant.Certifies(threshold, qErrs[a], cands[len(cands)-1].Dist) {
+				break
+			}
+			widened = true
+			if m > rows/2 {
+				m = rows
+			} else {
+				m *= 2
+			}
+			if st.Timed {
+				t0 = time.Now()
+			}
+			sel.Reset(m)
+			if err := t.scanCodes(ctx, lo, hi, qcodes[a*dim:(a+1)*dim], sels[a:a+1], sc); err != nil {
+				return err
+			}
+			st.CodesScanned += uint64(rows)
+			if st.Timed {
+				st.ScanNS += time.Since(t0).Nanoseconds()
+			}
+		}
+		if widened {
 			st.RerankFallbacks++
 		}
+		q.Result = append([]Neighbor(nil), cands...)
 	}
-	return out, nil
+	return nil
 }

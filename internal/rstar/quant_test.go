@@ -57,12 +57,12 @@ func TestKNNQuantMatchesExact(t *testing.T) {
 			}
 			for _, root := range roots {
 				for _, k := range []int{1, 5, root.Len() + 3} {
-					exact, err := tr.KNNFromStatsCtx(context.Background(), root, q, k, nil, nil)
+					exact, err := tr.KNNOne(context.Background(), root, Scan{}, q, k, nil, nil)
 					if err != nil {
 						t.Fatalf("exact: %v", err)
 					}
 					var st SearchStats
-					quant, err := tr.KNNQuantFromStatsCtx(context.Background(), root, q, k, 0, nil, &st)
+					quant, err := tr.KNNOne(context.Background(), root, Scan{Quantized: true}, q, k, nil, &st)
 					if err != nil {
 						t.Fatalf("quant: %v", err)
 					}
@@ -97,7 +97,7 @@ func TestKNNQuantDelegatesWhenInactive(t *testing.T) {
 	}
 	q := randPoints(rng, 1, 4, 1)[0]
 	exact := tr.KNN(q, 7, nil)
-	quant := tr.KNNQuant(q, 7, nil)
+	quant := knnScan(tr, Scan{Quantized: true}, q, 7, nil)
 	for i := range exact {
 		if quant[i].ID != exact[i].ID || quant[i].Dist != exact[i].Dist {
 			t.Fatalf("result %d diverges without quantized scoring", i)
@@ -118,9 +118,9 @@ func TestKNNQuantUncleanCorpusFallsBack(t *testing.T) {
 		t.Fatalf("enable: %v", err)
 	}
 	q := vec.Vector{0.1, -0.2, 0.3}
-	exact, _ := tr.KNNFromStatsCtx(context.Background(), tr.Root(), q, 5, nil, nil)
+	exact, _ := tr.KNNOne(context.Background(), tr.Root(), Scan{}, q, 5, nil, nil)
 	var st SearchStats
-	quant, err := tr.KNNQuantFromStatsCtx(context.Background(), tr.Root(), q, 5, 0, nil, &st)
+	quant, err := tr.KNNOne(context.Background(), tr.Root(), Scan{Quantized: true}, q, 5, nil, &st)
 	if err != nil {
 		t.Fatalf("quant: %v", err)
 	}
@@ -156,9 +156,9 @@ func TestKNNQuantRerankFallback(t *testing.T) {
 		t.Fatalf("enable: %v", err)
 	}
 	q := vec.Vector{0, 5e-4}
-	exact, _ := tr.KNNFromStatsCtx(context.Background(), tr.Root(), q, 4, nil, nil)
+	exact, _ := tr.KNNOne(context.Background(), tr.Root(), Scan{}, q, 4, nil, nil)
 	var st SearchStats
-	quant, err := tr.KNNQuantFromStatsCtx(context.Background(), tr.Root(), q, 4, 0, nil, &st)
+	quant, err := tr.KNNOne(context.Background(), tr.Root(), Scan{Quantized: true}, q, 4, nil, &st)
 	if err != nil {
 		t.Fatalf("quant: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestQuantInvalidationOnMutation(t *testing.T) {
 	}
 	q := vec.Vector{0.5, 0.5, 0.5}
 	exact := tr.KNN(q, 6, nil)
-	quant := tr.KNNQuant(q, 6, nil)
+	quant := knnScan(tr, Scan{Quantized: true}, q, 6, nil)
 	for i := range exact {
 		if quant[i].ID != exact[i].ID {
 			t.Fatalf("post-Insert result %d diverges", i)
@@ -236,8 +236,8 @@ func TestAdoptQuantizedMatchesRetrained(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := randPoints(rng, 1, 6, 5)[0]
-		a := trained.KNNQuant(q, 9, &disk.Counter{})
-		b := adopted.KNNQuant(q, 9, &disk.Counter{})
+		a := knnScan(trained, Scan{Quantized: true}, q, 9, &disk.Counter{})
+		b := knnScan(adopted, Scan{Quantized: true}, q, 9, &disk.Counter{})
 		if len(a) != len(b) {
 			t.Fatalf("q%d: sizes diverge", qi)
 		}
@@ -299,7 +299,7 @@ func TestKNNQuantCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.KNNQuantFromStatsCtx(ctx, tr.Root(), pts[0], 5, 0, nil, nil); err == nil {
+	if _, err := tr.KNNOne(ctx, tr.Root(), Scan{Quantized: true}, pts[0], 5, nil, nil); err == nil {
 		t.Fatal("cancelled search returned no error")
 	}
 }

@@ -2,8 +2,6 @@ package rstar
 
 import (
 	"context"
-	"math"
-	"sync"
 
 	"qdcbir/internal/disk"
 	"qdcbir/internal/vec"
@@ -24,19 +22,19 @@ type Neighbor struct {
 
 // SearchStats accumulates the effort counters of one or more k-NN searches:
 // priority-queue pops, tree nodes expanded, and item distance computations.
-// The search keeps its own local counters and folds them in once on
-// successful completion, so passing stats costs nothing inside the hot loop;
-// a nil *SearchStats disables accumulation entirely. A SearchStats must not
-// be shared by concurrent searches.
+// Effort is added outside the hot loops — the descent folds its local
+// counters in when it completes, the slab sweeps add per scan — so passing
+// stats costs nothing inside them; a nil *SearchStats disables accumulation
+// entirely. A SearchStats must not be shared by concurrent searches.
 type SearchStats struct {
 	HeapPops    uint64 // best-first queue pops (nodes + item candidates)
 	NodesRead   uint64 // tree nodes expanded (== accounter accesses)
 	ItemsScored uint64 // exact item distances computed
 
-	// Quantized-scan effort (KNNQuantFromStatsCtx only; zero on exact
-	// searches). A fallback is one search whose candidate set failed the
-	// rerank guarantee at the requested factor and had to widen (or, for a
-	// NaN query, delegate to the exact path outright).
+	// Quantized-scan effort (the SQ8 sweep only; zero on exact searches). A
+	// fallback is one search whose candidate set failed the rerank guarantee
+	// at the requested factor and had to widen (or, for a NaN query, delegate
+	// to the exact path outright).
 	CodesScanned    uint64 // SQ8 code distances computed
 	Reranked        uint64 // candidates re-scored with the exact kernels
 	RerankFallbacks uint64 // searches that widened past rerankFactor*k
@@ -46,16 +44,6 @@ type SearchStats struct {
 	Timed    bool
 	ScanNS   int64 // time in quantized sweeps
 	RerankNS int64 // time in exact reranks
-}
-
-// accumulate folds one search's local counters in; nil-safe.
-func (s *SearchStats) accumulate(pops, nodes, items uint64) {
-	if s == nil {
-		return
-	}
-	s.HeapPops += pops
-	s.NodesRead += nodes
-	s.ItemsScored += items
 }
 
 // pqEntry is either a node (to expand) or an item (a candidate result) in the
@@ -115,23 +103,56 @@ func (p *searchPQ) pop() pqEntry {
 	return e
 }
 
-// searchScratch holds the per-search working memory — the priority queue and
-// the batch-kernel output buffer — pooled across searches so a steady-state
-// query allocates nothing inside the hot loop (the returned results slice is
-// the one allocation per search).
-type searchScratch struct {
-	pq    searchPQ
-	dists []float64
+// grown returns the pooled buffer buf resized to n elements, reallocating only when its
+// capacity falls short; the contents are unspecified.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
-var scratchPool = sync.Pool{New: func() interface{} { return new(searchScratch) }}
+// Scan says how a search scores rows; the zero value is the exact float64
+// best-first descent. Callers pass their own configuration through unchanged:
+// the precedence among the fields — Weights, then Float32, then Quantized —
+// and every fallback to the exact descent (a mode the tree has not enabled,
+// an unclean SQ8 corpus, a NaN query) are resolved by KNNSearch and nowhere
+// else.
+type Scan struct {
+	// Weights, when non-nil, ranks by the diagonal-weighted Euclidean metric
+	// (the paper's §6 feature-importance extension; the Query Point Movement
+	// baseline re-weights dimensions each round), always on the float64
+	// descent. Weights must be non-negative for its MINDIST bound to hold.
+	Weights vec.Vector
+	// Float32 asks for the float32 slab sweep (f32.go), a distinct result
+	// mode; Quantized for the SQ8 two-phase sweep (quant.go), whose results
+	// are bit-identical to the exact descent's.
+	Float32   bool
+	Quantized bool
+	// RerankFactor is the SQ8 candidate multiplier; <= 0 uses
+	// DefaultRerankFactor.
+	RerankFactor int
+}
 
-// leafDists returns the buffer for one leaf's batch distances.
-func (sc *searchScratch) leafDists(n int) []float64 {
-	if cap(sc.dists) < n {
-		sc.dists = make([]float64, n)
+// Query is one k-NN search of a KNNSearch call: the query point, how many
+// neighbours to return, and where its node accesses (Acc) and effort counters
+// (Stats) go — either may be nil. The search stores the neighbours in Result,
+// ordered by ascending distance with ties broken by ItemID; K <= 0 leaves
+// Result nil.
+type Query struct {
+	Q      vec.Vector
+	K      int
+	Acc    disk.Accounter
+	Stats  *SearchStats
+	Result []Neighbor
+}
+
+// accounter returns the query's accounter, or a no-op when it has none.
+func (q *Query) accounter() disk.Accounter {
+	if q.Acc == nil {
+		return disk.Nop{}
 	}
-	return sc.dists[:n]
+	return q.Acc
 }
 
 // KNN returns the k nearest items to q in the whole tree, ordered by
@@ -141,203 +162,55 @@ func (t *Tree) KNN(q vec.Vector, k int, acc disk.Accounter) []Neighbor {
 	return t.KNNFrom(t.root, q, k, acc)
 }
 
-// KNNCtx is KNN with cooperative cancellation: when ctx is done the search
-// stops and ctx.Err() is returned.
-func (t *Tree) KNNCtx(ctx context.Context, q vec.Vector, k int, acc disk.Accounter) ([]Neighbor, error) {
-	return t.KNNFromCtx(ctx, t.root, q, k, acc)
-}
-
 // KNNFrom restricts the k-NN search to the subtree rooted at n. The query
 // decomposition engine uses this for the localized multipoint k-NN
 // computations of §3.3: each final subquery searches only its own subcluster
 // (or, after boundary expansion, an ancestor's subtree).
 func (t *Tree) KNNFrom(n *Node, q vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := t.KNNFromCtx(context.Background(), n, q, k, acc)
+	ns, _ := t.KNNOne(context.Background(), n, Scan{}, q, k, acc, nil)
 	return ns
 }
 
-// KNNFromCtx is KNNFrom with cooperative cancellation.
-func (t *Tree) KNNFromCtx(ctx context.Context, n *Node, q vec.Vector, k int, acc disk.Accounter) ([]Neighbor, error) {
-	return t.KNNFromStatsCtx(ctx, n, q, k, acc, nil)
+// KNNOne is KNNSearch for a single query: M = 1 is not a separate code path,
+// only a one-element batch.
+func (t *Tree) KNNOne(ctx context.Context, n *Node, scan Scan, q vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
+	qs := [1]Query{{Q: q, K: k, Acc: acc, Stats: st}}
+	err := t.KNNSearch(ctx, n, scan, qs[:])
+	return qs[0].Result, err
 }
 
-// KNNFromStatsCtx is KNNFromCtx with optional effort accounting: on
-// successful completion the search's queue pops, node expansions, and item
-// scorings are folded into st (nil st skips accumulation).
-func (t *Tree) KNNFromStatsCtx(ctx context.Context, n *Node, q vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
-	if k <= 0 || n == nil || n.Len() == 0 {
-		return nil, ctx.Err()
+// KNNSearch is the tree's one k-NN search: it answers every query in qs over
+// the subtree rooted at n, scoring rows as scan asks, and stores each answer
+// in its Query's Result. Running queries together only shares work — a leaf
+// block or a chunk of slab rows wanted by several of them is loaded once and
+// scored through the multi-query kernels, which are bit-identical per query
+// to the single-query kernels — so each query's Result, Stats deltas and Acc
+// trace are exactly what it would get searching alone: callers batch or not
+// on load, never on semantics.
+//
+// The search polls ctx as it runs and returns ctx.Err() once it sees the
+// context done; Results and Stats are then unspecified. A search that ran to
+// completion returns nil whatever the context's state afterwards.
+func (t *Tree) KNNSearch(ctx context.Context, n *Node, scan Scan, qs []Query) error {
+	for j := range qs {
+		qs[j].Result = nil
 	}
-	if acc == nil {
-		acc = disk.Nop{}
+	if n == nil || n.Len() == 0 {
+		return nil
 	}
-	sc := scratchPool.Get().(*searchScratch)
-	defer scratchPool.Put(sc)
-	var pops, nodes, items uint64
-	sc.pq = append(sc.pq[:0], pqEntry{distSq: n.rect.MinDistSq(q), node: n})
-	results := make([]Neighbor, 0, k)
-	var ties []Neighbor
-	kthSq := math.Inf(1)
-	for steps := 0; len(sc.pq) > 0; steps++ {
-		if steps%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	switch {
+	case scan.Weights != nil:
+		return t.descend(ctx, n, metric{weights: scan.Weights}, qs)
+	case scan.Float32:
+		if t.f32OK {
+			return t.sweepF32(ctx, n, qs)
 		}
-		e := sc.pq.pop()
-		pops++
-		if len(results) == k && e.distSq > kthSq {
-			break
-		}
-		if e.node == nil {
-			// Item candidate: its distance is exact, and because the queue is
-			// ordered it arrives in ascending order. Once k results are held,
-			// candidates matching the kth distance exactly are kept aside so
-			// the boundary tie resolves by ID, not by heap pop order.
-			if len(results) < k {
-				results = append(results, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-				if len(results) == k {
-					kthSq = e.distSq
-				}
-			} else if e.distSq == kthSq {
-				ties = append(ties, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-			}
-			continue
-		}
-		acc.Access(e.node.id)
-		nodes++
-		if e.node.leaf {
-			items += uint64(len(e.node.items))
-			if t.blocksOK && e.node.block != nil {
-				// One batch kernel call scores the whole leaf off its
-				// contiguous block; the kernel preserves the scalar
-				// accumulation order, so each distSq is bit-identical to the
-				// per-item SqL2 below.
-				d := sc.leafDists(len(e.node.items))
-				vec.SquaredDistsTo(q, e.node.block, d)
-				for i, it := range e.node.items {
-					sc.pq.push(pqEntry{distSq: d[i], item: it})
-				}
-			} else {
-				for _, it := range e.node.items {
-					sc.pq.push(pqEntry{distSq: vec.SqL2(q, it.Point), item: it})
-				}
-			}
-			continue
-		}
-		for _, c := range e.node.children {
-			sc.pq.push(pqEntry{distSq: c.rect.MinDistSq(q), node: c})
+	case scan.Quantized:
+		if t.quantOK && t.quant.Clean() {
+			return t.sweepSQ8(ctx, n, scan.RerankFactor, qs)
 		}
 	}
-	results = resolveBoundaryTies(results, ties, k)
-	st.accumulate(pops, nodes, items)
-	return results, nil
-}
-
-// KNNWeighted is KNN under a diagonal-weighted Euclidean metric (the Query
-// Point Movement baseline re-weights dimensions each round). Pruning uses a
-// weighted MINDIST bound, which remains a valid lower bound for non-negative
-// weights.
-func (t *Tree) KNNWeighted(q, weights vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	return t.KNNWeightedFrom(t.root, q, weights, k, acc)
-}
-
-// KNNWeightedFrom restricts a weighted k-NN search to the subtree rooted at
-// n. The query decomposition engine uses this when the user assigns
-// importance weights to feature families (the paper's §6 extension).
-func (t *Tree) KNNWeightedFrom(n *Node, q, weights vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := t.KNNWeightedFromCtx(context.Background(), n, q, weights, k, acc)
-	return ns
-}
-
-// KNNWeightedFromCtx is KNNWeightedFrom with cooperative cancellation.
-func (t *Tree) KNNWeightedFromCtx(ctx context.Context, n *Node, q, weights vec.Vector, k int, acc disk.Accounter) ([]Neighbor, error) {
-	return t.KNNWeightedFromStatsCtx(ctx, n, q, weights, k, acc, nil)
-}
-
-// KNNWeightedFromStatsCtx is KNNWeightedFromCtx with optional effort
-// accounting, as in KNNFromStatsCtx.
-func (t *Tree) KNNWeightedFromStatsCtx(ctx context.Context, n *Node, q, weights vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
-	if k <= 0 || n == nil || n.Len() == 0 {
-		return nil, ctx.Err()
-	}
-	if acc == nil {
-		acc = disk.Nop{}
-	}
-	minDistSqW := func(r Rect) float64 {
-		var s float64
-		for i := range q {
-			var d float64
-			if q[i] < r.Min[i] {
-				d = r.Min[i] - q[i]
-			} else if q[i] > r.Max[i] {
-				d = q[i] - r.Max[i]
-			}
-			s += weights[i] * d * d
-		}
-		return s
-	}
-	sc := scratchPool.Get().(*searchScratch)
-	defer scratchPool.Put(sc)
-	var pops, nodes, items uint64
-	sc.pq = append(sc.pq[:0], pqEntry{distSq: minDistSqW(n.rect), node: n})
-	results := make([]Neighbor, 0, k)
-	var ties []Neighbor
-	kthSq := math.Inf(1)
-	for steps := 0; len(sc.pq) > 0; steps++ {
-		if steps%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		e := sc.pq.pop()
-		pops++
-		if len(results) == k && e.distSq > kthSq {
-			break
-		}
-		if e.node == nil {
-			if len(results) < k {
-				results = append(results, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-				if len(results) == k {
-					kthSq = e.distSq
-				}
-			} else if e.distSq == kthSq {
-				ties = append(ties, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-			}
-			continue
-		}
-		acc.Access(e.node.id)
-		nodes++
-		if e.node.leaf {
-			items += uint64(len(e.node.items))
-			if t.blocksOK && e.node.block != nil {
-				d := sc.leafDists(len(e.node.items))
-				vec.WeightedSquaredDistsTo(q, weights, e.node.block, d)
-				for i, it := range e.node.items {
-					sc.pq.push(pqEntry{distSq: d[i], item: it})
-				}
-			} else {
-				for _, it := range e.node.items {
-					sc.pq.push(pqEntry{distSq: vec.WeightedSqL2(q, it.Point, weights), item: it})
-				}
-			}
-			continue
-		}
-		for _, c := range e.node.children {
-			sc.pq.push(pqEntry{distSq: minDistSqW(c.rect), node: c})
-		}
-	}
-	results = resolveBoundaryTies(results, ties, k)
-	st.accumulate(pops, nodes, items)
-	return results, nil
+	return t.descend(ctx, n, metric{}, qs)
 }
 
 // resolveBoundaryTies enforces the documented (Dist, ID) selection at the

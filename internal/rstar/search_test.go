@@ -1,0 +1,447 @@
+package rstar
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"qdcbir/internal/disk"
+	"qdcbir/internal/vec"
+)
+
+// knnScan searches the whole tree under scan (test helper).
+func knnScan(tr *Tree, scan Scan, q vec.Vector, k int, acc disk.Accounter) []Neighbor {
+	ns, _ := tr.KNNOne(context.Background(), tr.Root(), scan, q, k, acc, nil)
+	return ns
+}
+
+func batchQueries(rng *rand.Rand, pts []vec.Vector, m, dim int, scale float64) []vec.Vector {
+	qs := make([]vec.Vector, m)
+	for i := range qs {
+		switch i % 3 {
+		case 0:
+			qs[i] = pts[rng.Intn(len(pts))]
+		case 1:
+			qs[i] = pts[rng.Intn(len(pts))].Clone()
+			for j := range qs[i] {
+				qs[i][j] += rng.NormFloat64() * scale * 0.1
+			}
+		default:
+			qs[i] = make(vec.Vector, dim)
+			for j := range qs[i] {
+				qs[i][j] = rng.NormFloat64() * scale
+			}
+		}
+	}
+	return qs
+}
+
+func sameNeighbors(t *testing.T, label string, got, want []Neighbor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID ||
+			math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+			t.Fatalf("%s: result %d diverges: got {%d %v} want {%d %v}",
+				label, i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
+		}
+		if !got[i].Point.Equal(want[i].Point) {
+			t.Fatalf("%s: result %d point diverges", label, i)
+		}
+	}
+}
+
+func sameStats(t *testing.T, label string, got, want SearchStats) {
+	t.Helper()
+	if got.HeapPops != want.HeapPops || got.NodesRead != want.NodesRead ||
+		got.ItemsScored != want.ItemsScored || got.CodesScanned != want.CodesScanned ||
+		got.Reranked != want.Reranked || got.RerankFallbacks != want.RerankFallbacks {
+		t.Fatalf("%s: stats diverge: batch %+v single %+v", label, got, want)
+	}
+}
+
+func sameTrace(t *testing.T, label string, got, want *disk.Recorder) {
+	t.Helper()
+	g, w := got.Trace(), want.Trace()
+	if len(g) != len(w) {
+		t.Fatalf("%s: trace length %d batch, %d single", label, len(g), len(w))
+	}
+	for i := range w {
+		if g[i] != w[i] {
+			t.Fatalf("%s: trace[%d] = %d batch, %d single", label, i, g[i], w[i])
+		}
+	}
+}
+
+// oracleKNN is the linear-scan reference every search mode is checked
+// against: each item under n scored with the scalar kernel of the mode scan
+// resolves to on tr, ordered by (distance, ID), cut at k.
+func oracleKNN(tr *Tree, n *Node, scan Scan, q vec.Vector, k int) []Neighbor {
+	if k <= 0 {
+		return nil
+	}
+	if scan.Weights == nil && scan.Float32 && tr.Float32Scoring() {
+		return f32Reference(tr, n, q, k)
+	}
+	m := metric{weights: scan.Weights}
+	items := itemsInSubtree(n, nil)
+	sq := make(map[ItemID]float64, len(items))
+	for _, it := range items {
+		sq[it.ID] = m.item(q, it.Point)
+	}
+	sort.Slice(items, func(i, j int) bool {
+		a, b := sq[items[i].ID], sq[items[j].ID]
+		if a != b {
+			return a < b
+		}
+		return items[i].ID < items[j].ID
+	})
+	if len(items) > k {
+		items = items[:k]
+	}
+	out := make([]Neighbor, len(items))
+	for i, it := range items {
+		out[i] = Neighbor{ID: it.ID, Point: it.Point, Dist: math.Sqrt(sq[it.ID])}
+	}
+	// Distinct squared distances can round to one Dist; the contract orders
+	// the reported list by (Dist, ID).
+	sort.SliceStable(out, func(i, j int) bool { return neighborLess(out[i], out[j]) })
+	return out
+}
+
+// searchCorpus is one row of the equivalence table's corpus axis.
+type searchCorpus struct {
+	name  string
+	dim   int
+	scale float64
+	pts   []vec.Vector
+}
+
+// duplicatedCorpus holds every point two or three times under different IDs,
+// so a query at a corpus point meets distance ties at the k boundary.
+func duplicatedCorpus(rng *rand.Rand) searchCorpus {
+	const dim, scale = 16, 10.0
+	base := randPoints(rng, 500, dim, scale)
+	pts := append([]vec.Vector(nil), base...)
+	for i, p := range base {
+		pts = append(pts, p.Clone())
+		if i%2 == 0 {
+			pts = append(pts, p.Clone())
+		}
+	}
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	return searchCorpus{name: "duplicated", dim: dim, scale: scale, pts: pts}
+}
+
+// degenerateCorpus makes code distances carry no information — one dimension
+// spans a huge range (setting the quantizer step) while neighbours differ
+// only along a tiny-range one — so the SQ8 certificate fails and searches
+// must widen.
+func degenerateCorpus(rng *rand.Rand) searchCorpus {
+	pts := make([]vec.Vector, 400)
+	for i := range pts {
+		pts[i] = vec.Vector{float64(i%2) * 1000, rng.Float64() * 1e-3}
+	}
+	return searchCorpus{name: "code-degenerate", dim: 2, scale: 1e-3, pts: pts}
+}
+
+// TestKNNSearchMatchesOracle is the search's one equivalence table: every
+// scan mode × batch width × subtree level × k, over packed and unpacked
+// blocks, asserts per query that an M-wide KNNSearch gives exactly the
+// Result, SearchStats deltas and accounter trace of the same query searched
+// alone, and that the Result is the linear-scan oracle's. Unpacked trees have
+// no float32 mirror or SQ8 codes, so their Float32/Quantized rows pin the
+// inactive-mode delegation to the exact descent.
+func TestKNNSearchMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, corpus := range []searchCorpus{duplicatedCorpus(rng), degenerateCorpus(rng)} {
+		weights := make(vec.Vector, corpus.dim)
+		for i := range weights {
+			weights[i] = []float64{2, 1, 0.5, 0, 3}[i%5]
+		}
+		modes := []struct {
+			name string
+			scan Scan
+		}{
+			{"f64", Scan{}},
+			{"weighted", Scan{Weights: weights, Float32: true, Quantized: true}}, // weights win
+			{"f32", Scan{Float32: true, Quantized: true}},                        // float32 wins
+			{"sq8", Scan{Quantized: true}},
+		}
+		for _, packed := range []bool{true, false} {
+			tr := BulkLoad(corpus.dim, smallCfg, bulkItems(corpus.pts), 8)
+			if packed {
+				tr.SetFloat32Scoring(true)
+				if err := tr.SetQuantizedScoring(true); err != nil {
+					t.Fatalf("enable quantized: %v", err)
+				}
+			} else {
+				tr.SetBlockScoring(false)
+			}
+			internal := tr.Root().Children()[0]
+			leaf := internal
+			for !leaf.IsLeaf() {
+				leaf = leaf.Children()[0]
+			}
+			if internal.IsLeaf() {
+				t.Fatalf("%s: tree of height %d has no internal level", corpus.name, tr.Height())
+			}
+			subtrees := []struct {
+				name string
+				n    *Node
+			}{{"root", tr.Root()}, {"internal", internal}, {"leaf", leaf}}
+
+			widened, certified := false, false
+			for _, mode := range modes {
+				for _, sub := range subtrees {
+					rows := len(itemsInSubtree(sub.n, nil))
+					for _, m := range []int{1, 2, 5, 16} {
+						label := fmt.Sprintf("%s/packed=%v/%s/%s/m=%d", corpus.name, packed, mode.name, sub.name, m)
+						points := batchQueries(rng, corpus.pts, m, corpus.dim, corpus.scale)
+						if m >= 5 {
+							// A NaN query inside the batch: under SQ8 it alone
+							// takes the exact descent.
+							points[3] = points[3].Clone()
+							points[3][0] = math.NaN()
+						}
+						qs := make([]Query, m)
+						recs := make([]*disk.Recorder, m)
+						sts := make([]SearchStats, m)
+						for i := range qs {
+							recs[i] = &disk.Recorder{}
+							qs[i] = Query{
+								Q:     points[i],
+								K:     []int{1, 10, 0, rows + 3, -2}[(i+m)%5],
+								Acc:   recs[i],
+								Stats: &sts[i],
+							}
+						}
+						if err := tr.KNNSearch(context.Background(), sub.n, mode.scan, qs); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						for i, q := range qs {
+							rec := &disk.Recorder{}
+							var st SearchStats
+							alone, err := tr.KNNOne(context.Background(), sub.n, mode.scan, q.Q, q.K, rec, &st)
+							if err != nil {
+								t.Fatalf("%s: alone: %v", label, err)
+							}
+							sameNeighbors(t, label, q.Result, alone)
+							sameStats(t, label, sts[i], st)
+							sameTrace(t, label, recs[i], rec)
+							if m > 1 && st.RerankFallbacks > 0 && st.CodesScanned > uint64(rows) {
+								widened = true
+							}
+							if st.CodesScanned == uint64(rows) && st.Reranked < uint64(rows) {
+								certified = true
+							}
+							if math.IsNaN(q.Q[0]) {
+								continue // no order to check a NaN query's answer against
+							}
+							sameNeighbors(t, label+"/oracle", alone, oracleKNN(tr, sub.n, mode.scan, q.Q, q.K))
+						}
+					}
+				}
+			}
+			if packed && corpus.name == "code-degenerate" && !widened {
+				t.Errorf("%s: no batched SQ8 search widened its candidate set", corpus.name)
+			}
+			if packed && corpus.name == "duplicated" && !certified {
+				t.Errorf("%s: no SQ8 search certified its first candidate set", corpus.name)
+			}
+		}
+	}
+}
+
+// pollCtx is a context whose Err reports nil for its first live calls and
+// context.Canceled from then on — a deadline that lapses at a chosen poll.
+type pollCtx struct {
+	context.Context
+	calls, live int
+}
+
+func (c *pollCtx) Err() error {
+	c.calls++
+	if c.calls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestKNNSearchCompletedReturnsNil: a search that ran to completion returns
+// its results with a nil error even when the context lapses right after its
+// final in-loop poll — batched exactly as alone — while a context that lapses
+// AT the final poll still cancels it.
+func TestKNNSearchCompletedReturnsNil(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	pts := randPoints(rng, 3000, 8, 10)
+	tr := BulkLoad(8, smallCfg, bulkItems(pts), 8)
+	tr.SetFloat32Scoring(true)
+	if err := tr.SetQuantizedScoring(true); err != nil {
+		t.Fatalf("enable quantized: %v", err)
+	}
+	weights := vec.Vector{2, 1, 1, 0.5, 1, 1, 3, 1}
+	for _, mode := range []struct {
+		name string
+		scan Scan
+	}{
+		{"f64", Scan{}}, {"weighted", Scan{Weights: weights}},
+		{"f32", Scan{Float32: true}}, {"sq8", Scan{Quantized: true}},
+	} {
+		for _, m := range []int{1, 3} {
+			points := batchQueries(rng, pts, m, 8, 10)
+			run := func(live int) ([]Query, int, error) {
+				qs := make([]Query, m)
+				for i := range qs {
+					qs[i] = Query{Q: points[i], K: 7}
+				}
+				ctx := &pollCtx{Context: context.Background(), live: live}
+				err := tr.KNNSearch(ctx, tr.Root(), mode.scan, qs)
+				return qs, ctx.calls, err
+			}
+			want, polls, err := run(math.MaxInt)
+			if err != nil || polls == 0 {
+				t.Fatalf("%s m=%d: live context: %d polls, err=%v", mode.name, m, polls, err)
+			}
+			got, _, err := run(polls)
+			if err != nil {
+				t.Fatalf("%s m=%d: context lapsing after the final poll: err=%v, want nil", mode.name, m, err)
+			}
+			for i := range want {
+				sameNeighbors(t, mode.name, got[i].Result, want[i].Result)
+			}
+			if _, _, err := run(polls - 1); err != context.Canceled {
+				t.Fatalf("%s m=%d: context lapsing at the final poll: err=%v, want Canceled", mode.name, m, err)
+			}
+		}
+	}
+}
+
+// TestKNNSearchAllocs pins the single-query search to its allocation budget
+// on a packed paper-shaped tree (5,000 × 37-d, k = 10): the result slice,
+// plus sort.Slice's three in the slab sweeps. Everything else is pooled, so
+// an edit that puts M = 1 on an unpooled path fails here.
+func TestKNNSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const n, dim, k = 5000, 37, 10
+	rng := rand.New(rand.NewSource(91))
+	pts := randPoints(rng, n, dim, 1)
+	tr := BulkLoad(dim, Config{}, bulkItems(pts), 85)
+	tr.SetFloat32Scoring(true)
+	if err := tr.SetQuantizedScoring(true); err != nil {
+		t.Fatalf("enable quantized: %v", err)
+	}
+	weights := make(vec.Vector, dim)
+	for i := range weights {
+		weights[i] = 1 + float64(i%3)
+	}
+	for _, tc := range []struct {
+		name string
+		scan Scan
+		max  float64
+	}{
+		{"f64", Scan{}, 1},
+		{"weighted", Scan{Weights: weights}, 1},
+		{"sq8", Scan{Quantized: true}, 4},
+		{"f32", Scan{Float32: true}, 4},
+	} {
+		i := 0
+		got := testing.AllocsPerRun(200, func() {
+			q := pts[i%n]
+			i++
+			if ns, err := tr.KNNOne(context.Background(), tr.Root(), tc.scan, q, k, nil, nil); err != nil || len(ns) != k {
+				t.Fatalf("%s: %d results, err=%v", tc.name, len(ns), err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("%s: %v allocs per search, budget %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestKNNSearchCancellation: a cancelled context aborts a batch in every scan
+// mode with the context's error.
+func TestKNNSearchCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	pts := randPoints(rng, 500, 8, 10)
+	tr := BulkLoad(8, smallCfg, bulkItems(pts), 8)
+	tr.SetFloat32Scoring(true)
+	if err := tr.SetQuantizedScoring(true); err != nil {
+		t.Fatalf("enable quantized: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	weights := vec.Vector{2, 1, 1, 0.5, 1, 1, 3, 1}
+	for _, scan := range []Scan{{}, {Weights: weights}, {Float32: true}, {Quantized: true}} {
+		qs := make([]Query, 4)
+		for i, q := range batchQueries(rng, pts, 4, 8, 10) {
+			qs[i] = Query{Q: q, K: 5}
+		}
+		if err := tr.KNNSearch(ctx, tr.Root(), scan, qs); err != context.Canceled {
+			t.Fatalf("%+v: expected context.Canceled, got %v", scan, err)
+		}
+	}
+}
+
+// TestKNNSearchConcurrent: searches share nothing but the read-only tree and
+// the scratch pools, so goroutines searching at once in every scan mode get
+// the answers they get alone (run under -race).
+func TestKNNSearchConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	pts := randPoints(rng, 800, 16, 10)
+	tr := BulkLoad(16, smallCfg, bulkItems(pts), 8)
+	tr.SetFloat32Scoring(true)
+	if err := tr.SetQuantizedScoring(true); err != nil {
+		t.Fatalf("enable quantized: %v", err)
+	}
+	scans := []Scan{{}, {Weights: pts[0].Clone()}, {Float32: true}, {Quantized: true}}
+	for i := range scans[1].Weights {
+		scans[1].Weights[i] = math.Abs(scans[1].Weights[i])
+	}
+	points := batchQueries(rng, pts, 3, 16, 10)
+	want := make([][][]Neighbor, len(scans))
+	for s, scan := range scans {
+		for _, q := range points {
+			want[s] = append(want[s], knnScan(tr, scan, q, 9, nil))
+		}
+	}
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func(g int) {
+			for rep := 0; rep < 20; rep++ {
+				s := (g + rep) % len(scans)
+				qs := make([]Query, len(points))
+				for i, q := range points {
+					qs[i] = Query{Q: q, K: 9}
+				}
+				if err := tr.KNNSearch(context.Background(), tr.Root(), scans[s], qs); err != nil {
+					errs <- err
+					return
+				}
+				for i := range qs {
+					same := len(qs[i].Result) == len(want[s][i])
+					for r := 0; same && r < len(want[s][i]); r++ {
+						same = qs[i].Result[r].ID == want[s][i][r].ID
+					}
+					if !same {
+						errs <- fmt.Errorf("goroutine %d scan %d query %d diverges from the serial answer", g, s, i)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -210,7 +210,7 @@ func TestKNNWeightedMatchesLinear(t *testing.T) {
 	w := vec.Vector{4, 0.25, 1, 2}
 	for trial := 0; trial < 10; trial++ {
 		q := randPoints(rng, 1, 4, 8)[0]
-		got := tr.KNNWeighted(q, w, 10, nil)
+		got := knnScan(tr, Scan{Weights: w}, q, 10, nil)
 		// Linear reference under the weighted metric.
 		ds := make([]float64, len(pts))
 		for i, p := range pts {

@@ -77,19 +77,15 @@ func (s *Snapshot) searchSegment(ctx context.Context, sv segView, q, weights vec
 	if kk > sv.seg.len() {
 		kk = sv.seg.len()
 	}
+	// A segment sealed without codes has no quantized scoring on its tree;
+	// rstar then answers the Quantized request with the exact descent.
 	tree := sv.seg.rfs.Tree()
-	var ns []rstar.Neighbor
-	var err error
-	switch {
-	case weights != nil:
-		ns, err = tree.KNNWeightedFromStatsCtx(ctx, tree.Root(), q, weights, kk, nil, nil)
-	case s.db.cfg.Float32:
-		ns, err = tree.KNNF32FromStatsCtx(ctx, tree.Root(), q, kk, nil, nil)
-	case s.db.cfg.Quantized && sv.seg.quantized:
-		ns, err = tree.KNNQuantFromStatsCtx(ctx, tree.Root(), q, kk, s.db.cfg.RerankFactor, nil, nil)
-	default:
-		ns, err = tree.KNNFromStatsCtx(ctx, tree.Root(), q, kk, nil, nil)
-	}
+	ns, err := tree.KNNOne(ctx, tree.Root(), rstar.Scan{
+		Weights:      weights,
+		Float32:      s.db.cfg.Float32,
+		Quantized:    s.db.cfg.Quantized,
+		RerankFactor: s.db.cfg.RerankFactor,
+	}, q, kk, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -185,7 +185,7 @@ func (r *Replica) Labeler() func(id int) string {
 // (distance, global ID) — the same total order the single-node search's
 // stabilized output uses — with distances computed by the same batch kernels
 // at the same precision. A non-nil weights vector selects the weighted
-// float64 path, exactly as core.localKNN does.
+// float64 path, exactly as rstar.Scan.Weights does on a single node.
 func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, weights []float64, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: invalid k=%d", k)

@@ -35,7 +35,7 @@ import (
 // ||q - decode(codes(q))|| is measured directly (EncodeQuery). The triangle
 // inequality then bounds how far a code distance can sit from the true
 // distance, which is what lets the two-phase k-NN prove its candidate set
-// already contains the exact top-k (see rstar.KNNQuantFromStatsCtx). Corpora
+// already contains the exact top-k (Certifies). Corpora
 // containing NaN or ±Inf components set clean=false and DBErr=+Inf: every
 // search over them falls back to the exact path rather than trust the bound.
 
@@ -237,6 +237,30 @@ func (q *Quantized) EncodeQuery(v vec.Vector, dst []uint8) ([]uint8, float64) {
 // vectors.
 func (q *Quantized) DecodedDist(raw int32) float64 {
 	return q.delta * math.Sqrt(float64(raw))
+}
+
+// certMargin is the relative margin Certifies applies to its comparison so
+// float rounding in the sqrt/delta arithmetic can never certify a candidate
+// set the real-number inequality would reject.
+const certMargin = 1e-9
+
+// Certifies is the SQ8 exactness certificate, shared by every two-phase
+// search over q's codes. A search that scanned the code rows with a bounded
+// selector whose admission threshold only decreases, ending at threshold,
+// excluded only rows with code distance >= threshold, i.e. decoded distance
+// >= DecodedDist(threshold). With qErr the query's measured decode error
+// (EncodeQuery) and DBErr the per-point bound, the triangle inequality puts
+// every excluded row's true distance to the query at least
+//
+//	lower = DecodedDist(threshold) - qErr - DBErr
+//
+// away. Certifies reports whether kthDist — the k-th smallest exact distance
+// among the retained rows — is below that, so that no excluded row can enter
+// the top-k and the reranked candidates ARE the exact answer. A false return
+// proves nothing; the caller widens its candidate set and tries again.
+func (q *Quantized) Certifies(threshold int32, qErr, kthDist float64) bool {
+	lower := q.DecodedDist(threshold) - qErr - q.dbErr
+	return kthDist*(1+certMargin) < lower*(1-certMargin)
 }
 
 // QuantParts is the serializable form of a Quantized: exactly the trained

@@ -394,35 +394,31 @@ func (s *System) KNNContext(ctx context.Context, exampleImage, k int) ([]Scored,
 	return s.searchKNN(ctx, s.corpus.Vectors[exampleImage], k)
 }
 
-// searchKNN runs one observed global k-NN search, through the SQ8 two-phase
-// scan when the system is quantized and the plain best-first descent
-// otherwise; results are identical either way.
+// searchKNN runs one observed global k-NN search in the system's configured
+// scan mode (rstar resolves which mode applies); SQ8 results are identical to
+// the exact descent's.
 func (s *System) searchKNN(ctx context.Context, q vec.Vector, k int) ([]Scored, error) {
 	o := s.engine.Config().Observer
 	var acc disk.Accounter
+	var st *rstar.SearchStats
 	var t0 time.Time
 	if o != nil {
 		acc = &disk.Counter{}
+		st = &rstar.SearchStats{Timed: true}
 		t0 = time.Now()
 	}
-	var ns []rstar.Neighbor
-	var err error
 	tree := s.rfs.Tree()
-	if s.cfg.Float32 {
-		ns, err = tree.KNNF32FromStatsCtx(ctx, tree.Root(), q, k, acc, nil)
-	} else if s.cfg.Quantized {
-		st := rstar.SearchStats{Timed: o != nil}
-		ns, err = tree.KNNQuantFromStatsCtx(ctx, tree.Root(), q, k, s.cfg.RerankFactor, acc, &st)
-		if err == nil && o != nil {
-			o.KNNPhases(st.ScanNS, st.RerankNS, st.RerankFallbacks)
-		}
-	} else {
-		ns, err = tree.KNNCtx(ctx, q, k, acc)
-	}
+	ns, err := tree.KNNOne(ctx, tree.Root(), rstar.Scan{
+		Float32:      s.cfg.Float32,
+		Quantized:    s.cfg.Quantized,
+		RerankFactor: s.cfg.RerankFactor,
+	}, q, k, acc, st)
 	if err != nil {
 		return nil, err
 	}
 	if o != nil {
+		// All zero, and so a no-op, unless the search ran the SQ8 sweep.
+		o.KNNPhases(st.ScanNS, st.RerankNS, st.RerankFallbacks)
 		o.KNNDone(time.Since(t0), acc.Reads())
 	}
 	out := make([]Scored, len(ns))

@@ -2,127 +2,105 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/gob"
 	"io"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"testing"
 
-	"qdcbir/internal/rfs"
-	"qdcbir/internal/rstar"
-	"qdcbir/internal/store"
+	"qdcbir"
 )
 
-func TestBuildArchiveAndRoundTrip(t *testing.T) {
-	arch, err := buildArchive(1, 10, 300, 20, 0.2, false, "str", false, slog.New(slog.NewTextHandler(io.Discard, nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arch.Infos) == 0 || arch.RFS == nil {
-		t.Fatal("empty archive")
-	}
-	// Encode/decode through a real file, then reconstruct the structure —
-	// the qdbuild → qdquery/qdserve handoff.
+// roundTrip writes the system the way main does and reads it back the way
+// qdserve and qdquery do.
+func roundTrip(t *testing.T, sys *qdcbir.System) *qdcbir.System {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "db.gob")
-	f, err := os.Create(path)
+	if err := sys.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := qdcbir.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(f).Encode(arch); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return loaded
+}
 
-	g, err := os.Open(path)
+func TestBuildArchiveAndRoundTrip(t *testing.T) {
+	sys, err := buildSystem(1, 10, 300, 20, 0.2, false, "str", false, slog.New(slog.NewTextHandler(io.Discard, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-	var loaded Archive
-	if err := gob.NewDecoder(g).Decode(&loaded); err != nil {
-		t.Fatal(err)
+	loaded := roundTrip(t, sys)
+	if loaded.Len() != sys.Len() || loaded.Len() == 0 {
+		t.Errorf("loaded %d images, built %d", loaded.Len(), sys.Len())
 	}
-	structure, err := rfs.FromSnapshot(loaded.RFS)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := loaded.RepresentativeCount(), sys.RepresentativeCount(); got != want || got == 0 {
+		t.Errorf("%d representatives after reload, built %d", got, want)
 	}
-	if structure.Len() != len(arch.Infos) {
-		t.Errorf("loaded %d images for %d infos", structure.Len(), len(arch.Infos))
-	}
-	if structure.RepCount() == 0 {
-		t.Error("no representatives after reload")
+	if cfg := loaded.Config(); cfg.NodeCapacity != 20 || cfg.RepFraction != 0.2 || cfg.Quantized {
+		t.Errorf("build flags did not travel with the archive: %+v", cfg)
 	}
 }
 
 func TestBuildArchiveVectorMode(t *testing.T) {
 	var log bytes.Buffer
-	arch, err := buildArchive(2, 10, 400, 20, 0.1, true, "kmeans", false, slog.New(slog.NewTextHandler(&log, nil)))
+	sys, err := buildSystem(2, 10, 400, 20, 0.1, true, "kmeans", false, slog.New(slog.NewTextHandler(&log, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Spec rounding distributes images per category; the total lands close
 	// to but not exactly on the request.
-	if n := len(arch.Infos); n < 350 || n > 400 {
-		t.Errorf("infos = %d, want ~400", n)
+	if n := sys.Len(); n < 350 || n > 400 {
+		t.Errorf("built %d images, want ~400", n)
 	}
-	if !bytes.Contains(log.Bytes(), []byte("RFS structure")) {
+	if !bytes.Contains(log.Bytes(), []byte("system built")) {
 		t.Error("progress log missing")
+	}
+	loaded := roundTrip(t, sys)
+	if cfg := loaded.Config(); cfg.Hierarchy != "kmeans" || !cfg.VectorMode {
+		t.Errorf("build flags did not travel with the archive: %+v", cfg)
+	}
+	if loaded.TreeHeight() != sys.TreeHeight() || loaded.RepresentativeCount() != sys.RepresentativeCount() {
+		t.Errorf("reloaded hierarchy: height %d, %d representatives; built %d, %d",
+			loaded.TreeHeight(), loaded.RepresentativeCount(), sys.TreeHeight(), sys.RepresentativeCount())
 	}
 }
 
-// TestBuildArchiveQuantized checks -quantize embeds an SQ8 quantizer the
-// reader side (qdquery/qdserve) can adopt into the reconstructed structure,
-// and that quantized searches then match the exact path exactly.
+// TestBuildArchiveQuantized checks -quantize travels with the archive: the
+// reader serves SQ8 with no flag of its own, from the persisted codes, and
+// answers exactly as an unquantized build of the same corpus does.
 func TestBuildArchiveQuantized(t *testing.T) {
-	arch, err := buildArchive(3, 8, 250, 20, 0.2, true, "str", true, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	sys, err := buildSystem(3, 8, 250, 20, 0.2, true, "str", true, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arch.Quant == nil {
-		t.Fatal("quantized build embedded no quantizer")
+	if !sys.Quantized() {
+		t.Fatal("quantized build trained no quantizer")
 	}
-	if want := len(arch.Infos) * arch.Quant.Dim; len(arch.Quant.Codes) != want {
-		t.Fatalf("codes table is %d bytes, want %d", len(arch.Quant.Codes), want)
+	loaded := roundTrip(t, sys)
+	if !loaded.Config().Quantized || !loaded.Quantized() {
+		t.Fatalf("reloaded archive is not quantized: %+v", loaded.Config())
 	}
-	// The reader-side handoff: reconstruct, adopt, and compare searches.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(arch); err != nil {
-		t.Fatal(err)
-	}
-	var loaded Archive
-	if err := gob.NewDecoder(&buf).Decode(&loaded); err != nil {
-		t.Fatal(err)
-	}
-	structure, err := rfs.FromSnapshot(loaded.RFS)
+	exact, err := buildSystem(3, 8, 250, 20, 0.2, true, "str", false, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qz, err := store.FromParts(*loaded.Quant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := structure.AdoptQuantized(qz); err != nil {
-		t.Fatal(err)
-	}
-	tree := structure.Tree()
-	for _, id := range []int{0, 100, len(arch.Infos) - 1} {
-		q := structure.Point(rstar.ItemID(id))
-		exact := tree.KNN(q, 10, nil)
-		quant, err := tree.KNNOne(context.Background(), tree.Root(), rstar.Scan{Quantized: true}, q, 10, nil, nil)
+	for _, id := range []int{0, 100, loaded.Len() - 1} {
+		want, err := exact.KNN(id, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(exact) != len(quant) {
-			t.Fatalf("result sizes differ: %d vs %d", len(exact), len(quant))
+		got, err := loaded.KNN(id, 10)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range exact {
-			if exact[i].ID != quant[i].ID || exact[i].Dist != quant[i].Dist {
-				t.Fatalf("id %d rank %d: exact (%d, %v) vs quant (%d, %v)",
-					id, i, exact[i].ID, exact[i].Dist, quant[i].ID, quant[i].Dist)
+		if len(got) != len(want) {
+			t.Fatalf("result sizes differ: %d vs %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("id %d rank %d: quantized archive %+v, exact build %+v", id, i, got[i], want[i])
 			}
 		}
 	}

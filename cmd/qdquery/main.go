@@ -8,7 +8,7 @@
 //
 //	qdquery                 # build a small corpus in-memory and query it
 //	qdquery -db db.gob      # query a database persisted by qdbuild
-//	qdquery -db emb.gob     # also opens versioned archives (qdbuild -import)
+//	qdquery -db old.gob     # also opens the header-less gob older qdbuilds wrote
 //
 // Session commands:
 //
@@ -131,8 +131,8 @@ func open(path string, seed int64, parallelism int, quantize bool, observer *obs
 		}
 		defer f.Close()
 		br := bufio.NewReader(f)
-		// Versioned system archives (qdbuild -import, qdcbir.SaveFile) open
-		// with the 0xD1 'Q' 'D' magic — a prefix no gob stream can start with.
+		// Versioned system archives (qdbuild, qdcbir.SaveFile) open with the
+		// 0xD1 'Q' 'D' magic — a prefix no gob stream can start with.
 		// They carry their own configuration (dimension, precision, quantizer),
 		// so the engine flags of this command don't apply to them.
 		if head, err := br.Peek(3); err == nil && head[0] == 0xD1 && head[1] == 'Q' && head[2] == 'D' {
@@ -145,6 +145,8 @@ func open(path string, seed int64, parallelism int, quantize bool, observer *obs
 			}
 			return &db{infos: sys.Corpus().Infos, rfs: sys.RFS(), engine: sys.Engine()}, nil
 		}
+		// What is left is the header-less gob qdbuild wrote before it wrote
+		// versioned archives.
 		var arch struct {
 			Infos []dataset.Info
 			RFS   *rfs.Snapshot

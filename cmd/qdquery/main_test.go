@@ -225,3 +225,27 @@ func TestOpenVersionedArchive(t *testing.T) {
 		t.Errorf("no display from versioned archive: %q", out.String())
 	}
 }
+
+// TestOpenLegacyArchive: qdbuild no longer writes the header-less gob of
+// {Infos, RFS, Quant}, but files it wrote still open, with and without
+// adopting their quantizer.
+func TestOpenLegacyArchive(t *testing.T) {
+	const path = "../testdata/qdbuild_legacy.gob" // qdbuild -vectors -images 120 -categories 11 -capacity 12 -reps 0.2 -seed 5 -quantize, before the versioned writer
+	for _, quantize := range []bool{false, true} {
+		d, err := open(path, 1, 1, quantize, nil)
+		if err != nil {
+			t.Fatalf("quantized=%v: %v", quantize, err)
+		}
+		if len(d.infos) != 104 || d.rfs.Len() != 104 || d.subconceptOf(103) == "" {
+			t.Fatalf("quantized=%v: %d infos over %d vectors", quantize, len(d.infos), d.rfs.Len())
+		}
+		if got := d.rfs.Tree().QuantizedScoring(); got != quantize {
+			t.Errorf("quantized=%v: tree scores quantized=%v", quantize, got)
+		}
+		var out bytes.Buffer
+		repl(d, rand.New(rand.NewSource(5)), strings.NewReader("q\n"), &out)
+		if !strings.Contains(out.String(), "candidate representatives") {
+			t.Errorf("quantized=%v: no display from the legacy archive: %q", quantize, out.String())
+		}
+	}
+}

@@ -228,10 +228,11 @@ func precisionTag(quantized, f32 bool) string {
 
 // load opens the database by sniffing the archive's magic header: a shard
 // slice (internal/shard), a dynamic segmented archive (Dynamic.Save), a
-// versioned system archive (qdcbir.Save), or a legacy bare-gob qdbuild
-// archive. An empty path builds a small corpus in process. dynamic forces
-// the online-ingest engine: static archives and in-process builds are
-// adopted as a single sealed segment; v4 archives select it automatically.
+// versioned system archive (qdcbir.Save, what qdbuild writes), or the
+// header-less gob qdbuild wrote before that. An empty path builds a small
+// corpus in process. dynamic forces the online-ingest engine: static archives
+// and in-process builds are adopted as a single sealed segment; v4 archives
+// select it automatically.
 func load(path string, images int, seed int64, keepImages bool, parallelism int, quantize, dynamic bool, observer *obs.Observer) (*loaded, error) {
 	if path == "" && dynamic {
 		cfg := qdcbir.SmallConfig()

@@ -2,8 +2,10 @@ package main
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
+	"qdcbir/internal/rstar"
 	"qdcbir/internal/server"
 )
 
@@ -41,5 +43,39 @@ func TestLoadInMemoryAndServe(t *testing.T) {
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := load("/nonexistent.gob", 0, 1, false, 0, false, false, nil); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestLoadLegacyArchive: qdbuild no longer writes the header-less gob of
+// {Infos, RFS, Quant}, but files it wrote still open — with and without
+// adopting their quantizer — and are still refused for -dynamic.
+func TestLoadLegacyArchive(t *testing.T) {
+	const path = "../testdata/qdbuild_legacy.gob" // qdbuild -vectors -images 120 -categories 11 -capacity 12 -reps 0.2 -seed 5 -quantize, before the versioned writer
+	var want []int
+	for _, quantize := range []bool{false, true} {
+		ld, err := load(path, 0, 1, false, 1, quantize, false, nil)
+		if err != nil {
+			t.Fatalf("quantize=%v: %v", quantize, err)
+		}
+		if ld.version != 0 || ld.quantized != quantize || ld.eng.RFS().Tree().QuantizedScoring() != quantize {
+			t.Errorf("quantize=%v: version %d, quantized %v", quantize, ld.version, ld.quantized)
+		}
+		if n := ld.eng.RFS().Len(); n != 104 || ld.label(n-1) == "" {
+			t.Fatalf("quantize=%v: %d images, last label %q", quantize, n, ld.label(n-1))
+		}
+		res, _, err := ld.eng.QueryByExamples([]rstar.ItemID{0, 50, 103}, 12, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.IDs(); len(got) != 12 {
+			t.Fatalf("quantize=%v: %d results", quantize, len(got))
+		} else if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("SQ8 answers %v, exact %v", got, want)
+		}
+	}
+	if _, err := load(path, 0, 1, false, 1, false, true, nil); err == nil {
+		t.Error("legacy archive accepted for -dynamic")
 	}
 }

@@ -6,13 +6,15 @@
 //
 // The suite prices the paths this repository's PRs have promised to keep
 // fast: the global k-NN read path with and without an Observer (the
-// zero-cost-when-nil contract), the full feedback-session finalize fan-out,
-// the multi-query batch kernels against M independent single-query sweeps
-// (batch.go), and the sliding-window digest's observe and rotate operations.
+// zero-cost-when-nil contract), opening a feedback session and its full
+// finalize fan-out, the SQ8 candidate selector's drain, the multi-query batch
+// kernels against M independent single-query sweeps (batch.go), and the
+// sliding-window digest's observe and rotate operations.
 package benchsuite
 
 import (
 	"fmt"
+	"math/rand"
 	"regexp"
 	"testing"
 	"time"
@@ -116,11 +118,14 @@ func suite(fix *fixture) []entry {
 		{"BenchmarkLeafScanKernel/f32", benchLeafScanF32(featureDim)},
 		{"BenchmarkLeafScanKernelEmbed/f64", benchLeafScanF64(embedDim)},
 		{"BenchmarkLeafScanKernelEmbed/f32", benchLeafScanF32(embedDim)},
+		{"BenchmarkQuantTopKDrain/m=200", benchQuantTopKDrain(200)},
+		{"BenchmarkQuantTopKDrain/m=8192", benchQuantTopKDrain(8192)},
 		{"BenchmarkScanTableFootprint/exact", benchScanTableExact},
 		{"BenchmarkScanTableFootprint/sq8", benchScanTableSQ8},
 		{"BenchmarkDynamicInsert", benchDynamicInsert},
 		{"BenchmarkDynamicKNN/quiescent", benchDynamicKNN},
 		{"BenchmarkDynamicKNN/under-writes", benchDynamicKNNUnderWrites},
+		{"BenchmarkSessionOpen", benchSessionOpen(fix.plain)},
 		{"BenchmarkQueryFinalize/observer=none", benchFinalize(fix.plain)},
 		{"BenchmarkQueryFinalize/observer=live", benchFinalize(fix.observed)},
 		{"BenchmarkWindowedDigestObserve", benchDigestObserve},
@@ -128,6 +133,20 @@ func suite(fix *fixture) []entry {
 		{"BenchmarkPerfettoExport", benchPerfettoExport},
 	}
 	return append(es, batchEntries()...)
+}
+
+// benchSessionOpen prices starting a feedback session, which every hosted
+// session and every first round pays: its B/op is what a session holds
+// before it has touched a page.
+func benchSessionOpen(sys *qdcbir.System) func(b *testing.B, fix *fixture) {
+	return func(b *testing.B, _ *fixture) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if sys.NewSession(int64(i)) == nil {
+				b.Fatal("no session")
+			}
+		}
+	}
 }
 
 // benchFinalize prices the localized finalize fan-out via the engine's
@@ -228,6 +247,31 @@ func benchLeafScanSQ8(b *testing.B, _ *fixture) {
 	}
 }
 
+// benchQuantTopKDrain prices what the two-phase search does with its
+// candidate selector once per query and once more per widening: admit m
+// candidates, then drain them in (code distance, id) order. m = 200 is a
+// first rerank at k = 50; m = 8192 is a selector widened to a whole subtree.
+func benchQuantTopKDrain(m int) func(b *testing.B, _ *fixture) {
+	return func(b *testing.B, _ *fixture) {
+		rng := rand.New(rand.NewSource(5))
+		dists := make([]int32, m)
+		for i := range dists {
+			dists[i] = int32(rng.Intn(1 << 16))
+		}
+		sel := vec.NewQuantTopK(m)
+		ids := make([]int, 0, m)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sel.Reset(m)
+			for id, d := range dists {
+				sel.Add(d, id)
+			}
+			ids = sel.AppendIDs(ids[:0])
+		}
+	}
+}
+
 // benchScanTableExact materializes the float64 scan table each op; its B/op
 // is the per-table memory footprint of the exact path.
 func benchScanTableExact(b *testing.B, _ *fixture) {
@@ -320,6 +364,8 @@ var fixtureFree = map[string]bool{
 	"BenchmarkPerfettoExport":           true,
 	"BenchmarkLeafScanKernel/exact":     true,
 	"BenchmarkLeafScanKernel/sq8":       true,
+	"BenchmarkQuantTopKDrain/m=200":     true,
+	"BenchmarkQuantTopKDrain/m=8192":    true,
 	"BenchmarkLeafScanKernel/f32":       true,
 	"BenchmarkLeafScanKernelEmbed/f64":  true,
 	"BenchmarkLeafScanKernelEmbed/f32":  true,

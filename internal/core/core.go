@@ -153,21 +153,19 @@ type Session struct {
 	assign map[rstar.ItemID]*rstar.Node
 
 	displayed map[rstar.ItemID]*rstar.Node // last display: rep -> frontier node
-	everShown map[rstar.ItemID]bool
 	cursors   map[disk.PageID]*displayCursor
 	weights   vec.Vector // optional §6 feature-importance weighting
-	// Session-lifetime page caches: §5.2.2's cost model counts one read per
-	// distinct node — representatives marked from the same cluster share the
-	// node access, and a node stays buffered for the rest of the session.
-	feedbackIO *disk.LRUCache
-	finalIO    *disk.LRUCache
-	stats      Stats
-	finalized  bool
-	// baseFeedbackReads/baseFinalReads carry the read counters of a restored
-	// session's earlier life (RestoreSession); the live caches count only
-	// post-restore reads.
-	baseFeedbackReads uint64
-	baseFinalReads    uint64
+	// feedbackIO is the session-lifetime page cache of the feedback rounds:
+	// §5.2.2's cost model counts one read per distinct node — representatives
+	// marked from the same cluster share the node access, and a node stays
+	// buffered for the rest of the session. The final k-NN's cache lives in
+	// the FinalizeCtx call that fills it.
+	feedbackIO disk.Visited
+	// stats.FeedbackReads and stats.FinalReads hold what feedbackIO does not
+	// count: a restored session's earlier life (RestoreSession) and the
+	// finalize that returned a result.
+	stats     Stats
+	finalized bool
 
 	// trace is the session's observability span (nil when the engine has no
 	// Observer). lastFbReads/lastFbAccesses checkpoint the feedback cache
@@ -182,13 +180,10 @@ type Session struct {
 // displays.
 func (e *Engine) NewSession(rng *rand.Rand) *Session {
 	s := &Session{
-		eng:        e,
-		rng:        rng,
-		frontier:   []*rstar.Node{e.rfs.Root()},
-		relSet:     make(map[rstar.ItemID]bool),
-		everShown:  make(map[rstar.ItemID]bool),
-		feedbackIO: disk.NewLRUCache(1 << 16),
-		finalIO:    disk.NewLRUCache(1 << 16),
+		eng:      e,
+		rng:      rng,
+		frontier: []*rstar.Node{e.rfs.Root()},
+		relSet:   make(map[rstar.ItemID]bool),
 	}
 	if o := e.cfg.Observer; o != nil {
 		o.SessionStarted()
@@ -211,8 +206,7 @@ func (s *Session) Relevant() []rstar.ItemID { return s.relevant }
 // Stats returns the session's accumulated cost statistics.
 func (s *Session) Stats() Stats {
 	st := s.stats
-	st.FeedbackReads = s.baseFeedbackReads + s.feedbackIO.Reads()
-	st.FinalReads = s.baseFinalReads + s.finalIO.Reads()
+	st.FeedbackReads += s.feedbackIO.Reads()
 	return st
 }
 
@@ -230,7 +224,7 @@ func (s *Session) Candidates() []Candidate {
 	var pools []pool
 	total := 0
 	for _, n := range s.frontier {
-		reps := s.eng.rfs.Reps(n, s.feedbackIO)
+		reps := s.eng.rfs.Reps(n, &s.feedbackIO)
 		if len(reps) == 0 {
 			continue
 		}
@@ -279,7 +273,6 @@ func (s *Session) Candidates() []Candidate {
 	}
 	for _, c := range out {
 		s.displayed[c.ID] = c.Node
-		s.everShown[c.ID] = true
 	}
 	s.trace.AddDisplayed(len(out))
 	return out
@@ -540,13 +533,14 @@ func (s *Session) Finalize(k int) (*Result, error) {
 }
 
 // FinalizeCtx is Finalize with cancellation. A cancelled context aborts the
-// localized k-NN subqueries mid-flight; the session still counts as finalized
-// (feedback state has been consumed) but no partial result is returned.
+// localized k-NN subqueries mid-flight and no partial result is returned.
+// Only a returned result consumes the session: after an error (an invalid k,
+// a lapsed deadline) it is exactly as it was, so the call can be retried and
+// the retry reports the reads and expansions of a first attempt.
 func (s *Session) FinalizeCtx(ctx context.Context, k int) (*Result, error) {
 	if s.finalized {
 		return nil, ErrFinalized
 	}
-	s.finalized = true
 	if k <= 0 {
 		return nil, fmt.Errorf("core: invalid k=%d", k)
 	}
@@ -561,7 +555,16 @@ func (s *Session) FinalizeCtx(ctx context.Context, k int) (*Result, error) {
 		o.AddFeedbackReads(reads - s.lastFbReads)
 		s.lastFbReads = reads
 	}
-	return finalizeGroups(ctx, s.eng, s.relevant, s.assign, k, s.weights, s.finalIO, &s.stats, s.trace)
+	var finalIO disk.Visited
+	stats := s.stats
+	res, err := finalizeGroups(ctx, s.eng, s.relevant, s.assign, k, s.weights, &finalIO, &stats, s.trace)
+	if err != nil {
+		return nil, err
+	}
+	stats.FinalReads += finalIO.Reads()
+	s.stats = stats
+	s.finalized = true
+	return res, nil
 }
 
 // QueryByExamples runs the final localized query processing directly from a
@@ -610,7 +613,7 @@ func (e *Engine) QueryByExamplesCtx(ctx context.Context, relevant []rstar.ItemID
 		ids = append(ids, id)
 	}
 	if acc == nil {
-		acc = disk.NewLRUCache(1 << 16)
+		acc = new(disk.Visited)
 	}
 	var t *obs.Trace
 	if o := e.cfg.Observer; o != nil {

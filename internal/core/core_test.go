@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"qdcbir/internal/rfs"
@@ -239,6 +242,53 @@ func TestFinalizeErrors(t *testing.T) {
 	markBlobs(t, sess3, blobOf, map[int]bool{0: true}, 1)
 	if _, err := sess3.Finalize(0); err == nil {
 		t.Error("k=0 accepted")
+	}
+}
+
+// TestFinalizeRetryAfterFailure: only a returned result consumes a session.
+// An invalid k and a cancelled context each leave it as it was, so the retry
+// answers — and reports the reads and expansions — exactly like a session
+// that finalized once.
+func TestFinalizeRetryAfterFailure(t *testing.T) {
+	eng, blobOf := fixture(t, 4, 50, 20)
+	strict := NewEngine(eng.RFS(), Config{BoundaryThreshold: 1e-9}) // every subquery expands
+	play := func() *Session {
+		sess := strict.NewSession(rand.New(rand.NewSource(21)))
+		markBlobs(t, sess, blobOf, map[int]bool{0: true, 2: true}, 3)
+		return sess
+	}
+	clean, retried := play(), play()
+	want, err := clean.Finalize(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Stats().Expansions == 0 || clean.Stats().FinalReads == 0 {
+		t.Fatalf("fixture finalizes without cost to compare: %+v", clean.Stats())
+	}
+
+	if _, err := retried.Finalize(0); err == nil {
+		t.Fatal("k=0 accepted")
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := retried.FinalizeCtx(cancelled, 20); !errors.Is(err, context.Canceled) {
+		t.Fatalf("finalize under a cancelled context: %v", err)
+	}
+	if st := retried.Stats(); st.FinalReads != 0 || st.Expansions != 0 {
+		t.Errorf("failed finalizes left cost behind: %+v", st)
+	}
+	got, err := retried.Finalize(20)
+	if err != nil {
+		t.Fatalf("retry after failed finalizes: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("retried finalize differs from a first finalize")
+	}
+	if retried.Stats() != clean.Stats() {
+		t.Errorf("retried session stats %+v, clean session %+v", retried.Stats(), clean.Stats())
+	}
+	if _, err := retried.Finalize(20); err != ErrFinalized {
+		t.Errorf("finalize after a returned result: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"qdcbir/internal/disk"
 	"qdcbir/internal/rstar"
@@ -38,7 +37,6 @@ type SessionState struct {
 	// Displayed maps each currently displayed image to the frontier node that
 	// displayed it (Feedback only accepts displayed images).
 	Displayed     map[int]uint64 `json:"displayed,omitempty"`
-	EverShown     []int          `json:"ever_shown,omitempty"` // sorted
 	Weights       []float64      `json:"weights,omitempty"`
 	Rounds        int            `json:"rounds"`
 	Expansions    int            `json:"expansions"`
@@ -72,13 +70,6 @@ func (s *Session) ExportState() *SessionState {
 			st.Displayed[int(id)] = uint64(n.ID())
 		}
 	}
-	if len(s.everShown) > 0 {
-		st.EverShown = make([]int, 0, len(s.everShown))
-		for id := range s.everShown {
-			st.EverShown = append(st.EverShown, int(id))
-		}
-		sort.Ints(st.EverShown)
-	}
 	if s.weights != nil {
 		st.Weights = append([]float64(nil), s.weights...)
 	}
@@ -98,18 +89,17 @@ func (e *Engine) RestoreSession(st *SessionState, rng *rand.Rand) (*Session, err
 		return nil, fmt.Errorf("core: session state version %d unsupported (want %d)", st.Version, SessionStateVersion)
 	}
 	s := &Session{
-		eng:        e,
-		rng:        rng,
-		relSet:     make(map[rstar.ItemID]bool),
-		everShown:  make(map[rstar.ItemID]bool),
-		feedbackIO: disk.NewLRUCache(1 << 16),
-		finalIO:    disk.NewLRUCache(1 << 16),
-		finalized:  st.Finalized,
+		eng:       e,
+		rng:       rng,
+		relSet:    make(map[rstar.ItemID]bool),
+		finalized: st.Finalized,
+		stats: Stats{
+			FeedbackReads: st.FeedbackReads,
+			FinalReads:    st.FinalReads,
+			Expansions:    st.Expansions,
+			Rounds:        st.Rounds,
+		},
 	}
-	s.stats.Rounds = st.Rounds
-	s.stats.Expansions = st.Expansions
-	s.baseFeedbackReads = st.FeedbackReads
-	s.baseFinalReads = st.FinalReads
 	n := e.rfs.Len()
 	for _, id := range st.Relevant {
 		if id < 0 || id >= n {
@@ -144,9 +134,6 @@ func (e *Engine) RestoreSession(st *SessionState, rng *rand.Rand) (*Session, err
 			}
 			s.displayed[rstar.ItemID(id)] = node
 		}
-	}
-	for _, id := range st.EverShown {
-		s.everShown[rstar.ItemID(id)] = true
 	}
 	if st.Weights != nil {
 		if err := s.SetFeatureWeights(st.Weights); err != nil {

@@ -6,16 +6,17 @@
 // Tree nodes register as pages; every traversal that "reads" a node reports
 // it through an Accounter. The default Counter tallies raw accesses; the LRU
 // cache variant models a buffer pool, so experiments can report both cold and
-// warm I/O counts.
+// warm I/O counts; Visited is the buffer pool that never evicts, which is
+// what one query session sees.
 //
 // Concurrency: Counter (atomic) and Nop are safe for concurrent use, so
 // independent goroutines may share one while traversing the read-only tree.
-// LRUCache is NOT goroutine-safe — its hit/miss ratio is inherently
-// order-dependent, so sharing it across goroutines would make the simulated
-// I/O counts nondeterministic even with locking. Parallel phases instead give
-// each goroutine a private Recorder and Replay the traces into the real
-// accounter in a deterministic order afterwards; counts then match the
-// serial execution exactly.
+// LRUCache and Visited are NOT goroutine-safe — an LRU's hit/miss ratio is
+// inherently order-dependent, so sharing it across goroutines would make the
+// simulated I/O counts nondeterministic even with locking. Parallel phases
+// instead give each goroutine a private Recorder and Replay the traces into
+// the real accounter in a deterministic order afterwards; counts then match
+// the serial execution exactly.
 package disk
 
 import (
@@ -126,6 +127,42 @@ func (c *LRUCache) Reset() {
 	c.reads, c.accesses = 0, 0
 	c.order.Init()
 	c.index = make(map[PageID]*list.Element, c.capacity)
+}
+
+// Visited is the Accounter of one query session: a buffer pool large enough
+// that nothing is ever evicted, so a page costs one read the first time it is
+// touched and none afterwards (§5.2.2 counts one read per distinct node). It
+// is the set of pages seen and nothing else — it starts empty and grows with
+// what the session touches, where an LRUCache pays a list node per page and
+// bookkeeping per access. The zero value is ready to use.
+type Visited struct {
+	seen     map[PageID]struct{}
+	accesses uint64
+}
+
+// Access records the page, reporting whether it had been touched before.
+func (v *Visited) Access(p PageID) bool {
+	v.accesses++
+	if _, ok := v.seen[p]; ok {
+		return true
+	}
+	if v.seen == nil {
+		v.seen = make(map[PageID]struct{})
+	}
+	v.seen[p] = struct{}{}
+	return false
+}
+
+// Reads returns the number of distinct pages touched.
+func (v *Visited) Reads() uint64 { return uint64(len(v.seen)) }
+
+// Accesses returns every Access call, first touches and repeats alike.
+func (v *Visited) Accesses() uint64 { return v.accesses }
+
+// Reset forgets every page and zeroes the counters.
+func (v *Visited) Reset() {
+	clear(v.seen)
+	v.accesses = 0
 }
 
 // Recorder is an Accounter that captures the ordered page-access trace of

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -112,6 +113,7 @@ func TestNop(t *testing.T) {
 func TestAccounterInterfaceSatisfaction(t *testing.T) {
 	var _ Accounter = (*Counter)(nil)
 	var _ Accounter = (*LRUCache)(nil)
+	var _ Accounter = (*Visited)(nil)
 	var _ Accounter = Nop{}
 }
 
@@ -135,6 +137,34 @@ func TestLRULargeWorkloadConsistency(t *testing.T) {
 	}
 	if c.Reads() != 8 {
 		t.Errorf("hot loop reads = %d, want 8", c.Reads())
+	}
+}
+
+// TestVisitedMatchesUnevictingLRU: a Visited is an LRU cache that never
+// fills — same hit/miss answer on every access, same Reads and Accesses.
+func TestVisitedMatchesUnevictingLRU(t *testing.T) {
+	var v Visited
+	if v.Reads() != 0 || v.Accesses() != 0 {
+		t.Fatal("zero value not zeroed")
+	}
+	v.Reset() // on the zero value: must not panic
+	lru := NewLRUCache(1 << 10)
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 2000; i++ {
+			p := PageID(rng.Intn(300))
+			if got, want := v.Access(p), lru.Access(p); got != want {
+				t.Fatalf("round %d access %d of page %d: hit=%v, LRU says %v", round, i, p, got, want)
+			}
+		}
+		if v.Reads() != lru.Reads() || v.Accesses() != lru.Accesses() {
+			t.Fatalf("round %d: visited %d/%d, LRU %d/%d", round, v.Reads(), v.Accesses(), lru.Reads(), lru.Accesses())
+		}
+		v.Reset()
+		lru.Reset()
+		if v.Reads() != 0 || v.Accesses() != 0 {
+			t.Fatal("Reset left counts behind")
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -361,7 +361,7 @@ func (t *Tree) sweepSQ8(ctx context.Context, n *Node, rerankFactor int, qs []Que
 			}
 			st.Reranked += uint64(len(cands))
 			st.ItemsScored += uint64(len(cands))
-			sort.Slice(cands, func(x, y int) bool { return neighborLess(cands[x], cands[y]) })
+			slices.SortFunc(cands, neighborCmp)
 			if len(cands) > k {
 				cands = cands[:k]
 			}

@@ -81,16 +81,21 @@ func (r Rect) Intersects(o Rect) bool {
 
 // Union returns the smallest rectangle covering both r and o.
 func (r Rect) Union(o Rect) Rect {
-	u := Rect{Min: r.Min.Clone(), Max: r.Max.Clone()}
-	for i := range u.Min {
-		if o.Min[i] < u.Min[i] {
-			u.Min[i] = o.Min[i]
+	u := r.Clone()
+	u.grow(o)
+	return u
+}
+
+// grow widens r in place until it covers o. r must own its storage.
+func (r Rect) grow(o Rect) {
+	for i := range r.Min {
+		if o.Min[i] < r.Min[i] {
+			r.Min[i] = o.Min[i]
 		}
-		if o.Max[i] > u.Max[i] {
-			u.Max[i] = o.Max[i]
+		if o.Max[i] > r.Max[i] {
+			r.Max[i] = o.Max[i]
 		}
 	}
-	return u
 }
 
 // Area returns the d-dimensional volume of r.

@@ -253,6 +253,18 @@ func neighborLess(a, b Neighbor) bool {
 	return a.ID < b.ID
 }
 
+// neighborCmp is neighborLess as the three-way comparison slices.SortFunc
+// takes.
+func neighborCmp(a, b Neighbor) int {
+	switch {
+	case neighborLess(a, b):
+		return -1
+	case neighborLess(b, a):
+		return 1
+	}
+	return 0
+}
+
 // Search returns all items whose points fall inside r, in no particular
 // order. Visited nodes are reported to acc.
 func (t *Tree) Search(r Rect, acc disk.Accounter) []Item {

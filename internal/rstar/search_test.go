@@ -324,7 +324,7 @@ func TestKNNSearchCompletedReturnsNil(t *testing.T) {
 
 // TestKNNSearchAllocs pins the single-query search to its allocation budget
 // on a packed paper-shaped tree (5,000 × 37-d, k = 10): the result slice,
-// plus sort.Slice's three in the slab sweeps. Everything else is pooled, so
+// plus sort.Slice's three in the float32 sweep. Everything else is pooled, so
 // an edit that puts M = 1 on an unpooled path fails here.
 func TestKNNSearchAllocs(t *testing.T) {
 	if raceEnabled {
@@ -349,7 +349,7 @@ func TestKNNSearchAllocs(t *testing.T) {
 	}{
 		{"f64", Scan{}, 1},
 		{"weighted", Scan{Weights: weights}, 1},
-		{"sq8", Scan{Quantized: true}, 4},
+		{"sq8", Scan{Quantized: true}, 1},
 		{"f32", Scan{Float32: true}, 4},
 	} {
 		i := 0

@@ -509,7 +509,10 @@ func groupMBR[E any](entries []E, rectOf func(E) Rect) Rect {
 	return r
 }
 
-// nodeMBR recomputes a node's MBR from its entries.
+// nodeMBR recomputes a node's MBR from its entries. It allocates only the
+// rectangle it returns: loading an archive recomputes and re-checks every
+// node, and a rectangle per entry would be garbage several times the loaded
+// system's size, which sets the process's peak memory.
 func nodeMBR(n *Node) Rect {
 	if n.leaf {
 		if len(n.items) == 0 {
@@ -517,7 +520,7 @@ func nodeMBR(n *Node) Rect {
 		}
 		r := PointRect(n.items[0].Point)
 		for _, it := range n.items[1:] {
-			r = r.Union(PointRect(it.Point))
+			r.grow(Rect{Min: it.Point, Max: it.Point})
 		}
 		return r
 	}
@@ -526,7 +529,7 @@ func nodeMBR(n *Node) Rect {
 	}
 	r := n.children[0].rect.Clone()
 	for _, c := range n.children[1:] {
-		r = r.Union(c.rect)
+		r.grow(c.rect)
 	}
 	return r
 }

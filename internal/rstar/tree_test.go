@@ -486,3 +486,32 @@ func TestHighDimensional37(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeMBRAllocatesOneRect: recomputing a node's MBR allocates the result
+// and nothing per entry (an archive load recomputes every node several
+// times), and equals the fold of Union over the entries bit for bit.
+func TestNodeMBRAllocatesOneRect(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tr := buildTree(t, randPoints(rng, 600, 37, 1), smallCfg)
+	tr.Walk(func(n *Node, level int) {
+		var want Rect
+		if n.leaf {
+			want = PointRect(n.items[0].Point)
+			for _, it := range n.items[1:] {
+				want = want.Union(PointRect(it.Point))
+			}
+		} else {
+			want = n.children[0].rect
+			for _, c := range n.children[1:] {
+				want = want.Union(c.rect)
+			}
+		}
+		var got Rect
+		if allocs := testing.AllocsPerRun(10, func() { got = nodeMBR(n) }); allocs > 2 {
+			t.Fatalf("node %d (%d entries): %v allocs, want the result's 2", n.id, n.Len(), allocs)
+		}
+		if !got.Min.Equal(want.Min) || !got.Max.Equal(want.Max) {
+			t.Fatalf("node %d: nodeMBR %v/%v != Union fold %v/%v", n.id, got.Min, got.Max, want.Min, want.Max)
+		}
+	})
+}

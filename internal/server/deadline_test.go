@@ -102,3 +102,59 @@ func TestDeadlineHeaderTightensContext(t *testing.T) {
 		t.Fatal("malformed header should fall back to the configured budget, not clear it")
 	}
 }
+
+// TestFinalizeRetryAfterDeadline: the 503 a hosted finalize answers when its
+// budget lapses carries Retry-After, so the retry must be answered — with the
+// result and the cost figures of a session that finalized once.
+func TestFinalizeRetryAfterDeadline(t *testing.T) {
+	srv, ts, _ := newTestServer(t)
+	play := func() string {
+		var sess SessionResponse
+		postJSON(t, ts.URL+"/v1/sessions", map[string]int64{"seed": 7}, &sess)
+		base := ts.URL + "/v1/sessions/" + sess.SessionID
+		resp, err := http.Get(base + "/candidates")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var cands struct {
+			Candidates []CandidateJSON `json:"candidates"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&cands); err != nil || len(cands.Candidates) < 3 {
+			t.Fatalf("candidates: %v (%d shown)", err, len(cands.Candidates))
+		}
+		marks := []int{cands.Candidates[0].ID, cands.Candidates[1].ID, cands.Candidates[2].ID}
+		if r := postJSON(t, base+"/feedback", FeedbackRequest{Relevant: marks}, nil); r.StatusCode != http.StatusOK {
+			t.Fatalf("feedback: HTTP %d", r.StatusCode)
+		}
+		return base
+	}
+	finalize := func(base string) (int, http.Header, []byte) {
+		resp, err := http.Post(base+"/finalize", "application/json", bytes.NewReader([]byte(`{"k":12}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header, raw
+	}
+	clean, retried := play(), play()
+	status, _, want := finalize(clean)
+	if status != http.StatusOK {
+		t.Fatalf("clean finalize: HTTP %d (%s)", status, want)
+	}
+
+	srv.SetQueryTimeout(time.Nanosecond)
+	status, header, raw := finalize(retried)
+	srv.SetQueryTimeout(0)
+	if status != http.StatusServiceUnavailable || header.Get("Retry-After") == "" || !bytes.Contains(raw, []byte(ErrCodeDeadline)) {
+		t.Fatalf("finalize past its budget: HTTP %d, Retry-After %q, body %s", status, header.Get("Retry-After"), raw)
+	}
+	status, _, got := finalize(retried)
+	if status != http.StatusOK {
+		t.Fatalf("retried finalize: HTTP %d (%s)", status, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("retried finalize differs from a first finalize:\n  retry %s\n  first %s", got, want)
+	}
+}

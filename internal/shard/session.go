@@ -32,7 +32,6 @@ type Session struct {
 	relSet    map[int]bool
 	assign    map[int]int // image -> assigned node index
 	displayed map[int]int // image -> displaying frontier node index
-	everShown map[int]bool
 	cursors   map[uint64]*shardCursor
 	weights   []float64
 
@@ -57,7 +56,6 @@ func NewSession(topo *Topology, rng *rand.Rand, displayCount int) *Session {
 		displayCount: displayCount,
 		frontier:     []int{topo.Root()},
 		relSet:       make(map[int]bool),
-		everShown:    make(map[int]bool),
 		pages:        make(map[uint64]bool),
 	}
 }
@@ -152,7 +150,6 @@ func (s *Session) Candidates() []int {
 	ids := make([]int, len(outs))
 	for i, o := range outs {
 		s.displayed[o.id] = o.node
-		s.everShown[o.id] = true
 		ids[i] = o.id
 	}
 	return ids
@@ -300,13 +297,6 @@ func (s *Session) ExportState() *core.SessionState {
 			st.Displayed[id] = s.topo.Nodes[n].ID
 		}
 	}
-	if len(s.everShown) > 0 {
-		st.EverShown = make([]int, 0, len(s.everShown))
-		for id := range s.everShown {
-			st.EverShown = append(st.EverShown, id)
-		}
-		sort.Ints(st.EverShown)
-	}
 	if s.weights != nil {
 		st.Weights = append([]float64(nil), s.weights...)
 	}
@@ -358,9 +348,6 @@ func RestoreSession(topo *Topology, st *core.SessionState, rng *rand.Rand, displ
 			}
 			s.displayed[id] = idx
 		}
-	}
-	for _, id := range st.EverShown {
-		s.everShown[id] = true
 	}
 	if st.Weights != nil {
 		s.weights = append([]float64(nil), st.Weights...)

@@ -1,8 +1,10 @@
 package vec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file holds the SQ8 (scalar-quantized, 8-bit) distance kernels behind
@@ -248,12 +250,14 @@ func (t *QuantTopK) Add(dist int32, id int) {
 // left in an unspecified order; Reset before reuse.
 func (t *QuantTopK) AppendIDs(dst []int) []int {
 	es := t.h
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && (es[j].dist < es[j-1].dist ||
-			(es[j].dist == es[j-1].dist && es[j].id < es[j-1].id)); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
+	// The heap order is far from sorted and a widened rerank retains up to
+	// the whole scanned range, so this must not be quadratic.
+	slices.SortFunc(es, func(a, b quantEntry) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.id, b.id)
+	})
 	for _, e := range es {
 		dst = append(dst, e.id)
 	}

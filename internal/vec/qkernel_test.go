@@ -154,6 +154,48 @@ func TestQuantTopKMatchesSort(t *testing.T) {
 // TestQuantTopKThresholdMonotone: thresholds must never increase once the
 // selector is full — the property the rerank guarantee's excluded-point bound
 // depends on.
+// TestQuantTopKDrainMatchesReferenceSort pins AppendIDs at the sizes the
+// two-phase search drains: a first rerank's few hundred candidates and a
+// widened one's whole scanned range. Distances repeat heavily, so the id
+// tie-break decides most of the order.
+func TestQuantTopKDrainMatchesReferenceSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, m := range []int{1, 200, 8192} {
+		for _, n := range []int{m, 3 * m} { // everything retained; a third retained
+			type pair struct {
+				dist int32
+				id   int
+			}
+			all := make([]pair, n)
+			sel := NewQuantTopK(m)
+			for i := range all {
+				all[i] = pair{dist: int32(rng.Intn(64)), id: i}
+				if all[i].dist < sel.Threshold() {
+					sel.Add(all[i].dist, i)
+				}
+			}
+			sort.Slice(all, func(i, j int) bool {
+				if all[i].dist != all[j].dist {
+					return all[i].dist < all[j].dist
+				}
+				return all[i].id < all[j].id
+			})
+			got := sel.AppendIDs([]int{-1})
+			if len(got) != m+1 || got[0] != -1 {
+				t.Fatalf("m=%d n=%d: AppendIDs returned %d ids after the caller's one", m, n, len(got)-1)
+			}
+			// Which of the candidates tied at the admission bound were kept
+			// is the selector's business; everywhere else the order is total.
+			bound := all[m-1].dist
+			for i, id := range got[1:] {
+				if want := all[i]; (n == m || want.dist < bound) && id != want.id {
+					t.Fatalf("m=%d n=%d pos %d: id %d, reference sort says %d (dist %d)", m, n, i, id, want.id, want.dist)
+				}
+			}
+		}
+	}
+}
+
 func TestQuantTopKThresholdMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sel := NewQuantTopK(8)

@@ -140,8 +140,8 @@ func (s *Session) Finalize(k int) (*Result, error) {
 }
 
 // FinalizeContext is Finalize with cancellation: the localized k-NN
-// subqueries poll ctx and abort early when it is done. A cancelled Finalize
-// still consumes the session (no further feedback is accepted).
+// subqueries poll ctx and abort early when it is done. Only a returned result
+// consumes the session; after an error the call can be retried.
 func (s *Session) FinalizeContext(ctx context.Context, k int) (*Result, error) {
 	res, err := s.inner.FinalizeCtx(ctx, k)
 	if err != nil {

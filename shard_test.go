@@ -402,6 +402,27 @@ func TestSessionExportRestoreFinalizeParity(t *testing.T) {
 		}
 	}
 
+	// An export written while states still listed every image ever shown
+	// (a field nothing read) imports as if the list were not there.
+	old := bytes.Replace(raw, []byte(`{"version":1,`), []byte(`{"version":1,"ever_shown":[0,1,2,3],`), 1)
+	if bytes.Equal(old, raw) {
+		t.Fatalf("export does not open with its version: %s", raw)
+	}
+	var stOld core.SessionState
+	if err := json.Unmarshal(old, &stOld); err != nil {
+		t.Fatalf("export carrying ever_shown: %v", err)
+	}
+	if !reflect.DeepEqual(stOld, st2) {
+		t.Fatalf("export carrying ever_shown decodes to %+v, want %+v", stOld, st2)
+	}
+	c, err := eng.RestoreSession(&stOld, rand.New(rand.NewSource(99)))
+	if err != nil {
+		t.Fatalf("RestoreSession of an export carrying ever_shown: %v", err)
+	}
+	if again, err := json.Marshal(c.ExportState()); err != nil || !bytes.Equal(again, raw) {
+		t.Fatalf("re-export after import (err=%v):\n  got  %s\n  want %s", err, again, raw)
+	}
+
 	// Tampered states are rejected, not half-restored.
 	bad := st2
 	bad.Assign = map[int]uint64{0: 1 << 60}

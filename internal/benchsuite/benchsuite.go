@@ -8,8 +8,9 @@
 // fast: the global k-NN read path with and without an Observer (the
 // zero-cost-when-nil contract), opening a feedback session and its full
 // finalize fan-out, the SQ8 candidate selector's drain, the multi-query batch
-// kernels against M independent single-query sweeps (batch.go), and the
-// sliding-window digest's observe and rotate operations.
+// kernels against M independent single-query sweeps (batch.go), the
+// sliding-window digest's observe and rotate operations, and a routed k-NN
+// and one-shot query through an in-process three-shard fleet (routed.go).
 package benchsuite
 
 import (
@@ -131,6 +132,8 @@ func suite(fix *fixture) []entry {
 		{"BenchmarkWindowedDigestObserve", benchDigestObserve},
 		{"BenchmarkWindowedDigestRotate", benchDigestRotate},
 		{"BenchmarkPerfettoExport", benchPerfettoExport},
+		{"BenchmarkRoutedKNN", benchRoutedKNN},
+		{"BenchmarkRoutedQuery", benchRoutedQuery},
 	}
 	return append(es, batchEntries()...)
 }
@@ -374,6 +377,8 @@ var fixtureFree = map[string]bool{
 	"BenchmarkDynamicInsert":            true,
 	"BenchmarkDynamicKNN/quiescent":     true,
 	"BenchmarkDynamicKNN/under-writes":  true,
+	"BenchmarkRoutedKNN":                true,
+	"BenchmarkRoutedQuery":              true,
 }
 
 // needsFixture reports whether any selected benchmark touches the engine

@@ -133,6 +133,35 @@ func TestRunFilteredBatchKernels(t *testing.T) {
 	}
 }
 
+// TestRunFilteredRouted boots the in-process fleet behind both routed
+// benchmarks (a non-200 fails the benchmark, and so this test) and checks
+// each reports time and allocations, fixture-free.
+func TestRunFilteredRouted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark suite run (seconds) skipped in -short")
+	}
+	var lines []string
+	f, err := Run(Options{Filter: "Routed"}, func(format string, args ...any) {
+		lines = append(lines, format)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Benchmarks) != 2 || f.Benchmarks[0].Name != "BenchmarkRoutedKNN" || f.Benchmarks[1].Name != "BenchmarkRoutedQuery" {
+		t.Fatalf("filtered suite ran %+v, want RoutedKNN and RoutedQuery", f.Benchmarks)
+	}
+	for _, b := range f.Benchmarks {
+		if b.Result == nil || b.Result.NsPerOp <= 0 || b.Result.BytesPerOp <= 0 || b.Result.AllocsPerOp <= 0 {
+			t.Errorf("%s: no result recorded: %+v", b.Name, b.Result)
+		}
+	}
+	for _, l := range lines {
+		if strings.Contains(l, "corpus") {
+			t.Errorf("routed filter still built the suite's corpus")
+		}
+	}
+}
+
 func TestRunRejectsBadFilter(t *testing.T) {
 	if _, err := Run(Options{Filter: "("}, nil); err == nil {
 		t.Error("bad regexp accepted")

@@ -36,16 +36,18 @@ func (s scatterSearcher) SearchNode(ctx context.Context, nodeID uint64, q vec.Ve
 	fanStart := time.Now()
 	lists := make([][]shard.Neighbor, len(rt.shards))
 	legNS := make([]int64, len(rt.shards))
+	// Every leg asks the same question: frame it once, send the bytes N times.
+	frame := framedBody(server.AppendShardSearch(nil,
+		&server.ShardSearchRequest{NodeID: nodeID, Query: q, Weights: weights, K: k}))
 	err := par.Do(ctx, len(rt.shards), rt.parallelism, func(i int) error {
 		legStart := time.Now()
 		var resp server.ShardSearchResponse
-		req := server.ShardSearchRequest{NodeID: nodeID, Query: q, Weights: weights, K: k}
-		if err := rt.doShard(ctx, i, http.MethodPost, "/v1/shard/search", req, &resp); err != nil {
+		if err := rt.doShard(ctx, i, http.MethodPost, "/v1/shard/search", frame, &resp); err != nil {
 			return err
 		}
 		ns := make([]shard.Neighbor, len(resp.Neighbors))
 		for j, n := range resp.Neighbors {
-			ns[j] = shard.Neighbor{ID: n.ID, Dist: n.Dist}
+			ns[j] = shard.Neighbor(n)
 		}
 		lists[i] = ns
 		legNS[i] = time.Since(legStart).Nanoseconds()
@@ -91,8 +93,21 @@ func (s scatterSearcher) SearchNode(ctx context.Context, nodeID uint64, q vec.Ve
 	return merged, nil
 }
 
-// fetchPoints resolves image IDs to their exact vectors, full-tree leaves,
-// and labels, asking only each image's owning shard (ownership is the
+// pointsReply is a /v1/shard/points reply read in the shard wire's binary
+// framing: vectors arrive as float64 bytes, checked against the fleet's
+// dimension.
+type pointsReply struct {
+	dim int
+	server.ShardPointsResponse
+}
+
+func (p *pointsReply) UnmarshalBinary(raw []byte) (err error) {
+	p.ShardPointsResponse, err = server.DecodeShardPoints(raw, p.dim)
+	return err
+}
+
+// fetchPoints resolves image IDs to their exact vectors and full-tree
+// leaves, asking only each image's owning shard (ownership is the
 // consistent hash, so the router can compute it locally).
 func (rt *Router) fetchPoints(ctx context.Context, ids []int) (map[int]server.ShardPointJSON, error) {
 	byShard := make(map[int][]int)
@@ -108,7 +123,10 @@ func (rt *Router) fetchPoints(ctx context.Context, ids []int) (map[int]server.Sh
 	st := stitchFrom(ctx)
 	off := st.Since()
 	fetchStart := time.Now()
-	results := make([]server.ShardPointsResponse, len(shardsList))
+	results := make([]pointsReply, len(shardsList))
+	for i := range results {
+		results[i].dim = rt.meta.Dim
+	}
 	err := par.Do(ctx, len(shardsList), rt.parallelism, func(i int) error {
 		sh := shardsList[i]
 		return rt.doShard(ctx, sh, http.MethodPost, "/v1/shard/points",
@@ -369,18 +387,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	rt.writeResult(w, r.Context(), res, 0)
+	writeResult(w, res, 0)
 }
 
 // writeResult converts a distributed finalize into the single-node
-// /v1/query response shape, fetching labels for the result images.
-func (rt *Router) writeResult(w http.ResponseWriter, ctx context.Context, res *shard.Result, feedbackReads uint64) {
-	labels := map[int]server.ShardPointJSON{}
-	if ids := res.IDs(); len(ids) > 0 {
-		if got, err := rt.fetchPoints(ctx, ids); err == nil {
-			labels = got // labels are cosmetic; a fetch failure degrades to empty
-		}
-	}
+// /v1/query response shape. Result labels are the ones the owning shards
+// attached to their neighbours.
+func writeResult(w http.ResponseWriter, res *shard.Result, feedbackReads uint64) {
 	out := server.QueryResponse{Stats: server.StatsJSON{
 		FeedbackReads: feedbackReads,
 		Expansions:    res.Expansions,
@@ -388,7 +401,7 @@ func (rt *Router) writeResult(w http.ResponseWriter, ctx context.Context, res *s
 	for _, g := range res.Groups {
 		gj := server.GroupJSON{RankScore: g.RankScore, Expanded: g.Expanded(), QueryImages: g.QueryIDs}
 		for _, im := range g.Images {
-			gj.Images = append(gj.Images, server.ScoredJSON{ID: im.ID, Score: im.Score, Label: labels[im.ID].Label})
+			gj.Images = append(gj.Images, server.ScoredJSON(im))
 		}
 		out.Groups = append(out.Groups, gj)
 	}
@@ -526,15 +539,7 @@ func (rt *Router) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 	var out json.RawMessage
 	if _, err := rt.call(r.Context(), rep, r.Method, path, in, &out); err != nil {
 		var be *backendError
-		if errors.As(err, &be) {
-			if be.Status == http.StatusNotFound && op == "" {
-				writeBackendError(w, err)
-				return
-			}
-			writeBackendError(w, err)
-			return
-		}
-		if r.Context().Err() != nil {
+		if errors.As(err, &be) || r.Context().Err() != nil {
 			writeBackendError(w, err)
 			return
 		}
@@ -606,7 +611,7 @@ func (rt *Router) finalizeSession(w http.ResponseWriter, r *http.Request, rep *r
 	}
 	// The single-node finalize releases the session; mirror that.
 	_, _ = rt.call(r.Context(), rep, http.MethodDelete, "/v1/sessions/"+inner, nil, nil)
-	rt.writeResult(w, r.Context(), res, st.FeedbackReads)
+	writeResult(w, res, st.FeedbackReads)
 }
 
 // finalizeState scatters a finalize over an exported session state.

@@ -24,6 +24,7 @@ package router
 import (
 	"bytes"
 	"context"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	"qdcbir/internal/obs"
+	"qdcbir/internal/server"
 	"qdcbir/internal/shard"
 )
 
@@ -50,7 +52,8 @@ type ReplicaConfig struct {
 type Config struct {
 	Replicas []ReplicaConfig
 	// Client issues all backend requests (default: http.Client with no
-	// timeout; per-attempt timeouts come from RequestTimeout).
+	// timeout — per-attempt timeouts come from RequestTimeout — over a
+	// transport whose idle pool is sized to the fleet, see fleetTransport).
 	Client *http.Client
 	// RequestTimeout bounds each backend attempt (default 10s).
 	RequestTimeout time.Duration
@@ -162,9 +165,6 @@ func New(cfg Config) (*Router, error) {
 		slow:        obs.NewSlowLog(0),
 		sf:          make(map[string]*sfCall),
 	}
-	if rt.client == nil {
-		rt.client = &http.Client{}
-	}
 	if rt.timeout <= 0 {
 		rt.timeout = 10 * time.Second
 	}
@@ -176,6 +176,9 @@ func New(cfg Config) (*Router, error) {
 	}
 	if rt.parallelism <= 0 {
 		rt.parallelism = nShards
+	}
+	if rt.client == nil {
+		rt.client = &http.Client{Transport: fleetTransport(rt.parallelism, nShards, len(cfg.Replicas))}
 	}
 	for _, rc := range cfg.Replicas {
 		rep := &replica{shard: rc.Shard, url: strings.TrimRight(rc.URL, "/")}
@@ -217,6 +220,24 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
+// fleetTransport is the default backend transport. One routed finalize runs
+// up to parallelism subqueries at once, each fanning out one leg per shard,
+// so a replica sees up to parallelism concurrent legs from a single request;
+// net/http's default of two idle connections per host closes the rest after
+// every burst and re-dials them on the next. The per-host idle pool is sized
+// to parallelism × shard fan-out — room for as many concurrent routed
+// requests as a scatter has legs — and the total to that for every replica.
+func fleetTransport(parallelism, nShards, nReplicas int) *http.Transport {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = idleConnsPerReplica(parallelism, nShards)
+	tr.MaxIdleConns = tr.MaxIdleConnsPerHost * nReplicas
+	return tr
+}
+
+func idleConnsPerReplica(parallelism, nShards int) int {
+	return max(parallelism*nShards, http.DefaultMaxIdleConnsPerHost)
+}
+
 // Shards returns the number of shards the fleet serves.
 func (rt *Router) Shards() int { return len(rt.shards) }
 
@@ -246,15 +267,23 @@ type buildInfoBody struct {
 // config, every shard index is covered by the replicas claiming it, and the
 // corpus signature, archive version, and scan precision are uniform. A
 // mixed-precision fleet is rejected here — merging float32 and float64
-// distance lists would produce a ranking no single-node build emits.
+// distance lists would produce a ranking no single-node build emits. So is a
+// replica that does not speak this router's shard wire version: the router
+// sends binary search legs and reads binary points replies, with no JSON
+// path beside them.
 func (rt *Router) VerifyFleet(ctx context.Context) error {
 	var ref shard.Meta
 	haveRef := false
 	for _, rep := range rt.all {
-		var meta shard.Meta
-		if _, err := rt.call(ctx, rep, http.MethodGet, "/v1/shard/meta", nil, &meta); err != nil {
+		var smr server.ShardMetaResponse
+		if _, err := rt.call(ctx, rep, http.MethodGet, "/v1/shard/meta", nil, &smr); err != nil {
 			return fmt.Errorf("router: replica %s: shard meta: %w", rep.url, err)
 		}
+		if smr.WireVersion != server.ShardWireVersion {
+			return fmt.Errorf("router: replica %s speaks shard wire version %d, this router version %d (binary search and points legs); upgrade the replica",
+				rep.url, smr.WireVersion, server.ShardWireVersion)
+		}
+		meta := smr.Meta
 		var bi buildInfoBody
 		if _, err := rt.call(ctx, rep, http.MethodGet, "/v1/buildinfo", nil, &bi); err != nil {
 			return fmt.Errorf("router: replica %s: buildinfo: %w", rep.url, err)
@@ -378,16 +407,28 @@ func (e *backendError) retryable() bool {
 	return e.Status == http.StatusServiceUnavailable || e.Status >= 500
 }
 
-// call issues one request to one replica. A nil in sends no body; a non-nil
-// out decodes the 2xx response. Non-2xx responses decode the uniform error
-// body into a *backendError. The remaining ctx deadline is propagated
-// downstream via X-Qd-Deadline-Ms so a replica gives up (with the
+// framedBody is a request body already in the shard wire's binary framing
+// (see internal/server/shardwire.go). A scatter encodes its search frame
+// once; every leg and every fail-over attempt sends the same bytes.
+type framedBody []byte
+
+// call issues one request to one replica. A nil in sends no body, a
+// framedBody is sent as it is, anything else as JSON; a non-nil out decodes
+// the 2xx response — an encoding.BinaryUnmarshaler asks for and reads the
+// endpoint's binary framing, anything else JSON. Non-2xx responses decode
+// the uniform error body into a *backendError. The remaining ctx deadline is
+// propagated downstream via X-Qd-Deadline-Ms so a replica gives up (with the
 // structured 503) rather than holding a doomed scatter leg open.
 func (rt *Router) call(ctx context.Context, rep *replica, method, path string, in, out interface{}) (int, error) {
 	cctx, cancel := context.WithTimeout(ctx, rt.timeout)
 	defer cancel()
 	var body io.Reader
-	if in != nil {
+	contentType := "application/json"
+	switch in := in.(type) {
+	case nil:
+	case framedBody:
+		body, contentType = bytes.NewReader(in), server.ShardBinaryType
+	default:
 		raw, err := json.Marshal(in)
 		if err != nil {
 			return 0, err
@@ -399,7 +440,11 @@ func (rt *Router) call(ctx context.Context, rep *replica, method, path string, i
 		return 0, err
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
+	}
+	framed, _ := out.(encoding.BinaryUnmarshaler)
+	if framed != nil {
+		req.Header.Set("Accept", server.ShardBinaryType)
 	}
 	if dl, ok := cctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
@@ -451,7 +496,12 @@ func (rt *Router) call(ctx context.Context, rep *replica, method, path string, i
 		return resp.StatusCode, &backendError{Status: resp.StatusCode, Code: eb.Code, Message: eb.Error, URL: rep.url + path}
 	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if framed != nil {
+			err = readFramed(resp, framed)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(out)
+		}
+		if err != nil {
 			rep.errs.Add(1)
 			st.RPC(rep.shard, rpcName, rpcOff, st.Since()-rpcOff, nil)
 			return resp.StatusCode, fmt.Errorf("%s: decode: %w", rep.url+path, err)
@@ -465,6 +515,20 @@ func (rt *Router) call(ctx context.Context, rep *replica, method, path string, i
 	}
 	st.RPC(rep.shard, rpcName, rpcOff, st.Since()-rpcOff, remote)
 	return resp.StatusCode, nil
+}
+
+// readFramed reads a binary-framed reply. VerifyFleet admitted only replicas
+// that frame, so any other content type is a fault, not a mode to fall back
+// from.
+func readFramed(resp *http.Response, out encoding.BinaryUnmarshaler) error {
+	if ct := resp.Header.Get("Content-Type"); ct != server.ShardBinaryType {
+		return fmt.Errorf("reply is %q, want %q", ct, server.ShardBinaryType)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	return out.UnmarshalBinary(raw)
 }
 
 // pick returns the shard's replicas in round-robin failover order.

@@ -418,7 +418,7 @@ func TestVerifyFleetRefusesMixedPrecision(t *testing.T) {
 			Precision: prec, ArchiveVersion: 3, CorpusSig: 42,
 		}
 		mux.HandleFunc("/v1/shard/meta", func(w http.ResponseWriter, r *http.Request) {
-			_ = json.NewEncoder(w).Encode(meta)
+			_ = json.NewEncoder(w).Encode(server.ShardMetaResponse{Meta: meta, WireVersion: server.ShardWireVersion})
 		})
 		mux.HandleFunc("/v1/buildinfo", func(w http.ResponseWriter, r *http.Request) {
 			_ = json.NewEncoder(w).Encode(map[string]interface{}{

@@ -296,13 +296,13 @@ func (s *ClientSession) Finalize(k int) (*QueryResponse, error) {
 }
 
 // FinalizeContext is Finalize with cancellation: the context covers the whole
-// round trip, so a slow server-side query can be abandoned. The session still
-// counts as finalized.
+// round trip, so a slow server-side query can be abandoned. Only a returned
+// result consumes the session: after an error (a 503 with Retry-After, a
+// cancelled context) the same session can finalize again, as a hosted one can.
 func (s *ClientSession) FinalizeContext(ctx context.Context, k int) (*QueryResponse, error) {
 	if s.finalized {
 		return nil, fmt.Errorf("server: session finalized")
 	}
-	s.finalized = true
 	if len(s.relevant) == 0 {
 		return nil, fmt.Errorf("server: no relevant feedback given")
 	}
@@ -327,6 +327,7 @@ func (s *ClientSession) FinalizeContext(ctx context.Context, k int) (*QueryRespo
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("server: decode result: %w", err)
 	}
+	s.finalized = true
 	return &out, nil
 }
 

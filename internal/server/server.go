@@ -256,6 +256,11 @@ const (
 	ErrCodeCancelled = "cancelled"
 	// ErrCodeShardFinalize rejects local finalize of a shard-hosted session.
 	ErrCodeShardFinalize = "shard_finalize"
+	// ErrCodeShardFrame rejects a binary shard-leg body whose header, length
+	// and the corpus dimension disagree (see shardwire.go).
+	ErrCodeShardFrame = "bad_shard_frame"
+	// ErrCodeBodyTooLarge rejects a shard-leg body past its computed bound.
+	ErrCodeBodyTooLarge = "body_too_large"
 )
 
 // StatsResponse is the /v1/stats snapshot: the live session count, headline

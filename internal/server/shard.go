@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"time"
 
@@ -27,9 +29,11 @@ func (s *Server) SetShard(r *shard.Replica) {
 // Shard returns the replica this server fronts, or nil in single-node mode.
 func (s *Server) Shard() *shard.Replica { return s.shard }
 
-// ShardMetaResponse describes the shard slice a replica serves.
+// ShardMetaResponse describes the shard slice a replica serves and the
+// fleet-internal wire it speaks (see shardwire.go).
 type ShardMetaResponse struct {
 	shard.Meta
+	WireVersion int `json:"wire_version"`
 }
 
 // ShardSearchRequest is one scatter leg of a distributed finalize: the k
@@ -42,10 +46,12 @@ type ShardSearchRequest struct {
 }
 
 // NeighborJSON is one scored neighbor. Distances round-trip exactly:
-// encoding/json emits float64 at shortest-exact precision.
+// encoding/json emits float64 at shortest-exact precision. Label is set on
+// shard-search legs only (the owning shard's label for the image).
 type NeighborJSON struct {
-	ID   int     `json:"id"`
-	Dist float64 `json:"dist"`
+	ID    int     `json:"id"`
+	Dist  float64 `json:"dist"`
+	Label string  `json:"label,omitempty"`
 }
 
 // ShardSearchResponse lists the local top-k ascending by (dist, id). When the
@@ -102,7 +108,7 @@ func (s *Server) handleShardMeta(w http.ResponseWriter, r *http.Request) {
 	if !s.requireShard(w) {
 		return
 	}
-	writeJSON(w, http.StatusOK, ShardMetaResponse{Meta: s.shard.Meta()})
+	writeJSON(w, http.StatusOK, ShardMetaResponse{Meta: s.shard.Meta(), WireVersion: ShardWireVersion})
 }
 
 func (s *Server) handleShardTopology(w http.ResponseWriter, r *http.Request) {
@@ -124,13 +130,23 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.requireShard(w) {
 		return
 	}
+	// A router frames the leg in binary; the JSON body is the human/debug
+	// form. Either way the body is bounded by what the corpus dimension allows.
+	dim := s.shard.Meta().Dim
+	r.Body = http.MaxBytesReader(w, r.Body, shardSearchBodyLimit(dim))
 	var req ShardSearchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if r.Header.Get("Content-Type") == ShardBinaryType {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			writeBodyError(w, err)
+			return
+		}
+		if req, err = DecodeShardSearch(body, dim); err != nil {
+			writeErrorCode(w, http.StatusBadRequest, ErrCodeShardFrame, "bad request: %v", err)
+			return
+		}
+	} else if err := decodeJSON(w, r, &req); err != nil {
 		return
-	}
-	var weights []float64
-	if req.Weights != nil {
-		weights = req.Weights
 	}
 	release, err := s.sched.admit(r.Context(), "/v1/shard/search")
 	if err != nil {
@@ -140,7 +156,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	rec := shardRecorder(r)
 	searchStart := time.Now()
-	ns, err := s.sched.searchShard(r.Context(), s.shard, req.NodeID, vec.Vector(req.Query), weights, req.K)
+	ns, err := s.sched.searchShard(r.Context(), s.shard, req.NodeID, vec.Vector(req.Query), req.Weights, req.K)
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -150,7 +166,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	})
 	resp := ShardSearchResponse{Neighbors: make([]NeighborJSON, len(ns)), Trace: rec.Trace()}
 	for i, n := range ns {
-		resp.Neighbors[i] = NeighborJSON{ID: n.ID, Dist: n.Dist}
+		resp.Neighbors[i] = NeighborJSON(n)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -173,6 +189,7 @@ func (s *Server) handleShardPoints(w http.ResponseWriter, r *http.Request) {
 	if !s.requireShard(w) {
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, shardPointsBodyLimit(s.shard.Meta().Images))
 	var req ShardPointsRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		return
@@ -191,15 +208,37 @@ func (s *Server) handleShardPoints(w http.ResponseWriter, r *http.Request) {
 		"requested": len(req.IDs), "owned": len(resp.Points),
 	})
 	resp.Trace = rec.Trace()
-	writeJSON(w, http.StatusOK, resp)
+	if r.Header.Get("Accept") != ShardBinaryType {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	frame, err := AppendShardPoints(nil, s.shard.Meta().Dim, &resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode points: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", ShardBinaryType)
+	_, _ = w.Write(frame) // a failed write is the caller hanging up
 }
 
 // decodeJSON decodes the request body into v, writing the uniform 400
-// response on failure (the returned error only signals the caller to stop).
+// response on failure (413 when a bounded body ran past its limit); the
+// returned error only signals the caller to stop.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		writeBodyError(w, err)
 		return err
 	}
 	return nil
+}
+
+// writeBodyError answers a request body that could not be read or parsed.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErrorCode(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
+			"request body exceeds this endpoint's %d-byte limit", tooLarge.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request: %v", err)
 }

@@ -32,10 +32,12 @@ type RelPoint struct {
 	Vec    vec.Vector
 }
 
-// ScoredImage mirrors core.ScoredImage on wire-neutral types.
+// ScoredImage mirrors core.ScoredImage on wire-neutral types, plus the label
+// the Searcher's neighbour carried.
 type ScoredImage struct {
 	ID    int
 	Score float64
+	Label string
 }
 
 // Group mirrors core.Group: one localized subquery's results.
@@ -55,17 +57,6 @@ func (g *Group) Expanded() bool { return g.SearchNodeID != g.NodeID }
 type Result struct {
 	Groups     []Group
 	Expansions int
-}
-
-// IDs returns the result image IDs in group order, matching core.Result.IDs.
-func (r *Result) IDs() []int {
-	var out []int
-	for _, g := range r.Groups {
-		for _, im := range g.Images {
-			out = append(out, im.ID)
-		}
-	}
-	return out
 }
 
 // FinalizeScatter runs the final localized multipoint k-NN round (§3.3/§3.4)
@@ -184,7 +175,7 @@ func FinalizeScatter(ctx context.Context, topo *Topology, s Searcher, rel []RelP
 				continue
 			}
 			seen[n.ID] = true
-			g.Images = append(g.Images, ScoredImage{ID: n.ID, Score: n.Dist})
+			g.Images = append(g.Images, ScoredImage{ID: n.ID, Score: n.Dist, Label: n.Label})
 			g.RankScore += n.Dist
 		}
 		groups[nodeID] = g
@@ -212,7 +203,7 @@ func FinalizeScatter(ctx context.Context, topo *Topology, s Searcher, rel []RelP
 					continue
 				}
 				seen[n.ID] = true
-				g.Images = append(g.Images, ScoredImage{ID: n.ID, Score: n.Dist})
+				g.Images = append(g.Images, ScoredImage{ID: n.ID, Score: n.Dist, Label: n.Label})
 				g.RankScore += n.Dist
 				deficit--
 				progressed = true

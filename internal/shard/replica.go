@@ -13,10 +13,14 @@ import (
 // distance. Distances are exactly the values the single-node tree search
 // produces for the same (query, image) pair — float64 sqrt of the kernel's
 // squared distance, computed at the store's precision — so per-shard lists
-// merge into the single-node ranking without re-scoring.
+// merge into the single-node ranking without re-scoring. Label is the
+// owning shard's ground truth for the image (empty when the corpus carries
+// none): it rides on the neighbour so a router can label a result without
+// fetching the image's vector.
 type Neighbor struct {
-	ID   int     `json:"id"`
-	Dist float64 `json:"dist"`
+	ID    int     `json:"id"`
+	Dist  float64 `json:"dist"`
+	Label string  `json:"label,omitempty"`
 }
 
 // LocalRows supplies a shard's stored feature rows to NewReplica, decoupling
@@ -260,12 +264,18 @@ func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, w
 			}
 		}
 	}
+	return r.neighbors(sel), nil
+}
+
+// neighbors drains a selector into the wire-neutral result list, ascending
+// by (distance, ID), each neighbour carrying its local label.
+func (r *Replica) neighbors(sel *topSelect) []Neighbor {
 	cands := sel.sorted()
 	ns := make([]Neighbor, len(cands))
 	for i, c := range cands {
-		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d)}
+		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d), Label: r.localLabel(r.localOf[c.gid])}
 	}
-	return ns, nil
+	return ns
 }
 
 // SearchNodeBatch answers several k-NN searches restricted to the SAME
@@ -350,12 +360,7 @@ func (r *Replica) SearchNodeBatch(ctx context.Context, nodeID uint64, qs []vec.V
 		}
 	}
 	for j := range sels {
-		cands := sels[j].sorted()
-		ns := make([]Neighbor, len(cands))
-		for i, c := range cands {
-			ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d)}
-		}
-		out[j] = ns
+		out[j] = r.neighbors(sels[j])
 	}
 	return out, nil
 }

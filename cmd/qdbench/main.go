@@ -48,8 +48,7 @@ func main() {
 		browse   = flag.Int("browse", 0, "random displays a user browses per round (0 = scale default; smaller values model impatient users and reproduce Table 2's gradual GTIR climb)")
 		parallel = flag.Int("parallelism", 0, "worker count for build and finalize pools (0 = one per CPU; reported numbers are identical at every setting)")
 		stats    = flag.String("stats", "", "write the run's metrics snapshot as JSON to this path ('-' = stderr)")
-		quantize = flag.Bool("quantized", false, "run k-NN phases through the SQ8 two-phase scan (results are bit-identical; timing and rerank counters change)")
-		rerank   = flag.Int("rerank-factor", 0, "quantized candidate multiplier (0 = default)")
+		quantize = flag.Bool("quantized", false, "run k-NN phases behind the SQ8 row filter (results are bit-identical; timing and filter counters change)")
 
 		benchOut    = flag.String("json", "", "run the regression benchmark suite and write results as JSON to this path ('-' = stdout); skips -exp")
 		benchBase   = flag.String("compare", "", "compare a fresh suite run against this baseline JSON; exit 1 on any regression or missing benchmark")
@@ -76,7 +75,6 @@ func main() {
 	}
 	cfg.Parallelism = *parallel
 	cfg.Quantized = *quantize
-	cfg.RerankFactor = *rerank
 	var observer *obs.Observer
 	if *stats != "" {
 		observer = obs.New(obs.NewRegistry())

@@ -65,7 +65,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "session seed")
 		parallel = flag.Int("parallelism", 0, "worker count for build and finalize pools (0 = one per CPU)")
 		traceOut = flag.String("trace-out", "", "on exit, write the session's traces as Perfetto trace-event JSON to this path (open at ui.perfetto.dev)")
-		quantize = flag.Bool("quantized", false, "run k-NN phases through the SQ8 two-phase scan (adopts the archive's quantizer when present, else trains one; results are identical)")
+		quantize = flag.Bool("quantized", false, "run k-NN phases behind the SQ8 row filter (adopts the archive's quantizer when present, else trains one; results are identical)")
 	)
 	flag.Parse()
 

@@ -48,7 +48,7 @@ func main() {
 		parallel = flag.Int("parallelism", 0, "worker count for build and query pools (0 = one per CPU)")
 		debug    = flag.Bool("debug", false, "expose net/http/pprof profiling under /debug/pprof/")
 		digests  = flag.Duration("digest-interval", time.Minute, "how often to log the 1m windowed latency digests (0 disables)")
-		quantize = flag.Bool("quantized", false, "run k-NN phases through the SQ8 two-phase scan (adopts the archive's quantizer when present, else trains one; results are identical)")
+		quantize = flag.Bool("quantized", false, "run k-NN phases behind the SQ8 row filter (adopts the archive's quantizer when present, else trains one; results are identical)")
 		queryTO  = flag.Duration("query-timeout", 0, "server-side time budget per request (0 = none); expiry returns a structured 503 with Retry-After")
 		dynamic  = flag.Bool("dynamic", false, "serve through the segmented online-ingest engine: POST /v1/images inserts, DELETE /v1/images/{id} tombstones, queries pin epoch snapshots (dynamic v4 archives enable this automatically)")
 		maxConc  = flag.Int("max-concurrent", 0, "admission control: searches executing at once (0 disables admission control)")

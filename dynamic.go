@@ -35,13 +35,12 @@ type DynamicConfig struct {
 	BoundaryThreshold float64
 	Parallelism       int
 
-	// Quantized and RerankFactor enable the per-segment SQ8 two-phase scan;
-	// Float32 selects the float32 result mode. Semantics match Config:
-	// quantization is an invisible optimization (exact rerank), Float32 is a
-	// distinct documented precision mode and takes precedence.
-	Quantized    bool
-	RerankFactor int
-	Float32      bool
+	// Quantized enables the per-segment SQ8 row filter; Float32 selects the
+	// float32 result mode. Semantics match Config: quantization is an
+	// invisible optimization (every returned distance is exact), Float32 is
+	// a distinct documented precision mode and takes precedence.
+	Quantized bool
+	Float32   bool
 
 	// DisableAutoCompact turns off background compaction (Compact can still
 	// be called explicitly). Mostly for tests and benchmarks.
@@ -59,7 +58,6 @@ func (c DynamicConfig) segConfig() seg.Config {
 		MaxSegments:        c.MaxSegments,
 		Float32:            c.Float32,
 		Quantized:          c.Quantized,
-		RerankFactor:       c.RerankFactor,
 		BoundaryThreshold:  c.BoundaryThreshold,
 		Seed:               c.Seed,
 		RepFraction:        c.RepFraction,
@@ -108,7 +106,6 @@ func dynamicConfigFrom(sc seg.Config, observer *obs.Observer) DynamicConfig {
 		BoundaryThreshold:  sc.BoundaryThreshold,
 		Parallelism:        sc.Parallelism,
 		Quantized:          sc.Quantized,
-		RerankFactor:       sc.RerankFactor,
 		Float32:            sc.Float32,
 		DisableAutoCompact: sc.DisableAutoCompact,
 		Observer:           observer,
@@ -149,9 +146,6 @@ func OpenDynamic(sys *System, cfg DynamicConfig) (*Dynamic, error) {
 	}
 	if !cfg.Quantized {
 		cfg.Quantized = sys.cfg.Quantized
-	}
-	if cfg.RerankFactor == 0 {
-		cfg.RerankFactor = sys.cfg.RerankFactor
 	}
 	if !cfg.Float32 {
 		cfg.Float32 = sys.cfg.Float32

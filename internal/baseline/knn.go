@@ -25,9 +25,16 @@ func NewPlainKNN(st *store.FeatureStore, queryImage int) *PlainKNN {
 	return &PlainKNN{st: st, query: st.At(queryImage).Clone()}
 }
 
+// DefaultRerankFactor is the candidate multiplier EnableQuantized uses when a
+// caller passes rerankFactor <= 0: the quantized sweep retains
+// DefaultRerankFactor*k rows for exact reranking. A flat scan has no tree to
+// bound its candidates with, so it is the one search that still has such a
+// multiplier; only tests enable it. See DESIGN.md §11.
+const DefaultRerankFactor = 4
+
 // EnableQuantized switches Search to the SQ8 two-phase scan: quantized sweep,
 // exact rerank of rerankFactor*k candidates (<= 0 uses
-// rstar.DefaultRerankFactor). A nil qz trains a quantizer over the store.
+// DefaultRerankFactor). A nil qz trains a quantizer over the store.
 // Results remain those of the exact scan — see scanTopKQuant.
 func (p *PlainKNN) EnableQuantized(qz *store.Quantized, rerankFactor int) error {
 	if qz == nil {
@@ -37,7 +44,7 @@ func (p *PlainKNN) EnableQuantized(qz *store.Quantized, rerankFactor int) error 
 		}
 	}
 	if rerankFactor <= 0 {
-		rerankFactor = rstar.DefaultRerankFactor
+		rerankFactor = DefaultRerankFactor
 	}
 	p.quant, p.rerank = qz, rerankFactor
 	return nil

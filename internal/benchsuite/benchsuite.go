@@ -6,7 +6,8 @@
 //
 // The suite prices the paths this repository's PRs have promised to keep
 // fast: the global k-NN read path with and without an Observer (the
-// zero-cost-when-nil contract), opening a feedback session and its full
+// zero-cost-when-nil contract) and at the paper's largest database size and
+// on unprunable embeddings (scale.go), opening a feedback session and its full
 // finalize fan-out, the SQ8 candidate selector's drain, the multi-query batch
 // kernels against M independent single-query sweeps (batch.go), the
 // sliding-window digest's observe and rotate operations, and a routed k-NN
@@ -44,7 +45,7 @@ type entry struct {
 }
 
 // fixture is the shared system set: one uninstrumented, one observed, one
-// running the SQ8 two-phase scan, and one scanning at float32 precision, all
+// searching behind the SQ8 row filter, and one scanning at float32 precision, all
 // over the same corpus.
 type fixture struct {
 	plain     *qdcbir.System
@@ -114,6 +115,9 @@ func suite(fix *fixture) []entry {
 		{"BenchmarkSystemKNNScan/exact", benchKNN(fix.plain)},
 		{"BenchmarkSystemKNNScan/sq8", benchKNN(fix.quantized)},
 		{"BenchmarkSystemKNNScan/f32", benchKNN(fix.float32p)},
+		{"BenchmarkSystemKNNScan50k/exact", benchScaleKNN(scaleExact)},
+		{"BenchmarkSystemKNNScan50k/sq8", benchScaleKNN(scaleSQ8)},
+		{"BenchmarkSystemKNNScanEmbed/sq8", benchScaleKNN(scaleEmbed)},
 		{"BenchmarkLeafScanKernel/exact", benchLeafScanF64(featureDim)},
 		{"BenchmarkLeafScanKernel/sq8", benchLeafScanSQ8},
 		{"BenchmarkLeafScanKernel/f32", benchLeafScanF32(featureDim)},
@@ -250,10 +254,11 @@ func benchLeafScanSQ8(b *testing.B, _ *fixture) {
 	}
 }
 
-// benchQuantTopKDrain prices what the two-phase search does with its
-// candidate selector once per query and once more per widening: admit m
-// candidates, then drain them in (code distance, id) order. m = 200 is a
-// first rerank at k = 50; m = 8192 is a selector widened to a whole subtree.
+// benchQuantTopKDrain prices what the flat two-phase scan (package baseline)
+// does with its candidate selector once per query and once more per
+// widening: admit m candidates, then drain them in (code distance, id) order.
+// m = 200 is a first rerank at k = 50; m = 8192 is a selector widened to a
+// whole table.
 func benchQuantTopKDrain(m int) func(b *testing.B, _ *fixture) {
 	return func(b *testing.B, _ *fixture) {
 		rng := rand.New(rand.NewSource(5))
@@ -377,6 +382,9 @@ var fixtureFree = map[string]bool{
 	"BenchmarkDynamicInsert":            true,
 	"BenchmarkDynamicKNN/quiescent":     true,
 	"BenchmarkDynamicKNN/under-writes":  true,
+	"BenchmarkSystemKNNScan50k/exact":   true,
+	"BenchmarkSystemKNNScan50k/sq8":     true,
+	"BenchmarkSystemKNNScanEmbed/sq8":   true,
 	"BenchmarkRoutedKNN":                true,
 	"BenchmarkRoutedQuery":              true,
 }

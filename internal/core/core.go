@@ -52,17 +52,14 @@ type Config struct {
 	// no clock reads, no atomics, and no allocation. Results are identical
 	// either way.
 	Observer *obs.Observer
-	// Quantized routes unweighted localized k-NN searches through the SQ8
-	// two-phase scan (quantized sweep + exact rerank; see rstar.Scan and
-	// rstar/quant.go). Results are bit-identical to the exact
-	// path — the rerank guarantee falls back rather than approximate.
+	// Quantized puts the SQ8 row filter in front of leaf scoring in
+	// unweighted localized k-NN searches (see rstar.Scan and rstar/quant.go):
+	// a popped leaf's 8-bit code rows decide which of its rows are scored
+	// exactly. Results, node reads and page traces are the exact path's —
+	// the filter only skips rows it proves are outside the answer.
 	// NewEngine trains the tree's quantizer if none is installed yet.
 	// Weighted searches (§6 feature importance) always use the exact path.
 	Quantized bool
-	// RerankFactor is the quantized scan's candidate multiplier: the sweep
-	// retains RerankFactor*k rows for exact reranking. <= 0 uses
-	// rstar.DefaultRerankFactor.
-	RerankFactor int
 	// Float32 routes unweighted localized k-NN searches through the float32
 	// sweep (rstar.Scan, rstar/f32.go): half-width rows, double the SIMD
 	// lanes. Unlike Quantized this is a distinct PRECISION, not an
@@ -768,7 +765,6 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 			recorders[j] = &disk.Recorder{}
 			q := rstar.Query{Q: p.centroid, K: alloc[order[j]] + k, Acc: recorders[j]}
 			if o != nil {
-				sqStats[j].Timed = true // per-phase scan/rerank wall time for the spans
 				q.Stats = &sqStats[j]
 			}
 			queries = append(queries, q)
@@ -912,8 +908,8 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 				NodesRead:       sqStats[i].NodesRead,
 				PageAccesses:    uint64(len(recorders[i].Trace())),
 				Quantized:       sqStats[i].CodesScanned > 0,
-				ScanNS:          sqStats[i].ScanNS,
-				RerankNS:        sqStats[i].RerankNS,
+				CodesScanned:    sqStats[i].CodesScanned,
+				Reranked:        sqStats[i].Reranked,
 				RerankFallbacks: sqStats[i].RerankFallbacks,
 				DurationNS:      sqDur[slot[i]],
 			})
@@ -929,9 +925,8 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 // descent, is rstar.Tree.KNNSearch's decision.
 func (e *Engine) scan(weights vec.Vector) rstar.Scan {
 	return rstar.Scan{
-		Weights:      weights,
-		Float32:      e.cfg.Float32,
-		Quantized:    e.cfg.Quantized,
-		RerankFactor: e.cfg.RerankFactor,
+		Weights:   weights,
+		Float32:   e.cfg.Float32,
+		Quantized: e.cfg.Quantized,
 	}
 }

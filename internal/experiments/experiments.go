@@ -56,13 +56,11 @@ type Config struct {
 	// the run constructs (cmd/qdbench -stats exposes the snapshot).
 	Observer *obs.Observer
 
-	// Quantized runs every global and localized k-NN through the SQ8
-	// two-phase scan (results are bit-identical to the exact path, so all
-	// reported accuracy numbers are unchanged; wall-clock and the rerank
-	// counters move). RerankFactor tunes the candidate multiplier (<= 0 =
-	// default).
-	Quantized    bool
-	RerankFactor int
+	// Quantized puts every global and localized k-NN behind the SQ8 row
+	// filter (results are bit-identical to the exact path, so all reported
+	// accuracy numbers are unchanged; wall-clock and the filter's counters
+	// move).
+	Quantized bool
 }
 
 func (c Config) withDefaults() Config {
@@ -174,7 +172,6 @@ func assemble(cfg Config, corpus *dataset.Corpus) *System {
 		Parallelism:       cfg.Parallelism,
 		Observer:          cfg.Observer,
 		Quantized:         cfg.Quantized,
-		RerankFactor:      cfg.RerankFactor,
 	})
 	return &System{Cfg: cfg, Corpus: corpus, RFS: structure, Engine: engine}
 }

@@ -96,25 +96,10 @@ func PerfettoEvents(traces []*Trace) []TraceEvent {
 						"query_images": sq.QueryImages, "allocated": sq.Allocated,
 						"expanded": sq.Expanded, "heap_pops": sq.HeapPops,
 						"nodes_read": sq.NodesRead, "page_accesses": sq.PageAccesses,
-						"quantized": sq.Quantized, "rerank_fallbacks": sq.RerankFallbacks,
+						"quantized": sq.Quantized, "codes_scanned": sq.CodesScanned,
+						"reranked": sq.Reranked, "rerank_fallbacks": sq.RerankFallbacks,
 					},
 				})
-				if sq.Quantized && sq.ScanNS > 0 {
-					// Two-phase split as nested child events: the sweep runs
-					// first, the rerank follows (retries fold into the phase
-					// they belong to, so the children cover the real work
-					// even if they undershoot the parent's wall time).
-					events = append(events, TraceEvent{
-						Name: "scan", Cat: "subquery", Ph: "X",
-						TS: us(base + sq.OffsetNS), Dur: us(sq.ScanNS), PID: t.ID, TID: tid,
-						Args: map[string]any{"phase": "quantized sweep"},
-					})
-					events = append(events, TraceEvent{
-						Name: "rerank", Cat: "subquery", Ph: "X",
-						TS: us(base + sq.OffsetNS + sq.ScanNS), Dur: us(sq.RerankNS), PID: t.ID, TID: tid,
-						Args: map[string]any{"phase": "exact rerank"},
-					})
-				}
 			}
 			events = append(events, TraceEvent{
 				Name: "merge", Cat: "finalize", Ph: "X",

@@ -25,9 +25,9 @@ const (
 	MetricFinalizeSeconds = "qd_finalize_seconds"
 	MetricKNNSeconds      = "qd_knn_seconds"
 	MetricSubqueryFanout  = "qd_subquery_fanout"
-	// MetricRerankFallbacks counts quantized searches whose candidate set
-	// failed the exact-rerank guarantee and had to widen (the result is
-	// still exact; the counter prices the retries).
+	// MetricRerankFallbacks counts quantized searches the SQ8 row filter
+	// could not serve — NaN queries, whose decode error bounds nothing — and
+	// that scored every leaf they opened exactly instead.
 	MetricRerankFallbacks = "qd_knn_rerank_fallbacks_total"
 )
 
@@ -40,10 +40,6 @@ const (
 	DigestRound    = "phase:round"
 	DigestFinalize = "phase:finalize"
 	DigestKNN      = "phase:knn"
-	// Per-phase splits of the SQ8 two-phase k-NN: time in quantized sweeps
-	// versus exact reranks (only fed by quantized engines).
-	DigestKNNScan   = "phase:knn_scan"
-	DigestKNNRerank = "phase:knn_rerank"
 )
 
 // Observer receives engine telemetry: it folds span records into the metrics
@@ -106,7 +102,7 @@ func New(reg *Registry) *Observer {
 		finalizeSeconds: reg.Histogram(MetricFinalizeSeconds, "Finalize-phase latency in seconds.", DefBuckets),
 		knnSeconds:      reg.Histogram(MetricKNNSeconds, "Global k-NN latency in seconds.", DefBuckets),
 		subqueryFanout:  reg.Histogram(MetricSubqueryFanout, "Localized subqueries per finalized query.", FanoutBuckets),
-		rerankFallbacks: reg.Counter(MetricRerankFallbacks, "Quantized k-NN candidate sets that failed the rerank guarantee and widened."),
+		rerankFallbacks: reg.Counter(MetricRerankFallbacks, "Quantized k-NN searches the SQ8 row filter could not serve (NaN queries), scored exactly instead."),
 		windows:         NewWindowSet(0, 0),
 		traceCap:        DefaultTraceCap,
 	}
@@ -215,14 +211,6 @@ func (o *Observer) FinalizeDone(t *Trace, span FinalizeSpan) {
 	o.finalizeSeconds.Observe(sec)
 	o.windows.Observe(DigestFinalize, sec)
 	o.subqueryFanout.Observe(float64(span.Subqueries))
-	for _, sq := range span.Subspans {
-		if sq.ScanNS > 0 {
-			o.windows.Observe(DigestKNNScan, float64(sq.ScanNS)/1e9)
-		}
-		if sq.RerankNS > 0 {
-			o.windows.Observe(DigestKNNRerank, float64(sq.RerankNS)/1e9)
-		}
-	}
 	if t != nil {
 		t.Finalize = &span
 		t.DurationNS = time.Since(t.Start).Nanoseconds()
@@ -230,32 +218,18 @@ func (o *Observer) FinalizeDone(t *Trace, span FinalizeSpan) {
 	}
 }
 
-// KNNDone records one plain global k-NN search.
-func (o *Observer) KNNDone(d time.Duration, pageReads uint64) {
+// KNNDone records one plain global k-NN search; fallbacks is its
+// rstar.SearchStats.RerankFallbacks (finalize subqueries report theirs
+// through FinalizeDone).
+func (o *Observer) KNNDone(d time.Duration, pageReads, fallbacks uint64) {
 	if o == nil {
 		return
 	}
 	o.knns.Inc()
 	o.knnReads.Add(pageReads)
+	o.rerankFallbacks.Add(fallbacks)
 	o.knnSeconds.Observe(d.Seconds())
 	o.windows.Observe(DigestKNN, d.Seconds())
-}
-
-// KNNPhases records the per-phase split of one quantized global k-NN search
-// (the standalone System.KNN path; finalize subqueries report theirs through
-// FinalizeDone's subspans): sweep and rerank wall time feed the phase
-// digests, and fallbacks the guarantee-failure counter.
-func (o *Observer) KNNPhases(scanNS, rerankNS int64, fallbacks uint64) {
-	if o == nil {
-		return
-	}
-	o.rerankFallbacks.Add(fallbacks)
-	if scanNS > 0 {
-		o.windows.Observe(DigestKNNScan, float64(scanNS)/1e9)
-	}
-	if rerankNS > 0 {
-		o.windows.Observe(DigestKNNRerank, float64(rerankNS)/1e9)
-	}
 }
 
 // retain pushes a completed trace into the bounded ring.

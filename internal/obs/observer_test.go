@@ -24,7 +24,7 @@ func TestNilObserverSafe(t *testing.T) {
 	o.AddFeedbackReads(3)
 	o.RoundDone(tr, RoundSpan{})
 	o.FinalizeDone(tr, FinalizeSpan{})
-	o.KNNDone(time.Millisecond, 5)
+	o.KNNDone(time.Millisecond, 5, 0)
 	if o.Traces() != nil {
 		t.Fatal("nil observer must have no traces")
 	}
@@ -40,7 +40,7 @@ func TestObserverMetricsAndTrace(t *testing.T) {
 	o.RoundDone(tr, RoundSpan{Round: 2, Marked: 2, PageReads: 1, DurationNS: 1e6})
 	o.FinalizeDone(tr, FinalizeSpan{K: 20, Subqueries: 3, Expansions: 1, PageReads: 7, HeapPops: 40, DurationNS: 5e6})
 	o.AddFeedbackReads(2)
-	o.KNNDone(3*time.Millisecond, 11)
+	o.KNNDone(3*time.Millisecond, 11, 0)
 
 	snap := o.Registry().Snapshot()
 	wantCounters := map[string]uint64{

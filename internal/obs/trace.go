@@ -98,13 +98,13 @@ type SubquerySpan struct {
 	HeapPops     uint64 `json:"heap_pops"`     // best-first queue pops
 	NodesRead    uint64 `json:"nodes_read"`    // tree nodes expanded
 	PageAccesses uint64 `json:"page_accesses"` // page-access trace length (replayed into the session cache)
-	// Quantized marks a subquery answered by the SQ8 two-phase scan; ScanNS
-	// and RerankNS split its wall time into the quantized sweep and the
-	// exact rerank, and RerankFallbacks counts guarantee failures that
-	// widened the candidate set.
+	// Quantized marks a subquery answered behind the SQ8 row filter:
+	// CodesScanned is the code rows of the leaves it popped, Reranked how
+	// many of them the filter could not exclude and scored exactly, and
+	// RerankFallbacks is 1 for a NaN query, which the filter cannot serve.
 	Quantized       bool   `json:"quantized,omitempty"`
-	ScanNS          int64  `json:"scan_ns,omitempty"`
-	RerankNS        int64  `json:"rerank_ns,omitempty"`
+	CodesScanned    uint64 `json:"codes_scanned,omitempty"`
+	Reranked        uint64 `json:"reranked,omitempty"`
 	RerankFallbacks uint64 `json:"rerank_fallbacks,omitempty"`
 	DurationNS      int64  `json:"duration_ns"`
 }
@@ -118,8 +118,8 @@ type FinalizeSpan struct {
 	Expansions int    `json:"expansions"` // §3.3 boundary expansions
 	PageReads  uint64 `json:"page_reads"` // simulated disk reads of the whole phase (incl. top-up)
 	HeapPops   uint64 `json:"heap_pops"`  // queue pops across all subqueries (incl. top-up)
-	// RerankFallbacks totals the quantized-scan guarantee failures across
-	// all subqueries and the top-up pass (zero on exact-path engines).
+	// RerankFallbacks totals the searches the SQ8 filter could not serve
+	// (NaN queries) across all subqueries and the top-up pass.
 	RerankFallbacks uint64         `json:"rerank_fallbacks,omitempty"`
 	Subspans        []SubquerySpan `json:"subqueries_detail,omitempty"`
 	// MergeOffsetNS is the serial merge + top-up start relative to the trace

@@ -1,48 +1,50 @@
 package rstar
 
-// This file is the tree's one best-first descent. It is written for M
-// queries over the same subtree: each runs its own descent as a coroutine —
-// private priority queue, private accounter and effort counters, exactly the
-// operation sequence it would perform alone — and SUSPENDS when it pops a
-// leaf with a packed block. Once every query is suspended or finished, the
-// driver groups the suspended ones by leaf and scores each leaf once for all
-// its visitors. With M = 1 every group has one visitor, which is the plain
-// single-query search.
+// This file is the tree's one best-first descent. Nodes pop from a priority
+// queue in order of their exact MBR MINDIST; the queue holds nodes only. What
+// a query has found so far lives in a k-bounded selector of exact squared
+// distances, whose worst entry is the pruning radius: the descent ends when
+// the nearest unopened node lies beyond it. A popped leaf's rows reach the
+// selector through the metric's leaf scorer — the float64 block kernel, its
+// diagonal-weighted form, or the SQ8 row filter, which scores a row exactly
+// only if its code distance cannot prove it lies outside the radius. No
+// scorer changes which rows the selector ends up holding, so every mode opens
+// the same nodes in the same order and returns the same bits.
+//
+// It is written for M queries over the same subtree: each runs its own
+// descent as a coroutine — private queue, selector, accounter and effort
+// counters, exactly the operation sequence it would perform alone — and
+// SUSPENDS when it pops a leaf with a packed block. Once every query is
+// suspended or finished, the driver groups the suspended ones by leaf and
+// scores each leaf once for all its visitors. With M = 1 every group has one
+// visitor, which is the plain single-query search.
 
 import (
 	"context"
 	"math"
 	"sync"
 
+	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
-// metric is the distance a descent ranks by: plain squared L2, or the
-// diagonal-weighted form when weights is set. Its three methods — a node's
-// lower bound, one item's score, a whole leaf block's scores — are all the
-// descent knows about distances, so another first phase is another metric,
-// not another descent. The block kernels preserve the scalar accumulation
-// order, so block and item agree bit for bit.
+// metric is how a descent measures: plain squared L2, the diagonal-weighted
+// form when weights is set, or — when quant is set — plain squared L2 behind
+// the SQ8 row filter. Its methods are all the descent knows about distances,
+// so another precision is another leaf scorer, not another descent. The block
+// kernels preserve the scalar accumulation order, so block and item agree bit
+// for bit.
 type metric struct {
 	weights vec.Vector
+	quant   *store.Quantized
 }
 
 // bound returns the metric's MINDIST from q to r.
 func (m metric) bound(r Rect, q vec.Vector) float64 {
 	if m.weights == nil {
-		return r.MinDistSq(q)
+		return vec.MinDistSq(q, r.Min, r.Max)
 	}
-	var s float64
-	for i := range q {
-		var d float64
-		if q[i] < r.Min[i] {
-			d = r.Min[i] - q[i]
-		} else if q[i] > r.Max[i] {
-			d = q[i] - r.Max[i]
-		}
-		s += m.weights[i] * d * d
-	}
-	return s
+	return vec.WeightedMinDistSq(q, m.weights, r.Min, r.Max)
 }
 
 func (m metric) item(q, p vec.Vector) float64 {
@@ -60,26 +62,202 @@ func (m metric) block(q vec.Vector, block, out []float64) {
 	vec.WeightedSquaredDistsTo(q, m.weights, block, out)
 }
 
+// nodePQ is a binary min-heap of nodes keyed by MINDIST, with
+// container/heap's sift algorithms and a strict < comparator: identical push
+// sequences give identical layouts, so the pop order among equal-distance
+// nodes — and with it a query's page-access trace — is a function of the tree
+// and the query alone.
+type nodePQ []nodeEntry
+
+type nodeEntry struct {
+	distSq float64
+	node   *Node
+}
+
+func (p *nodePQ) push(e nodeEntry) {
+	*p = append(*p, e)
+	h := *p
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2
+		if i == j || !(h[j].distSq < h[i].distSq) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (p *nodePQ) pop() nodeEntry {
+	h := *p
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && h[j2].distSq < h[j1].distSq {
+			j = j2
+		}
+		if !(h[j].distSq < h[i].distSq) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	e := h[n]
+	*p = h[:n]
+	return e
+}
+
+// selector holds the k best rows a descent has scored so far under the
+// documented selection key (squared distance, then ItemID), as a max-heap:
+// its root is the worst row held. It grows by append and so never holds more
+// than the rows offered, whatever k a caller asks for.
+type selector struct {
+	k int
+	h []selected
+	// radiusSq is the root's squared distance once k rows are held, +Inf
+	// before: nothing farther can enter the answer, not even as a tie (ties
+	// resolve by ItemID among rows AT the radius).
+	radiusSq float64
+}
+
+type selected struct {
+	distSq float64
+	item   Item
+}
+
+// after reports whether a ranks after b under (distSq, ItemID).
+func (a *selected) after(b *selected) bool {
+	return a.distSq > b.distSq || (a.distSq == b.distSq && a.item.ID > b.item.ID)
+}
+
+// offer considers one scored row and reports whether the radius may have
+// changed: the row filled the last free slot, or displaced the root.
+func (s *selector) offer(distSq float64, it Item) bool {
+	e := selected{distSq: distSq, item: it}
+	if len(s.h) < s.k {
+		s.h = append(s.h, e)
+		h := s.h
+		for j := len(h) - 1; j > 0; {
+			i := (j - 1) / 2
+			if !h[j].after(&h[i]) {
+				break
+			}
+			h[i], h[j] = h[j], h[i]
+			j = i
+		}
+		if len(h) < s.k {
+			return false
+		}
+	} else {
+		if !s.h[0].after(&e) {
+			return false
+		}
+		s.h[0] = e
+		s.down(len(s.h))
+	}
+	s.radiusSq = s.h[0].distSq
+	return true
+}
+
+// down restores the heap order of h[:n] after its root was replaced.
+func (s *selector) down(n int) {
+	h := s.h
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].after(&h[j]) {
+			j = j2
+		}
+		if !h[j].after(&h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// drain empties the selector into a new result list. Rows leave worst first,
+// into the list's tail, so the list is ascending by (distSq, ID) — the key
+// membership was decided by; the reported order is (Dist, ID), which differs
+// only where two squared distances round to one root, so one insertion pass
+// over an all but sorted list finishes it.
+func (s *selector) drain() []Neighbor {
+	out := make([]Neighbor, len(s.h))
+	for n := len(s.h) - 1; n >= 0; n-- {
+		e := &s.h[0]
+		out[n] = Neighbor{ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq)}
+		s.h[0] = s.h[n]
+		s.down(n)
+	}
+	s.h = s.h[:0]
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && neighborLess(out[j], out[j-1]); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}
+
 // descent is one query's private search state. pending marks a popped leaf
-// whose block scoring is deferred to the driver.
+// whose scoring is deferred to the driver.
 type descent struct {
-	k       int
-	pq      searchPQ
-	results []Neighbor
-	ties    []Neighbor
-	kthSq   float64
-	pops    uint64
-	nodes   uint64
-	items   uint64
+	pq  nodePQ
+	sel selector
+	// The SQ8 filter's per-query state: the query's code row (nil when the
+	// descent scores every row exactly), its measured decode error, and the
+	// selector's radius carried into code space — rows whose code distance
+	// exceeds it are provably outside the radius.
+	code      []uint8
+	qErr      float64
+	codeLimit int32
+
+	pops, nodes, items, codes uint64
+
 	pending *Node
 	done    bool
 }
 
-// pushBlock queues the pending leaf's items under their block scores and
-// clears the suspension.
-func (d *descent) pushBlock(distSq []float64) {
-	for i, it := range d.pending.items {
-		d.pq.push(pqEntry{distSq: distSq[i], item: it})
+// takeBlock resumes a descent suspended on a leaf with the leaf's exact block
+// scores: rows beyond the radius are dropped unseen by the selector.
+func (d *descent) takeBlock(distSq []float64) {
+	items := d.pending.items
+	d.items += uint64(len(items))
+	for i, sq := range distSq {
+		if sq > d.sel.radiusSq {
+			continue
+		}
+		d.sel.offer(sq, items[i])
+	}
+	d.pending = nil
+}
+
+// takeCodes resumes a descent suspended on a leaf with the leaf's SQ8 code
+// distances: only rows the bracket cannot place outside the radius are
+// scored exactly — vec.SqL2 on the slab row, the value the block kernel
+// produces — and the code-space limit follows the radius as it tightens.
+func (d *descent) takeCodes(qz *store.Quantized, q vec.Vector, raw []int32) {
+	items := d.pending.items
+	d.codes += uint64(len(items))
+	for i, c := range raw {
+		if c > d.codeLimit {
+			continue
+		}
+		d.items++
+		sq := vec.SqL2(q, items[i].Point)
+		if sq > d.sel.radiusSq {
+			continue
+		}
+		if d.sel.offer(sq, items[i]) {
+			d.codeLimit = qz.CodeRadius(math.Sqrt(d.sel.radiusSq), d.qErr)
+		}
 	}
 	d.pending = nil
 }
@@ -93,13 +271,16 @@ type descentScratch struct {
 	group   []int     // the visitors of one leaf
 	qbuf    []float64 // a group's query vectors, packed for the multi kernel
 	dists   []float64 // kernel output
+	qcodes  []uint8   // every query's code row (SQ8)
+	cbuf    []uint8   // a group's code rows, packed for the multi kernel
+	raw     []int32   // code kernel output
 }
 
 var descentPool = sync.Pool{New: func() interface{} { return new(descentScratch) }}
 
 // advance runs one query's best-first loop until it completes or pops a
-// block-backed leaf, which is left in d.pending with its access and effort
-// already charged.
+// block-backed leaf, which is left in d.pending with its access already
+// charged.
 func (t *Tree) advance(ctx context.Context, m metric, q *Query, d *descent) error {
 	acc := q.accounter()
 	for len(d.pq) > 0 {
@@ -110,65 +291,57 @@ func (t *Tree) advance(ctx context.Context, m metric, q *Query, d *descent) erro
 		}
 		e := d.pq.pop()
 		d.pops++
-		if len(d.results) == d.k && e.distSq > d.kthSq {
+		if e.distSq > d.sel.radiusSq {
 			break
-		}
-		if e.node == nil {
-			// Item candidate: its distance is exact, and because the queue is
-			// ordered it arrives in ascending order. Once k results are held,
-			// candidates matching the kth distance exactly are kept aside so
-			// the boundary tie resolves by ID, not by heap pop order.
-			if len(d.results) < d.k {
-				d.results = append(d.results, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-				if len(d.results) == d.k {
-					d.kthSq = e.distSq
-				}
-			} else if e.distSq == d.kthSq {
-				d.ties = append(d.ties, Neighbor{
-					ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq),
-				})
-			}
-			continue
 		}
 		acc.Access(e.node.id)
 		d.nodes++
-		if e.node.leaf {
-			d.items += uint64(len(e.node.items))
-			if t.blocksOK && e.node.block != nil {
-				d.pending = e.node
-				return nil
-			}
-			for _, it := range e.node.items {
-				d.pq.push(pqEntry{distSq: m.item(q.Q, it.Point), item: it})
+		if !e.node.leaf {
+			for _, c := range e.node.children {
+				d.pq.push(nodeEntry{distSq: m.bound(c.rect, q.Q), node: c})
 			}
 			continue
 		}
-		for _, c := range e.node.children {
-			d.pq.push(pqEntry{distSq: m.bound(c.rect, q.Q), node: c})
+		if t.blocksOK && e.node.block != nil {
+			d.pending = e.node
+			return nil
+		}
+		d.items += uint64(len(e.node.items))
+		for _, it := range e.node.items {
+			d.sel.offer(m.item(q.Q, it.Point), it)
 		}
 	}
 	d.done = true
 	return nil
 }
 
-// descend answers qs over the subtree rooted at n with the exact float64
-// best-first search under m.
+// descend answers qs over the subtree rooted at n under m.
 func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error {
 	sc := descentPool.Get().(*descentScratch)
 	defer descentPool.Put(sc)
 	sc.ds = grown(sc.ds, len(qs))
 	ds := sc.ds
+	if m.quant != nil {
+		sc.qcodes = grown(sc.qcodes, len(qs)*t.dim)
+	}
 	for j := range qs {
 		d := &ds[j]
-		*d = descent{k: qs[j].K, pq: d.pq[:0], ties: d.ties[:0], kthSq: math.Inf(1)}
-		if d.k <= 0 {
+		*d = descent{pq: d.pq[:0], sel: selector{k: qs[j].K, h: d.sel.h[:0], radiusSq: math.Inf(1)}}
+		if qs[j].K <= 0 {
 			d.done = true
 			continue
 		}
-		d.pq.push(pqEntry{distSq: m.bound(n.rect, qs[j].Q), node: n})
-		d.results = make([]Neighbor, 0, d.k)
+		if m.quant != nil {
+			// A NaN query defeats the bracket (its decode error is NaN): it
+			// keeps a nil code row and scores every leaf exactly.
+			code, qErr := m.quant.EncodeQuery(qs[j].Q, sc.qcodes[j*t.dim:(j+1)*t.dim:(j+1)*t.dim])
+			if !math.IsNaN(qErr) {
+				d.code, d.qErr, d.codeLimit = code, qErr, math.MaxInt32
+			} else if st := qs[j].Stats; st != nil {
+				st.RerankFallbacks++
+			}
+		}
+		d.pq.push(nodeEntry{distSq: m.bound(n.rect, qs[j].Q), node: n})
 	}
 	for {
 		waiting := sc.waiting[:0]
@@ -193,37 +366,45 @@ func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error
 			if leaf == nil {
 				continue // scored with an earlier visitor of the same leaf
 			}
+			coded := ds[j].code != nil
 			group := sc.group[:0]
 			for _, v := range waiting[i:] {
-				if ds[v].pending == leaf {
+				if ds[v].pending == leaf && (ds[v].code != nil) == coded {
 					group = append(group, v)
 				}
 			}
 			sc.group = group
-			t.scoreLeaf(sc, m, leaf, qs, ds, group)
+			if coded {
+				t.filterLeaf(sc, m.quant, leaf, qs, ds, group)
+			} else {
+				t.scoreLeaf(sc, m, leaf, qs, ds, group)
+			}
 		}
 	}
 	for j := range ds {
 		d := &ds[j]
-		if d.k <= 0 {
+		if qs[j].K <= 0 {
 			continue
 		}
-		qs[j].Result = resolveBoundaryTies(d.results, d.ties, d.k)
-		d.results = nil // the caller's now; the pool must not keep it alive
+		qs[j].Result = d.sel.drain()
 		if st := qs[j].Stats; st != nil {
 			st.HeapPops += d.pops
 			st.NodesRead += d.nodes
 			st.ItemsScored += d.items
+			if d.code != nil {
+				st.CodesScanned += d.codes
+				st.Reranked += d.items
+			}
 		}
 	}
 	return nil
 }
 
-// scoreLeaf scores leaf's block for the queries in group, all suspended on
-// it, and resumes them. Several visitors share one pass over the block
-// through the multi-query kernel; a lone visitor — always the case at M = 1 —
-// takes the single-query kernel, as does every visitor under the weighted
-// metric, which has no multi-query kernel.
+// scoreLeaf scores leaf's block exactly for the queries in group, all
+// suspended on it, and resumes them. Several visitors share one pass over the
+// block through the multi-query kernel; a lone visitor — always the case at
+// M = 1 — takes the single-query kernel, as does every visitor under the
+// weighted metric, which has no multi-query kernel.
 func (t *Tree) scoreLeaf(sc *descentScratch, m metric, leaf *Node, qs []Query, ds []descent, group []int) {
 	rows := len(leaf.items)
 	g := len(group)
@@ -231,7 +412,7 @@ func (t *Tree) scoreLeaf(sc *descentScratch, m metric, leaf *Node, qs []Query, d
 		sc.dists = grown(sc.dists, rows)
 		for _, j := range group {
 			m.block(qs[j].Q, leaf.block, sc.dists)
-			ds[j].pushBlock(sc.dists)
+			ds[j].takeBlock(sc.dists)
 		}
 		return
 	}
@@ -243,6 +424,29 @@ func (t *Tree) scoreLeaf(sc *descentScratch, m metric, leaf *Node, qs []Query, d
 	sc.dists = grown(sc.dists, g*rows)
 	vec.SquaredDistsToMulti(sc.qbuf, g, leaf.block, sc.dists)
 	for gi, j := range group {
-		ds[j].pushBlock(sc.dists[gi*rows : (gi+1)*rows])
+		ds[j].takeBlock(sc.dists[gi*rows : (gi+1)*rows])
+	}
+}
+
+// filterLeaf is scoreLeaf for visitors behind the SQ8 filter: one pass over
+// the leaf's code rows gives every visitor its code distances, and each then
+// scores exactly the rows its own radius cannot exclude.
+func (t *Tree) filterLeaf(sc *descentScratch, qz *store.Quantized, leaf *Node, qs []Query, ds []descent, group []int) {
+	rows := len(leaf.items)
+	g := len(group)
+	dim := t.dim
+	codes := t.qcodes[leaf.qlo*dim : leaf.qhi*dim]
+	sc.raw = grown(sc.raw, g*rows)
+	if g == 1 {
+		vec.Uint8SquaredDistsTo(ds[group[0]].code, codes, sc.raw)
+	} else {
+		sc.cbuf = grown(sc.cbuf, g*dim)
+		for gi, j := range group {
+			copy(sc.cbuf[gi*dim:(gi+1)*dim], ds[j].code)
+		}
+		vec.Uint8SquaredDistsToMulti(sc.cbuf, g, codes, sc.raw)
+	}
+	for gi, j := range group {
+		ds[j].takeCodes(qz, qs[j].Q, sc.raw[gi*rows:(gi+1)*rows])
 	}
 }

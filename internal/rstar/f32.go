@@ -7,8 +7,8 @@ package rstar
 // vec.TopK32 per query — each query is narrowed once per search, so the hot
 // loop never converts per-row.
 //
-// Unlike the SQ8 two-phase path (quant.go), which reranks against the float64
-// rows and certifies bit-equality with the exact search, float32 is a
+// Unlike the SQ8 row filter (quant.go), which only decides which rows the
+// descent scores in float64 and so returns the exact search's bits, float32 is a
 // DISTINCT documented result mode: distances are computed entirely in
 // float32 (then widened through one float64 sqrt for the Neighbor contract),
 // so rankings can differ from the float64 path wherever float32 rounding
@@ -25,12 +25,30 @@ import (
 	"sort"
 	"sync"
 
+	"qdcbir/internal/disk"
 	"qdcbir/internal/vec"
 )
 
 // f32CtxInterval is how many slab rows the float32 sweep scores between
-// context polls (same batching role as quantCtxInterval).
+// context polls (the rows are far cheaper than the descent's node pops, so
+// the interval is correspondingly larger than ctxCheckInterval).
 const f32CtxInterval = 1024
+
+// chargeLeaves reports every leaf page under n to acc, in the depth-first
+// order the slab rows were packed in, and returns how many there are: the
+// sweep reads every leaf's rows, so each leaf page is charged exactly once
+// per query.
+func chargeLeaves(n *Node, acc disk.Accounter) uint64 {
+	if n.leaf {
+		acc.Access(n.id)
+		return 1
+	}
+	var leaves uint64
+	for _, c := range n.children {
+		leaves += chargeLeaves(c, acc)
+	}
+	return leaves
+}
 
 // SetFloat32Scoring toggles the float32 sweep path. Enabling packs the leaf
 // blocks if needed, builds the slab-ordered ID table shared with the

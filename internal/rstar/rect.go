@@ -160,19 +160,7 @@ func (r Rect) Diagonal() float64 {
 // MinDistSq returns the squared Euclidean distance from p to the nearest
 // point of r (0 if p is inside). This is the MINDIST bound that drives
 // best-first k-NN pruning.
-func (r Rect) MinDistSq(p vec.Vector) float64 {
-	var s float64
-	for i := range p {
-		var d float64
-		if p[i] < r.Min[i] {
-			d = r.Min[i] - p[i]
-		} else if p[i] > r.Max[i] {
-			d = p[i] - r.Max[i]
-		}
-		s += d * d
-	}
-	return s
-}
+func (r Rect) MinDistSq(p vec.Vector) float64 { return vec.MinDistSq(p, r.Min, r.Max) }
 
 // centerDistSq returns the squared distance between the centers of r and o;
 // used by forced reinsertion to order entries.

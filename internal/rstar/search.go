@@ -23,84 +23,21 @@ type Neighbor struct {
 // SearchStats accumulates the effort counters of one or more k-NN searches:
 // priority-queue pops, tree nodes expanded, and item distance computations.
 // Effort is added outside the hot loops — the descent folds its local
-// counters in when it completes, the slab sweeps add per scan — so passing
+// counters in when it completes, the float32 sweep adds per scan — so passing
 // stats costs nothing inside them; a nil *SearchStats disables accumulation
 // entirely. A SearchStats must not be shared by concurrent searches.
 type SearchStats struct {
-	HeapPops    uint64 // best-first queue pops (nodes + item candidates)
+	HeapPops    uint64 // best-first queue pops: nodes, in every mode (the queue holds nothing else)
 	NodesRead   uint64 // tree nodes expanded (== accounter accesses)
 	ItemsScored uint64 // exact item distances computed
 
-	// Quantized-scan effort (the SQ8 sweep only; zero on exact searches). A
-	// fallback is one search whose candidate set failed the rerank guarantee
-	// at the requested factor and had to widen (or, for a NaN query, delegate
-	// to the exact path outright).
+	// SQ8 row-filter effort (zero on exact searches): the code rows of the
+	// leaves a search popped, and how many of them the filter could not
+	// exclude and so scored exactly. A fallback is a NaN query, which defeats
+	// the filter's bound and scores every popped leaf exactly instead.
 	CodesScanned    uint64 // SQ8 code distances computed
-	Reranked        uint64 // candidates re-scored with the exact kernels
-	RerankFallbacks uint64 // searches that widened past rerankFactor*k
-
-	// Timed, when set by the caller before the search, makes the quantized
-	// path record per-phase wall time below; unset it costs nothing.
-	Timed    bool
-	ScanNS   int64 // time in quantized sweeps
-	RerankNS int64 // time in exact reranks
-}
-
-// pqEntry is either a node (to expand) or an item (a candidate result) in the
-// best-first search queue, keyed by its lower-bound squared distance.
-type pqEntry struct {
-	distSq float64
-	node   *Node // nil for item entries
-	item   Item
-}
-
-// searchPQ is a binary min-heap of pqEntry ordered by distSq. It reproduces
-// container/heap's sift algorithms exactly — push is append+up(n-1), pop
-// swaps the root with the last element, sifts down over n-1, and removes the
-// tail — with the same strict < comparator the previous heap.Interface
-// implementation used. Identical swap sequences mean identical array layouts
-// and therefore an identical pop order among equal-distance entries, which
-// keeps retrieval output byte-for-byte stable; the rewrite only removes the
-// interface{} boxing that allocated on every push.
-type searchPQ []pqEntry
-
-func (p *searchPQ) push(e pqEntry) {
-	*p = append(*p, e)
-	h := *p
-	j := len(h) - 1
-	for {
-		i := (j - 1) / 2
-		if i == j || !(h[j].distSq < h[i].distSq) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (p *searchPQ) pop() pqEntry {
-	h := *p
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].distSq < h[j1].distSq {
-			j = j2
-		}
-		if !(h[j].distSq < h[i].distSq) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	e := h[n]
-	*p = h[:n]
-	return e
+	Reranked        uint64 // rows that passed the filter and were scored exactly
+	RerankFallbacks uint64 // searches that could not use the filter
 }
 
 // grown returns the pooled buffer buf resized to n elements, reallocating only when its
@@ -125,13 +62,11 @@ type Scan struct {
 	// descent. Weights must be non-negative for its MINDIST bound to hold.
 	Weights vec.Vector
 	// Float32 asks for the float32 slab sweep (f32.go), a distinct result
-	// mode; Quantized for the SQ8 two-phase sweep (quant.go), whose results
-	// are bit-identical to the exact descent's.
+	// mode; Quantized for the SQ8 row filter in front of the descent's leaf
+	// scoring (quant.go), whose results are bit-identical to the exact
+	// descent's.
 	Float32   bool
 	Quantized bool
-	// RerankFactor is the SQ8 candidate multiplier; <= 0 uses
-	// DefaultRerankFactor.
-	RerankFactor int
 }
 
 // Query is one k-NN search of a KNNSearch call: the query point, how many
@@ -198,71 +133,29 @@ func (t *Tree) KNNSearch(ctx context.Context, n *Node, scan Scan, qs []Query) er
 	if n == nil || n.Len() == 0 {
 		return nil
 	}
+	var m metric
 	switch {
 	case scan.Weights != nil:
-		return t.descend(ctx, n, metric{weights: scan.Weights}, qs)
+		m.weights = scan.Weights
 	case scan.Float32:
 		if t.f32OK {
 			return t.sweepF32(ctx, n, qs)
 		}
 	case scan.Quantized:
 		if t.quantOK && t.quant.Clean() {
-			return t.sweepSQ8(ctx, n, scan.RerankFactor, qs)
+			m.quant = t.quant
 		}
 	}
-	return t.descend(ctx, n, metric{}, qs)
+	return t.descend(ctx, n, m, qs)
 }
 
-// resolveBoundaryTies enforces the documented (Dist, ID) selection at the
-// k boundary: candidates that matched the kth distance exactly but arrived
-// after the result list filled compete with the retained entries by ID
-// rather than by the queue's arbitrary pop order among equals. Without this
-// the SAME live set indexed under two different tree shapes (one segment
-// vs. many, or before vs. after a compaction) could return different
-// members of a tied pair — the segmented engine's bit-exactness contract
-// forbids that. Tie-free searches take the len(ties)==0 path, identical to
-// the historical behaviour.
-func resolveBoundaryTies(results, ties []Neighbor, k int) []Neighbor {
-	if len(ties) == 0 {
-		stabilize(results)
-		return results
-	}
-	results = append(results, ties...)
-	stabilize(results)
-	return results[:k]
-}
-
-// stabilize enforces a deterministic order on equal-distance neighbours:
-// ascending (Dist, ID). IDs are unique within a tree, so the order is total
-// and this stable insertion sort yields the same permutation the previous
-// sort.SliceStable call did — without allocating a closure. The input
-// arrives nearly sorted (candidates pop in ascending distance order), so the
-// pass is effectively linear.
-func stabilize(ns []Neighbor) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && neighborLess(ns[j], ns[j-1]); j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-}
-
+// neighborLess is the documented result order: ascending (Dist, ID). IDs are
+// unique within a tree, so the order is total.
 func neighborLess(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
 	return a.ID < b.ID
-}
-
-// neighborCmp is neighborLess as the three-way comparison slices.SortFunc
-// takes.
-func neighborCmp(a, b Neighbor) int {
-	switch {
-	case neighborLess(a, b):
-		return -1
-	case neighborLess(b, a):
-		return 1
-	}
-	return 0
 }
 
 // Search returns all items whose points fall inside r, in no particular

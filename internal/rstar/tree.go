@@ -37,8 +37,9 @@ type Node struct {
 	block []float64
 	// qlo and qhi delimit the subtree's slab rows [qlo, qhi): leaves are
 	// packed in depth-first order, so every subtree owns one contiguous row
-	// range and the quantized scan of a subtree is a single linear sweep.
-	// Valid only while Tree.quantOK holds (set by packQuantized).
+	// range — a leaf's SQ8 code rows, or the float32 mirror rows a subtree
+	// sweep covers. Valid only while Tree.quantOK or Tree.f32OK holds (set by
+	// setQuantRanges).
 	qlo, qhi int
 }
 
@@ -136,11 +137,11 @@ type Tree struct {
 	// back to per-item scoring while it is false.
 	blocksOK bool
 	// slab is the flat point storage behind the leaf blocks (depth-first leaf
-	// order), retained so the quantized scan path can train codes over it and
-	// re-rank candidates against the exact rows. Valid while blocksOK holds.
+	// order), retained so the SQ8 codes and the float32 mirror can be derived
+	// from it. Valid while blocksOK holds.
 	slab []float64
 
-	// Quantized-scan state (see quant.go): the SQ8 codes mirroring slab
+	// SQ8 row-filter state (see quant.go): the SQ8 codes mirroring slab
 	// row-for-row, the slab-ordered item IDs, and the trained quantizer.
 	// Valid while quantOK holds; any structural mutation clears all of it.
 	quantOK bool

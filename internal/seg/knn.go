@@ -17,14 +17,16 @@ import (
 type Neighbor = shard.Neighbor
 
 // KNNCtx returns the k nearest live images to q across the whole snapshot:
-// every sealed segment (searched with its mode-appropriate kernel —
-// exact f64, SQ8 two-phase exact-rerank, or f32 scan) plus the memtable
-// (always an exact scan), merged by (distance, global ID).
+// every sealed segment (searched through its tree's one k-NN search in the
+// configured mode — the float64 descent, the same descent behind the SQ8
+// row filter, or the f32 sweep) plus the memtable (always an exact scan),
+// merged by (distance, global ID).
 //
 // Bit-exactness: each per-segment list carries distances identical to what
 // a monolithic build computes for the same rows (position-independent
-// per-row kernels; SQ8 reranks exactly, so per-segment quantizer training
-// differences never reach the output), per-segment local order equals
+// per-row kernels; SQ8 codes only filter which rows are scored exactly, so
+// per-segment quantizer training differences never reach the output),
+// per-segment local order equals
 // global-ID order, and tombstone filtering with a k+nTomb over-request
 // keeps at least min(live, k) results per segment. The merged list is
 // therefore bit-identical to a single-segment rebuild of the live set.
@@ -81,10 +83,9 @@ func (s *Snapshot) searchSegment(ctx context.Context, sv segView, q, weights vec
 	// rstar then answers the Quantized request with the exact descent.
 	tree := sv.seg.rfs.Tree()
 	ns, err := tree.KNNOne(ctx, tree.Root(), rstar.Scan{
-		Weights:      weights,
-		Float32:      s.db.cfg.Float32,
-		Quantized:    s.db.cfg.Quantized,
-		RerankFactor: s.db.cfg.RerankFactor,
+		Weights:   weights,
+		Float32:   s.db.cfg.Float32,
+		Quantized: s.db.cfg.Quantized,
 	}, q, kk, nil, nil)
 	if err != nil {
 		return nil, err

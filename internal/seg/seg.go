@@ -12,8 +12,8 @@
 // This holds because every distance is computed by the same
 // position-independent per-row kernels the monolithic engine uses
 // (vec.SqL2 and friends — see the kernel contracts in internal/vec), the
-// SQ8 path reranks candidates with exact arithmetic before any result
-// leaves a segment, and cross-segment merge orders by (distance, global ID)
+// SQ8 path scores every row it returns with exact arithmetic (the codes only
+// decide which rows a popped leaf scores), and cross-segment merge orders by (distance, global ID)
 // exactly as shard.MergeNeighbors does for the scatter-gather tier.
 //
 // Feedback-driven retrieval (the paper's query decomposition) is served by
@@ -57,14 +57,11 @@ type Config struct {
 	// rows are narrowed at insert, matching MaterializeFloat32's narrowing).
 	Float32 bool
 
-	// Quantized enables SQ8 two-phase scan in sealed segments. Falls back
-	// silently to exact scan per segment if training fails, exactly like the
-	// monolithic attachQuantizer path; correctness is unaffected because the
-	// rerank phase is exact.
+	// Quantized enables the SQ8 row filter in sealed segments. Falls back
+	// silently to exact scoring per segment if training fails, exactly like
+	// the monolithic attachQuantizer path; correctness is unaffected because
+	// every returned distance is computed exactly.
 	Quantized bool
-
-	// RerankFactor is the SQ8 candidate over-fetch multiplier. Default 3.
-	RerankFactor int
 
 	// BoundaryThreshold is the §3.3 search-area expansion threshold used by
 	// snapshot-pinned feedback sessions. Default 0.4.
@@ -102,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSegments <= 0 {
 		c.MaxSegments = 4
-	}
-	if c.RerankFactor <= 0 {
-		c.RerankFactor = 3
 	}
 	if c.BoundaryThreshold <= 0 {
 		c.BoundaryThreshold = 0.4

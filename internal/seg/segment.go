@@ -25,8 +25,8 @@ type segment struct {
 	st  *store.FeatureStore
 	rfs *rfs.Structure
 	// quantized records whether SQ8 training succeeded for this segment;
-	// per-segment fallback to exact scan is invisible in results because the
-	// SQ8 path reranks exactly.
+	// per-segment fallback to exact scoring is invisible in results because
+	// the SQ8 codes only filter which rows are scored exactly.
 	quantized bool
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -315,4 +316,53 @@ func TestStaticServerRejectsWrites(t *testing.T) {
 	if ec != ErrCodeReadOnly {
 		t.Fatalf("static insert code %q", ec)
 	}
+}
+
+// TestQueryHugeKIsBounded: k arrives from the network and no layer between
+// the handler and the tree's selector may size anything by it. A query asking
+// for 2^40 results answers 200 with at most the corpus, on a static server
+// and on a dynamic one (sealed segments plus a memtable).
+func TestQueryHugeKIsBounded(t *testing.T) {
+	const hugeK = `{"relevant":[2,3,11],"k":1099511627776}`
+	count := func(t *testing.T, url string, corpus int) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/query", "application/json", strings.NewReader(hugeK))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200", resp.StatusCode)
+		}
+		var qr QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, g := range qr.Groups {
+			n += len(g.Images)
+		}
+		if n == 0 || n > corpus {
+			t.Fatalf("%d images returned from a corpus of %d", n, corpus)
+		}
+	}
+	t.Run("static", func(t *testing.T) {
+		_, ts, corpus := newTestServer(t)
+		count(t, ts.URL, corpus.Len())
+	})
+	t.Run("dynamic", func(t *testing.T) {
+		_, ts := newTestDynServer(t)
+		rng := rand.New(rand.NewSource(8))
+		const rows = 40 // two sealed segments and a memtable
+		for i := 0; i < rows; i++ {
+			v := make([]float64, 5)
+			for j := range v {
+				v[j] = rng.Float64()
+			}
+			if code, _ := dynPost(t, ts.URL+"/v1/images", InsertRequest{Vector: v}, nil); code != http.StatusOK {
+				t.Fatalf("insert %d: status %d", i, code)
+			}
+		}
+		count(t, ts.URL, rows)
+	})
 }

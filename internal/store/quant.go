@@ -34,10 +34,11 @@ import (
 // A query is encoded at search time and its exact decode error
 // ||q - decode(codes(q))|| is measured directly (EncodeQuery). The triangle
 // inequality then bounds how far a code distance can sit from the true
-// distance, which is what lets the two-phase k-NN prove its candidate set
-// already contains the exact top-k (Certifies). Corpora
-// containing NaN or ±Inf components set clean=false and DBErr=+Inf: every
-// search over them falls back to the exact path rather than trust the bound.
+// distance (LowerDist), which is what lets the R*-tree descent skip leaf rows
+// unscored (CodeRadius) and a flat two-phase scan prove its candidate set
+// already contains the exact top-k (Certifies). Corpora containing NaN or
+// ±Inf components set clean=false and DBErr=+Inf: every search over them
+// falls back to the exact path rather than trust the bound.
 
 // maxSQ8Dim bounds the dimensionality so a full code distance fits int32:
 // dim * 255² <= MaxInt32.
@@ -239,28 +240,54 @@ func (q *Quantized) DecodedDist(raw int32) float64 {
 	return q.delta * math.Sqrt(float64(raw))
 }
 
-// certMargin is the relative margin Certifies applies to its comparison so
-// float rounding in the sqrt/delta arithmetic can never certify a candidate
-// set the real-number inequality would reject.
+// certMargin is the relative margin the exactness comparisons below apply, so
+// float rounding in the sqrt/delta arithmetic (and in encode's rounding at a
+// half-step boundary) can never prune or certify what the real-number
+// inequality would not.
 const certMargin = 1e-9
 
-// Certifies is the SQ8 exactness certificate, shared by every two-phase
-// search over q's codes. A search that scanned the code rows with a bounded
-// selector whose admission threshold only decreases, ending at threshold,
-// excluded only rows with code distance >= threshold, i.e. decoded distance
-// >= DecodedDist(threshold). With qErr the query's measured decode error
-// (EncodeQuery) and DBErr the per-point bound, the triangle inequality puts
-// every excluded row's true distance to the query at least
+// LowerDist is the SQ8 bracket every exact search over q's codes rests on.
+// With raw the code distance between a stored row's codes and the query's,
+// qErr the query's measured decode error (EncodeQuery) and DBErr the
+// per-point bound, the triangle inequality through the two decoded vectors
+// puts the row's true distance to the query at least
 //
-//	lower = DecodedDist(threshold) - qErr - DBErr
+//	DecodedDist(raw) - qErr - DBErr
 //
-// away. Certifies reports whether kthDist — the k-th smallest exact distance
-// among the retained rows — is below that, so that no excluded row can enter
-// the top-k and the reranked candidates ARE the exact answer. A false return
-// proves nothing; the caller widens its candidate set and tries again.
+// away. It is -Inf on an unclean corpus and NaN for a NaN query: neither
+// bounds anything.
+func (q *Quantized) LowerDist(raw int32, qErr float64) float64 {
+	return q.DecodedDist(raw) - qErr - q.dbErr
+}
+
+// CodeRadius turns a pruning radius into code space: a stored row whose true
+// distance to the query is at most radius has a code distance of at most
+// CodeRadius(radius, qErr), so a search holding k rows within radius may skip
+// every row whose code distance is larger without scoring it — such a row is
+// strictly farther than radius, and so not even a tie at the k-th distance.
+// This is LowerDist(raw, qErr) > radius solved for raw, with certMargin on
+// both sides. MaxInt32 (skip nothing) whenever the bound says nothing: an
+// infinite radius, a NaN query, an unclean corpus, a constant one.
+func (q *Quantized) CodeRadius(radius, qErr float64) int32 {
+	reach := (radius*(1+certMargin) + qErr + q.dbErr) * (1 + certMargin) / q.delta
+	if r := reach * reach; r < math.MaxInt32 {
+		return int32(r)
+	}
+	return math.MaxInt32
+}
+
+// Certifies is the exactness certificate of a flat two-phase search over q's
+// codes (package baseline's; the R*-tree filters leaf rows with CodeRadius
+// instead and has nothing to certify). A search that scanned the code rows
+// with a bounded selector whose admission threshold only decreases, ending at
+// threshold, excluded only rows with code distance >= threshold, whose true
+// distance is therefore at least LowerDist(threshold, qErr). Certifies
+// reports whether kthDist — the k-th smallest exact distance among the
+// retained rows — is below that, so that no excluded row can enter the top-k
+// and the reranked candidates ARE the exact answer. A false return proves
+// nothing; the caller widens its candidate set and tries again.
 func (q *Quantized) Certifies(threshold int32, qErr, kthDist float64) bool {
-	lower := q.DecodedDist(threshold) - qErr - q.dbErr
-	return kthDist*(1+certMargin) < lower*(1-certMargin)
+	return kthDist*(1+certMargin) < q.LowerDist(threshold, qErr)*(1-certMargin)
 }
 
 // QuantParts is the serializable form of a Quantized: exactly the trained

@@ -312,3 +312,124 @@ func FuzzSQ8EncodeDecode(f *testing.F) {
 		}
 	})
 }
+
+// checkSQ8Bracket states the theorem the R*-tree's SQ8 row filter rests on,
+// for every row of data against the query v: the code distance lower-bounds
+// the exact distance (LowerDist <= exact), and therefore a search whose
+// pruning radius is that row's own exact distance — the tightest radius that
+// must still keep it — never skips it (raw <= CodeRadius).
+func checkSQ8Bracket(t *testing.T, dim int, data []float64, v vec.Vector) {
+	t.Helper()
+	q, err := QuantizeBacking(dim, data)
+	if err != nil {
+		t.Fatalf("quantize: %v", err)
+	}
+	qc, qErr := q.EncodeQuery(v, nil)
+	for r := 0; r < q.Len(); r++ {
+		exact := math.Sqrt(vec.SqL2(v, data[r*dim:(r+1)*dim]))
+		raw := vec.Uint8SquaredDist(qc, q.Row(r))
+		// Rounding in the three terms of LowerDist is relative to their own
+		// magnitudes, not to their (possibly cancelling) difference.
+		slack := 1e-12 * (q.DecodedDist(raw) + qErr + q.DBErr())
+		if lower := q.LowerDist(raw, qErr); lower > exact+slack {
+			t.Fatalf("row %d: LowerDist %g > exact distance %g (raw %d, qErr %g, DBErr %g, delta %g)",
+				r, lower, exact, raw, qErr, q.DBErr(), q.Delta())
+		}
+		if limit := q.CodeRadius(exact, qErr); raw > limit {
+			t.Fatalf("row %d at exact distance %g would be skipped: code distance %d > CodeRadius %d (qErr %g, DBErr %g, delta %g)",
+				r, exact, raw, limit, qErr, q.DBErr(), q.Delta())
+		}
+	}
+}
+
+// bracketCorpus draws a clean corpus in one of the shapes the bracket has to
+// survive: Gaussian, one dimension setting the step for all the others, values
+// sitting on code boundaries, and a constant corpus (delta == 0).
+func bracketCorpus(rng *rand.Rand, n, dim, shape int) []float64 {
+	data := make([]float64, n*dim)
+	for i := range data {
+		switch shape % 4 {
+		case 0:
+			data[i] = rng.NormFloat64() * 10
+		case 1:
+			if i%dim == 0 {
+				data[i] = float64(rng.Intn(2)) * 1000
+			} else {
+				data[i] = rng.Float64() * 1e-3
+			}
+		case 2:
+			data[i] = float64(rng.Intn(511)) / 2 // half-steps of a 0..255 range
+		default:
+			data[i] = 3.25
+		}
+	}
+	return data
+}
+
+// bracketQuery draws a query at a corpus row, near one, inside the training
+// range, or far outside it (where clamping inflates qErr).
+func bracketQuery(rng *rand.Rand, dim int, data []float64, where int) vec.Vector {
+	v := make(vec.Vector, dim)
+	r := rng.Intn(len(data) / dim)
+	copy(v, data[r*dim:(r+1)*dim])
+	switch where % 4 {
+	case 1:
+		for i := range v {
+			v[i] += rng.NormFloat64() * 0.01
+		}
+	case 2:
+		for i := range v {
+			v[i] = rng.NormFloat64() * 10
+		}
+	case 3:
+		for i := range v {
+			v[i] = rng.NormFloat64() * 1e5
+		}
+	}
+	return v
+}
+
+func TestSQ8Bracket(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, dim := range []int{1, 2, 37, 128} {
+		for shape := 0; shape < 4; shape++ {
+			data := bracketCorpus(rng, 300, dim, shape)
+			for where := 0; where < 8; where++ {
+				checkSQ8Bracket(t, dim, data, bracketQuery(rng, dim, data, where))
+			}
+		}
+	}
+	// What the filter does with a bound that bounds nothing: skip no row.
+	data := bracketCorpus(rng, 50, 3, 0)
+	clean, _ := QuantizeBacking(3, data)
+	if got := clean.CodeRadius(math.Inf(1), 0.1); got != math.MaxInt32 {
+		t.Errorf("CodeRadius(+Inf) = %d, want MaxInt32", got)
+	}
+	if got := clean.CodeRadius(1, math.NaN()); got != math.MaxInt32 {
+		t.Errorf("CodeRadius with a NaN query error = %d, want MaxInt32", got)
+	}
+	data[4] = math.Inf(1)
+	unclean, _ := QuantizeBacking(3, data)
+	if got := unclean.CodeRadius(1, 0.1); got != math.MaxInt32 {
+		t.Errorf("CodeRadius on an unclean corpus = %d, want MaxInt32", got)
+	}
+	constant, _ := QuantizeBacking(3, bracketCorpus(rng, 50, 3, 3))
+	if got := constant.CodeRadius(0, 0); got != math.MaxInt32 {
+		t.Errorf("CodeRadius on a constant corpus = %d, want MaxInt32", got)
+	}
+}
+
+// FuzzSQ8Bracket lets the fuzzer pick the corpus shape, the dimensionality
+// and where the query falls.
+func FuzzSQ8Bracket(f *testing.F) {
+	f.Add(int64(1), uint8(37), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(1), uint8(3))
+	f.Add(int64(3), uint8(5), uint8(2), uint8(1))
+	f.Add(int64(4), uint8(9), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, dim, shape, where uint8) {
+		d := 1 + int(dim)%64
+		rng := rand.New(rand.NewSource(seed))
+		data := bracketCorpus(rng, 1+rng.Intn(64), d, int(shape))
+		checkSQ8Bracket(t, d, data, bracketQuery(rng, d, data, int(where)))
+	})
+}

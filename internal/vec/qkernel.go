@@ -152,7 +152,9 @@ type quantEntry struct {
 }
 
 // QuantTopK selects the k smallest (code distance, id) pairs from a stream of
-// candidates — the approximate-TopK of the two-phase k-NN's quantized scan.
+// candidates — the approximate-TopK of a flat two-phase scan's quantized
+// sweep (package baseline; the R*-tree filters leaf rows against its exact
+// radius instead and has no use for one).
 // It mirrors TopK's bounded max-heap with the same strict-< admission rule,
 // but keyed on int32 code distances, so Threshold() is the exact limit to
 // pass to Uint8SquaredDistCapped.

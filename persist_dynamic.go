@@ -20,7 +20,7 @@ import (
 // topology, and tombstoned global IDs. The SQ8 quantizer is NOT persisted:
 // training is deterministic from the segment's rows, so the loader retrains
 // it — and even a hypothetically different quantizer could not change
-// results, because the SQ8 path reranks exactly.
+// results, because the SQ8 codes only filter which rows are scored exactly.
 type archiveSegV4 struct {
 	IDs        []int
 	Points     []float64
@@ -44,7 +44,6 @@ type archiveV4 struct {
 	RepFraction        float64
 	BoundaryThreshold  float64
 	Quantized          bool
-	RerankFactor       int
 	Float32            bool
 	DisableAutoCompact bool
 
@@ -77,7 +76,6 @@ func (d *Dynamic) Save(w io.Writer) error {
 		RepFraction:        cfg.RepFraction,
 		BoundaryThreshold:  cfg.BoundaryThreshold,
 		Quantized:          cfg.Quantized,
-		RerankFactor:       cfg.RerankFactor,
 		Float32:            cfg.Float32,
 		DisableAutoCompact: cfg.DisableAutoCompact,
 		Epoch:              snap.Epoch(),
@@ -158,8 +156,9 @@ func LoadDynamicFile(path string, observer *obs.Observer) (*Dynamic, error) {
 // backing at the persisted precision, the tree is rebuilt point-free from
 // the topology snapshot, and (for quantized configs) the SQ8 quantizer is
 // retrained per segment — deterministic, and harmless to results either way
-// since the SQ8 path reranks exactly. The engine then reassembles through
-// seg.Restore, which re-applies float32 materialization and tombstones.
+// since every distance the SQ8 path returns is exact. The engine then
+// reassembles through seg.Restore, which re-applies float32 materialization
+// and tombstones.
 func loadDynamicV4(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
 	var a archiveV4
 	if err := gob.NewDecoder(r).Decode(&a); err != nil {
@@ -174,7 +173,6 @@ func loadDynamicV4(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
 		RepFraction:        a.RepFraction,
 		BoundaryThreshold:  a.BoundaryThreshold,
 		Quantized:          a.Quantized,
-		RerankFactor:       a.RerankFactor,
 		Float32:            a.Float32,
 		DisableAutoCompact: a.DisableAutoCompact,
 		Observer:           observer,

@@ -23,7 +23,6 @@ func dynTestConfig(mode string) DynamicConfig {
 	switch mode {
 	case "sq8":
 		cfg.Quantized = true
-		cfg.RerankFactor = 3
 	case "f32":
 		cfg.Float32 = true
 	}

@@ -84,18 +84,14 @@ type Config struct {
 	// the knob trades wall-clock time only.
 	Parallelism int
 
-	// Quantized enables the SQ8 two-phase scan: leaf sweeps run over 8-bit
-	// codes (8x smaller, int-only arithmetic) and a short exact rerank over
-	// the float rows restores full precision. Results are bit-identical to
-	// the exact path — a distance guarantee is checked per search and the
-	// candidate set widens (ultimately to an exact scan) whenever it could
-	// fail. Weighted searches always use the exact path. Off by default.
+	// Quantized enables the SQ8 row filter: the search descends the tree as
+	// the exact path does, and at each leaf it opens, the leaf's 8-bit code
+	// rows (8x smaller, int-only arithmetic) decide which rows are scored in
+	// full precision — a row is skipped only when its code distance proves it
+	// lies outside the current k-th distance. Results, node reads and page
+	// traces are bit-identical to the exact path. Weighted searches always
+	// use the exact path. Off by default.
 	Quantized bool
-	// RerankFactor sets how many quantized candidates (factor * k) feed the
-	// exact rerank when Quantized is on (<= 0 uses the default, 4). Higher
-	// factors make guarantee fallbacks rarer at the cost of more float
-	// distance evaluations per query.
-	RerankFactor int
 
 	// Float32 runs unweighted searches at float32 precision: the corpus rows
 	// narrow to a float32 mirror once at build time, queries narrow once per
@@ -320,7 +316,6 @@ func newEngine(cfg Config, structure *rfs.Structure) *core.Engine {
 		DisplayCount:      cfg.DisplayCount,
 		Parallelism:       cfg.Parallelism,
 		Quantized:         cfg.Quantized,
-		RerankFactor:      cfg.RerankFactor,
 		Float32:           cfg.Float32,
 	})
 }
@@ -342,7 +337,7 @@ func (s *System) Len() int { return s.corpus.Len() }
 // Config returns the configuration the system was built with.
 func (s *System) Config() Config { return s.cfg }
 
-// Quantized reports whether the SQ8 two-phase scan is active (Config asked
+// Quantized reports whether the SQ8 row filter is active (Config asked
 // for it and the corpus quantized cleanly). Results are identical either
 // way; the flag only describes how global k-NN searches execute.
 func (s *System) Quantized() bool { return s.quant != nil }
@@ -404,22 +399,16 @@ func (s *System) searchKNN(ctx context.Context, q vec.Vector, k int) ([]Scored, 
 	var t0 time.Time
 	if o != nil {
 		acc = &disk.Counter{}
-		st = &rstar.SearchStats{Timed: true}
+		st = &rstar.SearchStats{}
 		t0 = time.Now()
 	}
 	tree := s.rfs.Tree()
-	ns, err := tree.KNNOne(ctx, tree.Root(), rstar.Scan{
-		Float32:      s.cfg.Float32,
-		Quantized:    s.cfg.Quantized,
-		RerankFactor: s.cfg.RerankFactor,
-	}, q, k, acc, st)
+	ns, err := tree.KNNOne(ctx, tree.Root(), rstar.Scan{Float32: s.cfg.Float32, Quantized: s.cfg.Quantized}, q, k, acc, st)
 	if err != nil {
 		return nil, err
 	}
 	if o != nil {
-		// All zero, and so a no-op, unless the search ran the SQ8 sweep.
-		o.KNNPhases(st.ScanNS, st.RerankNS, st.RerankFallbacks)
-		o.KNNDone(time.Since(t0), acc.Reads())
+		o.KNNDone(time.Since(t0), acc.Reads(), st.RerankFallbacks)
 	}
 	out := make([]Scored, len(ns))
 	for i, n := range ns {

@@ -71,7 +71,6 @@ func SliceShard(ctx context.Context, sys *System, shards, index int) (*shard.Arc
 		Hierarchy:         base.Hierarchy,
 		Parallelism:       base.Parallelism,
 		Quantized:         base.Quantized,
-		RerankFactor:      base.RerankFactor,
 		Float32:           base.Float32,
 	}, sliceSource{batch})
 	if err != nil {

@@ -141,30 +141,22 @@ func shardPath(out string, i int) string {
 
 // writeShards persists the fleet artifacts: the full single-node archive at
 // out (the bit-exactness reference; skipped when only one shard was asked
-// for) plus one shard archive per slice.
+// for) plus one shard archive per slice, sliced and written one at a time.
 func writeShards(sys *qdcbir.System, out string, shards, only int, log *slog.Logger) error {
-	if only >= 0 {
-		a, err := qdcbir.SliceShard(context.Background(), sys, shards, only)
+	if only < 0 {
+		if err := sys.SaveFile(out); err != nil {
+			return err
+		}
+		logWritten(log, out)
+	}
+	for i := 0; i < shards; i++ {
+		if only >= 0 && i != only {
+			continue
+		}
+		a, err := qdcbir.SliceShard(context.Background(), sys, shards, i)
 		if err != nil {
 			return err
 		}
-		p := shardPath(out, only)
-		if err := a.WriteFile(p); err != nil {
-			return err
-		}
-		log.Info("wrote shard archive", "path", p, "shard", only, "of", shards,
-			"local_images", a.Meta.LocalImages, "corpus_sig", fmt.Sprintf("%016x", a.Meta.CorpusSig))
-		return nil
-	}
-	if err := sys.SaveFile(out); err != nil {
-		return err
-	}
-	logWritten(log, out)
-	archives, err := qdcbir.SliceShards(context.Background(), sys, shards)
-	if err != nil {
-		return err
-	}
-	for i, a := range archives {
 		p := shardPath(out, i)
 		if err := a.WriteFile(p); err != nil {
 			return err

@@ -76,13 +76,21 @@ func main() {
 		os.Exit(1)
 	}
 	var srv *server.Server
-	if ld.dyn != nil {
+	switch {
+	case ld.replica != nil:
+		srv = server.NewShard(ld.replica, observer)
+		m := ld.replica.Meta()
+		log.Info("shard replica mode",
+			"shard", m.ShardIndex, "of", m.ShardCount,
+			"local_images", m.LocalImages, "corpus_images", m.Images,
+			"corpus_sig", fmt.Sprintf("%016x", m.CorpusSig))
+	case ld.dyn != nil:
 		srv = server.NewDynamic(ld.dyn, observer)
 		st := ld.dyn.Stats()
 		log.Info("dynamic ingest mode",
 			"epoch", st.Epoch, "segments", st.Segments, "mem_rows", st.MemRows,
 			"tombstones", st.Tombstones, "live", st.Live)
-	} else {
+	default:
 		srv = server.New(ld.eng, ld.label)
 	}
 	srv.SetLogger(log)
@@ -98,14 +106,6 @@ func main() {
 		log.Info("scheduler enabled",
 			"max_concurrent", *maxConc, "queue_bound", *queueCap,
 			"coalesce_window", *coalesce, "shed_p99", *shedP99)
-	}
-	if ld.replica != nil {
-		srv.SetShard(ld.replica)
-		m := ld.replica.Meta()
-		log.Info("shard replica mode",
-			"shard", m.ShardIndex, "of", m.ShardCount,
-			"local_images", m.LocalImages, "corpus_images", m.Images,
-			"corpus_sig", fmt.Sprintf("%016x", m.CorpusSig))
 	}
 	if ld.rasters != nil {
 		srv.SetImages(ld.rasters)
@@ -124,13 +124,9 @@ func main() {
 		log.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	bi := srv.BuildInfo()
-	reps := 0
-	if ld.eng != nil {
-		reps = ld.eng.RFS().RepCount()
-	}
 	log.Info("qdserve starting",
 		"addr", *addr,
-		"images", bi.Images, "representatives", reps, "tree_height", bi.TreeHeight,
+		"images", bi.Images, "representatives", srv.Info().Representatives, "tree_height", bi.TreeHeight,
 		"archive_version", ld.version, "precision", ld.precision, "quantized", ld.quantized,
 		"go", bi.GoVersion, "revision", bi.Revision, "vcs_modified", bi.VCSModified)
 	log.Info("observability endpoints",
@@ -285,14 +281,13 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 		if dynamic {
 			return nil, fmt.Errorf("shard archive %s: shard replicas are read-only slices and cannot be served dynamically", path)
 		}
-		rep, sys, err := qdcbir.OpenShardFile(path)
+		rep, _, err := qdcbir.OpenShardFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("shard archive %s: %w", path, err)
 		}
 		m := rep.Meta()
-		sys = sys.WithObserver(observer)
 		return &loaded{
-			eng: sys.Engine(), label: rep.Labeler(), replica: rep,
+			replica: rep,
 			version: m.ArchiveVersion, precision: m.Precision, quantized: m.Quantized,
 		}, nil
 	}

@@ -138,6 +138,7 @@ func suite(fix *fixture) []entry {
 		{"BenchmarkPerfettoExport", benchPerfettoExport},
 		{"BenchmarkRoutedKNN", benchRoutedKNN},
 		{"BenchmarkRoutedQuery", benchRoutedQuery},
+		{"BenchmarkOpenShard", benchOpenShard},
 	}
 	return append(es, batchEntries()...)
 }
@@ -387,6 +388,7 @@ var fixtureFree = map[string]bool{
 	"BenchmarkSystemKNNScanEmbed/sq8":   true,
 	"BenchmarkRoutedKNN":                true,
 	"BenchmarkRoutedQuery":              true,
+	"BenchmarkOpenShard":                true,
 }
 
 // needsFixture reports whether any selected benchmark touches the engine

@@ -43,7 +43,9 @@ type routedFleet struct {
 	close   func()
 }
 
-func newRoutedFleet(b *testing.B) *routedFleet {
+// routedSystem builds the deterministic 512-d float32 corpus the routed
+// benchmarks serve.
+func routedSystem(b *testing.B) *qdcbir.System {
 	state := uint64(0xD6E8FEB86659FD93)
 	next := func() float32 {
 		state = state*6364136223846793005 + 1442695040888963407
@@ -65,6 +67,11 @@ func newRoutedFleet(b *testing.B) *routedFleet {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return sys
+}
+
+func newRoutedFleet(b *testing.B) *routedFleet {
+	sys := routedSystem(b)
 	archives, err := qdcbir.SliceShards(context.Background(), sys, routedShards)
 	if err != nil {
 		b.Fatal(err)
@@ -83,13 +90,12 @@ func newRoutedFleet(b *testing.B) *routedFleet {
 			f.close()
 			b.Fatal(err)
 		}
-		rep, ssys, err := qdcbir.OpenShard(&buf)
+		rep, _, err := qdcbir.OpenShard(&buf)
 		if err != nil {
 			f.close()
 			b.Fatal(err)
 		}
-		srv := server.New(ssys.Engine(), rep.Labeler())
-		srv.SetShard(rep)
+		srv := server.NewShard(rep, nil)
 		ts := httptest.NewServer(srv.Handler())
 		servers = append(servers, ts)
 		cfgs[i] = router.ReplicaConfig{Shard: i, URL: ts.URL}
@@ -151,5 +157,28 @@ func benchRoutedQuery(b *testing.B, _ *fixture) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.serve(b, "/v1/query", bodies[i%queries])
+	}
+}
+
+// benchOpenShard prices loading one replica of the routed corpus from its
+// shard archive: B/op is what a replica allocates to come up, against the
+// ~1.4 MB of float32 rows it holds.
+func benchOpenShard(b *testing.B, _ *fixture) {
+	sys := routedSystem(b)
+	a, err := qdcbir.SliceShard(context.Background(), sys, routedShards, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := a.Write(&buf); err != nil {
+		b.Fatal(err)
+	}
+	blob := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := qdcbir.OpenShard(bytes.NewReader(blob)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

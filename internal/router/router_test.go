@@ -70,12 +70,11 @@ func fixture(t *testing.T) *fleetFix {
 // same assembly qdserve performs on a shard archive.
 func startReplica(t *testing.T, blob []byte) *httptest.Server {
 	t.Helper()
-	rep, sys, err := qdcbir.OpenShard(bytes.NewReader(blob))
+	rep, _, err := qdcbir.OpenShard(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatalf("OpenShard: %v", err)
 	}
-	srv := server.New(sys.Engine(), rep.Labeler())
-	srv.SetShard(rep)
+	srv := server.NewShard(rep, nil)
 	m := rep.Meta()
 	srv.SetArchiveInfo(m.ArchiveVersion, m.Precision, m.Quantized)
 	ts := httptest.NewServer(srv.Handler())
@@ -387,9 +386,49 @@ func TestReplicaRefusesLocalFinalize(t *testing.T) {
 	}
 }
 
+// TestReplicaRefusesLocalQuery pins the replica-side guard on the
+// client-side mode: a replica holds one slice of the corpus, so a one-shot
+// query or a payload export answered from it would be a ranking no
+// single-node build emits. Both are refused with the structured 409 naming
+// the router, and the router answers the same query.
+func TestReplicaRefusesLocalQuery(t *testing.T) {
+	f := fixture(t)
+	rep := startReplica(t, f.blobs[0])
+	query := server.QueryRequest{Relevant: []int{3, 9, 200}, K: 10}
+	for _, c := range []struct {
+		method, path string
+		body         interface{}
+	}{
+		{http.MethodPost, "/v1/query", query},
+		{http.MethodGet, "/v1/payload", nil},
+	} {
+		status, raw := request(t, c.method, rep.URL+c.path, c.body)
+		if status != http.StatusConflict {
+			t.Fatalf("replica %s: HTTP %d (%s), want 409", c.path, status, raw)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(raw, &eb); err != nil || eb.Code != server.ErrCodeShardFinalize || !strings.Contains(eb.Error, "router") {
+			t.Fatalf("replica %s body %s, want code %s naming the router", c.path, raw, server.ErrCodeShardFinalize)
+		}
+	}
+	var cfgs []ReplicaConfig
+	for i, blob := range f.blobs {
+		cfgs = append(cfgs, ReplicaConfig{Shard: i, URL: startReplica(t, blob).URL})
+	}
+	_, rts := startRouter(t, cfgs)
+	var got server.QueryResponse
+	mustJSON(t, http.MethodPost, rts.URL+"/v1/query", query, &got)
+	if len(got.Groups) == 0 {
+		t.Fatal("router answered the refused query with no groups")
+	}
+}
+
 // TestReplicaBuildInfoExposesShard covers the fleet-introspection satellite:
 // a shard replica's /v1/buildinfo carries the archive format version, the
-// scan precision tag, and its shard coordinates.
+// scan precision tag, and its shard coordinates; its corpus shape — images,
+// tree height, representatives, in /v1/buildinfo and /v1/info alike — comes
+// from the shared topology, so every replica reports what the single node
+// does.
 func TestReplicaBuildInfoExposesShard(t *testing.T) {
 	f := fixture(t)
 	rep := startReplica(t, f.blobs[2])
@@ -403,6 +442,29 @@ func TestReplicaBuildInfoExposesShard(t *testing.T) {
 	}
 	if bi.ShardIndex == nil || *bi.ShardIndex != 2 || bi.ShardCount != 3 {
 		t.Fatalf("buildinfo shard coordinates %v/%d, want 2/3", bi.ShardIndex, bi.ShardCount)
+	}
+
+	ref := startRef(t, f)
+	var refBI server.BuildInfoResponse
+	var refInfo server.InfoResponse
+	mustJSON(t, http.MethodGet, ref.URL+"/v1/buildinfo", nil, &refBI)
+	mustJSON(t, http.MethodGet, ref.URL+"/v1/info", nil, &refInfo)
+	if refInfo.Representatives != f.sys.RepresentativeCount() || refInfo.TreeHeight < 2 {
+		t.Fatalf("single-node info %+v", refInfo)
+	}
+	for i, blob := range f.blobs {
+		r := startReplica(t, blob)
+		var rbi server.BuildInfoResponse
+		var info server.InfoResponse
+		mustJSON(t, http.MethodGet, r.URL+"/v1/buildinfo", nil, &rbi)
+		mustJSON(t, http.MethodGet, r.URL+"/v1/info", nil, &info)
+		if rbi.Images != refBI.Images || rbi.TreeHeight != refBI.TreeHeight {
+			t.Fatalf("replica %d buildinfo images/tree_height %d/%d, single node %d/%d",
+				i, rbi.Images, rbi.TreeHeight, refBI.Images, refBI.TreeHeight)
+		}
+		if info != refInfo {
+			t.Fatalf("replica %d /v1/info %+v, single node %+v", i, info, refInfo)
+		}
 	}
 }
 

@@ -408,12 +408,11 @@ func TestRouterReusesShardConnections(t *testing.T) {
 	var dials atomic.Int64
 	cfgs := make([]ReplicaConfig, len(f.blobs))
 	for i, blob := range f.blobs {
-		rep, sys, err := qdcbir.OpenShard(bytes.NewReader(blob))
+		rep, _, err := qdcbir.OpenShard(bytes.NewReader(blob))
 		if err != nil {
 			t.Fatalf("OpenShard: %v", err)
 		}
-		srv := server.New(sys.Engine(), rep.Labeler())
-		srv.SetShard(rep)
+		srv := server.NewShard(rep, nil)
 		ts := httptest.NewUnstartedServer(srv.Handler())
 		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 			if st == http.StateNew {

@@ -12,7 +12,6 @@ package server
 // clients can discover the mode without a separate capability probe.
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -48,21 +47,10 @@ const DefaultDynamicDisplay = 21
 // be nil (a standalone observer is created); pass the same observer the
 // store was built with so ingest and HTTP telemetry land in one registry.
 func NewDynamic(ds DynamicStore, o *obs.Observer) *Server {
-	if o == nil {
-		o = obs.New(obs.NewRegistry())
-	}
-	return &Server{
-		dyn:          ds,
-		label:        ds.LabelOf,
-		maxSessions:  DefaultMaxSessions,
-		displayCount: DefaultDynamicDisplay,
-		obs:          o,
-		httpReqs:     o.Registry().Counter("qd_http_requests_total", "HTTP requests served."),
-		httpErrs:     o.Registry().Counter("qd_http_errors_total", "HTTP responses with status >= 400."),
-		slow:         obs.NewSlowLog(0),
-		sessions:     make(map[string]*hostedSession),
-		lru:          list.New(),
-	}
+	s := newServer(ds.LabelOf, o)
+	s.dyn = ds
+	s.displayCount = DefaultDynamicDisplay
+	return s
 }
 
 // InsertRequest is the POST /v1/images body.

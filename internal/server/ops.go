@@ -82,17 +82,14 @@ func (s *Server) buildInfo() BuildInfoResponse {
 		out.Compactions = st.Compactions
 		return withDebugBuildInfo(out)
 	}
-	out.Images = s.engine.RFS().Len()
-	out.TreeHeight = s.engine.RFS().Tree().Height()
 	if s.shard != nil {
 		m := s.shard.Meta()
 		idx := m.ShardIndex
 		out.ShardIndex = &idx
 		out.ShardCount = m.ShardCount
-		// A shard's local slice answers Images above; the corpus-wide count
-		// lives in the shard meta. Report the corpus so fleets look uniform.
-		out.Images = m.Images
 	}
+	info := s.Info()
+	out.Images, out.TreeHeight = info.Images, info.TreeHeight
 	return withDebugBuildInfo(out)
 }
 

@@ -169,12 +169,11 @@ func TestSchedCoalescedShardSearch(t *testing.T) {
 	if err := archives[0].Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rep, ssys, err := qdcbir.OpenShard(&buf)
+	rep, _, err := qdcbir.OpenShard(&buf)
 	if err != nil {
 		t.Fatalf("OpenShard: %v", err)
 	}
-	srv := New(ssys.Engine(), rep.Labeler())
-	srv.SetShard(rep)
+	srv := NewShard(rep, nil)
 	srv.SetScheduler(SchedConfig{
 		MaxConcurrent: 8,
 		QueueBound:    16,

@@ -93,8 +93,8 @@ type Server struct {
 	images []*img.Image // optional rasters for the web UI (see webui.go)
 
 	// shard, when set, switches the server into shard-replica mode (see
-	// SetShard in shard.go); hosted sessions then run over the full-corpus
-	// topology and the scatter-gather endpoints come alive.
+	// NewShard in shard.go): engine is nil, hosted sessions run over the
+	// full-corpus topology and the scatter-gather endpoints come alive.
 	shard        *shard.Replica
 	displayCount int // shard/dynamic session display budget
 
@@ -136,12 +136,18 @@ func New(engine *core.Engine, label Labeler) *Server {
 	if label == nil {
 		label = func(int) string { return "" }
 	}
-	o := engine.Config().Observer
+	s := newServer(label, engine.Config().Observer)
+	s.engine = engine
+	return s
+}
+
+// newServer holds what every mode shares: telemetry (o may be nil, for a
+// standalone observer) and the hosted-session table.
+func newServer(label Labeler, o *obs.Observer) *Server {
 	if o == nil {
 		o = obs.New(obs.NewRegistry())
 	}
 	return &Server{
-		engine:      engine,
 		label:       label,
 		maxSessions: DefaultMaxSessions,
 		obs:         o,
@@ -254,7 +260,8 @@ const (
 	ErrCodeDeadline = "deadline_exceeded"
 	// ErrCodeCancelled marks a client disconnect or server drain.
 	ErrCodeCancelled = "cancelled"
-	// ErrCodeShardFinalize rejects local finalize of a shard-hosted session.
+	// ErrCodeShardFinalize rejects, on a shard replica, whatever needs the
+	// whole corpus: finalize of a hosted session, /v1/query, /v1/payload.
 	ErrCodeShardFinalize = "shard_finalize"
 	// ErrCodeShardFrame rejects a binary shard-leg body whose header, length
 	// and the corpus dimension disagree (see shardwire.go).
@@ -549,15 +556,22 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if s.dyn != nil {
-		writeJSON(w, http.StatusOK, InfoResponse{Images: s.dyn.Stats().Live})
-		return
+	writeJSON(w, http.StatusOK, s.Info())
+}
+
+// Info describes the served corpus (the /v1/info body). A replica reports
+// the corpus it is a slice of, read from the topology every replica shares,
+// so a fleet looks uniform and agrees with the single node.
+func (s *Server) Info() InfoResponse {
+	switch {
+	case s.dyn != nil:
+		return InfoResponse{Images: s.dyn.Stats().Live}
+	case s.shard != nil:
+		t := s.shard.Topo()
+		return InfoResponse{Images: s.shard.Meta().Images, TreeHeight: t.Height(), Representatives: t.RepCount()}
 	}
-	writeJSON(w, http.StatusOK, InfoResponse{
-		Images:          s.engine.RFS().Len(),
-		TreeHeight:      s.engine.RFS().Tree().Height(),
-		Representatives: s.engine.RFS().RepCount(),
-	})
+	f := s.engine.RFS()
+	return InfoResponse{Images: f.Len(), TreeHeight: f.Tree().Height(), Representatives: f.RepCount()}
 }
 
 func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) {
@@ -572,6 +586,9 @@ func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "payload not available for a dynamic corpus: use hosted sessions")
 		return
 	}
+	if s.refuseLocal(w, "/v1/payload") {
+		return
+	}
 	s.payloadGen.Do(func() { s.payload, s.payloadErr = BuildPayload(s.engine, s.label) })
 	if s.payloadErr != nil {
 		writeError(w, http.StatusInternalServerError, "payload: %v", s.payloadErr)
@@ -584,6 +601,9 @@ func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		return
+	}
+	if s.refuseLocal(w, "/v1/query") {
 		return
 	}
 	var req QueryRequest

@@ -12,18 +12,31 @@ import (
 	"qdcbir/internal/vec"
 )
 
-// SetShard switches the server into shard-replica mode: it serves the usual
-// session protocol (hosted sessions then run over the full-corpus topology,
-// not the local subtree) plus the scatter-gather endpoints a router fans out
-// to — /v1/shard/meta, /v1/shard/search, /v1/shard/points. Call before
-// serving traffic.
-func (s *Server) SetShard(r *shard.Replica) {
+// NewShard creates a shard-replica server: it hosts feedback sessions over
+// the full-corpus topology (not the local slice) and serves the
+// scatter-gather endpoints a router fans out to — /v1/shard/meta,
+// /v1/shard/topology, /v1/shard/search, /v1/shard/points. A replica has no
+// local engine: what a single node answers from its own tree (/v1/query,
+// /v1/payload, hosted finalize) needs the whole corpus, and a replica refuses
+// it with 409 shard_finalize naming the router. o may be nil (a standalone
+// observer is created).
+func NewShard(r *shard.Replica, o *obs.Observer) *Server {
+	s := newServer(r.Labeler(), o)
 	s.shard = r
-	if r != nil {
-		if dc := r.Meta().DisplayCount; dc > 0 {
-			s.displayCount = dc
-		}
+	s.displayCount = r.Meta().DisplayCount
+	return s
+}
+
+// refuseLocal answers a request only the whole corpus can serve: a replica
+// holds one slice, so a local answer would be a ranking no single-node build
+// emits. The 409 names the router, which runs the fleet-wide version.
+func (s *Server) refuseLocal(w http.ResponseWriter, what string) bool {
+	if s.shard == nil {
+		return false
 	}
+	writeErrorCode(w, http.StatusConflict, ErrCodeShardFinalize,
+		"a shard replica holds one slice of the corpus and does not answer %s; send it to the router (qdrouter)", what)
+	return true
 }
 
 // Shard returns the replica this server fronts, or nil in single-node mode.
@@ -48,11 +61,7 @@ type ShardSearchRequest struct {
 // NeighborJSON is one scored neighbor. Distances round-trip exactly:
 // encoding/json emits float64 at shortest-exact precision. Label is set on
 // shard-search legs only (the owning shard's label for the image).
-type NeighborJSON struct {
-	ID    int     `json:"id"`
-	Dist  float64 `json:"dist"`
-	Label string  `json:"label,omitempty"`
-}
+type NeighborJSON = shard.Neighbor
 
 // ShardSearchResponse lists the local top-k ascending by (dist, id). When the
 // router asked for tracing (X-Qd-Trace header), Trace carries the shard-side
@@ -76,12 +85,7 @@ type ShardPointsRequest struct {
 // ShardPointJSON is one owned image: its exact float64 feature vector and
 // the full-tree leaf that stores it (the §3.2 starting assignment for a
 // stateless query).
-type ShardPointJSON struct {
-	ID    int       `json:"id"`
-	Leaf  uint64    `json:"leaf"`
-	Vec   []float64 `json:"vec"`
-	Label string    `json:"label,omitempty"`
-}
+type ShardPointJSON = shard.Point
 
 // ShardPointsResponse lists the owned subset of the requested IDs.
 type ShardPointsResponse struct {
@@ -92,7 +96,13 @@ type ShardPointsResponse struct {
 // TraceData satisfies obs.RemoteTraced.
 func (r *ShardPointsResponse) TraceData() *obs.RemoteTrace { return r.Trace }
 
-func (s *Server) requireShard(w http.ResponseWriter) bool {
+// shardEndpoint admits a request to a scatter-gather endpoint: the right
+// method, on a shard replica.
+func (s *Server) shardEndpoint(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method != method {
+		writeError(w, http.StatusMethodNotAllowed, "%s only", method)
+		return false
+	}
 	if s.shard == nil {
 		writeErrorCode(w, http.StatusNotFound, "not_a_shard", "this server is not a shard replica")
 		return false
@@ -101,33 +111,21 @@ func (s *Server) requireShard(w http.ResponseWriter) bool {
 }
 
 func (s *Server) handleShardMeta(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if !s.requireShard(w) {
+	if !s.shardEndpoint(w, r, http.MethodGet) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ShardMetaResponse{Meta: s.shard.Meta(), WireVersion: ShardWireVersion})
 }
 
 func (s *Server) handleShardTopology(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if !s.requireShard(w) {
+	if !s.shardEndpoint(w, r, http.MethodGet) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.shard.Topo())
 }
 
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if !s.requireShard(w) {
+	if !s.shardEndpoint(w, r, http.MethodPost) {
 		return
 	}
 	// A router frames the leg in binary; the JSON body is the human/debug
@@ -164,11 +162,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	rec.Span("search", searchStart, map[string]any{
 		"node": req.NodeID, "k": req.K, "neighbors": len(ns),
 	})
-	resp := ShardSearchResponse{Neighbors: make([]NeighborJSON, len(ns)), Trace: rec.Trace()}
-	for i, n := range ns {
-		resp.Neighbors[i] = NeighborJSON(n)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ShardSearchResponse{Neighbors: ns, Trace: rec.Trace()})
 }
 
 // shardRecorder starts a shard-side span recorder when the caller asked for
@@ -182,11 +176,7 @@ func shardRecorder(r *http.Request) *obs.RemoteRecorder {
 }
 
 func (s *Server) handleShardPoints(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if !s.requireShard(w) {
+	if !s.shardEndpoint(w, r, http.MethodPost) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, shardPointsBodyLimit(s.shard.Meta().Images))
@@ -198,11 +188,9 @@ func (s *Server) handleShardPoints(w http.ResponseWriter, r *http.Request) {
 	lookupStart := time.Now()
 	resp := ShardPointsResponse{Points: []ShardPointJSON{}}
 	for _, id := range req.IDs {
-		p, ok := s.shard.PointInfo(id)
-		if !ok {
-			continue
+		if p, ok := s.shard.PointInfo(id); ok {
+			resp.Points = append(resp.Points, p)
 		}
-		resp.Points = append(resp.Points, ShardPointJSON{ID: p.ID, Leaf: p.Leaf, Vec: p.Vec, Label: p.Label})
 	}
 	rec.Span("points", lookupStart, map[string]any{
 		"requested": len(req.IDs), "owned": len(resp.Points),

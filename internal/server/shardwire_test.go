@@ -37,12 +37,11 @@ func newShardServer(t *testing.T) (*shard.Replica, *qdcbir.System, *httptest.Ser
 	if err := archives[0].Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rep, ssys, err := qdcbir.OpenShard(&buf)
+	rep, _, err := qdcbir.OpenShard(&buf)
 	if err != nil {
 		t.Fatalf("OpenShard: %v", err)
 	}
-	srv := New(ssys.Engine(), rep.Labeler())
-	srv.SetShard(rep)
+	srv := NewShard(rep, nil)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return rep, sys, ts

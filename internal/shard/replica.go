@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"qdcbir/internal/vec"
@@ -23,107 +24,99 @@ type Neighbor struct {
 	Label string  `json:"label,omitempty"`
 }
 
-// LocalRows supplies a shard's stored feature rows to NewReplica, decoupling
-// the replica from whatever loaded the archive. At must return the exact
-// float64 view the single-node engine reads for the row (for float32
-// corpora, the exact widening). Labels is optional per-row ground truth.
-type LocalRows struct {
-	Dim    int
-	N      int
-	F32    bool // rows originate from a float32 store
-	At     func(li int) []float64
-	Labels []string
-}
-
 // Replica is one shard loaded for serving: the scatter-gather machinery over
 // the local subset — the full single-node topology and a slab of the local
 // rows grouped by full-tree leaf, so any single-node subtree maps to a
-// contiguous row range.
+// contiguous row range. The slab is the archive's rows, adopted as decoded.
 type Replica struct {
 	meta    Meta
 	topo    *Topology
-	globals []int
 	localOf map[int]int // global ID -> local row
 	leafID  []uint64    // full-tree leaf per local row
-	labels  []string    // per local row (may be nil)
+	labels  []string    // per local row
 	rowOf   []int       // local row -> slab row
 
-	dim     int
-	f32     bool
-	slab    []float64 // local rows in (full-tree leaf pre-order, global ID) order
-	slab32  []float32 // float32 mirror (f32 precision archives only)
-	slabGID []int     // global ID per slab row
-	ranges  [][2]int  // per topology node index: slab row range [lo,hi)
+	dim int
+	f32 bool // unweighted sweeps run the float32 kernels (Meta.Precision "f32")
+	// The rows in (full-tree leaf pre-order, global ID) order, at storage
+	// precision: slab for float64 storage, slab32 for float32 storage. A
+	// float32 scan over float64 storage is the one case that keeps both —
+	// slab32 is then the narrowing the single-node tree sweeps.
+	slab    []float64
+	slab32  []float32
+	slabGID []int    // global ID per slab row
+	ranges  [][2]int // per topology node index: slab row range [lo,hi)
 }
 
-// NewReplica assembles a replica from a decoded archive and its local rows.
-func NewReplica(a *Archive, rows LocalRows) (*Replica, error) {
+// SlabLayout orders a shard's local rows the way a replica stores them:
+// grouped by full-tree leaf in topology pre-order, and by local row (that is,
+// ascending global ID) within a leaf. order maps slab row -> local row;
+// ranges gives every topology node's contiguous slab row range, so a
+// subtree-restricted search is one flat sweep. The topology must be indexed.
+func SlabLayout(t *Topology, leafID []uint64) (order []int, ranges [][2]int, err error) {
+	members := make(map[uint64][]int)
+	for li, leaf := range leafID {
+		if i, ok := t.IdxOf(leaf); !ok || !t.Nodes[i].Leaf {
+			return nil, nil, fmt.Errorf("shard: local row %d assigned to unknown leaf %d", li, leaf)
+		}
+		members[leaf] = append(members[leaf], li)
+	}
+	order = make([]int, 0, len(leafID))
+	ranges = make([][2]int, len(t.Nodes))
+	var dfs func(i int)
+	dfs = func(i int) {
+		lo := len(order)
+		if t.Nodes[i].Leaf {
+			order = append(order, members[t.Nodes[i].ID]...)
+		} else {
+			for _, c := range t.Children(i) {
+				dfs(c)
+			}
+		}
+		ranges[i] = [2]int{lo, len(order)}
+	}
+	dfs(t.Root())
+	if len(order) != len(leafID) {
+		return nil, nil, fmt.Errorf("shard: slab covers %d of %d rows (leaf table inconsistent)", len(order), len(leafID))
+	}
+	return order, ranges, nil
+}
+
+// NewReplica assembles a replica from an archive, adopting its rows as the
+// slab. The archive must not be modified afterwards.
+func NewReplica(a *Archive) (*Replica, error) {
+	if err := a.check(); err != nil {
+		return nil, err
+	}
 	if err := a.Topo.Index(); err != nil {
 		return nil, err
 	}
-	if len(a.Globals) != len(a.LeafID) {
-		return nil, fmt.Errorf("shard: %d globals but %d leaf assignments", len(a.Globals), len(a.LeafID))
-	}
-	if rows.N != len(a.Globals) {
-		return nil, fmt.Errorf("shard: %d rows supplied, archive lists %d", rows.N, len(a.Globals))
-	}
-	if rows.Dim != a.Meta.Dim {
-		return nil, fmt.Errorf("shard: row dim %d, archive says %d", rows.Dim, a.Meta.Dim)
+	order, ranges, err := SlabLayout(a.Topo, a.LeafID)
+	if err != nil {
+		return nil, err
 	}
 	r := &Replica{
 		meta:    a.Meta,
 		topo:    a.Topo,
-		globals: a.Globals,
 		localOf: make(map[int]int, len(a.Globals)),
 		leafID:  a.LeafID,
-		labels:  rows.Labels,
-		dim:     rows.Dim,
-		f32:     rows.F32,
+		labels:  a.Labels,
+		rowOf:   make([]int, len(order)),
+		dim:     a.Meta.Dim,
+		f32:     a.Meta.Precision == "f32",
+		slab:    a.Rows.F64,
+		slab32:  a.Rows.F32,
+		slabGID: make([]int, len(order)),
+		ranges:  ranges,
 	}
 	for li, gid := range a.Globals {
 		r.localOf[gid] = li
 	}
-
-	// Group local rows by full-tree leaf. Globals is ascending, so each
-	// member list is ascending by global ID — the slab's tie-break order.
-	members := make(map[uint64][]int)
-	for li, leaf := range a.LeafID {
-		if _, ok := a.Topo.IdxOf(leaf); !ok {
-			return nil, fmt.Errorf("shard: image %d assigned to unknown leaf %d", a.Globals[li], leaf)
-		}
-		members[leaf] = append(members[leaf], li)
-	}
-	// Pre-order DFS: every subtree's local rows become one contiguous slab
-	// range, so a subtree-restricted search is a flat kernel sweep.
-	order := make([]int, 0, len(a.Globals))
-	r.ranges = make([][2]int, len(a.Topo.Nodes))
-	var dfs func(i int)
-	dfs = func(i int) {
-		lo := len(order)
-		if a.Topo.Nodes[i].Leaf {
-			order = append(order, members[a.Topo.Nodes[i].ID]...)
-		} else {
-			for _, c := range a.Topo.Children(i) {
-				dfs(c)
-			}
-		}
-		r.ranges[i] = [2]int{lo, len(order)}
-	}
-	dfs(a.Topo.Root())
-	if len(order) != len(a.Globals) {
-		return nil, fmt.Errorf("shard: slab covers %d of %d rows (leaf table inconsistent)", len(order), len(a.Globals))
-	}
-	r.slab = make([]float64, len(order)*r.dim)
-	r.slabGID = make([]int, len(order))
-	r.rowOf = make([]int, len(order))
 	for row, li := range order {
-		copy(r.slab[row*r.dim:(row+1)*r.dim], rows.At(li))
 		r.slabGID[row] = a.Globals[li]
 		r.rowOf[li] = row
 	}
-	if r.f32 {
-		// Narrowing the widened float64 view restores the original float32
-		// bits, so the mirror matches the tree's own f32 slab row-for-row.
+	if r.f32 && r.slab32 == nil {
 		r.slab32 = vec.Narrow32(r.slab, nil)
 	}
 	return r, nil
@@ -149,27 +142,28 @@ type Point struct {
 
 // PointInfo returns a locally stored image's planning record. The vector is
 // the exact float64 view the single-node engine would read (for float32
-// corpora, the exact widening), so router-side centroid and boundary
+// storage, the exact widening), so router-side centroid and boundary
 // arithmetic reproduces the single-node values bit-for-bit.
 func (r *Replica) PointInfo(gid int) (Point, bool) {
 	li, ok := r.localOf[gid]
 	if !ok {
 		return Point{}, false
 	}
-	row := r.rowOf[li]
-	return Point{
-		ID:    gid,
-		Leaf:  r.leafID[li],
-		Vec:   append([]float64(nil), r.slab[row*r.dim:(row+1)*r.dim]...),
-		Label: r.localLabel(li),
-	}, true
+	v := r.rows64(r.rowOf[li], r.rowOf[li]+1, make([]float64, r.dim))
+	return Point{ID: gid, Leaf: r.leafID[li], Vec: v, Label: r.labels[li]}, true
 }
 
-func (r *Replica) localLabel(li int) string {
-	if li >= 0 && li < len(r.labels) {
-		return r.labels[li]
+// rows64 returns slab rows [lo,hi) as float64, in buf — a copy of float64
+// rows or the exact widening of float32 rows — or, when buf is nil, as a view
+// of the float64 slab. A non-nil buf must hold (hi-lo)·dim values.
+func (r *Replica) rows64(lo, hi int, buf []float64) []float64 {
+	switch {
+	case r.slab == nil:
+		return vec.Widen64(r.slab32[lo*r.dim:hi*r.dim], buf)
+	case buf == nil:
+		return r.slab[lo*r.dim : hi*r.dim]
 	}
-	return ""
+	return buf[:copy(buf, r.slab[lo*r.dim:hi*r.dim])]
 }
 
 // Labeler resolves image labels: locally stored images from the shard's
@@ -178,10 +172,24 @@ func (r *Replica) localLabel(li int) string {
 func (r *Replica) Labeler() func(id int) string {
 	return func(id int) string {
 		if li, ok := r.localOf[id]; ok {
-			return r.localLabel(li)
+			return r.labels[li]
 		}
-		return r.topo.RepLabels[id]
+		return r.topo.RepLabel(id)
 	}
+}
+
+// sweepChunk is the row count of one kernel call over a stored slab.
+const sweepChunk = 1024
+
+// chunk64 sizes the float64 sweeps: whole sweepChunk blocks over a float64
+// slab; over float32 storage, blocks small enough that the widening buffer
+// stays near 128 KB however wide the rows are.
+func (r *Replica) chunk64() (rows int, buf []float64) {
+	if r.slab != nil {
+		return sweepChunk, nil
+	}
+	rows = max(1, min(sweepChunk, (16<<10)/r.dim))
+	return rows, make([]float64, rows*r.dim)
 }
 
 // SearchNode runs a k-NN search over the shard's rows restricted to the
@@ -191,91 +199,14 @@ func (r *Replica) Labeler() func(id int) string {
 // at the same precision. A non-nil weights vector selects the weighted
 // float64 path, exactly as rstar.Scan.Weights does on a single node.
 func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, weights []float64, k int) ([]Neighbor, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("shard: invalid k=%d", k)
-	}
-	if len(q) != r.dim {
-		return nil, fmt.Errorf("shard: query dim %d != corpus dim %d", len(q), r.dim)
-	}
 	if weights != nil && len(weights) != r.dim {
 		return nil, fmt.Errorf("shard: weight dim %d != corpus dim %d", len(weights), r.dim)
 	}
-	idx, ok := r.topo.IdxOf(nodeID)
-	if !ok {
-		return nil, fmt.Errorf("shard: unknown search node %d", nodeID)
+	out, err := r.sweep(ctx, nodeID, []vec.Vector{q}, weights, []int{k})
+	if err != nil {
+		return nil, err
 	}
-	lo, hi := r.ranges[idx][0], r.ranges[idx][1]
-	if lo == hi {
-		return nil, nil
-	}
-	sel := newTopSelect(k)
-	const chunk = 1024
-	switch {
-	case weights != nil:
-		scratch := make([]float64, chunk)
-		for base := lo; base < hi; base += chunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := base + chunk
-			if end > hi {
-				end = hi
-			}
-			out := scratch[:end-base]
-			vec.WeightedSquaredDistsTo(q, vec.Vector(weights), r.slab[base*r.dim:end*r.dim], out)
-			for i, d := range out {
-				sel.add(d, r.slabGID[base+i])
-			}
-		}
-	case r.f32:
-		q32 := vec.Narrow32(q, nil)
-		scratch := make([]float32, chunk)
-		for base := lo; base < hi; base += chunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := base + chunk
-			if end > hi {
-				end = hi
-			}
-			out := scratch[:end-base]
-			vec.SquaredDistsTo32(q32, r.slab32[base*r.dim:end*r.dim], out)
-			for i, d := range out {
-				// Widening float32 to float64 is exact and order-preserving,
-				// so one float64 selector serves both precisions; the final
-				// Dist is math.Sqrt(float64(d32)) — the f32 path's formula.
-				sel.add(float64(d), r.slabGID[base+i])
-			}
-		}
-	default:
-		scratch := make([]float64, chunk)
-		for base := lo; base < hi; base += chunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := base + chunk
-			if end > hi {
-				end = hi
-			}
-			out := scratch[:end-base]
-			vec.SquaredDistsTo(q, r.slab[base*r.dim:end*r.dim], out)
-			for i, d := range out {
-				sel.add(d, r.slabGID[base+i])
-			}
-		}
-	}
-	return r.neighbors(sel), nil
-}
-
-// neighbors drains a selector into the wire-neutral result list, ascending
-// by (distance, ID), each neighbour carrying its local label.
-func (r *Replica) neighbors(sel *topSelect) []Neighbor {
-	cands := sel.sorted()
-	ns := make([]Neighbor, len(cands))
-	for i, c := range cands {
-		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d), Label: r.localLabel(r.localOf[c.gid])}
-	}
-	return ns
+	return out[0], nil
 }
 
 // SearchNodeBatch answers several k-NN searches restricted to the SAME
@@ -287,10 +218,19 @@ func (r *Replica) neighbors(sel *topSelect) []Neighbor {
 // throughput, never answers. Weighted searches have no multi kernel and must
 // stay on SearchNode.
 func (r *Replica) SearchNodeBatch(ctx context.Context, nodeID uint64, qs []vec.Vector, ks []int) ([][]Neighbor, error) {
+	return r.sweep(ctx, nodeID, qs, nil, ks)
+}
+
+// sweep scores every query against each slab chunk of the node's row range,
+// one bounded selector per query. Unweighted sweeps of an f32 replica run
+// the float32 kernels; the rest run the float64 kernels, over float32
+// storage on rows widened a chunk at a time. weights requires one query.
+func (r *Replica) sweep(ctx context.Context, nodeID uint64, qs []vec.Vector, weights []float64, ks []int) ([][]Neighbor, error) {
 	if len(qs) != len(ks) {
 		return nil, fmt.Errorf("shard: %d queries but %d ks", len(qs), len(ks))
 	}
-	sels := make([]*topSelect, len(qs))
+	m := len(qs)
+	sels := make([]*topSelect, m)
 	for j, q := range qs {
 		if ks[j] <= 0 {
 			return nil, fmt.Errorf("shard: invalid k=%d", ks[j])
@@ -298,71 +238,84 @@ func (r *Replica) SearchNodeBatch(ctx context.Context, nodeID uint64, qs []vec.V
 		if len(q) != r.dim {
 			return nil, fmt.Errorf("shard: query dim %d != corpus dim %d", len(q), r.dim)
 		}
-		sels[j] = newTopSelect(ks[j])
+		sels[j] = &topSelect{k: ks[j]}
 	}
 	idx, ok := r.topo.IdxOf(nodeID)
 	if !ok {
 		return nil, fmt.Errorf("shard: unknown search node %d", nodeID)
 	}
-	out := make([][]Neighbor, len(qs))
 	lo, hi := r.ranges[idx][0], r.ranges[idx][1]
-	m := len(qs)
-	if lo != hi && m > 0 {
-		const chunk = 1024
-		if r.f32 {
-			qbuf := make([]float32, m*r.dim)
-			for j, q := range qs {
-				vec.Narrow32(q, qbuf[j*r.dim:(j+1)*r.dim:(j+1)*r.dim])
+	switch {
+	case lo == hi || m == 0:
+	case r.f32 && weights == nil:
+		qbuf := make([]float32, m*r.dim)
+		for j, q := range qs {
+			vec.Narrow32(q, qbuf[j*r.dim:(j+1)*r.dim:(j+1)*r.dim])
+		}
+		scratch := make([]float32, m*sweepChunk)
+		for base := lo; base < hi; base += sweepChunk {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			scratch := make([]float32, m*chunk)
-			for base := lo; base < hi; base += chunk {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				end := base + chunk
-				if end > hi {
-					end = hi
-				}
-				rows := end - base
-				db := scratch[:m*rows]
-				vec.SquaredDistsToMulti32(qbuf, m, r.slab32[base*r.dim:end*r.dim], db)
-				for j := 0; j < m; j++ {
-					col := db[j*rows : (j+1)*rows]
-					for i, d := range col {
-						sels[j].add(float64(d), r.slabGID[base+i])
-					}
-				}
+			end := min(base+sweepChunk, hi)
+			db, rows := scratch[:m*(end-base)], r.slab32[base*r.dim:end*r.dim]
+			if m == 1 {
+				vec.SquaredDistsTo32(qbuf, rows, db)
+			} else {
+				vec.SquaredDistsToMulti32(qbuf, m, rows, db)
 			}
-		} else {
-			qbuf := make([]float64, m*r.dim)
-			for j, q := range qs {
-				copy(qbuf[j*r.dim:(j+1)*r.dim], q)
+			admit(r, sels, base, end-base, db)
+		}
+	default:
+		qbuf := []float64(qs[0])
+		if m > 1 {
+			qbuf = slices.Concat(qs...)
+		}
+		step, wide := r.chunk64()
+		scratch := make([]float64, m*step)
+		for base := lo; base < hi; base += step {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			scratch := make([]float64, m*chunk)
-			for base := lo; base < hi; base += chunk {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				end := base + chunk
-				if end > hi {
-					end = hi
-				}
-				rows := end - base
-				db := scratch[:m*rows]
-				vec.SquaredDistsToMulti(qbuf, m, r.slab[base*r.dim:end*r.dim], db)
-				for j := 0; j < m; j++ {
-					col := db[j*rows : (j+1)*rows]
-					for i, d := range col {
-						sels[j].add(d, r.slabGID[base+i])
-					}
-				}
+			end := min(base+step, hi)
+			db, rows := scratch[:m*(end-base)], r.rows64(base, end, wide)
+			if weights != nil {
+				vec.WeightedSquaredDistsTo(qbuf, vec.Vector(weights), rows, db)
+			} else {
+				vec.SquaredDistsToMulti(qbuf, m, rows, db)
 			}
+			admit(r, sels, base, end-base, db)
 		}
 	}
-	for j := range sels {
-		out[j] = r.neighbors(sels[j])
+	out := make([][]Neighbor, m)
+	for j, sel := range sels {
+		out[j] = r.neighbors(sel)
 	}
 	return out, nil
+}
+
+// admit feeds one chunk's distances to the selectors: query j's squared
+// distances to slab rows [base, base+rows) are db[j*rows:(j+1)*rows].
+// Widening float32 to float64 is exact and order-preserving, so one float64
+// selector serves both precisions; the final Dist is math.Sqrt(float64(d32))
+// — the f32 path's formula.
+func admit[T float32 | float64](r *Replica, sels []*topSelect, base, rows int, db []T) {
+	for j, sel := range sels {
+		for i, d := range db[j*rows : (j+1)*rows] {
+			sel.add(float64(d), r.slabGID[base+i])
+		}
+	}
+}
+
+// neighbors drains a selector into the wire-neutral result list, ascending
+// by (distance, ID), each neighbour carrying its local label.
+func (r *Replica) neighbors(sel *topSelect) []Neighbor {
+	cands := sel.sorted()
+	ns := make([]Neighbor, len(cands))
+	for i, c := range cands {
+		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d), Label: r.labels[r.localOf[c.gid]]}
+	}
+	return ns
 }
 
 // MergeNeighbors merges per-shard restricted-search results into the global
@@ -398,8 +351,6 @@ type topSelect struct {
 	k int
 	h []cand
 }
-
-func newTopSelect(k int) *topSelect { return &topSelect{k: k} }
 
 // worse reports a > b under the (distance, ID) order.
 func worse(a, b cand) bool {

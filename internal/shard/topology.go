@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/rstar"
@@ -23,6 +24,9 @@ type NodeInfo struct {
 	Center []float64 `json:"center"`
 	Diag   float64   `json:"diag"`
 	Reps   []int     `json:"reps,omitempty"` // representative image IDs, selection order
+	// RepLabels carries a leaf's representatives' ground-truth labels,
+	// parallel to Reps, so a shard can label candidates stored elsewhere.
+	RepLabels []string `json:"rep_labels,omitempty"`
 }
 
 // Topology is the full single-node hierarchy every shard carries. Shards hold
@@ -33,28 +37,23 @@ type NodeInfo struct {
 // backwards.
 type Topology struct {
 	Nodes []NodeInfo `json:"nodes"`
-	// RepLeaf maps each distinct representative image to its leaf node ID.
-	// Feedback descent (ChildContaining) walks up from the leaf; sessions only
-	// ever mark displayed images, and displays draw from representatives, so
-	// this map covers everything a remote session needs.
-	RepLeaf map[int]uint64 `json:"rep_leaf,omitempty"`
-	// RepLabels carries the representatives' ground-truth labels so a shard
-	// can label candidates that live on other shards.
-	RepLabels map[int]string `json:"rep_labels,omitempty"`
 
 	idxOf    map[uint64]int
 	children [][]int
+	// repLeaf maps each distinct representative image to the leaf that
+	// stores it (every representative is chosen at its own leaf first).
+	// Feedback descent (ChildContaining) walks up from the leaf; sessions only
+	// ever mark displayed images, and displays draw from representatives, so
+	// this map covers everything a remote session needs. repLabel holds their
+	// labels. Both are derived by Index, so the table itself holds no maps.
+	repLeaf  map[int]uint64
+	repLabel map[int]string
 }
 
 // TopologyOf extracts the topology table from a built structure. label may be
 // nil (no representative labels).
 func TopologyOf(s *rfs.Structure, label func(id int) string) *Topology {
-	t := &Topology{
-		RepLeaf: make(map[int]uint64),
-	}
-	if label != nil {
-		t.RepLabels = make(map[int]string)
-	}
+	t := &Topology{}
 	var walk func(n *rstar.Node, parent int)
 	walk = func(n *rstar.Node, parent int) {
 		idx := len(t.Nodes)
@@ -68,10 +67,10 @@ func TopologyOf(s *rfs.Structure, label func(id int) string) *Topology {
 			Center: append([]float64(nil), r.Center()...),
 			Diag:   r.Diagonal(),
 		}
-		if len(reps) > 0 {
-			info.Reps = make([]int, len(reps))
-			for i, id := range reps {
-				info.Reps[i] = int(id)
+		for _, id := range reps {
+			info.Reps = append(info.Reps, int(id))
+			if label != nil && n.IsLeaf() {
+				info.RepLabels = append(info.RepLabels, label(int(id)))
 			}
 		}
 		t.Nodes = append(t.Nodes, info)
@@ -80,12 +79,6 @@ func TopologyOf(s *rfs.Structure, label func(id int) string) *Topology {
 		}
 	}
 	walk(s.Root(), -1)
-	for _, id := range s.AllReps() {
-		t.RepLeaf[int(id)] = uint64(s.LeafOf(id).ID())
-		if label != nil {
-			t.RepLabels[int(id)] = label(int(id))
-		}
-	}
 	if err := t.Index(); err != nil {
 		panic(fmt.Sprintf("shard: topology of valid structure: %v", err)) // unreachable
 	}
@@ -119,14 +112,41 @@ func (t *Topology) Index() error {
 			t.children[n.Parent] = append(t.children[n.Parent], i)
 		}
 	}
-	for id, leaf := range t.RepLeaf {
-		li, ok := t.idxOf[leaf]
-		if !ok || !t.Nodes[li].Leaf {
-			return fmt.Errorf("shard: representative %d maps to unknown/non-leaf node %d", id, leaf)
+	t.repLeaf = make(map[int]uint64)
+	t.repLabel = make(map[int]string)
+	for _, n := range t.Nodes {
+		if !n.Leaf {
+			continue
+		}
+		if len(n.RepLabels) != 0 && len(n.RepLabels) != len(n.Reps) {
+			return fmt.Errorf("shard: leaf %d has %d representatives but %d labels", n.ID, len(n.Reps), len(n.RepLabels))
+		}
+		for i, id := range n.Reps {
+			t.repLeaf[id] = n.ID
+			if len(n.RepLabels) != 0 {
+				t.repLabel[id] = n.RepLabels[i]
+			}
 		}
 	}
 	return nil
 }
+
+// RepLabel returns a representative image's label ("" when unknown).
+func (t *Topology) RepLabel(id int) string { return t.repLabel[id] }
+
+// Height returns the hierarchy's depth, counting the root as level 1 — the
+// single-node tree's Height.
+func (t *Topology) Height() int {
+	depth := make([]int, len(t.Nodes))
+	for i, n := range t.Nodes[1:] {
+		depth[i+1] = depth[n.Parent] + 1
+	}
+	return slices.Max(depth) + 1
+}
+
+// RepCount returns the number of distinct representative images — the
+// single-node structure's RepCount.
+func (t *Topology) RepCount() int { return len(t.repLeaf) }
 
 // Root returns the root node index (always 0 in pre-order).
 func (t *Topology) Root() int { return 0 }
@@ -181,12 +201,13 @@ func (t *Topology) ExpandForQuery(i int, queryPoints []vec.Vector, threshold flo
 // ChildContaining returns the index of node i's child whose subtree holds the
 // representative image, or -1 when i is a leaf or the image's leaf does not
 // descend from i — the same contract as rfs.Structure.ChildContaining,
-// resolved through the RepLeaf table instead of the live leaf map.
+// resolved through the representatives' leaf table instead of the live leaf
+// map.
 func (t *Topology) ChildContaining(i int, repID int) int {
 	if t.Nodes[i].Leaf {
 		return -1
 	}
-	leafID, ok := t.RepLeaf[repID]
+	leafID, ok := t.repLeaf[repID]
 	if !ok {
 		return -1
 	}

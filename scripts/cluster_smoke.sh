@@ -5,7 +5,8 @@
 # shard replicas plus an unsharded reference qdserve, fronts the shards with
 # qdrouter, drives a scripted feedback session through both stacks, and diffs
 # the results. The sharded tier's contract is bit-exactness, so the diff is
-# literal: same JSON groups, same IDs, same distances, same displays. A final
+# literal: same JSON groups, same IDs, same distances, same displays. A
+# replica must refuse a one-shot /v1/query (409 naming the router). A final
 # stanza saturates an admission-controlled replica and checks overload is
 # shed as structured 503s with Retry-After while answers stay bit-correct.
 #
@@ -78,6 +79,16 @@ curl -sf -X POST -d "$QUERY" "http://localhost:$SINGLE/v1/query" | jq -S "$NORM"
 curl -sf -X POST -d "$QUERY" "http://localhost:$ROUTER/v1/query" | jq -S "$NORM" > "$WORK/router_query.json"
 diff -u "$WORK/single_query.json" "$WORK/router_query.json" \
   || { echo "cluster_smoke: routed /v1/query diverges from single node" >&2; exit 1; }
+
+# A replica holds one slice, so it refuses what only the whole corpus can
+# answer, naming the router; it describes the corpus exactly as the single
+# node does.
+curl -s -X POST -d "$QUERY" "http://localhost:$SHARD1/v1/query" -w '%{http_code}' -o "$WORK/replica_query.json" \
+  | grep -q '^409$' \
+  && jq -e '.code == "shard_finalize" and (.error | contains("router"))' "$WORK/replica_query.json" >/dev/null \
+  || { echo "cluster_smoke: replica /v1/query not refused: $(cat "$WORK/replica_query.json")" >&2; exit 1; }
+diff <(curl -sf "http://localhost:$SINGLE/v1/info" | jq -S .) <(curl -sf "http://localhost:$SHARD1/v1/info" | jq -S .) \
+  || { echo "cluster_smoke: replica /v1/info differs from single node" >&2; exit 1; }
 
 say "driving a feedback session through both stacks (seed 11)"
 SID_S=$(curl -sf -X POST -d '{"seed":11}' "http://localhost:$SINGLE/v1/sessions" | jq -r .session_id)
@@ -177,10 +188,13 @@ wait_for "http://localhost:$SAT/healthz"
 
 # Deterministic saturation: a shard-search leg against the root opens a
 # coalescing batch and dallies the full 750ms window for company, holding the
-# replica's only execution slot the whole time. With queue-bound 0, every
-# /v1/query that lands during the window must shed — no timing luck needed.
+# replica's only execution slot the whole time. The flood is weighted shard
+# searches at the same root: a weighted leg cannot join the holder's batch,
+# and with queue-bound 0 every one that lands during the window must shed —
+# no timing luck needed.
 curl -sf "http://localhost:$SAT/v1/shard/topology" \
   | jq -c '{node_id: .nodes[0].id, k: 10, query: .nodes[0].center}' > "$WORK/sat_root_req.json"
+jq -c '. + {weights: [.query[] | 1]}' "$WORK/sat_root_req.json" > "$WORK/sat_weighted_req.json"
 curl -s -X POST -d @"$WORK/sat_root_req.json" \
   "http://localhost:$SAT/v1/shard/search" -o "$WORK/sat_holder.json" &
 HOLDER=$!
@@ -195,17 +209,17 @@ done
 # statuses and Retry-After come from the per-transfer write-out.
 FLOOD=()
 for i in $(seq 1 20); do
-  FLOOD+=(-o "$WORK/sat_body_$i" "http://localhost:$SAT/v1/query")
+  FLOOD+=(-o "$WORK/sat_body_$i" "http://localhost:$SAT/v1/shard/search")
 done
-curl -s --parallel --parallel-immediate --parallel-max 20 -X POST -d "$QUERY" \
+curl -s --parallel --parallel-immediate --parallel-max 20 -X POST -d @"$WORK/sat_weighted_req.json" \
   -w '%{http_code} %header{retry-after}\n' "${FLOOD[@]}" \
   > "$WORK/sat_codes.txt" 2>/dev/null || true
 wait "$HOLDER" \
   || { echo "cluster_smoke: slot-holding shard search failed" >&2; exit 1; }
 
 SHED=$(grep -c '^503 ' "$WORK/sat_codes.txt" || true)
-[ "$SHED" -ge 1 ] \
-  || { echo "cluster_smoke: 20-way flood against a held slot shed nothing" >&2; exit 1; }
+[ "$SHED" -eq 20 ] \
+  || { echo "cluster_smoke: 20-way flood against a held slot shed $SHED: $(cat "$WORK/sat_codes.txt")" >&2; exit 1; }
 if grep '^503' "$WORK/sat_codes.txt" | grep -vq '^503 [0-9]'; then
   echo "cluster_smoke: shed 503 missing Retry-After: $(cat "$WORK/sat_codes.txt")" >&2; exit 1
 fi

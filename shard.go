@@ -1,7 +1,6 @@
 package qdcbir
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -12,22 +11,24 @@ import (
 
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/shard"
-	"qdcbir/internal/source"
 	"qdcbir/internal/store"
 )
 
 // SliceShard partitions the built system's corpus by consistent hash and
-// packages shard `index` of `shards`. The returned archive embeds a freshly
-// built local system over the shard's rows (same build configuration, local
-// tree shape) plus the FULL system's topology table — restricted searches run
-// against the single-node hierarchy's node IDs, which is what makes
-// scatter-gather merges bit-identical to the unsharded result.
+// packages shard `index` of `shards`: the FULL system's topology table plus
+// the shard's own rows, once, at the store's native precision. Restricted
+// searches run against the single-node hierarchy's node IDs, which is what
+// makes scatter-gather merges bit-identical to the unsharded result; no
+// per-shard tree is built.
 func SliceShard(ctx context.Context, sys *System, shards, index int) (*shard.Archive, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: invalid shard count %d", shards)
 	}
 	if index < 0 || index >= shards {
 		return nil, fmt.Errorf("shard: index %d outside [0,%d)", index, shards)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	st := sys.Corpus().Store()
 	n, dim := st.Len(), st.Dim()
@@ -41,52 +42,25 @@ func SliceShard(ctx context.Context, sys *System, shards, index int) (*shard.Arc
 		return nil, fmt.Errorf("shard: shard %d of %d holds no images (corpus of %d too small)", index, shards, n)
 	}
 
-	// Build the local subset as a standalone system under the same
-	// configuration. Row order preserves global-ID order, so local row i maps
-	// to globals[i].
-	batch := &source.Batch{Dim: dim, Labels: make([]string, len(globals))}
-	if st.Precision() == store.Float32 {
-		backing := st.Backing32()
-		batch.Data32 = make([]float32, 0, len(globals)*dim)
-		for _, gid := range globals {
-			batch.Data32 = append(batch.Data32, backing[gid*dim:(gid+1)*dim]...)
-		}
-	} else {
-		backing := st.Backing()
-		batch.Data = make([]float64, 0, len(globals)*dim)
-		for _, gid := range globals {
-			batch.Data = append(batch.Data, backing[gid*dim:(gid+1)*dim]...)
-		}
-	}
-	for i, gid := range globals {
-		batch.Labels[i] = sys.SubconceptOf(gid)
-	}
-	base := sys.Config()
-	local, err := BuildFromSourceContext(ctx, Config{
-		Seed:              base.Seed,
-		NodeCapacity:      base.NodeCapacity,
-		RepFraction:       base.RepFraction,
-		BoundaryThreshold: base.BoundaryThreshold,
-		DisplayCount:      base.DisplayCount,
-		Hierarchy:         base.Hierarchy,
-		Parallelism:       base.Parallelism,
-		Quantized:         base.Quantized,
-		Float32:           base.Float32,
-	}, sliceSource{batch})
-	if err != nil {
-		return nil, fmt.Errorf("shard: build local system: %w", err)
-	}
-	var sysBuf bytes.Buffer
-	if err := local.Save(&sysBuf); err != nil {
-		return nil, fmt.Errorf("shard: embed local system: %w", err)
-	}
-
 	topo := shard.TopologyOf(sys.RFS(), sys.SubconceptOf)
 	leafID := make([]uint64, len(globals))
+	labels := make([]string, len(globals))
 	for i, gid := range globals {
 		leafID[i] = uint64(sys.RFS().LeafOf(rstar.ItemID(gid)).ID())
+		labels[i] = sys.SubconceptOf(gid)
 	}
-	a := &shard.Archive{
+	order, _, err := shard.SlabLayout(topo, leafID)
+	if err != nil {
+		return nil, err
+	}
+	var rows shard.Rows
+	if st.Precision() == store.Float32 {
+		rows.F32 = gatherRows(st.Backing32(), dim, globals, order)
+	} else {
+		rows.F64 = gatherRows(st.Backing(), dim, globals, order)
+	}
+	base := sys.Config()
+	return &shard.Archive{
 		Meta: shard.Meta{
 			ShardIndex:     index,
 			ShardCount:     shards,
@@ -94,8 +68,9 @@ func SliceShard(ctx context.Context, sys *System, shards, index int) (*shard.Arc
 			LocalImages:    len(globals),
 			Dim:            dim,
 			Precision:      scanPrecision(base),
+			Storage:        st.Precision().String(),
 			Quantized:      sys.Quantized(),
-			ArchiveVersion: ArchiveVersionCurrent,
+			ArchiveVersion: shard.ArchiveVersion,
 			CorpusSig:      shardCorpusSignature(sys, topo, shards),
 			Boundary:       base.BoundaryThreshold,
 			DisplayCount:   base.DisplayCount,
@@ -103,9 +78,20 @@ func SliceShard(ctx context.Context, sys *System, shards, index int) (*shard.Arc
 		Topo:    topo,
 		Globals: globals,
 		LeafID:  leafID,
-		Sys:     sysBuf.Bytes(),
+		Rows:    rows,
+		Labels:  labels,
+	}, nil
+}
+
+// gatherRows copies the listed rows of a store backing into slab order:
+// slab row i is local row order[i], whose global ID is globals[order[i]].
+func gatherRows[T float32 | float64](backing []T, dim int, globals, order []int) []T {
+	out := make([]T, 0, len(order)*dim)
+	for _, li := range order {
+		gid := globals[li]
+		out = append(out, backing[gid*dim:(gid+1)*dim]...)
 	}
-	return a, nil
+	return out
 }
 
 // SliceShards packages every shard of an N-way partition.
@@ -133,42 +119,17 @@ func scanPrecision(cfg Config) string {
 	return "f64"
 }
 
-// OpenShard reads a shard archive and assembles the serving replica along
-// with the standalone system over the shard's local subset (which hosts the
-// replica's feedback-session engine).
+// OpenShard reads a shard archive and assembles the serving replica, whose
+// slab is the archive's rows as decoded. A replica has no local engine: the
+// *System result is always nil and remains only for callers written against
+// the shape that once carried one.
 func OpenShard(r io.Reader) (*shard.Replica, *System, error) {
 	a, err := shard.ReadArchive(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	sys, err := Load(bytes.NewReader(a.Sys))
-	if err != nil {
-		return nil, nil, fmt.Errorf("shard: embedded system: %w", err)
-	}
-	st := sys.Corpus().Store()
-	if st.Len() != len(a.Globals) {
-		return nil, nil, fmt.Errorf("shard: embedded system holds %d rows, archive lists %d", st.Len(), len(a.Globals))
-	}
-	if got := scanPrecision(sys.Config()); got != a.Meta.Precision {
-		return nil, nil, fmt.Errorf("shard: embedded system scans at %s, archive says %s", got, a.Meta.Precision)
-	}
-	labels := make([]string, st.Len())
-	for li := range labels {
-		labels[li] = sys.SubconceptOf(li)
-	}
-	rep, err := shard.NewReplica(a, shard.LocalRows{
-		Dim: st.Dim(),
-		N:   st.Len(),
-		// The scan mode, not the storage precision, picks the replica's f32
-		// kernel path — it must mirror what the single-node tree sweeps.
-		F32:    sys.Config().Float32,
-		At:     func(li int) []float64 { return st.At(li) },
-		Labels: labels,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, sys, nil
+	rep, err := shard.NewReplica(a)
+	return rep, nil, err
 }
 
 // OpenShardFile reads a shard archive from a file.
@@ -215,9 +176,3 @@ func shardCorpusSignature(sys *System, topo *shard.Topology, shards int) uint64 
 	}
 	return h.Sum64()
 }
-
-// sliceSource adapts an in-memory batch to the source.VectorSource interface.
-type sliceSource struct{ b *source.Batch }
-
-func (sliceSource) Format() string                    { return "shard-slice" }
-func (s sliceSource) Vectors() (*source.Batch, error) { return s.b, nil }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"qdcbir/internal/core"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/shard"
+	"qdcbir/internal/source"
 	"qdcbir/internal/vec"
 )
 
@@ -64,8 +66,11 @@ func buildFleet(t *testing.T, sys *System, n int) []*shard.Replica {
 		if err != nil {
 			t.Fatalf("shard %d open: %v", i, err)
 		}
-		if local.Len() != a.Meta.LocalImages {
-			t.Fatalf("shard %d embedded system holds %d rows, meta says %d", i, local.Len(), a.Meta.LocalImages)
+		if local != nil {
+			t.Fatalf("shard %d opened with a local system; replicas carry none", i)
+		}
+		if rep.Meta().LocalImages != a.Meta.LocalImages || rep.Meta().ArchiveVersion != shard.ArchiveVersion {
+			t.Fatalf("shard %d meta %+v does not round-trip %+v", i, rep.Meta(), a.Meta)
 		}
 		if rep.Meta().CorpusSig != archives[0].Meta.CorpusSig {
 			t.Fatalf("shard %d corpus signature diverges within one build", i)
@@ -233,28 +238,129 @@ func TestShardMergeEquivalence(t *testing.T) {
 	}
 }
 
+// batchSource serves an in-memory batch to BuildFromSource.
+type batchSource struct{ b *source.Batch }
+
+func (batchSource) Format() string                    { return "test-batch" }
+func (s batchSource) Vectors() (*source.Batch, error) { return s.b, nil }
+
+// precisionSystem rebuilds the shared fleet corpus under one storage/scan
+// combination: "f64" is the float64 build itself, "f32-native" imports the
+// rows narrowed to float32 and scans them at float32, "f32-scan-over-f64"
+// scans the float64 rows at float32, and "f32-storage-f64-scan" imports the
+// float32 rows but scans at float64.
+func precisionSystem(t *testing.T, mode string) *System {
+	t.Helper()
+	base := sharedShardSystem(t)
+	switch mode {
+	case "f64":
+		return base
+	case "f32-scan-over-f64":
+		cfg := shardTestConfig()
+		cfg.Float32 = true
+		sys, err := Build(cfg)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		return sys
+	}
+	st := base.Corpus().Store()
+	batch := &source.Batch{
+		Dim:    st.Dim(),
+		Data32: vec.Narrow32(st.Backing(), nil),
+		Labels: make([]string, st.Len()),
+	}
+	for i := range batch.Labels {
+		batch.Labels[i] = base.SubconceptOf(i)
+	}
+	cfg := shardTestConfig()
+	cfg.Float32 = mode == "f32-native"
+	sys, err := BuildFromSource(cfg, batchSource{batch})
+	if err != nil {
+		t.Fatalf("BuildFromSource: %v", err)
+	}
+	return sys
+}
+
 // TestShardMergeEquivalenceWeighted covers the weighted-distance finalize
-// path (feature reweighting always runs the exact float64 kernels).
+// path, which always runs the exact float64 kernels: over float64 rows, and
+// over float32-native rows that a replica widens chunk by chunk.
 func TestShardMergeEquivalenceWeighted(t *testing.T) {
-	sys := sharedShardSystem(t)
-	dim := len(sys.Corpus().Vectors[0])
-	weights := make([]float64, dim)
-	for i := range weights {
-		weights[i] = 1
+	for _, mode := range []string{"f64", "f32-native"} {
+		t.Run(mode, func(t *testing.T) {
+			sys := precisionSystem(t, mode)
+			dim := len(sys.Corpus().Vectors[0])
+			weights := make([]float64, dim)
+			for i := range weights {
+				weights[i] = 1
+			}
+			weights[0], weights[3] = 2.5, 0.25
+			ids := []rstar.ItemID{5, 41, 300, 301}
+			want, _, err := sys.Engine().QueryByExamplesCtx(context.Background(), ids, 30, vec.Vector(weights), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet := fleetSearcher(buildFleet(t, sys, 4))
+			_, rel := relPointsOf(sys, []int{5, 41, 300, 301})
+			got, err := shard.FinalizeScatter(context.Background(), fleet[0].Topo(), fleet, rel, 30, weights, fleet[0].Meta().Boundary, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsEqual(t, "weighted", want, got)
+		})
 	}
-	weights[0], weights[3] = 2.5, 0.25
-	ids := []rstar.ItemID{5, 41, 300, 301}
-	want, _, err := sys.Engine().QueryByExamplesCtx(context.Background(), ids, 30, vec.Vector(weights), nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestShardPrecisionModes pins what a replica keeps of its rows against the
+// single node, in every storage/scan combination: PointInfo hands out each
+// row's float64 view bit for bit (a float32 row's exact widening), and a
+// global k-NN merges to the single-node answer.
+func TestShardPrecisionModes(t *testing.T) {
+	for _, mode := range []string{"f64", "f32-native", "f32-scan-over-f64", "f32-storage-f64-scan"} {
+		t.Run(mode, func(t *testing.T) {
+			sys := precisionSystem(t, mode)
+			fleet := fleetSearcher(buildFleet(t, sys, 3))
+			st := sys.Corpus().Store()
+			for id := 0; id < st.Len(); id++ {
+				owners := 0
+				for _, rep := range fleet {
+					p, ok := rep.PointInfo(id)
+					if !ok {
+						continue
+					}
+					owners++
+					want := st.At(id)
+					for d := range want {
+						if math.Float64bits(p.Vec[d]) != math.Float64bits(want[d]) {
+							t.Fatalf("image %d dim %d: replica %v, single node %v", id, d, p.Vec[d], want[d])
+						}
+					}
+					if p.Leaf != uint64(sys.RFS().LeafOf(rstar.ItemID(id)).ID()) || p.Label != sys.SubconceptOf(id) {
+						t.Fatalf("image %d: leaf %d label %q", id, p.Leaf, p.Label)
+					}
+				}
+				if owners != 1 {
+					t.Fatalf("image %d held by %d replicas", id, owners)
+				}
+			}
+			root := fleet[0].Topo().RootID()
+			for _, ex := range []int{0, 37, 211} {
+				want, err := sys.KNN(ex, 25)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := fleet.SearchNode(context.Background(), root, sys.Corpus().Vectors[ex], nil, 25)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID || got[i].Dist != want[i].Score {
+						t.Fatalf("ex=%d rank %d: (%d, %v) vs (%d, %v)", ex, i, got[i].ID, got[i].Dist, want[i].ID, want[i].Score)
+					}
+				}
+			}
+		})
 	}
-	fleet := fleetSearcher(buildFleet(t, sys, 4))
-	_, rel := relPointsOf(sys, []int{5, 41, 300, 301})
-	got, err := shard.FinalizeScatter(context.Background(), fleet[0].Topo(), fleet, rel, 30, weights, fleet[0].Meta().Boundary, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, "weighted", want, got)
 }
 
 // TestShardSearchNodeBatchEquivalence pins the coalesced multi-query shard

@@ -288,7 +288,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 		m := rep.Meta()
 		return &loaded{
 			replica: rep,
-			version: m.ArchiveVersion, precision: m.Precision, quantized: m.Quantized,
+			version: m.ArchiveVersion, precision: m.Precision,
 		}, nil
 	}
 	if v, ok := qdcbir.ArchiveHeaderVersion(head); headErr == nil && ok {

@@ -10,8 +10,9 @@
 // on unprunable embeddings (scale.go), opening a feedback session and its full
 // finalize fan-out, the SQ8 candidate selector's drain, the multi-query batch
 // kernels against M independent single-query sweeps (batch.go), the
-// sliding-window digest's observe and rotate operations, and a routed k-NN
-// and one-shot query through an in-process three-shard fleet (routed.go).
+// sliding-window digest's observe and rotate operations, a routed k-NN and
+// one-shot query through an in-process three-shard fleet (routed.go), and
+// one shard replica's search leg (shardleg.go).
 package benchsuite
 
 import (
@@ -139,6 +140,10 @@ func suite(fix *fixture) []entry {
 		{"BenchmarkRoutedKNN", benchRoutedKNN},
 		{"BenchmarkRoutedQuery", benchRoutedQuery},
 		{"BenchmarkOpenShard", benchOpenShard},
+		{"BenchmarkShardLeg/f32-clustered", benchShardLeg(legShape{rows: 20000, dim: embedDim, clustered: true, f32: true})},
+		{"BenchmarkShardLeg/f32-gaussian", benchShardLeg(legShape{rows: 20000, dim: embedDim, f32: true})},
+		{"BenchmarkShardLeg/f32-leaf", benchShardLeg(legShape{rows: 20000, dim: embedDim, clustered: true, f32: true, leaf: true})},
+		{"BenchmarkShardLeg/f64-37d", benchShardLeg(legShape{rows: 50000, dim: featureDim, clustered: true})},
 	}
 	return append(es, batchEntries()...)
 }
@@ -389,6 +394,10 @@ var fixtureFree = map[string]bool{
 	"BenchmarkRoutedKNN":                true,
 	"BenchmarkRoutedQuery":              true,
 	"BenchmarkOpenShard":                true,
+	"BenchmarkShardLeg/f32-clustered":   true,
+	"BenchmarkShardLeg/f32-gaussian":    true,
+	"BenchmarkShardLeg/f32-leaf":        true,
+	"BenchmarkShardLeg/f64-37d":         true,
 }
 
 // needsFixture reports whether any selected benchmark touches the engine

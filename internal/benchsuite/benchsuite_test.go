@@ -162,6 +162,24 @@ func TestRunFilteredRouted(t *testing.T) {
 	}
 }
 
+// TestRunFilteredShardLeg assembles one synthetic shard replica fixture-free
+// and checks its leg benchmark reports time and allocations.
+func TestRunFilteredShardLeg(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark suite run (seconds) skipped in -short")
+	}
+	f, err := Run(Options{Filter: "ShardLeg/f32-leaf$"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Benchmarks) != 1 || f.Benchmarks[0].Name != "BenchmarkShardLeg/f32-leaf" {
+		t.Fatalf("filtered suite ran %+v, want ShardLeg/f32-leaf", f.Benchmarks)
+	}
+	if r := f.Benchmarks[0].Result; r == nil || r.NsPerOp <= 0 || r.AllocsPerOp <= 0 {
+		t.Errorf("no result recorded: %+v", r)
+	}
+}
+
 func TestRunRejectsBadFilter(t *testing.T) {
 	if _, err := Run(Options{Filter: "("}, nil); err == nil {
 		t.Error("bad regexp accepted")

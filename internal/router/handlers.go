@@ -714,7 +714,6 @@ type BuildInfoResponse struct {
 	Images         int    `json:"images"`
 	Precision      string `json:"precision"`
 	ArchiveVersion int    `json:"archive_version"`
-	Quantized      bool   `json:"quantized,omitempty"`
 	CorpusSig      string `json:"corpus_sig"`
 }
 
@@ -729,7 +728,6 @@ func (rt *Router) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 		Images:         rt.meta.Images,
 		Precision:      rt.meta.Precision,
 		ArchiveVersion: rt.meta.ArchiveVersion,
-		Quantized:      rt.meta.Quantized,
 		CorpusSig:      fmt.Sprintf("%016x", rt.meta.CorpusSig),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {

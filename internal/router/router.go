@@ -257,7 +257,6 @@ func (rt *Router) Observer() *obs.Observer { return rt.obs }
 type buildInfoBody struct {
 	ArchiveVersion int    `json:"archive_version"`
 	Precision      string `json:"precision"`
-	Quantized      bool   `json:"quantized"`
 	ShardIndex     *int   `json:"shard_index"`
 	ShardCount     int    `json:"shard_count"`
 }
@@ -309,9 +308,6 @@ func (rt *Router) VerifyFleet(ctx context.Context) error {
 		}
 		if meta.ArchiveVersion != ref.ArchiveVersion {
 			return fmt.Errorf("router: replica %s archive version %d != fleet %d", rep.url, meta.ArchiveVersion, ref.ArchiveVersion)
-		}
-		if meta.Quantized != ref.Quantized {
-			return fmt.Errorf("router: replica %s quantization mode differs from fleet", rep.url)
 		}
 	}
 	var topo shard.Topology

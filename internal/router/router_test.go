@@ -76,7 +76,7 @@ func startReplica(t *testing.T, blob []byte) *httptest.Server {
 	}
 	srv := server.NewShard(rep, nil)
 	m := rep.Meta()
-	srv.SetArchiveInfo(m.ArchiveVersion, m.Precision, m.Quantized)
+	srv.SetArchiveInfo(m.ArchiveVersion, m.Precision, false)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts

@@ -14,8 +14,8 @@ import (
 // This file implements the serving-side execution scheduler: admission
 // control in front of every search endpoint, and a short coalescing window
 // that groups concurrent shard-search legs aimed at the same topology node
-// into one multi-query batch dispatch (shard.Replica.SearchNodeBatch), so
-// co-resident leaf sweeps share one load of each slab chunk. Both halves are
+// into one multi-query batch dispatch (shard.Replica.Sweep), so co-resident
+// sweeps share one load of each code or slab chunk. Both halves are
 // throughput/overload machinery only: an admitted request computes exactly
 // what it would have computed alone, bit for bit.
 
@@ -175,14 +175,15 @@ func (s *scheduler) release() {
 // legBatch is one pending coalesced dispatch: concurrent shard-search legs
 // for the same topology node, collected during the window.
 type legBatch struct {
-	node uint64
-	qs   []vec.Vector
-	ks   []int
-	outs []*legResult
-	full chan struct{} // closed when the batch reaches MaxBatch
-	done chan struct{} // closed after dispatch fills every result
-	err  error
-	ns   [][]shard.Neighbor
+	node  uint64
+	qs    []vec.Vector
+	ks    []int
+	outs  []*legResult
+	full  chan struct{} // closed when the batch reaches MaxBatch
+	done  chan struct{} // closed after dispatch fills every result
+	err   error
+	ns    [][]shard.Neighbor
+	stats []shard.LegStats
 }
 
 // legResult is one leg's slot in its batch.
@@ -192,13 +193,13 @@ type legResult struct {
 }
 
 // searchShard answers one shard-search leg, coalescing it with concurrent
-// legs for the same node when a window is configured. Weighted searches have
-// no multi-query kernel and always run alone. Per leg the answer is
-// bit-identical to rep.SearchNode — batches delegate to SearchNodeBatch,
-// whose per-query results are pinned to the single-query path.
-func (s *scheduler) searchShard(ctx context.Context, rep *shard.Replica, nodeID uint64, q vec.Vector, weights []float64, k int) ([]shard.Neighbor, error) {
+// legs for the same node when a window is configured, and reports the leg's
+// own sweep work. Weighted searches have no multi-query kernel and always run
+// alone. Per leg the answer is bit-identical to rep.SearchNode — a batch is
+// one rep.Sweep, whose per-query results are pinned to the single-query path.
+func (s *scheduler) searchShard(ctx context.Context, rep *shard.Replica, nodeID uint64, q vec.Vector, weights []float64, k int) ([]shard.Neighbor, shard.LegStats, error) {
 	if s == nil || s.cfg.Window <= 0 || weights != nil || k <= 0 {
-		return rep.SearchNode(ctx, nodeID, q, weights, k)
+		return searchLeg(ctx, rep, nodeID, q, weights, k)
 	}
 	s.cmu.Lock()
 	if b := s.pending[nodeID]; b != nil && len(b.qs) < s.cfg.MaxBatch {
@@ -215,13 +216,13 @@ func (s *scheduler) searchShard(ctx context.Context, rep *shard.Replica, nodeID 
 		select {
 		case <-b.done:
 			if b.err != nil {
-				return nil, b.err
+				return nil, shard.LegStats{}, b.err
 			}
-			return b.ns[idx], nil
+			return b.ns[idx], b.stats[idx], nil
 		case <-ctx.Done():
 			// The batch runs on the opener's context; this leg just stops
 			// waiting for it.
-			return nil, ctx.Err()
+			return nil, shard.LegStats{}, ctx.Err()
 		}
 	}
 	b := &legBatch{
@@ -254,25 +255,36 @@ func (s *scheduler) searchShard(ctx context.Context, rep *shard.Replica, nodeID 
 		s.cmu.Unlock()
 		b.err = ctx.Err()
 		close(b.done)
-		return nil, b.err
+		return nil, shard.LegStats{}, b.err
 	}
 
 	s.coalesceWidth.Observe(float64(len(b.qs)))
 	if len(b.qs) == 1 {
-		// A lone leg takes the plain single-query path.
-		ns, err := rep.SearchNode(ctx, nodeID, b.qs[0], nil, b.ks[0])
-		b.ns, b.err = [][]shard.Neighbor{ns}, err
+		// A lone leg takes the single-query path.
+		ns, st, err := searchLeg(ctx, rep, nodeID, b.qs[0], nil, b.ks[0])
+		b.ns, b.stats, b.err = [][]shard.Neighbor{ns}, []shard.LegStats{st}, err
 		close(b.done)
-		return ns, err
+		return ns, st, err
 	}
 	s.batchesTotal.Inc()
 	s.batchedQueries.Add(uint64(len(b.qs)))
-	b.ns, b.err = rep.SearchNodeBatch(ctx, nodeID, b.qs, b.ks)
+	b.stats = make([]shard.LegStats, len(b.qs))
+	b.ns, b.err = rep.Sweep(ctx, nodeID, b.qs, nil, b.ks, b.stats)
 	close(b.done)
 	if b.err != nil {
-		return nil, b.err
+		return nil, shard.LegStats{}, b.err
 	}
-	return b.ns[0], nil
+	return b.ns[0], b.stats[0], nil
+}
+
+// searchLeg answers one leg on a sweep of its own.
+func searchLeg(ctx context.Context, rep *shard.Replica, nodeID uint64, q vec.Vector, weights []float64, k int) ([]shard.Neighbor, shard.LegStats, error) {
+	var st [1]shard.LegStats
+	ns, err := rep.Sweep(ctx, nodeID, []vec.Vector{q}, weights, []int{k}, st[:])
+	if err != nil {
+		return nil, shard.LegStats{}, err
+	}
+	return ns[0], st[0], nil
 }
 
 // SetScheduler installs admission control and leg coalescing per cfg. Call

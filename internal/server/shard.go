@@ -154,13 +154,16 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	rec := shardRecorder(r)
 	searchStart := time.Now()
-	ns, err := s.sched.searchShard(r.Context(), s.shard, req.NodeID, vec.Vector(req.Query), req.Weights, req.K)
+	ns, st, err := s.sched.searchShard(r.Context(), s.shard, req.NodeID, vec.Vector(req.Query), req.Weights, req.K)
 	if err != nil {
 		writeQueryError(w, err)
 		return
 	}
+	// scanned counts the SQ8 code rows the leg read, scored the rows it
+	// scored exactly: the filter's work, per leg of a stitched trace.
 	rec.Span("search", searchStart, map[string]any{
 		"node": req.NodeID, "k": req.K, "neighbors": len(ns),
+		"scanned": st.Scanned, "scored": st.Scored,
 	})
 	writeJSON(w, http.StatusOK, ShardSearchResponse{Neighbors: ns, Trace: rec.Trace()})
 }

@@ -111,6 +111,46 @@ func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestShardSearchSpanCountsFilterWork: a traced leg's search span says how
+// many code rows the SQ8 filter read and how many rows were scored exactly. A
+// weighted leg, which the filter cannot serve, reads no codes and scores its
+// whole range.
+func TestShardSearchSpanCountsFilterWork(t *testing.T) {
+	rep, sys, ts := newShardServer(t)
+	rows := float64(rep.Meta().LocalImages)
+	weights := make([]float64, rep.Meta().Dim)
+	for i := range weights {
+		weights[i] = 1
+	}
+	for _, tc := range []struct {
+		req      ShardSearchRequest
+		filtered bool
+	}{
+		{ShardSearchRequest{NodeID: rep.Topo().RootID(), Query: sys.Corpus().Vectors[17], K: 10}, true},
+		{ShardSearchRequest{NodeID: rep.Topo().RootID(), Query: sys.Corpus().Vectors[17], K: 10, Weights: weights}, false},
+	} {
+		status, _, raw := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, "", AppendShardSearch(nil, &tc.req), true)
+		var resp ShardSearchResponse
+		if err := json.Unmarshal(raw, &resp); status != http.StatusOK || err != nil || resp.Trace == nil {
+			t.Fatalf("traced leg: HTTP %d, %v (%s)", status, err, raw)
+		}
+		var args map[string]any
+		for _, sp := range resp.Trace.Spans {
+			if sp.Name == "search" {
+				args = sp.Args
+			}
+		}
+		scanned, _ := args["scanned"].(float64)
+		scored, _ := args["scored"].(float64)
+		if tc.filtered && (scanned != rows || scored < float64(tc.req.K) || scored > rows) {
+			t.Fatalf("filtered leg over %v rows: span args %v", rows, args)
+		}
+		if !tc.filtered && (scanned != 0 || scored != rows) {
+			t.Fatalf("weighted leg over %v rows: span args %v", rows, args)
+		}
+	}
+}
+
 // TestShardSearchRejectsBadBodies: a frame that disagrees with itself or the
 // corpus is a structured 400, a body past the endpoint's bound a structured
 // 413, in either form — never a panic, never a search over a partial query.

@@ -6,7 +6,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
+	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -27,7 +29,8 @@ type Neighbor struct {
 // Replica is one shard loaded for serving: the scatter-gather machinery over
 // the local subset — the full single-node topology and a slab of the local
 // rows grouped by full-tree leaf, so any single-node subtree maps to a
-// contiguous row range. The slab is the archive's rows, adopted as decoded.
+// contiguous row range. The slab is the archive's rows, adopted as decoded,
+// beside the SQ8 codes of the rows unweighted sweeps score.
 type Replica struct {
 	meta    Meta
 	topo    *Topology
@@ -42,8 +45,14 @@ type Replica struct {
 	// precision: slab for float64 storage, slab32 for float32 storage. A
 	// float32 scan over float64 storage is the one case that keeps both —
 	// slab32 is then the narrowing the single-node tree sweeps.
-	slab    []float64
-	slab32  []float32
+	slab   []float64
+	slab32 []float32
+	// quant is the SQ8 row filter of unweighted sweeps: codes in slab order,
+	// trained at load over the rows those sweeps score (slab32 whenever it
+	// exists, whose exact widening a float64 scan of float32 storage reads;
+	// slab otherwise). Nil where the bracket would bound nothing: non-finite
+	// rows, a constant corpus, rows past SQ8's dimension limit.
+	quant   *store.Quantized
 	slabGID []int    // global ID per slab row
 	ranges  [][2]int // per topology node index: slab row range [lo,hi)
 }
@@ -83,7 +92,8 @@ func SlabLayout(t *Topology, leafID []uint64) (order []int, ranges [][2]int, err
 }
 
 // NewReplica assembles a replica from an archive, adopting its rows as the
-// slab. The archive must not be modified afterwards.
+// slab and training the SQ8 filter over them. The archive must not be
+// modified afterwards.
 func NewReplica(a *Archive) (*Replica, error) {
 	if err := a.check(); err != nil {
 		return nil, err
@@ -118,6 +128,17 @@ func NewReplica(a *Archive) (*Replica, error) {
 	}
 	if r.f32 && r.slab32 == nil {
 		r.slab32 = vec.Narrow32(r.slab, nil)
+	}
+	// Archives carry no codes: training is two passes over the rows, and its
+	// one failure, a dimension past SQ8's limit, only leaves the filter off.
+	var qz *store.Quantized
+	if r.slab32 != nil {
+		qz, _ = store.QuantizeBacking32(r.dim, r.slab32)
+	} else {
+		qz, _ = store.QuantizeBacking(r.dim, r.slab)
+	}
+	if qz != nil && qz.Clean() && qz.Delta() > 0 {
+		r.quant = qz
 	}
 	return r, nil
 }
@@ -178,18 +199,12 @@ func (r *Replica) Labeler() func(id int) string {
 	}
 }
 
-// sweepChunk is the row count of one kernel call over a stored slab.
-const sweepChunk = 1024
-
-// chunk64 sizes the float64 sweeps: whole sweepChunk blocks over a float64
-// slab; over float32 storage, blocks small enough that the widening buffer
-// stays near 128 KB however wide the rows are.
-func (r *Replica) chunk64() (rows int, buf []float64) {
-	if r.slab != nil {
-		return sweepChunk, nil
-	}
-	rows = max(1, min(sweepChunk, (16<<10)/r.dim))
-	return rows, make([]float64, rows*r.dim)
+// LegStats is one search's sweep work: the SQ8 code rows it read and the
+// rows it scored with the exact kernel. A search the filter cannot act on
+// reads no code rows and scores its whole range.
+type LegStats struct {
+	Scanned int
+	Scored  int
 }
 
 // SearchNode runs a k-NN search over the shard's rows restricted to the
@@ -199,10 +214,7 @@ func (r *Replica) chunk64() (rows int, buf []float64) {
 // at the same precision. A non-nil weights vector selects the weighted
 // float64 path, exactly as rstar.Scan.Weights does on a single node.
 func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, weights []float64, k int) ([]Neighbor, error) {
-	if weights != nil && len(weights) != r.dim {
-		return nil, fmt.Errorf("shard: weight dim %d != corpus dim %d", len(weights), r.dim)
-	}
-	out, err := r.sweep(ctx, nodeID, []vec.Vector{q}, weights, []int{k})
+	out, err := r.Sweep(ctx, nodeID, []vec.Vector{q}, weights, []int{k}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -210,26 +222,32 @@ func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, w
 }
 
 // SearchNodeBatch answers several k-NN searches restricted to the SAME
-// single-node subtree in one pass over the shard's rows: each slab chunk is
-// loaded once and scored against every query by the multi-query kernels, with
-// one independent bounded selector per query. Per query the result is
-// bit-identical to SearchNode — same kernels, same admission order, same
-// (distance, global ID) total order — so coalescing concurrent sweeps changes
-// throughput, never answers. Weighted searches have no multi kernel and must
-// stay on SearchNode.
+// single-node subtree in one pass over the shard's rows: the code kernel
+// reads each code row once for all of them, and each query has its own
+// bounded selector. Per query the result is bit-identical to SearchNode —
+// same kernels, same (distance, global ID) total order — so coalescing
+// concurrent sweeps changes throughput, never answers. Weighted searches
+// have no multi kernel and must stay on SearchNode.
 func (r *Replica) SearchNodeBatch(ctx context.Context, nodeID uint64, qs []vec.Vector, ks []int) ([][]Neighbor, error) {
-	return r.sweep(ctx, nodeID, qs, nil, ks)
+	return r.Sweep(ctx, nodeID, qs, nil, ks, nil)
 }
 
-// sweep scores every query against each slab chunk of the node's row range,
-// one bounded selector per query. Unweighted sweeps of an f32 replica run
-// the float32 kernels; the rest run the float64 kernels, over float32
-// storage on rows widened a chunk at a time. weights requires one query.
-func (r *Replica) sweep(ctx context.Context, nodeID uint64, qs []vec.Vector, weights []float64, ks []int) ([][]Neighbor, error) {
-	if len(qs) != len(ks) {
-		return nil, fmt.Errorf("shard: %d queries but %d ks", len(qs), len(ks))
-	}
+// Sweep answers the k-NN searches qs restricted to the subtree rooted at
+// nodeID: SearchNode is Sweep with one query, SearchNodeBatch Sweep without
+// weights. Weights select the weighted float64 kernel and take one query.
+// When stats is non-nil, stats[j] receives query j's sweep work.
+func (r *Replica) Sweep(ctx context.Context, nodeID uint64, qs []vec.Vector, weights []float64, ks []int, stats []LegStats) ([][]Neighbor, error) {
 	m := len(qs)
+	switch {
+	case weights != nil && len(weights) != r.dim:
+		return nil, fmt.Errorf("shard: weight dim %d != corpus dim %d", len(weights), r.dim)
+	case weights != nil && m != 1:
+		return nil, fmt.Errorf("shard: a weighted sweep takes one query, got %d", m)
+	case len(ks) != m:
+		return nil, fmt.Errorf("shard: %d queries but %d ks", m, len(ks))
+	case stats != nil && len(stats) != m:
+		return nil, fmt.Errorf("shard: %d queries but %d stats", m, len(stats))
+	}
 	sels := make([]*topSelect, m)
 	for j, q := range qs {
 		if ks[j] <= 0 {
@@ -244,47 +262,11 @@ func (r *Replica) sweep(ctx context.Context, nodeID uint64, qs []vec.Vector, wei
 	if !ok {
 		return nil, fmt.Errorf("shard: unknown search node %d", nodeID)
 	}
-	lo, hi := r.ranges[idx][0], r.ranges[idx][1]
-	switch {
-	case lo == hi || m == 0:
-	case r.f32 && weights == nil:
-		qbuf := make([]float32, m*r.dim)
-		for j, q := range qs {
-			vec.Narrow32(q, qbuf[j*r.dim:(j+1)*r.dim:(j+1)*r.dim])
-		}
-		scratch := make([]float32, m*sweepChunk)
-		for base := lo; base < hi; base += sweepChunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := min(base+sweepChunk, hi)
-			db, rows := scratch[:m*(end-base)], r.slab32[base*r.dim:end*r.dim]
-			if m == 1 {
-				vec.SquaredDistsTo32(qbuf, rows, db)
-			} else {
-				vec.SquaredDistsToMulti32(qbuf, m, rows, db)
-			}
-			admit(r, sels, base, end-base, db)
-		}
-	default:
-		qbuf := []float64(qs[0])
-		if m > 1 {
-			qbuf = slices.Concat(qs...)
-		}
-		step, wide := r.chunk64()
-		scratch := make([]float64, m*step)
-		for base := lo; base < hi; base += step {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := min(base+step, hi)
-			db, rows := scratch[:m*(end-base)], r.rows64(base, end, wide)
-			if weights != nil {
-				vec.WeightedSquaredDistsTo(qbuf, vec.Vector(weights), rows, db)
-			} else {
-				vec.SquaredDistsToMulti(qbuf, m, rows, db)
-			}
-			admit(r, sels, base, end-base, db)
+	if lo, hi := r.ranges[idx][0], r.ranges[idx][1]; lo < hi && m > 0 {
+		sc := legPool.Get().(*legScratch)
+		defer legPool.Put(sc)
+		if err := r.sweep(ctx, sc, lo, hi, qs, weights, sels, stats); err != nil {
+			return nil, err
 		}
 	}
 	out := make([][]Neighbor, m)
@@ -294,14 +276,345 @@ func (r *Replica) sweep(ctx context.Context, nodeID uint64, qs []vec.Vector, wei
 	return out, nil
 }
 
-// admit feeds one chunk's distances to the selectors: query j's squared
-// distances to slab rows [base, base+rows) are db[j*rows:(j+1)*rows].
-// Widening float32 to float64 is exact and order-preserving, so one float64
-// selector serves both precisions; the final Dist is math.Sqrt(float64(d32))
-// — the f32 path's formula.
-func admit[T float32 | float64](r *Replica, sels []*topSelect, base, rows int, db []T) {
-	for j, sel := range sels {
-		for i, d := range db[j*rows : (j+1)*rows] {
+// sweepChunk is the row count of one kernel call over a stored slab.
+const sweepChunk = 1024
+
+// filterRowsPerResult is how many rows per wanted result a range needs
+// before the SQ8 filter pays. The filter reads every code row and scores at
+// least k rows exactly, and over rows already in cache a 512-d code row costs
+// about two thirds of a float32 row (50 against 77 ns), so it wins only where
+// it skips most of the range. On BenchmarkShardLeg's clustered shard, legs on
+// cache-hot leaves broke even at 8 to 16 rows per result and ran 1.5× faster
+// at 32; a root leg, 130 rows per result, runs 1.6–2× faster.
+const filterRowsPerResult = 8
+
+// legScratch is one Sweep's pooled working memory, so a steady-state leg
+// allocates only its selectors and result lists.
+type legScratch struct {
+	plain, coded []int     // query indices, by the path each takes
+	q32          []float32 // every query narrowed (float32 sweeps)
+	qw           []float64 // one narrowed query widened back, to encode it
+	codes        []uint8   // the coded queries' code rows, packed
+	qerr         []float64 // the coded queries' decode errors
+	raw          []int32   // code distances, query-major over the range
+	rawChunk     []int32   // one chunk's multi-query code distances
+	seeds        []uint64  // one query's nearest rows by code
+	pack32       []float32 // the plain queries, packed for the multi kernels
+	pack64       []float64
+	d32          []float32 // exact kernel output
+	d64          []float64
+	wide         []float64 // float32 rows widened for a float64 kernel
+}
+
+var legPool = sync.Pool{New: func() any { return new(legScratch) }}
+
+// grown returns the pooled buffer buf resized to n elements, reallocating
+// only when its capacity falls short; the contents are unspecified.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// widening sizes the float64 kernel calls: whole sweepChunk blocks over a
+// float64 slab, needing no buffer; over float32 storage, blocks small enough
+// that the widening buffer stays near 128 KB however wide the rows are.
+func (r *Replica) widening(sc *legScratch) (rows int, buf []float64) {
+	if r.slab != nil {
+		return sweepChunk, nil
+	}
+	rows = max(1, min(sweepChunk, (16<<10)/r.dim))
+	sc.wide = grown(sc.wide, rows*r.dim)
+	return rows, sc.wide
+}
+
+// sweep scores qs over slab rows [lo,hi). A query the SQ8 bracket can act
+// on — unweighted, on a replica with codes, over more than
+// filterRowsPerResult·k rows, with a finite decode error — takes the filtered
+// sweep; the rest share one plain sweep of every row. Unweighted sweeps of an f32 replica run the float32
+// kernels on the narrowed queries; the rest run the float64 kernels, over
+// float32 storage on rows widened a block at a time.
+func (r *Replica) sweep(ctx context.Context, sc *legScratch, lo, hi int, qs []vec.Vector, weights []float64, sels []*topSelect, stats []LegStats) error {
+	dim, m := r.dim, len(qs)
+	sc.plain, sc.coded, sc.qerr = sc.plain[:0], sc.coded[:0], sc.qerr[:0]
+	if r.f32 && weights == nil {
+		sc.q32 = grown(sc.q32, m*dim)
+		for j, q := range qs {
+			vec.Narrow32(q, sc.q32[j*dim:(j+1)*dim])
+		}
+	}
+	if r.quant != nil && weights == nil {
+		sc.codes = grown(sc.codes, m*dim)
+	}
+	for j, q := range qs {
+		if r.quant == nil || weights != nil || hi-lo <= filterRowsPerResult*sels[j].k {
+			sc.plain = append(sc.plain, j)
+			continue
+		}
+		// The code row encodes the query the kernel scores: at f32, its
+		// narrowing. A NaN or infinite decode error bounds nothing.
+		if r.f32 {
+			sc.qw = vec.Widen64(sc.q32[j*dim:(j+1)*dim], sc.qw)
+			q = sc.qw
+		}
+		g := len(sc.coded)
+		if _, qErr := r.quant.EncodeQuery(q, sc.codes[g*dim:(g+1)*dim]); qErr < math.Inf(1) {
+			sc.coded = append(sc.coded, j)
+			sc.qerr = append(sc.qerr, qErr)
+			continue
+		}
+		sc.plain = append(sc.plain, j)
+	}
+	if len(sc.plain) > 0 {
+		if err := r.scan(ctx, sc, lo, hi, qs, weights, sels); err != nil {
+			return err
+		}
+		for _, j := range sc.plain {
+			if stats != nil {
+				stats[j] = LegStats{Scored: hi - lo}
+			}
+		}
+	}
+	if len(sc.coded) > 0 {
+		return r.filter(ctx, sc, lo, hi, qs, sels, stats)
+	}
+	return nil
+}
+
+// scan is the plain sweep: every row of [lo,hi) scored against the queries
+// sc.plain a chunk at a time, one chunk load shared by all of them through
+// the multi-query kernels.
+func (r *Replica) scan(ctx context.Context, sc *legScratch, lo, hi int, qs []vec.Vector, weights []float64, sels []*topSelect) error {
+	js, dim, m := sc.plain, r.dim, len(sc.plain)
+	if r.f32 && weights == nil {
+		sc.pack32 = grown(sc.pack32, m*dim)
+		for g, j := range js {
+			copy(sc.pack32[g*dim:(g+1)*dim], sc.q32[j*dim:(j+1)*dim])
+		}
+		sc.d32 = grown(sc.d32, m*sweepChunk)
+		for base := lo; base < hi; base += sweepChunk {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			end := min(base+sweepChunk, hi)
+			db, rows := sc.d32[:m*(end-base)], r.slab32[base*dim:end*dim]
+			if m == 1 {
+				vec.SquaredDistsTo32(sc.pack32, rows, db)
+			} else {
+				vec.SquaredDistsToMulti32(sc.pack32, m, rows, db)
+			}
+			admit(r, sels, js, base, end-base, db)
+		}
+		return nil
+	}
+	qbuf := []float64(qs[js[0]])
+	if m > 1 {
+		sc.pack64 = grown(sc.pack64, m*dim)
+		for g, j := range js {
+			copy(sc.pack64[g*dim:(g+1)*dim], qs[j])
+		}
+		qbuf = sc.pack64
+	}
+	step, wide := r.widening(sc)
+	sc.d64 = grown(sc.d64, m*step)
+	for base := lo; base < hi; base += step {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		end := min(base+step, hi)
+		db, rows := sc.d64[:m*(end-base)], r.rows64(base, end, wide)
+		if weights != nil {
+			vec.WeightedSquaredDistsTo(qbuf, vec.Vector(weights), rows, db)
+		} else {
+			vec.SquaredDistsToMulti(qbuf, m, rows, db)
+		}
+		admit(r, sels, js, base, end-base, db)
+	}
+	return nil
+}
+
+// filter is the SQ8-filtered sweep of the queries sc.coded, whose code rows
+// and decode errors sweep has set: one pass of the code kernel over the
+// range's code rows — a byte per component where a float32 row has four —
+// gives every one of them its code distances, and refine then exact-scores
+// what each query's bracket cannot exclude.
+func (r *Replica) filter(ctx context.Context, sc *legScratch, lo, hi int, qs []vec.Vector, sels []*topSelect, stats []LegStats) error {
+	js, dim, m, n := sc.coded, r.dim, len(sc.coded), hi-lo
+	codes := sc.codes[:m*dim]
+	sc.raw = grown(sc.raw, m*n)
+	if m > 1 {
+		sc.rawChunk = grown(sc.rawChunk, m*sweepChunk)
+	}
+	for base := lo; base < hi; base += sweepChunk {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		end := min(base+sweepChunk, hi)
+		block := r.quant.Block(base, end)
+		if m == 1 {
+			vec.Uint8SquaredDistsTo(codes, block, sc.raw[base-lo:end-lo])
+			continue
+		}
+		c := end - base
+		out := sc.rawChunk[:m*c]
+		vec.Uint8SquaredDistsToMulti(codes, m, block, out)
+		for g := 0; g < m; g++ {
+			copy(sc.raw[g*n+base-lo:], out[g*c:(g+1)*c])
+		}
+	}
+	for g, j := range js {
+		var q32 []float32
+		if r.f32 {
+			q32 = sc.q32[j*dim : (j+1)*dim]
+		}
+		scored, err := r.refine(ctx, sc, lo, sc.raw[g*n:(g+1)*n], q32, qs[j], sc.qerr[g], sels[j])
+		if err != nil {
+			return err
+		}
+		if stats != nil {
+			stats[j] = LegStats{Scanned: n, Scored: scored}
+		}
+	}
+	return nil
+}
+
+// refine exact-scores one query's rows of the range that starts at slab row
+// lo, raw holding their code distances (and left clobbered). First the k rows
+// nearest by code, which fill the selector and so fix a finite radius; then,
+// in slab order, every other row whose code distance is within that radius's
+// code bound, each run of consecutive survivors through one kernel call, the
+// bound following the radius as it tightens. A skipped row's kernel value is
+// strictly above the selector's k-th (store.Quantized.CodeRadius32 and
+// CodeRadius64), so it could be neither in the answer nor a tie at its
+// boundary: the selector ends holding exactly what a plain sweep leaves in
+// it. It returns the number of rows scored.
+func (r *Replica) refine(ctx context.Context, sc *legScratch, lo int, raw []int32, q32 []float32, q vec.Vector, qErr float64, sel *topSelect) (int, error) {
+	step, wide := sweepChunk, []float64(nil)
+	if !r.f32 {
+		step, wide = r.widening(sc)
+	}
+	// The seeds are scored in slab order, runs of adjacent rows together: a
+	// query's nearest rows by code mostly share its leaves.
+	seeds := nearestCodes(raw, sel.k, sc.seeds[:0])
+	for i := range seeds {
+		seeds[i] &= math.MaxUint32
+	}
+	slices.Sort(seeds)
+	for s := 0; s < len(seeds); {
+		e := s + 1
+		for e < len(seeds) && seeds[e] == seeds[e-1]+1 && e-s < step {
+			e++
+		}
+		a, b := int(seeds[s]), int(seeds[e-1])+1
+		r.offer(sc, sel, q32, q, wide, lo+a, lo+b)
+		for i := a; i < b; i++ {
+			raw[i] = -1 // scored
+		}
+		s = e
+	}
+	sc.seeds = seeds
+	scored := len(seeds)
+	limit := r.codeLimit(sel, qErr)
+	for i := 0; i < len(raw); {
+		if c := raw[i]; c < 0 || c > limit {
+			i++
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		end := i + 1
+		for end < len(raw) && end-i < step && raw[end] >= 0 && raw[end] <= limit {
+			end++
+		}
+		r.offer(sc, sel, q32, q, wide, lo+i, lo+end)
+		scored += end - i
+		limit = r.codeLimit(sel, qErr)
+		i = end
+	}
+	return scored, nil
+}
+
+// offer scores slab rows [a,b) exactly for one query — the float32 kernel on
+// its narrowing q32 at f32, the float64 kernel on q otherwise, over rows
+// widened into wide when the storage is float32 — and offers each to sel.
+func (r *Replica) offer(sc *legScratch, sel *topSelect, q32 []float32, q vec.Vector, wide []float64, a, b int) {
+	if r.f32 {
+		sc.d32 = grown(sc.d32, b-a)
+		vec.SquaredDistsTo32(q32, r.slab32[a*r.dim:b*r.dim], sc.d32)
+		for i, d := range sc.d32 {
+			sel.add(float64(d), r.slabGID[a+i])
+		}
+		return
+	}
+	sc.d64 = grown(sc.d64, b-a)
+	vec.SquaredDistsTo(q, r.rows64(a, b, wide), sc.d64)
+	for i, d := range sc.d64 {
+		sel.add(d, r.slabGID[a+i])
+	}
+}
+
+// codeLimit is the code-space bound of a full selector's radius — the kernel
+// value of its k-th row: a row whose code distance exceeds it has a kernel
+// value strictly above that radius.
+func (r *Replica) codeLimit(sel *topSelect, qErr float64) int32 {
+	kth := sel.h[0].d
+	if r.f32 {
+		return r.quant.CodeRadius32(float32(kth), qErr)
+	}
+	return r.quant.CodeRadius64(kth, qErr)
+}
+
+// nearestCodes appends to keys the k smallest (code distance, row) pairs of
+// raw (all distances non-negative), packed distance<<32 | row so that one
+// integer comparison orders them, kept as a bounded max-heap.
+func nearestCodes(raw []int32, k int, keys []uint64) []uint64 {
+	for i, c := range raw {
+		key := uint64(c)<<32 | uint64(i)
+		if len(keys) < k {
+			keys = append(keys, key)
+			for x := len(keys) - 1; x > 0; {
+				p := (x - 1) / 2
+				if keys[p] >= keys[x] {
+					break
+				}
+				keys[p], keys[x] = keys[x], keys[p]
+				x = p
+			}
+			continue
+		}
+		if key >= keys[0] {
+			continue
+		}
+		keys[0] = key
+		for x := 0; ; {
+			big := x
+			if l := 2*x + 1; l < k && keys[l] > keys[big] {
+				big = l
+			}
+			if r := 2*x + 2; r < k && keys[r] > keys[big] {
+				big = r
+			}
+			if big == x {
+				break
+			}
+			keys[x], keys[big] = keys[big], keys[x]
+			x = big
+		}
+	}
+	return keys
+}
+
+// admit feeds one block's distances to the selectors of the queries js:
+// query js[g]'s squared distances to slab rows [base, base+rows) are
+// db[g*rows:(g+1)*rows]. Widening float32 to float64 is exact and
+// order-preserving, so one float64 selector serves both precisions; the
+// final Dist is math.Sqrt(float64(d32)) — the f32 path's formula.
+func admit[T float32 | float64](r *Replica, sels []*topSelect, js []int, base, rows int, db []T) {
+	for g, j := range js {
+		sel := sels[j]
+		for i, d := range db[g*rows : (g+1)*rows] {
 			sel.add(float64(d), r.slabGID[base+i])
 		}
 	}

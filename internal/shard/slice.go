@@ -22,9 +22,8 @@ type Meta struct {
 	Images         int     `json:"images"`       // full corpus size
 	LocalImages    int     `json:"local_images"` // rows stored on this shard
 	Dim            int     `json:"dim"`
-	Precision      string  `json:"precision"` // scan mode: "f64" or "f32"
-	Storage        string  `json:"storage"`   // precision the rows are stored at: "f64" or "f32"
-	Quantized      bool    `json:"quantized"`
+	Precision      string  `json:"precision"`       // scan mode: "f64" or "f32"
+	Storage        string  `json:"storage"`         // precision the rows are stored at: "f64" or "f32"
 	ArchiveVersion int     `json:"archive_version"` // shard archive format version
 	CorpusSig      uint64  `json:"corpus_sig"`      // signature of (corpus, topology, shard count)
 	Boundary       float64 `json:"boundary"`        // §3.3 expansion threshold of the build

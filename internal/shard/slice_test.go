@@ -3,8 +3,10 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -86,6 +88,55 @@ func TestShardArchiveRoundTrip(t *testing.T) {
 		if err != nil || len(ns) != 2 || ns[0].ID != 2 || ns[0].Dist != 0 {
 			t.Fatalf("%s: SearchNode = %+v, %v", storage, ns, err)
 		}
+	}
+}
+
+// TestShardArchiveRetiredQuantizedFlag: an archive written while Meta still
+// carried a Quantized flag loads, and its replica answers; gob drops the
+// field, which no code path ever read.
+func TestShardArchiveRetiredQuantizedFlag(t *testing.T) {
+	a := tinyArchive("f32")
+	m := a.Meta
+	old := struct {
+		Meta struct {
+			ShardIndex, ShardCount, Images, LocalImages, Dim int
+			Precision, Storage                              string
+			Quantized                                       bool
+			ArchiveVersion                                  int
+			CorpusSig                                       uint64
+			Boundary                                        float64
+			DisplayCount                                    int
+		}
+		Topo    *Topology
+		Globals []int
+		LeafID  []uint64
+		Labels  []string
+	}{Topo: a.Topo, Globals: a.Globals, LeafID: a.LeafID, Labels: a.Labels}
+	om := &old.Meta
+	om.ShardIndex, om.ShardCount, om.Images, om.LocalImages, om.Dim = m.ShardIndex, m.ShardCount, m.Images, m.LocalImages, m.Dim
+	om.Precision, om.Storage, om.Quantized, om.ArchiveVersion = m.Precision, m.Storage, true, m.ArchiveVersion
+	om.CorpusSig, om.Boundary, om.DisplayCount = m.CorpusSig, m.Boundary, m.DisplayCount
+	var buf bytes.Buffer
+	buf.Write(shardMagic[:])
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range a.Rows.F32 {
+		buf.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+	}
+	got, err := ReadArchive(&buf)
+	if err != nil {
+		t.Fatalf("archive with a Quantized flag: %v", err)
+	}
+	if got.Meta != a.Meta {
+		t.Fatalf("meta %+v, want %+v", got.Meta, a.Meta)
+	}
+	rep, err := NewReplica(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns, err := rep.SearchNode(context.Background(), 1, []float64{1, 2}, nil, 2); err != nil || len(ns) != 2 || ns[0].ID != 2 {
+		t.Fatalf("SearchNode = %+v, %v", ns, err)
 	}
 }
 

@@ -68,16 +68,23 @@ func Quantize(s *FeatureStore) (*Quantized, error) {
 }
 
 // QuantizeBacking32 trains on and encodes a float32 dimension-strided backing
-// array. Each value widens exactly to float64 before training, so the result
-// is bit-identical to QuantizeBacking over the widened array; the data is
-// read, never retained.
+// array. Each value widens exactly to float64 as it is read, so the result is
+// bit-identical to QuantizeBacking over the widened array without ever
+// holding that widened copy: it allocates the codes and O(dim) bounds. The
+// data is read, never retained.
 func QuantizeBacking32(dim int, data []float32) (*Quantized, error) {
-	return QuantizeBacking(dim, vec.Widen64(data, nil))
+	return quantizeBacking(dim, data)
 }
 
 // QuantizeBacking trains on and encodes a dimension-strided backing array
 // (len(data) must be a multiple of dim). The data is read, never retained.
 func QuantizeBacking(dim int, data []float64) (*Quantized, error) {
+	return quantizeBacking(dim, data)
+}
+
+// quantizeBacking is QuantizeBacking at either storage precision: training
+// and encoding read every value through its exact float64 widening.
+func quantizeBacking[T float32 | float64](dim int, data []T) (*Quantized, error) {
 	if dim <= 0 {
 		if len(data) != 0 {
 			return nil, fmt.Errorf("store: quantize dim %d with %d values", dim, len(data))
@@ -105,7 +112,8 @@ func QuantizeBacking(dim int, data []float64) (*Quantized, error) {
 	}
 	for r := 0; r < n; r++ {
 		row := data[r*dim : (r+1)*dim]
-		for i, v := range row {
+		for i, x := range row {
+			v := float64(x)
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				q.clean = false
 				continue
@@ -120,7 +128,7 @@ func QuantizeBacking(dim int, data []float64) (*Quantized, error) {
 	}
 	q.finishTraining()
 	for r := 0; r < n; r++ {
-		q.encode(data[r*dim:(r+1)*dim], q.codes[r*dim:(r+1)*dim])
+		encode(q, data[r*dim:(r+1)*dim], q.codes[r*dim:(r+1)*dim])
 	}
 	return q, nil
 }
@@ -149,13 +157,13 @@ func (q *Quantized) finishTraining() {
 // encode writes the codes of one vector: nearest-code rounding, clamped to
 // [0, 255]. NaN components encode to 0 (their decode error is unbounded,
 // which the clean flag already accounts for); ±Inf clamp to the range ends.
-func (q *Quantized) encode(v []float64, dst []uint8) {
+func encode[T float32 | float64](q *Quantized, v []T, dst []uint8) {
 	for i, x := range v {
 		if q.delta == 0 {
 			dst[i] = 0
 			continue
 		}
-		c := (x - q.mins[i]) / q.delta
+		c := (float64(x) - q.mins[i]) / q.delta
 		switch {
 		case math.IsNaN(c):
 			dst[i] = 0
@@ -224,7 +232,7 @@ func (q *Quantized) EncodeQuery(v vec.Vector, dst []uint8) ([]uint8, float64) {
 		dst = make([]uint8, q.dim)
 	}
 	dst = dst[:q.dim]
-	q.encode(v, dst)
+	encode(q, []float64(v), dst)
 	var sq float64
 	for i, x := range v {
 		d := x - (q.mins[i] + float64(dst[i])*q.delta)
@@ -274,6 +282,52 @@ func (q *Quantized) CodeRadius(radius, qErr float64) int32 {
 		return int32(r)
 	}
 	return math.MaxInt32
+}
+
+// CodeRadius32 and CodeRadius64 are CodeRadius for a radius stated the way a
+// linear sweep holds it: kth, the squared distance a rounding kernel computed
+// for the k-th row, not a real distance. A stored row whose code distance
+// exceeds the returned limit has a kernel value strictly greater than kth, so
+// it is neither in the top-k nor a tie at its boundary. CodeRadius32 serves
+// the float32 kernel (vec.SqL232, SquaredDistsTo32); qErr must then be the
+// decode error of the query that kernel scores, the float32 narrowing,
+// widened back. CodeRadius64 serves the float64 kernel (vec.SqL2,
+// SquaredDistsTo).
+//
+// Why. Let u be the kernel's unit roundoff (2⁻²⁴, 2⁻⁵³) and η its smallest
+// subnormal (2⁻¹⁴⁹, 2⁻¹⁰⁷⁴). For query and row values exact at the kernel's
+// precision, let D = Σ(qᵢ−pᵢ)² in real arithmetic and K the kernel's value.
+//   - A difference rounds to (qᵢ−pᵢ)(1+δ), |δ| ≤ u; it is exact when the
+//     result is subnormal, and an overflow to ±Inf makes K = +Inf.
+//   - A square rounds to at least (1−u)·d² − η: a relative error above the
+//     normal range, under half a subnormal step below it.
+//   - A sum of non-negative terms rounds to at least (1−u)(a+b), exactly in
+//     the subnormal range; a fused multiply-add rounds once and does no worse.
+//   - A term passes through at most h additions: ⌊dim/8⌋ in its lane, 3 in
+//     the lane reduction and dim mod 8 in the tail for float32 (the canonical
+//     order in vec/kernel32.go), at most dim left to right for float64.
+//
+// Hence K ≥ (1−u)^(h+3)·D − dim·η ≥ (1−γ)D − dim·η with γ = (h+3)u. A row
+// with D > (kth + dim·η)(1+2γ) therefore has K > kth, because
+// (1−γ)(1+2γ) ≥ 1 for γ ≤ ½. The limit is CodeRadius at the square root of
+// that bound, whose 1e-9 margin absorbs the float64 roundings computing it.
+// FuzzSQ8Bracket32, and checkSQ8Bracket for float64, test the claim over
+// every pair of rows, one row's kernel value serving as the other's radius.
+func (q *Quantized) CodeRadius32(kth float32, qErr float64) int32 {
+	return q.kernelCodeRadius(float64(kth), qErr, q.dim/8+3+q.dim%8, 0x1p-24, 0x1p-149)
+}
+
+// CodeRadius64 is CodeRadius32 for the float64 kernel; see CodeRadius32.
+func (q *Quantized) CodeRadius64(kth, qErr float64) int32 {
+	return q.kernelCodeRadius(kth, qErr, q.dim, 0x1p-53, 0x1p-1074)
+}
+
+// kernelCodeRadius is the shared bound of CodeRadius32 and CodeRadius64: h
+// additions per term, unit roundoff u, smallest subnormal eta.
+func (q *Quantized) kernelCodeRadius(kth, qErr float64, h int, u, eta float64) int32 {
+	gamma := float64(h+3) * u
+	reach := (kth + float64(q.dim)*eta) * (1 + 2*gamma)
+	return q.CodeRadius(math.Sqrt(reach), qErr)
 }
 
 // Certifies is the exactness certificate of a flat two-phase search over q's

@@ -340,6 +340,121 @@ func checkSQ8Bracket(t *testing.T, dim int, data []float64, v vec.Vector) {
 				r, exact, raw, limit, qErr, q.DBErr(), q.Delta())
 		}
 	}
+	kernel := make([]float64, q.Len())
+	vec.SquaredDistsTo(v, data, kernel)
+	checkKernelBracket(t, q, qc, kernel, func(kth float64) int32 { return q.CodeRadius64(kth, qErr) })
+}
+
+// checkKernelBracket states the theorem a linear sweep's filter rests on, over
+// every pair of rows: with row a's kernel value as the radius, the code
+// radius may skip row b only when b's kernel value is strictly greater — b is
+// then neither in a top-k whose k-th row is a nor a tie at its boundary.
+func checkKernelBracket[T float32 | float64](t *testing.T, q *Quantized, qc []uint8, kernel []T, radius func(kth T) int32) {
+	t.Helper()
+	raw := make([]int32, q.Len())
+	vec.Uint8SquaredDistsTo(qc, q.Codes(), raw)
+	for a, kth := range kernel {
+		limit := radius(kth)
+		for b, kb := range kernel {
+			if raw[b] > limit && !(kb > kth) {
+				t.Fatalf("row %d (kernel value %g, code distance %d) skipped under row %d's radius %g (code limit %d; DBErr %g, delta %g)",
+					b, float64(kb), raw[b], a, float64(kth), limit, q.DBErr(), q.Delta())
+			}
+		}
+	}
+}
+
+// checkSQ8Bracket32 is checkKernelBracket for the float32 kernel over float32
+// rows, with the query narrowed and its decode error measured on that
+// narrowing, as a float32 sweep does.
+func checkSQ8Bracket32(t *testing.T, dim int, data []float32, v vec.Vector) {
+	t.Helper()
+	q, err := QuantizeBacking32(dim, data)
+	if err != nil {
+		t.Fatalf("quantize: %v", err)
+	}
+	q32 := vec.Narrow32(v, nil)
+	qc, qErr := q.EncodeQuery(vec.Widen64(q32, nil), nil)
+	kernel := make([]float32, q.Len())
+	vec.SquaredDistsTo32(q32, data, kernel)
+	checkKernelBracket(t, q, qc, kernel, func(kth float32) int32 { return q.CodeRadius32(kth, qErr) })
+}
+
+// bracketCorpus32 draws a float32 corpus: bracketCorpus's shapes narrowed, or
+// components near float32's overflow (their differences overflow), subnormal
+// components (their squares underflow), copies of three rows, and magnitudes
+// from 1e-16 to 1e16 across dimensions.
+func bracketCorpus32(rng *rand.Rand, n, dim, shape int) []float32 {
+	if shape%8 < 4 {
+		return vec.Narrow32(bracketCorpus(rng, n, dim, shape), nil)
+	}
+	data := make([]float32, n*dim)
+	for i := range data {
+		switch shape % 8 {
+		case 4:
+			data[i] = float32((2*rng.Float64() - 1) * 3e38)
+		case 5:
+			data[i] = float32(rng.NormFloat64() * 1e-42)
+		case 6:
+			if i < 3*dim {
+				data[i] = float32(rng.NormFloat64())
+			} else {
+				data[i] = data[rng.Intn(3)*dim+i%dim]
+			}
+		default:
+			data[i] = float32(rng.NormFloat64() * math.Pow(10, float64(i%dim%9*4-16)))
+		}
+	}
+	return data
+}
+
+// bracketQuery32 draws the query of a float32 sweep: bracketQuery's, one at
+// a subnormal distance from a row, or one whose narrowing overflows to ±Inf.
+func bracketQuery32(rng *rand.Rand, dim int, data []float32, where int) vec.Vector {
+	switch where % 6 {
+	case 4:
+		v := vec.Widen64(data[rng.Intn(len(data)/dim)*dim:][:dim], nil)
+		for i := range v {
+			v[i] += rng.NormFloat64() * 1e-44
+		}
+		return v
+	case 5:
+		v := make(vec.Vector, dim)
+		for i := range v {
+			v[i] = rng.NormFloat64() * 1e39
+		}
+		return v
+	}
+	return bracketQuery(rng, dim, vec.Widen64(data, nil), where)
+}
+
+func TestSQ8Bracket32(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, dim := range []int{1, 7, 8, 9, 37, 512, 1023} {
+		for shape := 0; shape < 8; shape++ {
+			data := bracketCorpus32(rng, 24, dim, shape)
+			for where := 0; where < 6; where++ {
+				checkSQ8Bracket32(t, dim, data, bracketQuery32(rng, dim, data, where))
+			}
+		}
+	}
+}
+
+// FuzzSQ8Bracket32 lets the fuzzer pick the float32 corpus shape, the
+// dimensionality (1 to 1024, multiples of 8 or not) and where the query
+// falls.
+func FuzzSQ8Bracket32(f *testing.F) {
+	f.Add(int64(1), uint16(511), uint8(0), uint8(0))
+	f.Add(int64(2), uint16(36), uint8(4), uint8(5))
+	f.Add(int64(3), uint16(8), uint8(5), uint8(4))
+	f.Add(int64(4), uint16(1023), uint8(6), uint8(1))
+	f.Add(int64(5), uint16(2), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, dim uint16, shape, where uint8) {
+		d := 1 + int(dim)%1024
+		rng := rand.New(rand.NewSource(seed))
+		data := bracketCorpus32(rng, 1+rng.Intn(48), d, int(shape))
+		checkSQ8Bracket32(t, d, data, bracketQuery32(rng, d, data, int(where)))
+	})
 }
 
 // bracketCorpus draws a clean corpus in one of the shapes the bracket has to

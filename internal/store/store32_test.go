@@ -113,39 +113,62 @@ func TestMaterializeFloat32(t *testing.T) {
 
 // TestQuantizeBacking32MatchesWidened: SQ8 training from float32 data must be
 // bit-identical to training from its exact float64 widening (the "training
-// from either" contract), and Quantize over an f32-primary store must match
-// both.
+// from either" contract) — codes, bounds, step and Clean — over Gaussian,
+// subnormal, near-overflow and non-finite corpora, and Quantize over an
+// f32-primary store must match both.
 func TestQuantizeBacking32MatchesWidened(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const dim, n = 9, 64
-	data := randBacking32(rng, dim*n)
-	qz32, err := QuantizeBacking32(dim, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qz64, err := QuantizeBacking(dim, vec.Widen64(data, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := FromBacking32(dim, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qzStore, err := Quantize(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, qz := range map[string]*Quantized{"widened": qz64, "store": qzStore} {
-		if qz.Delta() != qz32.Delta() {
-			t.Fatalf("%s: delta %v != %v", name, qz.Delta(), qz32.Delta())
+	for shape := 0; shape < 4; shape++ {
+		data := randBacking32(rng, dim*n)
+		for i := range data {
+			switch shape {
+			case 1:
+				data[i] *= 1e-40
+			case 2:
+				data[i] *= 1e38
+			case 3:
+				if i%50 == 7 {
+					data[i] = float32(math.Inf(1 - 2*(i%2)))
+				}
+			}
 		}
-		a, b := qz.Codes(), qz32.Codes()
-		if len(a) != len(b) {
-			t.Fatalf("%s: code lengths differ", name)
+		qz32, err := QuantizeBacking32(dim, data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: codes differ at %d: %d != %d", name, i, a[i], b[i])
+		qz64, err := QuantizeBacking(dim, vec.Widen64(data, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := FromBacking32(dim, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qzStore, err := Quantize(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, qz := range map[string]*Quantized{"widened": qz64, "store": qzStore} {
+			if qz.Delta() != qz32.Delta() || qz.Clean() != qz32.Clean() || qz.DBErr() != qz32.DBErr() {
+				t.Fatalf("shape %d %s: delta %v clean %v DBErr %v, float32 training %v %v %v",
+					shape, name, qz.Delta(), qz.Clean(), qz.DBErr(), qz32.Delta(), qz32.Clean(), qz32.DBErr())
+			}
+			mins, maxs := qz.Bounds()
+			mins32, maxs32 := qz32.Bounds()
+			for i := range mins {
+				if math.Float64bits(mins[i]) != math.Float64bits(mins32[i]) || math.Float64bits(maxs[i]) != math.Float64bits(maxs32[i]) {
+					t.Fatalf("shape %d %s: bounds differ at dim %d", shape, name, i)
+				}
+			}
+			a, b := qz.Codes(), qz32.Codes()
+			if len(a) != len(b) {
+				t.Fatalf("shape %d %s: code lengths differ", shape, name)
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("shape %d %s: codes differ at %d: %d != %d", shape, name, i, a[i], b[i])
+				}
 			}
 		}
 	}

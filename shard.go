@@ -69,7 +69,6 @@ func SliceShard(ctx context.Context, sys *System, shards, index int) (*shard.Arc
 			Dim:            dim,
 			Precision:      scanPrecision(base),
 			Storage:        st.Precision().String(),
-			Quantized:      sys.Quantized(),
 			ArchiveVersion: shard.ArchiveVersion,
 			CorpusSig:      shardCorpusSignature(sys, topo, shards),
 			Boundary:       base.BoundaryThreshold,

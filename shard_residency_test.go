@@ -19,8 +19,9 @@ import (
 
 // TestOpenShardResidency gates what a replica costs to open: over a
 // 2,000 × 512 float32 corpus sliced three ways, each shard's OpenShard may
-// allocate at most 3× its row bytes in total and keep at most 1.25× its row
-// bytes + 1 MB live after GC — the rows once, plus topology and ID maps.
+// allocate at most 3× its row bytes in total and keep at most its row bytes,
+// its SQ8 code bytes and 1 MB live after GC — the rows once, the codes the
+// filter reads (a byte per component), plus topology and ID maps.
 func TestOpenShardResidency(t *testing.T) {
 	const n, dim = 2000, 512
 	rng := rand.New(rand.NewSource(9))
@@ -47,6 +48,7 @@ func TestOpenShardResidency(t *testing.T) {
 		}
 		blob := buf.Bytes()
 		rowBytes := float64(a.Meta.LocalImages * dim * 4)
+		codeBytes := float64(a.Meta.LocalImages * dim)
 
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -68,8 +70,8 @@ func TestOpenShardResidency(t *testing.T) {
 		if allocated > 3*rowBytes {
 			t.Errorf("shard %d: OpenShard allocated %.0f B, gate is 3 x %.0f row bytes", i, allocated, rowBytes)
 		}
-		if retained > 1.25*rowBytes+(1<<20) {
-			t.Errorf("shard %d: replica retains %.0f B, gate is 1.25 x %.0f row bytes + 1 MB", i, retained, rowBytes)
+		if retained > rowBytes+codeBytes+(1<<20) {
+			t.Errorf("shard %d: replica retains %.0f B, gate is %.0f row bytes + %.0f code bytes + 1 MB", i, retained, rowBytes, codeBytes)
 		}
 	}
 }

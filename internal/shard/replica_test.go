@@ -204,7 +204,7 @@ func TestSweepMatchesLinearScan(t *testing.T) {
 			if (rep.quant != nil) != tc.filters {
 				t.Fatalf("%s %v: codes trained = %v, want %v", tc.name, mode, rep.quant != nil, tc.filters)
 			}
-			filtered, scanned := 0, 0
+			read, scored := 0, 0 // over the filtered searches
 			for _, node := range []uint64{1, 2, 3} { // root, first inner node, its first leaf
 				idx, _ := rep.topo.IdxOf(node)
 				rows := rep.ranges[idx][1] - rep.ranges[idx][0]
@@ -228,8 +228,8 @@ func TestSweepMatchesLinearScan(t *testing.T) {
 									t.Fatalf("%s: filter acted = %v, want %v (%+v)", tag, stats[j].Scanned > 0, want, stats[j])
 								}
 								if stats[j].Scanned > 0 {
-									filtered++
-									scanned += stats[j].Scored
+									read += stats[j].Scanned
+									scored += stats[j].Scored
 									if stats[j].Scanned != rows || stats[j].Scored < k || stats[j].Scored > rows {
 										t.Fatalf("%s: stats %+v over %d rows", tag, stats[j], rows)
 									}
@@ -253,8 +253,8 @@ func TestSweepMatchesLinearScan(t *testing.T) {
 					}
 				}
 			}
-			if tc.filters && scanned >= filtered*n {
-				t.Errorf("%s %v: the filter scored every row it read (%d searches)", tc.name, mode, filtered)
+			if tc.filters && scored >= read {
+				t.Errorf("%s %v: the filter scored %d of the %d rows it read", tc.name, mode, scored, read)
 			}
 		}
 	}

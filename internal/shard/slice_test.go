@@ -100,12 +100,12 @@ func TestShardArchiveRetiredQuantizedFlag(t *testing.T) {
 	old := struct {
 		Meta struct {
 			ShardIndex, ShardCount, Images, LocalImages, Dim int
-			Precision, Storage                              string
-			Quantized                                       bool
-			ArchiveVersion                                  int
-			CorpusSig                                       uint64
-			Boundary                                        float64
-			DisplayCount                                    int
+			Precision, Storage                               string
+			Quantized                                        bool
+			ArchiveVersion                                   int
+			CorpusSig                                        uint64
+			Boundary                                         float64
+			DisplayCount                                     int
 		}
 		Topo    *Topology
 		Globals []int

@@ -332,9 +332,9 @@ func (r *Replica) widening(sc *legScratch) (rows int, buf []float64) {
 // sweep scores qs over slab rows [lo,hi). A query the SQ8 bracket can act
 // on — unweighted, on a replica with codes, over more than
 // filterRowsPerResult·k rows, with a finite decode error — takes the filtered
-// sweep; the rest share one plain sweep of every row. Unweighted sweeps of an f32 replica run the float32
-// kernels on the narrowed queries; the rest run the float64 kernels, over
-// float32 storage on rows widened a block at a time.
+// sweep; the rest share one plain sweep of every row. Unweighted sweeps of an
+// f32 replica run the float32 kernels on the narrowed queries; the rest run
+// the float64 kernels, over float32 storage on rows widened a block at a time.
 func (r *Replica) sweep(ctx context.Context, sc *legScratch, lo, hi int, qs []vec.Vector, weights []float64, sels []*topSelect, stats []LegStats) error {
 	dim, m := r.dim, len(qs)
 	sc.plain, sc.coded, sc.qerr = sc.plain[:0], sc.coded[:0], sc.qerr[:0]

@@ -204,7 +204,8 @@ func TestSweepMatchesLinearScan(t *testing.T) {
 			if (rep.quant != nil) != tc.filters {
 				t.Fatalf("%s %v: codes trained = %v, want %v", tc.name, mode, rep.quant != nil, tc.filters)
 			}
-			read, scored := 0, 0 // over the filtered searches
+			// read and scored count over the filtered searches.
+			read, scored := 0, 0
 			for _, node := range []uint64{1, 2, 3} { // root, first inner node, its first leaf
 				idx, _ := rep.topo.IdxOf(node)
 				rows := rep.ranges[idx][1] - rep.ranges[idx][0]

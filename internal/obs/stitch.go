@@ -33,12 +33,14 @@ const TraceHeader = "X-Qd-Trace"
 
 // RemoteSpan is one span a shard reports back to its caller. OffsetNS is
 // relative to the shard's request-handling start, never to its wall clock,
-// so the caller can re-base it without clock agreement.
+// so the caller can re-base it without clock agreement. Args are counts and
+// ids, integers only, so the shard wire's binary span tail carries every
+// span a shard can record.
 type RemoteSpan struct {
-	Name       string         `json:"name"`
-	OffsetNS   int64          `json:"offset_ns"`
-	DurationNS int64          `json:"duration_ns"`
-	Args       map[string]any `json:"args,omitempty"`
+	Name       string           `json:"name"`
+	OffsetNS   int64            `json:"offset_ns"`
+	DurationNS int64            `json:"duration_ns"`
+	Args       map[string]int64 `json:"args,omitempty"`
 }
 
 // RemoteTrace is the span bundle a traced shard response carries.
@@ -68,7 +70,7 @@ func NewRemoteRecorder() *RemoteRecorder {
 
 // Span records one completed span that started at offset start (a time taken
 // after NewRemoteRecorder). Nil-safe.
-func (r *RemoteRecorder) Span(name string, start time.Time, args map[string]any) {
+func (r *RemoteRecorder) Span(name string, start time.Time, args map[string]int64) {
 	if r == nil {
 		return
 	}
@@ -206,8 +208,15 @@ func (s *Stitch) RPC(shard int, name string, offsetNS, durationNS int64, remote 
 		if dur < 0 {
 			dur = 0
 		}
+		var args map[string]any
+		if len(rs.Args) > 0 {
+			args = make(map[string]any, len(rs.Args))
+			for k, v := range rs.Args {
+				args[k] = v
+			}
+		}
 		s.t.Spans = append(s.t.Spans, StitchSpan{
-			Name: rs.Name, Track: track, OffsetNS: off, DurationNS: dur, Args: rs.Args,
+			Name: rs.Name, Track: track, OffsetNS: off, DurationNS: dur, Args: args,
 		})
 	}
 }

@@ -18,7 +18,7 @@ func TestRemoteRecorderNilSafe(t *testing.T) {
 func TestRemoteRecorderOffsets(t *testing.T) {
 	rec := NewRemoteRecorder()
 	start := time.Now()
-	rec.Span("work", start, map[string]any{"k": 5})
+	rec.Span("work", start, map[string]int64{"k": 5})
 	tr := rec.Trace()
 	if tr == nil || len(tr.Spans) != 1 {
 		t.Fatalf("trace: %+v", tr)
@@ -56,7 +56,7 @@ func TestStitchRPCRebase(t *testing.T) {
 	remote := &RemoteTrace{
 		DurationNS: 6_000_000, // shard-side handling: 6ms → 4ms slack, 2ms each side
 		Spans: []RemoteSpan{
-			{Name: "search", OffsetNS: 0, DurationNS: 2_000_000},
+			{Name: "search", OffsetNS: 0, DurationNS: 2_000_000, Args: map[string]int64{"k": 50, "scanned": 6685}},
 			{Name: "overrun", OffsetNS: 10_000_000, DurationNS: 10_000_000},
 		},
 	}
@@ -75,6 +75,10 @@ func TestStitchRPCRebase(t *testing.T) {
 	child := done.Spans[1]
 	if child.Name != "search" || child.Track != 3 {
 		t.Fatalf("child: %+v", child)
+	}
+	// The shard's integer args widen into the stitched span's map, unchanged.
+	if len(child.Args) != 2 || child.Args["k"] != int64(50) || child.Args["scanned"] != int64(6685) {
+		t.Fatalf("child args: %+v", child.Args)
 	}
 	// slack/2 = 2ms centering: child offset = 1ms + 2ms + 0.
 	if child.OffsetNS != rpcOff+2_000_000 {

@@ -41,15 +41,11 @@ func (s scatterSearcher) SearchNode(ctx context.Context, nodeID uint64, q vec.Ve
 		&server.ShardSearchRequest{NodeID: nodeID, Query: q, Weights: weights, K: k}))
 	err := par.Do(ctx, len(rt.shards), rt.parallelism, func(i int) error {
 		legStart := time.Now()
-		var resp server.ShardSearchResponse
+		var resp neighborsReply
 		if err := rt.doShard(ctx, i, http.MethodPost, "/v1/shard/search", frame, &resp); err != nil {
 			return err
 		}
-		ns := make([]shard.Neighbor, len(resp.Neighbors))
-		for j, n := range resp.Neighbors {
-			ns[j] = shard.Neighbor(n)
-		}
-		lists[i] = ns
+		lists[i] = resp.Neighbors
 		legNS[i] = time.Since(legStart).Nanoseconds()
 		return nil
 	})
@@ -91,6 +87,15 @@ func (s scatterSearcher) SearchNode(ctx context.Context, nodeID uint64, q vec.Ve
 		"lists": len(lists), "k": k,
 	})
 	return merged, nil
+}
+
+// neighborsReply is a /v1/shard/search reply read in the shard wire's binary
+// framing: the decoded list is the leg's list, labels and all.
+type neighborsReply struct{ server.ShardSearchResponse }
+
+func (p *neighborsReply) UnmarshalBinary(raw []byte) (err error) {
+	p.ShardSearchResponse, err = server.DecodeShardNeighbors(raw)
+	return err
 }
 
 // pointsReply is a /v1/shard/points reply read in the shard wire's binary

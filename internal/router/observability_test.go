@@ -154,6 +154,66 @@ func TestRoutedQueryStitchedTrace(t *testing.T) {
 	}
 }
 
+// TestRoutedKNNStitchedSearchArgs: the shard-track search spans of a stitched
+// /v1/knn trace carry the args each replica recorded for its leg — node, k,
+// neighbors, scanned and scored — equal to what that replica reports for the
+// same leg asked directly in JSON.
+func TestRoutedKNNStitchedSearchArgs(t *testing.T) {
+	f := fixture(t)
+	cfgs := make([]ReplicaConfig, len(f.blobs))
+	for i, blob := range f.blobs {
+		cfgs[i] = ReplicaConfig{Shard: i, URL: startReplica(t, blob).URL}
+	}
+	rt, rts := startRouter(t, cfgs)
+	q := KNNRequest{Query: f.sys.Corpus().Vectors[42], K: 20}
+	mustJSON(t, http.MethodPost, rts.URL+"/v1/knn", q, nil)
+	var traces TracesResponse
+	mustJSON(t, http.MethodGet, rts.URL+"/v1/traces?limit=1", nil, &traces)
+	if len(traces.Traces) != 1 || traces.Traces[0].Kind != "knn" {
+		t.Fatalf("retained traces: %+v", traces.Traces)
+	}
+	stitched := map[int]map[string]any{}
+	for _, sp := range traces.Traces[0].Spans {
+		if sp.Track > 0 && sp.Name == "search" {
+			stitched[sp.Track-1] = sp.Args
+		}
+	}
+	leg, _ := json.Marshal(server.ShardSearchRequest{NodeID: rt.Topology().RootID(), Query: q.Query, K: q.K})
+	for sh, rc := range cfgs {
+		req, err := http.NewRequest(http.MethodPost, rc.URL+"/v1/shard/search", bytes.NewReader(leg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.TraceHeader, "direct")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var direct server.ShardSearchResponse
+		err = json.NewDecoder(resp.Body).Decode(&direct)
+		resp.Body.Close()
+		if err != nil || direct.Trace == nil || len(direct.Trace.Spans) != 1 {
+			t.Fatalf("shard %d direct leg: %v, trace %+v", sh, err, direct.Trace)
+		}
+		want := direct.Trace.Spans[0].Args
+		got := stitched[sh]
+		for _, key := range []string{"node", "k", "neighbors", "scanned", "scored"} {
+			if _, ok := want[key]; !ok {
+				t.Fatalf("shard %d recorded no %q: %v", sh, key, want)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("shard %d: stitched search span args %v, replica recorded %v", sh, got, want)
+		}
+		for key, v := range want {
+			// /v1/traces is JSON: its numbers read back as float64.
+			if got[key] != float64(v) {
+				t.Fatalf("shard %d: stitched %s = %v, replica recorded %d (all: %v vs %v)", sh, key, got[key], v, got, want)
+			}
+		}
+	}
+}
+
 // TestStitchedTracePartialShardFailure kills one shard entirely mid-fleet:
 // the routed query fails, and the retained trace is partial — error recorded,
 // RPC attempts present — rather than absent.

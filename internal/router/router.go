@@ -513,6 +513,13 @@ func (rt *Router) call(ctx context.Context, rep *replica, method, path string, i
 	return resp.StatusCode, nil
 }
 
+// maxPresizedReply is the largest declared length readFramed trusts to size
+// its buffer. A k = 50 neighbours reply is ≈ 1.2 KB plus a ~100-byte span,
+// and sixteen 512-d example vectors ≈ 66 KB, so no legitimate reply comes
+// near it, and a replica's header alone never makes the router allocate
+// more. A longer reply is read as it arrives.
+const maxPresizedReply = 1 << 20
+
 // readFramed reads a binary-framed reply. VerifyFleet admitted only replicas
 // that frame, so any other content type is a fault, not a mode to fall back
 // from.
@@ -520,7 +527,14 @@ func readFramed(resp *http.Response, out encoding.BinaryUnmarshaler) error {
 	if ct := resp.Header.Get("Content-Type"); ct != server.ShardBinaryType {
 		return fmt.Errorf("reply is %q, want %q", ct, server.ShardBinaryType)
 	}
-	raw, err := io.ReadAll(resp.Body)
+	var raw []byte
+	var err error
+	if n := resp.ContentLength; n >= 0 && n <= maxPresizedReply {
+		raw = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, raw)
+	} else {
+		raw, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
 		return err
 	}

@@ -239,6 +239,9 @@ func TestRoutedQueryExactTraffic(t *testing.T) {
 				if l.contentType != server.ShardBinaryType || l.reqBytes != 20+8*dim {
 					t.Errorf("search leg body is %d bytes of %q, want the %d-byte frame", l.reqBytes, l.contentType, 20+8*dim)
 				}
+				if l.accept != server.ShardBinaryType || (l.answeredByTheFleet && l.respType != server.ShardBinaryType) {
+					t.Errorf("search leg asked %q, was answered %q; want the framed reply", l.accept, l.respType)
+				}
 			default:
 				t.Errorf("unexpected backend request %s", l.path)
 			}

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
@@ -128,13 +127,17 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.shardEndpoint(w, r, http.MethodPost) {
 		return
 	}
-	// A router frames the leg in binary; the JSON body is the human/debug
-	// form. Either way the body is bounded by what the corpus dimension allows.
+	// A router frames the leg in binary and asks for the framed reply; the
+	// JSON body, answered in JSON unless the caller asks otherwise, is the
+	// human/debug form. Either way the body is bounded by what the corpus
+	// dimension allows.
 	dim := s.shard.Meta().Dim
-	r.Body = http.MaxBytesReader(w, r.Body, shardSearchBodyLimit(dim))
+	if !boundBody(w, r, shardSearchBodyLimit(dim)) {
+		return
+	}
 	var req ShardSearchRequest
 	if r.Header.Get("Content-Type") == ShardBinaryType {
-		body, err := io.ReadAll(r.Body)
+		body, err := readFrame(r)
 		if err != nil {
 			writeBodyError(w, err)
 			return
@@ -161,11 +164,21 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	// scanned counts the SQ8 code rows the leg read, scored the rows it
 	// scored exactly: the filter's work, per leg of a stitched trace.
-	rec.Span("search", searchStart, map[string]any{
-		"node": req.NodeID, "k": req.K, "neighbors": len(ns),
-		"scanned": st.Scanned, "scored": st.Scored,
+	rec.Span("search", searchStart, map[string]int64{
+		"node": int64(req.NodeID), "k": int64(req.K), "neighbors": int64(len(ns)),
+		"scanned": int64(st.Scanned), "scored": int64(st.Scored),
 	})
-	writeJSON(w, http.StatusOK, ShardSearchResponse{Neighbors: ns, Trace: rec.Trace()})
+	resp := ShardSearchResponse{Neighbors: ns, Trace: rec.Trace()}
+	if r.Header.Get("Accept") != ShardBinaryType {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	frame, err := AppendShardNeighbors(nil, &resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode neighbours: %v", err)
+		return
+	}
+	writeFrame(w, frame)
 }
 
 // shardRecorder starts a shard-side span recorder when the caller asked for
@@ -182,7 +195,9 @@ func (s *Server) handleShardPoints(w http.ResponseWriter, r *http.Request) {
 	if !s.shardEndpoint(w, r, http.MethodPost) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, shardPointsBodyLimit(s.shard.Meta().Images))
+	if !boundBody(w, r, shardPointsBodyLimit(s.shard.Meta().Images)) {
+		return
+	}
 	var req ShardPointsRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		return
@@ -195,8 +210,8 @@ func (s *Server) handleShardPoints(w http.ResponseWriter, r *http.Request) {
 			resp.Points = append(resp.Points, p)
 		}
 	}
-	rec.Span("points", lookupStart, map[string]any{
-		"requested": len(req.IDs), "owned": len(resp.Points),
+	rec.Span("points", lookupStart, map[string]int64{
+		"requested": int64(len(req.IDs)), "owned": int64(len(resp.Points)),
 	})
 	resp.Trace = rec.Trace()
 	if r.Header.Get("Accept") != ShardBinaryType {
@@ -208,8 +223,7 @@ func (s *Server) handleShardPoints(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "encode points: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", ShardBinaryType)
-	_, _ = w.Write(frame) // a failed write is the caller hanging up
+	writeFrame(w, frame)
 }
 
 // decodeJSON decodes the request body into v, writing the uniform 400
@@ -227,9 +241,14 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 func writeBodyError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		writeErrorCode(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
-			"request body exceeds this endpoint's %d-byte limit", tooLarge.Limit)
+		writeTooLarge(w, tooLarge.Limit)
 		return
 	}
 	writeError(w, http.StatusBadRequest, "bad request: %v", err)
+}
+
+// writeTooLarge answers a request body past its endpoint's bound.
+func writeTooLarge(w http.ResponseWriter, limit int64) {
+	writeErrorCode(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
+		"request body exceeds this endpoint's %d-byte limit", limit)
 }

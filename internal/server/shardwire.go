@@ -2,42 +2,60 @@ package server
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"slices"
+	"strconv"
 
 	"qdcbir/internal/obs"
 )
 
-// The fleet-internal wire. Between a router and its shard replicas a feature
-// vector crosses as little-endian float64 bytes instead of decimal text: the
-// search leg's request body and the points leg's reply each have one binary
-// framing, both defined here. float64, not float32, because it is exact in
-// every scan mode — a weighted search scores at float64 even on a float32
-// corpus, and the vectors a router fetches feed centroid and boundary
+// The fleet-internal wire. Every hop a router makes to its shard replicas per
+// query is binary both ways: the search leg's request body, the neighbour
+// list it answers, the points leg's reply, and the span bundle a traced leg of
+// either kind carries back. Each has one framing, defined here. A feature
+// vector crosses as little-endian float64 bytes, not float32, because that is
+// exact in every scan mode — a weighted search scores at float64 even on a
+// float32 corpus, and the vectors a router fetches feed centroid and boundary
 // arithmetic that must match the single-node engine bit for bit — so nothing
-// is negotiated per precision. Everything small stays JSON: neighbour lists
-// (k ids, distances and labels), id lists, errors, and the trace spans a
-// framed reply carries as an opaque tail. The JSON request body on
-// /v1/shard/search remains the documented human/debug form.
+// is negotiated per precision. What stays JSON is cold: the id list of a
+// points request, errors, and the /v1/shard/meta and topology a router reads
+// once at start-up. The JSON request body on /v1/shard/search, answered in
+// JSON unless the caller asks for the frame, remains the documented
+// human/debug form.
 
 const (
 	// ShardWireVersion is what a replica advertises in /v1/shard/meta; a
 	// router refuses a fleet member that speaks any other.
-	ShardWireVersion = 1
+	ShardWireVersion = 2
 	// ShardBinaryType marks a framed body: as Content-Type on a
 	// /v1/shard/search request, as Accept (and the reply's Content-Type) on
-	// /v1/shard/points.
+	// either shard leg's reply.
 	ShardBinaryType = "application/x-qdcbir-shard"
 
 	// Search frame: node_id u64 | k u32 | dim u32 | n_weights u32 |
 	// query f64×dim | weights f64×n_weights, n_weights ∈ {0, dim}.
 	shardSearchHeader = 20
+	// Neighbours frame, the search leg's reply: n u32 | trace_len u32 |
+	// n × (id i64 | dist f64 | label_len u32) | labels | trace (trace_len
+	// bytes). The labels are the neighbours' own, in order, concatenated.
+	shardNeighborsHeader = 8
+	shardNeighborRow     = 20
 	// Points frame: n u32 | dim u32 | trace_len u32 |
-	// n × (id i64 | leaf u64 | vec f64×dim) | trace JSON (trace_len bytes).
+	// n × (id i64 | leaf u64 | vec f64×dim) | trace (trace_len bytes).
 	// Labels are not framed: a router reads a fetched point's leaf and vector
 	// only (result labels ride on the neighbours).
 	shardPointsHeader = 12
+	// Span tail, the trace of either reply (absent, trace_len 0, when the
+	// leg was not traced): duration_ns i64 | n_spans u32 | n_spans ×
+	// (name_len u16 | name | offset_ns i64 | duration_ns i64 | n_args u16 |
+	// n_args × (key_len u16 | key | value i64)). Args are in strictly
+	// increasing key order, so a trace has exactly one encoding.
+	spanTailHeader = 12
+	spanMinBytes   = 20 // a span with an empty name and no args
+	argMinBytes    = 10 // an arg with an empty key
 )
 
 // shardSearchBodyLimit bounds a /v1/shard/search body of either form: two
@@ -49,6 +67,37 @@ func shardSearchBodyLimit(dim int) int64 { return 4096 + 64*int64(dim) }
 // and carries no vector: no panel is larger than the corpus, and a printed id
 // with its separator is under 24 bytes.
 func shardPointsBodyLimit(images int) int64 { return 4096 + 24*int64(images) }
+
+// boundBody caps a shard leg's request body at limit. A body that declares a
+// longer length is answered 413 at once, before any of it is read; false
+// means the caller stops.
+func boundBody(w http.ResponseWriter, r *http.Request, limit int64) bool {
+	if r.ContentLength > limit {
+		writeTooLarge(w, limit)
+		return false
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	return true
+}
+
+// readFrame reads a body boundBody admitted into one buffer of its declared
+// length; a body of undeclared length reads through the bound.
+func readFrame(r *http.Request) ([]byte, error) {
+	if r.ContentLength < 0 {
+		return io.ReadAll(r.Body)
+	}
+	body := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(r.Body, body)
+	return body, err
+}
+
+// writeFrame answers with a framed reply. The declared length lets the router
+// read it into one buffer of that size.
+func writeFrame(w http.ResponseWriter, frame []byte) {
+	w.Header().Set("Content-Type", ShardBinaryType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	_, _ = w.Write(frame) // a failed write is the caller hanging up
+}
 
 func appendFloats(dst []byte, xs []float64) []byte {
 	for _, x := range xs {
@@ -110,19 +159,83 @@ func DecodeShardSearch(body []byte, dim int) (ShardSearchRequest, error) {
 	return req, nil
 }
 
+// AppendShardNeighbors appends resp's neighbours frame to dst. Distances are
+// bit transparent, like the search frame's floats.
+func AppendShardNeighbors(dst []byte, resp *ShardSearchResponse) ([]byte, error) {
+	size := shardNeighborsHeader
+	for _, n := range resp.Neighbors {
+		size += shardNeighborRow + len(n.Label)
+	}
+	dst = slices.Grow(dst, size)
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp.Neighbors)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // trace_len, set by appendSpanTail
+	for _, n := range resp.Neighbors {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(n.ID)))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(n.Dist))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(n.Label)))
+	}
+	for _, n := range resp.Neighbors {
+		dst = append(dst, n.Label...)
+	}
+	return appendSpanTail(dst, start+4, resp.Trace)
+}
+
+// DecodeShardNeighbors parses a neighbours frame. Every count is checked
+// against the body length before it sizes an allocation. The list is one
+// slice, and its labels (and a trace's span names and arg keys) are
+// sub-strings of one string.
+func DecodeShardNeighbors(body []byte) (ShardSearchResponse, error) {
+	var resp ShardSearchResponse
+	if len(body) < shardNeighborsHeader {
+		return resp, fmt.Errorf("neighbours frame is %d bytes, shorter than its %d-byte header", len(body), shardNeighborsHeader)
+	}
+	n := uint64(binary.LittleEndian.Uint32(body))
+	traceLen := uint64(binary.LittleEndian.Uint32(body[4:]))
+	rest := uint64(len(body) - shardNeighborsHeader)
+	if traceLen > rest || n > (rest-traceLen)/shardNeighborRow {
+		return resp, fmt.Errorf("neighbours frame is %d bytes, header describes %d neighbours and a %d-byte trace", len(body), n, traceLen)
+	}
+	rows := body[shardNeighborsHeader : shardNeighborsHeader+n*shardNeighborRow]
+	labels := uint64(0)
+	for i := uint64(0); i < n; i++ {
+		labels += uint64(binary.LittleEndian.Uint32(rows[i*shardNeighborRow+16:]))
+	}
+	if want := n*shardNeighborRow + labels + traceLen; want != rest {
+		return resp, fmt.Errorf("neighbours frame is %d bytes, its counts describe %d", len(body), shardNeighborsHeader+want)
+	}
+	tailBytes := body[shardNeighborsHeader+n*shardNeighborRow:]
+	tail := string(tailBytes)
+	var trace *obs.RemoteTrace
+	if traceLen > 0 {
+		var err error
+		if trace, err = decodeSpanTail(tailBytes[labels:], tail[labels:]); err != nil {
+			return resp, fmt.Errorf("neighbours frame trace: %w", err)
+		}
+	}
+	resp.Neighbors = make([]NeighborJSON, n)
+	off := 0
+	for i := range resp.Neighbors {
+		row := rows[i*shardNeighborRow:]
+		l := int(binary.LittleEndian.Uint32(row[16:]))
+		resp.Neighbors[i] = NeighborJSON{
+			ID:    int(int64(binary.LittleEndian.Uint64(row))),
+			Dist:  math.Float64frombits(binary.LittleEndian.Uint64(row[8:])),
+			Label: tail[off : off+l],
+		}
+		off += l
+	}
+	resp.Trace = trace
+	return resp, nil
+}
+
 // AppendShardPoints appends resp's points frame to dst; every vector must be
 // dim long (the replica's own rows are).
 func AppendShardPoints(dst []byte, dim int, resp *ShardPointsResponse) ([]byte, error) {
-	var trace []byte
-	if resp.Trace != nil {
-		var err error
-		if trace, err = json.Marshal(resp.Trace); err != nil {
-			return nil, err
-		}
-	}
+	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp.Points)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(trace)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // trace_len, set by appendSpanTail
 	for _, p := range resp.Points {
 		if len(p.Vec) != dim {
 			return nil, fmt.Errorf("point %d has dim %d, frame dim %d", p.ID, len(p.Vec), dim)
@@ -131,7 +244,7 @@ func AppendShardPoints(dst []byte, dim int, resp *ShardPointsResponse) ([]byte, 
 		dst = binary.LittleEndian.AppendUint64(dst, p.Leaf)
 		dst = appendFloats(dst, p.Vec)
 	}
-	return append(dst, trace...), nil
+	return appendSpanTail(dst, start+8, resp.Trace)
 }
 
 // DecodeShardPoints parses a points frame, checking header against length
@@ -152,8 +265,16 @@ func DecodeShardPoints(body []byte, dim int) (ShardPointsResponse, error) {
 	if traceLen > rest || n > (rest-traceLen)/row || n*row+traceLen != rest {
 		return resp, fmt.Errorf("points frame is %d bytes, header describes %d points of dim %d and a %d-byte trace", len(body), n, dim, traceLen)
 	}
-	resp.Points = make([]ShardPointJSON, n)
 	b := body[shardPointsHeader:]
+	var trace *obs.RemoteTrace
+	if traceLen > 0 {
+		tail := b[n*row:]
+		var err error
+		if trace, err = decodeSpanTail(tail, string(tail)); err != nil {
+			return resp, fmt.Errorf("points frame trace: %w", err)
+		}
+	}
+	resp.Points = make([]ShardPointJSON, n)
 	for i := range resp.Points {
 		resp.Points[i] = ShardPointJSON{
 			ID:   int(int64(binary.LittleEndian.Uint64(b))),
@@ -162,11 +283,116 @@ func DecodeShardPoints(body []byte, dim int) (ShardPointsResponse, error) {
 		}
 		b = b[row:]
 	}
-	if traceLen > 0 {
-		resp.Trace = new(obs.RemoteTrace)
-		if err := json.Unmarshal(b, resp.Trace); err != nil {
-			return ShardPointsResponse{}, fmt.Errorf("points frame trace: %w", err)
+	resp.Trace = trace
+	return resp, nil
+}
+
+// appendSpanTail appends tr's span tail to dst and writes the tail's length
+// as the frame's trace_len, the u32 at dst[lenAt:]. A nil trace appends
+// nothing and leaves trace_len 0.
+func appendSpanTail(dst []byte, lenAt int, tr *obs.RemoteTrace) ([]byte, error) {
+	if tr == nil {
+		return dst, nil
+	}
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(tr.DurationNS))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tr.Spans)))
+	var keys []string
+	for _, sp := range tr.Spans {
+		if len(sp.Name) > math.MaxUint16 || len(sp.Args) > math.MaxUint16 {
+			return nil, fmt.Errorf("span %.40q does not fit the span tail's 16-bit lengths", sp.Name)
+		}
+		dst = appendString16(dst, sp.Name)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(sp.OffsetNS))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(sp.DurationNS))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(sp.Args)))
+		keys = keys[:0]
+		for k := range sp.Args {
+			if len(k) > math.MaxUint16 {
+				return nil, fmt.Errorf("span %.40q: arg key %.40q does not fit the span tail's 16-bit lengths", sp.Name, k)
+			}
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			dst = appendString16(dst, k)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(sp.Args[k]))
 		}
 	}
-	return resp, nil
+	if uint64(len(dst)-start) > math.MaxUint32 {
+		return nil, fmt.Errorf("span tail of %d bytes does not fit its 32-bit length", len(dst)-start)
+	}
+	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-start))
+	return dst, nil
+}
+
+func appendString16(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+	return append(dst, s...)
+}
+
+// decodeSpanTail parses a span tail that fills b exactly. s holds b's bytes
+// as a string: span names and arg keys are sub-strings of it, not copies.
+// Every count is checked against the bytes left before it sizes an
+// allocation.
+func decodeSpanTail(b []byte, s string) (*obs.RemoteTrace, error) {
+	if len(b) < spanTailHeader {
+		return nil, fmt.Errorf("span tail is %d bytes, shorter than its %d-byte header", len(b), spanTailHeader)
+	}
+	tr := &obs.RemoteTrace{DurationNS: int64(binary.LittleEndian.Uint64(b))}
+	n := binary.LittleEndian.Uint32(b[8:])
+	if uint64(n) > uint64(len(b)-spanTailHeader)/spanMinBytes {
+		return nil, fmt.Errorf("span tail of %d bytes cannot hold %d spans", len(b), n)
+	}
+	if n > 0 {
+		tr.Spans = make([]obs.RemoteSpan, n)
+	}
+	off := spanTailHeader
+	// str reads a length-prefixed string that at least `after` more bytes
+	// follow.
+	str := func(after int) (string, bool) {
+		if len(b)-off < 2 {
+			return "", false
+		}
+		l := int(binary.LittleEndian.Uint16(b[off:]))
+		if len(b)-off-2-l < after {
+			return "", false
+		}
+		off += 2 + l
+		return s[off-l : off], true
+	}
+	for i := range tr.Spans {
+		sp := &tr.Spans[i]
+		var ok bool
+		if sp.Name, ok = str(18); !ok {
+			return nil, fmt.Errorf("span tail of %d bytes ends inside span %d", len(b), i)
+		}
+		sp.OffsetNS = int64(binary.LittleEndian.Uint64(b[off:]))
+		sp.DurationNS = int64(binary.LittleEndian.Uint64(b[off+8:]))
+		nargs := int(binary.LittleEndian.Uint16(b[off+16:]))
+		off += 18
+		if nargs > (len(b)-off)/argMinBytes {
+			return nil, fmt.Errorf("span %d: %d args cannot fit the %d bytes left", i, nargs, len(b)-off)
+		}
+		if nargs > 0 {
+			sp.Args = make(map[string]int64, nargs)
+		}
+		prev := ""
+		for j := 0; j < nargs; j++ {
+			key, ok := str(8)
+			if !ok {
+				return nil, fmt.Errorf("span tail of %d bytes ends inside span %d", len(b), i)
+			}
+			if j > 0 && key <= prev {
+				return nil, fmt.Errorf("span %d: arg %.40q out of key order", i, key)
+			}
+			sp.Args[key] = int64(binary.LittleEndian.Uint64(b[off:]))
+			off += 8
+			prev = key
+		}
+	}
+	if off != len(b) {
+		return nil, fmt.Errorf("span tail has %d bytes past its last span", len(b)-off)
+	}
+	return tr, nil
 }

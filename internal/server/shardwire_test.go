@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,9 +75,21 @@ func post(t *testing.T, url, contentType, accept string, body []byte, traced boo
 	return resp.StatusCode, resp.Header.Get("Content-Type"), raw
 }
 
+// spanShapes is the part of a trace two answers to one question share: each
+// span's name and args, without its timing.
+func spanShapes(tr *obs.RemoteTrace) []obs.RemoteSpan {
+	out := make([]obs.RemoteSpan, len(tr.Spans))
+	for i, sp := range tr.Spans {
+		out[i] = obs.RemoteSpan{Name: sp.Name, Args: sp.Args}
+	}
+	return out
+}
+
 // TestShardSearchBinaryMatchesJSON: the framed search leg is answered byte
 // for byte like its JSON form, weighted or not, and every neighbour names the
-// label the shard holds for it.
+// label the shard holds for it. Asked by Accept, the reply is the neighbours
+// frame, holding the JSON reply's ids, labels and distance bits and, traced,
+// the same spans with the same args.
 func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 	rep, sys, ts := newShardServer(t)
 	dim := rep.Meta().Dim
@@ -86,6 +100,7 @@ func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 	for _, req := range []ShardSearchRequest{
 		{NodeID: rep.Topo().RootID(), Query: sys.Corpus().Vectors[17], K: 25},
 		{NodeID: rep.Topo().RootID(), Query: sys.Corpus().Vectors[230], K: 7, Weights: weights},
+		{NodeID: rep.Topo().RootID(), Query: sys.Corpus().Vectors[101], K: 50},
 	} {
 		asJSON, _ := json.Marshal(req)
 		status, _, want := post(t, ts.URL+"/v1/shard/search", "application/json", "", asJSON, false)
@@ -108,6 +123,42 @@ func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 				t.Fatalf("neighbour %d carries label %q, corpus says %q (owned: %v)", n.ID, n.Label, sys.SubconceptOf(n.ID), rep.Owns(n.ID))
 			}
 		}
+
+		for _, traced := range []bool{false, true} {
+			status, _, raw := post(t, ts.URL+"/v1/shard/search", "application/json", "", asJSON, traced)
+			var plain ShardSearchResponse
+			if err := json.Unmarshal(raw, &plain); status != http.StatusOK || err != nil {
+				t.Fatalf("JSON leg traced=%v: HTTP %d, %v", traced, status, err)
+			}
+			status, ct, frame := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, ShardBinaryType, AppendShardSearch(nil, &req), traced)
+			if status != http.StatusOK || ct != ShardBinaryType {
+				t.Fatalf("framed reply traced=%v: HTTP %d %q (%s)", traced, status, ct, frame)
+			}
+			framed, err := DecodeShardNeighbors(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(framed.Neighbors) != len(plain.Neighbors) {
+				t.Fatalf("%d framed neighbours, %d in JSON", len(framed.Neighbors), len(plain.Neighbors))
+			}
+			labels := 0
+			for i, n := range framed.Neighbors {
+				w := plain.Neighbors[i]
+				if n.ID != w.ID || n.Label != w.Label || math.Float64bits(n.Dist) != math.Float64bits(w.Dist) {
+					t.Fatalf("neighbour %d: framed %+v, JSON %+v", i, n, w)
+				}
+				labels += len(n.Label)
+			}
+			if want := shardNeighborsHeader + shardNeighborRow*len(framed.Neighbors) + labels; !traced && len(frame) != want {
+				t.Fatalf("untraced k=%d reply is %d bytes, want 8 + %d·20 + %d label bytes = %d", req.K, len(frame), req.K, labels, want)
+			}
+			if (framed.Trace != nil) != traced || (plain.Trace != nil) != traced {
+				t.Fatalf("traced=%v: framed trace %v, JSON trace %v", traced, framed.Trace, plain.Trace)
+			}
+			if traced && !reflect.DeepEqual(spanShapes(framed.Trace), spanShapes(plain.Trace)) {
+				t.Fatalf("framed spans %+v, JSON spans %+v", framed.Trace.Spans, plain.Trace.Spans)
+			}
+		}
 	}
 }
 
@@ -117,7 +168,7 @@ func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 // whole range.
 func TestShardSearchSpanCountsFilterWork(t *testing.T) {
 	rep, sys, ts := newShardServer(t)
-	rows := float64(rep.Meta().LocalImages)
+	rows := int64(rep.Meta().LocalImages)
 	weights := make([]float64, rep.Meta().Dim)
 	for i := range weights {
 		weights[i] = 1
@@ -134,21 +185,31 @@ func TestShardSearchSpanCountsFilterWork(t *testing.T) {
 		if err := json.Unmarshal(raw, &resp); status != http.StatusOK || err != nil || resp.Trace == nil {
 			t.Fatalf("traced leg: HTTP %d, %v (%s)", status, err, raw)
 		}
-		var args map[string]any
+		var args map[string]int64
 		for _, sp := range resp.Trace.Spans {
 			if sp.Name == "search" {
 				args = sp.Args
 			}
 		}
-		scanned, _ := args["scanned"].(float64)
-		scored, _ := args["scored"].(float64)
-		if tc.filtered && (scanned != rows || scored < float64(tc.req.K) || scored > rows) {
+		scanned, scored := args["scanned"], args["scored"]
+		if tc.filtered && (scanned != rows || scored < int64(tc.req.K) || scored > rows) {
 			t.Fatalf("filtered leg over %v rows: span args %v", rows, args)
 		}
 		if !tc.filtered && (scanned != 0 || scored != rows) {
 			t.Fatalf("weighted leg over %v rows: span args %v", rows, args)
 		}
 	}
+}
+
+// readCounter counts the reads made of a request body.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
 }
 
 // TestShardSearchRejectsBadBodies: a frame that disagrees with itself or the
@@ -189,6 +250,19 @@ func TestShardSearchRejectsBadBodies(t *testing.T) {
 		if status != http.StatusRequestEntityTooLarge || json.Unmarshal(raw, &e) != nil || e.Code != ErrCodeBodyTooLarge {
 			t.Errorf("oversized %s body: HTTP %d %s, want 413 code %s", ct, status, raw, ErrCodeBodyTooLarge)
 		}
+	}
+	// A body that declares a gigabyte is refused from its header: the handler
+	// neither reads it nor sizes a buffer by it.
+	body := &readCounter{r: bytes.NewReader(good)}
+	req := httptest.NewRequest(http.MethodPost, "/v1/shard/search", body)
+	req.Header.Set("Content-Type", ShardBinaryType)
+	req.ContentLength = 1 << 30
+	rec := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(rec, req)
+	var e errorResponse
+	if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Code != ErrCodeBodyTooLarge || body.reads != 0 {
+		t.Errorf("1 GB declared over a %d-byte body: HTTP %d %s after %d reads, want 413 code %s and no read",
+			len(good), rec.Code, rec.Body.Bytes(), body.reads, ErrCodeBodyTooLarge)
 	}
 	ids := bytes.Repeat([]byte("1,"), int(shardPointsBodyLimit(rep.Meta().Images)))
 	status, _, raw := post(t, ts.URL+"/v1/shard/points", "application/json", "", append(append([]byte(`{"ids":[`), ids...), []byte("1]}")...), false)
@@ -242,7 +316,7 @@ func TestShardPointsBinaryMatchesJSON(t *testing.T) {
 		if (got.Trace != nil) != traced || (want.Trace != nil) != traced {
 			t.Fatalf("traced=%v: framed trace %v, JSON trace %v", traced, got.Trace, want.Trace)
 		}
-		if traced && (len(got.Trace.Spans) != len(want.Trace.Spans) || got.Trace.Spans[0].Name != want.Trace.Spans[0].Name) {
+		if traced && !reflect.DeepEqual(spanShapes(got.Trace), spanShapes(want.Trace)) {
 			t.Fatalf("framed trace %+v vs JSON %+v", got.Trace, want.Trace)
 		}
 		for _, bad := range [][]byte{frame[:len(frame)-1], append(append([]byte(nil), frame...), 0), frame[:5]} {
@@ -325,6 +399,181 @@ func FuzzShardSearchBinary(f *testing.F) {
 			t.Fatal("a frame with a trailing byte was accepted")
 		}
 	})
+}
+
+// replyTrace is a shard-side span bundle shaped like a search leg's, plus a
+// span with an empty name and no args.
+func replyTrace() *obs.RemoteTrace {
+	return &obs.RemoteTrace{DurationNS: 1_234_567, Spans: []obs.RemoteSpan{
+		{Name: "search", OffsetNS: 10, DurationNS: 1000, Args: map[string]int64{
+			"k": 50, "neighbors": 50, "node": 1, "scanned": 6685, "scored": -1,
+		}},
+		{Name: "", OffsetNS: -5},
+	}}
+}
+
+// frameOf returns an encoder's frame. Only a span name or arg key past 64 KiB
+// makes an encoder fail, and no test frame has one.
+func frameOf(frame []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return frame
+}
+
+// FuzzShardReplyFrames holds both reply frames, with and without span tails,
+// to their contract on arbitrary bytes: the decoders never panic; what they
+// accept re-encodes to the input, so nothing hides in slack bytes or in the
+// order of a span's args; no truncation or one-byte extension of an accepted
+// frame is accepted; and a rejected frame leaves nothing half-decoded behind.
+// TestShardReplyFramesRefuseAbsurdCounts checks the counts the seeds patch.
+func FuzzShardReplyFrames(f *testing.F) {
+	nan := math.Float64frombits(math.Float64bits(math.NaN()) | 0xbeef)
+	ns := []NeighborJSON{{ID: 7, Dist: 1.5, Label: "emb/c07"}, {ID: -1, Dist: nan}, {ID: 1 << 40, Dist: math.Inf(1), Label: "é"}}
+	pts := []ShardPointJSON{{ID: 3, Leaf: 9, Vec: []float64{1, math.Copysign(0, -1)}}, {ID: 4, Leaf: 1 << 63, Vec: []float64{nan, 2}}}
+	for _, tr := range []*obs.RemoteTrace{nil, replyTrace(), {DurationNS: 1}} {
+		f.Add(frameOf(AppendShardNeighbors(nil, &ShardSearchResponse{Neighbors: ns, Trace: tr})), uint8(0))
+		f.Add(frameOf(AppendShardPoints(nil, 2, &ShardPointsResponse{Points: pts, Trace: tr})), uint8(2))
+	}
+	for _, c := range absurdCounts(f) {
+		f.Add(c.frame, c.dim)
+	}
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, body []byte, dim uint8) {
+		if resp, err := DecodeShardNeighbors(body); err != nil {
+			if resp.Neighbors != nil || resp.Trace != nil {
+				t.Fatalf("rejected neighbours frame left %+v behind", resp)
+			}
+		} else {
+			if again, err := AppendShardNeighbors(nil, &resp); err != nil || !bytes.Equal(again, body) {
+				t.Fatalf("accepted neighbours frame re-encodes differently (%v):\n  in  %x\n  out %x", err, body, again)
+			}
+			for _, bad := range [][]byte{body[:len(body)-1], append(body[:len(body):len(body)], 0)} {
+				if _, err := DecodeShardNeighbors(bad); err == nil {
+					t.Fatalf("a %d-byte cut or extension of a %d-byte neighbours frame was accepted", len(bad), len(body))
+				}
+			}
+		}
+		if resp, err := DecodeShardPoints(body, int(dim)); err != nil {
+			if resp.Points != nil || resp.Trace != nil {
+				t.Fatalf("rejected points frame left %+v behind", resp)
+			}
+		} else {
+			if again, err := AppendShardPoints(nil, int(dim), &resp); err != nil || !bytes.Equal(again, body) {
+				t.Fatalf("accepted points frame re-encodes differently (%v):\n  in  %x\n  out %x", err, body, again)
+			}
+			for _, bad := range [][]byte{body[:len(body)-1], append(body[:len(body):len(body)], 0)} {
+				if _, err := DecodeShardPoints(bad, int(dim)); err == nil {
+					t.Fatalf("a %d-byte cut or extension of a %d-byte points frame was accepted", len(bad), len(body))
+				}
+			}
+		}
+	})
+}
+
+// absurdCase is a valid traced reply frame with one count patched past what
+// its body could hold.
+type absurdCase struct {
+	name  string
+	frame []byte
+	dim   uint8
+}
+
+func absurdCounts(tb testing.TB) []absurdCase {
+	tr := replyTrace()
+	ns := frameOf(AppendShardNeighbors(nil, &ShardSearchResponse{Neighbors: []NeighborJSON{{ID: 1, Dist: 2, Label: "a"}}, Trace: tr}))
+	pts := frameOf(AppendShardPoints(nil, 1, &ShardPointsResponse{Points: []ShardPointJSON{{ID: 1, Vec: []float64{3}}}, Trace: tr}))
+	nsTail := shardNeighborsHeader + shardNeighborRow + 1 // one row, one label byte
+	ptsTail := shardPointsHeader + 16 + 8                 // one point of dim 1
+	nArgs := spanTailHeader + 2 + len("search") + 16      // the first span's n_args
+	patch := func(frame []byte, off int, wide bool) []byte {
+		b := append([]byte(nil), frame...)
+		if wide {
+			binary.LittleEndian.PutUint32(b[off:], math.MaxUint32)
+		} else {
+			binary.LittleEndian.PutUint16(b[off:], math.MaxUint16)
+		}
+		return b
+	}
+	return []absurdCase{
+		{"neighbours n", patch(ns, 0, true), 0},
+		{"neighbours trace_len", patch(ns, 4, true), 0},
+		{"label_len", patch(ns, shardNeighborsHeader+16, true), 0},
+		{"neighbours n_spans", patch(ns, nsTail+8, true), 0},
+		{"neighbours n_args", patch(ns, nsTail+nArgs, false), 0},
+		{"points n", patch(pts, 0, true), 1},
+		{"points trace_len", patch(pts, 8, true), 1},
+		{"points n_spans", patch(pts, ptsTail+8, true), 1},
+		{"points n_args", patch(pts, ptsTail+nArgs, false), 1},
+	}
+}
+
+// TestShardReplyFramesRefuseAbsurdCounts: a count the body cannot hold — n,
+// trace_len, a label_len, a span tail's n_spans or a span's n_args — is
+// refused before it sizes an allocation. Decoding such a frame allocates a
+// few hundred bytes (the error, the tail's string), never what the count
+// asks for.
+func TestShardReplyFramesRefuseAbsurdCounts(t *testing.T) {
+	for _, c := range absurdCounts(t) {
+		decode := func() error {
+			if c.name[0] == 'p' {
+				_, err := DecodeShardPoints(c.frame, int(c.dim))
+				return err
+			}
+			_, err := DecodeShardNeighbors(c.frame)
+			return err
+		}
+		if decode() == nil {
+			t.Errorf("%s: a frame with an absurd count was accepted", c.name)
+			continue
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_ = decode()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 1024 {
+			t.Errorf("%s: refusing the frame allocated %d bytes a decode", c.name, per)
+		}
+	}
+}
+
+// TestDecodeShardNeighborsAllocs pins the router's per-leg decode of a k = 50
+// list: one slice and one string for the labels. A traced reply adds the
+// trace, its span slice, and each span's arg map, which is two allocations
+// (the map and its first group).
+func TestDecodeShardNeighborsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ns := make([]NeighborJSON, 50)
+	for i := range ns {
+		ns[i] = NeighborJSON{ID: 1000 + i, Dist: float64(i) / 7, Label: fmt.Sprintf("emb/c%02d", i%20)}
+	}
+	tr := &obs.RemoteTrace{DurationNS: 500_000, Spans: []obs.RemoteSpan{{Name: "search", DurationNS: 400_000, Args: map[string]int64{
+		"k": 50, "neighbors": 50, "node": 1, "scanned": 6685, "scored": 190,
+	}}}}
+	for _, tc := range []struct {
+		name  string
+		trace *obs.RemoteTrace
+		max   float64
+	}{
+		{"untraced", nil, 2},
+		{"traced", tr, 2 + 2 + 2*float64(len(tr.Spans))},
+	} {
+		frame := frameOf(AppendShardNeighbors(nil, &ShardSearchResponse{Neighbors: ns, Trace: tc.trace}))
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := DecodeShardNeighbors(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations a decode", tc.name, got)
+		if got > tc.max {
+			t.Errorf("%s: decoding a k = 50 reply allocates %.0f times, budget %.0f", tc.name, got, tc.max)
+		}
+	}
 }
 
 // TestClientFinalizeRetry: a smart client whose finalize was answered 503 +

@@ -47,6 +47,12 @@ func (m metric) bound(r Rect, q vec.Vector) float64 {
 	return vec.WeightedMinDistSq(q, m.weights, r.Min, r.Max)
 }
 
+// bounds sets out[c] to bound(child c's rect, q) for the len(out) children
+// packed in an internal node's box, bit for bit, in one pass.
+func (m metric) bounds(q vec.Vector, box, out []float64) {
+	vec.MinDistSqChildren(q, m.weights, box, len(out), out)
+}
+
 func (m metric) item(q, p vec.Vector) float64 {
 	if m.weights == nil {
 		return vec.SqL2(q, p)
@@ -241,22 +247,50 @@ func (d *descent) takeBlock(distSq []float64) {
 
 // takeCodes resumes a descent suspended on a leaf with the leaf's SQ8 code
 // distances: only rows the bracket cannot place outside the radius are
-// scored exactly — vec.SqL2 on the slab row, the value the block kernel
-// produces — and the code-space limit follows the radius as it tightens.
+// scored exactly — vec.SqL2's bits on the slab row, the value the block
+// kernel produces — and the code-space limit follows the radius as it
+// tightens.
+//
+// Rows are scored four at a time: the next four the current limit admits go
+// through vec.SqL2x4 together. The limit only tightens (the radius only
+// shrinks, and CodeRadius is monotone in it), so those four include every
+// row of their span the one-row-at-a-time loop would score; each is then
+// re-tested, in row order, against the limit as the rows before it left it,
+// before it is counted and offered. The rows counted, the offers and the
+// limit's every step are therefore the sequential loop's; a row the re-test
+// drops cost one lane of work and nothing else.
 func (d *descent) takeCodes(qz *store.Quantized, q vec.Vector, raw []int32) {
 	items := d.pending.items
 	d.codes += uint64(len(items))
-	for i, c := range raw {
-		if c > d.codeLimit {
-			continue
+	var at [4]int
+	var sq [4]float64
+	for i := 0; i < len(raw); {
+		n := 0
+		for ; i < len(raw) && n < len(at); i++ {
+			if raw[i] <= d.codeLimit {
+				at[n] = i
+				n++
+			}
 		}
-		d.items++
-		sq := vec.SqL2(q, items[i].Point)
-		if sq > d.sel.radiusSq {
-			continue
+		if n == 0 {
+			break
 		}
-		if d.sel.offer(sq, items[i]) {
-			d.codeLimit = qz.CodeRadius(math.Sqrt(d.sel.radiusSq), d.qErr)
+		for j := n; j < len(at); j++ {
+			at[j] = at[0] // a short group repeats a row: four lanes cost what one does
+		}
+		sq[0], sq[1], sq[2], sq[3] = vec.SqL2x4(q,
+			items[at[0]].Point, items[at[1]].Point, items[at[2]].Point, items[at[3]].Point)
+		for j, r := range at[:n] {
+			if raw[r] > d.codeLimit {
+				continue
+			}
+			d.items++
+			if sq[j] > d.sel.radiusSq {
+				continue
+			}
+			if d.sel.offer(sq[j], items[r]) {
+				d.codeLimit = qz.CodeRadius(math.Sqrt(d.sel.radiusSq), d.qErr)
+			}
 		}
 	}
 	d.pending = nil
@@ -274,14 +308,18 @@ type descentScratch struct {
 	qcodes  []uint8   // every query's code row (SQ8)
 	cbuf    []uint8   // a group's code rows, packed for the multi kernel
 	raw     []int32   // code kernel output
+	bounds  []float64 // an opened node's children's MINDISTs
 }
 
 var descentPool = sync.Pool{New: func() interface{} { return new(descentScratch) }}
 
 // advance runs one query's best-first loop until it completes or pops a
 // block-backed leaf, which is left in d.pending with its access already
-// charged.
-func (t *Tree) advance(ctx context.Context, m metric, q *Query, d *descent) error {
+// charged. An opened internal node bounds its children from its box in one
+// kernel pass when the tree is packed, one child at a time when not; either
+// way the children are pushed in order with the same keys, so the queue —
+// and every pop after — is the same.
+func (t *Tree) advance(ctx context.Context, sc *descentScratch, m metric, q *Query, d *descent) error {
 	acc := q.accounter()
 	for len(d.pq) > 0 {
 		if d.pops%ctxCheckInterval == 0 {
@@ -297,7 +335,16 @@ func (t *Tree) advance(ctx context.Context, m metric, q *Query, d *descent) erro
 		acc.Access(e.node.id)
 		d.nodes++
 		if !e.node.leaf {
-			for _, c := range e.node.children {
+			kids := e.node.children
+			if t.blocksOK && e.node.box != nil {
+				sc.bounds = grown(sc.bounds, len(kids))
+				m.bounds(q.Q, e.node.box, sc.bounds)
+				for i, c := range kids {
+					d.pq.push(nodeEntry{distSq: sc.bounds[i], node: c})
+				}
+				continue
+			}
+			for _, c := range kids {
 				d.pq.push(nodeEntry{distSq: m.bound(c.rect, q.Q), node: c})
 			}
 			continue
@@ -350,7 +397,7 @@ func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error
 			if d.done {
 				continue
 			}
-			if err := t.advance(ctx, m, &qs[j], d); err != nil {
+			if err := t.advance(ctx, sc, m, &qs[j], d); err != nil {
 				return err
 			}
 			if !d.done {

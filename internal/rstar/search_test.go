@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"qdcbir/internal/disk"
+	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -150,6 +151,71 @@ func degenerateCorpus(rng *rand.Rand) searchCorpus {
 	return searchCorpus{name: "code-degenerate", dim: 2, scale: 1e-3, pts: pts}
 }
 
+// takeCodesSequential is takeCodes as it was before rows were scored four
+// at a time: each row tested against the limit, scored with vec.SqL2 and
+// offered, one after another. It is the reference the batched loop's effort
+// counts and selector evolution are pinned against.
+func (d *descent) takeCodesSequential(qz *store.Quantized, q vec.Vector, raw []int32) {
+	items := d.pending.items
+	d.codes += uint64(len(items))
+	for i, c := range raw {
+		if c > d.codeLimit {
+			continue
+		}
+		d.items++
+		sq := vec.SqL2(q, items[i].Point)
+		if sq > d.sel.radiusSq {
+			continue
+		}
+		if d.sel.offer(sq, items[i]) {
+			d.codeLimit = qz.CodeRadius(math.Sqrt(d.sel.radiusSq), d.qErr)
+		}
+	}
+	d.pending = nil
+}
+
+// checkSequentialRerank runs one finite query's SQ8 descent of n to the end
+// with every leaf resumed through takeCodesSequential, and requires the
+// search's own effort counters (st, from KNNOne behind the filter) and
+// answer (got) to be that loop's.
+func checkSequentialRerank(t *testing.T, label string, tr *Tree, n *Node, q vec.Vector, k int, st SearchStats, got []Neighbor) {
+	t.Helper()
+	m := metric{quant: tr.quant}
+	code, qErr := tr.quant.EncodeQuery(q, make([]uint8, tr.dim))
+	d := descent{sel: selector{k: k, radiusSq: math.Inf(1)}, code: code, qErr: qErr, codeLimit: math.MaxInt32}
+	d.pq.push(nodeEntry{distSq: m.bound(n.rect, q), node: n})
+	sc := new(descentScratch)
+	query := Query{Q: q, K: k}
+	for {
+		if err := tr.advance(context.Background(), sc, m, &query, &d); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if d.done {
+			break
+		}
+		leaf := d.pending
+		raw := make([]int32, len(leaf.items))
+		vec.Uint8SquaredDistsTo(code, tr.qcodes[leaf.qlo*tr.dim:leaf.qhi*tr.dim], raw)
+		d.takeCodesSequential(tr.quant, q, raw)
+	}
+	if st.ItemsScored != d.items || st.Reranked != d.items || st.CodesScanned != d.codes {
+		t.Fatalf("%s: scored %d (reranked %d) of %d code rows, the sequential loop %d of %d",
+			label, st.ItemsScored, st.Reranked, st.CodesScanned, d.items, d.codes)
+	}
+	sameNeighbors(t, label+"/sequential", got, d.sel.drain())
+}
+
+// subtreesOf picks the equivalence table's three subtree levels of tr: the
+// root, its first child, and the first leaf below that.
+func subtreesOf(tr *Tree) []*Node {
+	internal := tr.Root().Children()[0]
+	leaf := internal
+	for !leaf.IsLeaf() {
+		leaf = leaf.Children()[0]
+	}
+	return []*Node{tr.Root(), internal, leaf}
+}
+
 // TestKNNSearchMatchesOracle is the search's one equivalence table: every
 // scan mode × batch width × subtree level × k, over packed and unpacked
 // blocks, asserts per query that an M-wide KNNSearch gives exactly the
@@ -157,6 +223,13 @@ func degenerateCorpus(rng *rand.Rand) searchCorpus {
 // alone, and that the Result is the linear-scan oracle's. Unpacked trees have
 // no float32 mirror or SQ8 codes, so their Float32/Quantized rows pin the
 // inactive-mode delegation to the exact descent.
+//
+// Packed trees bound an opened node's children from its box in one lane
+// pass, unpacked ones child by child, so for f64, weighted and SQ8 at M = 1
+// and 16 each packed batch is also replayed on the unpacked twin: per query,
+// the trace, HeapPops, NodesRead and Result must be the twin's. Every finite
+// packed SQ8 search's ItemsScored/Reranked must be the sequential rerank
+// loop's (checkSequentialRerank).
 func TestKNNSearchMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, corpus := range []searchCorpus{duplicatedCorpus(rng), degenerateCorpus(rng)} {
@@ -173,35 +246,29 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 			{"f32", Scan{Float32: true, Quantized: true}},                        // float32 wins
 			{"sq8", Scan{Quantized: true}},
 		}
+		unpacked := BulkLoad(corpus.dim, smallCfg, bulkItems(corpus.pts), 8)
+		unpacked.SetBlockScoring(false)
 		for _, packed := range []bool{true, false} {
-			tr := BulkLoad(corpus.dim, smallCfg, bulkItems(corpus.pts), 8)
+			tr := unpacked
 			if packed {
+				tr = BulkLoad(corpus.dim, smallCfg, bulkItems(corpus.pts), 8)
 				tr.SetFloat32Scoring(true)
 				if err := tr.SetQuantizedScoring(true); err != nil {
 					t.Fatalf("enable quantized: %v", err)
 				}
-			} else {
-				tr.SetBlockScoring(false)
 			}
-			internal := tr.Root().Children()[0]
-			leaf := internal
-			for !leaf.IsLeaf() {
-				leaf = leaf.Children()[0]
-			}
-			if internal.IsLeaf() {
+			subs, twins := subtreesOf(tr), subtreesOf(unpacked)
+			if subs[1].IsLeaf() {
 				t.Fatalf("%s: tree of height %d has no internal level", corpus.name, tr.Height())
 			}
-			subtrees := []struct {
-				name string
-				n    *Node
-			}{{"root", tr.Root()}, {"internal", internal}, {"leaf", leaf}}
 
 			filtered := false
 			for _, mode := range modes {
-				for _, sub := range subtrees {
-					rows := len(itemsInSubtree(sub.n, nil))
+				for si, subName := range []string{"root", "internal", "leaf"} {
+					sub := subs[si]
+					rows := len(itemsInSubtree(sub, nil))
 					for _, m := range []int{1, 2, 5, 16} {
-						label := fmt.Sprintf("%s/packed=%v/%s/%s/m=%d", corpus.name, packed, mode.name, sub.name, m)
+						label := fmt.Sprintf("%s/packed=%v/%s/%s/m=%d", corpus.name, packed, mode.name, subName, m)
 						points := batchQueries(rng, corpus.pts, m, corpus.dim, corpus.scale)
 						if m >= 5 {
 							// A NaN query inside the batch: under SQ8 it alone
@@ -221,13 +288,34 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 								Stats: &sts[i],
 							}
 						}
-						if err := tr.KNNSearch(context.Background(), sub.n, mode.scan, qs); err != nil {
+						if err := tr.KNNSearch(context.Background(), sub, mode.scan, qs); err != nil {
 							t.Fatalf("%s: %v", label, err)
+						}
+						if packed && mode.name != "f32" && (m == 1 || m == 16) {
+							twin := make([]Query, m)
+							twinRecs := make([]*disk.Recorder, m)
+							twinSts := make([]SearchStats, m)
+							for i, q := range qs {
+								twinRecs[i] = &disk.Recorder{}
+								twin[i] = Query{Q: q.Q, K: q.K, Acc: twinRecs[i], Stats: &twinSts[i]}
+							}
+							if err := unpacked.KNNSearch(context.Background(), twins[si], mode.scan, twin); err != nil {
+								t.Fatalf("%s: unpacked: %v", label, err)
+							}
+							for i := range qs {
+								l := fmt.Sprintf("%s/q%d/unpacked", label, i)
+								sameNeighbors(t, l, qs[i].Result, twin[i].Result)
+								sameTrace(t, l, recs[i], twinRecs[i])
+								if sts[i].HeapPops != twinSts[i].HeapPops || sts[i].NodesRead != twinSts[i].NodesRead {
+									t.Fatalf("%s: %d pops and %d nodes read, unpacked %d and %d", l,
+										sts[i].HeapPops, sts[i].NodesRead, twinSts[i].HeapPops, twinSts[i].NodesRead)
+								}
+							}
 						}
 						for i, q := range qs {
 							rec := &disk.Recorder{}
 							var st SearchStats
-							alone, err := tr.KNNOne(context.Background(), sub.n, mode.scan, q.Q, q.K, rec, &st)
+							alone, err := tr.KNNOne(context.Background(), sub, mode.scan, q.Q, q.K, rec, &st)
 							if err != nil {
 								t.Fatalf("%s: alone: %v", label, err)
 							}
@@ -237,6 +325,9 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 							if math.IsNaN(q.Q[0]) {
 								continue // no order to check a NaN query's answer against
 							}
+							if packed && mode.name == "sq8" && q.K > 0 {
+								checkSequentialRerank(t, label, tr, sub, q.Q, q.K, st, alone)
+							}
 							if st.Reranked < st.CodesScanned {
 								filtered = true
 								if corpus.name == "code-degenerate" {
@@ -244,7 +335,7 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 										label, st.CodesScanned-st.Reranked, st.CodesScanned)
 								}
 							}
-							sameNeighbors(t, label+"/oracle", alone, oracleKNN(tr, sub.n, mode.scan, q.Q, q.K))
+							sameNeighbors(t, label+"/oracle", alone, oracleKNN(tr, sub, mode.scan, q.Q, q.K))
 						}
 					}
 				}
@@ -547,6 +638,7 @@ func TestSQ8DescentReadsWhatExactReads(t *testing.T) {
 			if sq8St.RerankFallbacks != 0 {
 				t.Fatalf("%s: %d fallbacks on a finite query", label, sq8St.RerankFallbacks)
 			}
+			checkSequentialRerank(t, label, tr, sub, q, k, sq8St, sq8)
 			if exactSt.CodesScanned != 0 || exactSt.ItemsScored != popped {
 				t.Fatalf("%s: exact descent scanned %d codes and scored %d rows, its leaves hold %d",
 					label, exactSt.CodesScanned, exactSt.ItemsScored, popped)

@@ -35,6 +35,11 @@ type Node struct {
 	// only while Tree.blocksOK holds; k-NN scores a whole leaf with one
 	// batch kernel call through it.
 	block []float64
+	// box is an internal node's children's rectangles, dimension-major (each
+	// dimension's Min of every child, then its Max of every child), so k-NN
+	// bounds all of them with one vec.MinDistSqChildren call. Built by
+	// packBlocks and dropped with the leaf blocks.
+	box []float64
 	// qlo and qhi delimit the subtree's slab rows [qlo, qhi): leaves are
 	// packed in depth-first order, so every subtree owns one contiguous row
 	// range — a leaf's SQ8 code rows, or the float32 mirror rows a subtree

@@ -7,11 +7,14 @@ import (
 
 // This file holds the batch distance kernels behind the flat feature store
 // (internal/store) and the R*-tree leaf blocks. Every kernel accumulates in
-// exactly the order of the scalar reference (SqL2 / WeightedSqL2): term i is
-// added before term i+1, one row at a time. Speed comes from contiguous
-// memory, fewer slice-header dereferences, and early exit — never from
-// reassociating the sum — so results are bit-identical to the scalar loops
-// and the system's byte-level determinism guarantees survive the batch paths.
+// exactly the order of the scalar reference (SqL2 / WeightedSqL2): each row
+// has its own accumulator, and term i is added to it before term i+1. The
+// batch kernels run four rows at once, so four such chains interleave and
+// overlap their add latencies; no chain ever sees another's terms. Speed
+// comes from that overlap, contiguous memory, fewer slice-header
+// dereferences, and early exit — never from reassociating a sum — so results
+// are bit-identical to the scalar loops and the system's byte-level
+// determinism guarantees survive the batch paths.
 
 // SquaredDistsTo computes out[r] = SqL2(q, row_r) for every dimension-strided
 // row of block, where block holds len(out) rows of len(q) contiguous
@@ -27,7 +30,13 @@ func SquaredDistsTo(q Vector, block []float64, out []float64) {
 		}
 		return
 	}
-	for r := range out {
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		o := r * dim
+		out[r], out[r+1], out[r+2], out[r+3] = SqL2x4(q,
+			block[o:o+dim], block[o+dim:o+2*dim], block[o+2*dim:o+3*dim], block[o+3*dim:o+4*dim])
+	}
+	for ; r < len(out); r++ {
 		row := block[r*dim : r*dim+dim : r*dim+dim]
 		var s float64
 		for i, ri := range row {
@@ -36,6 +45,46 @@ func SquaredDistsTo(q Vector, block []float64, out []float64) {
 		}
 		out[r] = s
 	}
+}
+
+// SqL2x4 returns SqL2(q, a), SqL2(q, b), SqL2(q, c) and SqL2(q, e), bit for
+// bit: four independent accumulators, each summing its row's terms in index
+// order, interleaved so one row's add latency hides behind the others'. The
+// rows must be at least as long as q.
+func SqL2x4(q, a, b, c, e Vector) (sa, sb, sc, se float64) {
+	a, b, c, e = a[:len(q)], b[:len(q)], c[:len(q)], e[:len(q)]
+	for i, qi := range q {
+		da := qi - a[i]
+		db := qi - b[i]
+		dc := qi - c[i]
+		de := qi - e[i]
+		sa += da * da
+		sb += db * db
+		sc += dc * dc
+		se += de * de
+	}
+	return sa, sb, sc, se
+}
+
+// weightedSqL2x4 is SqL2x4 under WeightedSqL2's metric. Each lane's add
+// follows its own difference: in this shape the compiler gives every lane's
+// add the operand order WeightedSqL2's takes, in race-instrumented builds
+// too, so even the payload of a NaN sum matches.
+func weightedSqL2x4(q, weights, a, b, c, e Vector) (sa, sb, sc, se float64) {
+	weights = weights[:len(q)]
+	a, b, c, e = a[:len(q)], b[:len(q)], c[:len(q)], e[:len(q)]
+	for i, qi := range q {
+		w := weights[i]
+		da := qi - a[i]
+		sa += w * da * da
+		db := qi - b[i]
+		sb += w * db * db
+		dc := qi - c[i]
+		sc += w * dc * dc
+		de := qi - e[i]
+		se += w * de * de
+	}
+	return sa, sb, sc, se
 }
 
 // WeightedSquaredDistsTo computes out[r] = WeightedSqL2(q, row_r, weights)
@@ -52,7 +101,13 @@ func WeightedSquaredDistsTo(q, weights Vector, block []float64, out []float64) {
 		}
 		return
 	}
-	for r := range out {
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		o := r * dim
+		out[r], out[r+1], out[r+2], out[r+3] = weightedSqL2x4(q, weights,
+			block[o:o+dim], block[o+dim:o+2*dim], block[o+2*dim:o+3*dim], block[o+3*dim:o+4*dim])
+	}
+	for ; r < len(out); r++ {
 		row := block[r*dim : r*dim+dim : r*dim+dim]
 		var s float64
 		for i, ri := range row {

@@ -116,6 +116,161 @@ func FuzzMinDistSq(f *testing.F) {
 	})
 }
 
+// packChildren lays rectangles [lo[c], hi[c]] out dimension-major, the box
+// MinDistSqChildren reads.
+func packChildren(lo, hi []Vector, dim int) []float64 {
+	n := len(lo)
+	box := make([]float64, 2*n*dim)
+	for c := range lo {
+		for d := 0; d < dim; d++ {
+			box[2*n*d+c] = lo[c][d]
+			box[2*n*d+n+c] = hi[c][d]
+		}
+	}
+	return box
+}
+
+// checkChildren bounds the rectangles [lo[c], hi[c]] with MinDistSqChildren
+// and with its portable body, plain and weighted, and requires every lane to
+// be the bits MinDistSq (WeightedMinDistSq) gives that rectangle alone.
+func checkChildren(t *testing.T, q, weights Vector, lo, hi []Vector) {
+	t.Helper()
+	box := packChildren(lo, hi, len(q))
+	n := len(lo)
+	out := make([]float64, n+1)
+	for _, w := range []Vector{nil, weights} {
+		for _, body := range []struct {
+			name string
+			f    func()
+		}{
+			{"dispatch", func() { MinDistSqChildren(q, w, box, n, out) }},
+			{"portable", func() { minDistSqChildrenGeneric(q, w, box, out[:n]) }},
+		} {
+			out[n] = 42 // beyond the lanes: must stay untouched
+			body.f()
+			for c := 0; c < n; c++ {
+				want := MinDistSq(q, lo[c], hi[c])
+				if w != nil {
+					want = WeightedMinDistSq(q, w, lo[c], hi[c])
+				}
+				if !sameFloat(out[c], want) {
+					t.Fatalf("%s, weighted=%v, %d children, dim %d: lane %d = %v (%#x), alone %v (%#x); q %v w %v rect [%v, %v]",
+						body.name, w != nil, n, len(q), c, out[c], math.Float64bits(out[c]),
+						want, math.Float64bits(want), q, w, lo[c], hi[c])
+				}
+			}
+			if out[n] != 42 {
+				t.Fatalf("%s: %d children wrote lane %d", body.name, n, n)
+			}
+		}
+	}
+}
+
+// TestMinDistSqChildrenMatchesLoop: every lane of the one-pass children bound
+// is the bits of MinDistSq on that child alone — over every special-value
+// rectangle, packed into passes of every width so each group tail is taken,
+// and over random rectangles at the system's dimensionalities.
+func TestMinDistSqChildrenMatchesLoop(t *testing.T) {
+	var lo, hi []Vector
+	for _, l := range minDistSpecials {
+		for _, h := range minDistSpecials {
+			lo = append(lo, Vector{l, 2}, Vector{2, l})
+			hi = append(hi, Vector{h, 3}, Vector{3, h})
+		}
+	}
+	for _, q := range minDistSpecials {
+		for _, w := range []float64{0, 1, 2.5, math.Inf(1), math.NaN()} {
+			for _, qv := range []Vector{{q, 1}, {7, q}} {
+				weights := Vector{w, 0.5}
+				if qv[0] == 7 {
+					weights = Vector{1, w}
+				}
+				for at, n := 0, 1; at < len(lo); at, n = at+n, n%21+1 {
+					end := at + n
+					if end > len(lo) {
+						end = len(lo)
+					}
+					checkChildren(t, qv, weights, lo[at:end], hi[at:end])
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(6))
+	for _, dim := range []int{1, 2, 37, 512} {
+		for _, n := range []int{1, 3, 4, 5, 8, 15, 16, 17, 20, 31, 90} {
+			q, w := make(Vector, dim), make(Vector, dim)
+			lo, hi := make([]Vector, n), make([]Vector, n)
+			for i := range q {
+				q[i] = rng.NormFloat64()
+				w[i] = []float64{0, 1, rng.Float64() * 4}[rng.Intn(3)]
+			}
+			for c := range lo {
+				lo[c], hi[c] = make(Vector, dim), make(Vector, dim)
+				for i := range q {
+					m, half := rng.NormFloat64(), rng.Float64()
+					lo[c][i], hi[c][i] = m-half, m+half
+					switch c % 4 {
+					case 1:
+						hi[c][i] = lo[c][i] // degenerate
+					case 2:
+						lo[c][i], hi[c][i] = hi[c][i], lo[c][i] // inverted
+					}
+				}
+			}
+			checkChildren(t, q, w, lo, hi)
+		}
+	}
+}
+
+// FuzzMinDistSqChildren drives the lane comparison from raw bit patterns: a
+// query, weights and 1–40 rectangles of 1–64 dimensions, every coordinate an
+// arbitrary float64.
+func FuzzMinDistSqChildren(f *testing.F) {
+	word := func(b []byte, i int) float64 {
+		var u uint64
+		for j := 0; j < 8; j++ {
+			u = u<<8 | uint64(b[(i*8+j)%len(b)])
+		}
+		return math.Float64frombits(u)
+	}
+	for _, s := range minDistSpecials {
+		b := make([]byte, 8*5)
+		for i, v := range []float64{s, 1, -s, s, 2} {
+			u := math.Float64bits(v)
+			for j := 0; j < 8; j++ {
+				b[i*8+j] = byte(u >> (56 - 8*j))
+			}
+		}
+		f.Add(b, uint8(5), uint8(1), true)
+		f.Add(b, uint8(17), uint8(3), false)
+	}
+	f.Add([]byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0x35, 0xc0, 0x08}, uint8(39), uint8(63), true)
+	f.Fuzz(func(t *testing.T, raw []byte, n, dim uint8, weighted bool) {
+		if len(raw) == 0 {
+			raw = []byte{0}
+		}
+		c, d := int(n)%40+1, int(dim)%64+1
+		q, w := make(Vector, d), make(Vector, d)
+		lo, hi := make([]Vector, c), make([]Vector, c)
+		k := 0
+		for i := range q {
+			q[i], w[i] = word(raw, k), word(raw, k+1)
+			k += 2
+		}
+		for r := range lo {
+			lo[r], hi[r] = make(Vector, d), make(Vector, d)
+			for i := range q {
+				lo[r][i], hi[r][i] = word(raw, k), word(raw, k+1)
+				k += 2
+			}
+		}
+		if !weighted {
+			w = nil
+		}
+		checkChildren(t, q, w, lo, hi)
+	})
+}
+
 func BenchmarkMinDistSq(b *testing.B) {
 	for _, dim := range []int{37, 512} {
 		rng := rand.New(rand.NewSource(1))
@@ -145,7 +300,33 @@ func BenchmarkMinDistSq(b *testing.B) {
 					s += fn.f(q, lo[i%rects], hi[i%rects])
 				}
 				_ = s
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dim), "ns/element")
 			})
 		}
+	}
+	// lanes bounds one node's children per call: 8 is the 50k tree's root,
+	// 90 its internal fan-out.
+	for _, shape := range []struct{ dim, children int }{{37, 8}, {37, 90}, {512, 16}} {
+		rng := rand.New(rand.NewSource(1))
+		dim, n := shape.dim, shape.children
+		q := make(Vector, dim)
+		lo, hi := make([]Vector, n), make([]Vector, n)
+		for i := range q {
+			q[i] = rng.NormFloat64()
+		}
+		for c := range lo {
+			lo[c], hi[c] = make(Vector, dim), make(Vector, dim)
+			for i := range q {
+				m, half := rng.NormFloat64(), rng.Float64()
+				lo[c][i], hi[c][i] = m-half, m+half
+			}
+		}
+		box, out := packChildren(lo, hi, dim), make([]float64, n)
+		b.Run(fmt.Sprintf("lanes/d=%d/children=%d", dim, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MinDistSqChildren(q, nil, box, n, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*dim), "ns/element")
+		})
 	}
 }

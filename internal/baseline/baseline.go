@@ -18,9 +18,6 @@
 package baseline
 
 import (
-	"math"
-	"sort"
-
 	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
@@ -86,107 +83,6 @@ func scanTopK(st *store.FeatureStore, k int, q, w vec.Vector) []int {
 		}
 	}
 	return sel.AppendIDs(nil)
-}
-
-// scanTopKQuant is the SQ8 two-phase variant of the unweighted scanTopK: a
-// quantized sweep of the codes table retains rerankFactor*k candidate rows,
-// the exact float kernel re-ranks them, and the rerank guarantee
-// (store.Quantized.Certifies) certifies the result equals scanTopK's before
-// returning it. When the guarantee fails the candidate set
-// widens, degenerating to an exact rerank of every row; unclean quantizers
-// and NaN queries route straight to scanTopK. Ties in exact distance at the
-// k boundary are the one caveat, as on the tree path: either equal-distance
-// row is a correct answer, and the selectors may differ on which they keep.
-func scanTopKQuant(st *store.FeatureStore, qz *store.Quantized, k int, q vec.Vector, rerankFactor int) []int {
-	n := st.Len()
-	if k <= 0 || n == 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	if qz == nil || !qz.Clean() || qz.Len() != n {
-		return scanTopK(st, k, q, nil)
-	}
-	qcodes, qErr := qz.EncodeQuery(q, nil)
-	if math.IsNaN(qErr) {
-		return scanTopK(st, k, q, nil)
-	}
-	m := k * rerankFactor
-	if rerankFactor <= 0 || m > n || m < k {
-		m = n
-	}
-	sel := vec.NewQuantTopK(m)
-	type cand struct {
-		dist float64
-		id   int
-	}
-	var cands []cand
-	var dists []int32
-	for {
-		sel.Reset(m)
-		if vec.HasAcceleratedUint8Batch() {
-			// Chunked batch sweep (see the tree-path variant in rstar): full
-			// and capped distances admit the same rows, so the retained set
-			// matches the per-row loop below exactly.
-			const chunk = 1024
-			dim := qz.Dim()
-			codes := qz.Codes()
-			if cap(dists) < chunk {
-				dists = make([]int32, chunk)
-			}
-			for base := 0; base < n; base += chunk {
-				end := base + chunk
-				if end > n {
-					end = n
-				}
-				d := dists[:end-base]
-				vec.Uint8SquaredDistsTo(qcodes, codes[base*dim:end*dim], d)
-				thr := sel.Threshold()
-				for i, dv := range d {
-					if dv < thr {
-						sel.Add(dv, base+i)
-						thr = sel.Threshold()
-					}
-				}
-			}
-		} else {
-			for id := 0; id < n; id++ {
-				sel.Add(vec.Uint8SquaredDistCapped(qcodes, qz.Row(id), sel.Threshold()), id)
-			}
-		}
-		threshold := sel.Threshold()
-		ids := sel.AppendIDs(nil)
-		cands = cands[:0]
-		for _, id := range ids {
-			cands = append(cands, cand{dist: math.Sqrt(vec.SqL2(q, st.At(id))), id: id})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].dist != cands[j].dist {
-				return cands[i].dist < cands[j].dist
-			}
-			return cands[i].id < cands[j].id
-		})
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		if m >= n {
-			break
-		}
-		if qz.Certifies(threshold, qErr, cands[len(cands)-1].dist) {
-			break
-		}
-		if m > n/2 {
-			m = n
-		} else {
-			m *= 2
-		}
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.id
-	}
-	return out
 }
 
 // gatherPoints maps ids to their store row views, dropping out-of-range ids.

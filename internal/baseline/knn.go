@@ -13,10 +13,8 @@ import (
 // It is the k-NN model in its purest form — the technique whose single-
 // neighborhood confinement motivates the whole paper (§1.1).
 type PlainKNN struct {
-	st     *store.FeatureStore
-	query  vec.Vector
-	quant  *store.Quantized // non-nil switches Search to the SQ8 two-phase scan
-	rerank int
+	st    *store.FeatureStore
+	query vec.Vector
 }
 
 // NewPlainKNN builds the baseline over the corpus feature store with the
@@ -25,39 +23,11 @@ func NewPlainKNN(st *store.FeatureStore, queryImage int) *PlainKNN {
 	return &PlainKNN{st: st, query: st.At(queryImage).Clone()}
 }
 
-// DefaultRerankFactor is the candidate multiplier EnableQuantized uses when a
-// caller passes rerankFactor <= 0: the quantized sweep retains
-// DefaultRerankFactor*k rows for exact reranking. A flat scan has no tree to
-// bound its candidates with, so it is the one search that still has such a
-// multiplier; only tests enable it. See DESIGN.md §11.
-const DefaultRerankFactor = 4
-
-// EnableQuantized switches Search to the SQ8 two-phase scan: quantized sweep,
-// exact rerank of rerankFactor*k candidates (<= 0 uses
-// DefaultRerankFactor). A nil qz trains a quantizer over the store.
-// Results remain those of the exact scan — see scanTopKQuant.
-func (p *PlainKNN) EnableQuantized(qz *store.Quantized, rerankFactor int) error {
-	if qz == nil {
-		var err error
-		if qz, err = store.Quantize(p.st); err != nil {
-			return err
-		}
-	}
-	if rerankFactor <= 0 {
-		rerankFactor = DefaultRerankFactor
-	}
-	p.quant, p.rerank = qz, rerankFactor
-	return nil
-}
-
 // Name implements FeedbackRetriever.
 func (p *PlainKNN) Name() string { return "kNN" }
 
 // Search returns the top-k nearest images to the fixed query point.
 func (p *PlainKNN) Search(k int) []int {
-	if p.quant != nil {
-		return scanTopKQuant(p.st, p.quant, k, p.query, p.rerank)
-	}
 	return scanTopK(p.st, k, p.query, nil)
 }
 

@@ -17,7 +17,6 @@ package benchsuite
 
 import (
 	"fmt"
-	"math/rand"
 	"regexp"
 	"testing"
 	"time"
@@ -124,8 +123,6 @@ func suite(fix *fixture) []entry {
 		{"BenchmarkLeafScanKernel/f32", benchLeafScanF32(featureDim)},
 		{"BenchmarkLeafScanKernelEmbed/f64", benchLeafScanF64(embedDim)},
 		{"BenchmarkLeafScanKernelEmbed/f32", benchLeafScanF32(embedDim)},
-		{"BenchmarkQuantTopKDrain/m=200", benchQuantTopKDrain(200)},
-		{"BenchmarkQuantTopKDrain/m=8192", benchQuantTopKDrain(8192)},
 		{"BenchmarkScanTableFootprint/exact", benchScanTableExact},
 		{"BenchmarkScanTableFootprint/sq8", benchScanTableSQ8},
 		{"BenchmarkDynamicInsert", benchDynamicInsert},
@@ -260,32 +257,6 @@ func benchLeafScanSQ8(b *testing.B, _ *fixture) {
 	}
 }
 
-// benchQuantTopKDrain prices what the flat two-phase scan (package baseline)
-// does with its candidate selector once per query and once more per
-// widening: admit m candidates, then drain them in (code distance, id) order.
-// m = 200 is a first rerank at k = 50; m = 8192 is a selector widened to a
-// whole table.
-func benchQuantTopKDrain(m int) func(b *testing.B, _ *fixture) {
-	return func(b *testing.B, _ *fixture) {
-		rng := rand.New(rand.NewSource(5))
-		dists := make([]int32, m)
-		for i := range dists {
-			dists[i] = int32(rng.Intn(1 << 16))
-		}
-		sel := vec.NewQuantTopK(m)
-		ids := make([]int, 0, m)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sel.Reset(m)
-			for id, d := range dists {
-				sel.Add(d, id)
-			}
-			ids = sel.AppendIDs(ids[:0])
-		}
-	}
-}
-
 // benchScanTableExact materializes the float64 scan table each op; its B/op
 // is the per-table memory footprint of the exact path.
 func benchScanTableExact(b *testing.B, _ *fixture) {
@@ -378,8 +349,6 @@ var fixtureFree = map[string]bool{
 	"BenchmarkPerfettoExport":           true,
 	"BenchmarkLeafScanKernel/exact":     true,
 	"BenchmarkLeafScanKernel/sq8":       true,
-	"BenchmarkQuantTopKDrain/m=200":     true,
-	"BenchmarkQuantTopKDrain/m=8192":    true,
 	"BenchmarkLeafScanKernel/f32":       true,
 	"BenchmarkLeafScanKernelEmbed/f64":  true,
 	"BenchmarkLeafScanKernelEmbed/f32":  true,

@@ -60,9 +60,10 @@ type Config struct {
 	// NewEngine trains the tree's quantizer if none is installed yet.
 	// Weighted searches (§6 feature importance) always use the exact path.
 	Quantized bool
-	// Float32 routes unweighted localized k-NN searches through the float32
-	// sweep (rstar.Scan, rstar/f32.go): half-width rows, double the SIMD
-	// lanes. Unlike Quantized this is a distinct PRECISION, not an
+	// Float32 scores the leaves of unweighted localized k-NN searches with
+	// the float32 kernel over the tree's float32 mirror (rstar.Scan,
+	// rstar/f32.go): half-width rows, double the SIMD lanes, and the same
+	// best-first descent as every other mode. Unlike Quantized this is a distinct PRECISION, not an
 	// optimization of the float64 path — distances are computed in float32
 	// and may rank close neighbours differently — so it takes precedence
 	// over Quantized (withDefaults clears that flag) rather than compose

@@ -82,11 +82,6 @@ func (c *Corpus) adoptStores() {
 // the raw vectors in vector mode), indexed by image ID.
 func (c *Corpus) Store() *store.FeatureStore { return c.store }
 
-// ChannelStore returns the flat feature store of one MV channel, or nil if
-// the corpus was built without channels. The original channel returns the
-// main store.
-func (c *Corpus) ChannelStore(ch img.Channel) *store.FeatureStore { return c.channelStores[ch] }
-
 // ChannelStores returns the per-channel store table (nil without channels).
 // The map must not be modified.
 func (c *Corpus) ChannelStores() map[img.Channel]*store.FeatureStore { return c.channelStores }

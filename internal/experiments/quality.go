@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"qdcbir/internal/baseline"
@@ -215,11 +214,4 @@ func (r *QualityReport) WriteTable2(w io.Writer) {
 	fmt.Fprintln(w, strings.Repeat("-", 48))
 	fmt.Fprintln(w, "(paper: round 1 MV 0.10/0.51, QD n/a/0.695; round 2 MV 0.30/0.56, QD n/a/0.907;")
 	fmt.Fprintln(w, "        round 3 MV 0.32/0.56, QD 0.70/1.00)")
-}
-
-// SortedByName orders the per-query rows alphabetically (stable reporting).
-func (r *QualityReport) SortedByName() []QueryQuality {
-	out := append([]QueryQuality(nil), r.PerQry...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Query < out[j].Query })
-	return out
 }

@@ -340,16 +340,11 @@ func (s *Structure) clusterSelect(pool []rstar.ItemID, k int, rng *rand.Rand) []
 // Tree exposes the underlying R*-tree.
 func (s *Structure) Tree() *rstar.Tree { return s.tree }
 
-// EnableQuantizedScan trains and installs the SQ8 quantized-scan path on the
-// structure's tree (see rstar.SetQuantizedScoring). Like structure
-// construction, it requires exclusion against concurrent searches.
-func (s *Structure) EnableQuantizedScan() error { return s.tree.SetQuantizedScoring(true) }
-
 // AdoptQuantized installs a persisted store-ordered quantizer on the tree
 // (archive restores use this to skip retraining; see rstar.AdoptQuantized).
 func (s *Structure) AdoptQuantized(q *store.Quantized) error { return s.tree.AdoptQuantized(q) }
 
-// EnableFloat32Scan activates the tree's float32 sweep path (see
+// EnableFloat32Scan activates the tree's float32 leaf scorer (see
 // rstar.SetFloat32Scoring): the leaf slab narrows to a float32 mirror once,
 // and unweighted searches asking for rstar.Scan.Float32 run at float32
 // precision.

@@ -17,18 +17,10 @@ import (
 // backing array — halving what the old Snapshot wrote, which stored every
 // point twice (once in Points, once inside the tree's leaf items).
 
-// BuildStore constructs the RFS structure over a feature store. Image IDs
-// are the store rows. The structure's point table aliases the store's
-// backing array; the tree copies the values into its own leaf-block slab.
-func BuildStore(st *store.FeatureStore, cfg BuildConfig) *Structure {
-	s, err := BuildStoreCtx(context.Background(), st, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("rfs: build: %v", err)) // unreachable: ctx never cancels
-	}
-	return s
-}
-
-// BuildStoreCtx is BuildStore with cancellation, mirroring BuildCtx.
+// BuildStoreCtx constructs the RFS structure over a feature store, with
+// cancellation as BuildCtx. Image IDs are the store rows. The structure's
+// point table aliases the store's backing array; the tree copies the values
+// into its own leaf-block slab.
 func BuildStoreCtx(ctx context.Context, st *store.FeatureStore, cfg BuildConfig) (*Structure, error) {
 	return BuildCtx(ctx, st.Views(), cfg)
 }

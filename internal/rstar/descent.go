@@ -9,7 +9,11 @@ package rstar
 // diagonal-weighted form, or the SQ8 row filter, which scores a row exactly
 // only if its code distance cannot prove it lies outside the radius. No
 // scorer changes which rows the selector ends up holding, so every mode opens
-// the same nodes in the same order and returns the same bits.
+// the same nodes in the same order and returns the same bits. The float32
+// scorer (f32.go) is the one scorer with answers of its own: it ranks the
+// leaf's float32 mirror rows by the float32 kernel's values. Nodes still pop
+// in the float64 descent's order; the descent stops at its float32 radius
+// widened by the narrowing errors.
 //
 // It is written for M queries over the same subtree: each runs its own
 // descent as a coroutine — private queue, selector, accounter and effort
@@ -29,14 +33,19 @@ import (
 )
 
 // metric is how a descent measures: plain squared L2, the diagonal-weighted
-// form when weights is set, or — when quant is set — plain squared L2 behind
-// the SQ8 row filter. Its methods are all the descent knows about distances,
-// so another precision is another leaf scorer, not another descent. The block
+// form when weights is set, plain squared L2 behind the SQ8 row filter when
+// quant is set, or the float32 kernel over the tree's float32 mirror when
+// fslab is set. Its methods are all the descent knows about distances, so
+// another precision is another leaf scorer, not another descent. The block
 // kernels preserve the scalar accumulation order, so block and item agree bit
-// for bit.
+// for bit. Nodes are keyed by the float64 MINDIST in every mode.
 type metric struct {
 	weights vec.Vector
 	quant   *store.Quantized
+	// fslab is the float32 mirror of the slab, and rowErr its largest finite
+	// row narrowing error (see f32.go).
+	fslab  []float32
+	rowErr float64
 }
 
 // bound returns the metric's MINDIST from q to r.
@@ -217,11 +226,16 @@ func (s *selector) drain() []Neighbor {
 type descent struct {
 	pq  nodePQ
 	sel selector
-	// The SQ8 filter's per-query state: the query's code row (nil when the
-	// descent scores every row exactly), its measured decode error, and the
+	// stopSq is the key beyond which the descent ends: the selector's
+	// radius, or under the float32 scorer that radius widened by stop32.
+	stopSq float64
+	// The lossy scorers' per-query state: the query's SQ8 code row (nil when
+	// the descent scores every row exactly) or its float32 narrowing (nil
+	// unless the metric is float32), the measured error of that form, and the
 	// selector's radius carried into code space — rows whose code distance
 	// exceeds it are provably outside the radius.
 	code      []uint8
+	q32       []float32
 	qErr      float64
 	codeLimit int32
 
@@ -240,7 +254,26 @@ func (d *descent) takeBlock(distSq []float64) {
 		if sq > d.sel.radiusSq {
 			continue
 		}
-		d.sel.offer(sq, items[i])
+		if d.sel.offer(sq, items[i]) {
+			d.stopSq = d.sel.radiusSq
+		}
+	}
+	d.pending = nil
+}
+
+// takeBlock32 is takeBlock for the float32 scorer: the leaf's float32 kernel
+// values are offered widened, which keeps their order, and a NaN value is
+// never taken. Each radius change moves the stop key with it.
+func (d *descent) takeBlock32(m metric, dim int, distSq []float32) {
+	items := d.pending.items
+	d.items += uint64(len(items))
+	for i, sq := range distSq {
+		if !(float64(sq) <= d.sel.radiusSq) {
+			continue
+		}
+		if d.sel.offer(float64(sq), items[i]) {
+			d.stopSq = m.stop32(d.sel.radiusSq, d.qErr, dim)
+		}
 	}
 	d.pending = nil
 }
@@ -289,6 +322,7 @@ func (d *descent) takeCodes(qz *store.Quantized, q vec.Vector, raw []int32) {
 				continue
 			}
 			if d.sel.offer(sq[j], items[r]) {
+				d.stopSq = d.sel.radiusSq
 				d.codeLimit = qz.CodeRadius(math.Sqrt(d.sel.radiusSq), d.qErr)
 			}
 		}
@@ -309,6 +343,9 @@ type descentScratch struct {
 	cbuf    []uint8   // a group's code rows, packed for the multi kernel
 	raw     []int32   // code kernel output
 	bounds  []float64 // an opened node's children's MINDISTs
+	q32s    []float32 // every query's float32 narrowing
+	q32buf  []float32 // a group's narrowed queries, packed for the multi kernel
+	dists32 []float32 // float32 kernel output
 }
 
 var descentPool = sync.Pool{New: func() interface{} { return new(descentScratch) }}
@@ -329,7 +366,7 @@ func (t *Tree) advance(ctx context.Context, sc *descentScratch, m metric, q *Que
 		}
 		e := d.pq.pop()
 		d.pops++
-		if e.distSq > d.sel.radiusSq {
+		if e.distSq > d.stopSq {
 			break
 		}
 		acc.Access(e.node.id)
@@ -355,7 +392,9 @@ func (t *Tree) advance(ctx context.Context, sc *descentScratch, m metric, q *Que
 		}
 		d.items += uint64(len(e.node.items))
 		for _, it := range e.node.items {
-			d.sel.offer(m.item(q.Q, it.Point), it)
+			if d.sel.offer(m.item(q.Q, it.Point), it) {
+				d.stopSq = d.sel.radiusSq
+			}
 		}
 	}
 	d.done = true
@@ -371,12 +410,19 @@ func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error
 	if m.quant != nil {
 		sc.qcodes = grown(sc.qcodes, len(qs)*t.dim)
 	}
+	if m.fslab != nil {
+		sc.q32s = grown(sc.q32s, len(qs)*t.dim)
+	}
 	for j := range qs {
 		d := &ds[j]
-		*d = descent{pq: d.pq[:0], sel: selector{k: qs[j].K, h: d.sel.h[:0], radiusSq: math.Inf(1)}}
+		*d = descent{pq: d.pq[:0], sel: selector{k: qs[j].K, h: d.sel.h[:0], radiusSq: math.Inf(1)}, stopSq: math.Inf(1)}
 		if qs[j].K <= 0 {
 			d.done = true
 			continue
+		}
+		if m.fslab != nil {
+			d.q32 = vec.Narrow32(qs[j].Q, sc.q32s[j*t.dim:(j+1)*t.dim:(j+1)*t.dim])
+			d.qErr = narrowErr(qs[j].Q, d.q32)
 		}
 		if m.quant != nil {
 			// A NaN query defeats the bracket (its decode error is NaN): it
@@ -421,9 +467,12 @@ func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error
 				}
 			}
 			sc.group = group
-			if coded {
+			switch {
+			case m.fslab != nil:
+				t.scoreLeaf32(sc, m, leaf, ds, group)
+			case coded:
 				t.filterLeaf(sc, m.quant, leaf, qs, ds, group)
-			} else {
+			default:
 				t.scoreLeaf(sc, m, leaf, qs, ds, group)
 			}
 		}
@@ -495,5 +544,28 @@ func (t *Tree) filterLeaf(sc *descentScratch, qz *store.Quantized, leaf *Node, q
 	}
 	for gi, j := range group {
 		ds[j].takeCodes(qz, qs[j].Q, sc.raw[gi*rows:(gi+1)*rows])
+	}
+}
+
+// scoreLeaf32 is scoreLeaf for the float32 scorer: the leaf's rows of the
+// float32 mirror are scored against every visitor's narrowed query, in one
+// pass through the multi-query kernel when there are several.
+func (t *Tree) scoreLeaf32(sc *descentScratch, m metric, leaf *Node, ds []descent, group []int) {
+	rows := len(leaf.items)
+	g := len(group)
+	dim := t.dim
+	block := m.fslab[leaf.qlo*dim : leaf.qhi*dim]
+	sc.dists32 = grown(sc.dists32, g*rows)
+	if g == 1 {
+		vec.SquaredDistsTo32(ds[group[0]].q32, block, sc.dists32)
+	} else {
+		sc.q32buf = grown(sc.q32buf, g*dim)
+		for gi, j := range group {
+			copy(sc.q32buf[gi*dim:(gi+1)*dim], ds[j].q32)
+		}
+		vec.SquaredDistsToMulti32(sc.q32buf, g, block, sc.dists32)
+	}
+	for gi, j := range group {
+		ds[j].takeBlock32(m, dim, sc.dists32[gi*rows:(gi+1)*rows])
 	}
 }

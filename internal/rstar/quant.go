@@ -29,25 +29,22 @@ import (
 	"qdcbir/internal/store"
 )
 
-// setQuantRanges assigns every node's slab row range [qlo, qhi) and builds
-// the slab-ordered item ID table. Leaves are walked in the same depth-first
-// order packBlocks used, so row r of the slab belongs to item qids[r].
-// Requires blocksOK.
-func (t *Tree) setQuantRanges() {
-	t.qids = make([]ItemID, 0, t.size)
+// setRowRanges assigns every node's slab row range [qlo, qhi). Leaves are
+// walked in the same depth-first order packBlocks used, so a leaf's rows are
+// its items in order. Requires blocksOK.
+func (t *Tree) setRowRanges() {
+	row := 0
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		n.qlo = len(t.qids)
+		n.qlo = row
 		if n.leaf {
-			for _, it := range n.items {
-				t.qids = append(t.qids, it.ID)
-			}
+			row += len(n.items)
 		} else {
 			for _, c := range n.children {
 				walk(c)
 			}
 		}
-		n.qhi = len(t.qids)
+		n.qhi = row
 	}
 	walk(t.root)
 }
@@ -75,7 +72,7 @@ func (t *Tree) SetQuantizedScoring(enabled bool) error {
 	if err != nil {
 		return err
 	}
-	t.setQuantRanges()
+	t.setRowRanges()
 	t.qcodes = qz.Codes()
 	t.quant = qz
 	t.quantOK = true
@@ -101,9 +98,11 @@ func (t *Tree) AdoptQuantized(qz *store.Quantized) error {
 	if !t.blocksOK {
 		t.packBlocks()
 	}
-	t.setQuantRanges()
+	t.setRowRanges()
 	codes := make([]uint8, t.size*t.dim)
-	for row, id := range t.qids {
+	// itemsInSubtree lists the items in depth-first leaf order: slab order.
+	for row, it := range itemsInSubtree(t.root, nil) {
+		id := it.ID
 		if int(id) < 0 || int(id) >= qz.Len() {
 			t.invalidateQuantized()
 			return fmt.Errorf("rstar: item %d outside quantizer rows [0, %d)", id, qz.Len())
@@ -120,20 +119,9 @@ func (t *Tree) AdoptQuantized(qz *store.Quantized) error {
 func (t *Tree) QuantizedScoring() bool { return t.quantOK }
 
 // invalidateQuantized drops the SQ8 state. Node qlo/qhi values go
-// stale rather than being rewalked; quantOK guards every use of them. The
-// slab-ordered ID table is shared with the float32 scan path, so it survives
-// while that path still holds it.
+// stale rather than being rewalked; quantOK guards every use of them.
 func (t *Tree) invalidateQuantized() {
 	t.quantOK = false
 	t.qcodes = nil
 	t.quant = nil
-	t.dropRangesIfUnused()
-}
-
-// dropRangesIfUnused releases the slab-ordered ID table once neither mode
-// that walks slab rows (quantized or float32) needs it.
-func (t *Tree) dropRangesIfUnused() {
-	if !t.quantOK && !t.f32OK {
-		t.qids = nil
-	}
 }

@@ -23,13 +23,13 @@ type Neighbor struct {
 // SearchStats accumulates the effort counters of one or more k-NN searches:
 // priority-queue pops, tree nodes expanded, and item distance computations.
 // Effort is added outside the hot loops — the descent folds its local
-// counters in when it completes, the float32 sweep adds per scan — so passing
-// stats costs nothing inside them; a nil *SearchStats disables accumulation
-// entirely. A SearchStats must not be shared by concurrent searches.
+// counters in when it completes — so passing stats costs nothing inside
+// them; a nil *SearchStats disables accumulation entirely. A SearchStats must
+// not be shared by concurrent searches.
 type SearchStats struct {
 	HeapPops    uint64 // best-first queue pops: nodes, in every mode (the queue holds nothing else)
-	NodesRead   uint64 // tree nodes expanded (== accounter accesses)
-	ItemsScored uint64 // exact item distances computed
+	NodesRead   uint64 // tree nodes expanded (== accounter accesses), in every mode
+	ItemsScored uint64 // item distances computed: float64, or float32 under the float32 scorer
 
 	// SQ8 row-filter effort (zero on exact searches): the code rows of the
 	// leaves a search popped, and how many of them the filter could not
@@ -61,10 +61,12 @@ type Scan struct {
 	// baseline re-weights dimensions each round), always on the float64
 	// descent. Weights must be non-negative for its MINDIST bound to hold.
 	Weights vec.Vector
-	// Float32 asks for the float32 slab sweep (f32.go), a distinct result
-	// mode; Quantized for the SQ8 row filter in front of the descent's leaf
-	// scoring (quant.go), whose results are bit-identical to the exact
-	// descent's.
+	// Float32 asks for the float32 leaf scorer (f32.go), a distinct result
+	// mode: the k smallest (float32 kernel value, ItemID) among the rows
+	// whose value is not NaN. Quantized asks for the SQ8 row filter in front
+	// of the descent's leaf scoring (quant.go), whose results are
+	// bit-identical to the exact descent's. Either way the search is the one
+	// best-first descent.
 	Float32   bool
 	Quantized bool
 }
@@ -117,8 +119,8 @@ func (t *Tree) KNNOne(ctx context.Context, n *Node, scan Scan, q vec.Vector, k i
 // KNNSearch is the tree's one k-NN search: it answers every query in qs over
 // the subtree rooted at n, scoring rows as scan asks, and stores each answer
 // in its Query's Result. Running queries together only shares work — a leaf
-// block or a chunk of slab rows wanted by several of them is loaded once and
-// scored through the multi-query kernels, which are bit-identical per query
+// wanted by several of them is loaded once and scored through the
+// multi-query kernels, which are bit-identical per query
 // to the single-query kernels — so each query's Result, Stats deltas and Acc
 // trace are exactly what it would get searching alone: callers batch or not
 // on load, never on semantics.
@@ -139,7 +141,7 @@ func (t *Tree) KNNSearch(ctx context.Context, n *Node, scan Scan, qs []Query) er
 		m.weights = scan.Weights
 	case scan.Float32:
 		if t.f32OK {
-			return t.sweepF32(ctx, n, qs)
+			m.fslab, m.rowErr = t.fslab, t.f32Err
 		}
 	case scan.Quantized:
 		if t.quantOK && t.quant.Clean() {

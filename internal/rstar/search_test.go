@@ -168,6 +168,7 @@ func (d *descent) takeCodesSequential(qz *store.Quantized, q vec.Vector, raw []i
 			continue
 		}
 		if d.sel.offer(sq, items[i]) {
+			d.stopSq = d.sel.radiusSq
 			d.codeLimit = qz.CodeRadius(math.Sqrt(d.sel.radiusSq), d.qErr)
 		}
 	}
@@ -182,7 +183,7 @@ func checkSequentialRerank(t *testing.T, label string, tr *Tree, n *Node, q vec.
 	t.Helper()
 	m := metric{quant: tr.quant}
 	code, qErr := tr.quant.EncodeQuery(q, make([]uint8, tr.dim))
-	d := descent{sel: selector{k: k, radiusSq: math.Inf(1)}, code: code, qErr: qErr, codeLimit: math.MaxInt32}
+	d := descent{sel: selector{k: k, radiusSq: math.Inf(1)}, stopSq: math.Inf(1), code: code, qErr: qErr, codeLimit: math.MaxInt32}
 	d.pq.push(nodeEntry{distSq: m.bound(n.rect, q), node: n})
 	sc := new(descentScratch)
 	query := Query{Q: q, K: k}
@@ -412,9 +413,9 @@ func TestKNNSearchCompletedReturnsNil(t *testing.T) {
 }
 
 // TestKNNSearchAllocs pins the single-query search to its allocation budget
-// on a packed paper-shaped tree (5,000 × 37-d, k = 10): the result slice,
-// plus sort.Slice's three in the float32 sweep. Everything else is pooled, so
-// an edit that puts M = 1 on an unpooled path fails here.
+// on a packed paper-shaped tree (5,000 × 37-d, k = 10): the result slice, in
+// every scan mode. Everything else is pooled, so an edit that puts M = 1 on
+// an unpooled path fails here.
 func TestKNNSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -439,7 +440,7 @@ func TestKNNSearchAllocs(t *testing.T) {
 		{"f64", Scan{}, 1},
 		{"weighted", Scan{Weights: weights}, 1},
 		{"sq8", Scan{Quantized: true}, 1},
-		{"f32", Scan{Float32: true}, 4},
+		{"f32", Scan{Float32: true}, 1},
 	} {
 		i := 0
 		got := testing.AllocsPerRun(200, func() {
@@ -659,5 +660,83 @@ func TestSQ8DescentReadsWhatExactReads(t *testing.T) {
 	}
 	if scored >= scanned {
 		t.Errorf("the filter excluded nothing: %d rows scored of %d scanned", scored, scanned)
+	}
+}
+
+// TestF32DescentReadsWhatExactReads: the float32 scorer changes how a popped
+// leaf's rows are scored, and its stop key lies above the float64 radius by
+// the narrowing errors alone. Per query of a paper-shaped table — 37-d,
+// clustered, float64 and float32-native corpora, the whole tree and one of
+// its subtrees, k = 1, 10 and 50 — it opens the float64 descent's nodes in
+// the float64 descent's order, scores the rows of exactly the leaves it
+// popped, and answers what the brute-force float32 ranking answers.
+func TestF32DescentReadsWhatExactReads(t *testing.T) {
+	const n, dim, searches = 6000, 37, 150
+	for _, native := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(131))
+		pts := make([]vec.Vector, n)
+		for i := range pts { // clustered, so the tree has something to prune
+			c := float64(i % 40)
+			pts[i] = make(vec.Vector, dim)
+			for j := range pts[i] {
+				pts[i][j] = c*float64(1+j%3) + rng.NormFloat64()
+				if native {
+					pts[i][j] = float64(float32(pts[i][j]))
+				}
+			}
+		}
+		tr := BulkLoad(dim, Config{}, bulkItems(pts), 85)
+		tr.SetFloat32Scoring(true)
+		if native != (tr.f32Err == 0) {
+			t.Fatalf("native=%v: the mirror's row error is %g", native, tr.f32Err)
+		}
+		leafRows := map[disk.PageID]uint64{}
+		tr.Walk(func(nd *Node, _ int) {
+			if nd.IsLeaf() {
+				leafRows[nd.ID()] = uint64(nd.Len())
+			}
+		})
+		var nodes, scored uint64
+		for qi, q := range batchQueries(rng, pts, searches, dim, 40) {
+			for _, sub := range []*Node{tr.Root(), tr.Root().Children()[qi%len(tr.Root().Children())]} {
+				k := []int{1, 10, 50}[qi%3]
+				label := fmt.Sprintf("native=%v/q%d/k=%d/node=%d", native, qi, k, sub.ID())
+				var exactRec, f32Rec disk.Recorder
+				var exactSt, f32St SearchStats
+				if _, err := tr.KNNOne(context.Background(), sub, Scan{}, q, k, &exactRec, &exactSt); err != nil {
+					t.Fatal(err)
+				}
+				got, err := tr.KNNOne(context.Background(), sub, Scan{Float32: true}, q, k, &f32Rec, &f32St)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTrace(t, label, &f32Rec, &exactRec)
+				if f32St.NodesRead != exactSt.NodesRead || f32St.HeapPops != exactSt.HeapPops {
+					t.Fatalf("%s: float32 read %d nodes in %d pops, float64 %d in %d",
+						label, f32St.NodesRead, f32St.HeapPops, exactSt.NodesRead, exactSt.HeapPops)
+				}
+				var popped uint64
+				for _, p := range f32Rec.Trace() {
+					popped += leafRows[p]
+				}
+				if f32St.ItemsScored != popped || f32St.CodesScanned != 0 {
+					t.Fatalf("%s: scored %d rows (%d codes), the leaves popped hold %d",
+						label, f32St.ItemsScored, f32St.CodesScanned, popped)
+				}
+				if qi%5 == 0 {
+					sameNeighbors(t, label+"/brute-force", got, f32Reference(tr, sub, q, k))
+				}
+				if sub == tr.Root() {
+					nodes += f32St.NodesRead
+					scored += f32St.ItemsScored
+				}
+			}
+		}
+		t.Logf("native=%v: per whole-tree float32 search over %d rows in %d nodes: %.1f nodes read, %.0f rows scored",
+			native, n, tr.NodeCount(), float64(nodes)/searches, float64(scored)/searches)
+		if scored/searches > n/5 {
+			t.Errorf("native=%v: a float32 search scores %d rows on average, more than a fifth of the %d-row corpus",
+				native, scored/searches, n)
+		}
 	}
 }

@@ -42,9 +42,8 @@ type Node struct {
 	box []float64
 	// qlo and qhi delimit the subtree's slab rows [qlo, qhi): leaves are
 	// packed in depth-first order, so every subtree owns one contiguous row
-	// range — a leaf's SQ8 code rows, or the float32 mirror rows a subtree
-	// sweep covers. Valid only while Tree.quantOK or Tree.f32OK holds (set by
-	// setQuantRanges).
+	// range — a leaf's SQ8 code rows or float32 mirror rows. Valid only while
+	// Tree.quantOK or Tree.f32OK holds (set by setRowRanges).
 	qlo, qhi int
 }
 
@@ -147,19 +146,18 @@ type Tree struct {
 	slab []float64
 
 	// SQ8 row-filter state (see quant.go): the SQ8 codes mirroring slab
-	// row-for-row, the slab-ordered item IDs, and the trained quantizer.
-	// Valid while quantOK holds; any structural mutation clears all of it.
+	// row-for-row and the trained quantizer. Valid while quantOK holds; any
+	// structural mutation clears all of it.
 	quantOK bool
 	qcodes  []uint8
-	qids    []ItemID
 	quant   *store.Quantized
 
-	// Float32-scan state (see f32.go): the float32 mirror of the slab,
-	// narrowed once at enable time. It shares qids and the node qlo/qhi
-	// ranges with the quantized path (either flag keeps them alive); valid
-	// while f32OK holds, cleared by any structural mutation.
-	f32OK bool
-	fslab []float32
+	// Float32 scorer state (see f32.go): the float32 mirror of the slab,
+	// narrowed once at enable time, and its largest finite row narrowing
+	// error. Valid while f32OK holds, cleared by any structural mutation.
+	f32OK  bool
+	fslab  []float32
+	f32Err float64
 }
 
 // New returns an empty tree for points of the given dimensionality.

@@ -19,7 +19,7 @@ type Neighbor = shard.Neighbor
 // KNNCtx returns the k nearest live images to q across the whole snapshot:
 // every sealed segment (searched through its tree's one k-NN search in the
 // configured mode — the float64 descent, the same descent behind the SQ8
-// row filter, or the f32 sweep) plus the memtable (always an exact scan),
+// row filter, or with the float32 leaf scorer) plus the memtable (always an exact scan),
 // merged by (distance, global ID).
 //
 // Bit-exactness: each per-segment list carries distances identical to what

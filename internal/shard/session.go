@@ -80,9 +80,6 @@ func (s *Session) Rounds() int { return s.rounds }
 // distributed finalize.
 func (s *Session) Finalized() bool { return s.finalized }
 
-// MarkFinalized closes the session after a router-run finalize.
-func (s *Session) MarkFinalized() { s.finalized = true }
-
 // Candidates draws up to displayCount representatives across the frontier,
 // transcribing core.Session.Candidates: proportional pool shares
 // (math.Round, minimum one, remainder to the last pool) and a shuffled

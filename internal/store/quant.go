@@ -34,9 +34,8 @@ import (
 // A query is encoded at search time and its exact decode error
 // ||q - decode(codes(q))|| is measured directly (EncodeQuery). The triangle
 // inequality then bounds how far a code distance can sit from the true
-// distance (LowerDist), which is what lets the R*-tree descent skip leaf rows
-// unscored (CodeRadius) and a flat two-phase scan prove its candidate set
-// already contains the exact top-k (Certifies). Corpora containing NaN or
+// distance (LowerDist), which is what lets the R*-tree descent and the shard
+// legs skip rows unscored (CodeRadius). Corpora containing NaN or
 // ±Inf components set clean=false and DBErr=+Inf: every search over them
 // falls back to the exact path rather than trust the bound.
 
@@ -250,8 +249,8 @@ func (q *Quantized) DecodedDist(raw int32) float64 {
 
 // certMargin is the relative margin the exactness comparisons below apply, so
 // float rounding in the sqrt/delta arithmetic (and in encode's rounding at a
-// half-step boundary) can never prune or certify what the real-number
-// inequality would not.
+// half-step boundary) can never prune what the real-number inequality would
+// not.
 const certMargin = 1e-9
 
 // LowerDist is the SQ8 bracket every exact search over q's codes rests on.
@@ -328,20 +327,6 @@ func (q *Quantized) kernelCodeRadius(kth, qErr float64, h int, u, eta float64) i
 	gamma := float64(h+3) * u
 	reach := (kth + float64(q.dim)*eta) * (1 + 2*gamma)
 	return q.CodeRadius(math.Sqrt(reach), qErr)
-}
-
-// Certifies is the exactness certificate of a flat two-phase search over q's
-// codes (package baseline's; the R*-tree filters leaf rows with CodeRadius
-// instead and has nothing to certify). A search that scanned the code rows
-// with a bounded selector whose admission threshold only decreases, ending at
-// threshold, excluded only rows with code distance >= threshold, whose true
-// distance is therefore at least LowerDist(threshold, qErr). Certifies
-// reports whether kthDist — the k-th smallest exact distance among the
-// retained rows — is below that, so that no excluded row can enter the top-k
-// and the reranked candidates ARE the exact answer. A false return proves
-// nothing; the caller widens its candidate set and tries again.
-func (q *Quantized) Certifies(threshold int32, qErr, kthDist float64) bool {
-	return kthDist*(1+certMargin) < q.LowerDist(threshold, qErr)*(1-certMargin)
 }
 
 // QuantParts is the serializable form of a Quantized: exactly the trained

@@ -1,9 +1,6 @@
 package vec
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file holds the float32 distance kernels behind the selectable-
 // precision scan path (store.Float32 precision). Unlike the float64 kernels,
@@ -121,193 +118,6 @@ func float32SquaredDistsToGeneric(q []float32, block []float32, out []float32) {
 	for r := range out {
 		out[r] = sqDist32Row(q, block[r*dim:r*dim+dim:r*dim+dim])
 	}
-}
-
-// SquaredDistCapped32 is SqL232 with partial-distance early exit: the scan
-// checks the running sum against limit after every 8-component lane block
-// (reducing the lanes in the canonical order each time) and returns the
-// partial reduction once it reaches limit. Lane accumulators are monotone
-// (non-negative terms) and float addition is monotone, so for any limit the
-// returned value r satisfies
-//
-//	r < limit  ⟺  SqL232(q, v) < limit
-//
-// and whenever r < limit it is bit-identical to SqL232(q, v) (no exit fired;
-// the final reduction is the one SqL232 performs). NaN components never
-// trigger the exit. Callers must use the result only for strict below-limit
-// decisions, or as the exact canonical-order distance when below limit — the
-// same contract as SquaredDistCapped.
-func SquaredDistCapped32(q, v []float32, limit float32) float32 {
-	if len(q) != len(v) {
-		panic(fmt.Sprintf("vec: dims %d != %d", len(q), len(v)))
-	}
-	var l0, l1, l2, l3, l4, l5, l6, l7 float32
-	var s float32
-	i := 0
-	for ; i+8 <= len(q); i += 8 {
-		d0 := q[i] - v[i]
-		d1 := q[i+1] - v[i+1]
-		d2 := q[i+2] - v[i+2]
-		d3 := q[i+3] - v[i+3]
-		d4 := q[i+4] - v[i+4]
-		d5 := q[i+5] - v[i+5]
-		d6 := q[i+6] - v[i+6]
-		d7 := q[i+7] - v[i+7]
-		l0 += float32(d0 * d0)
-		l1 += float32(d1 * d1)
-		l2 += float32(d2 * d2)
-		l3 += float32(d3 * d3)
-		l4 += float32(d4 * d4)
-		l5 += float32(d5 * d5)
-		l6 += float32(d6 * d6)
-		l7 += float32(d7 * d7)
-		s = reduce32(l0, l1, l2, l3, l4, l5, l6, l7)
-		if s >= limit {
-			return s
-		}
-	}
-	s = reduce32(l0, l1, l2, l3, l4, l5, l6, l7)
-	for ; i < len(q); i++ {
-		d := q[i] - v[i]
-		s += float32(d * d)
-		if s >= limit {
-			return s
-		}
-	}
-	return s
-}
-
-// top32Entry is one candidate in a TopK32 selection.
-type top32Entry struct {
-	dist float32
-	id   int
-}
-
-// Entry32 is one selected (distance, id) pair returned by TopK32.
-type Entry32 struct {
-	Dist float32
-	ID   int
-}
-
-// TopK32 selects the k smallest (dist, id) pairs from a stream of float32
-// candidates. It mirrors TopK's bounded max-heap with the same strict-<
-// admission rule, keyed on float32 distances, so Threshold() is the exact
-// limit to pass to SquaredDistCapped32 when scanning.
-type TopK32 struct {
-	k int
-	h []top32Entry
-}
-
-// NewTopK32 returns a selector for the k smallest candidates. k <= 0 selects
-// nothing.
-func NewTopK32(k int) *TopK32 {
-	if k < 0 {
-		k = 0
-	}
-	return &TopK32{k: k, h: make([]top32Entry, 0, k)}
-}
-
-// Reset empties the selector for reuse, keeping its buffer.
-func (t *TopK32) Reset(k int) {
-	if k < 0 {
-		k = 0
-	}
-	t.k = k
-	t.h = t.h[:0]
-}
-
-// Len returns the number of candidates currently retained.
-func (t *TopK32) Len() int { return len(t.h) }
-
-// Threshold returns the current admission bound: +Inf until k candidates are
-// retained, then the largest retained distance. A candidate is admitted iff
-// its distance is strictly below Threshold.
-func (t *TopK32) Threshold() float32 {
-	if len(t.h) < t.k {
-		return float32(math.Inf(1))
-	}
-	if t.k == 0 {
-		return float32(math.Inf(-1))
-	}
-	return t.h[0].dist
-}
-
-// Add offers one candidate. Distances compared against the threshold may be
-// capped partials (see SquaredDistCapped32): a rejected candidate's value is
-// never stored, and an admitted one was below the limit and therefore exact.
-func (t *TopK32) Add(dist float32, id int) {
-	if t.k == 0 {
-		return
-	}
-	if len(t.h) < t.k {
-		t.h = append(t.h, top32Entry{dist: dist, id: id})
-		h := t.h
-		j := len(h) - 1
-		for {
-			i := (j - 1) / 2
-			if i == j || !(h[j].dist > h[i].dist) {
-				break
-			}
-			h[i], h[j] = h[j], h[i]
-			j = i
-		}
-		return
-	}
-	if dist < t.h[0].dist {
-		t.h[0] = top32Entry{dist: dist, id: id}
-		h := t.h
-		n := len(h)
-		i := 0
-		for {
-			j1 := 2*i + 1
-			if j1 >= n {
-				break
-			}
-			j := j1
-			if j2 := j1 + 1; j2 < n && h[j2].dist > h[j1].dist {
-				j = j2
-			}
-			if !(h[j].dist > h[i].dist) {
-				break
-			}
-			h[i], h[j] = h[j], h[i]
-			i = j
-		}
-	}
-}
-
-// AppendEntries appends the retained candidates to dst in ascending
-// (dist, id) order and returns the extended slice. The selector is left in an
-// unspecified order; Reset before reuse.
-func (t *TopK32) AppendEntries(dst []Entry32) []Entry32 {
-	es := t.h
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && (es[j].dist < es[j-1].dist ||
-			(es[j].dist == es[j-1].dist && es[j].id < es[j-1].id)); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-	for _, e := range es {
-		dst = append(dst, Entry32{Dist: e.dist, ID: e.id})
-	}
-	return dst
-}
-
-// AppendIDs appends the retained candidate IDs to dst in ascending (dist, id)
-// order and returns the extended slice. The selector is left in an
-// unspecified order; Reset before reuse.
-func (t *TopK32) AppendIDs(dst []int) []int {
-	es := t.h
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && (es[j].dist < es[j-1].dist ||
-			(es[j].dist == es[j-1].dist && es[j].id < es[j-1].id)); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-	for _, e := range es {
-		dst = append(dst, e.id)
-	}
-	return dst
 }
 
 // Narrow32 converts a float64 backing array to float32, rounding each

@@ -3,7 +3,6 @@ package vec
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -92,96 +91,6 @@ func TestFloat32BatchVsGenericLarge(t *testing.T) {
 	}
 }
 
-// TestSquaredDistCapped32Contract: for any limit, (result < limit) must agree
-// with (full < limit), and a below-limit result must be bit-identical to
-// SqL232.
-func TestSquaredDistCapped32Contract(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 2000; trial++ {
-		dim := rng.Intn(40)
-		q, v := randFloats32(rng, dim), randFloats32(rng, dim)
-		full := SqL232(q, v)
-		var limit float32
-		switch trial % 4 {
-		case 0:
-			limit = full // boundary: equal is not below
-		case 1:
-			limit = math.Nextafter32(full, float32(math.Inf(1)))
-		case 2:
-			limit = full / 2
-		default:
-			limit = float32(rng.Float64()) * 200
-		}
-		r := SquaredDistCapped32(q, v, limit)
-		if (r < limit) != (full < limit) {
-			t.Fatalf("dim %d limit %g: capped %g, full %g — below-limit verdicts disagree",
-				dim, limit, r, full)
-		}
-		if r < limit && math.Float32bits(r) != math.Float32bits(full) {
-			t.Fatalf("dim %d limit %g: admitted value %g != full %g", dim, limit, r, full)
-		}
-	}
-}
-
-// TestTopK32MatchesSort: the selector must retain exactly the k smallest
-// (dist, id) pairs and report them in ascending order.
-func TestTopK32MatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(200)
-		k := rng.Intn(20)
-		dists := make([]float32, n)
-		for i := range dists {
-			dists[i] = float32(rng.Intn(32)) // collisions on purpose
-		}
-		sel := NewTopK32(k)
-		for id, d := range dists {
-			if d < sel.Threshold() {
-				sel.Add(d, id)
-			}
-		}
-		got := sel.AppendEntries(nil)
-
-		type pair struct {
-			d  float32
-			id int
-		}
-		all := make([]pair, n)
-		for i, d := range dists {
-			all[i] = pair{d, i}
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].d != all[j].d {
-				return all[i].d < all[j].d
-			}
-			return all[i].id < all[j].id
-		})
-		want := k
-		if want > n {
-			want = n
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: selected %d, want %d", trial, len(got), want)
-		}
-		gotSet := make(map[int]float32, len(got))
-		for i, e := range got {
-			gotSet[e.ID] = e.Dist
-			if i > 0 && (got[i-1].Dist > e.Dist ||
-				(got[i-1].Dist == e.Dist && got[i-1].ID > e.ID)) {
-				t.Fatalf("trial %d: output not ascending at %d", trial, i)
-			}
-		}
-		// The retained multiset of distances must match the true k smallest;
-		// equal-distance boundary candidates may differ in identity (strict-<
-		// admission keeps the earliest), so compare distances, not ids.
-		for i := 0; i < want; i++ {
-			if got[i].Dist != all[i].d {
-				t.Fatalf("trial %d: rank %d dist %g, want %g", trial, i, got[i].Dist, all[i].d)
-			}
-		}
-	}
-}
-
 // TestNarrowWidenRoundTrip: widening is exact, and narrowing a widened
 // float32 backing restores it bit-for-bit — the property that lets an
 // f32-primary store keep a float64 shadow without losing its identity.
@@ -195,29 +104,4 @@ func TestNarrowWidenRoundTrip(t *testing.T) {
 			t.Fatalf("index %d: %#x -> %v -> %#x", i, math.Float32bits(src[i]), wide[i], math.Float32bits(back[i]))
 		}
 	}
-}
-
-// FuzzSquaredDistCapped32 fuzzes the capped contract against arbitrary
-// component bit patterns (including NaN/Inf).
-func FuzzSquaredDistCapped32(f *testing.F) {
-	f.Add(uint32(0x3f800000), uint32(0x40000000), uint32(0x41200000), uint8(9))
-	f.Add(uint32(0x7fc00000), uint32(0), uint32(0x7f800000), uint8(17)) // NaN, +Inf
-	f.Fuzz(func(t *testing.T, qa, va, lim uint32, dim uint8) {
-		n := int(dim % 33)
-		q := make([]float32, n)
-		v := make([]float32, n)
-		for i := 0; i < n; i++ {
-			q[i] = math.Float32frombits(qa + uint32(i)*0x9e3779b9)
-			v[i] = math.Float32frombits(va + uint32(i)*0x85ebca6b)
-		}
-		limit := math.Float32frombits(lim)
-		full := SqL232(q, v)
-		r := SquaredDistCapped32(q, v, limit)
-		if (r < limit) != (full < limit) {
-			t.Fatalf("verdicts disagree: capped %g full %g limit %g", r, full, limit)
-		}
-		if r < limit && math.Float32bits(r) != math.Float32bits(full) {
-			t.Fatalf("admitted %g != full %g", r, full)
-		}
-	})
 }

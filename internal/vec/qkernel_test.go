@@ -3,7 +3,6 @@ package vec
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -60,177 +59,6 @@ func TestUint8KernelMaxDistance(t *testing.T) {
 	want := int32(dim) * 255 * 255
 	if got := Uint8SquaredDist(q, v); got != want {
 		t.Fatalf("max distance %d, want %d", got, want)
-	}
-	if got := Uint8SquaredDistCapped(q, v, math.MaxInt32); got != want {
-		t.Fatalf("capped max distance %d, want %d", got, want)
-	}
-}
-
-// TestUint8SquaredDistCappedContract: for any limit, (result < limit) must
-// agree with (full distance < limit), and a below-limit result must equal the
-// full distance exactly — the same contract SquaredDistCapped documents.
-func TestUint8SquaredDistCappedContract(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 2000; trial++ {
-		dim := rng.Intn(40)
-		q, v := randCodes(rng, dim), randCodes(rng, dim)
-		full := naiveUint8SqDist(q, v)
-		var limit int32
-		switch trial % 4 {
-		case 0:
-			limit = full // boundary: equal is not below
-		case 1:
-			limit = full + 1
-		case 2:
-			limit = full / 2
-		default:
-			limit = int32(rng.Intn(65025*40 + 1))
-		}
-		r := Uint8SquaredDistCapped(q, v, limit)
-		if (r < limit) != (full < limit) {
-			t.Fatalf("dim %d limit %d: capped %d, full %d — below-limit verdicts disagree",
-				dim, limit, r, full)
-		}
-		if r < limit && r != full {
-			t.Fatalf("dim %d limit %d: admitted value %d != full %d", dim, limit, r, full)
-		}
-	}
-}
-
-// TestQuantTopKMatchesSort: the selector must retain the k smallest distance
-// VALUES (ties at the boundary may retain any of the equal candidates — the
-// rerank guarantee only needs every non-retained candidate to sit at or above
-// the final threshold), with AppendIDs in ascending (dist, id) order.
-func TestQuantTopKMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(200)
-		k := rng.Intn(20)
-		dists := make([]int32, n) // indexed by candidate id
-		sel := NewQuantTopK(k)
-		for i := range dists {
-			dists[i] = int32(rng.Intn(8)) // small range forces ties
-			if dists[i] >= sel.Threshold() {
-				continue // mimic the capped-kernel reject path
-			}
-			sel.Add(dists[i], i)
-		}
-		sorted := append([]int32(nil), dists...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		want := sorted
-		if len(want) > k {
-			want = want[:k]
-		}
-		got := sel.AppendIDs(nil)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d retained, want %d", trial, len(got), len(want))
-		}
-		threshold := sel.Threshold()
-		retained := make(map[int]bool, len(got))
-		for i, id := range got {
-			if dists[id] != want[i] {
-				t.Fatalf("trial %d pos %d: id %d has dist %d, want value %d",
-					trial, i, id, dists[id], want[i])
-			}
-			if i > 0 {
-				prev := got[i-1]
-				if dists[prev] > dists[id] || (dists[prev] == dists[id] && prev >= id) {
-					t.Fatalf("trial %d: AppendIDs order violated at pos %d", trial, i)
-				}
-			}
-			retained[id] = true
-		}
-		if len(got) == k {
-			for id, d := range dists {
-				if !retained[id] && d < threshold {
-					t.Fatalf("trial %d: excluded id %d has dist %d below threshold %d",
-						trial, id, d, threshold)
-				}
-			}
-		}
-	}
-}
-
-// TestQuantTopKThresholdMonotone: thresholds must never increase once the
-// selector is full — the property the rerank guarantee's excluded-point bound
-// depends on.
-// TestQuantTopKDrainMatchesReferenceSort pins AppendIDs at the sizes the
-// two-phase search drains: a first rerank's few hundred candidates and a
-// widened one's whole scanned range. Distances repeat heavily, so the id
-// tie-break decides most of the order.
-func TestQuantTopKDrainMatchesReferenceSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, m := range []int{1, 200, 8192} {
-		for _, n := range []int{m, 3 * m} { // everything retained; a third retained
-			type pair struct {
-				dist int32
-				id   int
-			}
-			all := make([]pair, n)
-			sel := NewQuantTopK(m)
-			for i := range all {
-				all[i] = pair{dist: int32(rng.Intn(64)), id: i}
-				if all[i].dist < sel.Threshold() {
-					sel.Add(all[i].dist, i)
-				}
-			}
-			sort.Slice(all, func(i, j int) bool {
-				if all[i].dist != all[j].dist {
-					return all[i].dist < all[j].dist
-				}
-				return all[i].id < all[j].id
-			})
-			got := sel.AppendIDs([]int{-1})
-			if len(got) != m+1 || got[0] != -1 {
-				t.Fatalf("m=%d n=%d: AppendIDs returned %d ids after the caller's one", m, n, len(got)-1)
-			}
-			// Which of the candidates tied at the admission bound were kept
-			// is the selector's business; everywhere else the order is total.
-			bound := all[m-1].dist
-			for i, id := range got[1:] {
-				if want := all[i]; (n == m || want.dist < bound) && id != want.id {
-					t.Fatalf("m=%d n=%d pos %d: id %d, reference sort says %d (dist %d)", m, n, i, id, want.id, want.dist)
-				}
-			}
-		}
-	}
-}
-
-func TestQuantTopKThresholdMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	sel := NewQuantTopK(8)
-	prev := sel.Threshold()
-	if prev != math.MaxInt32 {
-		t.Fatalf("initial threshold %d, want MaxInt32", prev)
-	}
-	full := false
-	for i := 0; i < 500; i++ {
-		d := int32(rng.Intn(1 << 20))
-		if d < sel.Threshold() {
-			sel.Add(d, i)
-		}
-		th := sel.Threshold()
-		if full && th > prev {
-			t.Fatalf("step %d: threshold rose %d -> %d", i, prev, th)
-		}
-		full = sel.Len() == 8
-		prev = th
-	}
-	sel.Reset(3)
-	if sel.Len() != 0 || sel.Threshold() != math.MaxInt32 {
-		t.Fatal("Reset did not restore the empty state")
-	}
-}
-
-// TestQuantTopKDegenerate: k <= 0 selects nothing and never panics.
-func TestQuantTopKDegenerate(t *testing.T) {
-	for _, k := range []int{0, -3} {
-		sel := NewQuantTopK(k)
-		sel.Add(5, 1)
-		sel.Add(0, 2)
-		if sel.Len() != 0 || len(sel.AppendIDs(nil)) != 0 {
-			t.Fatalf("k=%d retained candidates", k)
-		}
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/user"
-	"qdcbir/internal/vec"
 )
 
 var (
@@ -255,26 +254,6 @@ func BenchmarkRStarKNN(b *testing.B) {
 		if ns := tree.KNN(q, 10, nil); len(ns) != 10 {
 			b.Fatal("bad kNN")
 		}
-	}
-}
-
-// BenchmarkRStarInsert prices incremental R* insertion (with forced
-// reinsertion and splits) in the 37-d production configuration.
-func BenchmarkRStarInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	pts := make([]vec.Vector, b.N)
-	for i := range pts {
-		p := make(vec.Vector, 37)
-		for j := range p {
-			p[j] = rng.Float64()
-		}
-		pts[i] = p
-	}
-	tree := rstar.New(37, rstar.Config{MaxFill: 100})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Insert(rstar.ItemID(i), pts[i])
 	}
 }
 

@@ -165,7 +165,7 @@ func open(path string, seed int64, parallelism int, quantize bool, observer *obs
 			if err != nil {
 				return nil, fmt.Errorf("quantizer: %w", err)
 			}
-			if err := structure.AdoptQuantized(qz); err != nil {
+			if err := structure.Tree().AdoptQuantized(qz); err != nil {
 				return nil, fmt.Errorf("quantizer: %w", err)
 			}
 		}

@@ -342,7 +342,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 		if err != nil {
 			return nil, fmt.Errorf("quantizer: %w", err)
 		}
-		if err := structure.AdoptQuantized(qz); err != nil {
+		if err := structure.Tree().AdoptQuantized(qz); err != nil {
 			return nil, fmt.Errorf("quantizer: %w", err)
 		}
 	}

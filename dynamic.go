@@ -162,7 +162,6 @@ func OpenDynamic(sys *System, cfg DynamicConfig) (*Dynamic, error) {
 			IDs:       ids,
 			Store:     st,
 			Structure: sys.rfs,
-			Quantized: sys.quant != nil,
 		}}
 	}
 	db, err := seg.Restore(cfg.segConfig(), sealed, seg.MemInput{BaseID: n}, n, 0)

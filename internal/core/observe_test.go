@@ -124,17 +124,20 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestObserverBlockScalarAgreement runs the same observed session with the
-// PR 3 leaf-block batch kernels enabled and disabled and requires identical
-// results, session stats, observer counters, and per-subquery trace effort —
-// the two scoring paths must be indistinguishable to every telemetry surface.
-func TestObserverBlockScalarAgreement(t *testing.T) {
-	run := func(blocks bool) (*Result, Stats, obs.Snapshot, *obs.FinalizeSpan) {
+// TestObserverSQ8ExactAgreement runs the same observed session over a tree
+// holding the SQ8 row filter and over one scoring exactly, and requires
+// identical results, session stats, observer counters, and per-subquery
+// trace effort — the filter must be invisible to every telemetry surface but
+// its own code counters.
+func TestObserverSQ8ExactAgreement(t *testing.T) {
+	run := func(quantized bool) (*Result, Stats, obs.Snapshot, *obs.FinalizeSpan) {
 		o := obs.New(nil)
 		eng, blobOf := observedFixture(t, o)
-		eng.RFS().Tree().SetBlockScoring(blocks)
-		if got := eng.RFS().Tree().BlocksPacked(); got != blocks {
-			t.Fatalf("SetBlockScoring(%v) left BlocksPacked=%v", blocks, got)
+		cfg := eng.Config()
+		cfg.Quantized = quantized
+		eng = NewEngine(eng.RFS(), cfg)
+		if got := eng.RFS().Tree().QuantizedScoring(); got != quantized {
+			t.Fatalf("Quantized %v left the tree's SQ8 filter installed=%v", quantized, got)
 		}
 		sess := eng.NewSession(rand.New(rand.NewSource(9)))
 		markBlobs(t, sess, blobOf, map[int]bool{1: true, 3: true, 5: true}, 3)
@@ -150,9 +153,12 @@ func TestObserverBlockScalarAgreement(t *testing.T) {
 	}
 	bRes, bStats, bSnap, bFin := run(true)
 	sRes, sStats, sSnap, sFin := run(false)
+	if bFin.Subspans[0].CodesScanned == 0 || sFin.Subspans[0].CodesScanned != 0 {
+		t.Fatalf("code rows scanned: SQ8 %d, exact %d", bFin.Subspans[0].CodesScanned, sFin.Subspans[0].CodesScanned)
+	}
 
 	if bStats != sStats {
-		t.Errorf("session stats diverge: block %+v scalar %+v", bStats, sStats)
+		t.Errorf("session stats diverge: SQ8 %+v exact %+v", bStats, sStats)
 	}
 	a, b := bRes.IDs(), sRes.IDs()
 	if len(a) != len(b) {
@@ -165,22 +171,22 @@ func TestObserverBlockScalarAgreement(t *testing.T) {
 	}
 	for _, name := range []string{obs.MetricFeedbackReads, obs.MetricFinalReads, obs.MetricExpansions} {
 		if bSnap.Counters[name] != sSnap.Counters[name] {
-			t.Errorf("counter %s diverges: block %d scalar %d", name, bSnap.Counters[name], sSnap.Counters[name])
+			t.Errorf("counter %s diverges: SQ8 %d exact %d", name, bSnap.Counters[name], sSnap.Counters[name])
 		}
 	}
 	if bFin.Subqueries != sFin.Subqueries || len(bFin.Subspans) != len(sFin.Subspans) {
-		t.Fatalf("fan-out diverges: block %d/%d scalar %d/%d",
+		t.Fatalf("fan-out diverges: SQ8 %d/%d exact %d/%d",
 			bFin.Subqueries, len(bFin.Subspans), sFin.Subqueries, len(sFin.Subspans))
 	}
 	if bFin.PageReads != sFin.PageReads || bFin.HeapPops != sFin.HeapPops {
-		t.Errorf("finalize effort diverges: block reads=%d pops=%d scalar reads=%d pops=%d",
+		t.Errorf("finalize effort diverges: SQ8 reads=%d pops=%d exact reads=%d pops=%d",
 			bFin.PageReads, bFin.HeapPops, sFin.PageReads, sFin.HeapPops)
 	}
 	for i := range bFin.Subspans {
 		bs, ss := bFin.Subspans[i], sFin.Subspans[i]
 		if bs.Node != ss.Node || bs.HeapPops != ss.HeapPops || bs.NodesRead != ss.NodesRead ||
 			bs.PageAccesses != ss.PageAccesses {
-			t.Errorf("subquery %d effort diverges:\n  block  %+v\n  scalar %+v", i, bs, ss)
+			t.Errorf("subquery %d effort diverges:\n  SQ8   %+v\n  exact %+v", i, bs, ss)
 		}
 	}
 }

@@ -21,13 +21,11 @@ import (
 	"math"
 	"math/rand"
 
-	"qdcbir/internal/bitset"
 	"qdcbir/internal/disk"
 	"qdcbir/internal/kmeans"
 	"qdcbir/internal/kmtree"
 	"qdcbir/internal/par"
 	"qdcbir/internal/rstar"
-	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -80,13 +78,15 @@ func (c BuildConfig) withDefaults() BuildConfig {
 
 // Structure is the built RFS structure.
 //
-// Concurrency invariant: once Build (or FromSnapshot/Refresh) returns, every
-// read path — Reps, RandomReps' accounting aside, Point, LeafOf,
-// SubtreeSize, ChildContaining, Contains, BoundaryRatio, ExpandForQuery,
-// Tree and its searches — is safe for unsynchronized concurrent use: reads
-// touch only immutable maps and slices. Mutations (Insert, Delete, Refresh)
-// require external exclusion against both readers and other writers, exactly
-// like the underlying rstar.Tree.
+// A structure is built once over a static corpus, as in the paper; online
+// ingest composes immutable structures instead (package seg).
+//
+// Concurrency invariant: once Build (or FromSnapshot) returns, every read
+// path — Reps, RandomReps' accounting aside, Point, LeafOf, SubtreeSize,
+// ChildContaining, Contains, BoundaryRatio, ExpandForQuery, Tree and its
+// searches — is safe for unsynchronized concurrent use: reads touch only
+// immutable maps and slices. Installing a leaf scorer on Tree() requires
+// exclusion against searches, like the tree's construction.
 type Structure struct {
 	cfg    BuildConfig
 	tree   *rstar.Tree
@@ -98,10 +98,6 @@ type Structure struct {
 	nodeByID map[disk.PageID]*rstar.Node
 	allReps  []rstar.ItemID // distinct representative IDs (leaf level)
 	repIsSet map[rstar.ItemID]bool
-
-	// dynamic-maintenance state (see dynamic.go)
-	stale   bool
-	deleted *bitset.Set
 }
 
 // Build constructs the RFS structure over the corpus vectors. Image IDs are
@@ -137,14 +133,10 @@ func BuildCtx(ctx context.Context, points []vec.Vector, cfg BuildConfig) (*Struc
 	var tree *rstar.Tree
 	switch hierarchy {
 	case "insert":
-		tree = rstar.New(dim, cfg.Tree)
-		for i, p := range points {
-			if i%1024 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			tree.Insert(rstar.ItemID(i), p)
+		var err error
+		tree, err = rstar.InsertLoadCtx(ctx, dim, cfg.Tree, itemsOf(points))
+		if err != nil {
+			return nil, err
 		}
 	case "kmeans":
 		fanout := cfg.Tree.MaxFill
@@ -163,12 +155,8 @@ func BuildCtx(ctx context.Context, points []vec.Vector, cfg BuildConfig) (*Struc
 			panic(fmt.Sprintf("rfs: kmeans hierarchy: %v", err))
 		}
 	case "str":
-		items := make([]rstar.Item, len(points))
-		for i, p := range points {
-			items[i] = rstar.Item{ID: rstar.ItemID(i), Point: p}
-		}
 		var err error
-		tree, err = rstar.BulkLoadCtx(ctx, dim, cfg.Tree, items, cfg.TargetFill, cfg.Parallelism)
+		tree, err = rstar.BulkLoadCtx(ctx, dim, cfg.Tree, itemsOf(points), cfg.TargetFill, cfg.Parallelism)
 		if err != nil {
 			return nil, err
 		}
@@ -185,6 +173,15 @@ func BuildCtx(ctx context.Context, points []vec.Vector, cfg BuildConfig) (*Struc
 		return nil, err
 	}
 	return s, nil
+}
+
+// itemsOf identifies each point by its index.
+func itemsOf(points []vec.Vector) []rstar.Item {
+	items := make([]rstar.Item, len(points))
+	for i, p := range points {
+		items[i] = rstar.Item{ID: rstar.ItemID(i), Point: p}
+	}
+	return items
 }
 
 // index builds the item→leaf map, per-node subtree sizes, and the page-ID
@@ -340,16 +337,6 @@ func (s *Structure) clusterSelect(pool []rstar.ItemID, k int, rng *rand.Rand) []
 // Tree exposes the underlying R*-tree.
 func (s *Structure) Tree() *rstar.Tree { return s.tree }
 
-// AdoptQuantized installs a persisted store-ordered quantizer on the tree
-// (archive restores use this to skip retraining; see rstar.AdoptQuantized).
-func (s *Structure) AdoptQuantized(q *store.Quantized) error { return s.tree.AdoptQuantized(q) }
-
-// EnableFloat32Scan activates the tree's float32 leaf scorer (see
-// rstar.SetFloat32Scoring): the leaf slab narrows to a float32 mirror once,
-// and unweighted searches asking for rstar.Scan.Float32 run at float32
-// precision.
-func (s *Structure) EnableFloat32Scan() { s.tree.SetFloat32Scoring(true) }
-
 // Root returns the hierarchy root.
 func (s *Structure) Root() *rstar.Node { return s.tree.Root() }
 
@@ -482,9 +469,6 @@ func (s *Structure) RandomReps(node *rstar.Node, n int, rng *rand.Rand, acc disk
 // at least one representative, every representative of a node is stored in
 // that node's subtree, and leaf representatives are leaf members.
 func (s *Structure) Validate() error {
-	if s.stale {
-		return fmt.Errorf("rfs: structure is stale after mutations; call Refresh")
-	}
 	if err := s.tree.CheckInvariants(); err != nil {
 		return fmt.Errorf("rfs: tree: %w", err)
 	}

@@ -333,6 +333,22 @@ func TestIncrementalBuild(t *testing.T) {
 	}
 }
 
+// TestInsertDimMismatchPanics: the insertion hierarchy rejects a point of
+// the wrong dimension.
+func TestInsertDimMismatchPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pts := clusteredCorpus(rng, 4, 30, 3)
+	pts[17] = vec.Vector{1, 2}
+	cfg := testCfg
+	cfg.Hierarchy = "insert"
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	Build(pts, cfg)
+}
+
 func TestSubtreeSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s := buildTest(t, clusteredCorpus(rng, 6, 40, 3), testCfg)

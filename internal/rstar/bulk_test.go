@@ -120,31 +120,6 @@ func TestBulkLoadPaperScale(t *testing.T) {
 	}
 }
 
-func TestBulkThenInsertAndDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := randPoints(rng, 400, 4, 10)
-	tr := BulkLoad(4, smallCfg, bulkItems(pts), 8)
-	// Mutations on a bulk-loaded tree keep it consistent.
-	extra := randPoints(rng, 100, 4, 10)
-	for i, p := range extra {
-		tr.Insert(ItemID(1000+i), p)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("after inserts: %v", err)
-	}
-	for i := 0; i < 50; i++ {
-		if !tr.Delete(ItemID(i), pts[i]) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("after deletes: %v", err)
-	}
-	if tr.Len() != 450 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
 func TestPointsLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := randPoints(rng, 100, 3, 5)

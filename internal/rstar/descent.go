@@ -18,10 +18,10 @@ package rstar
 // It is written for M queries over the same subtree: each runs its own
 // descent as a coroutine — private queue, selector, accounter and effort
 // counters, exactly the operation sequence it would perform alone — and
-// SUSPENDS when it pops a leaf with a packed block. Once every query is
-// suspended or finished, the driver groups the suspended ones by leaf and
-// scores each leaf once for all its visitors. With M = 1 every group has one
-// visitor, which is the plain single-query search.
+// SUSPENDS when it pops a leaf. Once every query is suspended or finished,
+// the driver groups the suspended ones by leaf and scores each leaf once for
+// all its visitors. With M = 1 every group has one visitor, which is the
+// plain single-query search.
 
 import (
 	"context"
@@ -36,9 +36,8 @@ import (
 // form when weights is set, plain squared L2 behind the SQ8 row filter when
 // quant is set, or the float32 kernel over the tree's float32 mirror when
 // fslab is set. Its methods are all the descent knows about distances, so
-// another precision is another leaf scorer, not another descent. The block
-// kernels preserve the scalar accumulation order, so block and item agree bit
-// for bit. Nodes are keyed by the float64 MINDIST in every mode.
+// another precision is another leaf scorer, not another descent. Nodes are
+// keyed by the float64 MINDIST in every mode.
 type metric struct {
 	weights vec.Vector
 	quant   *store.Quantized
@@ -60,13 +59,6 @@ func (m metric) bound(r Rect, q vec.Vector) float64 {
 // packed in an internal node's box, bit for bit, in one pass.
 func (m metric) bounds(q vec.Vector, box, out []float64) {
 	vec.MinDistSqChildren(q, m.weights, box, len(out), out)
-}
-
-func (m metric) item(q, p vec.Vector) float64 {
-	if m.weights == nil {
-		return vec.SqL2(q, p)
-	}
-	return vec.WeightedSqL2(q, p, m.weights)
 }
 
 func (m metric) block(q vec.Vector, block, out []float64) {
@@ -351,11 +343,9 @@ type descentScratch struct {
 var descentPool = sync.Pool{New: func() interface{} { return new(descentScratch) }}
 
 // advance runs one query's best-first loop until it completes or pops a
-// block-backed leaf, which is left in d.pending with its access already
-// charged. An opened internal node bounds its children from its box in one
-// kernel pass when the tree is packed, one child at a time when not; either
-// way the children are pushed in order with the same keys, so the queue —
-// and every pop after — is the same.
+// leaf, which is left in d.pending with its access already charged. An
+// opened internal node bounds its children from its box in one kernel pass
+// and pushes them in order.
 func (t *Tree) advance(ctx context.Context, sc *descentScratch, m metric, q *Query, d *descent) error {
 	acc := q.accounter()
 	for len(d.pq) > 0 {
@@ -371,30 +361,15 @@ func (t *Tree) advance(ctx context.Context, sc *descentScratch, m metric, q *Que
 		}
 		acc.Access(e.node.id)
 		d.nodes++
-		if !e.node.leaf {
-			kids := e.node.children
-			if t.blocksOK && e.node.box != nil {
-				sc.bounds = grown(sc.bounds, len(kids))
-				m.bounds(q.Q, e.node.box, sc.bounds)
-				for i, c := range kids {
-					d.pq.push(nodeEntry{distSq: sc.bounds[i], node: c})
-				}
-				continue
-			}
-			for _, c := range kids {
-				d.pq.push(nodeEntry{distSq: m.bound(c.rect, q.Q), node: c})
-			}
-			continue
-		}
-		if t.blocksOK && e.node.block != nil {
+		if e.node.leaf {
 			d.pending = e.node
 			return nil
 		}
-		d.items += uint64(len(e.node.items))
-		for _, it := range e.node.items {
-			if d.sel.offer(m.item(q.Q, it.Point), it) {
-				d.stopSq = d.sel.radiusSq
-			}
+		kids := e.node.children
+		sc.bounds = grown(sc.bounds, len(kids))
+		m.bounds(q.Q, e.node.box, sc.bounds)
+		for i, c := range kids {
+			d.pq.push(nodeEntry{distSq: sc.bounds[i], node: c})
 		}
 	}
 	d.done = true

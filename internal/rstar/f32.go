@@ -1,19 +1,20 @@
 package rstar
 
 // This file holds the tree's float32 state: a float32 mirror of the leaf
-// slab, narrowed once, which the one best-first descent (descent.go) scores
-// leaves from when a Scan asks for Float32. Unlike the SQ8 row filter
-// (quant.go), which only decides which rows the descent scores in float64 and
-// so returns the exact search's bits, float32 is a DISTINCT documented result
-// mode: an answer is the k smallest (float32 kernel value, ItemID) pairs among
-// the subtree's rows whose value is not NaN, each reported at the float64
-// square root of its value. Rankings can therefore differ from the float64
-// path wherever float32 rounding collapses or reorders close distances. What
-// the mode does guarantee is platform determinism: the kernel's accumulation
-// order is canonical (see vec/kernel32.go) and bit-identical between the
-// portable loop and the AVX2 implementation, so results are identical with
-// and without acceleration, across architectures, and under the noasm build
-// tag — and they do not depend on the search order, only on the kernel.
+// slab, narrowed once, from which the one best-first descent (descent.go)
+// scores the leaves of every unweighted search once it is installed. Unlike
+// the SQ8 row filter (quant.go), which only decides which rows the descent
+// scores in float64 and so returns the exact search's bits, float32 is a
+// DISTINCT documented result mode: an answer is the k smallest (float32
+// kernel value, ItemID) pairs among the subtree's rows whose value is not
+// NaN, each reported at the float64 square root of its value. Rankings can
+// therefore differ from the float64 path wherever float32 rounding collapses
+// or reorders close distances. What the mode does guarantee is platform
+// determinism: the kernel's accumulation order is canonical (see
+// vec/kernel32.go) and bit-identical between the portable loop and the AVX2
+// implementation, so results are identical with and without acceleration,
+// across architectures, and under the noasm build tag — and they do not
+// depend on the search order, only on the kernel.
 //
 // The stop rule. Nodes keep their float64 MINDIST keys, so they pop in the
 // float64 descent's order; the radius r is the float32 kernel value of the
@@ -44,45 +45,33 @@ package rstar
 // the claim.
 
 import (
+	"errors"
 	"math"
 
 	"qdcbir/internal/vec"
 )
 
-// SetFloat32Scoring toggles the float32 leaf scorer. Enabling packs the leaf
-// blocks if needed, assigns the nodes' slab row ranges, narrows the slab to a float32 mirror (one rounding per
-// component — exact when the indexed points came from float32 data, since
-// float32→float64→float32 round-trips bit-for-bit), and measures the mirror's
-// largest row narrowing error. Disabling drops the mirror; a Scan asking for
-// Float32 then runs the exact float64 descent (KNNSearch holds that
-// fallback). Enabling an empty tree is a no-op. Like all mutations, the
-// toggle requires external exclusion against readers.
-func (t *Tree) SetFloat32Scoring(enabled bool) {
-	if !enabled {
-		t.invalidateFloat32()
-		return
+// NarrowFloat32 installs the float32 leaf scorer: the slab narrows to a
+// float32 mirror (one rounding per component — exact when the indexed points
+// came from float32 data, since float32→float64→float32 round-trips bit for
+// bit), and the mirror's largest row narrowing error is measured. It is a
+// no-op on an empty tree and on one that already holds the mirror, and an
+// error on one that holds the SQ8 row filter. Installing requires exclusion
+// against searches.
+func (t *Tree) NarrowFloat32() error {
+	if t.fslab != nil || t.size == 0 {
+		return nil
 	}
-	if t.f32OK || t.size == 0 {
-		return
+	if t.quant != nil {
+		return errors.New("rstar: tree already filters leaves through SQ8 codes")
 	}
-	if !t.blocksOK {
-		t.packBlocks()
-	}
-	t.setRowRanges()
 	t.fslab = vec.Narrow32(t.slab, nil)
 	t.f32Err = rowsNarrowErr(t.slab, t.fslab, t.dim)
-	t.f32OK = true
+	return nil
 }
 
-// Float32Scoring reports whether the float32 leaf scorer is active.
-func (t *Tree) Float32Scoring() bool { return t.f32OK }
-
-// invalidateFloat32 drops the float32 state. Node qlo/qhi values go stale
-// rather than being rewalked; f32OK guards every use of them.
-func (t *Tree) invalidateFloat32() {
-	t.f32OK = false
-	t.fslab = nil
-}
+// Float32Scoring reports whether the float32 leaf scorer is installed.
+func (t *Tree) Float32Scoring() bool { return t.fslab != nil }
 
 // narrowErr returns ‖p − p32‖, p32 being p's float32 narrowing.
 func narrowErr(p []float64, p32 []float32) float64 {

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -63,10 +64,9 @@ func TestKNNF32MatchesBruteForce(t *testing.T) {
 				pts[i][i%tc.dim] = []float64{math.Inf(1), 1e39}[i/10%2]
 			}
 		}
-		tr := BulkLoad(tc.dim, smallCfg, bulkItems(pts), 8)
-		tr.SetFloat32Scoring(true)
+		tr := scorerTree(t, "f32", smallCfg, pts, 8)
 		if !tr.Float32Scoring() {
-			t.Fatalf("seed %d: float32 scoring did not enable", tc.seed)
+			t.Fatalf("seed %d: float32 scoring did not install", tc.seed)
 		}
 		roots := []*Node{tr.Root()}
 		if !tr.Root().IsLeaf() {
@@ -85,7 +85,7 @@ func TestKNNF32MatchesBruteForce(t *testing.T) {
 			for _, root := range roots {
 				for _, k := range []int{1, 5, root.Len() + 3, tr.Len() + 1} {
 					var st SearchStats
-					got, err := tr.KNNOne(context.Background(), root, Scan{Float32: true}, q, k, nil, &st)
+					got, err := tr.KNNOne(context.Background(), root, nil, q, k, nil, &st)
 					if err != nil {
 						t.Fatalf("seed %d: %v", tc.seed, err)
 					}
@@ -116,79 +116,62 @@ func TestKNNF32MatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestKNNF32DelegatesWhenDisabled: without float32 scoring the entry point
-// must answer through the exact float64 search.
-func TestKNNF32DelegatesWhenDisabled(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := randPoints(rng, 150, 6, 1)
-	tr := BulkLoad(6, smallCfg, bulkItems(pts), 8)
-	q := pts[3]
-	got := knnScan(tr, Scan{Float32: true}, q, 10, nil)
-	want := tr.KNN(q, 10, nil)
-	if len(got) != len(want) {
-		t.Fatalf("delegate returned %d, exact %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist {
-			t.Fatalf("rank %d: delegate (%d, %v) != exact (%d, %v)",
-				i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
-		}
-	}
-}
-
-// TestFloat32SurvivesQuantToggle: the nodes' shared slab row ranges must stay
-// valid when the quantized path is enabled and disabled around an active
-// float32 path, and vice versa.
-func TestFloat32SurvivesQuantToggle(t *testing.T) {
+// TestInstallScorerOneWay: a tree's leaf scorer is installed once.
+// Installing the scorer it holds again changes nothing, installing the other
+// kind is an error that leaves the tree as it was, and KNN runs the installed
+// scorer — on a float32 tree, the brute-force float32 ranking; on an SQ8 tree,
+// the exact answer. An empty tree takes no scorer.
+func TestInstallScorerOneWay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	pts := randPoints(rng, 200, 5, 1)
-	tr := BulkLoad(5, smallCfg, bulkItems(pts), 8)
-	tr.SetFloat32Scoring(true)
-	if err := tr.SetQuantizedScoring(true); err != nil {
+	const dim = 5
+	pts := randPoints(rng, 200, dim, 1)
+	flat := make([]float64, 0, len(pts)*dim)
+	for _, p := range pts {
+		flat = append(flat, p...)
+	}
+	qz, err := store.QuantizeBacking(dim, flat) // rows indexed by ItemID
+	if err != nil {
 		t.Fatal(err)
 	}
 	q := pts[7]
-	before := knnScan(tr, Scan{Float32: true}, q, 9, nil)
-	if err := tr.SetQuantizedScoring(false); err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Float32Scoring() {
-		t.Fatal("disabling quantized scoring dropped float32 scoring")
-	}
-	after := knnScan(tr, Scan{Float32: true}, q, 9, nil)
-	for i := range before {
-		if before[i].ID != after[i].ID || before[i].Dist != after[i].Dist {
-			t.Fatalf("rank %d changed across quant toggle", i)
-		}
-	}
-	// Now drop float32 with quantized still off: a fresh enable must rebuild
-	// the mirror and its ranges correctly.
-	tr.SetFloat32Scoring(false)
-	tr.SetFloat32Scoring(true)
-	again := knnScan(tr, Scan{Float32: true}, q, 9, nil)
-	for i := range before {
-		if before[i].ID != again[i].ID || before[i].Dist != again[i].Dist {
-			t.Fatalf("rank %d changed across re-enable", i)
-		}
-	}
-}
 
-// TestFloat32InvalidatedByMutation: a structural insert must clear the
-// float32 mirror (stale slab rows would silently mis-score), falling back to
-// the exact path.
-func TestFloat32InvalidatedByMutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	pts := randPoints(rng, 120, 4, 1)
-	tr := BulkLoad(4, smallCfg, bulkItems(pts), 8)
-	tr.SetFloat32Scoring(true)
-	p := randPoints(rng, 1, 4, 1)[0]
-	tr.Insert(ItemID(len(pts)), p)
-	if tr.Float32Scoring() {
-		t.Fatal("float32 scoring survived a structural mutation")
+	f32 := scorerTree(t, "f32", smallCfg, pts, 8)
+	mirror := f32.fslab
+	if err := f32.NarrowFloat32(); err != nil || &f32.fslab[0] != &mirror[0] {
+		t.Fatalf("narrowing a float32 tree again: err=%v, mirror kept %v", err, &f32.fslab[0] == &mirror[0])
 	}
-	ns := knnScan(tr, Scan{Float32: true}, p, 5, nil)
-	if len(ns) != 5 || ns[0].ID != ItemID(len(pts)) {
-		t.Fatalf("post-mutation delegate missed the inserted point: %v", ns)
+	if err := f32.TrainQuantized(); err == nil || f32.QuantizedScoring() {
+		t.Fatalf("training SQ8 on a float32 tree: err=%v, installed %v", err, f32.QuantizedScoring())
+	}
+	if err := f32.AdoptQuantized(qz); err == nil || f32.QuantizedScoring() {
+		t.Fatalf("adopting SQ8 on a float32 tree: err=%v, installed %v", err, f32.QuantizedScoring())
+	}
+	sameNeighbors(t, "f32", f32.KNN(q, 9, nil), f32Reference(f32, f32.Root(), q, 9))
+
+	sq8 := scorerTree(t, "sq8", smallCfg, pts, 8)
+	codes, quant := sq8.qcodes, sq8.quant
+	if err := sq8.TrainQuantized(); err != nil || &sq8.qcodes[0] != &codes[0] || sq8.quant != quant {
+		t.Fatalf("training an SQ8 tree again: err=%v, codes kept %v", err, &sq8.qcodes[0] == &codes[0])
+	}
+	if err := sq8.AdoptQuantized(qz); err != nil || sq8.quant != quant {
+		t.Fatalf("adopting on an SQ8 tree: err=%v, quantizer kept %v", err, sq8.quant == quant)
+	}
+	if err := sq8.NarrowFloat32(); err == nil || sq8.Float32Scoring() {
+		t.Fatalf("narrowing an SQ8 tree: err=%v, installed %v", err, sq8.Float32Scoring())
+	}
+	var st SearchStats
+	got, err := sq8.KNNOne(context.Background(), sq8.Root(), nil, q, 9, nil, &st)
+	if err != nil || st.CodesScanned == 0 {
+		t.Fatalf("SQ8 KNN: err=%v, %d code rows scanned", err, st.CodesScanned)
+	}
+	sameNeighbors(t, "sq8", got, oracleKNN(sq8, sq8.Root(), nil, q, 9))
+
+	empty := BulkLoad(dim, smallCfg, nil, 8)
+	if err := empty.NarrowFloat32(); err != nil || empty.Float32Scoring() {
+		t.Fatalf("narrowing an empty tree: err=%v, installed %v", err, empty.Float32Scoring())
+	}
+	if err := empty.TrainQuantized(); err != nil || empty.QuantizedScoring() {
+		t.Fatalf("training an empty tree: err=%v, installed %v", err, empty.QuantizedScoring())
 	}
 }
 

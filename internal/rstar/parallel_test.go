@@ -74,6 +74,14 @@ func TestBulkLoadParallelismInvariant(t *testing.T) {
 	}
 }
 
+func TestInsertLoadCtxCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := InsertLoadCtx(ctx, 4, Config{MaxFill: 10}, randomItems(500, 4, 7)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 func TestBulkLoadCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -87,20 +95,20 @@ func TestKNNCtxCancelled(t *testing.T) {
 	tr := BulkLoad(5, Config{MaxFill: 16}, items, 14)
 	q := items[0].Point
 
-	ns, err := tr.KNNOne(context.Background(), tr.Root(), Scan{}, q, 10, nil, nil)
+	ns, err := tr.KNNOne(context.Background(), tr.Root(), nil, q, 10, nil, nil)
 	if err != nil || len(ns) != 10 {
 		t.Fatalf("live context: %d results, err=%v", len(ns), err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.KNNOne(ctx, tr.Root(), Scan{}, q, 10, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, err := tr.KNNOne(ctx, tr.Root(), nil, q, 10, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	w := make(vec.Vector, 5)
 	for i := range w {
 		w[i] = 1
 	}
-	if _, err := tr.KNNOne(ctx, tr.Root(), Scan{Weights: w}, q, 10, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, err := tr.KNNOne(ctx, tr.Root(), w, q, 10, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("weighted err = %v, want context.Canceled", err)
 	}
 }

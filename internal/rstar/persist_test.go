@@ -40,13 +40,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotIsDeepCopy(t *testing.T) {
-	tr := New(2, smallCfg)
-	p := vec.Vector{1, 2}
-	tr.Insert(1, p)
+	tr := BulkLoad(2, smallCfg, []Item{{1, vec.Vector{1, 2}}}, 0)
 	snap := tr.Snapshot()
-	// Mutating the live tree must not corrupt the snapshot.
-	tr.Delete(1, p)
-	tr.Insert(2, vec.Vector{9, 9})
+	// Writing through the live tree's points must not corrupt the snapshot.
+	tr.Root().Items()[0].Point[0] = 99
 	loaded, err := FromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)

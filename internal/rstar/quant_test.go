@@ -30,13 +30,11 @@ func TestKNNQuantMatchesExact(t *testing.T) {
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(tc.seed))
 		pts := randPoints(rng, tc.n, tc.dim, tc.scale)
-		tr := BulkLoad(tc.dim, smallCfg, bulkItems(pts), 8)
-		if err := tr.SetQuantizedScoring(true); err != nil {
-			t.Fatalf("seed %d: enable quantized: %v", tc.seed, err)
-		}
-		roots := []*Node{tr.Root()}
+		exactTr, tr := scorerTree(t, "f64", smallCfg, pts, 8), scorerTree(t, "sq8", smallCfg, pts, 8)
+		roots, exactRoots := []*Node{tr.Root()}, []*Node{exactTr.Root()}
 		if !tr.Root().IsLeaf() {
 			roots = append(roots, tr.Root().Children()...)
+			exactRoots = append(exactRoots, exactTr.Root().Children()...)
 		}
 		for qi := 0; qi < 25; qi++ {
 			var q vec.Vector
@@ -54,14 +52,14 @@ func TestKNNQuantMatchesExact(t *testing.T) {
 					q[j] = rng.NormFloat64() * tc.scale * 10
 				}
 			}
-			for _, root := range roots {
+			for ri, root := range roots {
 				for _, k := range []int{1, 5, root.Len() + 3} {
-					exact, err := tr.KNNOne(context.Background(), root, Scan{}, q, k, nil, nil)
+					exact, err := exactTr.KNNOne(context.Background(), exactRoots[ri], nil, q, k, nil, nil)
 					if err != nil {
 						t.Fatalf("exact: %v", err)
 					}
 					var st SearchStats
-					quant, err := tr.KNNOne(context.Background(), root, Scan{Quantized: true}, q, k, nil, &st)
+					quant, err := tr.KNNOne(context.Background(), root, nil, q, k, nil, &st)
 					if err != nil {
 						t.Fatalf("quant: %v", err)
 					}
@@ -85,25 +83,6 @@ func TestKNNQuantMatchesExact(t *testing.T) {
 	}
 }
 
-// TestKNNQuantDelegatesWhenInactive: without SetQuantizedScoring the quant
-// entry points must silently produce the exact search's answer.
-func TestKNNQuantDelegatesWhenInactive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pts := randPoints(rng, 120, 4, 1)
-	tr := BulkLoad(4, smallCfg, bulkItems(pts), 8)
-	if tr.QuantizedScoring() {
-		t.Fatal("quantized scoring active before enable")
-	}
-	q := randPoints(rng, 1, 4, 1)[0]
-	exact := tr.KNN(q, 7, nil)
-	quant := knnScan(tr, Scan{Quantized: true}, q, 7, nil)
-	for i := range exact {
-		if quant[i].ID != exact[i].ID || quant[i].Dist != exact[i].Dist {
-			t.Fatalf("result %d diverges without quantized scoring", i)
-		}
-	}
-}
-
 // TestKNNQuantUncleanCorpusFallsBack: a corpus containing non-finite
 // components trains an unclean quantizer (DBErr = +Inf); every quantized
 // search must route to the exact path and still agree with it.
@@ -112,14 +91,11 @@ func TestKNNQuantUncleanCorpusFallsBack(t *testing.T) {
 	pts := randPoints(rng, 80, 3, 1)
 	pts[17][1] = math.Inf(1)
 	pts[42][0] = math.NaN()
-	tr := BulkLoad(3, smallCfg, bulkItems(pts), 8)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
+	tr := scorerTree(t, "sq8", smallCfg, pts, 8)
 	q := vec.Vector{0.1, -0.2, 0.3}
-	exact, _ := tr.KNNOne(context.Background(), tr.Root(), Scan{}, q, 5, nil, nil)
+	exact := scorerTree(t, "f64", smallCfg, pts, 8).KNN(q, 5, nil)
 	var st SearchStats
-	quant, err := tr.KNNOne(context.Background(), tr.Root(), Scan{Quantized: true}, q, 5, nil, &st)
+	quant, err := tr.KNNOne(context.Background(), tr.Root(), nil, q, 5, nil, &st)
 	if err != nil {
 		t.Fatalf("quant: %v", err)
 	}
@@ -151,14 +127,11 @@ func TestKNNQuantRerankFallback(t *testing.T) {
 		// nearest neighbours hide, far below the quantizer step (~3.9).
 		pts[i] = vec.Vector{float64(i%2) * 1000, rng.Float64() * 1e-3}
 	}
-	tr := BulkLoad(2, smallCfg, bulkItems(pts), 8)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
+	tr := scorerTree(t, "sq8", smallCfg, pts, 8)
 	q := vec.Vector{0, 5e-4}
-	exact, _ := tr.KNNOne(context.Background(), tr.Root(), Scan{}, q, 4, nil, nil)
+	exact := scorerTree(t, "f64", smallCfg, pts, 8).KNN(q, 4, nil)
 	var st SearchStats
-	quant, err := tr.KNNOne(context.Background(), tr.Root(), Scan{Quantized: true}, q, 4, nil, &st)
+	quant, err := tr.KNNOne(context.Background(), tr.Root(), nil, q, 4, nil, &st)
 	if err != nil {
 		t.Fatalf("quant: %v", err)
 	}
@@ -177,43 +150,6 @@ func TestKNNQuantRerankFallback(t *testing.T) {
 	}
 }
 
-// TestQuantInvalidationOnMutation: Insert and Delete must drop the quantized
-// state (the codes mirror the slab, which they invalidate), searches must
-// keep answering exactly, and re-enabling must restore the fast path.
-func TestQuantInvalidationOnMutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	pts := randPoints(rng, 100, 3, 1)
-	tr := BulkLoad(3, smallCfg, bulkItems(pts), 8)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
-	extra := vec.Vector{9, 9, 9}
-	tr.Insert(ItemID(100), extra)
-	if tr.QuantizedScoring() {
-		t.Fatal("quantized state survived Insert")
-	}
-	q := vec.Vector{0.5, 0.5, 0.5}
-	exact := tr.KNN(q, 6, nil)
-	quant := knnScan(tr, Scan{Quantized: true}, q, 6, nil)
-	for i := range exact {
-		if quant[i].ID != exact[i].ID {
-			t.Fatalf("post-Insert result %d diverges", i)
-		}
-	}
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("re-enable: %v", err)
-	}
-	if !tr.QuantizedScoring() {
-		t.Fatal("re-enable did not restore quantized scoring")
-	}
-	if !tr.Delete(ItemID(100), extra) {
-		t.Fatal("delete failed")
-	}
-	if tr.QuantizedScoring() {
-		t.Fatal("quantized state survived Delete")
-	}
-}
-
 // TestAdoptQuantizedMatchesRetrained: adopting a store-ordered quantizer must
 // produce the same search behaviour as training over the tree's own slab —
 // the codes are a deterministic function of each point.
@@ -229,18 +165,15 @@ func TestAdoptQuantizedMatchesRetrained(t *testing.T) {
 		t.Fatalf("quantize: %v", err)
 	}
 
-	trained := BulkLoad(6, smallCfg, bulkItems(pts), 8)
-	if err := trained.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("train: %v", err)
-	}
+	trained := scorerTree(t, "sq8", smallCfg, pts, 8)
 	adopted := BulkLoad(6, smallCfg, bulkItems(pts), 8)
 	if err := adopted.AdoptQuantized(qz); err != nil {
 		t.Fatalf("adopt: %v", err)
 	}
 	for qi := 0; qi < 10; qi++ {
 		q := randPoints(rng, 1, 6, 5)[0]
-		a := knnScan(trained, Scan{Quantized: true}, q, 9, &disk.Counter{})
-		b := knnScan(adopted, Scan{Quantized: true}, q, 9, &disk.Counter{})
+		a := trained.KNN(q, 9, &disk.Counter{})
+		b := adopted.KNN(q, 9, &disk.Counter{})
 		if len(a) != len(b) {
 			t.Fatalf("q%d: sizes diverge", qi)
 		}
@@ -252,17 +185,22 @@ func TestAdoptQuantizedMatchesRetrained(t *testing.T) {
 		}
 	}
 
-	// Dimension mismatch and out-of-range IDs must be rejected.
-	if err := adopted.AdoptQuantized(nil); err == nil {
+	// Dimension mismatch and out-of-range IDs must be rejected, and leave
+	// the tree without codes.
+	bare := BulkLoad(6, smallCfg, bulkItems(pts), 8)
+	if err := bare.AdoptQuantized(nil); err == nil {
 		t.Error("adopt nil quantizer succeeded")
 	}
 	wrongDim, _ := store.QuantizeBacking(3, flat[:300])
-	if err := adopted.AdoptQuantized(wrongDim); err == nil {
+	if err := bare.AdoptQuantized(wrongDim); err == nil {
 		t.Error("adopt wrong-dim quantizer succeeded")
 	}
 	short, _ := store.QuantizeBacking(6, flat[:6*10])
-	if err := adopted.AdoptQuantized(short); err == nil {
+	if err := bare.AdoptQuantized(short); err == nil {
 		t.Error("adopt short quantizer succeeded")
+	}
+	if bare.QuantizedScoring() {
+		t.Error("a rejected quantizer left codes installed")
 	}
 }
 
@@ -272,9 +210,6 @@ func TestQuantSubtreeRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	pts := randPoints(rng, 500, 4, 1)
 	tr := BulkLoad(4, smallCfg, bulkItems(pts), 8)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
 	tr.Walk(func(n *Node, level int) {
 		want := len(itemsInSubtree(n, nil))
 		if n.qhi-n.qlo != want {
@@ -291,13 +226,10 @@ func TestQuantSubtreeRanges(t *testing.T) {
 func TestKNNQuantCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := randPoints(rng, 200, 3, 1)
-	tr := BulkLoad(3, smallCfg, bulkItems(pts), 8)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
+	tr := scorerTree(t, "sq8", smallCfg, pts, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.KNNOne(ctx, tr.Root(), Scan{Quantized: true}, pts[0], 5, nil, nil); err == nil {
+	if _, err := tr.KNNOne(ctx, tr.Root(), nil, pts[0], 5, nil, nil); err == nil {
 		t.Fatal("cancelled search returned no error")
 	}
 }

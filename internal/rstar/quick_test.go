@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -106,26 +107,30 @@ func rectFrom3(a, b [2]float64) (Rect, bool) {
 	return Rect{Min: min, Max: max}, true
 }
 
-// Insertion then immediate self-query must always find the inserted point —
-// across arbitrary (finite) coordinates.
+// A tree built by insertion must find every inserted point at distance 0
+// by self-query — across arbitrary (finite) coordinates.
 func TestQuickInsertThenFind(t *testing.T) {
-	tr := New(3, Config{MaxFill: 8, MinFill: 3})
-	next := ItemID(0)
-	f := func(p [3]float64) bool {
-		for _, x := range p {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
+	f := func(ps [][3]float64) bool {
+		var items []Item
+	points:
+		for _, p := range ps {
+			for _, x := range p {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					continue points
+				}
 			}
+			items = append(items, Item{ID: ItemID(len(items)), Point: vec.Vector{p[0], p[1], p[2]}})
 		}
-		id := next
-		next++
-		pt := vec.Vector(p[:])
-		tr.Insert(id, pt)
-		got := tr.KNN(pt, 1, nil)
-		if len(got) != 1 || got[0].Dist != 0 {
+		tr, err := InsertLoadCtx(context.Background(), 3, Config{MaxFill: 8, MinFill: 3}, items)
+		if err != nil || tr.CheckInvariants() != nil {
 			return false
 		}
-		return tr.CheckInvariants() == nil
+		for _, it := range items {
+			if got := tr.KNN(it.Point, 1, nil); len(got) != 1 || got[0].Dist != 0 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

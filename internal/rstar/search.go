@@ -49,28 +49,6 @@ func grown[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// Scan says how a search scores rows; the zero value is the exact float64
-// best-first descent. Callers pass their own configuration through unchanged:
-// the precedence among the fields — Weights, then Float32, then Quantized —
-// and every fallback to the exact descent (a mode the tree has not enabled,
-// an unclean SQ8 corpus, a NaN query) are resolved by KNNSearch and nowhere
-// else.
-type Scan struct {
-	// Weights, when non-nil, ranks by the diagonal-weighted Euclidean metric
-	// (the paper's §6 feature-importance extension; the Query Point Movement
-	// baseline re-weights dimensions each round), always on the float64
-	// descent. Weights must be non-negative for its MINDIST bound to hold.
-	Weights vec.Vector
-	// Float32 asks for the float32 leaf scorer (f32.go), a distinct result
-	// mode: the k smallest (float32 kernel value, ItemID) among the rows
-	// whose value is not NaN. Quantized asks for the SQ8 row filter in front
-	// of the descent's leaf scoring (quant.go), whose results are
-	// bit-identical to the exact descent's. Either way the search is the one
-	// best-first descent.
-	Float32   bool
-	Quantized bool
-}
-
 // Query is one k-NN search of a KNNSearch call: the query point, how many
 // neighbours to return, and where its node accesses (Acc) and effort counters
 // (Stats) go — either may be nil. The search stores the neighbours in Result,
@@ -93,8 +71,9 @@ func (q *Query) accounter() disk.Accounter {
 }
 
 // KNN returns the k nearest items to q in the whole tree, ordered by
-// ascending distance (ties broken by ItemID for determinism). Every node
-// visited is reported to acc. A nil acc disables accounting.
+// ascending distance (ties broken by ItemID for determinism), under the
+// tree's leaf scorer. Every node visited is reported to acc. A nil acc
+// disables accounting.
 func (t *Tree) KNN(q vec.Vector, k int, acc disk.Accounter) []Neighbor {
 	return t.KNNFrom(t.root, q, k, acc)
 }
@@ -104,31 +83,39 @@ func (t *Tree) KNN(q vec.Vector, k int, acc disk.Accounter) []Neighbor {
 // computations of §3.3: each final subquery searches only its own subcluster
 // (or, after boundary expansion, an ancestor's subtree).
 func (t *Tree) KNNFrom(n *Node, q vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := t.KNNOne(context.Background(), n, Scan{}, q, k, acc, nil)
+	ns, _ := t.KNNOne(context.Background(), n, nil, q, k, acc, nil)
 	return ns
 }
 
 // KNNOne is KNNSearch for a single query: M = 1 is not a separate code path,
 // only a one-element batch.
-func (t *Tree) KNNOne(ctx context.Context, n *Node, scan Scan, q vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
+func (t *Tree) KNNOne(ctx context.Context, n *Node, weights vec.Vector, q vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
 	qs := [1]Query{{Q: q, K: k, Acc: acc, Stats: st}}
-	err := t.KNNSearch(ctx, n, scan, qs[:])
+	err := t.KNNSearch(ctx, n, weights, qs[:])
 	return qs[0].Result, err
 }
 
 // KNNSearch is the tree's one k-NN search: it answers every query in qs over
-// the subtree rooted at n, scoring rows as scan asks, and stores each answer
-// in its Query's Result. Running queries together only shares work — a leaf
-// wanted by several of them is loaded once and scored through the
-// multi-query kernels, which are bit-identical per query
-// to the single-query kernels — so each query's Result, Stats deltas and Acc
-// trace are exactly what it would get searching alone: callers batch or not
-// on load, never on semantics.
+// the subtree rooted at n and stores each answer in its Query's Result.
+// Running queries together only shares work — a leaf wanted by several of
+// them is loaded once and scored through the multi-query kernels, which are
+// bit-identical per query to the single-query kernels — so each query's
+// Result, Stats deltas and Acc trace are exactly what it would get searching
+// alone: callers batch or not on load, never on semantics.
+//
+// Rows are scored by the tree's installed leaf scorer: exact float64, the SQ8
+// row filter in front of it (same bits), or the float32 mirror (a distinct
+// result mode, f32.go). Non-nil weights rank by the diagonal-weighted
+// Euclidean metric instead (the paper's §6 feature-importance extension; the
+// Query Point Movement baseline re-weights dimensions each round), always in
+// exact float64; weights must be non-negative for its MINDIST bound to hold.
+// An SQ8 tree over an unclean corpus scores exactly, and so does a NaN query
+// (quant.go).
 //
 // The search polls ctx as it runs and returns ctx.Err() once it sees the
 // context done; Results and Stats are then unspecified. A search that ran to
 // completion returns nil whatever the context's state afterwards.
-func (t *Tree) KNNSearch(ctx context.Context, n *Node, scan Scan, qs []Query) error {
+func (t *Tree) KNNSearch(ctx context.Context, n *Node, weights vec.Vector, qs []Query) error {
 	for j := range qs {
 		qs[j].Result = nil
 	}
@@ -137,16 +124,12 @@ func (t *Tree) KNNSearch(ctx context.Context, n *Node, scan Scan, qs []Query) er
 	}
 	var m metric
 	switch {
-	case scan.Weights != nil:
-		m.weights = scan.Weights
-	case scan.Float32:
-		if t.f32OK {
-			m.fslab, m.rowErr = t.fslab, t.f32Err
-		}
-	case scan.Quantized:
-		if t.quantOK && t.quant.Clean() {
-			m.quant = t.quant
-		}
+	case weights != nil:
+		m.weights = weights
+	case t.fslab != nil:
+		m.fslab, m.rowErr = t.fslab, t.f32Err
+	case t.quant != nil && t.quant.Clean():
+		m.quant = t.quant
 	}
 	return t.descend(ctx, n, m, qs)
 }

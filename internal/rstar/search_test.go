@@ -13,10 +13,49 @@ import (
 	"qdcbir/internal/vec"
 )
 
-// knnScan searches the whole tree under scan (test helper).
-func knnScan(tr *Tree, scan Scan, q vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := tr.KNNOne(context.Background(), tr.Root(), scan, q, k, acc, nil)
-	return ns
+// scorers names the leaf scorers a tree can hold, in table order.
+var scorers = []string{"f64", "sq8", "f32"}
+
+// scorerTree bulk-loads pts at fill and installs the named leaf scorer:
+// "f64" (none), "sq8" or "f32". Trees built from the same points share their
+// page IDs whatever their scorer, so their traces compare directly.
+func scorerTree(t testing.TB, scorer string, cfg Config, pts []vec.Vector, fill int) *Tree {
+	t.Helper()
+	tr := BulkLoad(len(pts[0]), cfg, bulkItems(pts), fill)
+	var err error
+	switch scorer {
+	case "sq8":
+		err = tr.TrainQuantized()
+	case "f32":
+		err = tr.NarrowFloat32()
+	}
+	if err != nil {
+		t.Fatalf("install %s: %v", scorer, err)
+	}
+	return tr
+}
+
+// scorerTrees builds one tree per leaf scorer over pts.
+func scorerTrees(t testing.TB, cfg Config, pts []vec.Vector, fill int) map[string]*Tree {
+	t.Helper()
+	trees := make(map[string]*Tree, len(scorers))
+	for _, s := range scorers {
+		trees[s] = scorerTree(t, s, cfg, pts, fill)
+	}
+	return trees
+}
+
+// searchMode is one way a search scores rows: the leaf scorer of the tree it
+// runs on, and the weights it passes, which always score in float64.
+type searchMode struct {
+	name, scorer string
+	weights      vec.Vector
+}
+
+// searchModes lists the four modes: f64, weighted (on the f64 tree), f32
+// and sq8.
+func searchModes(weights vec.Vector) []searchMode {
+	return []searchMode{{"f64", "f64", nil}, {"weighted", "f64", weights}, {"f32", "f32", nil}, {"sq8", "sq8", nil}}
 }
 
 func batchQueries(rng *rand.Rand, pts []vec.Vector, m, dim int, scale float64) []vec.Vector {
@@ -80,20 +119,23 @@ func sameTrace(t *testing.T, label string, got, want *disk.Recorder) {
 }
 
 // oracleKNN is the linear-scan reference every search mode is checked
-// against: each item under n scored with the scalar kernel of the mode scan
-// resolves to on tr, ordered by (distance, ID), cut at k.
-func oracleKNN(tr *Tree, n *Node, scan Scan, q vec.Vector, k int) []Neighbor {
+// against: each item under n scored with the scalar kernel of the mode
+// weights selects on tr, ordered by (distance, ID), cut at k.
+func oracleKNN(tr *Tree, n *Node, weights vec.Vector, q vec.Vector, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	if scan.Weights == nil && scan.Float32 && tr.Float32Scoring() {
+	if weights == nil && tr.Float32Scoring() {
 		return f32Reference(tr, n, q, k)
 	}
-	m := metric{weights: scan.Weights}
 	items := itemsInSubtree(n, nil)
 	sq := make(map[ItemID]float64, len(items))
 	for _, it := range items {
-		sq[it.ID] = m.item(q, it.Point)
+		if weights == nil {
+			sq[it.ID] = vec.SqL2(q, it.Point)
+		} else {
+			sq[it.ID] = vec.WeightedSqL2(q, it.Point, weights)
+		}
 	}
 	sort.Slice(items, func(i, j int) bool {
 		a, b := sq[items[i].ID], sq[items[j].ID]
@@ -217,20 +259,18 @@ func subtreesOf(tr *Tree) []*Node {
 	return []*Node{tr.Root(), internal, leaf}
 }
 
-// TestKNNSearchMatchesOracle is the search's one equivalence table: every
-// scan mode × batch width × subtree level × k, over packed and unpacked
-// blocks, asserts per query that an M-wide KNNSearch gives exactly the
-// Result, SearchStats deltas and accounter trace of the same query searched
-// alone, and that the Result is the linear-scan oracle's. Unpacked trees have
-// no float32 mirror or SQ8 codes, so their Float32/Quantized rows pin the
-// inactive-mode delegation to the exact descent.
+// TestKNNSearchMatchesOracle is the search's one equivalence table. From
+// each corpus it builds one STR tree per leaf scorer (f64, SQ8, f32) and one
+// insertion-built tree, and searches every tree unweighted and weighted
+// (weights score in float64 whatever the tree holds) × batch width × subtree
+// level × k. Per query, an M-wide KNNSearch must give exactly the Result,
+// SearchStats deltas and accounter trace of the same query searched alone,
+// and the Result must be the linear-scan oracle's.
 //
-// Packed trees bound an opened node's children from its box in one lane
-// pass, unpacked ones child by child, so for f64, weighted and SQ8 at M = 1
-// and 16 each packed batch is also replayed on the unpacked twin: per query,
-// the trace, HeapPops, NodesRead and Result must be the twin's. Every finite
-// packed SQ8 search's ItemsScored/Reranked must be the sequential rerank
-// loop's (checkSequentialRerank).
+// At M = 1 and 16 each SQ8 batch is also replayed on the f64 tree: per
+// query, the trace, HeapPops, NodesRead and Result must be the f64 tree's.
+// Every finite SQ8 search's ItemsScored/Reranked must be the sequential
+// rerank loop's (checkSequentialRerank).
 func TestKNNSearchMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, corpus := range []searchCorpus{duplicatedCorpus(rng), degenerateCorpus(rng)} {
@@ -238,38 +278,31 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 		for i := range weights {
 			weights[i] = []float64{2, 1, 0.5, 0, 3}[i%5]
 		}
-		modes := []struct {
-			name string
-			scan Scan
-		}{
-			{"f64", Scan{}},
-			{"weighted", Scan{Weights: weights, Float32: true, Quantized: true}}, // weights win
-			{"f32", Scan{Float32: true, Quantized: true}},                        // float32 wins
-			{"sq8", Scan{Quantized: true}},
+		trees := scorerTrees(t, smallCfg, corpus.pts, 8)
+		inserted, err := InsertLoadCtx(context.Background(), corpus.dim, smallCfg, bulkItems(corpus.pts))
+		if err != nil {
+			t.Fatalf("%s: insertion build: %v", corpus.name, err)
 		}
-		unpacked := BulkLoad(corpus.dim, smallCfg, bulkItems(corpus.pts), 8)
-		unpacked.SetBlockScoring(false)
-		for _, packed := range []bool{true, false} {
-			tr := unpacked
-			if packed {
-				tr = BulkLoad(corpus.dim, smallCfg, bulkItems(corpus.pts), 8)
-				tr.SetFloat32Scoring(true)
-				if err := tr.SetQuantizedScoring(true); err != nil {
-					t.Fatalf("enable quantized: %v", err)
-				}
-			}
-			subs, twins := subtreesOf(tr), subtreesOf(unpacked)
-			if subs[1].IsLeaf() {
-				t.Fatalf("%s: tree of height %d has no internal level", corpus.name, tr.Height())
-			}
+		trees["insert"] = inserted
+		exactSubs := subtreesOf(trees["f64"])
 
-			filtered := false
-			for _, mode := range modes {
+		filtered := false
+		for _, name := range []string{"f64", "sq8", "f32", "insert"} {
+			tr := trees[name]
+			subs := subtreesOf(tr)
+			if subs[1].IsLeaf() {
+				t.Fatalf("%s/%s: tree of height %d has no internal level", corpus.name, name, tr.Height())
+			}
+			for _, w := range []vec.Vector{nil, weights} {
+				mode := name
+				if w != nil {
+					mode += "/weighted"
+				}
 				for si, subName := range []string{"root", "internal", "leaf"} {
 					sub := subs[si]
 					rows := len(itemsInSubtree(sub, nil))
 					for _, m := range []int{1, 2, 5, 16} {
-						label := fmt.Sprintf("%s/packed=%v/%s/%s/m=%d", corpus.name, packed, mode.name, subName, m)
+						label := fmt.Sprintf("%s/%s/%s/m=%d", corpus.name, mode, subName, m)
 						points := batchQueries(rng, corpus.pts, m, corpus.dim, corpus.scale)
 						if m >= 5 {
 							// A NaN query inside the batch: under SQ8 it alone
@@ -289,10 +322,10 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 								Stats: &sts[i],
 							}
 						}
-						if err := tr.KNNSearch(context.Background(), sub, mode.scan, qs); err != nil {
+						if err := tr.KNNSearch(context.Background(), sub, w, qs); err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						if packed && mode.name != "f32" && (m == 1 || m == 16) {
+						if name == "sq8" && (m == 1 || m == 16) {
 							twin := make([]Query, m)
 							twinRecs := make([]*disk.Recorder, m)
 							twinSts := make([]SearchStats, m)
@@ -300,15 +333,15 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 								twinRecs[i] = &disk.Recorder{}
 								twin[i] = Query{Q: q.Q, K: q.K, Acc: twinRecs[i], Stats: &twinSts[i]}
 							}
-							if err := unpacked.KNNSearch(context.Background(), twins[si], mode.scan, twin); err != nil {
-								t.Fatalf("%s: unpacked: %v", label, err)
+							if err := trees["f64"].KNNSearch(context.Background(), exactSubs[si], w, twin); err != nil {
+								t.Fatalf("%s: f64: %v", label, err)
 							}
 							for i := range qs {
-								l := fmt.Sprintf("%s/q%d/unpacked", label, i)
+								l := fmt.Sprintf("%s/q%d/f64", label, i)
 								sameNeighbors(t, l, qs[i].Result, twin[i].Result)
 								sameTrace(t, l, recs[i], twinRecs[i])
 								if sts[i].HeapPops != twinSts[i].HeapPops || sts[i].NodesRead != twinSts[i].NodesRead {
-									t.Fatalf("%s: %d pops and %d nodes read, unpacked %d and %d", l,
+									t.Fatalf("%s: %d pops and %d nodes read, f64 %d and %d", l,
 										sts[i].HeapPops, sts[i].NodesRead, twinSts[i].HeapPops, twinSts[i].NodesRead)
 								}
 							}
@@ -316,7 +349,7 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 						for i, q := range qs {
 							rec := &disk.Recorder{}
 							var st SearchStats
-							alone, err := tr.KNNOne(context.Background(), sub, mode.scan, q.Q, q.K, rec, &st)
+							alone, err := tr.KNNOne(context.Background(), sub, w, q.Q, q.K, rec, &st)
 							if err != nil {
 								t.Fatalf("%s: alone: %v", label, err)
 							}
@@ -326,7 +359,7 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 							if math.IsNaN(q.Q[0]) {
 								continue // no order to check a NaN query's answer against
 							}
-							if packed && mode.name == "sq8" && q.K > 0 {
+							if name == "sq8" && w == nil && q.K > 0 {
 								checkSequentialRerank(t, label, tr, sub, q.Q, q.K, st, alone)
 							}
 							if st.Reranked < st.CodesScanned {
@@ -336,14 +369,14 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 										label, st.CodesScanned-st.Reranked, st.CodesScanned)
 								}
 							}
-							sameNeighbors(t, label+"/oracle", alone, oracleKNN(tr, sub, mode.scan, q.Q, q.K))
+							sameNeighbors(t, label+"/oracle", alone, oracleKNN(tr, sub, w, q.Q, q.K))
 						}
 					}
 				}
 			}
-			if packed && corpus.name == "duplicated" && !filtered {
-				t.Errorf("%s: no SQ8 search scored fewer rows exactly than it scanned codes", corpus.name)
-			}
+		}
+		if corpus.name == "duplicated" && !filtered {
+			t.Errorf("%s: no SQ8 search scored fewer rows exactly than it scanned codes", corpus.name)
 		}
 	}
 }
@@ -370,19 +403,9 @@ func (c *pollCtx) Err() error {
 func TestKNNSearchCompletedReturnsNil(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	pts := randPoints(rng, 3000, 8, 10)
-	tr := BulkLoad(8, smallCfg, bulkItems(pts), 8)
-	tr.SetFloat32Scoring(true)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable quantized: %v", err)
-	}
-	weights := vec.Vector{2, 1, 1, 0.5, 1, 1, 3, 1}
-	for _, mode := range []struct {
-		name string
-		scan Scan
-	}{
-		{"f64", Scan{}}, {"weighted", Scan{Weights: weights}},
-		{"f32", Scan{Float32: true}}, {"sq8", Scan{Quantized: true}},
-	} {
+	trees := scorerTrees(t, smallCfg, pts, 8)
+	for _, mode := range searchModes(vec.Vector{2, 1, 1, 0.5, 1, 1, 3, 1}) {
+		tr := trees[mode.scorer]
 		for _, m := range []int{1, 3} {
 			points := batchQueries(rng, pts, m, 8, 10)
 			run := func(live int) ([]Query, int, error) {
@@ -391,7 +414,7 @@ func TestKNNSearchCompletedReturnsNil(t *testing.T) {
 					qs[i] = Query{Q: points[i], K: 7}
 				}
 				ctx := &pollCtx{Context: context.Background(), live: live}
-				err := tr.KNNSearch(ctx, tr.Root(), mode.scan, qs)
+				err := tr.KNNSearch(ctx, tr.Root(), mode.weights, qs)
 				return qs, ctx.calls, err
 			}
 			want, polls, err := run(math.MaxInt)
@@ -413,8 +436,8 @@ func TestKNNSearchCompletedReturnsNil(t *testing.T) {
 }
 
 // TestKNNSearchAllocs pins the single-query search to its allocation budget
-// on a packed paper-shaped tree (5,000 × 37-d, k = 10): the result slice, in
-// every scan mode. Everything else is pooled, so an edit that puts M = 1 on
+// on a paper-shaped tree (5,000 × 37-d, k = 10): the result slice, in every
+// scan mode. Everything else is pooled, so an edit that puts M = 1 on
 // an unpooled path fails here.
 func TestKNNSearchAllocs(t *testing.T) {
 	if raceEnabled {
@@ -423,35 +446,24 @@ func TestKNNSearchAllocs(t *testing.T) {
 	const n, dim, k = 5000, 37, 10
 	rng := rand.New(rand.NewSource(91))
 	pts := randPoints(rng, n, dim, 1)
-	tr := BulkLoad(dim, Config{}, bulkItems(pts), 85)
-	tr.SetFloat32Scoring(true)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable quantized: %v", err)
-	}
+	trees := scorerTrees(t, Config{}, pts, 85)
 	weights := make(vec.Vector, dim)
 	for i := range weights {
 		weights[i] = 1 + float64(i%3)
 	}
-	for _, tc := range []struct {
-		name string
-		scan Scan
-		max  float64
-	}{
-		{"f64", Scan{}, 1},
-		{"weighted", Scan{Weights: weights}, 1},
-		{"sq8", Scan{Quantized: true}, 1},
-		{"f32", Scan{Float32: true}, 1},
-	} {
+	budget := map[string]float64{"f64": 1, "weighted": 1, "sq8": 1, "f32": 1}
+	for _, mode := range searchModes(weights) {
+		tr := trees[mode.scorer]
 		i := 0
 		got := testing.AllocsPerRun(200, func() {
 			q := pts[i%n]
 			i++
-			if ns, err := tr.KNNOne(context.Background(), tr.Root(), tc.scan, q, k, nil, nil); err != nil || len(ns) != k {
-				t.Fatalf("%s: %d results, err=%v", tc.name, len(ns), err)
+			if ns, err := tr.KNNOne(context.Background(), tr.Root(), mode.weights, q, k, nil, nil); err != nil || len(ns) != k {
+				t.Fatalf("%s: %d results, err=%v", mode.name, len(ns), err)
 			}
 		})
-		if got > tc.max {
-			t.Errorf("%s: %v allocs per search, budget %v", tc.name, got, tc.max)
+		if got > budget[mode.name] {
+			t.Errorf("%s: %v allocs per search, budget %v", mode.name, got, budget[mode.name])
 		}
 	}
 }
@@ -461,21 +473,16 @@ func TestKNNSearchAllocs(t *testing.T) {
 func TestKNNSearchCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pts := randPoints(rng, 500, 8, 10)
-	tr := BulkLoad(8, smallCfg, bulkItems(pts), 8)
-	tr.SetFloat32Scoring(true)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable quantized: %v", err)
-	}
+	trees := scorerTrees(t, smallCfg, pts, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	weights := vec.Vector{2, 1, 1, 0.5, 1, 1, 3, 1}
-	for _, scan := range []Scan{{}, {Weights: weights}, {Float32: true}, {Quantized: true}} {
+	for _, mode := range searchModes(vec.Vector{2, 1, 1, 0.5, 1, 1, 3, 1}) {
 		qs := make([]Query, 4)
 		for i, q := range batchQueries(rng, pts, 4, 8, 10) {
 			qs[i] = Query{Q: q, K: 5}
 		}
-		if err := tr.KNNSearch(ctx, tr.Root(), scan, qs); err != context.Canceled {
-			t.Fatalf("%+v: expected context.Canceled, got %v", scan, err)
+		if err := trees[mode.scorer].KNNSearch(ctx, trees[mode.scorer].Root(), mode.weights, qs); err != context.Canceled {
+			t.Fatalf("%s: expected context.Canceled, got %v", mode.name, err)
 		}
 	}
 }
@@ -486,32 +493,32 @@ func TestKNNSearchCancellation(t *testing.T) {
 func TestKNNSearchConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	pts := randPoints(rng, 800, 16, 10)
-	tr := BulkLoad(16, smallCfg, bulkItems(pts), 8)
-	tr.SetFloat32Scoring(true)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable quantized: %v", err)
+	trees := scorerTrees(t, smallCfg, pts, 8)
+	weights := pts[0].Clone()
+	for i := range weights {
+		weights[i] = math.Abs(weights[i])
 	}
-	scans := []Scan{{}, {Weights: pts[0].Clone()}, {Float32: true}, {Quantized: true}}
-	for i := range scans[1].Weights {
-		scans[1].Weights[i] = math.Abs(scans[1].Weights[i])
-	}
+	modes := searchModes(weights)
 	points := batchQueries(rng, pts, 3, 16, 10)
-	want := make([][][]Neighbor, len(scans))
-	for s, scan := range scans {
+	want := make([][][]Neighbor, len(modes))
+	for s, mode := range modes {
+		tr := trees[mode.scorer]
 		for _, q := range points {
-			want[s] = append(want[s], knnScan(tr, scan, q, 9, nil))
+			ns, _ := tr.KNNOne(context.Background(), tr.Root(), mode.weights, q, 9, nil, nil)
+			want[s] = append(want[s], ns)
 		}
 	}
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			for rep := 0; rep < 20; rep++ {
-				s := (g + rep) % len(scans)
+				s := (g + rep) % len(modes)
 				qs := make([]Query, len(points))
 				for i, q := range points {
 					qs[i] = Query{Q: q, K: 9}
 				}
-				if err := tr.KNNSearch(context.Background(), tr.Root(), scans[s], qs); err != nil {
+				tr := trees[modes[s].scorer]
+				if err := tr.KNNSearch(context.Background(), tr.Root(), modes[s].weights, qs); err != nil {
 					errs <- err
 					return
 				}
@@ -521,7 +528,7 @@ func TestKNNSearchConcurrent(t *testing.T) {
 						same = qs[i].Result[r].ID == want[s][i][r].ID
 					}
 					if !same {
-						errs <- fmt.Errorf("goroutine %d scan %d query %d diverges from the serial answer", g, s, i)
+						errs <- fmt.Errorf("goroutine %d %s query %d diverges from the serial answer", g, modes[s].name, i)
 						return
 					}
 				}
@@ -538,40 +545,24 @@ func TestKNNSearchConcurrent(t *testing.T) {
 
 // TestKNNSearchHugeK: k is a caller's number, not a size the search may
 // allocate — K = 1<<40 returns every row of the subtree, in the oracle's
-// order, in every scan mode, over packed and unpacked blocks.
+// order, in every scan mode.
 func TestKNNSearchHugeK(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	pts := randPoints(rng, 600, 8, 10)
-	weights := vec.Vector{2, 1, 1, 0.5, 1, 0, 3, 1}
-	for _, packed := range []bool{true, false} {
-		tr := BulkLoad(8, smallCfg, bulkItems(pts), 8)
-		if packed {
-			tr.SetFloat32Scoring(true)
-			if err := tr.SetQuantizedScoring(true); err != nil {
-				t.Fatalf("enable quantized: %v", err)
-			}
-		} else {
-			tr.SetBlockScoring(false)
-		}
+	trees := scorerTrees(t, smallCfg, pts, 8)
+	for _, mode := range searchModes(vec.Vector{2, 1, 1, 0.5, 1, 0, 3, 1}) {
+		tr := trees[mode.scorer]
 		for _, sub := range []*Node{tr.Root(), tr.Root().Children()[0]} {
 			rows := len(itemsInSubtree(sub, nil))
-			for _, mode := range []struct {
-				name string
-				scan Scan
-			}{
-				{"f64", Scan{}}, {"weighted", Scan{Weights: weights}},
-				{"f32", Scan{Float32: true}}, {"sq8", Scan{Quantized: true}},
-			} {
-				label := fmt.Sprintf("packed=%v/%s/rows=%d", packed, mode.name, rows)
-				got, err := tr.KNNOne(context.Background(), sub, mode.scan, pts[3], 1<<40, nil, nil)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if len(got) != rows {
-					t.Fatalf("%s: K = 1<<40 returned %d rows, subtree holds %d", label, len(got), rows)
-				}
-				sameNeighbors(t, label, got, oracleKNN(tr, sub, mode.scan, pts[3], 1<<40))
+			label := fmt.Sprintf("%s/rows=%d", mode.name, rows)
+			got, err := tr.KNNOne(context.Background(), sub, mode.weights, pts[3], 1<<40, nil, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			if len(got) != rows {
+				t.Fatalf("%s: K = 1<<40 returned %d rows, subtree holds %d", label, len(got), rows)
+			}
+			sameNeighbors(t, label, got, oracleKNN(tr, sub, mode.weights, pts[3], 1<<40))
 		}
 	}
 }
@@ -593,10 +584,7 @@ func TestSQ8DescentReadsWhatExactReads(t *testing.T) {
 			pts[i][j] = c*float64(1+j%3) + rng.NormFloat64()
 		}
 	}
-	tr := BulkLoad(dim, smallCfg, bulkItems(pts), 8)
-	if err := tr.SetQuantizedScoring(true); err != nil {
-		t.Fatalf("enable quantized: %v", err)
-	}
+	exactTr, tr := scorerTree(t, "f64", smallCfg, pts, 8), scorerTree(t, "sq8", smallCfg, pts, 8)
 	leafRows := map[disk.PageID]uint64{}
 	tr.Walk(func(nd *Node, _ int) {
 		if nd.IsLeaf() {
@@ -606,16 +594,18 @@ func TestSQ8DescentReadsWhatExactReads(t *testing.T) {
 	var scanned, scored, nodes uint64
 	const searches = 300
 	for qi, q := range batchQueries(rng, pts, searches, dim, 40) {
-		for _, sub := range []*Node{tr.Root(), tr.Root().Children()[qi%len(tr.Root().Children())]} {
+		c := qi % len(tr.Root().Children())
+		for _, subs := range [][2]*Node{{tr.Root(), exactTr.Root()}, {tr.Root().Children()[c], exactTr.Root().Children()[c]}} {
+			sub := subs[0]
 			k := []int{1, 10, 50}[qi%3]
 			label := fmt.Sprintf("q%d/k=%d/node=%d", qi, k, sub.ID())
 			var exactRec, sq8Rec disk.Recorder
 			var exactSt, sq8St SearchStats
-			exact, err := tr.KNNOne(context.Background(), sub, Scan{}, q, k, &exactRec, &exactSt)
+			exact, err := exactTr.KNNOne(context.Background(), subs[1], nil, q, k, &exactRec, &exactSt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sq8, err := tr.KNNOne(context.Background(), sub, Scan{Quantized: true}, q, k, &sq8Rec, &sq8St)
+			sq8, err := tr.KNNOne(context.Background(), sub, nil, q, k, &sq8Rec, &sq8St)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -685,8 +675,7 @@ func TestF32DescentReadsWhatExactReads(t *testing.T) {
 				}
 			}
 		}
-		tr := BulkLoad(dim, Config{}, bulkItems(pts), 85)
-		tr.SetFloat32Scoring(true)
+		exactTr, tr := scorerTree(t, "f64", Config{}, pts, 85), scorerTree(t, "f32", Config{}, pts, 85)
 		if native != (tr.f32Err == 0) {
 			t.Fatalf("native=%v: the mirror's row error is %g", native, tr.f32Err)
 		}
@@ -698,15 +687,17 @@ func TestF32DescentReadsWhatExactReads(t *testing.T) {
 		})
 		var nodes, scored uint64
 		for qi, q := range batchQueries(rng, pts, searches, dim, 40) {
-			for _, sub := range []*Node{tr.Root(), tr.Root().Children()[qi%len(tr.Root().Children())]} {
+			c := qi % len(tr.Root().Children())
+			for _, subs := range [][2]*Node{{tr.Root(), exactTr.Root()}, {tr.Root().Children()[c], exactTr.Root().Children()[c]}} {
+				sub := subs[0]
 				k := []int{1, 10, 50}[qi%3]
 				label := fmt.Sprintf("native=%v/q%d/k=%d/node=%d", native, qi, k, sub.ID())
 				var exactRec, f32Rec disk.Recorder
 				var exactSt, f32St SearchStats
-				if _, err := tr.KNNOne(context.Background(), sub, Scan{}, q, k, &exactRec, &exactSt); err != nil {
+				if _, err := exactTr.KNNOne(context.Background(), subs[1], nil, q, k, &exactRec, &exactSt); err != nil {
 					t.Fatal(err)
 				}
-				got, err := tr.KNNOne(context.Background(), sub, Scan{Float32: true}, q, k, &f32Rec, &f32St)
+				got, err := tr.KNNOne(context.Background(), sub, nil, q, k, &f32Rec, &f32St)
 				if err != nil {
 					t.Fatal(err)
 				}

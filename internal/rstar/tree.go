@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -31,19 +32,17 @@ type Node struct {
 	children []*Node // populated iff !leaf
 	items    []Item  // populated iff leaf
 	// block is the leaf's contiguous dimension-strided copy of its item
-	// points, a subrange of the tree-owned slab built by packBlocks. Valid
-	// only while Tree.blocksOK holds; k-NN scores a whole leaf with one
-	// batch kernel call through it.
+	// points, a subrange of the tree-owned slab built by packBlocks; k-NN
+	// scores a whole leaf with one batch kernel call through it.
 	block []float64
 	// box is an internal node's children's rectangles, dimension-major (each
 	// dimension's Min of every child, then its Max of every child), so k-NN
 	// bounds all of them with one vec.MinDistSqChildren call. Built by
-	// packBlocks and dropped with the leaf blocks.
+	// packBlocks.
 	box []float64
 	// qlo and qhi delimit the subtree's slab rows [qlo, qhi): leaves are
 	// packed in depth-first order, so every subtree owns one contiguous row
-	// range — a leaf's SQ8 code rows or float32 mirror rows. Valid only while
-	// Tree.quantOK or Tree.f32OK holds (set by setRowRanges).
+	// range — a leaf's SQ8 code rows or float32 mirror rows.
 	qlo, qhi int
 }
 
@@ -115,12 +114,18 @@ func (c Config) withDefaults() Config {
 
 // Tree is an R*-tree over d-dimensional points.
 //
-// Concurrency invariant: once construction (New+Insert, BulkLoad, or
-// FromSnapshot) completes, every read path — Node accessors, KNN*, Search,
-// Walk, LeafOf, Height, Len, NodeCount — is safe for unsynchronized use from
-// any number of goroutines, because reads never mutate tree state (no
-// internal caches, no rebalancing on read). Mutations (Insert, Delete)
-// require external exclusion against both readers and other writers. The
+// A tree is packed from construction until it is dropped: BulkLoadCtx,
+// InsertLoadCtx, FromSnapshot and FromTopology lay every point out in the
+// tree-owned slab before returning, and nothing changes the tree's items
+// afterwards. Its leaf scorer — float64, the SQ8 row filter (quant.go) or the
+// float32 mirror (f32.go) — is installed at most once, before the tree is
+// shared; installing requires exclusion against searches, like construction
+// itself.
+//
+// Concurrency invariant: once construction completes, every read path —
+// Node accessors, KNN*, Search, Walk, LeafOf, Height, Len, NodeCount — is
+// safe for unsynchronized use from any number of goroutines, because reads
+// never mutate tree state (no internal caches, no rebalancing on read). The
 // shared Accounter passed to a search must itself be goroutine-safe if the
 // searches run concurrently (disk.Counter and disk.Nop are; disk.LRUCache is
 // not — see package disk).
@@ -134,34 +139,24 @@ type Tree struct {
 	// fromBulk marks trees built by BulkLoad; STR packing may leave one
 	// under-filled node per level, which CheckInvariants then tolerates.
 	fromBulk bool
-	// blocksOK reports that every leaf's block mirrors its items. Bulk load
-	// and snapshot restore establish it; Insert and Delete clear it globally,
-	// because splits and forced reinsertion move items across leaves and
-	// reorder them in place, breaking the row correspondence. Searches fall
-	// back to per-item scoring while it is false.
-	blocksOK bool
 	// slab is the flat point storage behind the leaf blocks (depth-first leaf
 	// order), retained so the SQ8 codes and the float32 mirror can be derived
-	// from it. Valid while blocksOK holds.
+	// from it.
 	slab []float64
 
-	// SQ8 row-filter state (see quant.go): the SQ8 codes mirroring slab
-	// row-for-row and the trained quantizer. Valid while quantOK holds; any
-	// structural mutation clears all of it.
-	quantOK bool
-	qcodes  []uint8
-	quant   *store.Quantized
-
-	// Float32 scorer state (see f32.go): the float32 mirror of the slab,
-	// narrowed once at enable time, and its largest finite row narrowing
-	// error. Valid while f32OK holds, cleared by any structural mutation.
-	f32OK  bool
+	// The installed leaf scorer, if not plain float64: the SQ8 codes
+	// mirroring slab row for row and their quantizer (see quant.go), or the
+	// float32 mirror of the slab and its largest finite row narrowing error
+	// (see f32.go). At most one of quant and fslab is set.
+	qcodes []uint8
+	quant  *store.Quantized
 	fslab  []float32
 	f32Err float64
 }
 
-// New returns an empty tree for points of the given dimensionality.
-func New(dim int, cfg Config) *Tree {
+// newTree returns an empty, unpacked tree for points of the given
+// dimensionality; InsertLoadCtx fills and packs it.
+func newTree(dim int, cfg Config) *Tree {
 	if dim <= 0 {
 		panic(fmt.Sprintf("rstar: invalid dimension %d", dim))
 	}
@@ -172,6 +167,25 @@ func New(dim int, cfg Config) *Tree {
 	t := &Tree{dim: dim, cfg: cfg, height: 1}
 	t.root = t.newNode(true)
 	return t
+}
+
+// InsertLoadCtx builds a tree by inserting the items one at a time with the
+// R* algorithm (ChooseSubtree, forced reinsertion, topological split), then
+// packs it once. It polls ctx every 1,024 items. Like BulkLoadCtx it reads
+// the callers' point slices only while building: packing copies every point
+// into the tree-owned slab. It panics on a dimension mismatch.
+func InsertLoadCtx(ctx context.Context, dim int, cfg Config, items []Item) (*Tree, error) {
+	t := newTree(dim, cfg)
+	for i, it := range items {
+		if i%1024 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		t.insert(it)
+	}
+	t.packBlocks()
+	return t, nil
 }
 
 // itemsInSubtree appends every item under n to dst and returns it.
@@ -218,14 +232,12 @@ func (t *Tree) NodeCount() int {
 	return count(t.root)
 }
 
-// Insert adds an item to the tree. The point is cloned; callers may reuse the
-// slice. It panics on a dimension mismatch.
-func (t *Tree) Insert(id ItemID, p vec.Vector) {
-	if len(p) != t.dim {
-		panic(fmt.Sprintf("rstar: insert dim %d into %d-d tree", len(p), t.dim))
+// insert adds an item to the tree. The item's point is shared, not copied,
+// until packBlocks moves it into the slab. It panics on a dimension mismatch.
+func (t *Tree) insert(item Item) {
+	if len(item.Point) != t.dim {
+		panic(fmt.Sprintf("rstar: insert dim %d into %d-d tree", len(item.Point), t.dim))
 	}
-	t.invalidateBlocks()
-	item := Item{ID: id, Point: p.Clone()}
 	// reinserted tracks which levels already used forced reinsertion during
 	// this insertion (R* OverflowTreatment is invoked at most once per level).
 	reinserted := make(map[int]bool)
@@ -551,31 +563,11 @@ func (t *Tree) adjustRectUp(n *Node, r Rect) {
 }
 
 // recomputeRectUp recomputes MBRs exactly from n up to the root; required
-// after shrinking operations (reinsertion removal, splits, deletion).
+// after shrinking operations (reinsertion removal, splits).
 func (t *Tree) recomputeRectUp(n *Node) {
 	for cur := n; cur != nil; cur = cur.parent {
 		cur.rect = nodeMBR(cur)
 	}
-}
-
-// Delete removes the item with the given ID located at point p. It returns
-// false if no such item exists. Underfull nodes are dissolved and their
-// entries reinserted (condense-tree).
-func (t *Tree) Delete(id ItemID, p vec.Vector) bool {
-	leaf := t.findLeaf(t.root, id, p)
-	if leaf == nil {
-		return false
-	}
-	t.invalidateBlocks()
-	for i, it := range leaf.items {
-		if it.ID == id && it.Point.Equal(p) {
-			leaf.items = append(leaf.items[:i], leaf.items[i+1:]...)
-			break
-		}
-	}
-	t.size--
-	t.condense(leaf)
-	return true
 }
 
 func (t *Tree) findLeaf(n *Node, id ItemID, p vec.Vector) *Node {
@@ -598,45 +590,4 @@ func (t *Tree) findLeaf(n *Node, id ItemID, p vec.Vector) *Node {
 		}
 	}
 	return nil
-}
-
-// condense walks from a shrunken leaf to the root, dissolving underfull
-// nodes and reinserting their items. Orphaned subtrees are flattened to items
-// rather than grafted at their original level: deletions are rare in this
-// system (the corpus is built once), so the simpler strategy that can never
-// violate height balance is preferred over level-preserving grafts.
-func (t *Tree) condense(n *Node) {
-	var orphanItems []Item
-	for cur := n; cur != t.root; {
-		parent := cur.parent
-		if cur.Len() < t.cfg.MinFill {
-			for i, c := range parent.children {
-				if c == cur {
-					parent.children = append(parent.children[:i], parent.children[i+1:]...)
-					break
-				}
-			}
-			orphanItems = itemsInSubtree(cur, orphanItems)
-		} else {
-			cur.rect = nodeMBR(cur)
-		}
-		cur = parent
-	}
-	t.recomputeRectUp(t.root)
-
-	// Shrink the root if it lost all but one child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-		t.root.parent = nil
-		t.height--
-	}
-	if !t.root.leaf && len(t.root.children) == 0 {
-		t.root = t.newNode(true)
-		t.height = 1
-	}
-
-	reinserted := make(map[int]bool)
-	for _, it := range orphanItems {
-		t.insertItem(it, reinserted)
-	}
 }

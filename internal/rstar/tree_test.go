@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -24,12 +25,19 @@ func randPoints(rng *rand.Rand, n, dim int, scale float64) []vec.Vector {
 	return pts
 }
 
+// insertLoad builds a tree over items by R* insertion.
+func insertLoad(t *testing.T, dim int, cfg Config, items []Item) *Tree {
+	t.Helper()
+	tr, err := InsertLoadCtx(context.Background(), dim, cfg, items)
+	if err != nil {
+		t.Fatalf("insertion build: %v", err)
+	}
+	return tr
+}
+
 func buildTree(t *testing.T, pts []vec.Vector, cfg Config) *Tree {
 	t.Helper()
-	tr := New(len(pts[0]), cfg)
-	for i, p := range pts {
-		tr.Insert(ItemID(i), p)
-	}
+	tr := insertLoad(t, len(pts[0]), cfg, bulkItems(pts))
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after build: %v", err)
 	}
@@ -37,7 +45,7 @@ func buildTree(t *testing.T, pts []vec.Vector, cfg Config) *Tree {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(3, smallCfg)
+	tr := insertLoad(t, 3, smallCfg, nil)
 	if tr.Len() != 0 || tr.Height() != 1 || tr.NodeCount() != 1 {
 		t.Fatalf("empty tree: len=%d h=%d nodes=%d", tr.Len(), tr.Height(), tr.NodeCount())
 	}
@@ -50,9 +58,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestInsertFewNoSplit(t *testing.T) {
-	tr := New(2, smallCfg)
-	tr.Insert(1, vec.Vector{1, 1})
-	tr.Insert(2, vec.Vector{2, 2})
+	tr := insertLoad(t, 2, smallCfg, []Item{{1, vec.Vector{1, 1}}, {2, vec.Vector{2, 2}}})
 	if tr.Height() != 1 || tr.Len() != 2 {
 		t.Fatalf("h=%d len=%d", tr.Height(), tr.Len())
 	}
@@ -63,19 +69,17 @@ func TestInsertFewNoSplit(t *testing.T) {
 }
 
 func TestInsertDimMismatchPanics(t *testing.T) {
-	tr := New(2, smallCfg)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	tr.Insert(1, vec.Vector{1, 2, 3})
+	insertLoad(t, 2, smallCfg, []Item{{1, vec.Vector{1, 2, 3}}})
 }
 
 func TestInsertClonesPoint(t *testing.T) {
-	tr := New(2, smallCfg)
 	p := vec.Vector{1, 1}
-	tr.Insert(1, p)
+	tr := insertLoad(t, 2, smallCfg, []Item{{1, p}})
 	p[0] = 99
 	got := tr.KNN(vec.Vector{1, 1}, 1, nil)
 	if got[0].Point[0] != 1 {
@@ -210,7 +214,7 @@ func TestKNNWeightedMatchesLinear(t *testing.T) {
 	w := vec.Vector{4, 0.25, 1, 2}
 	for trial := 0; trial < 10; trial++ {
 		q := randPoints(rng, 1, 4, 8)[0]
-		got := knnScan(tr, Scan{Weights: w}, q, 10, nil)
+		got, _ := tr.KNNOne(context.Background(), tr.Root(), w, q, 10, nil, nil)
 		// Linear reference under the weighted metric.
 		ds := make([]float64, len(pts))
 		for i, p := range pts {
@@ -244,79 +248,6 @@ func TestRangeSearch(t *testing.T) {
 		if !r.Contains(it.Point) {
 			t.Errorf("item %d outside range", it.ID)
 		}
-	}
-}
-
-func TestDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	pts := randPoints(rng, 200, 3, 10)
-	tr := buildTree(t, pts, smallCfg)
-	// Delete half the points in random order.
-	perm := rng.Perm(len(pts))
-	for _, i := range perm[:100] {
-		if !tr.Delete(ItemID(i), pts[i]) {
-			t.Fatalf("Delete(%d) = false", i)
-		}
-		// Invariants are expensive; spot-check periodically.
-		if i%17 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("invariants after delete %d: %v", i, err)
-			}
-		}
-	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d after deletions", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("final invariants: %v", err)
-	}
-	// Deleted points are gone; remaining points are findable.
-	deleted := make(map[int]bool)
-	for _, i := range perm[:100] {
-		deleted[i] = true
-	}
-	for i, p := range pts {
-		found := false
-		for _, n := range tr.KNN(p, 1, nil) {
-			if n.ID == ItemID(i) && n.Dist == 0 {
-				found = true
-			}
-		}
-		if deleted[i] && found {
-			t.Errorf("deleted item %d still present", i)
-		}
-		if !deleted[i] && !found {
-			t.Errorf("surviving item %d not found", i)
-		}
-	}
-	// Deleting a missing item returns false.
-	if tr.Delete(9999, vec.Vector{0, 0, 0}) {
-		t.Error("Delete of absent item returned true")
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := randPoints(rng, 60, 2, 5)
-	tr := buildTree(t, pts, smallCfg)
-	for i, p := range pts {
-		if !tr.Delete(ItemID(i), p) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if tr.Height() != 1 {
-		t.Errorf("height = %d after deleting all", tr.Height())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Errorf("invariants on emptied tree: %v", err)
-	}
-	// Tree remains usable.
-	tr.Insert(1, vec.Vector{1, 1})
-	if got := tr.KNN(vec.Vector{1, 1}, 1, nil); len(got) != 1 || got[0].ID != 1 {
-		t.Error("tree unusable after emptying")
 	}
 }
 
@@ -370,14 +301,13 @@ func TestClusteredDataSeparatesIntoNodes(t *testing.T) {
 	// MBRs do not overlap — the property the RFS structure relies on to act
 	// as a hierarchical clustering.
 	rng := rand.New(rand.NewSource(12))
-	tr := New(2, smallCfg)
-	id := 0
+	var items []Item
 	for _, cx := range []float64{0, 1000} {
 		for i := 0; i < 60; i++ {
-			tr.Insert(ItemID(id), vec.Vector{cx + rng.NormFloat64(), rng.NormFloat64()})
-			id++
+			items = append(items, Item{ItemID(len(items)), vec.Vector{cx + rng.NormFloat64(), rng.NormFloat64()}})
 		}
 	}
+	tr := insertLoad(t, 2, smallCfg, items)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +335,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatal("MinFill > (MaxFill+1)/2 did not panic")
 		}
 	}()
-	New(2, Config{MaxFill: 10, MinFill: 8})
+	insertLoad(t, 2, Config{MaxFill: 10, MinFill: 8}, nil)
 }
 
 func TestNewInvalidDimPanics(t *testing.T) {
@@ -414,14 +344,15 @@ func TestNewInvalidDimPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(0, Config{})
+	insertLoad(t, 0, Config{}, nil)
 }
 
 func TestDuplicatePointsSupported(t *testing.T) {
-	tr := New(2, smallCfg)
-	for i := 0; i < 50; i++ {
-		tr.Insert(ItemID(i), vec.Vector{1, 1})
+	items := make([]Item, 50)
+	for i := range items {
+		items[i] = Item{ItemID(i), vec.Vector{1, 1}}
 	}
+	tr := insertLoad(t, 2, smallCfg, items)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants with duplicates: %v", err)
 	}
@@ -470,13 +401,7 @@ func TestHighDimensional37(t *testing.T) {
 	// The production configuration: 37 dimensions, paper fill factors.
 	rng := rand.New(rand.NewSource(13))
 	pts := randPoints(rng, 2000, 37, 1)
-	tr := New(37, Config{MaxFill: 100, MinFill: 40})
-	for i, p := range pts {
-		tr.Insert(ItemID(i), p)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("37-d invariants: %v", err)
-	}
+	tr := buildTree(t, pts, Config{MaxFill: 100, MinFill: 40})
 	q := randPoints(rng, 1, 37, 1)[0]
 	got := tr.KNN(q, 10, nil)
 	want := linearKNN(pts, q, 10)
@@ -514,4 +439,25 @@ func TestNodeMBRAllocatesOneRect(t *testing.T) {
 			t.Fatalf("node %d: nodeMBR %v/%v != Union fold %v/%v", n.id, got.Min, got.Max, want.Min, want.Max)
 		}
 	})
+}
+
+// BenchmarkRStarInsert prices incremental R* insertion (with forced
+// reinsertion and splits) in the 37-d production configuration, one item at
+// a time: the loop InsertLoadCtx runs before it packs.
+func BenchmarkRStarInsert(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	pts := make([]vec.Vector, b.N)
+	for i := range pts {
+		p := make(vec.Vector, 37)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		pts[i] = p
+	}
+	tree := newTree(37, Config{MaxFill: 100})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.insert(Item{ID: ItemID(i), Point: pts[i]})
+	}
 }

@@ -68,7 +68,6 @@ type SealedInput struct {
 	IDs        []int
 	Store      *store.FeatureStore
 	Structure  *rfs.Structure
-	Quantized  bool
 	Tombstoned []int
 }
 
@@ -108,10 +107,12 @@ func Restore(cfg Config, sealed []SealedInput, mem MemInput, nextID int, epoch u
 			return nil, fmt.Errorf("seg: restore segment %d ids out of order", si)
 		}
 		maxID = in.IDs[len(in.IDs)-1]
-		g := &segment{ids: in.IDs, st: in.Store, rfs: in.Structure, quantized: in.Quantized}
+		g := &segment{ids: in.IDs, st: in.Store, rfs: in.Structure}
 		if cfg.Float32 {
 			in.Store.MaterializeFloat32()
-			in.Structure.EnableFloat32Scan()
+			if err := in.Structure.Tree().NarrowFloat32(); err != nil {
+				return nil, fmt.Errorf("seg: restore segment %d: %w", si, err)
+			}
 		}
 		sv := segView{seg: g}
 		for _, id := range in.Tombstoned {

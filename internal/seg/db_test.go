@@ -264,7 +264,7 @@ func TestRestoreValidation(t *testing.T) {
 		}
 		sealed = append(sealed, SealedInput{
 			IDs: sv.seg.ids, Store: sv.seg.st, Structure: sv.seg.rfs,
-			Quantized: sv.seg.quantized, Tombstoned: tombs,
+			Tombstoned: tombs,
 		})
 	}
 	memTombs := snap.mem.tomb.AppendIndices(nil)

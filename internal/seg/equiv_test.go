@@ -96,7 +96,7 @@ func rebuildRef(t *testing.T, cfg Config, snap *Snapshot) *DB {
 	}
 	nextID := liveIDs[len(liveIDs)-1] + 1
 	ref, err := Restore(cfg, []SealedInput{{
-		IDs: g.ids, Store: g.st, Structure: g.rfs, Quantized: g.quantized,
+		IDs: g.ids, Store: g.st, Structure: g.rfs,
 	}}, MemInput{BaseID: nextID}, nextID, 0)
 	if err != nil {
 		t.Fatalf("restore rebuilt segment: %v", err)
@@ -226,6 +226,70 @@ func checkEquivalence(t *testing.T, mode string, db *DB, byID map[int]vec.Vector
 		}
 		sameResult(t, mode+"/finalize-weighted", gotW, wantW)
 	}
+}
+
+// TestFloat32TakesPrecedenceOverQuantized: a DB configured both Float32 and
+// Quantized is a float32 DB. Its sealed segments hold no SQ8 codes, and it
+// answers k-NN and finalize bit-identically to a Float32-only DB fed the
+// same writes.
+func TestFloat32TakesPrecedenceOverQuantized(t *testing.T) {
+	both := testConfig("f32")
+	both.Quantized = true
+	var snaps [2]*Snapshot
+	for i, cfg := range []Config{testConfig("f32"), both} {
+		db, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		rng := rand.New(rand.NewSource(5))
+		for n := 0; n < 300; n++ {
+			if _, err := db.Insert(randVec(rng, cfg.Dim)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := 0; id < 300; id += 5 {
+			if err := db.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snaps[i] = db.Acquire()
+		defer snaps[i].Release()
+	}
+	if len(snaps[1].segs) < 2 {
+		t.Fatalf("want multiple sealed segments, got %d", len(snaps[1].segs))
+	}
+	for si, sv := range snaps[1].segs {
+		if tr := sv.seg.rfs.Tree(); tr.QuantizedScoring() || !tr.Float32Scoring() {
+			t.Fatalf("segment %d: SQ8 codes %v, float32 mirror %v", si, tr.QuantizedScoring(), tr.Float32Scoring())
+		}
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(6))
+	for qi := 0; qi < 8; qi++ {
+		q := randVec(rng, 8)
+		for _, k := range []int{1, 10, 50} {
+			want, err := snaps[0].KNNCtx(ctx, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := snaps[1].KNNCtx(ctx, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameNeighbors(t, "knn", got, want)
+		}
+	}
+	examples := []int{1, 2, 3, 7, 11, 42, 101, 251}
+	want, err := snaps[0].QueryByExamplesCtx(ctx, examples, 21, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := snaps[1].QueryByExamplesCtx(ctx, examples, 21, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "finalize", got, want)
 }
 
 func TestSegmentMergeEquivalence(t *testing.T) {

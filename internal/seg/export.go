@@ -19,7 +19,6 @@ func (s *Snapshot) SealedInputs() []SealedInput {
 			IDs:        sv.seg.ids,
 			Store:      sv.seg.st,
 			Structure:  sv.seg.rfs,
-			Quantized:  sv.seg.quantized,
 			Tombstoned: tombs,
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"qdcbir/internal/par"
-	"qdcbir/internal/rstar"
 	"qdcbir/internal/shard"
 	"qdcbir/internal/vec"
 )
@@ -79,14 +78,10 @@ func (s *Snapshot) searchSegment(ctx context.Context, sv segView, q, weights vec
 	if kk > sv.seg.len() {
 		kk = sv.seg.len()
 	}
-	// A segment sealed without codes has no quantized scoring on its tree;
-	// rstar then answers the Quantized request with the exact descent.
+	// The segment's tree scores as it was sealed: float32, SQ8-filtered, or
+	// exact when its codes could not be trained.
 	tree := sv.seg.rfs.Tree()
-	ns, err := tree.KNNOne(ctx, tree.Root(), rstar.Scan{
-		Weights:   weights,
-		Float32:   s.db.cfg.Float32,
-		Quantized: s.db.cfg.Quantized,
-	}, q, kk, nil, nil)
+	ns, err := tree.KNNOne(ctx, tree.Root(), weights, q, kk, nil, nil)
 	if err != nil {
 		return nil, err
 	}

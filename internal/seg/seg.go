@@ -55,6 +55,8 @@ type Config struct {
 
 	// Float32 selects the float32 scan mode for sealed segments (memtable
 	// rows are narrowed at insert, matching MaterializeFloat32's narrowing).
+	// It takes precedence over Quantized, which withDefaults clears: a
+	// float32 segment holds no SQ8 codes.
 	Float32 bool
 
 	// Quantized enables the SQ8 row filter in sealed segments. Falls back
@@ -108,6 +110,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NodeCapacity <= 0 {
 		c.NodeCapacity = 32
+	}
+	if c.Float32 {
+		c.Quantized = false // Float32 selects a precision; SQ8 serves the f64 path
 	}
 	return c
 }

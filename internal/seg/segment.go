@@ -24,10 +24,6 @@ type segment struct {
 	ids []int
 	st  *store.FeatureStore
 	rfs *rfs.Structure
-	// quantized records whether SQ8 training succeeded for this segment;
-	// per-segment fallback to exact scoring is invisible in results because
-	// the SQ8 codes only filter which rows are scored exactly.
-	quantized bool
 }
 
 func (g *segment) len() int { return len(g.ids) }
@@ -68,19 +64,18 @@ func buildSegment(ctx context.Context, cfg Config, ids []int, backing []float64)
 	if err != nil {
 		return nil, err
 	}
-	g := &segment{ids: ids, st: st, rfs: structure}
 	if cfg.Quantized {
-		// Train per-segment; on failure fall back to exact scan for this
-		// segment only, mirroring the monolithic attachQuantizer behaviour.
-		if qz, qerr := store.Quantize(st); qerr == nil {
-			if structure.AdoptQuantized(qz) == nil {
-				g.quantized = true
-			}
-		}
+		// Train per segment. A segment whose corpus cannot be trained scores
+		// exactly, mirroring the monolithic attachQuantizer behaviour; that is
+		// invisible in results, because the SQ8 codes only filter which rows
+		// are scored exactly.
+		_ = structure.Tree().TrainQuantized()
 	}
 	if cfg.Float32 {
 		st.MaterializeFloat32()
-		structure.EnableFloat32Scan()
+		if err := structure.Tree().NarrowFloat32(); err != nil {
+			return nil, fmt.Errorf("seg: %w", err)
+		}
 	}
-	return g, nil
+	return &segment{ids: ids, st: st, rfs: structure}, nil
 }

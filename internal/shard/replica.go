@@ -212,7 +212,8 @@ type LegStats struct {
 // (distance, global ID) — the same total order the single-node search's
 // stabilized output uses — with distances computed by the same batch kernels
 // at the same precision. A non-nil weights vector selects the weighted
-// float64 path, exactly as rstar.Scan.Weights does on a single node.
+// float64 path, exactly as weights passed to rstar.Tree.KNNSearch do on a
+// single node.
 func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, weights []float64, k int) ([]Neighbor, error) {
 	out, err := r.Sweep(ctx, nodeID, []vec.Vector{q}, weights, []int{k}, nil)
 	if err != nil {

@@ -1,9 +1,6 @@
 package vec
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Stats holds per-dimension summary statistics over a set of vectors. It is
 // the basis for corpus normalization and for variance-weighted distances used
@@ -49,15 +46,6 @@ func ComputeStats(vs []Vector) *Stats {
 		s.Variance[i] = m2[i] / float64(len(vs))
 	}
 	return s
-}
-
-// StdDev returns the per-dimension population standard deviation.
-func (s *Stats) StdDev() Vector {
-	sd := make(Vector, len(s.Variance))
-	for i, v := range s.Variance {
-		sd[i] = math.Sqrt(v)
-	}
-	return sd
 }
 
 // InverseVariance returns per-dimension weights 1/(variance_i + eps). The eps
@@ -111,44 +99,6 @@ func (n *MinMaxNormalizer) Apply(v Vector) Vector {
 	return out
 }
 
-// ZScoreNormalizer standardizes each dimension to zero mean and unit variance
-// over the fitting corpus. Constant dimensions map to 0.
-type ZScoreNormalizer struct {
-	Mean, Std Vector
-}
-
-// FitZScore fits a ZScoreNormalizer on vs.
-func FitZScore(vs []Vector) *ZScoreNormalizer {
-	st := ComputeStats(vs)
-	return &ZScoreNormalizer{Mean: st.Mean, Std: st.StdDev()}
-}
-
-// Dim returns the fitted dimensionality.
-func (n *ZScoreNormalizer) Dim() int { return len(n.Mean) }
-
-// Apply standardizes v.
-func (n *ZScoreNormalizer) Apply(v Vector) Vector {
-	mustSameDim(v, n.Mean)
-	out := make(Vector, len(v))
-	for i, x := range v {
-		if n.Std[i] == 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = (x - n.Mean[i]) / n.Std[i]
-	}
-	return out
-}
-
-// ApplyAll normalizes every vector in vs with n and returns the new slice.
-func ApplyAll(n Normalizer, vs []Vector) []Vector {
-	out := make([]Vector, len(vs))
-	for i, v := range vs {
-		out[i] = n.Apply(v)
-	}
-	return out
-}
-
 // Matrix is a small dense row-major matrix used by the PCA substrate.
 type Matrix struct {
 	Rows, Cols int
@@ -171,26 +121,3 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a Vector sharing the matrix backing array.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// MulVec returns m · v.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("vec: MulVec dimension mismatch %d vs %d", len(v), m.Cols))
-	}
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), v)
-	}
-	return out
-}
-
-// Transpose returns a new transposed matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}

@@ -46,15 +46,8 @@ func TestComputeStatsEmptyPanics(t *testing.T) {
 	ComputeStats(nil)
 }
 
-func TestStdDevAndInverseVariance(t *testing.T) {
+func TestInverseVariance(t *testing.T) {
 	s := ComputeStats([]Vector{{0, 7}, {2, 7}})
-	sd := s.StdDev()
-	if !almostEqual(sd[0], 1, 1e-12) {
-		t.Errorf("StdDev[0] = %v", sd[0])
-	}
-	if sd[1] != 0 {
-		t.Errorf("StdDev[1] = %v", sd[1])
-	}
 	w := s.InverseVariance(1e-6)
 	if w[0] >= w[1] {
 		t.Errorf("low-variance dim should receive larger weight: %v", w)
@@ -87,37 +80,6 @@ func TestMinMaxNormalizer(t *testing.T) {
 	}
 }
 
-func TestZScoreNormalizer(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vs := randomVectors(rng, 500, 4)
-	// Shift and scale so raw dims have distinct magnitudes.
-	for _, v := range vs {
-		v[1] = v[1]*100 + 50
-		v[2] = v[2]*0.01 - 3
-	}
-	n := FitZScore(vs)
-	out := ApplyAll(n, vs)
-	s := ComputeStats(out)
-	for i := 0; i < 4; i++ {
-		if !almostEqual(s.Mean[i], 0, 1e-9) {
-			t.Errorf("normalized mean[%d] = %v", i, s.Mean[i])
-		}
-		if !almostEqual(s.Variance[i], 1, 1e-6) {
-			t.Errorf("normalized variance[%d] = %v", i, s.Variance[i])
-		}
-	}
-}
-
-func TestZScoreConstantDimension(t *testing.T) {
-	vs := []Vector{{1, 42}, {2, 42}, {3, 42}}
-	n := FitZScore(vs)
-	for _, v := range vs {
-		if got := n.Apply(v)[1]; got != 0 {
-			t.Errorf("constant dim normalized to %v, want 0", got)
-		}
-	}
-}
-
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 0, 1)
@@ -128,14 +90,6 @@ func TestMatrixBasics(t *testing.T) {
 	}
 	if !m.Row(0).Equal(Vector{1, 0, 2}) {
 		t.Errorf("Row(0) = %v", m.Row(0))
-	}
-	got := m.MulVec(Vector{1, 1, 1})
-	if !got.Equal(Vector{3, 3}) {
-		t.Errorf("MulVec = %v", got)
-	}
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 0) != 2 || tr.At(1, 1) != 3 {
-		t.Errorf("Transpose wrong: %+v", tr)
 	}
 }
 

@@ -48,14 +48,6 @@ func (v Vector) AddInPlace(w Vector) {
 	}
 }
 
-// SubInPlace subtracts w from v component-wise. It panics if dimensions differ.
-func (v Vector) SubInPlace(w Vector) {
-	mustSameDim(v, w)
-	for i := range v {
-		v[i] -= w[i]
-	}
-}
-
 // ScaleInPlace multiplies every component of v by s.
 func (v Vector) ScaleInPlace(s float64) {
 	for i := range v {
@@ -83,15 +75,6 @@ func Sub(v, w Vector) Vector {
 	return out
 }
 
-// Scale returns s*v as a new vector.
-func Scale(v Vector, s float64) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] * s
-	}
-	return out
-}
-
 // Dot returns the inner product of v and w.
 func Dot(v, w Vector) float64 {
 	mustSameDim(v, w)
@@ -101,9 +84,6 @@ func Dot(v, w Vector) float64 {
 	}
 	return s
 }
-
-// Norm returns the Euclidean (L2) norm of v.
-func Norm(v Vector) float64 { return math.Sqrt(Dot(v, v)) }
 
 // L2 returns the Euclidean distance between v and w.
 func L2(v, w Vector) float64 { return math.Sqrt(SqL2(v, w)) }
@@ -120,28 +100,6 @@ func SqL2(v, w Vector) float64 {
 	return s
 }
 
-// L1 returns the Manhattan distance between v and w.
-func L1(v, w Vector) float64 {
-	mustSameDim(v, w)
-	var s float64
-	for i := range v {
-		s += math.Abs(v[i] - w[i])
-	}
-	return s
-}
-
-// Linf returns the Chebyshev distance between v and w.
-func Linf(v, w Vector) float64 {
-	mustSameDim(v, w)
-	var m float64
-	for i := range v {
-		if d := math.Abs(v[i] - w[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // WeightedSqL2 returns sum_i w_i (v_i - u_i)^2. Negative weights are invalid
 // but not checked; callers construct weights via Stats.InverseVariance or
 // similar, which are non-negative by construction.
@@ -154,28 +112,6 @@ func WeightedSqL2(v, u, weights Vector) float64 {
 		s += weights[i] * d * d
 	}
 	return s
-}
-
-// WeightedL2 returns the square root of WeightedSqL2.
-func WeightedL2(v, u, weights Vector) float64 {
-	return math.Sqrt(WeightedSqL2(v, u, weights))
-}
-
-// Cosine returns the cosine distance 1 - cos(v, w). If either vector has zero
-// norm the distance is defined as 1.
-func Cosine(v, w Vector) float64 {
-	nv, nw := Norm(v), Norm(w)
-	if nv == 0 || nw == 0 {
-		return 1
-	}
-	c := Dot(v, w) / (nv * nw)
-	// Clamp against floating-point drift outside [-1, 1].
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return 1 - c
 }
 
 // DistFunc is a distance measure between two equal-dimension vectors.

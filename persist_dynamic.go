@@ -154,9 +154,9 @@ func LoadDynamicFile(path string, observer *obs.Observer) (*Dynamic, error) {
 
 // loadDynamicV4 decodes a version-4 payload: each segment's store adopts its
 // backing at the persisted precision, the tree is rebuilt point-free from
-// the topology snapshot, and (for quantized configs) the SQ8 quantizer is
-// retrained per segment — deterministic, and harmless to results either way
-// since every distance the SQ8 path returns is exact. The engine then
+// the topology snapshot, and (for quantized configs) each segment's tree
+// retrains its SQ8 quantizer — deterministic, and harmless to results either
+// way since every distance the SQ8 path returns is exact. The engine then
 // reassembles through seg.Restore, which re-applies float32 materialization
 // and tombstones.
 func loadDynamicV4(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
@@ -177,6 +177,9 @@ func loadDynamicV4(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
 		DisableAutoCompact: a.DisableAutoCompact,
 		Observer:           observer,
 	}
+	// Float32 takes precedence, as seg resolves the pair: an archive saved
+	// with both flags restores float32 segments, which hold no SQ8 codes.
+	cfg.Quantized = cfg.Quantized && !cfg.Float32
 	sealed := make([]seg.SealedInput, 0, len(a.Segs))
 	for si, as := range a.Segs {
 		var st *store.FeatureStore
@@ -196,13 +199,11 @@ func loadDynamicV4(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
 		if err != nil {
 			return nil, fmt.Errorf("qdcbir: segment %d: %w", si, err)
 		}
-		in := seg.SealedInput{IDs: as.IDs, Store: st, Structure: structure, Tombstoned: as.Tombstoned}
-		if a.Quantized {
-			if qz, qerr := store.Quantize(st); qerr == nil && structure.AdoptQuantized(qz) == nil {
-				in.Quantized = true
-			}
+		if cfg.Quantized {
+			// Training failure leaves the segment exact, as in buildSegment.
+			_ = structure.Tree().TrainQuantized()
 		}
-		sealed = append(sealed, in)
+		sealed = append(sealed, seg.SealedInput{IDs: as.IDs, Store: st, Structure: structure, Tombstoned: as.Tombstoned})
 	}
 	db, err := seg.Restore(cfg.segConfig(), sealed, seg.MemInput{
 		BaseID:     a.MemBaseID,

@@ -3,6 +3,7 @@ package qdcbir
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -169,6 +170,49 @@ func TestDynamicSaveLoadRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLoadDynamicV4BothPrecisionFlags: an archive that records both Float32
+// and Quantized (as a float32 engine built with both flags once saved) loads
+// as the float32 engine it was, with no SQ8 codes, and answers as it did.
+func TestLoadDynamicV4BothPrecisionFlags(t *testing.T) {
+	d, err := NewDynamic(dynTestConfig("f32"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	populateDynamic(t, d)
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	header := archiveHeader(archiveVersionV4)
+	var a archiveV4
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[len(header):])).Decode(&a); err != nil {
+		t.Fatal(err)
+	}
+	a.Quantized = true
+	buf.Reset()
+	buf.Write(header)
+	if err := gob.NewEncoder(&buf).Encode(&a); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDynamic(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if cfg := loaded.Config(); !cfg.Float32 || cfg.Quantized {
+		t.Fatalf("loaded Float32 %v, Quantized %v; want a float32 engine", cfg.Float32, cfg.Quantized)
+	}
+	snap := loaded.db.Acquire()
+	defer snap.Release()
+	for i, in := range snap.SealedInputs() {
+		if in.Structure.Tree().QuantizedScoring() {
+			t.Fatalf("segment %d holds SQ8 codes", i)
+		}
+	}
+	sameDynamicAnswers(t, "f32+sq8", d, loaded)
 }
 
 func TestLoadDynamicAdoptsStaticArchive(t *testing.T) {

@@ -300,7 +300,7 @@ func attachQuantizer(cfg *Config, corpus *dataset.Corpus, structure *rfs.Structu
 		qz, err = store.Quantize(corpus.Store())
 	}
 	if err == nil {
-		err = structure.AdoptQuantized(qz)
+		err = structure.Tree().AdoptQuantized(qz)
 	}
 	if err != nil {
 		cfg.Quantized = false
@@ -389,9 +389,9 @@ func (s *System) KNNContext(ctx context.Context, exampleImage, k int) ([]Scored,
 	return s.searchKNN(ctx, s.corpus.Vectors[exampleImage], k)
 }
 
-// searchKNN runs one observed global k-NN search in the system's configured
-// scan mode (rstar resolves which mode applies); SQ8 results are identical to
-// the exact descent's.
+// searchKNN runs one observed global k-NN search under the leaf scorer the
+// system installed on its tree; SQ8 results are identical to the exact
+// descent's.
 func (s *System) searchKNN(ctx context.Context, q vec.Vector, k int) ([]Scored, error) {
 	o := s.engine.Config().Observer
 	var acc disk.Accounter
@@ -403,7 +403,7 @@ func (s *System) searchKNN(ctx context.Context, q vec.Vector, k int) ([]Scored, 
 		t0 = time.Now()
 	}
 	tree := s.rfs.Tree()
-	ns, err := tree.KNNOne(ctx, tree.Root(), rstar.Scan{Float32: s.cfg.Float32, Quantized: s.cfg.Quantized}, q, k, acc, st)
+	ns, err := tree.KNNOne(ctx, tree.Root(), nil, q, k, acc, st)
 	if err != nil {
 		return nil, err
 	}

@@ -120,11 +120,11 @@ func TestSQ8DescentAtPaperScale(t *testing.T) {
 		q := sys.Corpus().Vectors[rng.Intn(sys.Len())]
 		var sq8Rec, exactRec disk.Recorder
 		var sq8St, exactSt rstar.SearchStats
-		got, err := tree.KNNOne(ctx, tree.Root(), rstar.Scan{Quantized: true}, q, k, &sq8Rec, &sq8St)
+		got, err := tree.KNNOne(ctx, tree.Root(), nil, q, k, &sq8Rec, &sq8St)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := twinTree.KNNOne(ctx, twinTree.Root(), rstar.Scan{}, q, k, &exactRec, &exactSt)
+		want, err := twinTree.KNNOne(ctx, twinTree.Root(), nil, q, k, &exactRec, &exactSt)
 		if err != nil {
 			t.Fatal(err)
 		}

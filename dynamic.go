@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"qdcbir/internal/core"
 	"qdcbir/internal/obs"
 	"qdcbir/internal/seg"
 	"qdcbir/internal/vec"
@@ -234,7 +235,7 @@ func (d *Dynamic) KNN(ctx context.Context, q vec.Vector, k int) ([]seg.Neighbor,
 // snapshot: the example images are clustered into multiple neighborhoods,
 // localized subqueries run per cluster, and the merged display is returned
 // (nil weights means unweighted).
-func (d *Dynamic) QueryByExamples(ctx context.Context, examples []int, k int, weights vec.Vector) (*seg.Result, error) {
+func (d *Dynamic) QueryByExamples(ctx context.Context, examples []int, k int, weights vec.Vector) (*core.Answer, error) {
 	s := d.db.Acquire()
 	defer s.Release()
 	return s.QueryByExamplesCtx(ctx, examples, k, weights)

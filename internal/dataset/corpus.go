@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"qdcbir/internal/feature"
@@ -337,21 +338,19 @@ func (c *Corpus) SubconceptIDs(key string) []int { return c.bySubconcept[key] }
 // modify).
 func (c *Corpus) CategoryIDs(name string) []int { return c.byCategory[name] }
 
-// Subconcepts returns all subconcept keys present in the corpus.
-func (c *Corpus) Subconcepts() []string {
-	out := make([]string, 0, len(c.bySubconcept))
-	for k := range c.bySubconcept {
-		out = append(out, k)
-	}
-	return out
-}
+// Subconcepts returns all subconcept keys present in the corpus, sorted, so
+// a seeded caller that indexes the list draws the same workload every run.
+func (c *Corpus) Subconcepts() []string { return sortedKeys(c.bySubconcept) }
 
-// Categories returns all category names present in the corpus.
-func (c *Corpus) Categories() []string {
-	out := make([]string, 0, len(c.byCategory))
-	for k := range c.byCategory {
+// Categories returns all category names present in the corpus, sorted.
+func (c *Corpus) Categories() []string { return sortedKeys(c.byCategory) }
+
+func sortedKeys(m map[string][]int) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
+	sort.Strings(out)
 	return out
 }
 

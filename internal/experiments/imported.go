@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"qdcbir/internal/baseline"
@@ -30,10 +29,8 @@ func CorpusQueries(c *dataset.Corpus, minMembers, max int) []dataset.Query {
 	if minMembers <= 0 {
 		minMembers = 2
 	}
-	keys := c.Subconcepts()
-	sort.Strings(keys)
 	var out []dataset.Query
-	for _, key := range keys {
+	for _, key := range c.Subconcepts() {
 		if len(c.SubconceptIDs(key)) < minMembers {
 			continue
 		}

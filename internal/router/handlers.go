@@ -342,17 +342,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "", "router: no example images given")
 		return
 	}
-	if req.Weights != nil {
-		if len(req.Weights) != rt.meta.Dim {
-			writeErr(w, http.StatusBadRequest, "", "router: weight dim %d != corpus dim %d", len(req.Weights), rt.meta.Dim)
-			return
-		}
-		for i, wt := range req.Weights {
-			if wt < 0 {
-				writeErr(w, http.StatusBadRequest, "", "router: negative weight at dim %d", i)
-				return
-			}
-		}
+	if err := vec.CheckWeights(req.Weights, rt.meta.Dim); err != nil {
+		writeErr(w, http.StatusBadRequest, "", "router: %v", err)
+		return
 	}
 	var ids []int
 	seen := make(map[int]bool, len(req.Relevant))
@@ -392,25 +384,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	writeResult(w, res, 0)
-}
-
-// writeResult converts a distributed finalize into the single-node
-// /v1/query response shape. Result labels are the ones the owning shards
-// attached to their neighbours.
-func writeResult(w http.ResponseWriter, res *shard.Result, feedbackReads uint64) {
-	out := server.QueryResponse{Stats: server.StatsJSON{
-		FeedbackReads: feedbackReads,
-		Expansions:    res.Expansions,
-	}}
-	for _, g := range res.Groups {
-		gj := server.GroupJSON{RankScore: g.RankScore, Expanded: g.Expanded(), QueryImages: g.QueryIDs}
-		for _, im := range g.Images {
-			gj.Images = append(gj.Images, server.ScoredJSON(im))
-		}
-		out.Groups = append(out.Groups, gj)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, server.AnswerResponse(res, 0, nil))
 }
 
 // ---- hosted sessions ----
@@ -616,11 +590,11 @@ func (rt *Router) finalizeSession(w http.ResponseWriter, r *http.Request, rep *r
 	}
 	// The single-node finalize releases the session; mirror that.
 	_, _ = rt.call(r.Context(), rep, http.MethodDelete, "/v1/sessions/"+inner, nil, nil)
-	writeResult(w, res, st.FeedbackReads)
+	writeJSON(w, http.StatusOK, server.AnswerResponse(res, st.FeedbackReads, nil))
 }
 
 // finalizeState scatters a finalize over an exported session state.
-func (rt *Router) finalizeState(ctx context.Context, st *core.SessionState, k int) (*shard.Result, error) {
+func (rt *Router) finalizeState(ctx context.Context, st *core.SessionState, k int) (*core.Answer, error) {
 	var ids []int
 	for _, id := range st.Relevant {
 		if _, ok := st.Assign[id]; ok {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qdcbir/internal/core"
 	"qdcbir/internal/vec"
 )
 
@@ -117,7 +118,7 @@ func sameNeighbors(t *testing.T, label string, got, want []Neighbor) {
 	}
 }
 
-func sameResult(t *testing.T, label string, got, want *Result) {
+func sameResult(t *testing.T, label string, got, want *core.Answer) {
 	t.Helper()
 	if len(got.Groups) != len(want.Groups) {
 		t.Fatalf("%s: got %d groups, want %d", label, len(got.Groups), len(want.Groups))
@@ -188,11 +189,11 @@ func checkEquivalence(t *testing.T, mode string, db *DB, byID map[int]vec.Vector
 				t.Fatalf("knn returned %d of %d requested with %d live", len(got), k, snap.Live())
 			}
 			if qi == 0 { // weighted mode once per k
-				gotW, err := snap.KNNWeightedCtx(ctx, q, weights, k)
+				gotW, err := snap.knn(ctx, q, weights, k)
 				if err != nil {
 					t.Fatalf("weighted knn: %v", err)
 				}
-				wantW, err := refSnap.KNNWeightedCtx(ctx, q, weights, k)
+				wantW, err := refSnap.knn(ctx, q, weights, k)
 				if err != nil {
 					t.Fatalf("ref weighted knn: %v", err)
 				}

@@ -10,50 +10,17 @@ import (
 
 	"qdcbir/internal/core"
 	"qdcbir/internal/kmeans"
-	"qdcbir/internal/par"
+	"qdcbir/internal/shard"
 	"qdcbir/internal/vec"
 )
-
-// ScoredImage is one finalize result with its distance score.
-type ScoredImage struct {
-	ID    int
-	Score float64
-}
-
-// Group is one localized subquery's results in the query-side
-// decomposition: the example images that formed the cluster and the images
-// its multipoint subquery claimed.
-type Group struct {
-	QueryIDs  []int
-	Images    []ScoredImage
-	RankScore float64
-}
-
-// Result is a finalize outcome: groups ordered ascending by rank score,
-// matching the monolithic core.Result ordering.
-type Result struct {
-	Groups []Group
-}
-
-// IDs returns the result image IDs in group order.
-func (r *Result) IDs() []int {
-	var out []int
-	for _, g := range r.Groups {
-		for _, im := range g.Images {
-			out = append(out, im.ID)
-		}
-	}
-	return out
-}
 
 // QueryByExamplesCtx runs the final localized multipoint k-NN round
 // (§3.3/§3.4) against the snapshot using QUERY-SIDE decomposition: the
 // example vectors themselves are clustered (k-means, deterministic seed
 // from the DB config) into ceil(sqrt(n)) groups, and each group's centroid
-// subquery runs corpus-wide over the snapshot. The per-group allocation,
-// the alloc+k over-request, the serial first-claim merge, the top-up loop,
-// and the stable rank-score ordering are transcribed from the monolithic
-// finalize (core.ProportionalAlloc is literally shared).
+// subquery runs corpus-wide over the snapshot. The order, allocation,
+// merge, top-up and rank-score sort are core.FinalRound, the tail every
+// backing runs.
 //
 // Unlike the tree-anchored monolithic finalize, this decomposition never
 // references tree nodes — so its output is invariant to how the corpus is
@@ -62,12 +29,12 @@ func (r *Result) IDs() []int {
 // from-scratch rebuild. (Example images are identified by global ID; under
 // the order-preserving ID relabeling of a rebuild the clustering sees the
 // same vectors in the same order with the same seed.)
-func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int, weights vec.Vector) (*Result, error) {
+func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int, weights vec.Vector) (*core.Answer, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("seg: invalid k=%d", k)
 	}
-	if weights != nil && len(weights) != s.db.cfg.Dim {
-		return nil, fmt.Errorf("seg: weights dim %d, want %d", len(weights), s.db.cfg.Dim)
+	if err := vec.CheckWeights(weights, s.db.cfg.Dim); err != nil {
+		return nil, fmt.Errorf("seg: %w", err)
 	}
 	// Dedup, resolve vectors, and sort ascending by global ID: the sorted
 	// order is the canonical clustering input order, invariant under
@@ -95,7 +62,7 @@ func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int
 	}
 
 	// Decompose: ceil(sqrt(n)) clusters, capped by n and by k (the
-	// monolithic path likewise truncates the group list to k).
+	// monolithic path likewise keeps at most k groups).
 	kGroups := int(math.Ceil(math.Sqrt(float64(len(pts)))))
 	if kGroups > len(pts) {
 		kGroups = len(pts)
@@ -106,125 +73,37 @@ func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int
 	rng := rand.New(rand.NewSource(s.db.cfg.Seed + 5))
 	cl := kmeans.Cluster(pts, kGroups, kmeans.Config{}, rng)
 
-	type sub struct {
-		ids      []int // member global IDs, ascending
-		centroid vec.Vector
-	}
-	subs := make([]*sub, cl.K)
-	for c := 0; c < cl.K; c++ {
-		subs[c] = &sub{}
-	}
+	members := make([][]int, cl.K) // member global IDs per cluster, ascending
+	memberPts := make([][]vec.Vector, cl.K)
 	for i, c := range cl.Assign {
-		subs[c].ids = append(subs[c].ids, ids[i])
+		members[c] = append(members[c], ids[i])
+		memberPts[c] = append(memberPts[c], pts[i])
 	}
-	// Drop empty clusters defensively (kmeans reseeds, but stay robust),
-	// then order groups by (size desc, smallest member ID asc) — the
-	// analogue of the monolithic (count desc, node ID asc) order.
-	kept := subs[:0]
-	for _, g := range subs {
-		if len(g.ids) > 0 {
-			kept = append(kept, g)
+	// Skip empty clusters defensively (kmeans reseeds, but stay robust).
+	// A group's key is its smallest member ID: the analogue of the monolithic
+	// node ID in the (count desc, key asc) order. Every subquery is
+	// corpus-wide, so each group's capacity is the snapshot's live count.
+	var subs []core.Subquery
+	for c, m := range members {
+		if len(m) > 0 {
+			subs = append(subs, core.Subquery{Group: c, Count: len(m), Key: uint64(m[0]), Cap: s.live})
 		}
 	}
-	subs = kept
-	for _, g := range subs {
-		qpts := make([]vec.Vector, len(g.ids))
-		for i, id := range g.ids {
-			v, _ := s.VectorOf(id)
-			qpts[i] = v
-		}
-		g.centroid = vec.Centroid(qpts)
-	}
-	sort.Slice(subs, func(i, j int) bool {
-		if len(subs[i].ids) != len(subs[j].ids) {
-			return len(subs[i].ids) > len(subs[j].ids)
-		}
-		return subs[i].ids[0] < subs[j].ids[0]
-	})
-	if len(subs) > k {
-		subs = subs[:k]
+	subs = core.OrderSubqueries(subs, k)
+	centroids := make([]vec.Vector, cl.K)
+	for _, sq := range subs {
+		centroids[sq.Group] = vec.Centroid(memberPts[sq.Group])
 	}
 
-	// Proportional allocation (§3.4). Every subquery is corpus-wide, so
-	// each group's capacity is the snapshot's live count.
-	counts := make([]int, len(subs))
-	caps := make([]int, len(subs))
-	for i, g := range subs {
-		counts[i] = len(g.ids)
-		caps[i] = s.live
-	}
-	allocs := core.ProportionalAlloc(k, counts, caps)
-
-	// Scatter the subqueries at alloc+k, then merge serially in group order
-	// with first-claim dedup.
-	lists := make([][]Neighbor, len(subs))
-	err := par.Do(ctx, len(subs), s.db.cfg.Parallelism, func(i int) error {
-		ns, err := s.knn(ctx, subs[i].centroid, weights, allocs[i]+k)
-		if err != nil {
-			return err
-		}
-		lists[i] = ns
-		return nil
-	})
+	claims, err := core.FinalRound(ctx, k, subs, core.FetchEach(s.db.cfg.Parallelism, func(ctx context.Context, r core.Request) ([]Neighbor, error) {
+		return s.knn(ctx, centroids[r.Group], weights, r.Want)
+	}), shard.Claim)
 	if err != nil {
 		return nil, err
 	}
-
-	seen := make(map[int]bool, k)
-	groups := make([]*Group, len(subs))
-	for i, g := range subs {
-		out := &Group{QueryIDs: g.ids}
-		for _, n := range lists[i] {
-			if len(out.Images) >= allocs[i] {
-				break
-			}
-			if seen[n.ID] {
-				continue
-			}
-			seen[n.ID] = true
-			out.Images = append(out.Images, ScoredImage{ID: n.ID, Score: n.Dist})
-			out.RankScore += n.Dist
-		}
-		groups[i] = out
+	res := &core.Answer{Groups: make([]core.AnswerGroup, len(claims))}
+	for i, c := range claims {
+		res.Groups[i] = core.AnswerGroup{QueryIDs: members[c.Group], Images: c.Images, RankScore: c.RankScore}
 	}
-	for deficit := k - len(seen); deficit > 0; {
-		progressed := false
-		for i, g := range subs {
-			if deficit <= 0 {
-				break
-			}
-			out := groups[i]
-			if len(out.Images) >= caps[i] {
-				continue
-			}
-			want := len(out.Images) + deficit + len(seen)
-			more, err := s.knn(ctx, g.centroid, weights, want)
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range more {
-				if deficit <= 0 {
-					break
-				}
-				if seen[n.ID] {
-					continue
-				}
-				seen[n.ID] = true
-				out.Images = append(out.Images, ScoredImage{ID: n.ID, Score: n.Dist})
-				out.RankScore += n.Dist
-				deficit--
-				progressed = true
-			}
-		}
-		if !progressed {
-			break // fewer than k live images exist
-		}
-	}
-
-	res := &Result{Groups: make([]Group, len(groups))}
-	for i, g := range groups {
-		res.Groups[i] = *g
-	}
-	sort.SliceStable(res.Groups, func(i, j int) bool { return res.Groups[i].RankScore < res.Groups[j].RankScore })
 	return res, nil
 }

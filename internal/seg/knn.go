@@ -33,16 +33,9 @@ func (s *Snapshot) KNNCtx(ctx context.Context, q vec.Vector, k int) ([]Neighbor,
 	return s.knn(ctx, q, nil, k)
 }
 
-// KNNWeightedCtx is KNNCtx under a per-dimension weighted metric
-// (relevance-feedback re-weighting). Weighted scans are always exact
-// float64 in every mode, as in the monolithic engine.
-func (s *Snapshot) KNNWeightedCtx(ctx context.Context, q, weights vec.Vector, k int) ([]Neighbor, error) {
-	if weights != nil && len(weights) != s.db.cfg.Dim {
-		return nil, fmt.Errorf("seg: weights dim %d, want %d", len(weights), s.db.cfg.Dim)
-	}
-	return s.knn(ctx, q, weights, k)
-}
-
+// knn is KNNCtx under an optional per-dimension weighting (nil for plain
+// Euclidean; callers validate it). Weighted scans are always exact float64
+// in every mode, as in the monolithic engine.
 func (s *Snapshot) knn(ctx context.Context, q, weights vec.Vector, k int) ([]Neighbor, error) {
 	if len(q) != s.db.cfg.Dim {
 		return nil, fmt.Errorf("seg: query dim %d, want %d", len(q), s.db.cfg.Dim)

@@ -20,9 +20,9 @@
 // a segmentation-invariant variant: instead of anchoring subqueries to tree
 // nodes (whose shapes differ between a segmented corpus and a monolithic
 // rebuild), Snapshot.QueryByExamplesCtx clusters the example vectors
-// themselves and runs each cluster's multipoint subquery corpus-wide,
-// reusing the single-node proportional-allocation and merge arithmetic
-// (core.ProportionalAlloc). See finalize.go.
+// themselves and runs each cluster's multipoint subquery corpus-wide; the
+// allocation, merge and ranking are core.FinalRound, the one final-round
+// tail every backing runs. See finalize.go.
 //
 // Lifecycle: Insert appends to the memtable; when the memtable reaches
 // Config.SealThreshold rows the inserting writer seals it into a new

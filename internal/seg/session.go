@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"qdcbir/internal/core"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/vec"
 )
@@ -107,17 +108,12 @@ func (s *Session) Release() {
 // SetFeatureWeights installs the §6 per-dimension weighting used by
 // Finalize; nil restores plain Euclidean scoring.
 func (s *Session) SetFeatureWeights(w vec.Vector) error {
+	if err := vec.CheckWeights(w, s.snap.db.cfg.Dim); err != nil {
+		return fmt.Errorf("seg: %w", err)
+	}
 	if w == nil {
 		s.weights = nil
 		return nil
-	}
-	if len(w) != s.snap.db.cfg.Dim {
-		return fmt.Errorf("seg: weight dim %d != corpus dim %d", len(w), s.snap.db.cfg.Dim)
-	}
-	for i, x := range w {
-		if x < 0 {
-			return fmt.Errorf("seg: negative weight at dim %d", i)
-		}
 	}
 	s.weights = w.Clone()
 	return nil
@@ -355,7 +351,7 @@ func (db *DB) RestoreSession(st *SessionState, rng *rand.Rand) (*Session, error)
 // pinned snapshot (QueryByExamplesCtx) with the session's panel and
 // weights. The session stops accepting feedback afterwards but stays
 // pinned until Release.
-func (s *Session) FinalizeCtx(ctx context.Context, k int) (*Result, error) {
+func (s *Session) FinalizeCtx(ctx context.Context, k int) (*core.Answer, error) {
 	if s.finalized {
 		return nil, ErrFinalized
 	}

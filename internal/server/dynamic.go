@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"qdcbir/internal/core"
 	"qdcbir/internal/obs"
 	"qdcbir/internal/seg"
 	"qdcbir/internal/vec"
@@ -176,15 +177,22 @@ func (s *Server) dynQuery(ctx context.Context, req QueryRequest) (QueryResponse,
 	if err != nil {
 		return QueryResponse{}, err
 	}
-	return s.toDynQueryResponse(res), nil
+	return AnswerResponse(res, 0, s.label), nil
 }
 
-func (s *Server) toDynQueryResponse(res *seg.Result) QueryResponse {
-	var out QueryResponse
+// AnswerResponse converts a wire-neutral finalize answer (a routed or a
+// segmented one) into the /v1/query response shape. label names each result
+// image; nil keeps the label the answer carries, the one its owning shard
+// attached.
+func AnswerResponse(res *core.Answer, feedbackReads uint64, label func(id int) string) QueryResponse {
+	out := QueryResponse{Stats: StatsJSON{FeedbackReads: feedbackReads, Expansions: res.Expansions}}
 	for _, g := range res.Groups {
-		gj := GroupJSON{RankScore: g.RankScore, QueryImages: g.QueryIDs}
+		gj := GroupJSON{RankScore: g.RankScore, Expanded: g.Expanded(), QueryImages: g.QueryIDs}
 		for _, im := range g.Images {
-			gj.Images = append(gj.Images, ScoredJSON{ID: im.ID, Score: im.Score, Label: s.label(im.ID)})
+			if label != nil {
+				im.Label = label(im.ID)
+			}
+			gj.Images = append(gj.Images, ScoredJSON(im))
 		}
 		out.Groups = append(out.Groups, gj)
 	}

@@ -366,3 +366,41 @@ func TestQueryHugeKIsBounded(t *testing.T) {
 		count(t, ts.URL, rows)
 	})
 }
+
+// TestQueryRejectsNegativeWeights: a negative weight voids the weighted
+// MINDIST lower bound every search prunes with, so /v1/query answers 400 for
+// one, on a static server and on a dynamic one alike.
+func TestQueryRejectsNegativeWeights(t *testing.T) {
+	query := func(t *testing.T, url string, dim int) {
+		t.Helper()
+		weights := make([]float64, dim)
+		for i := range weights {
+			weights[i] = 1
+		}
+		if code, _ := dynPost(t, url+"/v1/query", QueryRequest{Relevant: []int{2, 3, 11}, K: 10, Weights: weights}, nil); code != http.StatusOK {
+			t.Fatalf("non-negative weights: status %d, want 200", code)
+		}
+		weights[1] = -1
+		if code, _ := dynPost(t, url+"/v1/query", QueryRequest{Relevant: []int{2, 3, 11}, K: 10, Weights: weights}, nil); code != http.StatusBadRequest {
+			t.Fatalf("negative weight: status %d, want 400", code)
+		}
+	}
+	t.Run("static", func(t *testing.T) {
+		_, ts, corpus := newTestServer(t)
+		query(t, ts.URL, len(corpus.Vectors[0]))
+	})
+	t.Run("dynamic", func(t *testing.T) {
+		_, ts := newTestDynServer(t)
+		rng := rand.New(rand.NewSource(8))
+		for i := 0; i < 40; i++ {
+			v := make([]float64, 5)
+			for j := range v {
+				v[j] = rng.Float64()
+			}
+			if code, _ := dynPost(t, ts.URL+"/v1/images", InsertRequest{Vector: v}, nil); code != http.StatusOK {
+				t.Fatalf("insert %d: status %d", i, code)
+			}
+		}
+		query(t, ts.URL, 5)
+	})
+}

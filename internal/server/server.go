@@ -996,7 +996,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			s.release(id) // finalized sessions are done (this drops the pin)
-			writeJSON(w, http.StatusOK, s.toDynQueryResponse(res))
+			writeJSON(w, http.StatusOK, AnswerResponse(res, 0, s.label))
 			return
 		}
 		hs.mu.Lock()

@@ -222,26 +222,19 @@ func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, w
 	return out[0], nil
 }
 
-// SearchNodeBatch answers several k-NN searches restricted to the SAME
-// single-node subtree in one pass over the shard's rows: the code kernel
-// reads each code row once for all of them, and each query has its own
-// bounded selector. Per query the result is bit-identical to SearchNode —
-// same kernels, same (distance, global ID) total order — so coalescing
-// concurrent sweeps changes throughput, never answers. Weighted searches
-// have no multi kernel and must stay on SearchNode.
-func (r *Replica) SearchNodeBatch(ctx context.Context, nodeID uint64, qs []vec.Vector, ks []int) ([][]Neighbor, error) {
-	return r.Sweep(ctx, nodeID, qs, nil, ks, nil)
-}
-
 // Sweep answers the k-NN searches qs restricted to the subtree rooted at
-// nodeID: SearchNode is Sweep with one query, SearchNodeBatch Sweep without
-// weights. Weights select the weighted float64 kernel and take one query.
-// When stats is non-nil, stats[j] receives query j's sweep work.
+// nodeID in one pass over the shard's rows: the code kernel reads each code
+// row once for all of them, and each query has its own bounded selector, so
+// per query the result is bit-identical to SearchNode, which is Sweep with
+// one query. Weights select the weighted float64 kernel and take one query;
+// they must pass vec.CheckWeights. When stats is non-nil, stats[j] receives
+// query j's sweep work.
 func (r *Replica) Sweep(ctx context.Context, nodeID uint64, qs []vec.Vector, weights []float64, ks []int, stats []LegStats) ([][]Neighbor, error) {
 	m := len(qs)
+	if err := vec.CheckWeights(weights, r.dim); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
 	switch {
-	case weights != nil && len(weights) != r.dim:
-		return nil, fmt.Errorf("shard: weight dim %d != corpus dim %d", len(weights), r.dim)
 	case weights != nil && m != 1:
 		return nil, fmt.Errorf("shard: a weighted sweep takes one query, got %d", m)
 	case len(ks) != m:

@@ -100,9 +100,27 @@ func SqL2(v, w Vector) float64 {
 	return s
 }
 
+// CheckWeights validates a per-dimension weighting for a corpus of dim
+// dimensions: nil (plain Euclidean) or dim non-negative weights. A negative
+// weight would void WeightedMinDistSq's lower bound and with it every
+// search's pruning, so each entry point that accepts weights calls this.
+func CheckWeights(w []float64, dim int) error {
+	if w == nil {
+		return nil
+	}
+	if len(w) != dim {
+		return fmt.Errorf("weight dim %d != corpus dim %d", len(w), dim)
+	}
+	for i, x := range w {
+		if x < 0 {
+			return fmt.Errorf("negative weight at dim %d", i)
+		}
+	}
+	return nil
+}
+
 // WeightedSqL2 returns sum_i w_i (v_i - u_i)^2. Negative weights are invalid
-// but not checked; callers construct weights via Stats.InverseVariance or
-// similar, which are non-negative by construction.
+// but not checked here: entry points reject them with CheckWeights.
 func WeightedSqL2(v, u, weights Vector) float64 {
 	mustSameDim(v, u)
 	mustSameDim(v, weights)

@@ -124,7 +124,7 @@ func relPointsOf(sys *System, ids []int) ([]int, []shard.RelPoint) {
 // assertResultsEqual demands the distributed finalize is bit-identical to the
 // single-node one: same groups, same anchor and search nodes, same image IDs,
 // and exactly equal float64 scores.
-func assertResultsEqual(t *testing.T, tag string, want *core.Result, got *shard.Result) {
+func assertResultsEqual(t *testing.T, tag string, want *core.Result, got *core.Answer) {
 	t.Helper()
 	if len(want.Groups) != len(got.Groups) {
 		t.Fatalf("%s: %d groups vs %d single-node", tag, len(got.Groups), len(want.Groups))
@@ -364,7 +364,7 @@ func TestShardPrecisionModes(t *testing.T) {
 }
 
 // TestShardSearchNodeBatchEquivalence pins the coalesced multi-query shard
-// sweep to per-query SearchNode calls, bit for bit, in both slab precisions,
+// sweep (Replica.Sweep) to per-query SearchNode calls, bit for bit, in both slab precisions,
 // across batch widths and subtree restrictions.
 func TestShardSearchNodeBatchEquivalence(t *testing.T) {
 	for _, mode := range []struct {
@@ -399,7 +399,7 @@ func TestShardSearchNodeBatchEquivalence(t *testing.T) {
 						qs[j] = sys.Corpus().Vectors[(j*97+13)%sys.Len()]
 						ks[j] = []int{1, 7, 25, 400}[j%4]
 					}
-					got, err := rep.SearchNodeBatch(ctx, nodeID, qs, ks)
+					got, err := rep.Sweep(ctx, nodeID, qs, nil, ks, nil)
 					if err != nil {
 						t.Fatalf("m=%d batch: %v", m, err)
 					}
@@ -421,14 +421,19 @@ func TestShardSearchNodeBatchEquivalence(t *testing.T) {
 				}
 			}
 			// Shape and argument validation.
-			if _, err := rep.SearchNodeBatch(ctx, topo.RootID(), make([]vec.Vector, 2), []int{5}); err == nil {
+			if _, err := rep.Sweep(ctx, topo.RootID(), make([]vec.Vector, 2), nil, []int{5}, nil); err == nil {
 				t.Fatal("mismatched qs/ks accepted")
 			}
-			if _, err := rep.SearchNodeBatch(ctx, topo.RootID(), []vec.Vector{{1, 2}}, []int{5}); err == nil {
+			if _, err := rep.Sweep(ctx, topo.RootID(), []vec.Vector{{1, 2}}, nil, []int{5}, nil); err == nil {
 				t.Fatal("wrong-dim query accepted")
 			}
-			if _, err := rep.SearchNodeBatch(ctx, 1<<60, nil, nil); err == nil {
+			if _, err := rep.Sweep(ctx, 1<<60, nil, nil, nil, nil); err == nil {
 				t.Fatal("unknown node accepted")
+			}
+			neg := make([]float64, rep.Meta().Dim)
+			neg[0] = -1
+			if _, err := rep.Sweep(ctx, topo.RootID(), []vec.Vector{sys.Corpus().Vectors[0]}, neg, []int{5}, nil); err == nil {
+				t.Fatal("negative weight accepted")
 			}
 		})
 	}

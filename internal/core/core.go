@@ -682,6 +682,7 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 		}
 		l.centroid = vec.Centroid(qpts)
 		subs[i].Cap = eng.rfs.SubtreeSize(l.search)
+		subs[i].Lo, subs[i].Hi = l.search.Rows()
 	}
 
 	// The first fetch runs the subqueries on the engine's worker pool, each

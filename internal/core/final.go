@@ -14,20 +14,23 @@ import (
 // scatter-gather finalize (shard.FinalizeScatter) and the segmented engine's
 // query-side decomposition (seg.Snapshot.QueryByExamplesCtx). A backing
 // forms the groups of relevant images and resolves each subquery's search
-// area; the order, the allocation, the alloc+k request, the first-claim
-// merge, the top-up and the rank-score sort all happen here, so every
-// backing answers bit-identically to the others on identical searches.
+// area; the order, the allocation, the request sizes, the first-claim merge,
+// the top-up and the rank-score sort all happen here, so every backing
+// answers bit-identically to the others on identical searches.
 
 // Subquery is one localized multipoint subquery of the final round (§3.3):
 // Count relevant images formed it, and its search area holds Cap images.
 // Group is the backing's own index of the group; Key breaks ties between
-// equal counts. FinalRound sets Alloc, the subquery's share of k.
+// equal counts. [Lo, Hi) is the search area's span in an order every
+// subquery of the round shares: two areas can hold a common image only if
+// their spans intersect. FinalRound sets Alloc, the subquery's share of k.
 type Subquery struct {
-	Group int
-	Count int
-	Key   uint64
-	Cap   int
-	Alloc int
+	Group  int
+	Count  int
+	Key    uint64
+	Cap    int
+	Lo, Hi int
+	Alloc  int
 }
 
 // Request asks group Group's subquery for the Want nearest images of its
@@ -91,16 +94,18 @@ func OrderSubqueries(subs []Subquery, k int) []Subquery {
 }
 
 // FinalRound merges the ordered subqueries' searches into k images (§3.4).
-// Each subquery is allotted a share of k by ProportionalAlloc and asks fetch
-// for alloc+k neighbours: enough to fill its share even if every image an
-// earlier group claimed (at most k) lies in its search area. A larger k-NN
-// request returns a prefix-consistent superset, so the request size does
-// not depend on the other groups and the first fetch may run them all at
-// once. The merge is serial in group order and first-claim: an image an
-// earlier group took is skipped. While fewer than k images are claimed, a
-// top-up pass asks each group with room in its search area for more, until
-// k are claimed or every area is exhausted. claim maps a fetched neighbour
-// to its ID, its distance and the image the backing reports.
+// Each subquery is allotted a share of k by ProportionalAlloc. The merge is
+// serial in group order and first-claim: an image an earlier group took is
+// skipped, and each group claims at most its allotment. So subquery i asks
+// fetch for alloc_i plus the allotments of the earlier subqueries whose
+// spans intersect its own: only those can claim images of its area, and
+// they claim at most that many, so the request fills its share unless the
+// area runs out. Request sizes depend only on the allocation, and a larger
+// k-NN request returns a prefix-consistent superset, so the first fetch may
+// run them all at once. While fewer than k images are claimed, a top-up
+// pass asks each group with room in its search area for more, until k are
+// claimed or every area is exhausted. claim maps a fetched neighbour to its
+// ID, its distance and the image the backing reports.
 //
 // The claims come back in ranking-score order: ascending summed distance, a
 // group whose members lie closer to its query first, ties in group order.
@@ -113,7 +118,13 @@ func FinalRound[N, I any](ctx context.Context, k int, subs []Subquery, fetch Fet
 	reqs := make([]Request, len(subs))
 	for i, a := range ProportionalAlloc(k, counts, caps) {
 		subs[i].Alloc = a
-		reqs[i] = Request{Group: subs[i].Group, Want: a + k}
+		want := a
+		for _, e := range subs[:i] {
+			if e.Lo < subs[i].Hi && subs[i].Lo < e.Hi {
+				want += e.Alloc
+			}
+		}
+		reqs[i] = Request{Group: subs[i].Group, Want: want}
 	}
 	lists, err := fetch(ctx, reqs)
 	if err != nil {

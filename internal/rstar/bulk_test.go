@@ -162,3 +162,49 @@ func TestIOAccountingDuringSearch(t *testing.T) {
 		t.Error("range search recorded no I/O")
 	}
 }
+
+// TestNodeRowsTile checks every node's slab row range on bulk-loaded,
+// insertion-built and reloaded trees: the root spans every row, a leaf spans
+// exactly its items, and an internal node's children tile its range in
+// order.
+func TestNodeRowsTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := randPoints(rng, 700, 4, 10)
+	bulk := BulkLoad(4, smallCfg, bulkItems(pts), 8)
+	loaded, err := FromSnapshot(bulk.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Tree{
+		"bulk":     bulk,
+		"insert":   buildTree(t, pts, smallCfg),
+		"reloaded": loaded,
+	} {
+		if lo, hi := tr.Root().Rows(); lo != 0 || hi != tr.Len() {
+			t.Fatalf("%s: root rows [%d, %d), want [0, %d)", name, lo, hi, tr.Len())
+		}
+		var walk func(n *Node)
+		walk = func(n *Node) {
+			lo, hi := n.Rows()
+			if n.IsLeaf() {
+				if hi-lo != len(n.Items()) {
+					t.Fatalf("%s: leaf %d rows [%d, %d) for %d items", name, n.ID(), lo, hi, len(n.Items()))
+				}
+				return
+			}
+			next := lo
+			for _, c := range n.Children() {
+				clo, chi := c.Rows()
+				if clo != next || chi < clo {
+					t.Fatalf("%s: node %d child %d rows [%d, %d) after row %d", name, n.ID(), c.ID(), clo, chi, next)
+				}
+				next = chi
+				walk(c)
+			}
+			if next != hi {
+				t.Fatalf("%s: node %d children end at row %d, node at %d", name, n.ID(), next, hi)
+			}
+		}
+		walk(tr.Root())
+	}
+}

@@ -66,6 +66,11 @@ func (n *Node) Children() []*Node { return n.children }
 // not be modified.
 func (n *Node) Items() []Item { return n.items }
 
+// Rows returns the subtree's slab row range [lo, hi). Subtrees are packed
+// depth-first, so a node's children's ranges tile its own, and two nodes'
+// ranges intersect only if one lies under the other.
+func (n *Node) Rows() (lo, hi int) { return n.qlo, n.qhi }
+
 // Len returns the entry count (children or items).
 func (n *Node) Len() int {
 	if n.leaf {

@@ -82,11 +82,12 @@ func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int
 	// Skip empty clusters defensively (kmeans reseeds, but stay robust).
 	// A group's key is its smallest member ID: the analogue of the monolithic
 	// node ID in the (count desc, key asc) order. Every subquery is
-	// corpus-wide, so each group's capacity is the snapshot's live count.
+	// corpus-wide, so each group's capacity is the snapshot's live count and
+	// every group shares one span.
 	var subs []core.Subquery
 	for c, m := range members {
 		if len(m) > 0 {
-			subs = append(subs, core.Subquery{Group: c, Count: len(m), Key: uint64(m[0]), Cap: s.live})
+			subs = append(subs, core.Subquery{Group: c, Count: len(m), Key: uint64(m[0]), Cap: s.live, Hi: 1})
 		}
 	}
 	subs = core.OrderSubqueries(subs, k)

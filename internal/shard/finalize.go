@@ -88,6 +88,7 @@ func FinalizeScatter(ctx context.Context, topo *Topology, s Searcher, rel []RelP
 		}
 		l.centroid = vec.Centroid(l.qpts)
 		subs[i].Cap = topo.Nodes[l.searchIdx].Size
+		subs[i].Lo, subs[i].Hi = topo.Span(l.searchIdx)
 	}
 
 	claims, err := core.FinalRound(ctx, k, subs, core.FetchEach(parallelism, func(ctx context.Context, r core.Request) ([]Neighbor, error) {

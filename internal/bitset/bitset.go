@@ -1,6 +1,6 @@
 // Package bitset provides a minimal dense bitset for tombstone bookkeeping:
-// the rfs dynamic-maintenance delete set and the segmented engine's
-// per-segment tombstone views. A nil *Set reads as empty, so read-mostly
+// the segmented engine's per-segment tombstone views, which each segment's
+// k-NN descent reads as its skip set. A nil *Set reads as empty, so read-mostly
 // structures can share one nil pointer until the first delete, and Clone is
 // cheap enough for the copy-on-write discipline the snapshot layer uses
 // (clone, flip one bit, publish the clone; the original is never mutated

@@ -28,6 +28,7 @@ import (
 	"math"
 	"sync"
 
+	"qdcbir/internal/bitset"
 	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
@@ -218,6 +219,10 @@ func (s *selector) drain() []Neighbor {
 type descent struct {
 	pq  nodePQ
 	sel selector
+	// skip is the query's Skip set: rows the leaf scorers pass over after
+	// their radius or code-limit test, so a nil set costs one branch on the
+	// rows that test admitted.
+	skip *bitset.Set
 	// stopSq is the key beyond which the descent ends: the selector's
 	// radius, or under the float32 scorer that radius widened by stop32.
 	stopSq float64
@@ -238,12 +243,13 @@ type descent struct {
 }
 
 // takeBlock resumes a descent suspended on a leaf with the leaf's exact block
-// scores: rows beyond the radius are dropped unseen by the selector.
+// scores: rows beyond the radius, and skipped rows, are dropped unseen by the
+// selector.
 func (d *descent) takeBlock(distSq []float64) {
 	items := d.pending.items
 	d.items += uint64(len(items))
 	for i, sq := range distSq {
-		if sq > d.sel.radiusSq {
+		if sq > d.sel.radiusSq || d.skip.Get(int(items[i].ID)) {
 			continue
 		}
 		if d.sel.offer(sq, items[i]) {
@@ -260,7 +266,7 @@ func (d *descent) takeBlock32(m metric, dim int, distSq []float32) {
 	items := d.pending.items
 	d.items += uint64(len(items))
 	for i, sq := range distSq {
-		if !(float64(sq) <= d.sel.radiusSq) {
+		if !(float64(sq) <= d.sel.radiusSq) || d.skip.Get(int(items[i].ID)) {
 			continue
 		}
 		if d.sel.offer(float64(sq), items[i]) {
@@ -274,7 +280,7 @@ func (d *descent) takeBlock32(m metric, dim int, distSq []float32) {
 // distances: only rows the bracket cannot place outside the radius are
 // scored exactly — vec.SqL2's bits on the slab row, the value the block
 // kernel produces — and the code-space limit follows the radius as it
-// tightens.
+// tightens. A skipped row is not scored at all.
 //
 // Rows are scored four at a time: the next four the current limit admits go
 // through vec.SqL2x4 together. The limit only tightens (the radius only
@@ -292,7 +298,7 @@ func (d *descent) takeCodes(qz *store.Quantized, q vec.Vector, raw []int32) {
 	for i := 0; i < len(raw); {
 		n := 0
 		for ; i < len(raw) && n < len(at); i++ {
-			if raw[i] <= d.codeLimit {
+			if raw[i] <= d.codeLimit && !d.skip.Get(int(items[i].ID)) {
 				at[n] = i
 				n++
 			}
@@ -390,7 +396,7 @@ func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error
 	}
 	for j := range qs {
 		d := &ds[j]
-		*d = descent{pq: d.pq[:0], sel: selector{k: qs[j].K, h: d.sel.h[:0], radiusSq: math.Inf(1)}, stopSq: math.Inf(1)}
+		*d = descent{pq: d.pq[:0], sel: selector{k: qs[j].K, h: d.sel.h[:0], radiusSq: math.Inf(1)}, stopSq: math.Inf(1), skip: qs[j].Skip}
 		if qs[j].K <= 0 {
 			d.done = true
 			continue

@@ -9,19 +9,24 @@ import (
 	"sort"
 	"testing"
 
+	"qdcbir/internal/bitset"
 	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
 // f32Reference computes the float32-mode answer for a subtree by brute force:
 // narrow the query and every subtree point to float32, score with the
-// canonical float32 kernel, drop NaN values, sort ascending (Dist, ID).
-func f32Reference(tr *Tree, n *Node, q vec.Vector, k int) []Neighbor {
+// canonical float32 kernel, drop NaN values and the rows in skip, sort
+// ascending (Dist, ID).
+func f32Reference(tr *Tree, n *Node, q vec.Vector, k int, skip *bitset.Set) []Neighbor {
 	q32 := vec.Narrow32(q, nil)
 	var items []Item
 	items = itemsInSubtree(n, items)
 	out := make([]Neighbor, 0, len(items))
 	for _, it := range items {
+		if skip.Get(int(it.ID)) {
+			continue
+		}
 		p32 := vec.Narrow32(it.Point, nil)
 		d := vec.SqL232(q32, p32)
 		if math.IsNaN(float64(d)) {
@@ -89,7 +94,7 @@ func TestKNNF32MatchesBruteForce(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d: %v", tc.seed, err)
 					}
-					want := f32Reference(tr, root, q, k)
+					want := f32Reference(tr, root, q, k, nil)
 					if len(got) != len(want) {
 						t.Fatalf("seed %d root %d k %d: got %d results, want %d",
 							tc.seed, root.ID(), k, len(got), len(want))
@@ -146,7 +151,7 @@ func TestInstallScorerOneWay(t *testing.T) {
 	if err := f32.AdoptQuantized(qz); err == nil || f32.QuantizedScoring() {
 		t.Fatalf("adopting SQ8 on a float32 tree: err=%v, installed %v", err, f32.QuantizedScoring())
 	}
-	sameNeighbors(t, "f32", f32.KNN(q, 9, nil), f32Reference(f32, f32.Root(), q, 9))
+	sameNeighbors(t, "f32", f32.KNN(q, 9, nil), f32Reference(f32, f32.Root(), q, 9, nil))
 
 	sq8 := scorerTree(t, "sq8", smallCfg, pts, 8)
 	codes, quant := sq8.qcodes, sq8.quant
@@ -164,7 +169,7 @@ func TestInstallScorerOneWay(t *testing.T) {
 	if err != nil || st.CodesScanned == 0 {
 		t.Fatalf("SQ8 KNN: err=%v, %d code rows scanned", err, st.CodesScanned)
 	}
-	sameNeighbors(t, "sq8", got, oracleKNN(sq8, sq8.Root(), nil, q, 9))
+	sameNeighbors(t, "sq8", got, oracleKNN(sq8, sq8.Root(), nil, q, 9, nil))
 
 	empty := BulkLoad(dim, smallCfg, nil, 8)
 	if err := empty.NarrowFloat32(); err != nil || empty.Float32Scoring() {

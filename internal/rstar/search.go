@@ -3,6 +3,7 @@ package rstar
 import (
 	"context"
 
+	"qdcbir/internal/bitset"
 	"qdcbir/internal/disk"
 	"qdcbir/internal/vec"
 )
@@ -50,13 +51,20 @@ func grown[T any](buf []T, n int) []T {
 }
 
 // Query is one k-NN search of a KNNSearch call: the query point, how many
-// neighbours to return, and where its node accesses (Acc) and effort counters
-// (Stats) go — either may be nil. The search stores the neighbours in Result,
-// ordered by ascending distance with ties broken by ItemID; K <= 0 leaves
-// Result nil.
+// neighbours to return, the ItemIDs it must pass over (Skip), and where its
+// node accesses (Acc) and effort counters (Stats) go — any of the three may
+// be nil. The search stores the neighbours in Result, ordered by ascending
+// distance with ties broken by ItemID; K <= 0 leaves Result nil.
+//
+// A row whose ItemID is in Skip is neither returned nor let set the pruning
+// radius: Result is exactly the K nearest unskipped rows, and the descent
+// prunes at the K-th of those. The set is read-only for the search and must
+// not change while it runs (the segmented engine's tombstone sets are
+// copy-on-write, so a snapshot's set never does).
 type Query struct {
 	Q      vec.Vector
 	K      int
+	Skip   *bitset.Set
 	Acc    disk.Accounter
 	Stats  *SearchStats
 	Result []Neighbor
@@ -102,6 +110,10 @@ func (t *Tree) KNNOne(ctx context.Context, n *Node, weights vec.Vector, q vec.Ve
 // bit-identical per query to the single-query kernels — so each query's
 // Result, Stats deltas and Acc trace are exactly what it would get searching
 // alone: callers batch or not on load, never on semantics.
+//
+// Each query passes over the rows in its Skip set inside the descent (see
+// Query), so it prunes at its K-th unskipped distance however much of the
+// subtree is skipped; queries with and without a Skip set batch together.
 //
 // Rows are scored by the tree's installed leaf scorer: exact float64, the SQ8
 // row filter in front of it (same bits), or the float32 mirror (a distinct

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"qdcbir/internal/bitset"
 	"qdcbir/internal/disk"
 	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
@@ -119,16 +120,21 @@ func sameTrace(t *testing.T, label string, got, want *disk.Recorder) {
 }
 
 // oracleKNN is the linear-scan reference every search mode is checked
-// against: each item under n scored with the scalar kernel of the mode
-// weights selects on tr, ordered by (distance, ID), cut at k.
-func oracleKNN(tr *Tree, n *Node, weights vec.Vector, q vec.Vector, k int) []Neighbor {
+// against: each item under n and outside skip scored with the scalar kernel
+// of the mode weights selects on tr, ordered by (distance, ID), cut at k.
+func oracleKNN(tr *Tree, n *Node, weights vec.Vector, q vec.Vector, k int, skip *bitset.Set) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
 	if weights == nil && tr.Float32Scoring() {
-		return f32Reference(tr, n, q, k)
+		return f32Reference(tr, n, q, k, skip)
 	}
-	items := itemsInSubtree(n, nil)
+	var items []Item
+	for _, it := range itemsInSubtree(n, nil) {
+		if !skip.Get(int(it.ID)) {
+			items = append(items, it)
+		}
+	}
 	sq := make(map[ItemID]float64, len(items))
 	for _, it := range items {
 		if weights == nil {
@@ -201,7 +207,7 @@ func (d *descent) takeCodesSequential(qz *store.Quantized, q vec.Vector, raw []i
 	items := d.pending.items
 	d.codes += uint64(len(items))
 	for i, c := range raw {
-		if c > d.codeLimit {
+		if c > d.codeLimit || d.skip.Get(int(items[i].ID)) {
 			continue
 		}
 		d.items++
@@ -217,15 +223,15 @@ func (d *descent) takeCodesSequential(qz *store.Quantized, q vec.Vector, raw []i
 	d.pending = nil
 }
 
-// checkSequentialRerank runs one finite query's SQ8 descent of n to the end
-// with every leaf resumed through takeCodesSequential, and requires the
-// search's own effort counters (st, from KNNOne behind the filter) and
-// answer (got) to be that loop's.
-func checkSequentialRerank(t *testing.T, label string, tr *Tree, n *Node, q vec.Vector, k int, st SearchStats, got []Neighbor) {
+// checkSequentialRerank runs one finite query's SQ8 descent of n, passing
+// over the rows in skip, to the end with every leaf resumed through
+// takeCodesSequential, and requires the search's own effort counters (st,
+// from a search behind the filter) and answer (got) to be that loop's.
+func checkSequentialRerank(t *testing.T, label string, tr *Tree, n *Node, q vec.Vector, k int, skip *bitset.Set, st SearchStats, got []Neighbor) {
 	t.Helper()
 	m := metric{quant: tr.quant}
 	code, qErr := tr.quant.EncodeQuery(q, make([]uint8, tr.dim))
-	d := descent{sel: selector{k: k, radiusSq: math.Inf(1)}, stopSq: math.Inf(1), code: code, qErr: qErr, codeLimit: math.MaxInt32}
+	d := descent{sel: selector{k: k, radiusSq: math.Inf(1)}, stopSq: math.Inf(1), skip: skip, code: code, qErr: qErr, codeLimit: math.MaxInt32}
 	d.pq.push(nodeEntry{distSq: m.bound(n.rect, q), node: n})
 	sc := new(descentScratch)
 	query := Query{Q: q, K: k}
@@ -259,13 +265,56 @@ func subtreesOf(tr *Tree) []*Node {
 	return []*Node{tr.Root(), internal, leaf}
 }
 
+// skipKinds names the Skip sets the equivalence table draws, by index:
+// none, the query's own nearest rows, every row of the child subtree that
+// holds its nearest row (all of n when n is a leaf), and a random third.
+var skipKinds = []string{"nil", "nearest", "subtree", "random"}
+
+// skipSet builds the Skip set of the given kind for a query at q over the
+// subtree n of tr, whose ItemIDs lie in [0, ids).
+func skipSet(rng *rand.Rand, kind int, tr *Tree, n *Node, q vec.Vector, ids int) *bitset.Set {
+	if kind == 0 {
+		return nil
+	}
+	skip := bitset.New(ids)
+	nearest := oracleKNN(tr, n, nil, q, 12, nil)
+	switch {
+	case kind == 1:
+		for _, nb := range nearest {
+			skip.Set(int(nb.ID))
+		}
+	case kind == 2 && len(nearest) > 0:
+		under := n
+		for _, c := range n.Children() {
+			for _, it := range itemsInSubtree(c, nil) {
+				if it.ID == nearest[0].ID {
+					under = c
+				}
+			}
+		}
+		for _, it := range itemsInSubtree(under, nil) {
+			skip.Set(int(it.ID))
+		}
+	case kind == 3:
+		for id := 0; id < ids; id++ {
+			if rng.Intn(3) == 0 {
+				skip.Set(id)
+			}
+		}
+	}
+	return skip
+}
+
 // TestKNNSearchMatchesOracle is the search's one equivalence table. From
 // each corpus it builds one STR tree per leaf scorer (f64, SQ8, f32) and one
 // insertion-built tree, and searches every tree unweighted and weighted
 // (weights score in float64 whatever the tree holds) × batch width × subtree
-// level × k. Per query, an M-wide KNNSearch must give exactly the Result,
-// SearchStats deltas and accounter trace of the same query searched alone,
-// and the Result must be the linear-scan oracle's.
+// level × k × Skip set (skipKinds). Per query, an M-wide KNNSearch must give
+// exactly the Result, SearchStats deltas and accounter trace of the same
+// query searched alone, and the Result must be the linear-scan oracle's over
+// the rows outside its Skip set. From M = 2 on, the batch's last query
+// repeats its first at the same point, one with a Skip set and one without,
+// so the two share every leaf they pop.
 //
 // At M = 1 and 16 each SQ8 batch is also replayed on the f64 tree: per
 // query, the trace, HeapPops, NodesRead and Result must be the f64 tree's.
@@ -310,6 +359,14 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 							points[3] = points[3].Clone()
 							points[3][0] = math.NaN()
 						}
+						kinds := make([]int, m)
+						for i := range kinds {
+							kinds[i] = rng.Intn(len(skipKinds))
+						}
+						if m >= 2 {
+							points[m-1] = points[0]
+							kinds[0], kinds[m-1] = 0, 1+rng.Intn(len(skipKinds)-1)
+						}
 						qs := make([]Query, m)
 						recs := make([]*disk.Recorder, m)
 						sts := make([]SearchStats, m)
@@ -318,6 +375,7 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 							qs[i] = Query{
 								Q:     points[i],
 								K:     []int{1, 10, 0, rows + 3, -2}[(i+m)%5],
+								Skip:  skipSet(rng, kinds[i], tr, sub, points[i], len(corpus.pts)),
 								Acc:   recs[i],
 								Stats: &sts[i],
 							}
@@ -331,7 +389,7 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 							twinSts := make([]SearchStats, m)
 							for i, q := range qs {
 								twinRecs[i] = &disk.Recorder{}
-								twin[i] = Query{Q: q.Q, K: q.K, Acc: twinRecs[i], Stats: &twinSts[i]}
+								twin[i] = Query{Q: q.Q, K: q.K, Skip: q.Skip, Acc: twinRecs[i], Stats: &twinSts[i]}
 							}
 							if err := trees["f64"].KNNSearch(context.Background(), exactSubs[si], w, twin); err != nil {
 								t.Fatalf("%s: f64: %v", label, err)
@@ -347,29 +405,33 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 							}
 						}
 						for i, q := range qs {
+							l := fmt.Sprintf("%s/q%d/skip=%s", label, i, skipKinds[kinds[i]])
 							rec := &disk.Recorder{}
 							var st SearchStats
-							alone, err := tr.KNNOne(context.Background(), sub, w, q.Q, q.K, rec, &st)
-							if err != nil {
-								t.Fatalf("%s: alone: %v", label, err)
+							alone := [1]Query{{Q: q.Q, K: q.K, Skip: q.Skip, Acc: rec, Stats: &st}}
+							if err := tr.KNNSearch(context.Background(), sub, w, alone[:]); err != nil {
+								t.Fatalf("%s: alone: %v", l, err)
 							}
-							sameNeighbors(t, label, q.Result, alone)
-							sameStats(t, label, sts[i], st)
-							sameTrace(t, label, recs[i], rec)
+							sameNeighbors(t, l, q.Result, alone[0].Result)
+							sameStats(t, l, sts[i], st)
+							sameTrace(t, l, recs[i], rec)
 							if math.IsNaN(q.Q[0]) {
 								continue // no order to check a NaN query's answer against
 							}
 							if name == "sq8" && w == nil && q.K > 0 {
-								checkSequentialRerank(t, label, tr, sub, q.Q, q.K, st, alone)
+								checkSequentialRerank(t, l, tr, sub, q.Q, q.K, q.Skip, st, alone[0].Result)
 							}
-							if st.Reranked < st.CodesScanned {
+							// A skipped row's code is scanned but the row is never
+							// scored, so only a search without a Skip set measures
+							// the filter.
+							if q.Skip == nil && st.Reranked < st.CodesScanned {
 								filtered = true
 								if corpus.name == "code-degenerate" {
 									t.Errorf("%s: the filter excluded %d of %d code rows that carry no information",
-										label, st.CodesScanned-st.Reranked, st.CodesScanned)
+										l, st.CodesScanned-st.Reranked, st.CodesScanned)
 								}
 							}
-							sameNeighbors(t, label+"/oracle", alone, oracleKNN(tr, sub, w, q.Q, q.K))
+							sameNeighbors(t, l+"/oracle", alone[0].Result, oracleKNN(tr, sub, w, q.Q, q.K, q.Skip))
 						}
 					}
 				}
@@ -379,6 +441,70 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 			t.Errorf("%s: no SQ8 search scored fewer rows exactly than it scanned codes", corpus.name)
 		}
 	}
+}
+
+// FuzzKNNSkip checks Skip against brute force on random trees: 1 to 300
+// points of 1 to 12 dimensions from seed (on a coarse grid when coarse is
+// set, so distances tie), a Skip bit per row read from skipBits (rows past
+// its end are kept), k from 0 to n + 2, and a scorer: f64, sq8, f32, an
+// insertion-built tree, or the weighted metric. The query searches in a
+// batch beside the same point without a Skip set; each Result must be the
+// oracle's k nearest over the rows it may return.
+func FuzzKNNSkip(f *testing.F) {
+	f.Add(int64(1), uint16(200), uint8(7), uint16(10), uint8(0), false, []byte{0xff, 0x0f, 0x33, 0x80})
+	f.Add(int64(2), uint16(299), uint8(3), uint16(50), uint8(1), true, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(int64(3), uint16(64), uint8(11), uint16(1), uint8(2), false, []byte{0x55, 0xaa})
+	f.Add(int64(4), uint16(120), uint8(2), uint16(121), uint8(3), true, []byte{0x01})
+	f.Add(int64(5), uint16(8), uint8(0), uint16(9), uint8(4), false, []byte{0xfe})
+	f.Fuzz(func(t *testing.T, seed int64, nSel uint16, dimSel uint8, kSel uint16, scorer uint8, coarse bool, skipBits []byte) {
+		n, dim := 1+int(nSel)%300, 1+int(dimSel)%12
+		k := int(kSel) % (n + 3)
+		rng := rand.New(rand.NewSource(seed))
+		pts := randPoints(rng, n, dim, 10)
+		if coarse {
+			for _, p := range pts {
+				for j := range p {
+					p[j] = math.Round(p[j] / 8)
+				}
+			}
+		}
+		skip := bitset.New(n)
+		for id := 0; id < n && id/8 < len(skipBits); id++ {
+			if skipBits[id/8]>>(id%8)&1 != 0 {
+				skip.Set(id)
+			}
+		}
+		name := []string{"f64", "sq8", "f32", "insert", "weighted"}[int(scorer)%5]
+		var tr *Tree
+		var weights vec.Vector
+		switch name {
+		case "insert":
+			var err error
+			if tr, err = InsertLoadCtx(context.Background(), dim, smallCfg, bulkItems(pts)); err != nil {
+				t.Fatal(err)
+			}
+		case "weighted":
+			tr = scorerTree(t, "f64", smallCfg, pts, 8)
+			weights = make(vec.Vector, dim)
+			for j := range weights {
+				weights[j] = float64(rng.Intn(4))
+			}
+		default:
+			tr = scorerTree(t, name, smallCfg, pts, 8)
+		}
+		q := pts[rng.Intn(n)].Clone()
+		if rng.Intn(2) == 0 {
+			for j := range q {
+				q[j] += rng.NormFloat64()
+			}
+		}
+		qs := []Query{{Q: q, K: k, Skip: skip}, {Q: q, K: k}}
+		if err := tr.KNNSearch(context.Background(), tr.Root(), weights, qs); err != nil {
+			t.Fatal(err)
+		}
+		sameNeighbors(t, name+"/skip", qs[0].Result, oracleKNN(tr, tr.Root(), weights, q, k, skip))
+		sameNeighbors(t, name+"/nil", qs[1].Result, oracleKNN(tr, tr.Root(), weights, q, k, nil))
+	})
 }
 
 // pollCtx is a context whose Err reports nil for its first live calls and
@@ -437,8 +563,8 @@ func TestKNNSearchCompletedReturnsNil(t *testing.T) {
 
 // TestKNNSearchAllocs pins the single-query search to its allocation budget
 // on a paper-shaped tree (5,000 × 37-d, k = 10): the result slice, in every
-// scan mode. Everything else is pooled, so an edit that puts M = 1 on
-// an unpooled path fails here.
+// scan mode, without a Skip set and with one. Everything else is pooled, so
+// an edit that puts M = 1 on an unpooled path fails here.
 func TestKNNSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -451,19 +577,25 @@ func TestKNNSearchAllocs(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1 + float64(i%3)
 	}
+	everyThird := bitset.New(n)
+	for id := 0; id < n; id += 3 {
+		everyThird.Set(id)
+	}
 	budget := map[string]float64{"f64": 1, "weighted": 1, "sq8": 1, "f32": 1}
 	for _, mode := range searchModes(weights) {
 		tr := trees[mode.scorer]
-		i := 0
-		got := testing.AllocsPerRun(200, func() {
-			q := pts[i%n]
-			i++
-			if ns, err := tr.KNNOne(context.Background(), tr.Root(), mode.weights, q, k, nil, nil); err != nil || len(ns) != k {
-				t.Fatalf("%s: %d results, err=%v", mode.name, len(ns), err)
+		for _, skip := range []*bitset.Set{nil, everyThird} {
+			i := 0
+			got := testing.AllocsPerRun(200, func() {
+				qs := [1]Query{{Q: pts[i%n], K: k, Skip: skip}}
+				i++
+				if err := tr.KNNSearch(context.Background(), tr.Root(), mode.weights, qs[:]); err != nil || len(qs[0].Result) != k {
+					t.Fatalf("%s: %d results, err=%v", mode.name, len(qs[0].Result), err)
+				}
+			})
+			if got > budget[mode.name] {
+				t.Errorf("%s (skip %v): %v allocs per search, budget %v", mode.name, skip != nil, got, budget[mode.name])
 			}
-		})
-		if got > budget[mode.name] {
-			t.Errorf("%s: %v allocs per search, budget %v", mode.name, got, budget[mode.name])
 		}
 	}
 }
@@ -562,7 +694,7 @@ func TestKNNSearchHugeK(t *testing.T) {
 			if len(got) != rows {
 				t.Fatalf("%s: K = 1<<40 returned %d rows, subtree holds %d", label, len(got), rows)
 			}
-			sameNeighbors(t, label, got, oracleKNN(tr, sub, mode.weights, pts[3], 1<<40))
+			sameNeighbors(t, label, got, oracleKNN(tr, sub, mode.weights, pts[3], 1<<40, nil))
 		}
 	}
 }
@@ -629,7 +761,7 @@ func TestSQ8DescentReadsWhatExactReads(t *testing.T) {
 			if sq8St.RerankFallbacks != 0 {
 				t.Fatalf("%s: %d fallbacks on a finite query", label, sq8St.RerankFallbacks)
 			}
-			checkSequentialRerank(t, label, tr, sub, q, k, sq8St, sq8)
+			checkSequentialRerank(t, label, tr, sub, q, k, nil, sq8St, sq8)
 			if exactSt.CodesScanned != 0 || exactSt.ItemsScored != popped {
 				t.Fatalf("%s: exact descent scanned %d codes and scored %d rows, its leaves hold %d",
 					label, exactSt.CodesScanned, exactSt.ItemsScored, popped)
@@ -715,7 +847,7 @@ func TestF32DescentReadsWhatExactReads(t *testing.T) {
 						label, f32St.ItemsScored, f32St.CodesScanned, popped)
 				}
 				if qi%5 == 0 {
-					sameNeighbors(t, label+"/brute-force", got, f32Reference(tr, sub, q, k))
+					sameNeighbors(t, label+"/brute-force", got, f32Reference(tr, sub, q, k, nil))
 				}
 				if sub == tr.Root() {
 					nodes += f32St.NodesRead

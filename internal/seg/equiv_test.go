@@ -144,7 +144,10 @@ func sameResult(t *testing.T, label string, got, want *core.Answer) {
 	}
 }
 
-func checkEquivalence(t *testing.T, mode string, db *DB, byID map[int]vec.Vector, rng *rand.Rand) {
+// checkEquivalence queries db's current snapshot and a clean rebuild of its
+// live set with random vectors, a few live rows and the probes, and requires
+// bit-identical k-NN and finalize answers.
+func checkEquivalence(t *testing.T, mode string, db *DB, byID map[int]vec.Vector, rng *rand.Rand, probes ...vec.Vector) {
 	t.Helper()
 	ctx := context.Background()
 	snap := db.Acquire()
@@ -168,6 +171,7 @@ func checkEquivalence(t *testing.T, mode string, db *DB, byID map[int]vec.Vector
 			break
 		}
 	}
+	queries = append(queries, probes...)
 	weights := make(vec.Vector, db.cfg.Dim)
 	for i := range weights {
 		w := rng.Float64() * 2
@@ -324,6 +328,76 @@ func TestSegmentMergeEquivalence(t *testing.T) {
 				t.Fatalf("after compact: %d segments, want 1", got)
 			}
 			checkEquivalence(t, mode+"/compacted", db, byID, rng)
+
+			probe := churnAroundProbe(t, db, byID, rng)
+			checkEquivalence(t, mode+"/churned", db, byID, rng, probe)
 		})
 	}
+}
+
+// churnAroundProbe shapes db the way a served corpus under churn looks: one
+// compacted segment of at least ten seal thresholds whose tombstones — more
+// than the largest k checkEquivalence asks for below the live count — are a
+// probe query's own nearest rows, one sealed segment with every row
+// tombstoned, and a non-empty memtable. It returns the probe.
+func churnAroundProbe(t *testing.T, db *DB, byID map[int]vec.Vector, rng *rand.Rand) vec.Vector {
+	t.Helper()
+	ctx := context.Background()
+	thr := db.cfg.SealThreshold
+	insert := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			v := randVec(rng, db.cfg.Dim)
+			id, err := db.Insert(v)
+			if err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+			byID[id], ids[i] = v, id
+		}
+		return ids
+	}
+	del := func(id int) {
+		if err := db.Delete(id); err != nil {
+			t.Fatalf("delete %d: %v", id, err)
+		}
+		delete(byID, id)
+	}
+	snap := db.Acquire()
+	// Fill the memtable to its seal, then seal whole memtables until the
+	// segments hold ten thresholds: the memtable ends empty.
+	insert(thr - snap.mem.live() + (10*thr-snap.Live()+thr-1)/thr*thr)
+	snap.Release()
+	if err := db.Compact(ctx); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	probe := randVec(rng, db.cfg.Dim)
+	const probeTombs = 60 // > 50, the largest fixed k
+	snap = db.Acquire()
+	nearest, err := snap.KNNCtx(ctx, probe, probeTombs)
+	snap.Release()
+	if err != nil {
+		t.Fatalf("probe knn: %v", err)
+	}
+	for _, nb := range nearest {
+		del(nb.ID)
+	}
+	for _, id := range insert(thr) { // seals one segment, then empties it
+		del(id)
+	}
+	insert(thr / 3)
+
+	snap = db.Acquire()
+	defer snap.Release()
+	if len(snap.segs) != 2 || snap.mem.live() == 0 {
+		t.Fatalf("want two sealed segments and a live memtable, got %d segments and %d memtable rows",
+			len(snap.segs), snap.mem.live())
+	}
+	if big := snap.segs[0]; big.seg.len() < 10*thr || big.nTomb != probeTombs {
+		t.Fatalf("compacted segment: %d rows with %d tombstones, want >= %d rows with %d",
+			big.seg.len(), big.nTomb, 10*thr, probeTombs)
+	}
+	if dead := snap.segs[1]; dead.liveLen() != 0 || dead.seg.len() != thr {
+		t.Fatalf("dead segment: %d of %d rows live, want 0 of %d", dead.liveLen(), dead.seg.len(), thr)
+	}
+	return probe
 }

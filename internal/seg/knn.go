@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"qdcbir/internal/par"
+	"qdcbir/internal/rstar"
 	"qdcbir/internal/shard"
 	"qdcbir/internal/vec"
 )
@@ -25,9 +26,9 @@ type Neighbor = shard.Neighbor
 // a monolithic build computes for the same rows (position-independent
 // per-row kernels; SQ8 codes only filter which rows are scored exactly, so
 // per-segment quantizer training differences never reach the output),
-// per-segment local order equals
-// global-ID order, and tombstone filtering with a k+nTomb over-request
-// keeps at least min(live, k) results per segment. The merged list is
+// per-segment local order equals global-ID order, and each segment's
+// descent passes over its tombstoned rows (rstar.Query.Skip), so it returns
+// exactly that segment's min(live, k) nearest live rows. The merged list is
 // therefore bit-identical to a single-segment rebuild of the live set.
 func (s *Snapshot) KNNCtx(ctx context.Context, q vec.Vector, k int) ([]Neighbor, error) {
 	return s.knn(ctx, q, nil, k)
@@ -62,31 +63,25 @@ func (s *Snapshot) knn(ctx context.Context, q, weights vec.Vector, k int) ([]Nei
 	return shard.MergeNeighbors(lists, k), nil
 }
 
-// searchSegment returns up to k live neighbors from one sealed segment,
-// global IDs attached. It over-requests by the segment's tombstone count
-// (capped at the segment size) so that filtering can never surface fewer
-// than min(live, k) results.
+// searchSegment returns the k nearest live neighbors of one sealed segment,
+// global IDs attached: one descent of the segment's tree with K = k and the
+// segment's tombstones as its Skip set, so no tombstoned row enters the
+// answer or sets the pruning radius. A segment whose rows are all tombstoned
+// is not searched.
 func (s *Snapshot) searchSegment(ctx context.Context, sv segView, q, weights vec.Vector, k int) ([]Neighbor, error) {
-	kk := k + sv.nTomb
-	if kk > sv.seg.len() {
-		kk = sv.seg.len()
+	if sv.liveLen() == 0 {
+		return nil, nil
 	}
 	// The segment's tree scores as it was sealed: float32, SQ8-filtered, or
 	// exact when its codes could not be trained.
 	tree := sv.seg.rfs.Tree()
-	ns, err := tree.KNNOne(ctx, tree.Root(), weights, q, kk, nil, nil)
-	if err != nil {
+	qs := [1]rstar.Query{{Q: q, K: k, Skip: sv.tomb}}
+	if err := tree.KNNSearch(ctx, tree.Root(), weights, qs[:]); err != nil {
 		return nil, err
 	}
-	out := make([]Neighbor, 0, len(ns))
-	for _, n := range ns {
-		if sv.tomb.Get(int(n.ID)) {
-			continue
-		}
-		out = append(out, Neighbor{ID: sv.seg.ids[int(n.ID)], Dist: n.Dist})
-		if len(out) == k {
-			break
-		}
+	out := make([]Neighbor, len(qs[0].Result))
+	for i, n := range qs[0].Result {
+		out[i] = Neighbor{ID: sv.seg.ids[int(n.ID)], Dist: n.Dist}
 	}
 	return out, nil
 }

@@ -26,10 +26,12 @@ type DynamicConfig struct {
 	// compaction kicks in (default 4).
 	MaxSegments int
 
-	// Seed, NodeCapacity, RepFraction, BoundaryThreshold, and Parallelism
-	// play the same roles as in Config; segment trees are built with these
-	// knobs so a single sealed segment of the whole corpus is the same
-	// structure a monolithic build would produce.
+	// Seed, NodeCapacity, RepFraction and BoundaryThreshold play the same
+	// roles as in Config; segment trees are built with these knobs so a
+	// single sealed segment of the whole corpus is the same structure a
+	// monolithic build would produce. Parallelism bounds how many of a
+	// finalize's subqueries run at once and a segment build's workers; a
+	// k-NN searches every segment in one descent and does not fan out.
 	Seed              int64
 	NodeCapacity      int
 	RepFraction       float64

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"qdcbir/internal/par"
 	"qdcbir/internal/vec"
@@ -98,8 +98,17 @@ func tileItems(ctx context.Context, items []Item, dim, targetFill, axis, p int) 
 	if slabs < 1 {
 		slabs = 1
 	}
-	sort.SliceStable(items, func(i, j int) bool {
-		return items[i].Point[axis] < items[j].Point[axis]
+	// The comparator is the relation a < b, 0 where neither key is less (NaN
+	// included), and slices.SortStableFunc runs sort.Stable's algorithm, so
+	// the tiling is sort.SliceStable's without its reflection-based swaps.
+	slices.SortStableFunc(items, func(a, b Item) int {
+		switch x, y := a.Point[axis], b.Point[axis]; {
+		case x < y:
+			return -1
+		case y < x:
+			return 1
+		}
+		return 0
 	})
 	perSlab := int(math.Ceil(float64(n) / float64(slabs)))
 	type span struct{ lo, hi int }

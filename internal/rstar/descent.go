@@ -1,21 +1,26 @@
 package rstar
 
-// This file is the tree's one best-first descent. Nodes pop from a priority
-// queue in order of their exact MBR MINDIST; the queue holds nodes only. What
-// a query has found so far lives in a k-bounded selector of exact squared
-// distances, whose worst entry is the pruning radius: the descent ends when
-// the nearest unopened node lies beyond it. A popped leaf's rows reach the
-// selector through the metric's leaf scorer — the float64 block kernel, its
-// diagonal-weighted form, or the SQ8 row filter, which scores a row exactly
-// only if its code distance cannot prove it lies outside the radius. No
-// scorer changes which rows the selector ends up holding, so every mode opens
-// the same nodes in the same order and returns the same bits. The float32
-// scorer (f32.go) is the one scorer with answers of its own: it ranks the
-// leaf's float32 mirror rows by the float32 kernel's values. Nodes still pop
-// in the float64 descent's order; the descent stops at its float32 radius
-// widened by the narrowing errors.
+// This file is the one best-first descent. A search runs over a forest: one
+// or more subtrees, each with its own leaf scorer, Skip set and map from
+// ItemIDs to selection IDs, whose nodes pop from one priority queue in order
+// of their exact MBR MINDIST; the queue holds nodes only, each naming its
+// tree. What a query has found so far lives in one k-bounded selector of
+// exact squared distances keyed by (squared distance, selection ID) — the key
+// a single tree holding every row would use — whose worst entry is the
+// pruning radius of every tree: the descent ends when the nearest unopened
+// node lies beyond it. A popped leaf's rows reach the selector through its
+// tree's leaf scorer — the float64 block kernel, its diagonal-weighted form,
+// or the SQ8 row filter, which scores a row exactly only if its code
+// distance cannot prove it lies outside the radius. No scorer changes which
+// rows the selector ends up holding, so every mode opens the same nodes in
+// the same order and returns the same bits. The float32 scorer (f32.go) is
+// the one scorer with answers of its own: it ranks the leaf's float32 mirror
+// rows by the float32 kernel's values. Nodes still pop in the float64
+// descent's order; the descent stops at its float32 radius widened by the
+// narrowing errors. A subtree search (KNNSearch) is the forest of one, whose
+// selection IDs are its ItemIDs; KNNForest is the same loop over several.
 //
-// It is written for M queries over the same subtree: each runs its own
+// It is written for M queries over the same forest: each runs its own
 // descent as a coroutine — private queue, selector, accounter and effort
 // counters, exactly the operation sequence it would perform alone — and
 // SUSPENDS when it pops a leaf. Once every query is suspended or finished,
@@ -33,12 +38,12 @@ import (
 	"qdcbir/internal/vec"
 )
 
-// metric is how a descent measures: plain squared L2, the diagonal-weighted
-// form when weights is set, plain squared L2 behind the SQ8 row filter when
-// quant is set, or the float32 kernel over the tree's float32 mirror when
-// fslab is set. Its methods are all the descent knows about distances, so
-// another precision is another leaf scorer, not another descent. Nodes are
-// keyed by the float64 MINDIST in every mode.
+// metric is how a descent measures in one tree: plain squared L2, the
+// diagonal-weighted form when weights is set, plain squared L2 behind the SQ8
+// row filter when quant is set, or the float32 kernel over the tree's float32
+// mirror when fslab is set. Its methods are all the descent knows about
+// distances, so another precision is another leaf scorer, not another
+// descent. Nodes are keyed by the float64 MINDIST in every mode.
 type metric struct {
 	weights vec.Vector
 	quant   *store.Quantized
@@ -70,16 +75,58 @@ func (m metric) block(q vec.Vector, block, out []float64) {
 	vec.WeightedSquaredDistsTo(q, m.weights, block, out)
 }
 
+// root is one tree of a forest: the subtree searched, the tree's leaf
+// scorer, the Skip set its rows are tested against (nil: the query's own),
+// and ids, which maps an ItemID to the selection ID the selector keys and
+// returns it by (nil: the ItemID itself).
+type root struct {
+	t    *Tree
+	n    *Node
+	m    metric
+	skip *bitset.Set
+	ids  []int
+}
+
+// item returns it under its selection ID.
+func (r *root) item(it Item) Item {
+	if r.ids != nil {
+		it.ID = ItemID(r.ids[it.ID])
+	}
+	return it
+}
+
+// forest is what every query of one descend call searches: its roots, all of
+// one dim, and the stop rule they share. Either every root scores in float32
+// or none does; f32Err is then the largest root's narrowing error, which
+// widens the forest's stop key the most.
+type forest struct {
+	roots  []root
+	dim    int
+	f32    bool
+	f32Err float64
+}
+
+// stop is the forest's stop key for the squared radius r: r itself, or under
+// the float32 scorer the widest root's stop32(r). qErr is the query's
+// float32 narrowing error.
+func (f *forest) stop(r, qErr float64) float64 {
+	if !f.f32 {
+		return r
+	}
+	return stop32(r, qErr, f.f32Err, f.dim)
+}
+
 // nodePQ is a binary min-heap of nodes keyed by MINDIST, with
 // container/heap's sift algorithms and a strict < comparator: identical push
 // sequences give identical layouts, so the pop order among equal-distance
-// nodes — and with it a query's page-access trace — is a function of the tree
-// and the query alone.
+// nodes — and with it a query's page-access trace — is a function of the
+// forest and the query alone.
 type nodePQ []nodeEntry
 
 type nodeEntry struct {
 	distSq float64
 	node   *Node
+	tree   int // the node's root in the forest
 }
 
 func (p *nodePQ) push(e nodeEntry) {
@@ -122,24 +169,24 @@ func (p *nodePQ) pop() nodeEntry {
 }
 
 // selector holds the k best rows a descent has scored so far under the
-// documented selection key (squared distance, then ItemID), as a max-heap:
-// its root is the worst row held. It grows by append and so never holds more
-// than the rows offered, whatever k a caller asks for.
+// documented selection key (squared distance, then selection ID), as a
+// max-heap: its root is the worst row held. It grows by append and so never
+// holds more than the rows offered, whatever k a caller asks for.
 type selector struct {
 	k int
 	h []selected
 	// radiusSq is the root's squared distance once k rows are held, +Inf
 	// before: nothing farther can enter the answer, not even as a tie (ties
-	// resolve by ItemID among rows AT the radius).
+	// resolve by selection ID among rows AT the radius).
 	radiusSq float64
 }
 
 type selected struct {
 	distSq float64
-	item   Item
+	item   Item // under its selection ID
 }
 
-// after reports whether a ranks after b under (distSq, ItemID).
+// after reports whether a ranks after b under (distSq, selection ID).
 func (a *selected) after(b *selected) bool {
 	return a.distSq > b.distSq || (a.distSq == b.distSq && a.item.ID > b.item.ID)
 }
@@ -214,46 +261,68 @@ func (s *selector) drain() []Neighbor {
 	return out
 }
 
-// descent is one query's private search state. pending marks a popped leaf
-// whose scoring is deferred to the driver.
+// treeState is one query's state in one root of its forest: the rows it
+// passes over, and the SQ8 filter's per-quantizer state — the query's code
+// row under that root's quantizer (nil when the root scores every row
+// exactly), the measured decode error of that row, and the selector's radius
+// carried into that root's code space, solved lazily: limitAt is the radius
+// codeLimit was solved for, so a radius that moved in another tree is
+// carried over before this root's next leaf is filtered.
+type treeState struct {
+	skip      *bitset.Set
+	code      []uint8
+	qErr      float64
+	codeLimit int32
+	limitAt   float64
+}
+
+// limit returns the code-space limit of the selector's current radius.
+func (ts *treeState) limit(qz *store.Quantized, radiusSq float64) int32 {
+	if ts.limitAt != radiusSq {
+		ts.codeLimit, ts.limitAt = qz.CodeRadius(math.Sqrt(radiusSq), ts.qErr), radiusSq
+	}
+	return ts.codeLimit
+}
+
+// descent is one query's private search state. pending marks a popped leaf,
+// of the root at, whose scoring is deferred to the driver.
 type descent struct {
-	pq  nodePQ
-	sel selector
-	// skip is the query's Skip set: rows the leaf scorers pass over after
-	// their radius or code-limit test, so a nil set costs one branch on the
-	// rows that test admitted.
-	skip *bitset.Set
+	pq    nodePQ
+	sel   selector
+	trees []treeState
 	// stopSq is the key beyond which the descent ends: the selector's
 	// radius, or under the float32 scorer that radius widened by stop32.
 	stopSq float64
-	// The lossy scorers' per-query state: the query's SQ8 code row (nil when
-	// the descent scores every row exactly) or its float32 narrowing (nil
-	// unless the metric is float32), the measured error of that form, and the
-	// selector's radius carried into code space — rows whose code distance
-	// exceeds it are provably outside the radius.
-	code      []uint8
-	q32       []float32
-	qErr      float64
-	codeLimit int32
+	// q32 is the query's float32 narrowing (nil unless the forest scores in
+	// float32) and q32Err the measured error of that form.
+	q32    []float32
+	q32Err float64
 
-	pops, nodes, items, codes uint64
+	pops, nodes, items, reranked, codes uint64
 
 	pending *Node
+	at      int
 	done    bool
+}
+
+// tightened moves the stop key after the selector's radius changed.
+func (d *descent) tightened(f *forest) {
+	d.stopSq = f.stop(d.sel.radiusSq, d.q32Err)
 }
 
 // takeBlock resumes a descent suspended on a leaf with the leaf's exact block
 // scores: rows beyond the radius, and skipped rows, are dropped unseen by the
 // selector.
-func (d *descent) takeBlock(distSq []float64) {
+func (d *descent) takeBlock(f *forest, distSq []float64) {
+	r, skip := &f.roots[d.at], d.trees[d.at].skip
 	items := d.pending.items
 	d.items += uint64(len(items))
 	for i, sq := range distSq {
-		if sq > d.sel.radiusSq || d.skip.Get(int(items[i].ID)) {
+		if sq > d.sel.radiusSq || skip.Get(int(items[i].ID)) {
 			continue
 		}
-		if d.sel.offer(sq, items[i]) {
-			d.stopSq = d.sel.radiusSq
+		if d.sel.offer(sq, r.item(items[i])) {
+			d.tightened(f)
 		}
 	}
 	d.pending = nil
@@ -262,15 +331,16 @@ func (d *descent) takeBlock(distSq []float64) {
 // takeBlock32 is takeBlock for the float32 scorer: the leaf's float32 kernel
 // values are offered widened, which keeps their order, and a NaN value is
 // never taken. Each radius change moves the stop key with it.
-func (d *descent) takeBlock32(m metric, dim int, distSq []float32) {
+func (d *descent) takeBlock32(f *forest, distSq []float32) {
+	r, skip := &f.roots[d.at], d.trees[d.at].skip
 	items := d.pending.items
 	d.items += uint64(len(items))
 	for i, sq := range distSq {
-		if !(float64(sq) <= d.sel.radiusSq) || d.skip.Get(int(items[i].ID)) {
+		if !(float64(sq) <= d.sel.radiusSq) || skip.Get(int(items[i].ID)) {
 			continue
 		}
-		if d.sel.offer(float64(sq), items[i]) {
-			d.stopSq = m.stop32(d.sel.radiusSq, d.qErr, dim)
+		if d.sel.offer(float64(sq), r.item(items[i])) {
+			d.tightened(f)
 		}
 	}
 	d.pending = nil
@@ -290,15 +360,18 @@ func (d *descent) takeBlock32(m metric, dim int, distSq []float32) {
 // before it is counted and offered. The rows counted, the offers and the
 // limit's every step are therefore the sequential loop's; a row the re-test
 // drops cost one lane of work and nothing else.
-func (d *descent) takeCodes(qz *store.Quantized, q vec.Vector, raw []int32) {
+func (d *descent) takeCodes(f *forest, q vec.Vector, raw []int32) {
+	r, ts := &f.roots[d.at], &d.trees[d.at]
+	qz := r.m.quant
 	items := d.pending.items
 	d.codes += uint64(len(items))
+	limit := ts.limit(qz, d.sel.radiusSq)
 	var at [4]int
 	var sq [4]float64
 	for i := 0; i < len(raw); {
 		n := 0
 		for ; i < len(raw) && n < len(at); i++ {
-			if raw[i] <= d.codeLimit && !d.skip.Get(int(items[i].ID)) {
+			if raw[i] <= limit && !ts.skip.Get(int(items[i].ID)) {
 				at[n] = i
 				n++
 			}
@@ -311,17 +384,18 @@ func (d *descent) takeCodes(qz *store.Quantized, q vec.Vector, raw []int32) {
 		}
 		sq[0], sq[1], sq[2], sq[3] = vec.SqL2x4(q,
 			items[at[0]].Point, items[at[1]].Point, items[at[2]].Point, items[at[3]].Point)
-		for j, r := range at[:n] {
-			if raw[r] > d.codeLimit {
+		for j, row := range at[:n] {
+			if raw[row] > limit {
 				continue
 			}
 			d.items++
+			d.reranked++
 			if sq[j] > d.sel.radiusSq {
 				continue
 			}
-			if d.sel.offer(sq[j], items[r]) {
-				d.stopSq = d.sel.radiusSq
-				d.codeLimit = qz.CodeRadius(math.Sqrt(d.sel.radiusSq), d.qErr)
+			if d.sel.offer(sq[j], r.item(items[row])) {
+				d.tightened(f)
+				limit = ts.limit(qz, d.sel.radiusSq)
 			}
 		}
 	}
@@ -330,14 +404,15 @@ func (d *descent) takeCodes(qz *store.Quantized, q vec.Vector, raw []int32) {
 
 // descentScratch is the pooled working memory of one descend call, so a
 // steady-state search allocates nothing but its result slices — at M = 1 as
-// at any other M.
+// at any other M, over one root as over several.
 type descentScratch struct {
+	roots   []root // a KNNForest call's roots
 	ds      []descent
 	waiting []int     // queries suspended on a leaf this round
 	group   []int     // the visitors of one leaf
 	qbuf    []float64 // a group's query vectors, packed for the multi kernel
 	dists   []float64 // kernel output
-	qcodes  []uint8   // every query's code row (SQ8)
+	qcodes  []uint8   // every query's code row in every root (SQ8)
 	cbuf    []uint8   // a group's code rows, packed for the multi kernel
 	raw     []int32   // code kernel output
 	bounds  []float64 // an opened node's children's MINDISTs
@@ -351,8 +426,9 @@ var descentPool = sync.Pool{New: func() interface{} { return new(descentScratch)
 // advance runs one query's best-first loop until it completes or pops a
 // leaf, which is left in d.pending with its access already charged. An
 // opened internal node bounds its children from its box in one kernel pass
-// and pushes them in order.
-func (t *Tree) advance(ctx context.Context, sc *descentScratch, m metric, q *Query, d *descent) error {
+// and pushes them in order. Under the float32 scorer a node beyond its own
+// root's stop key, narrower than the forest's, is dropped unopened.
+func (f *forest) advance(ctx context.Context, sc *descentScratch, q *Query, d *descent) error {
 	acc := q.accounter()
 	for len(d.pq) > 0 {
 		if d.pops%ctxCheckInterval == 0 {
@@ -365,57 +441,75 @@ func (t *Tree) advance(ctx context.Context, sc *descentScratch, m metric, q *Que
 		if e.distSq > d.stopSq {
 			break
 		}
+		r := &f.roots[e.tree]
+		if r.m.rowErr < f.f32Err && e.distSq > stop32(d.sel.radiusSq, d.q32Err, r.m.rowErr, f.dim) {
+			continue
+		}
 		acc.Access(e.node.id)
 		d.nodes++
 		if e.node.leaf {
-			d.pending = e.node
+			d.pending, d.at = e.node, e.tree
 			return nil
 		}
 		kids := e.node.children
 		sc.bounds = grown(sc.bounds, len(kids))
-		m.bounds(q.Q, e.node.box, sc.bounds)
+		r.m.bounds(q.Q, e.node.box, sc.bounds)
 		for i, c := range kids {
-			d.pq.push(nodeEntry{distSq: sc.bounds[i], node: c})
+			d.pq.push(nodeEntry{distSq: sc.bounds[i], node: c, tree: e.tree})
 		}
 	}
 	d.done = true
 	return nil
 }
 
-// descend answers qs over the subtree rooted at n under m.
-func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error {
-	sc := descentPool.Get().(*descentScratch)
-	defer descentPool.Put(sc)
+// descend answers qs over f, offering every query the pre-scored rows before
+// its descent starts.
+func (f *forest) descend(ctx context.Context, sc *descentScratch, rows []Scored, qs []Query) error {
+	dim, nr := f.dim, len(f.roots)
 	sc.ds = grown(sc.ds, len(qs))
 	ds := sc.ds
-	if m.quant != nil {
-		sc.qcodes = grown(sc.qcodes, len(qs)*t.dim)
-	}
-	if m.fslab != nil {
-		sc.q32s = grown(sc.q32s, len(qs)*t.dim)
+	sc.qcodes = grown(sc.qcodes, len(qs)*nr*dim)
+	if f.f32 {
+		sc.q32s = grown(sc.q32s, len(qs)*dim)
 	}
 	for j := range qs {
 		d := &ds[j]
-		*d = descent{pq: d.pq[:0], sel: selector{k: qs[j].K, h: d.sel.h[:0], radiusSq: math.Inf(1)}, stopSq: math.Inf(1), skip: qs[j].Skip}
+		*d = descent{pq: d.pq[:0], sel: selector{k: qs[j].K, h: d.sel.h[:0], radiusSq: math.Inf(1)},
+			trees: grown(d.trees, nr), stopSq: math.Inf(1)}
 		if qs[j].K <= 0 {
 			d.done = true
 			continue
 		}
-		if m.fslab != nil {
-			d.q32 = vec.Narrow32(qs[j].Q, sc.q32s[j*t.dim:(j+1)*t.dim:(j+1)*t.dim])
-			d.qErr = narrowErr(qs[j].Q, d.q32)
+		if f.f32 {
+			d.q32 = vec.Narrow32(qs[j].Q, sc.q32s[j*dim:(j+1)*dim:(j+1)*dim])
+			d.q32Err = narrowErr(qs[j].Q, d.q32)
 		}
-		if m.quant != nil {
-			// A NaN query defeats the bracket (its decode error is NaN): it
-			// keeps a nil code row and scores every leaf exactly.
-			code, qErr := m.quant.EncodeQuery(qs[j].Q, sc.qcodes[j*t.dim:(j+1)*t.dim:(j+1)*t.dim])
-			if !math.IsNaN(qErr) {
-				d.code, d.qErr, d.codeLimit = code, qErr, math.MaxInt32
-			} else if st := qs[j].Stats; st != nil {
-				st.RerankFallbacks++
+		for _, p := range rows {
+			if p.DistSq <= d.sel.radiusSq {
+				d.sel.offer(p.DistSq, Item{ID: p.ID})
 			}
 		}
-		d.pq.push(nodeEntry{distSq: m.bound(n.rect, qs[j].Q), node: n})
+		d.tightened(f)
+		for t := range f.roots {
+			r := &f.roots[t]
+			ts := &d.trees[t]
+			*ts = treeState{skip: r.skip, limitAt: math.Inf(1), codeLimit: math.MaxInt32}
+			if ts.skip == nil {
+				ts.skip = qs[j].Skip
+			}
+			if r.m.quant != nil {
+				// A NaN query defeats the bracket (its decode error is NaN): it
+				// keeps a nil code row and scores every leaf exactly.
+				lo := (j*nr + t) * dim
+				code, qErr := r.m.quant.EncodeQuery(qs[j].Q, sc.qcodes[lo:lo+dim:lo+dim])
+				if !math.IsNaN(qErr) {
+					ts.code, ts.qErr = code, qErr
+				} else if st := qs[j].Stats; st != nil {
+					st.RerankFallbacks++
+				}
+			}
+			d.pq.push(nodeEntry{distSq: r.m.bound(r.n.rect, qs[j].Q), node: r.n, tree: t})
+		}
 	}
 	for {
 		waiting := sc.waiting[:0]
@@ -424,7 +518,7 @@ func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error
 			if d.done {
 				continue
 			}
-			if err := t.advance(ctx, sc, m, &qs[j], d); err != nil {
+			if err := f.advance(ctx, sc, &qs[j], d); err != nil {
 				return err
 			}
 			if !d.done {
@@ -440,21 +534,22 @@ func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error
 			if leaf == nil {
 				continue // scored with an earlier visitor of the same leaf
 			}
-			coded := ds[j].code != nil
+			r := &f.roots[ds[j].at]
+			coded := ds[j].trees[ds[j].at].code != nil
 			group := sc.group[:0]
 			for _, v := range waiting[i:] {
-				if ds[v].pending == leaf && (ds[v].code != nil) == coded {
+				if ds[v].pending == leaf && (ds[v].trees[ds[v].at].code != nil) == coded {
 					group = append(group, v)
 				}
 			}
 			sc.group = group
 			switch {
-			case m.fslab != nil:
-				t.scoreLeaf32(sc, m, leaf, ds, group)
+			case r.m.fslab != nil:
+				f.scoreLeaf32(sc, r, leaf, ds, group)
 			case coded:
-				t.filterLeaf(sc, m.quant, leaf, qs, ds, group)
+				f.filterLeaf(sc, r, leaf, qs, ds, group)
 			default:
-				t.scoreLeaf(sc, m, leaf, qs, ds, group)
+				f.scoreLeaf(sc, r, leaf, qs, ds, group)
 			}
 		}
 	}
@@ -468,10 +563,8 @@ func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error
 			st.HeapPops += d.pops
 			st.NodesRead += d.nodes
 			st.ItemsScored += d.items
-			if d.code != nil {
-				st.CodesScanned += d.codes
-				st.Reranked += d.items
-			}
+			st.CodesScanned += d.codes
+			st.Reranked += d.reranked
 		}
 	}
 	return nil
@@ -482,18 +575,18 @@ func (t *Tree) descend(ctx context.Context, n *Node, m metric, qs []Query) error
 // block through the multi-query kernel; a lone visitor — always the case at
 // M = 1 — takes the single-query kernel, as does every visitor under the
 // weighted metric, which has no multi-query kernel.
-func (t *Tree) scoreLeaf(sc *descentScratch, m metric, leaf *Node, qs []Query, ds []descent, group []int) {
+func (f *forest) scoreLeaf(sc *descentScratch, r *root, leaf *Node, qs []Query, ds []descent, group []int) {
 	rows := len(leaf.items)
 	g := len(group)
-	if g == 1 || m.weights != nil {
+	if g == 1 || r.m.weights != nil {
 		sc.dists = grown(sc.dists, rows)
 		for _, j := range group {
-			m.block(qs[j].Q, leaf.block, sc.dists)
-			ds[j].takeBlock(sc.dists)
+			r.m.block(qs[j].Q, leaf.block, sc.dists)
+			ds[j].takeBlock(f, sc.dists)
 		}
 		return
 	}
-	dim := t.dim
+	dim := f.dim
 	sc.qbuf = grown(sc.qbuf, g*dim)
 	for gi, j := range group {
 		copy(sc.qbuf[gi*dim:(gi+1)*dim], qs[j].Q)
@@ -501,41 +594,42 @@ func (t *Tree) scoreLeaf(sc *descentScratch, m metric, leaf *Node, qs []Query, d
 	sc.dists = grown(sc.dists, g*rows)
 	vec.SquaredDistsToMulti(sc.qbuf, g, leaf.block, sc.dists)
 	for gi, j := range group {
-		ds[j].takeBlock(sc.dists[gi*rows : (gi+1)*rows])
+		ds[j].takeBlock(f, sc.dists[gi*rows:(gi+1)*rows])
 	}
 }
 
 // filterLeaf is scoreLeaf for visitors behind the SQ8 filter: one pass over
 // the leaf's code rows gives every visitor its code distances, and each then
 // scores exactly the rows its own radius cannot exclude.
-func (t *Tree) filterLeaf(sc *descentScratch, qz *store.Quantized, leaf *Node, qs []Query, ds []descent, group []int) {
+func (f *forest) filterLeaf(sc *descentScratch, r *root, leaf *Node, qs []Query, ds []descent, group []int) {
 	rows := len(leaf.items)
 	g := len(group)
-	dim := t.dim
-	codes := t.qcodes[leaf.qlo*dim : leaf.qhi*dim]
+	dim := f.dim
+	codes := r.t.qcodes[leaf.qlo*dim : leaf.qhi*dim]
 	sc.raw = grown(sc.raw, g*rows)
 	if g == 1 {
-		vec.Uint8SquaredDistsTo(ds[group[0]].code, codes, sc.raw)
+		j := group[0]
+		vec.Uint8SquaredDistsTo(ds[j].trees[ds[j].at].code, codes, sc.raw)
 	} else {
 		sc.cbuf = grown(sc.cbuf, g*dim)
 		for gi, j := range group {
-			copy(sc.cbuf[gi*dim:(gi+1)*dim], ds[j].code)
+			copy(sc.cbuf[gi*dim:(gi+1)*dim], ds[j].trees[ds[j].at].code)
 		}
 		vec.Uint8SquaredDistsToMulti(sc.cbuf, g, codes, sc.raw)
 	}
 	for gi, j := range group {
-		ds[j].takeCodes(qz, qs[j].Q, sc.raw[gi*rows:(gi+1)*rows])
+		ds[j].takeCodes(f, qs[j].Q, sc.raw[gi*rows:(gi+1)*rows])
 	}
 }
 
 // scoreLeaf32 is scoreLeaf for the float32 scorer: the leaf's rows of the
 // float32 mirror are scored against every visitor's narrowed query, in one
 // pass through the multi-query kernel when there are several.
-func (t *Tree) scoreLeaf32(sc *descentScratch, m metric, leaf *Node, ds []descent, group []int) {
+func (f *forest) scoreLeaf32(sc *descentScratch, r *root, leaf *Node, ds []descent, group []int) {
 	rows := len(leaf.items)
 	g := len(group)
-	dim := t.dim
-	block := m.fslab[leaf.qlo*dim : leaf.qhi*dim]
+	dim := f.dim
+	block := r.m.fslab[leaf.qlo*dim : leaf.qhi*dim]
 	sc.dists32 = grown(sc.dists32, g*rows)
 	if g == 1 {
 		vec.SquaredDistsTo32(ds[group[0]].q32, block, sc.dists32)
@@ -547,6 +641,6 @@ func (t *Tree) scoreLeaf32(sc *descentScratch, m metric, leaf *Node, ds []descen
 		vec.SquaredDistsToMulti32(sc.q32buf, g, block, sc.dists32)
 	}
 	for gi, j := range group {
-		ds[j].takeBlock32(m, dim, sc.dists32[gi*rows:(gi+1)*rows])
+		ds[j].takeBlock32(f, sc.dists32[gi*rows:(gi+1)*rows])
 	}
 }

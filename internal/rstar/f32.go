@@ -97,10 +97,10 @@ func rowsNarrowErr(slab []float64, mirror []float32, dim int) float64 {
 }
 
 // stop32 is the float32 descent's stop key S(r) for the squared radius r (a
-// widened float32 kernel value) and the query's narrowing error qErr; see the
-// theorem above.
-func (m metric) stop32(r, qErr float64, dim int) float64 {
+// widened float32 kernel value), the query's narrowing error qErr and the
+// tree's e_rows, rowErr; see the theorem above.
+func stop32(r, qErr, rowErr float64, dim int) float64 {
 	gamma := float64(dim/8+3+dim%8+3) * 0x1p-24
-	reach := math.Sqrt((r+float64(dim)*0x1p-149)*(1+2*gamma)) + qErr + m.rowErr
+	reach := math.Sqrt((r+float64(dim)*0x1p-149)*(1+2*gamma)) + qErr + rowErr
 	return reach * reach * (1 + 1e-9)
 }

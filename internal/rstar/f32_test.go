@@ -193,8 +193,7 @@ func checkF32Stop(t *testing.T, label string, q, lo, hi vec.Vector, rows []vec.V
 		slab = append(slab, p...)
 	}
 	mirror := vec.Narrow32(slab, nil)
-	m := metric{rowErr: rowsNarrowErr(slab, mirror, dim)}
-	stop := m.stop32(float64(r), narrowErr(q, q32), dim)
+	stop := stop32(float64(r), narrowErr(q, q32), rowsNarrowErr(slab, mirror, dim), dim)
 	mind := vec.MinDistSq(q, lo, hi)
 	if !(mind > stop) {
 		return false

@@ -2,6 +2,8 @@ package rstar
 
 import (
 	"context"
+	"errors"
+	"math"
 
 	"qdcbir/internal/bitset"
 	"qdcbir/internal/disk"
@@ -134,6 +136,16 @@ func (t *Tree) KNNSearch(ctx context.Context, n *Node, weights vec.Vector, qs []
 	if n == nil || n.Len() == 0 {
 		return nil
 	}
+	m := t.metric(weights)
+	roots := [1]root{{t: t, n: n, m: m}}
+	f := forest{roots: roots[:], dim: t.dim, f32: m.fslab != nil, f32Err: m.rowErr}
+	sc := descentPool.Get().(*descentScratch)
+	defer descentPool.Put(sc)
+	return f.descend(ctx, sc, nil, qs)
+}
+
+// metric returns the leaf scorer a search of t runs under weights.
+func (t *Tree) metric(weights vec.Vector) metric {
 	var m metric
 	switch {
 	case weights != nil:
@@ -143,7 +155,67 @@ func (t *Tree) KNNSearch(ctx context.Context, n *Node, weights vec.Vector, qs []
 	case t.quant != nil && t.quant.Clean():
 		m.quant = t.quant
 	}
-	return t.descend(ctx, n, m, qs)
+	return m
+}
+
+// Root is one tree of a KNNForest search: the tree, the ItemIDs the search
+// must pass over in it (Skip, as Query.Skip), and the global ID of each of
+// its ItemIDs (IDs[id]; nil leaves IDs as they are). Global IDs must be
+// unique across the forest.
+type Root struct {
+	Tree *Tree
+	Skip *bitset.Set
+	IDs  []int
+}
+
+// Scored is a row a KNNForest caller scored itself: its global ID and its
+// squared distance to the query, computed as the forest's trees compute one
+// (the float32 kernel's value, widened, when they score in float32).
+type Scored struct {
+	ID     ItemID
+	DistSq float64
+}
+
+// KNNForest answers q over several trees at once, as if one tree held all
+// their unskipped rows under their global IDs plus the pre-scored rows:
+// q.Result is the q.K smallest of them under (squared distance, global ID),
+// ordered as KNNSearch orders a result, with global IDs in Neighbor.ID and a
+// nil Point for a pre-scored row. It is KNNSearch's one descent with every
+// root in its queue: each tree keeps its own leaf scorer, stop rule, Skip set
+// and SQ8 state, and all of them prune against the one radius, which the
+// pre-scored rows seed. A pre-scored row whose distance is NaN is never
+// taken. q.Skip must be nil (each Root carries its own); the node IDs
+// reported to q.Acc are per tree. Empty trees are passed over. Under nil
+// weights the trees must all score in float32 or none may.
+func KNNForest(ctx context.Context, roots []Root, weights vec.Vector, rows []Scored, q Query) ([]Neighbor, error) {
+	if q.Skip != nil {
+		return nil, errors.New("rstar: a forest query passes over rows by root, not by Query.Skip")
+	}
+	sc := descentPool.Get().(*descentScratch)
+	defer func() {
+		clear(sc.roots) // drop the trees' references before the scratch is pooled
+		descentPool.Put(sc)
+	}()
+	f := forest{dim: len(q.Q)}
+	sc.roots = sc.roots[:0]
+	for _, r := range roots {
+		n := r.Tree.root
+		if n == nil || n.Len() == 0 {
+			continue
+		}
+		m := r.Tree.metric(weights)
+		if len(sc.roots) > 0 && f.f32 != (m.fslab != nil) {
+			return nil, errors.New("rstar: forest mixes float32 and float64 leaf scorers")
+		}
+		f.f32 = m.fslab != nil
+		f.f32Err = math.Max(f.f32Err, m.rowErr)
+		sc.roots = append(sc.roots, root{t: r.Tree, n: n, m: m, skip: r.Skip, ids: r.IDs})
+	}
+	f.roots = sc.roots
+	qs := [1]Query{q}
+	qs[0].Result = nil
+	err := f.descend(ctx, sc, rows, qs[:])
+	return qs[0].Result, err
 }
 
 // neighborLess is the documented result order: ascending (Dist, ID). IDs are

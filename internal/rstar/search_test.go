@@ -10,7 +10,6 @@ import (
 
 	"qdcbir/internal/bitset"
 	"qdcbir/internal/disk"
-	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -203,11 +202,12 @@ func degenerateCorpus(rng *rand.Rand) searchCorpus {
 // at a time: each row tested against the limit, scored with vec.SqL2 and
 // offered, one after another. It is the reference the batched loop's effort
 // counts and selector evolution are pinned against.
-func (d *descent) takeCodesSequential(qz *store.Quantized, q vec.Vector, raw []int32) {
+func (d *descent) takeCodesSequential(f *forest, q vec.Vector, raw []int32) {
+	r, ts := &f.roots[d.at], &d.trees[d.at]
 	items := d.pending.items
 	d.codes += uint64(len(items))
 	for i, c := range raw {
-		if c > d.codeLimit || d.skip.Get(int(items[i].ID)) {
+		if c > ts.limit(r.m.quant, d.sel.radiusSq) || ts.skip.Get(int(items[i].ID)) {
 			continue
 		}
 		d.items++
@@ -216,8 +216,7 @@ func (d *descent) takeCodesSequential(qz *store.Quantized, q vec.Vector, raw []i
 			continue
 		}
 		if d.sel.offer(sq, items[i]) {
-			d.stopSq = d.sel.radiusSq
-			d.codeLimit = qz.CodeRadius(math.Sqrt(d.sel.radiusSq), d.qErr)
+			d.tightened(f)
 		}
 	}
 	d.pending = nil
@@ -230,13 +229,15 @@ func (d *descent) takeCodesSequential(qz *store.Quantized, q vec.Vector, raw []i
 func checkSequentialRerank(t *testing.T, label string, tr *Tree, n *Node, q vec.Vector, k int, skip *bitset.Set, st SearchStats, got []Neighbor) {
 	t.Helper()
 	m := metric{quant: tr.quant}
+	f := forest{roots: []root{{t: tr, n: n, m: m}}, dim: tr.dim}
 	code, qErr := tr.quant.EncodeQuery(q, make([]uint8, tr.dim))
-	d := descent{sel: selector{k: k, radiusSq: math.Inf(1)}, stopSq: math.Inf(1), skip: skip, code: code, qErr: qErr, codeLimit: math.MaxInt32}
+	d := descent{sel: selector{k: k, radiusSq: math.Inf(1)}, stopSq: math.Inf(1),
+		trees: []treeState{{skip: skip, code: code, qErr: qErr, codeLimit: math.MaxInt32, limitAt: math.Inf(1)}}}
 	d.pq.push(nodeEntry{distSq: m.bound(n.rect, q), node: n})
 	sc := new(descentScratch)
 	query := Query{Q: q, K: k}
 	for {
-		if err := tr.advance(context.Background(), sc, m, &query, &d); err != nil {
+		if err := f.advance(context.Background(), sc, &query, &d); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		if d.done {
@@ -245,7 +246,7 @@ func checkSequentialRerank(t *testing.T, label string, tr *Tree, n *Node, q vec.
 		leaf := d.pending
 		raw := make([]int32, len(leaf.items))
 		vec.Uint8SquaredDistsTo(code, tr.qcodes[leaf.qlo*tr.dim:leaf.qhi*tr.dim], raw)
-		d.takeCodesSequential(tr.quant, q, raw)
+		d.takeCodesSequential(&f, q, raw)
 	}
 	if st.ItemsScored != d.items || st.Reranked != d.items || st.CodesScanned != d.codes {
 		t.Fatalf("%s: scored %d (reranked %d) of %d code rows, the sequential loop %d of %d",

@@ -2,6 +2,7 @@ package seg
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -193,11 +194,11 @@ func checkEquivalence(t *testing.T, mode string, db *DB, byID map[int]vec.Vector
 				t.Fatalf("knn returned %d of %d requested with %d live", len(got), k, snap.Live())
 			}
 			if qi == 0 { // weighted mode once per k
-				gotW, err := snap.knn(ctx, q, weights, k)
+				gotW, err := snap.knn(ctx, q, weights, k, nil)
 				if err != nil {
 					t.Fatalf("weighted knn: %v", err)
 				}
-				wantW, err := refSnap.knn(ctx, q, weights, k)
+				wantW, err := refSnap.knn(ctx, q, weights, k, nil)
 				if err != nil {
 					t.Fatalf("ref weighted knn: %v", err)
 				}
@@ -400,4 +401,82 @@ func churnAroundProbe(t *testing.T, db *DB, byID map[int]vec.Vector, rng *rand.R
 		t.Fatalf("dead segment: %d of %d rows live, want 0 of %d", dead.liveLen(), dead.seg.len(), thr)
 	}
 	return probe
+}
+
+// TestSqrtTieMatchesRebuild: two rows at squared distances 1 and 1+2⁻⁵² from
+// the query both lie at distance 1 once rooted. A clean rebuild selects by
+// squared distance, so at k = 1 it returns the nearer row, not the one with
+// the lower ID; the segmented engine must too, whether the two rows sit in
+// two sealed segments or in one sealed segment and the memtable. Under the
+// float32 scorer the two rows tie outright (1+2⁻⁵² rounds to 1), so there
+// both answer the lower ID.
+func TestSqrtTieMatchesRebuild(t *testing.T) {
+	for _, mode := range []string{"f64", "sq8", "f32"} {
+		for _, where := range []string{"sealed+sealed", "sealed+memtable"} {
+			t.Run(mode+"/"+where, func(t *testing.T) {
+				cfg := testConfig(mode)
+				db, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				rng := rand.New(rand.NewSource(11))
+				byID := make(map[int]vec.Vector)
+				insert := func(v vec.Vector) int {
+					id, err := db.Insert(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					byID[id] = v
+					return id
+				}
+				far := func() vec.Vector {
+					v := randVec(rng, cfg.Dim)
+					for j := range v {
+						v[j] += 6
+					}
+					return v
+				}
+				origin := make(vec.Vector, cfg.Dim)
+				farther := make(vec.Vector, cfg.Dim)
+				farther[0], farther[1] = 1, 0x1p-26
+				nearer := make(vec.Vector, cfg.Dim)
+				nearer[0] = 1
+				if a, b := vec.SqL2(origin, farther), vec.SqL2(origin, nearer); a != 1+0x1p-52 || b != 1 || math.Sqrt(a) != math.Sqrt(b) {
+					t.Fatalf("squared distances %v and %v do not tie at one square root", a, b)
+				}
+				fartherID := insert(farther)
+				for db.Stats().Segments < 1 {
+					insert(far())
+				}
+				nearerID := insert(nearer)
+				if where == "sealed+sealed" {
+					for db.Stats().Segments < 2 {
+						insert(far())
+					}
+				}
+				for i := 0; i < 5; i++ {
+					insert(far())
+				}
+				st := db.Stats()
+				if want := map[string]int{"sealed+sealed": 2, "sealed+memtable": 1}[where]; st.Segments != want || st.MemRows == 0 {
+					t.Fatalf("%d sealed segments and %d memtable rows, want %d and some", st.Segments, st.MemRows, want)
+				}
+				snap := db.Acquire()
+				got, err := snap.KNNCtx(context.Background(), origin, 1)
+				snap.Release()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := nearerID
+				if mode == "f32" {
+					want = fartherID
+				}
+				if len(got) != 1 || got[0].ID != want || got[0].Dist != 1 {
+					t.Fatalf("k = 1 at the origin: got %+v, want ID %d at distance 1", got, want)
+				}
+				checkEquivalence(t, mode+"/"+where, db, byID, rng, origin)
+			})
+		}
+	}
 }

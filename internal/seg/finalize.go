@@ -30,6 +30,34 @@ import (
 // the order-preserving ID relabeling of a rebuild the clustering sees the
 // same vectors in the same order with the same seed.)
 func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int, weights vec.Vector) (*core.Answer, error) {
+	dc, err := s.decompose(examples, k, weights)
+	if err != nil {
+		return nil, err
+	}
+	claims, err := core.FinalRound(ctx, k, dc.subs, core.FetchEach(s.db.cfg.Parallelism, func(ctx context.Context, r core.Request) ([]Neighbor, error) {
+		return s.knn(ctx, dc.centroids[r.Group], weights, r.Want, nil)
+	}), shard.Claim)
+	if err != nil {
+		return nil, err
+	}
+	res := &core.Answer{Groups: make([]core.AnswerGroup, len(claims))}
+	for i, c := range claims {
+		res.Groups[i] = core.AnswerGroup{QueryIDs: dc.members[c.Group], Images: c.Images, RankScore: c.RankScore}
+	}
+	return res, nil
+}
+
+// decomposition is a final round's query side: its subqueries in final
+// order, and each group's centroid and member global IDs (ascending).
+type decomposition struct {
+	subs      []core.Subquery
+	centroids []vec.Vector
+	members   [][]int
+}
+
+// decompose validates a final round's inputs and clusters its examples into
+// the round's groups.
+func (s *Snapshot) decompose(examples []int, k int, weights vec.Vector) (*decomposition, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("seg: invalid k=%d", k)
 	}
@@ -73,10 +101,10 @@ func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int
 	rng := rand.New(rand.NewSource(s.db.cfg.Seed + 5))
 	cl := kmeans.Cluster(pts, kGroups, kmeans.Config{}, rng)
 
-	members := make([][]int, cl.K) // member global IDs per cluster, ascending
+	dc := &decomposition{members: make([][]int, cl.K), centroids: make([]vec.Vector, cl.K)}
 	memberPts := make([][]vec.Vector, cl.K)
 	for i, c := range cl.Assign {
-		members[c] = append(members[c], ids[i])
+		dc.members[c] = append(dc.members[c], ids[i])
 		memberPts[c] = append(memberPts[c], pts[i])
 	}
 	// Skip empty clusters defensively (kmeans reseeds, but stay robust).
@@ -84,27 +112,14 @@ func (s *Snapshot) QueryByExamplesCtx(ctx context.Context, examples []int, k int
 	// node ID in the (count desc, key asc) order. Every subquery is
 	// corpus-wide, so each group's capacity is the snapshot's live count and
 	// every group shares one span.
-	var subs []core.Subquery
-	for c, m := range members {
+	for c, m := range dc.members {
 		if len(m) > 0 {
-			subs = append(subs, core.Subquery{Group: c, Count: len(m), Key: uint64(m[0]), Cap: s.live, Hi: 1})
+			dc.subs = append(dc.subs, core.Subquery{Group: c, Count: len(m), Key: uint64(m[0]), Cap: s.live, Hi: 1})
 		}
 	}
-	subs = core.OrderSubqueries(subs, k)
-	centroids := make([]vec.Vector, cl.K)
-	for _, sq := range subs {
-		centroids[sq.Group] = vec.Centroid(memberPts[sq.Group])
+	dc.subs = core.OrderSubqueries(dc.subs, k)
+	for _, sq := range dc.subs {
+		dc.centroids[sq.Group] = vec.Centroid(memberPts[sq.Group])
 	}
-
-	claims, err := core.FinalRound(ctx, k, subs, core.FetchEach(s.db.cfg.Parallelism, func(ctx context.Context, r core.Request) ([]Neighbor, error) {
-		return s.knn(ctx, centroids[r.Group], weights, r.Want)
-	}), shard.Claim)
-	if err != nil {
-		return nil, err
-	}
-	res := &core.Answer{Groups: make([]core.AnswerGroup, len(claims))}
-	for i, c := range claims {
-		res.Groups[i] = core.AnswerGroup{QueryIDs: members[c.Group], Images: c.Images, RankScore: c.RankScore}
-	}
-	return res, nil
+	return dc, nil
 }

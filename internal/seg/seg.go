@@ -11,10 +11,13 @@
 // same query against a from-scratch single-segment build of the live set.
 // This holds because every distance is computed by the same
 // position-independent per-row kernels the monolithic engine uses
-// (vec.SqL2 and friends — see the kernel contracts in internal/vec), the
-// SQ8 path scores every row it returns with exact arithmetic (the codes only
-// decide which rows a popped leaf scores), and cross-segment merge orders by (distance, global ID)
-// exactly as shard.MergeNeighbors does for the scatter-gather tier.
+// (vec.SquaredDistsTo and friends — see the kernel contracts in
+// internal/vec), the SQ8 path scores every row it returns with exact
+// arithmetic (the codes only decide which rows a popped leaf scores), and a
+// snapshot k-NN is one search over the forest of segment trees
+// (rstar.KNNForest) whose one selector — fed by every segment and by the
+// memtable's block-scored rows — keys rows by (squared distance, global ID),
+// as the rebuild's single tree does.
 //
 // Feedback-driven retrieval (the paper's query decomposition) is served by
 // a segmentation-invariant variant: instead of anchoring subqueries to tree
@@ -81,8 +84,10 @@ type Config struct {
 	// leave freshly sealed segments a single leaf).
 	NodeCapacity int
 
-	// Parallelism bounds per-query fan-out across segments and per-build
-	// worker counts. Default GOMAXPROCS (resolved by the par package).
+	// Parallelism bounds how many of a finalize's subqueries run at once and
+	// the worker count of a segment build. A k-NN is one search over every
+	// segment and does not fan out. Default GOMAXPROCS (resolved by the par
+	// package).
 	Parallelism int
 
 	// DisableAutoCompact turns off the background compactor; Compact can

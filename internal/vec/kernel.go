@@ -14,7 +14,12 @@ import (
 // comes from that overlap, contiguous memory, fewer slice-header
 // dereferences, and early exit — never from reassociating a sum — so results
 // are bit-identical to the scalar loops and the system's byte-level
-// determinism guarantees survive the batch paths.
+// determinism guarantees survive the batch paths. Every product is rounded
+// before it is added — float64(d * d), as the Go spec spells an explicit
+// rounding — because a compiler may otherwise fuse x*y + z into one
+// multiply-add that rounds once (arm64 does, FMADDD): the float64 loops of
+// this package therefore produce the same bits on every architecture, and
+// CI fails if the arm64 listing of the package holds a fused instruction.
 
 // SquaredDistsTo computes out[r] = SqL2(q, row_r) for every dimension-strided
 // row of block, where block holds len(out) rows of len(q) contiguous
@@ -41,7 +46,7 @@ func SquaredDistsTo(q Vector, block []float64, out []float64) {
 		var s float64
 		for i, ri := range row {
 			d := q[i] - ri
-			s += d * d
+			s += float64(d * d)
 		}
 		out[r] = s
 	}
@@ -58,10 +63,10 @@ func SqL2x4(q, a, b, c, e Vector) (sa, sb, sc, se float64) {
 		db := qi - b[i]
 		dc := qi - c[i]
 		de := qi - e[i]
-		sa += da * da
-		sb += db * db
-		sc += dc * dc
-		se += de * de
+		sa += float64(da * da)
+		sb += float64(db * db)
+		sc += float64(dc * dc)
+		se += float64(de * de)
 	}
 	return sa, sb, sc, se
 }
@@ -76,13 +81,13 @@ func weightedSqL2x4(q, weights, a, b, c, e Vector) (sa, sb, sc, se float64) {
 	for i, qi := range q {
 		w := weights[i]
 		da := qi - a[i]
-		sa += w * da * da
+		sa += float64(w * da * da)
 		db := qi - b[i]
-		sb += w * db * db
+		sb += float64(w * db * db)
 		dc := qi - c[i]
-		sc += w * dc * dc
+		sc += float64(w * dc * dc)
 		de := qi - e[i]
-		se += w * de * de
+		se += float64(w * de * de)
 	}
 	return sa, sb, sc, se
 }
@@ -112,7 +117,7 @@ func WeightedSquaredDistsTo(q, weights Vector, block []float64, out []float64) {
 		var s float64
 		for i, ri := range row {
 			d := q[i] - ri
-			s += weights[i] * d * d
+			s += float64(weights[i] * d * d)
 		}
 		out[r] = s
 	}
@@ -135,7 +140,7 @@ func SquaredDistCapped(q, v Vector, limit float64) float64 {
 	var s float64
 	for i, qi := range q {
 		d := qi - v[i]
-		s += d * d
+		s += float64(d * d)
 		if s >= limit {
 			return s
 		}
@@ -152,7 +157,7 @@ func WeightedSquaredDistCapped(q, v, weights Vector, limit float64) float64 {
 	var s float64
 	for i, qi := range q {
 		d := qi - v[i]
-		s += weights[i] * d * d
+		s += float64(weights[i] * d * d)
 		if s >= limit {
 			return s
 		}

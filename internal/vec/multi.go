@@ -91,7 +91,7 @@ func SquaredDistsToMulti(qs []float64, m int, block []float64, out []float64) {
 			var s float64
 			for i, ri := range row {
 				d := q[i] - ri
-				s += d * d
+				s += float64(d * d)
 			}
 			out[j*rows+r] = s
 		}

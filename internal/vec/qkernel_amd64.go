@@ -7,11 +7,12 @@ package vec
 func hasAVX2() bool
 
 // uint8SqDistsAVX2 is the AVX2 batch kernel behind Uint8SquaredDistsTo:
-// out[r] = Σ_i (q[i]−block[r*dim+i])² for r in [0, rows). Each 16-code chunk
-// widens to int16 lanes (VPMOVZXBW), differences square-and-pair-sum into
-// int32 lanes (VPMADDWD), and the ≤15-code tail runs scalar in the same
-// function — all integer, so the result is bit-identical to the Go loop.
-// Implemented in qkernel_amd64.s.
+// out[r] = Σ_i (q[i]−block[r*dim+i])² for r in [0, rows), dim ≥ 16. Each
+// 16-code chunk widens to int16 lanes (VPMOVZXBW), differences
+// square-and-pair-sum into int32 lanes (VPMADDWD), and a ≤15-code tail is one
+// overlapping load of the row's last 16 codes masked to the lanes the prefix
+// has not counted — all integer, so the result is bit-identical to the Go
+// loop. Implemented in qkernel_amd64.s.
 //
 //go:noescape
 func uint8SqDistsAVX2(q *uint8, dim int, block *uint8, out *int32, rows int)

@@ -30,13 +30,28 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// tailmask is 16 zero int16 lanes then 16 all-ones ones: the 16 lanes read
+// from byte offset 2r keep the last r, for r in [1, 15].
+DATA tailmask<>+0(SB)/8, $0
+DATA tailmask<>+8(SB)/8, $0
+DATA tailmask<>+16(SB)/8, $0
+DATA tailmask<>+24(SB)/8, $0
+DATA tailmask<>+32(SB)/8, $-1
+DATA tailmask<>+40(SB)/8, $-1
+DATA tailmask<>+48(SB)/8, $-1
+DATA tailmask<>+56(SB)/8, $-1
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
 // func uint8SqDistsAVX2(q *uint8, dim int, block *uint8, out *int32, rows int)
 //
-// out[r] = Σ_i (q[i]−block[r*dim+i])², all int32. Per 16-code chunk: widen
-// uint8→int16 (VPMOVZXBW), subtract (fits int16: |d| ≤ 255), square and
-// pair-sum into int32 lanes (VPMADDWD: ≤ 2·255² per lane, no overflow),
-// accumulate. The ≤15-code row tail runs scalar below the horizontal sum.
-// Loads never cross a row boundary, so nothing is read past the block.
+// out[r] = Σ_i (q[i]−block[r*dim+i])², all int32, for dim ≥ 16. Per 16-code
+// chunk: widen uint8→int16 (VPMOVZXBW), subtract (fits int16: |d| ≤ 255),
+// square and pair-sum into int32 lanes (VPMADDWD: ≤ 2·255² per lane, no
+// overflow), accumulate. A row whose dim is not a multiple of 16 ends with one
+// more chunk, the row's last 16 codes, whose differences are masked (VPAND) to
+// the dim mod 16 lanes the prefix has not counted: every term is added once,
+// and integer sums make the total the scalar loop's. Loads never cross a row
+// boundary, so nothing is read past the block.
 TEXT ·uint8SqDistsAVX2(SB), NOSPLIT, $0-40
 	MOVQ q+0(FP), SI
 	MOVQ dim+8(FP), DX
@@ -45,15 +60,20 @@ TEXT ·uint8SqDistsAVX2(SB), NOSPLIT, $0-40
 	MOVQ rows+32(FP), R9
 
 	MOVQ DX, R10
-	ANDQ $-16, R10            // R10 = dim &^ 15: the SIMD-covered prefix
+	ANDQ $-16, R10            // R10 = dim &^ 15: the chunked prefix
+	MOVQ DX, CX
+	ANDQ $15, CX              // CX = dim & 15: codes past the prefix
+	JZ   rowloop
+	LEAQ tailmask<>(SB), AX
+	VMOVDQU   (AX)(CX*2), Y7  // int16 lanes [16-CX, 16) set
+	LEAQ      -16(DX), BX     // BX = dim-16: the last chunk's offset
+	VPMOVZXBW (SI)(BX*1), Y6  // the query's last 16 codes → int16 lanes
 
 rowloop:
 	TESTQ R9, R9
 	JLE   done
 	VPXOR Y0, Y0, Y0          // int32x8 accumulator
 	XORQ  R11, R11            // i = 0
-	CMPQ  R10, $0
-	JE    hsum
 
 simd:
 	VPMOVZXBW (SI)(R11*1), Y1 // 16 query codes → int16 lanes
@@ -65,6 +85,14 @@ simd:
 	CMPQ      R11, R10
 	JL        simd
 
+	TESTQ     CX, CX
+	JZ        hsum
+	VPMOVZXBW (DI)(BX*1), Y2  // the row's last 16 codes
+	VPSUBW    Y2, Y6, Y1
+	VPAND     Y7, Y1, Y1      // zero the lanes the prefix counted
+	VPMADDWD  Y1, Y1, Y1
+	VPADDD    Y1, Y0, Y0
+
 hsum:
 	VEXTRACTI128 $1, Y0, X1
 	VPADDD       X1, X0, X0
@@ -72,25 +100,11 @@ hsum:
 	VPADDD       X1, X0, X0
 	VPSHUFD      $0xB1, X0, X1
 	VPADDD       X1, X0, X0
-	VMOVD        X0, R12      // R12 = Σ over the SIMD prefix
-
-scalar:
-	CMPQ    R11, DX
-	JGE     store
-	MOVBLZX (SI)(R11*1), AX
-	MOVBLZX (DI)(R11*1), BX
-	SUBL    BX, AX
-	IMULL   AX, AX
-	ADDL    AX, R12
-	INCQ    R11
-	JMP     scalar
-
-store:
-	MOVL R12, (R8)
-	ADDQ $4, R8
-	ADDQ DX, DI               // next row
-	DECQ R9
-	JMP  rowloop
+	VMOVD        X0, (R8)
+	ADDQ         $4, R8
+	ADDQ         DX, DI       // next row
+	DECQ         R9
+	JMP          rowloop
 
 done:
 	VZEROUPPER

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,6 +73,28 @@ func TestUint8BatchKernelAcceleratedAgrees(t *testing.T) {
 		t.Log("no accelerated batch kernel on this platform; generic only")
 	}
 	rng := rand.New(rand.NewSource(7))
+	check := func(dim, rows int) {
+		t.Helper()
+		q := randCodes(rng, dim)
+		block := randCodes(rng, rows*dim)
+		got := make([]int32, rows)
+		want := make([]int32, rows)
+		Uint8SquaredDistsTo(q, block, got)
+		uint8SquaredDistsToGeneric(q, block, want)
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("dim %d rows %d row %d: dispatch %d, generic %d",
+					dim, rows, r, got[r], want[r])
+			}
+		}
+	}
+	// Every tail length the masked last chunk can see, on the first eight
+	// chunk counts, for row counts on both sides of every loop edge.
+	for dim := 16; dim <= 130; dim++ {
+		for rows := 1; rows <= 9; rows++ {
+			check(dim, rows)
+		}
+	}
 	for _, dim := range []int{16, 17, 23, 31, 32, 33, 37, 48, 63, 64, 100, 129} {
 		for _, rows := range []int{1, 2, 3, 7, 16, 65} {
 			q := randCodes(rng, dim)
@@ -102,5 +125,23 @@ func TestUint8BatchKernelAcceleratedAgrees(t *testing.T) {
 		if want := int32(dim) * 255 * 255; d != want {
 			t.Fatalf("max-distance row %d: got %d, want %d", r, d, want)
 		}
+	}
+}
+
+// BenchmarkUint8SquaredDistsTo scores one leaf's code rows: 93 rows (a
+// capacity-100 leaf at its 93 % target fill) of 37 codes, a dim whose five
+// codes past the 32-code prefix are the masked last chunk's.
+func BenchmarkUint8SquaredDistsTo(b *testing.B) {
+	for _, shape := range []struct{ rows, dim int }{{93, 37}, {93, 32}, {93, 64}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.rows, shape.dim), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			q := randCodes(rng, shape.dim)
+			block := randCodes(rng, shape.rows*shape.dim)
+			out := make([]int32, shape.rows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Uint8SquaredDistsTo(q, block, out)
+			}
+		})
 	}
 }

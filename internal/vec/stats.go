@@ -33,7 +33,7 @@ func ComputeStats(vs []Vector) *Stats {
 		for i, x := range v {
 			delta := x - s.Mean[i]
 			s.Mean[i] += delta / float64(n+1)
-			m2[i] += delta * (x - s.Mean[i])
+			m2[i] += float64(delta * (x - s.Mean[i]))
 			if x < s.Min[i] {
 				s.Min[i] = x
 			}

@@ -80,7 +80,7 @@ func Dot(v, w Vector) float64 {
 	mustSameDim(v, w)
 	var s float64
 	for i := range v {
-		s += v[i] * w[i]
+		s += float64(v[i] * w[i])
 	}
 	return s
 }
@@ -95,7 +95,7 @@ func SqL2(v, w Vector) float64 {
 	var s float64
 	for i := range v {
 		d := v[i] - w[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -127,7 +127,7 @@ func WeightedSqL2(v, u, weights Vector) float64 {
 	var s float64
 	for i := range v {
 		d := v[i] - u[i]
-		s += weights[i] * d * d
+		s += float64(weights[i] * d * d)
 	}
 	return s
 }

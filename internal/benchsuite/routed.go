@@ -138,8 +138,8 @@ func benchRoutedKNN(b *testing.B, _ *fixture) {
 }
 
 // benchRoutedQuery prices a routed one-shot decomposed query: the example
-// vectors fetched from their owners, one scatter per localized subquery, the
-// merge, and a reply that labels every result.
+// vectors fetched from their owners, one scatter carrying every localized
+// subquery, the per-subquery merges, and a reply that labels every result.
 func benchRoutedQuery(b *testing.B, _ *fixture) {
 	f := newRoutedFleet(b)
 	defer f.close()

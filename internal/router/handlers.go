@@ -22,30 +22,65 @@ import (
 
 // ---- scatter primitives ----
 
-// scatterSearcher satisfies shard.Searcher over HTTP: one leg per shard,
-// merged with shard.MergeNeighbors. Each per-shard list is that shard's
-// exact local top-k ascending by (distance, ID), so the merged prefix is
-// bit-identical to a single-node search (see internal/shard).
+// scatterSearcher satisfies shard.BatchSearcher over HTTP: each call sends
+// one leg per shard, a search frame carrying every search of the call, and
+// merges each search's per-shard lists with shard.MergeNeighbors. Each list
+// is that shard's exact local top-k ascending by (squared distance, ID), so
+// the merged prefix is bit-identical to a single-node search (see
+// internal/shard).
 type scatterSearcher struct{ rt *Router }
 
+// SearchNode is SearchNodes with one search: a k-NN's scatter.
 func (s scatterSearcher) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, weights []float64, k int) ([]shard.Neighbor, error) {
-	rt := s.rt
+	lists, err := s.SearchNodes(ctx, []shard.NodeSearch{{NodeID: nodeID, Q: q, K: k}}, weights)
+	if err != nil {
+		return nil, err
+	}
+	return lists[0], nil
+}
+
+// SearchNodes scatters the searches MaxShardSearches at a time, one frame
+// per scatter.
+func (s scatterSearcher) SearchNodes(ctx context.Context, searches []shard.NodeSearch, weights []float64) ([][]shard.Neighbor, error) {
+	out := make([][]shard.Neighbor, 0, len(searches))
+	for len(searches) > 0 {
+		n := min(len(searches), server.MaxShardSearches)
+		merged, err := s.rt.scatter(ctx, searches[:n], weights)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, merged...)
+		searches = searches[n:]
+	}
+	return out, nil
+}
+
+// scatter sends one search frame to every shard and merges the replies per
+// search.
+func (rt *Router) scatter(ctx context.Context, searches []shard.NodeSearch, weights []float64) ([][]shard.Neighbor, error) {
 	rt.scatters.Inc()
 	st := stitchFrom(ctx)
+	// Every leg asks the same questions: frame them once, send the bytes N
+	// times.
+	f := server.ShardSearchFrame{Weights: weights, Searches: make([]server.ShardSearch, len(searches))}
+	for i, sr := range searches {
+		f.Searches[i] = server.ShardSearch{NodeID: sr.NodeID, K: sr.K, Query: sr.Q}
+	}
+	raw, err := server.AppendShardSearch(nil, &f)
+	if err != nil {
+		return nil, &backendError{Status: http.StatusBadRequest, Message: fmt.Sprintf("router: %v", err)}
+	}
+	frame := framedBody(raw)
 	fanOff := st.Since()
 	fanStart := time.Now()
-	lists := make([][]shard.Neighbor, len(rt.shards))
+	replies := make([]neighborsReply, len(rt.shards))
 	legNS := make([]int64, len(rt.shards))
-	// Every leg asks the same question: frame it once, send the bytes N times.
-	frame := framedBody(server.AppendShardSearch(nil,
-		&server.ShardSearchRequest{NodeID: nodeID, Query: q, Weights: weights, K: k}))
-	err := par.Do(ctx, len(rt.shards), rt.parallelism, func(i int) error {
+	err = par.Do(ctx, len(rt.shards), rt.parallelism, func(i int) error {
 		legStart := time.Now()
-		var resp neighborsReply
-		if err := rt.doShard(ctx, i, http.MethodPost, "/v1/shard/search", frame, &resp); err != nil {
+		replies[i].searches = len(searches)
+		if err := rt.doShard(ctx, i, http.MethodPost, "/v1/shard/search", frame, &replies[i]); err != nil {
 			return err
 		}
-		lists[i] = resp.Neighbors
 		legNS[i] = time.Since(legStart).Nanoseconds()
 		return nil
 	})
@@ -53,7 +88,7 @@ func (s scatterSearcher) SearchNode(ctx context.Context, nodeID uint64, q vec.Ve
 	rt.fanoutHist.Observe(fanDur.Seconds())
 	rt.obs.Windows().Observe("router:fanout", fanDur.Seconds())
 	st.Span("fan-out", fanOff, fanDur.Nanoseconds(), map[string]any{
-		"node": nodeID, "k": k, "shards": len(rt.shards),
+		"searches": len(searches), "shards": len(rt.shards),
 	})
 	// Straggler wait: once the fastest shard answered, the merge is blocked
 	// on the slowest — that gap is what replication or hedging would buy back.
@@ -79,23 +114,39 @@ func (s scatterSearcher) SearchNode(ctx context.Context, nodeID uint64, q vec.Ve
 	}
 	mergeOff := st.Since()
 	mergeStart := time.Now()
-	merged := shard.MergeNeighbors(lists, k)
+	merged := make([][]shard.Neighbor, len(searches))
+	lists := make([][]shard.Neighbor, len(rt.shards))
+	for j, sr := range searches {
+		for i := range replies {
+			lists[i] = replies[i].Lists[j]
+		}
+		merged[j] = shard.MergeNeighbors(lists, sr.K)
+	}
 	mergeDur := time.Since(mergeStart)
 	rt.mergeHist.Observe(mergeDur.Seconds())
 	rt.obs.Windows().Observe("router:merge", mergeDur.Seconds())
 	st.Span("merge", mergeOff, mergeDur.Nanoseconds(), map[string]any{
-		"lists": len(lists), "k": k,
+		"searches": len(searches), "lists": len(rt.shards),
 	})
 	return merged, nil
 }
 
 // neighborsReply is a /v1/shard/search reply read in the shard wire's binary
-// framing: the decoded list is the leg's list, labels and all.
-type neighborsReply struct{ server.ShardSearchResponse }
+// framing: one list per search of the frame it answers, labels and all.
+type neighborsReply struct {
+	searches int
+	server.ShardSearchReply
+}
 
 func (p *neighborsReply) UnmarshalBinary(raw []byte) (err error) {
-	p.ShardSearchResponse, err = server.DecodeShardNeighbors(raw)
-	return err
+	if p.ShardSearchReply, err = server.DecodeShardNeighbors(raw); err != nil {
+		return err
+	}
+	if len(p.Lists) != p.searches {
+		p.ShardSearchReply = server.ShardSearchReply{}
+		return fmt.Errorf("%d neighbour lists answer a frame of %d searches", len(p.Lists), p.searches)
+	}
+	return nil
 }
 
 // pointsReply is a /v1/shard/points reply read in the shard wire's binary

@@ -43,9 +43,12 @@ func start4ShardFleet(t *testing.T) (*Router, string) {
 // query over four shards yields one stitched trace — router-side spans
 // (fetch-points, fan-out, merge, finalize-scatter) on the router track and
 // each shard's child spans on that shard's track, all under the request id
-// the client saw.
+// the client saw. A final-round fetch is one scatter, so the router track
+// holds one fan-out and one merge span per fetch, and each shard track one
+// search span per search of those fetches.
 func TestRoutedQueryStitchedTrace(t *testing.T) {
-	_, url := start4ShardFleet(t)
+	rt, url := start4ShardFleet(t)
+	before := rt.obs.Registry().Snapshot().Counters["qd_router_scatters_total"]
 
 	raw, err := json.Marshal(server.QueryRequest{Relevant: []int{3, 9, 200, 430}, K: 20})
 	if err != nil {
@@ -77,15 +80,24 @@ func TestRoutedQueryStitchedTrace(t *testing.T) {
 		t.Fatalf("trace header: %+v", tr)
 	}
 
-	routerSpans := map[string]bool{}
+	routerSpans := map[string]int{}
 	shardTracks := map[int]struct{ rpc, child bool }{}
+	searchSpans := map[int]int{}
+	searches := 0
 	for _, sp := range tr.Spans {
 		if sp.OffsetNS < 0 || sp.DurationNS < 0 || sp.OffsetNS+sp.DurationNS > tr.DurationNS {
 			t.Fatalf("span escapes the trace window: %+v (trace %dns)", sp, tr.DurationNS)
 		}
 		if sp.Track == 0 {
-			routerSpans[sp.Name] = true
+			routerSpans[sp.Name]++
+			if sp.Name == "fan-out" {
+				n, _ := sp.Args["searches"].(float64)
+				searches += int(n)
+			}
 			continue
+		}
+		if sp.Name == "search" {
+			searchSpans[sp.Track]++
 		}
 		entry := shardTracks[sp.Track]
 		if _, isRPC := sp.Args["shard"]; isRPC {
@@ -96,8 +108,20 @@ func TestRoutedQueryStitchedTrace(t *testing.T) {
 		shardTracks[sp.Track] = entry
 	}
 	for _, name := range []string{"fetch-points", "fan-out", "merge", "finalize-scatter"} {
-		if !routerSpans[name] {
+		if routerSpans[name] == 0 {
 			t.Fatalf("router track missing %q span; have %v", name, routerSpans)
+		}
+	}
+	fetches := int(rt.obs.Registry().Snapshot().Counters["qd_router_scatters_total"] - before)
+	if routerSpans["fan-out"] != fetches || routerSpans["merge"] != fetches {
+		t.Fatalf("%d fan-out and %d merge spans for %d fetches, want one each per fetch", routerSpans["fan-out"], routerSpans["merge"], fetches)
+	}
+	if searches <= fetches {
+		t.Fatalf("%d searches over %d fetches: no fetch carried more than one search, so this trace measures nothing", searches, fetches)
+	}
+	for track := 1; track <= 4; track++ {
+		if searchSpans[track] != searches {
+			t.Fatalf("track %d holds %d search spans, want one per search (%d)", track, searchSpans[track], searches)
 		}
 	}
 	// Every shard participated in the finalize fan-out: its track carries both

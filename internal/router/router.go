@@ -8,9 +8,10 @@
 // float64 sweeps produce different distance bits, so their merged rankings
 // would match neither a pure fleet nor the single-node engine) — and caches
 // the shared full-corpus topology from one replica. After that every query
-// is a fan-out: k-NN and finalize legs scatter to one replica per shard,
-// per-shard top-k lists merge by (distance, ID) into exactly the ranking the
-// single-node engine would emit (see internal/shard for the argument), and
+// is a fan-out: a k-NN, or each fetch of a finalize's final round, sends one
+// leg to one replica per shard, per-shard top-k lists merge by (squared
+// distance, ID) into exactly the ranking the single-node engine would emit
+// (see internal/shard for the argument), and
 // feedback sessions live on whichever replica the router placed them,
 // resumable anywhere via the exported session state.
 //
@@ -220,13 +221,13 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// fleetTransport is the default backend transport. One routed finalize runs
-// up to parallelism subqueries at once, each fanning out one leg per shard,
-// so a replica sees up to parallelism concurrent legs from a single request;
-// net/http's default of two idle connections per host closes the rest after
-// every burst and re-dials them on the next. The per-host idle pool is sized
-// to parallelism × shard fan-out — room for as many concurrent routed
-// requests as a scatter has legs — and the total to that for every replica.
+// fleetTransport is the default backend transport. A scatter sends each
+// shard one leg, a final-round fetch included, so what a replica sees at
+// once is one leg per routed request in flight; net/http's default of two
+// idle connections per host closes the rest after every burst and re-dials
+// them on the next. The per-host idle pool is sized to parallelism × shard
+// fan-out, room for that many concurrent routed requests, and the total to
+// that for every replica.
 func fleetTransport(parallelism, nShards, nReplicas int) *http.Transport {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = idleConnsPerReplica(parallelism, nShards)
@@ -268,8 +269,8 @@ type buildInfoBody struct {
 // mixed-precision fleet is rejected here — merging float32 and float64
 // distance lists would produce a ranking no single-node build emits. So is a
 // replica that does not speak this router's shard wire version: the router
-// sends binary search legs and reads binary points replies, with no JSON
-// path beside them.
+// sends n-search binary frames and reads binary replies, with no JSON path
+// beside them.
 func (rt *Router) VerifyFleet(ctx context.Context) error {
 	var ref shard.Meta
 	haveRef := false
@@ -279,7 +280,7 @@ func (rt *Router) VerifyFleet(ctx context.Context) error {
 			return fmt.Errorf("router: replica %s: shard meta: %w", rep.url, err)
 		}
 		if smr.WireVersion != server.ShardWireVersion {
-			return fmt.Errorf("router: replica %s speaks shard wire version %d, this router version %d (binary search and points legs); upgrade the replica",
+			return fmt.Errorf("router: replica %s speaks shard wire version %d, this router version %d (n-search frames, squared distances); upgrade the replica",
 				rep.url, smr.WireVersion, server.ShardWireVersion)
 		}
 		meta := smr.Meta
@@ -514,10 +515,11 @@ func (rt *Router) call(ctx context.Context, rep *replica, method, path string, i
 }
 
 // maxPresizedReply is the largest declared length readFramed trusts to size
-// its buffer. A k = 50 neighbours reply is ≈ 1.2 KB plus a ~100-byte span,
-// and sixteen 512-d example vectors ≈ 66 KB, so no legitimate reply comes
-// near it, and a replica's header alone never makes the router allocate
-// more. A longer reply is read as it arrives.
+// its buffer. A k = 50 neighbours list is ≈ 1.2 KB plus a ~100-byte span, a
+// full frame's sixteen of them ≈ 21 KB, and sixteen 512-d example vectors
+// ≈ 66 KB, so no legitimate reply comes near it, and a replica's header
+// alone never makes the router allocate more. A longer reply is read as it
+// arrives.
 const maxPresizedReply = 1 << 20
 
 // readFramed reads a binary-framed reply. VerifyFleet admitted only replicas

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -202,12 +203,14 @@ func startCountedFleet(t *testing.T, f *fleetFix, ct *countingTransport, replica
 func counter(rt *Router, name string) uint64 { return rt.obs.Registry().Snapshot().Counters[name] }
 
 // TestRoutedQueryExactTraffic counts what one routed /v1/query costs the
-// fleet: one points leg per shard owning an example, three search legs per
-// scatter, and nothing else (the label round is gone); every search leg is the
-// 20 + 8·dim byte frame, encoded once per scatter and sent as the same bytes
-// on every leg — fail-over attempts included; the ≤ 16 example vectors come
-// back framed; and everything the shards send back for the query is smaller
-// than the k vectors the label round alone used to print.
+// fleet: one points leg per shard owning an example and one search leg per
+// shard for the final round's fetch, and nothing else (the label round is
+// gone, and the query's seven examples form several groups but no top-up).
+// Each search leg is the frame of every group's search, 12 + G·(12 + 8·dim)
+// bytes, encoded once per fetch and sent as the same bytes on every leg —
+// fail-over attempts included; the ≤ 16 example vectors come back framed;
+// and everything the shards send back for the query is smaller than the k
+// vectors the label round alone used to print.
 func TestRoutedQueryExactTraffic(t *testing.T) {
 	f := fixtureF32(t)
 	const k = 50
@@ -219,10 +222,11 @@ func TestRoutedQueryExactTraffic(t *testing.T) {
 	}
 	vecJSON, _ := json.Marshal(f.sys.Corpus().Vectors[q.Relevant[0]])
 
-	check := func(t *testing.T, legs []leg, scatters uint64, maxSendsPerFrame int) {
+	check := func(t *testing.T, legs []leg, scatters uint64, groups, maxSendsPerFrame int) {
 		t.Helper()
 		var points, answeredSearches, fromShards int
 		sends := map[*byte]int{}
+		frameBytes := 12 + groups*(12+8*dim)
 		for _, l := range legs {
 			fromShards += l.respBytes
 			switch l.path {
@@ -236,8 +240,8 @@ func TestRoutedQueryExactTraffic(t *testing.T) {
 					answeredSearches++
 				}
 				sends[l.body]++
-				if l.contentType != server.ShardBinaryType || l.reqBytes != 20+8*dim {
-					t.Errorf("search leg body is %d bytes of %q, want the %d-byte frame", l.reqBytes, l.contentType, 20+8*dim)
+				if l.contentType != server.ShardBinaryType || l.reqBytes != frameBytes {
+					t.Errorf("search leg body is %d bytes of %q, want the %d-byte frame of %d searches", l.reqBytes, l.contentType, frameBytes, groups)
 				}
 				if l.accept != server.ShardBinaryType || (l.answeredByTheFleet && l.respType != server.ShardBinaryType) {
 					t.Errorf("search leg asked %q, was answered %q; want the framed reply", l.accept, l.respType)
@@ -248,6 +252,9 @@ func TestRoutedQueryExactTraffic(t *testing.T) {
 		}
 		if points != len(owners) {
 			t.Errorf("%d points legs, want one per owning shard (%d)", points, len(owners))
+		}
+		if scatters != 1 {
+			t.Errorf("%d scatters, want one: the final round's one fetch", scatters)
 		}
 		if uint64(answeredSearches) != 3*scatters {
 			t.Errorf("%d search legs answered for %d scatters, want 3 per scatter", answeredSearches, scatters)
@@ -264,8 +271,8 @@ func TestRoutedQueryExactTraffic(t *testing.T) {
 			t.Errorf("shards sent %d bytes back for one query; the label round alone used to cost %d (k × a %d-byte printed vector)",
 				fromShards, limit, len(vecJSON))
 		}
-		t.Logf("%d backend requests (%d points + %d search for %d scatters), %d bytes from shards, printed vector %d bytes",
-			len(legs), points, len(legs)-points, scatters, fromShards, len(vecJSON))
+		t.Logf("%d backend requests (%d points + %d search for %d scatters of %d searches), %d bytes from shards, printed vector %d bytes",
+			len(legs), points, len(legs)-points, scatters, groups, fromShards, len(vecJSON))
 	}
 
 	ct := &countingTransport{}
@@ -275,11 +282,19 @@ func TestRoutedQueryExactTraffic(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("routed query: HTTP %d (%s)", status, want)
 	}
+	var resp server.QueryResponse
+	if err := json.Unmarshal(want, &resp); err != nil {
+		t.Fatal(err)
+	}
+	groups := len(resp.Groups)
+	if groups < 2 {
+		t.Fatalf("the query formed %d groups; a one-search frame would measure nothing", groups)
+	}
 	scatters := counter(rt, "qd_router_scatters_total") - before
 	legs := ct.take()
-	check(t, legs, scatters, 3)
-	if uint64(len(legs)) != uint64(len(owners))+3*scatters {
-		t.Errorf("%d backend requests, want %d points + 3 × %d scatters", len(legs), len(owners), scatters)
+	check(t, legs, scatters, groups, 3)
+	if len(legs) != len(owners)+3 {
+		t.Errorf("%d backend requests, want %d points + 3 search", len(legs), len(owners))
 	}
 
 	// Shard 0 gains a second replica and its first sheds every search: each
@@ -301,7 +316,7 @@ func TestRoutedQueryExactTraffic(t *testing.T) {
 	if n := counter(rt, "qd_router_failovers_total"); n == 0 {
 		t.Error("no fail-over happened; the second half of this test measured nothing")
 	}
-	check(t, shedding.take(), counter(rt, "qd_router_scatters_total")-before, 4)
+	check(t, shedding.take(), counter(rt, "qd_router_scatters_total")-before, groups, 4)
 }
 
 var finalReads = regexp.MustCompile(`"final_reads":\d+`)
@@ -360,12 +375,14 @@ func TestRoutedBodiesMatchSingleNode(t *testing.T) {
 						}
 					}
 				}
-				if counter(rt, "qd_router_scatters_total")-before > uint64(len(resp.Groups)) {
+				// The first fetch is one scatter for every group; each
+				// top-up pass is one more.
+				if counter(rt, "qd_router_scatters_total")-before > 1 {
 					sawTopUp = true
 				}
 			}
 			if !sawTopUp {
-				t.Error("no query scattered more often than it has groups: the top-up loop never searched")
+				t.Error("no query scattered more than once: the top-up loop never searched")
 			}
 
 			// A hosted session, two rounds, finalized through both stacks.
@@ -399,13 +416,135 @@ func TestRoutedBodiesMatchSingleNode(t *testing.T) {
 	}
 }
 
+// TestRoutedSqrtTieMatchesSingleNode: two rows at squared distances 1 and
+// 1 + 2⁻⁵² from the query share the root 1. They sit on different shards,
+// the farther one under the lower ID. A single node selects by squared
+// distance and answers the nearer row, and so must the router, k-NN and
+// one-shot query alike: it merges on the squared distances its shards send,
+// not on their roots, where the tie would fall to the lower ID.
+func TestRoutedSqrtTieMatchesSingleNode(t *testing.T) {
+	const n, dim, shards = 64, 2, 2
+	near, far := -1, -1
+	for id := n - 1; id > 0 && far < 0; id-- {
+		switch {
+		case near < 0:
+			near = id
+		case shard.Assign(id, shards) != shard.Assign(near, shards):
+			far = id
+		}
+	}
+	// Row 0 is the query, at the origin; the filler rows lie far from it.
+	data := make([]float64, n*dim)
+	for i := 1; i < n; i++ {
+		data[i*dim], data[i*dim+1] = 10+float64(i), float64(i%7)
+	}
+	data[near*dim], data[near*dim+1] = 1, 0                // squared distance 1
+	data[far*dim], data[far*dim+1] = 1, math.Ldexp(1, -26) // squared distance 1 + 2⁻⁵²
+	sys, err := qdcbir.BuildFromSource(qdcbir.Config{Seed: 1, NodeCapacity: 8, RepFraction: 0.25},
+		batchSource{&source.Batch{Dim: dim, Data: data}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	archives, err := qdcbir.SliceShards(context.Background(), sys, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fleetFix{sys: sys}
+	for _, a := range archives {
+		var buf bytes.Buffer
+		if err := a.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		f.blobs = append(f.blobs, buf.Bytes())
+	}
+	_, url, _ := startCountedFleet(t, f, &countingTransport{})
+	ref := startRef(t, f)
+
+	want, err := sys.KNN(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want[1].ID != near || want[1].Score != 1 {
+		t.Fatalf("single node ranks (%d, %v) second, want the nearer row %d at distance 1", want[1].ID, want[1].Score, near)
+	}
+	var got KNNResponse
+	mustJSON(t, http.MethodPost, url+"/v1/knn", KNNRequest{Query: []float64{0, 0}, K: 2}, &got)
+	if len(got.Neighbors) != 2 || got.Neighbors[1].ID != near || got.Neighbors[1].Dist != 1 {
+		t.Fatalf("routed k-NN %+v, want row %d (squared distance 1) before row %d (1 + 2⁻⁵²)", got.Neighbors, near, far)
+	}
+	q := server.QueryRequest{Relevant: []int{0}, K: 2}
+	status, routed := request(t, http.MethodPost, url+"/v1/query", q)
+	_, single := request(t, http.MethodPost, ref.URL+"/v1/query", q)
+	if status != http.StatusOK || !sameButFinalReads(routed, single) {
+		t.Fatalf("routed query: HTTP %d, body differs:\n  routed %s\n  single %s", status, routed, single)
+	}
+}
+
+// TestRoutedFetchSplitsAcrossFrames: a final-round fetch of more searches
+// than one frame may carry goes out as several frames, MaxShardSearches
+// searches at most and one scatter each, and the answer is the single
+// node's.
+func TestRoutedFetchSplitsAcrossFrames(t *testing.T) {
+	f := fixture(t)
+	dim := f.sys.Corpus().Store().Dim()
+	// One example per leaf, so every example forms its own group.
+	leafOf := map[int]uint64{}
+	for _, blob := range f.blobs {
+		rep, _, err := qdcbir.OpenShard(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < f.sys.Len(); id++ {
+			if p, ok := rep.PointInfo(id); ok {
+				leafOf[id] = p.Leaf
+			}
+		}
+	}
+	var rel []int
+	seen := map[uint64]bool{}
+	for id := 0; id < f.sys.Len() && len(rel) < server.MaxShardSearches+3; id++ {
+		if l := leafOf[id]; !seen[l] {
+			seen[l] = true
+			rel = append(rel, id)
+		}
+	}
+	if len(rel) <= server.MaxShardSearches {
+		t.Fatalf("the fixture has %d leaves; a fetch of that many searches fits one frame", len(rel))
+	}
+	ct := &countingTransport{}
+	rt, url, _ := startCountedFleet(t, f, ct)
+	ref := startRef(t, f)
+	q := server.QueryRequest{Relevant: rel, K: 60}
+	before := counter(rt, "qd_router_scatters_total")
+	status, routed := request(t, http.MethodPost, url+"/v1/query", q)
+	_, single := request(t, http.MethodPost, ref.URL+"/v1/query", q)
+	if status != http.StatusOK || !sameButFinalReads(routed, single) {
+		t.Fatalf("routed query: HTTP %d, body differs:\n  routed %s\n  single %s", status, routed, single)
+	}
+	scatters := counter(rt, "qd_router_scatters_total") - before
+	frames := map[*byte]int{} // searches per distinct frame
+	for _, l := range ct.take() {
+		if l.path == "/v1/shard/search" {
+			frames[l.body] = (l.reqBytes - 12) / (12 + 8*dim)
+		}
+	}
+	largest, total := 0, 0
+	for _, searches := range frames {
+		largest = max(largest, searches)
+		total += searches
+	}
+	if uint64(len(frames)) != scatters || scatters < 2 || largest != server.MaxShardSearches || total < len(rel) {
+		t.Fatalf("%d examples in %d groups went out in %d frames over %d scatters (largest %d searches, %d in all); want the first fetch split at %d searches a frame, one scatter each",
+			len(q.Relevant), len(rel), len(frames), scatters, largest, total, server.MaxShardSearches)
+	}
+}
+
 // TestRouterReusesShardConnections plays 50 routed queries, one after
-// another, against shards that count the connections they accept. Each query
-// runs several scatters at once, so a replica sees up to `parallelism` legs
-// together; the default client must keep those connections between queries,
-// which bounds the dials by the idle pool it computed, not by the request
-// count (net/http's own default keeps two per host and re-dials the rest on
-// every query).
+// another, against shards that count the connections they accept. Each
+// query's fetches send one leg per shard; the default client must keep those
+// connections between queries, which bounds the dials by the idle pool it
+// computed, not by the request count (net/http's own default keeps two per
+// host and re-dials the rest on every query).
 func TestRouterReusesShardConnections(t *testing.T) {
 	f := fixture(t)
 	var dials atomic.Int64
@@ -442,21 +581,26 @@ func TestRouterReusesShardConnections(t *testing.T) {
 }
 
 // TestVerifyFleetRefusesOtherWire: a replica that does not advertise this
-// router's shard wire (an older qdserve prints bare shard metadata) is
-// refused by name, before any query could be framed at it.
+// router's shard wire — an older qdserve that prints bare shard metadata, or
+// one on wire 2, whose search frames carry one search and whose replies
+// carry distances, not their squares — is refused by name, before any query
+// could be framed at it.
 func TestVerifyFleetRefusesOtherWire(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/shard/meta", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(shard.Meta{ShardCount: 1, Images: 10, LocalImages: 10, Dim: 2, Precision: "f64", ArchiveVersion: 3, CorpusSig: 42})
-	})
-	old := httptest.NewServer(mux)
-	t.Cleanup(old.Close)
-	rt, err := New(Config{Replicas: []ReplicaConfig{{Shard: 0, URL: old.URL}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = rt.VerifyFleet(context.Background())
-	if err == nil || !strings.Contains(err.Error(), old.URL) || !strings.Contains(err.Error(), "shard wire version") {
-		t.Fatalf("VerifyFleet = %v, want a refusal naming %s and its shard wire version", err, old.URL)
+	meta := shard.Meta{ShardCount: 1, Images: 10, LocalImages: 10, Dim: 2, Precision: "f64", ArchiveVersion: 3, CorpusSig: 42}
+	for _, body := range []any{meta, server.ShardMetaResponse{Meta: meta, WireVersion: 2}} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/v1/shard/meta", func(w http.ResponseWriter, r *http.Request) {
+			_ = json.NewEncoder(w).Encode(body)
+		})
+		old := httptest.NewServer(mux)
+		t.Cleanup(old.Close)
+		rt, err := New(Config{Replicas: []ReplicaConfig{{Shard: 0, URL: old.URL}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = rt.VerifyFleet(context.Background())
+		if err == nil || !strings.Contains(err.Error(), old.URL) || !strings.Contains(err.Error(), "shard wire version") {
+			t.Fatalf("VerifyFleet = %v, want a refusal naming %s and its shard wire version", err, old.URL)
+		}
 	}
 }

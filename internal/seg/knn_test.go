@@ -163,7 +163,10 @@ func TestSegmentSearchSkipsTombstones(t *testing.T) {
 // snapshot's forest: one descent per live segment, each pruning at its own
 // k-th distance, plus a full sort of the memtable, merged by (distance,
 // global ID). It is the reference the forest search's effort is priced
-// against; st receives the segment descents' effort.
+// against; st receives the segment descents' effort. MergeNeighbors orders
+// by DistSq, so each neighbour carries its distance's rounded square: in
+// binary floating point the root of that square is the distance again, so
+// the squares order exactly as the distances do.
 func perSegmentKNN(t *testing.T, s *Snapshot, q vec.Vector, k int, st *rstar.SearchStats) []Neighbor {
 	t.Helper()
 	var lists [][]Neighbor
@@ -178,14 +181,15 @@ func perSegmentKNN(t *testing.T, s *Snapshot, q vec.Vector, k int, st *rstar.Sea
 		}
 		var l []Neighbor
 		for _, n := range qs[0].Result {
-			l = append(l, Neighbor{ID: sv.seg.ids[int(n.ID)], Dist: n.Dist})
+			l = append(l, Neighbor{ID: sv.seg.ids[int(n.ID)], Dist: n.Dist, DistSq: n.Dist * n.Dist})
 		}
 		lists = append(lists, l)
 	}
 	var mem []Neighbor
 	for slot := 0; slot < s.mem.rows; slot++ {
 		if !s.mem.tomb.Get(slot) {
-			mem = append(mem, Neighbor{ID: s.mem.baseID + slot, Dist: math.Sqrt(vec.SqL2(q, s.mem.row(slot)))})
+			d := math.Sqrt(vec.SqL2(q, s.mem.row(slot)))
+			mem = append(mem, Neighbor{ID: s.mem.baseID + slot, Dist: d, DistSq: d * d})
 		}
 	}
 	return shard.MergeNeighbors(append(lists, mem), k)

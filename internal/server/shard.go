@@ -48,8 +48,8 @@ type ShardMetaResponse struct {
 	WireVersion int `json:"wire_version"`
 }
 
-// ShardSearchRequest is one scatter leg of a distributed finalize: the k
-// nearest local images under a topology node.
+// ShardSearchRequest is the JSON form of a one-search frame: the k nearest
+// local images under a topology node.
 type ShardSearchRequest struct {
 	NodeID  uint64    `json:"node_id"`
 	Query   []float64 `json:"query"`
@@ -62,17 +62,14 @@ type ShardSearchRequest struct {
 // shard-search legs only (the owning shard's label for the image).
 type NeighborJSON = shard.Neighbor
 
-// ShardSearchResponse lists the local top-k ascending by (dist, id). When the
-// router asked for tracing (X-Qd-Trace header), Trace carries the shard-side
-// spans back for cross-process stitching.
+// ShardSearchResponse is the JSON reply to one search: the local top-k
+// ascending by (dist, id). When the caller asked for tracing (X-Qd-Trace
+// header), Trace carries the shard-side spans back for cross-process
+// stitching.
 type ShardSearchResponse struct {
 	Neighbors []NeighborJSON   `json:"neighbors"`
 	Trace     *obs.RemoteTrace `json:"trace,omitempty"`
 }
-
-// TraceData satisfies obs.RemoteTraced so the router's generic call path can
-// lift the shard-side spans without knowing the response shape.
-func (r *ShardSearchResponse) TraceData() *obs.RemoteTrace { return r.Trace }
 
 // ShardPointsRequest asks the replica for the feature vectors of the listed
 // images. IDs the replica does not own are silently omitted — the router
@@ -127,26 +124,36 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.shardEndpoint(w, r, http.MethodPost) {
 		return
 	}
-	// A router frames the leg in binary and asks for the framed reply; the
-	// JSON body, answered in JSON unless the caller asks otherwise, is the
-	// human/debug form. Either way the body is bounded by what the corpus
-	// dimension allows.
+	// A router frames a fetch's searches in binary and asks for the framed
+	// reply; the one-search JSON body, answered in JSON unless the caller
+	// asks otherwise, is the human/debug form. Either way the body is bounded
+	// by what the corpus dimension allows.
 	dim := s.shard.Meta().Dim
 	if !boundBody(w, r, shardSearchBodyLimit(dim)) {
 		return
 	}
-	var req ShardSearchRequest
+	var f ShardSearchFrame
 	if r.Header.Get("Content-Type") == ShardBinaryType {
 		body, err := readFrame(r)
 		if err != nil {
 			writeBodyError(w, err)
 			return
 		}
-		if req, err = DecodeShardSearch(body, dim); err != nil {
+		if f, err = DecodeShardSearch(body, dim); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, ErrCodeShardFrame, "bad request: %v", err)
 			return
 		}
-	} else if err := decodeJSON(w, r, &req); err != nil {
+	} else {
+		var req ShardSearchRequest
+		if err := decodeJSON(w, r, &req); err != nil {
+			return
+		}
+		f = ShardSearchFrame{Weights: req.Weights, Searches: []ShardSearch{{NodeID: req.NodeID, K: req.K, Query: req.Query}}}
+	}
+	framed := r.Header.Get("Accept") == ShardBinaryType
+	if !framed && len(f.Searches) != 1 {
+		writeErrorCode(w, http.StatusBadRequest, ErrCodeShardFrame,
+			"bad request: a JSON reply holds one list; ask for the %d lists of this frame with Accept: %s", len(f.Searches), ShardBinaryType)
 		return
 	}
 	release, err := s.sched.admit(r.Context(), "/v1/shard/search")
@@ -155,25 +162,35 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	// A lone search may join a coalescing batch; a frame's searches run in
+	// order, each on a sweep of its own.
+	search := s.sched.searchShard
+	if len(f.Searches) > 1 {
+		search = searchLeg
+	}
 	rec := shardRecorder(r)
-	searchStart := time.Now()
-	ns, st, err := s.sched.searchShard(r.Context(), s.shard, req.NodeID, vec.Vector(req.Query), req.Weights, req.K)
-	if err != nil {
-		writeQueryError(w, err)
+	lists := make([][]NeighborJSON, len(f.Searches))
+	for i, sr := range f.Searches {
+		searchStart := time.Now()
+		ns, st, err := search(r.Context(), s.shard, sr.NodeID, vec.Vector(sr.Query), f.Weights, sr.K)
+		if err != nil {
+			writeQueryError(w, err)
+			return
+		}
+		// scanned counts the SQ8 code rows the search read, scored the rows
+		// it scored exactly: the filter's work, per search of a stitched
+		// trace.
+		rec.Span("search", searchStart, map[string]int64{
+			"node": int64(sr.NodeID), "k": int64(sr.K), "neighbors": int64(len(ns)),
+			"scanned": int64(st.Scanned), "scored": int64(st.Scored),
+		})
+		lists[i] = ns
+	}
+	if !framed {
+		writeJSON(w, http.StatusOK, ShardSearchResponse{Neighbors: lists[0], Trace: rec.Trace()})
 		return
 	}
-	// scanned counts the SQ8 code rows the leg read, scored the rows it
-	// scored exactly: the filter's work, per leg of a stitched trace.
-	rec.Span("search", searchStart, map[string]int64{
-		"node": int64(req.NodeID), "k": int64(req.K), "neighbors": int64(len(ns)),
-		"scanned": int64(st.Scanned), "scored": int64(st.Scored),
-	})
-	resp := ShardSearchResponse{Neighbors: ns, Trace: rec.Trace()}
-	if r.Header.Get("Accept") != ShardBinaryType {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	frame, err := AppendShardNeighbors(nil, &resp)
+	frame, err := AppendShardNeighbors(nil, &ShardSearchReply{Lists: lists, Trace: rec.Trace()})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode neighbours: %v", err)
 		return

@@ -14,34 +14,48 @@ import (
 
 // The fleet-internal wire. Every hop a router makes to its shard replicas per
 // query is binary both ways: the search leg's request body, the neighbour
-// list it answers, the points leg's reply, and the span bundle a traced leg of
-// either kind carries back. Each has one framing, defined here. A feature
-// vector crosses as little-endian float64 bytes, not float32, because that is
-// exact in every scan mode — a weighted search scores at float64 even on a
+// lists it answers, the points leg's reply, and the span bundle a traced leg
+// of either kind carries back. Each has one framing, defined here. A search
+// frame carries every search of one final-round fetch (one, for a k-NN), so
+// a fetch costs one leg per shard however many subqueries it holds. A feature
+// vector crosses as little-endian float64 bytes, not float32, because that
+// is exact in every scan mode — a weighted search scores at float64 even on a
 // float32 corpus, and the vectors a router fetches feed centroid and boundary
 // arithmetic that must match the single-node engine bit for bit — so nothing
-// is negotiated per precision. What stays JSON is cold: the id list of a
-// points request, errors, and the /v1/shard/meta and topology a router reads
-// once at start-up. The JSON request body on /v1/shard/search, answered in
-// JSON unless the caller asks for the frame, remains the documented
-// human/debug form.
+// is negotiated per precision. A neighbour crosses with its squared distance,
+// the key a single node selects by: two squared distances can share a root,
+// so the router merges on the square and takes the root after. What stays
+// JSON is cold: the id list of a points request, errors, and the
+// /v1/shard/meta and topology a router reads once at start-up. The JSON
+// request body on /v1/shard/search — one search, answered in JSON unless the
+// caller asks for the frame — remains the documented human/debug form.
 
 const (
 	// ShardWireVersion is what a replica advertises in /v1/shard/meta; a
 	// router refuses a fleet member that speaks any other.
-	ShardWireVersion = 2
+	ShardWireVersion = 3
 	// ShardBinaryType marks a framed body: as Content-Type on a
 	// /v1/shard/search request, as Accept (and the reply's Content-Type) on
 	// either shard leg's reply.
 	ShardBinaryType = "application/x-qdcbir-shard"
+	// MaxShardSearches caps the searches one search frame carries, so a
+	// frame's size is bounded by the corpus dimension; a router splits a
+	// larger fetch across frames. A final round runs one search per query
+	// group, and queries rarely form more than a handful.
+	MaxShardSearches = 16
 
-	// Search frame: node_id u64 | k u32 | dim u32 | n_weights u32 |
-	// query f64×dim | weights f64×n_weights, n_weights ∈ {0, dim}.
-	shardSearchHeader = 20
+	// Search frame: n u32 | dim u32 | n_weights u32 | weights f64×n_weights |
+	// n × (node_id u64 | k u32 | query f64×dim), n ∈ [1, MaxShardSearches],
+	// n_weights ∈ {0, dim}. The weights apply to every search.
+	shardSearchHeader = 12
+	shardSearchFixed  = 12 // a search's node_id and k
 	// Neighbours frame, the search leg's reply: n u32 | trace_len u32 |
-	// n × (id i64 | dist f64 | label_len u32) | labels | trace (trace_len
-	// bytes). The labels are the neighbours' own, in order, concatenated.
+	// n × count u32 | Σcount × (id i64 | dist_sq f64 | label_len u32) |
+	// labels | trace (trace_len bytes). List i answers search i; its rows
+	// follow list i-1's, and the labels are the neighbours' own, in order,
+	// concatenated.
 	shardNeighborsHeader = 8
+	shardListCount       = 4
 	shardNeighborRow     = 20
 	// Points frame: n u32 | dim u32 | trace_len u32 |
 	// n × (id i64 | leaf u64 | vec f64×dim) | trace (trace_len bytes).
@@ -58,10 +72,20 @@ const (
 	argMinBytes    = 10 // an arg with an empty key
 )
 
-// shardSearchBodyLimit bounds a /v1/shard/search body of either form: two
-// dim-long float lists at no more than 32 bytes a printed component, plus the
-// scalar fields. The binary frame (20 + 16·dim at most) fits inside it.
-func shardSearchBodyLimit(dim int) int64 { return 4096 + 64*int64(dim) }
+// searchFrameSize is the length of a search frame of n searches of dimension
+// dim carrying nw weights.
+func searchFrameSize(n, dim, nw uint64) uint64 {
+	return shardSearchHeader + 8*nw + n*(shardSearchFixed+8*dim)
+}
+
+// shardSearchBodyLimit bounds a /v1/shard/search body of either form: the
+// JSON form's two dim-long float lists at no more than 32 bytes a printed
+// component plus its scalar fields, or a weighted frame of MaxShardSearches
+// searches.
+func shardSearchBodyLimit(dim int) int64 {
+	d := uint64(dim)
+	return 4096 + int64(max(64*d, searchFrameSize(MaxShardSearches, d, d)))
+}
 
 // shardPointsBodyLimit bounds a /v1/shard/points request, which names images
 // and carries no vector: no panel is larger than the corpus, and a printed id
@@ -106,105 +130,196 @@ func appendFloats(dst []byte, xs []float64) []byte {
 	return dst
 }
 
-func readFloats(b []byte, n int) []float64 {
-	out := make([]float64, n)
+// ShardSearch is one search of a search frame: the K nearest local images to
+// Query under the topology node NodeID.
+type ShardSearch struct {
+	NodeID uint64
+	K      int
+	Query  []float64
+}
+
+// ShardSearchFrame is a search frame's content: searches answered in order,
+// one neighbour list each, all under one weighting (nil for plain
+// Euclidean).
+type ShardSearchFrame struct {
+	Weights  []float64
+	Searches []ShardSearch
+}
+
+// AppendShardSearch appends f's search frame to dst, sized once. The frame
+// is bit transparent: every float64 pattern, NaN payloads and -0 included,
+// decodes to itself. It fails on a frame DecodeShardSearch would refuse for
+// its shape: no searches or more than MaxShardSearches, queries of unequal
+// length, weights neither absent nor query-long, or a k outside [1, 2³¹).
+func AppendShardSearch(dst []byte, f *ShardSearchFrame) ([]byte, error) {
+	n := len(f.Searches)
+	if n == 0 || n > MaxShardSearches {
+		return nil, fmt.Errorf("search frame of %d searches, want 1..%d", n, MaxShardSearches)
+	}
+	dim := len(f.Searches[0].Query)
+	if len(f.Weights) != 0 && len(f.Weights) != dim {
+		return nil, fmt.Errorf("search frame carries %d weights for dim %d", len(f.Weights), dim)
+	}
+	for i, sr := range f.Searches {
+		if len(sr.Query) != dim {
+			return nil, fmt.Errorf("search %d has dim %d, frame dim %d", i, len(sr.Query), dim)
+		}
+		if sr.K <= 0 || sr.K > math.MaxInt32 {
+			return nil, fmt.Errorf("search %d k=%d out of range", i, sr.K)
+		}
+	}
+	dst = slices.Grow(dst, int(searchFrameSize(uint64(n), uint64(dim), uint64(len(f.Weights)))))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Weights)))
+	dst = appendFloats(dst, f.Weights)
+	for _, sr := range f.Searches {
+		dst = binary.LittleEndian.AppendUint64(dst, sr.NodeID)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(sr.K))
+		dst = appendFloats(dst, sr.Query)
+	}
+	return dst, nil
+}
+
+// DecodeShardSearch parses a search frame for a corpus of the given
+// dimension. Header, body length, corpus dimension and every search's k are
+// checked against each other before anything is allocated, so a hostile
+// header cannot size an allocation and a short or long body never yields a
+// partial query. The weights and queries share one backing array.
+func DecodeShardSearch(body []byte, dim int) (ShardSearchFrame, error) {
+	var f ShardSearchFrame
+	if len(body) < shardSearchHeader {
+		return f, fmt.Errorf("search frame is %d bytes, shorter than its %d-byte header", len(body), shardSearchHeader)
+	}
+	n := binary.LittleEndian.Uint32(body)
+	qdim := binary.LittleEndian.Uint32(body[4:])
+	nw := binary.LittleEndian.Uint32(body[8:])
+	if n == 0 || n > MaxShardSearches {
+		return f, fmt.Errorf("search frame of %d searches, want 1..%d", n, MaxShardSearches)
+	}
+	if uint64(qdim) != uint64(dim) {
+		return f, fmt.Errorf("search frame dim %d != corpus dim %d", qdim, dim)
+	}
+	if nw != 0 && nw != qdim {
+		return f, fmt.Errorf("search frame carries %d weights for dim %d", nw, qdim)
+	}
+	if want := searchFrameSize(uint64(n), uint64(qdim), uint64(nw)); uint64(len(body)) != want {
+		return f, fmt.Errorf("search frame is %d bytes, header describes %d", len(body), want)
+	}
+	stride := shardSearchFixed + 8*dim
+	first := shardSearchHeader + 8*int(nw)
+	for i := 0; i < int(n); i++ {
+		if k := binary.LittleEndian.Uint32(body[first+i*stride+8:]); k == 0 || k > math.MaxInt32 {
+			return f, fmt.Errorf("search %d k=%d out of range", i, k)
+		}
+	}
+	floats := make([]float64, int(nw)+int(n)*dim)
+	if nw != 0 {
+		f.Weights = readFloats(floats[:nw:nw], body[shardSearchHeader:])
+	}
+	f.Searches = make([]ShardSearch, n)
+	rest := floats[nw:]
+	for i := range f.Searches {
+		b := body[first+i*stride:]
+		f.Searches[i] = ShardSearch{
+			NodeID: binary.LittleEndian.Uint64(b),
+			K:      int(binary.LittleEndian.Uint32(b[8:])),
+			Query:  readFloats(rest[i*dim:(i+1)*dim:(i+1)*dim], b[shardSearchFixed:]),
+		}
+	}
+	return f, nil
+}
+
+// readFloats fills out from the little-endian float64s at the head of b.
+func readFloats(out []float64, b []byte) []float64 {
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
-// AppendShardSearch appends req's search frame to dst. The frame is bit
-// transparent: every float64 pattern, NaN payloads and -0 included, decodes
-// to itself.
-func AppendShardSearch(dst []byte, req *ShardSearchRequest) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, req.NodeID)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.K))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(req.Query)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(req.Weights)))
-	dst = appendFloats(dst, req.Query)
-	return appendFloats(dst, req.Weights)
+// ShardSearchReply is a search frame's reply: one neighbour list per search,
+// in frame order, each the shard's local top-k ascending by (squared
+// distance, ID). A decoded neighbour carries DistSq, not Dist: the router
+// takes the root once, after its merge.
+type ShardSearchReply struct {
+	Lists [][]NeighborJSON
+	Trace *obs.RemoteTrace
 }
 
-// DecodeShardSearch parses a search frame for a corpus of the given
-// dimension. Header, body length and corpus dimension are checked against
-// each other before anything is allocated, so a hostile header cannot size
-// an allocation and a short or long body never yields a partial query.
-func DecodeShardSearch(body []byte, dim int) (ShardSearchRequest, error) {
-	var req ShardSearchRequest
-	if len(body) < shardSearchHeader {
-		return req, fmt.Errorf("search frame is %d bytes, shorter than its %d-byte header", len(body), shardSearchHeader)
-	}
-	k := binary.LittleEndian.Uint32(body[8:])
-	qdim := binary.LittleEndian.Uint32(body[12:])
-	nw := binary.LittleEndian.Uint32(body[16:])
-	if k == 0 || k > math.MaxInt32 {
-		return req, fmt.Errorf("search frame k=%d out of range", k)
-	}
-	if uint64(qdim) != uint64(dim) {
-		return req, fmt.Errorf("search frame dim %d != corpus dim %d", qdim, dim)
-	}
-	if nw != 0 && nw != qdim {
-		return req, fmt.Errorf("search frame carries %d weights for dim %d", nw, qdim)
-	}
-	if want := shardSearchHeader + 8*(uint64(qdim)+uint64(nw)); uint64(len(body)) != want {
-		return req, fmt.Errorf("search frame is %d bytes, header describes %d", len(body), want)
-	}
-	req.NodeID = binary.LittleEndian.Uint64(body)
-	req.K = int(k)
-	req.Query = readFloats(body[shardSearchHeader:], dim)
-	if nw != 0 {
-		req.Weights = readFloats(body[shardSearchHeader+8*dim:], dim)
-	}
-	return req, nil
-}
+// TraceData satisfies obs.RemoteTraced so the router's generic call path can
+// lift the shard-side spans without knowing the reply shape.
+func (r *ShardSearchReply) TraceData() *obs.RemoteTrace { return r.Trace }
 
-// AppendShardNeighbors appends resp's neighbours frame to dst. Distances are
-// bit transparent, like the search frame's floats.
-func AppendShardNeighbors(dst []byte, resp *ShardSearchResponse) ([]byte, error) {
-	size := shardNeighborsHeader
-	for _, n := range resp.Neighbors {
-		size += shardNeighborRow + len(n.Label)
+// AppendShardNeighbors appends resp's neighbours frame to dst, sized once.
+// Squared distances are bit transparent, like the search frame's floats.
+func AppendShardNeighbors(dst []byte, resp *ShardSearchReply) ([]byte, error) {
+	size := shardNeighborsHeader + shardListCount*len(resp.Lists)
+	for _, l := range resp.Lists {
+		for _, n := range l {
+			size += shardNeighborRow + len(n.Label)
+		}
 	}
 	dst = slices.Grow(dst, size)
 	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp.Neighbors)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp.Lists)))
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // trace_len, set by appendSpanTail
-	for _, n := range resp.Neighbors {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(n.ID)))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(n.Dist))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(n.Label)))
+	for _, l := range resp.Lists {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(l)))
 	}
-	for _, n := range resp.Neighbors {
-		dst = append(dst, n.Label...)
+	for _, l := range resp.Lists {
+		for _, n := range l {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(n.ID)))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(n.DistSq))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(n.Label)))
+		}
+	}
+	for _, l := range resp.Lists {
+		for _, n := range l {
+			dst = append(dst, n.Label...)
+		}
 	}
 	return appendSpanTail(dst, start+4, resp.Trace)
 }
 
-// DecodeShardNeighbors parses a neighbours frame. Every count is checked
-// against the body length before it sizes an allocation. The list is one
-// slice, and its labels (and a trace's span names and arg keys) are
-// sub-strings of one string.
-func DecodeShardNeighbors(body []byte) (ShardSearchResponse, error) {
-	var resp ShardSearchResponse
+// DecodeShardNeighbors parses a neighbours frame of 1..MaxShardSearches
+// lists. Every count is checked against the body length before it sizes an
+// allocation. The lists share one backing slice, and their labels (and a
+// trace's span names and arg keys) are sub-strings of one string, so a
+// decode costs the same few allocations however many lists it holds.
+func DecodeShardNeighbors(body []byte) (ShardSearchReply, error) {
+	var resp ShardSearchReply
 	if len(body) < shardNeighborsHeader {
 		return resp, fmt.Errorf("neighbours frame is %d bytes, shorter than its %d-byte header", len(body), shardNeighborsHeader)
 	}
-	n := uint64(binary.LittleEndian.Uint32(body))
+	lists := uint64(binary.LittleEndian.Uint32(body))
 	traceLen := uint64(binary.LittleEndian.Uint32(body[4:]))
-	rest := uint64(len(body) - shardNeighborsHeader)
-	if traceLen > rest || n > (rest-traceLen)/shardNeighborRow {
-		return resp, fmt.Errorf("neighbours frame is %d bytes, header describes %d neighbours and a %d-byte trace", len(body), n, traceLen)
+	if lists == 0 || lists > MaxShardSearches {
+		return resp, fmt.Errorf("neighbours frame of %d lists, want 1..%d", lists, MaxShardSearches)
 	}
-	rows := body[shardNeighborsHeader : shardNeighborsHeader+n*shardNeighborRow]
+	rest := uint64(len(body) - shardNeighborsHeader)
+	if traceLen > rest || lists*shardListCount > rest-traceLen {
+		return resp, fmt.Errorf("neighbours frame is %d bytes, header describes %d lists and a %d-byte trace", len(body), lists, traceLen)
+	}
+	counts := body[shardNeighborsHeader : shardNeighborsHeader+lists*shardListCount]
+	rest -= traceLen + lists*shardListCount
+	n := uint64(0)
+	for i := uint64(0); i < lists; i++ {
+		n += uint64(binary.LittleEndian.Uint32(counts[i*shardListCount:]))
+	}
+	if n > rest/shardNeighborRow {
+		return resp, fmt.Errorf("neighbours frame is %d bytes, its counts describe %d neighbours", len(body), n)
+	}
+	first := shardNeighborsHeader + lists*shardListCount
+	rows := body[first : first+n*shardNeighborRow]
 	labels := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		labels += uint64(binary.LittleEndian.Uint32(rows[i*shardNeighborRow+16:]))
 	}
-	if want := n*shardNeighborRow + labels + traceLen; want != rest {
-		return resp, fmt.Errorf("neighbours frame is %d bytes, its counts describe %d", len(body), shardNeighborsHeader+want)
+	if want := n*shardNeighborRow + labels; want != rest {
+		return resp, fmt.Errorf("neighbours frame is %d bytes, its counts describe %d", len(body), uint64(len(body))-rest+want)
 	}
-	tailBytes := body[shardNeighborsHeader+n*shardNeighborRow:]
+	tailBytes := body[first+n*shardNeighborRow:]
 	tail := string(tailBytes)
 	var trace *obs.RemoteTrace
 	if traceLen > 0 {
@@ -213,25 +328,31 @@ func DecodeShardNeighbors(body []byte) (ShardSearchResponse, error) {
 			return resp, fmt.Errorf("neighbours frame trace: %w", err)
 		}
 	}
-	resp.Neighbors = make([]NeighborJSON, n)
+	all := make([]NeighborJSON, n)
 	off := 0
-	for i := range resp.Neighbors {
+	for i := range all {
 		row := rows[i*shardNeighborRow:]
 		l := int(binary.LittleEndian.Uint32(row[16:]))
-		resp.Neighbors[i] = NeighborJSON{
-			ID:    int(int64(binary.LittleEndian.Uint64(row))),
-			Dist:  math.Float64frombits(binary.LittleEndian.Uint64(row[8:])),
-			Label: tail[off : off+l],
+		all[i] = NeighborJSON{
+			ID:     int(int64(binary.LittleEndian.Uint64(row))),
+			DistSq: math.Float64frombits(binary.LittleEndian.Uint64(row[8:])),
+			Label:  tail[off : off+l],
 		}
 		off += l
+	}
+	resp.Lists = make([][]NeighborJSON, lists)
+	for i := range resp.Lists {
+		c := int(binary.LittleEndian.Uint32(counts[i*shardListCount:]))
+		resp.Lists[i], all = all[:c:c], all[c:]
 	}
 	resp.Trace = trace
 	return resp, nil
 }
 
-// AppendShardPoints appends resp's points frame to dst; every vector must be
-// dim long (the replica's own rows are).
+// AppendShardPoints appends resp's points frame to dst, sized once; every
+// vector must be dim long (the replica's own rows are).
 func AppendShardPoints(dst []byte, dim int, resp *ShardPointsResponse) ([]byte, error) {
+	dst = slices.Grow(dst, shardPointsHeader+len(resp.Points)*(16+8*dim))
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resp.Points)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
@@ -279,7 +400,7 @@ func DecodeShardPoints(body []byte, dim int) (ShardPointsResponse, error) {
 		resp.Points[i] = ShardPointJSON{
 			ID:   int(int64(binary.LittleEndian.Uint64(b))),
 			Leaf: binary.LittleEndian.Uint64(b[8:]),
-			Vec:  readFloats(b[16:], dim),
+			Vec:  readFloats(make([]float64, dim), b[16:]),
 		}
 		b = b[row:]
 	}

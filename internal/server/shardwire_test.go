@@ -85,11 +85,20 @@ func spanShapes(tr *obs.RemoteTrace) []obs.RemoteSpan {
 	return out
 }
 
-// TestShardSearchBinaryMatchesJSON: the framed search leg is answered byte
-// for byte like its JSON form, weighted or not, and every neighbour names the
+// searchOf frames a JSON search body as the one-search frame it stands for.
+func searchOf(req ShardSearchRequest) []byte {
+	return frameOf(AppendShardSearch(nil, &ShardSearchFrame{
+		Weights:  req.Weights,
+		Searches: []ShardSearch{{NodeID: req.NodeID, K: req.K, Query: req.Query}},
+	}))
+}
+
+// TestShardSearchBinaryMatchesJSON: a one-search frame is answered byte for
+// byte like its JSON form, weighted or not, and every neighbour names the
 // label the shard holds for it. Asked by Accept, the reply is the neighbours
-// frame, holding the JSON reply's ids, labels and distance bits and, traced,
-// the same spans with the same args.
+// frame, one list holding the JSON reply's ids and labels, with squared
+// distances whose roots are the JSON distance bits and, traced, the same
+// spans with the same args.
 func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 	rep, sys, ts := newShardServer(t)
 	dim := rep.Meta().Dim
@@ -107,7 +116,7 @@ func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("JSON leg: HTTP %d (%s)", status, want)
 		}
-		status, _, got := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, "", AppendShardSearch(nil, &req), false)
+		status, _, got := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, "", searchOf(req), false)
 		if status != http.StatusOK {
 			t.Fatalf("framed leg: HTTP %d (%s)", status, got)
 		}
@@ -130,7 +139,7 @@ func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 			if err := json.Unmarshal(raw, &plain); status != http.StatusOK || err != nil {
 				t.Fatalf("JSON leg traced=%v: HTTP %d, %v", traced, status, err)
 			}
-			status, ct, frame := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, ShardBinaryType, AppendShardSearch(nil, &req), traced)
+			status, ct, frame := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, ShardBinaryType, searchOf(req), traced)
 			if status != http.StatusOK || ct != ShardBinaryType {
 				t.Fatalf("framed reply traced=%v: HTTP %d %q (%s)", traced, status, ct, frame)
 			}
@@ -138,19 +147,19 @@ func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(framed.Neighbors) != len(plain.Neighbors) {
-				t.Fatalf("%d framed neighbours, %d in JSON", len(framed.Neighbors), len(plain.Neighbors))
+			if len(framed.Lists) != 1 || len(framed.Lists[0]) != len(plain.Neighbors) {
+				t.Fatalf("%d framed lists, the first of %d neighbours; %d in JSON", len(framed.Lists), len(framed.Lists[0]), len(plain.Neighbors))
 			}
 			labels := 0
-			for i, n := range framed.Neighbors {
+			for i, n := range framed.Lists[0] {
 				w := plain.Neighbors[i]
-				if n.ID != w.ID || n.Label != w.Label || math.Float64bits(n.Dist) != math.Float64bits(w.Dist) {
+				if n.ID != w.ID || n.Label != w.Label || math.Float64bits(math.Sqrt(n.DistSq)) != math.Float64bits(w.Dist) {
 					t.Fatalf("neighbour %d: framed %+v, JSON %+v", i, n, w)
 				}
 				labels += len(n.Label)
 			}
-			if want := shardNeighborsHeader + shardNeighborRow*len(framed.Neighbors) + labels; !traced && len(frame) != want {
-				t.Fatalf("untraced k=%d reply is %d bytes, want 8 + %d·20 + %d label bytes = %d", req.K, len(frame), req.K, labels, want)
+			if want := shardNeighborsHeader + shardListCount + shardNeighborRow*len(plain.Neighbors) + labels; !traced && len(frame) != want {
+				t.Fatalf("untraced k=%d reply is %d bytes, want 8 + 4 + %d·20 + %d label bytes = %d", req.K, len(frame), req.K, labels, want)
 			}
 			if (framed.Trace != nil) != traced || (plain.Trace != nil) != traced {
 				t.Fatalf("traced=%v: framed trace %v, JSON trace %v", traced, framed.Trace, plain.Trace)
@@ -158,6 +167,60 @@ func TestShardSearchBinaryMatchesJSON(t *testing.T) {
 			if traced && !reflect.DeepEqual(spanShapes(framed.Trace), spanShapes(plain.Trace)) {
 				t.Fatalf("framed spans %+v, JSON spans %+v", framed.Trace.Spans, plain.Trace.Spans)
 			}
+		}
+	}
+}
+
+// TestShardSearchFrameAnswersEachSearch: a frame of several searches — other
+// nodes, other ks, one weighting — is answered with one list per search, in
+// frame order, each the list that search gets in a frame of its own, and a
+// traced reply carries one search span per search. A JSON reply holds one
+// list, so such a frame asked without Accept is refused.
+func TestShardSearchFrameAnswersEachSearch(t *testing.T) {
+	rep, sys, ts := newShardServer(t)
+	topo := rep.Topo()
+	weights := make([]float64, rep.Meta().Dim)
+	for i := range weights {
+		weights[i] = float64(i%3) / 2
+	}
+	for _, w := range [][]float64{nil, weights} {
+		f := ShardSearchFrame{Weights: w}
+		for i, node := range []int{0, 1, len(topo.Nodes) - 1, 0} {
+			f.Searches = append(f.Searches, ShardSearch{NodeID: topo.Nodes[node].ID, K: 3 + 11*i, Query: sys.Corpus().Vectors[40*i+5]})
+		}
+		status, ct, raw := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, ShardBinaryType, frameOf(AppendShardSearch(nil, &f)), true)
+		if status != http.StatusOK || ct != ShardBinaryType {
+			t.Fatalf("weighted=%v: HTTP %d %q (%s)", w != nil, status, ct, raw)
+		}
+		got, err := DecodeShardNeighbors(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Lists) != len(f.Searches) {
+			t.Fatalf("%d lists for %d searches", len(got.Lists), len(f.Searches))
+		}
+		var spans []obs.RemoteSpan
+		for i, sr := range f.Searches {
+			one := f
+			one.Searches = f.Searches[i : i+1]
+			_, _, raw := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, ShardBinaryType, frameOf(AppendShardSearch(nil, &one)), true)
+			alone, err := DecodeShardNeighbors(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Lists[i], alone.Lists[0]) {
+				t.Fatalf("weighted=%v search %d (node %d, k %d): in the frame %+v, alone %+v", w != nil, i, sr.NodeID, sr.K, got.Lists[i], alone.Lists[0])
+			}
+			spans = append(spans, spanShapes(alone.Trace)...)
+		}
+		if !reflect.DeepEqual(spanShapes(got.Trace), spans) {
+			t.Fatalf("frame spans %+v, want one per search %+v", got.Trace.Spans, spans)
+		}
+
+		status, _, raw = post(t, ts.URL+"/v1/shard/search", ShardBinaryType, "", frameOf(AppendShardSearch(nil, &f)), false)
+		var e errorResponse
+		if status != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || e.Code != ErrCodeShardFrame {
+			t.Errorf("a %d-search frame asked for JSON: HTTP %d %s, want 400 code %s", len(f.Searches), status, raw, ErrCodeShardFrame)
 		}
 	}
 }
@@ -180,7 +243,7 @@ func TestShardSearchSpanCountsFilterWork(t *testing.T) {
 		{ShardSearchRequest{NodeID: rep.Topo().RootID(), Query: sys.Corpus().Vectors[17], K: 10}, true},
 		{ShardSearchRequest{NodeID: rep.Topo().RootID(), Query: sys.Corpus().Vectors[17], K: 10, Weights: weights}, false},
 	} {
-		status, _, raw := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, "", AppendShardSearch(nil, &tc.req), true)
+		status, _, raw := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, "", searchOf(tc.req), true)
 		var resp ShardSearchResponse
 		if err := json.Unmarshal(raw, &resp); status != http.StatusOK || err != nil || resp.Trace == nil {
 			t.Fatalf("traced leg: HTTP %d, %v (%s)", status, err, raw)
@@ -218,23 +281,39 @@ func (c *readCounter) Read(p []byte) (int, error) {
 func TestShardSearchRejectsBadBodies(t *testing.T) {
 	rep, sys, ts := newShardServer(t)
 	dim := rep.Meta().Dim
-	good := AppendShardSearch(nil, &ShardSearchRequest{NodeID: rep.Topo().RootID(), Query: sys.Corpus().Vectors[3], K: 5})
-	patched := func(off int, v uint32) []byte {
-		b := append([]byte(nil), good...)
+	root := rep.Topo().RootID()
+	good := searchOf(ShardSearchRequest{NodeID: root, Query: sys.Corpus().Vectors[3], K: 5})
+	patchedIn := func(frame []byte, off int, v uint32) []byte {
+		b := append([]byte(nil), frame...)
 		binary.LittleEndian.PutUint32(b[off:], v)
 		return b
 	}
+	patched := func(off int, v uint32) []byte { return patchedIn(good, off, v) }
+	q3, q4 := sys.Corpus().Vectors[3], sys.Corpus().Vectors[4]
+	two := rawSearch(2, dim, nil, ShardSearch{NodeID: root, K: 5, Query: q3}, ShardSearch{NodeID: root, K: 7, Query: q4})
+	var over []ShardSearch
+	for i := 0; i <= MaxShardSearches; i++ {
+		over = append(over, ShardSearch{NodeID: root, K: 1, Query: q3})
+	}
 	frames := map[string][]byte{
-		"empty":        {},
-		"short header": good[:shardSearchHeader-1],
-		"truncated":    good[:len(good)-1],
-		"trailing":     append(append([]byte(nil), good...), 0),
-		"k zero":       patched(8, 0),
-		"k absurd":     patched(8, math.MaxUint32),
-		"dim absurd":   patched(12, math.MaxUint32),
-		"dim off":      patched(12, uint32(dim+1)),
-		"half weights": patched(16, uint32(dim/2)),
-		"weights lie":  patched(16, uint32(dim)),
+		"empty":            {},
+		"short header":     good[:shardSearchHeader-1],
+		"truncated":        good[:len(good)-1],
+		"trailing":         append(append([]byte(nil), good...), 0),
+		"no searches":      patched(0, 0),
+		"count lies":       patched(0, 2),
+		"over the cap":     rawSearch(MaxShardSearches+1, dim, nil, over...),
+		"k zero":           patched(shardSearchHeader+8, 0),
+		"k absurd":         patched(shardSearchHeader+8, math.MaxUint32),
+		"second k zero":    patchedIn(two, shardSearchHeader+shardSearchFixed+8*dim+8, 0),
+		"dim absurd":       patched(4, math.MaxUint32),
+		"dim off":          patched(4, uint32(dim+1)),
+		"half weights":     patched(8, uint32(dim/2)),
+		"weights lie":      patched(8, uint32(dim)),
+		"second too short": rawSearch(2, dim, nil, ShardSearch{NodeID: root, K: 5, Query: q3}, ShardSearch{NodeID: root, K: 7, Query: q4[1:]}),
+	}
+	if _, err := AppendShardSearch(nil, &ShardSearchFrame{Searches: over}); err == nil {
+		t.Errorf("the encoder framed %d searches, past the cap of %d", len(over), MaxShardSearches)
 	}
 	for name, frame := range frames {
 		status, _, raw := post(t, ts.URL+"/v1/shard/search", ShardBinaryType, "", frame, false)
@@ -330,67 +409,107 @@ func TestShardPointsBinaryMatchesJSON(t *testing.T) {
 	}
 }
 
-// searchFrame builds a frame whose query (and weights, when weighted) are
-// the given bit patterns.
-func searchFrame(nodeID uint64, k uint32, weighted bool, bits ...uint64) []byte {
-	req := ShardSearchRequest{NodeID: nodeID, K: int(k), Query: make([]float64, len(bits))}
-	for i, b := range bits {
-		req.Query[i] = math.Float64frombits(b)
+// rawSearch encodes a search frame as given, header counts included, with no
+// check: the encoder refuses the shapes these frames test the decoder with.
+func rawSearch(n uint32, dim int, weights []float64, searches ...ShardSearch) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, n)
+	b = binary.LittleEndian.AppendUint32(b, uint32(dim))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(weights)))
+	b = appendFloats(b, weights)
+	for _, sr := range searches {
+		b = binary.LittleEndian.AppendUint64(b, sr.NodeID)
+		b = binary.LittleEndian.AppendUint32(b, uint32(sr.K))
+		b = appendFloats(b, sr.Query)
+	}
+	return b
+}
+
+// searchFrame builds a frame of n searches whose queries (and weights, when
+// weighted) are the given bit patterns: search i's query is the i-th of n
+// equal runs of them, and the weights are the first run reversed.
+func searchFrame(nodeID uint64, k uint32, weighted bool, n int, bits ...uint64) []byte {
+	dim := len(bits) / n
+	var f ShardSearchFrame
+	for i := 0; i < n; i++ {
+		q := make([]float64, dim)
+		for j := range q {
+			q[j] = math.Float64frombits(bits[i*dim+j])
+		}
+		f.Searches = append(f.Searches, ShardSearch{NodeID: nodeID + uint64(i), K: int(k), Query: q})
 	}
 	if weighted {
-		req.Weights = make([]float64, len(bits))
-		for i, b := range bits {
-			req.Weights[len(bits)-1-i] = math.Float64frombits(b)
+		f.Weights = make([]float64, dim)
+		for j := range f.Weights {
+			f.Weights[dim-1-j] = math.Float64frombits(bits[j])
 		}
 	}
-	return AppendShardSearch(nil, &req)
+	return frameOf(AppendShardSearch(nil, &f))
 }
 
 // FuzzShardSearchBinary holds the search frame to its contract on arbitrary
-// bytes: every float64 bit pattern — NaN payloads, ±Inf, -0 — round-trips;
-// the decoder never panics; what it accepts is exactly one query of the
-// corpus dimension whose re-encoding is the input (nothing hides in slack
-// bytes); and no truncation or extension of an accepted frame is accepted.
+// bytes: every float64 bit pattern — NaN payloads, ±Inf, -0 — round-trips,
+// in a frame of one search or several; the decoder never panics; what it
+// accepts is 1..MaxShardSearches queries of the corpus dimension whose
+// re-encoding is the input (nothing hides in slack bytes); a rejected frame
+// leaves nothing half-decoded behind; and no truncation or extension of an
+// accepted frame is accepted.
 func FuzzShardSearchBinary(f *testing.F) {
 	nan, negZero := math.Float64bits(math.NaN())|0xbeef, math.Float64bits(math.Copysign(0, -1))
-	f.Add(searchFrame(7, 50, false, math.Float64bits(1.5), math.Float64bits(-2.25)), uint16(2))
-	f.Add(searchFrame(1<<63, 1, true, nan, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)), negZero), uint16(4))
-	f.Add(searchFrame(0, math.MaxInt32, false), uint16(0))
-	f.Add(searchFrame(3, 9, false, 1, 2, 3)[:shardSearchHeader+23], uint16(3))                                           // truncated
-	f.Add(append(searchFrame(3, 9, true, 1, 2), 0xff), uint16(2))                                                        // trailing byte
-	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"), uint16(65535))     // absurd dim
-	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x01\x00\x00\x00\x00\x00\x00\x00AAAAAAAA"), uint16(1)) // absurd k
+	f.Add(searchFrame(7, 50, false, 1, math.Float64bits(1.5), math.Float64bits(-2.25)), uint16(2))
+	f.Add(searchFrame(1<<63, 1, true, 1, nan, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)), negZero), uint16(4))
+	f.Add(searchFrame(0, math.MaxInt32, false, 1), uint16(0))
+	f.Add(searchFrame(3, 9, false, 1, 1, 2, 3)[:shardSearchHeader+23], uint16(3))                                                // truncated
+	f.Add(append(searchFrame(3, 9, true, 1, 1, 2), 0xff), uint16(2))                                                             // trailing byte
+	f.Add([]byte("\x01\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00"), uint16(65535))                                             // absurd dim
+	f.Add([]byte("\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff"), uint16(0)) // absurd k
 	f.Add([]byte{}, uint16(512))
+	f.Add(searchFrame(5, 4, true, 3, 1, 2, 3, 4, 5, nan), uint16(2)) // three searches, one weighting
+	two := []ShardSearch{{NodeID: 1, K: 2, Query: []float64{1, 2}}, {NodeID: 2, K: 3, Query: []float64{3, 4}}}
+	f.Add(rawSearch(3, 2, nil, two...), uint16(2)) // count ≠ length
+	f.Add(rawSearch(0, 2, nil), uint16(2))         // no searches
+	var over []ShardSearch
+	for i := 0; i <= MaxShardSearches; i++ {
+		over = append(over, ShardSearch{NodeID: uint64(i), K: 1, Query: []float64{float64(i)}})
+	}
+	f.Add(rawSearch(MaxShardSearches+1, 1, nil, over...), uint16(1))                                              // over the cap
+	f.Add(rawSearch(2, 2, []float64{1, 1}, two[0], ShardSearch{NodeID: 2, K: 3, Query: []float64{3}}), uint16(2)) // second query short
 	f.Fuzz(func(t *testing.T, body []byte, dim16 uint16) {
-		// Read as packed bit patterns, the input is a query: it must survive
-		// the frame bit for bit, with weights (odd dim16) or without.
+		// Read as packed bit patterns, the input is 1–3 queries: they must
+		// survive the frame bit for bit, with weights (odd dim16) or without.
 		bits := make([]uint64, len(body)/8)
 		for i := range bits {
 			bits[i] = binary.LittleEndian.Uint64(body[8*i:])
 		}
-		frame := searchFrame(uint64(dim16)<<40, uint32(dim16)+1, dim16%2 == 1 && len(bits) > 0, bits...)
-		back, err := DecodeShardSearch(frame, len(bits))
+		n := 1 + int(dim16)%3
+		qdim := len(bits) / n
+		frame := searchFrame(uint64(dim16)<<40, uint32(dim16)+1, dim16%2 == 1 && qdim > 0, n, bits[:n*qdim]...)
+		back, err := DecodeShardSearch(frame, qdim)
 		if err != nil {
-			t.Fatalf("own frame of %d components rejected: %v", len(bits), err)
+			t.Fatalf("own frame of %d × %d components rejected: %v", n, qdim, err)
 		}
-		if again := AppendShardSearch(nil, &back); !bytes.Equal(again, frame) {
-			t.Fatalf("round trip changed the frame:\n  in  %x\n  out %x", frame, again)
+		if again, err := AppendShardSearch(nil, &back); err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("round trip changed the frame (%v):\n  in  %x\n  out %x", err, frame, again)
 		}
 
 		// Read as a frame, the input is hostile.
 		dim := int(dim16)
-		req, err := DecodeShardSearch(body, dim)
+		got, err := DecodeShardSearch(body, dim)
 		if err != nil {
-			if req.Query != nil || req.Weights != nil {
-				t.Fatalf("rejected frame left a partial query behind: %+v", req)
+			if got.Searches != nil || got.Weights != nil {
+				t.Fatalf("rejected frame left a partial frame behind: %+v", got)
 			}
 			return
 		}
-		if len(req.Query) != dim || (req.Weights != nil && len(req.Weights) != dim) || req.K <= 0 {
-			t.Fatalf("accepted dim %d frame decodes to %d components, %d weights, k=%d", dim, len(req.Query), len(req.Weights), req.K)
+		if len(got.Searches) == 0 || len(got.Searches) > MaxShardSearches || (got.Weights != nil && len(got.Weights) != dim) {
+			t.Fatalf("accepted dim %d frame decodes to %d searches, %d weights", dim, len(got.Searches), len(got.Weights))
 		}
-		if again := AppendShardSearch(nil, &req); !bytes.Equal(again, body) {
-			t.Fatalf("re-encoding differs from the accepted frame:\n  in  %x\n  out %x", body, again)
+		for i, sr := range got.Searches {
+			if len(sr.Query) != dim || sr.K <= 0 {
+				t.Fatalf("accepted dim %d frame: search %d has %d components, k=%d", dim, i, len(sr.Query), sr.K)
+			}
+		}
+		if again, err := AppendShardSearch(nil, &got); err != nil || !bytes.Equal(again, body) {
+			t.Fatalf("re-encoding differs from the accepted frame (%v):\n  in  %x\n  out %x", err, body, again)
 		}
 		if _, err := DecodeShardSearch(body[:len(body)-1], dim); err == nil {
 			t.Fatal("a truncated frame was accepted")
@@ -422,26 +541,38 @@ func frameOf(frame []byte, err error) []byte {
 }
 
 // FuzzShardReplyFrames holds both reply frames, with and without span tails,
-// to their contract on arbitrary bytes: the decoders never panic; what they
-// accept re-encodes to the input, so nothing hides in slack bytes or in the
-// order of a span's args; no truncation or one-byte extension of an accepted
-// frame is accepted; and a rejected frame leaves nothing half-decoded behind.
+// neighbours frames of one list and of several, to their contract on
+// arbitrary bytes: the decoders never panic; what they accept re-encodes to
+// the input, so nothing hides in slack bytes or in the order of a span's
+// args; no truncation or one-byte extension of an accepted frame is
+// accepted; and a rejected frame leaves nothing half-decoded behind.
 // TestShardReplyFramesRefuseAbsurdCounts checks the counts the seeds patch.
 func FuzzShardReplyFrames(f *testing.F) {
 	nan := math.Float64frombits(math.Float64bits(math.NaN()) | 0xbeef)
-	ns := []NeighborJSON{{ID: 7, Dist: 1.5, Label: "emb/c07"}, {ID: -1, Dist: nan}, {ID: 1 << 40, Dist: math.Inf(1), Label: "é"}}
+	ns := []NeighborJSON{{ID: 7, DistSq: 2.25, Label: "emb/c07"}, {ID: -1, DistSq: nan}, {ID: 1 << 40, DistSq: math.Inf(1), Label: "é"}}
 	pts := []ShardPointJSON{{ID: 3, Leaf: 9, Vec: []float64{1, math.Copysign(0, -1)}}, {ID: 4, Leaf: 1 << 63, Vec: []float64{nan, 2}}}
 	for _, tr := range []*obs.RemoteTrace{nil, replyTrace(), {DurationNS: 1}} {
-		f.Add(frameOf(AppendShardNeighbors(nil, &ShardSearchResponse{Neighbors: ns, Trace: tr})), uint8(0))
+		f.Add(frameOf(AppendShardNeighbors(nil, &ShardSearchReply{Lists: [][]NeighborJSON{ns}, Trace: tr})), uint8(0))
 		f.Add(frameOf(AppendShardPoints(nil, 2, &ShardPointsResponse{Points: pts, Trace: tr})), uint8(2))
 	}
 	for _, c := range absurdCounts(f) {
 		f.Add(c.frame, c.dim)
 	}
 	f.Add([]byte{}, uint8(0))
+	three := frameOf(AppendShardNeighbors(nil, &ShardSearchReply{Lists: [][]NeighborJSON{ns[:1], nil, ns[1:]}, Trace: replyTrace()}))
+	f.Add(three, uint8(0))
+	countOff := func(frame []byte, off int, v uint32) []byte {
+		b := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return b
+	}
+	f.Add(countOff(three, 0, 2), uint8(0))                        // list count ≠ length
+	f.Add(countOff(three, shardNeighborsHeader+4, 1), uint8(0))   // one list's count wrong
+	f.Add(countOff(three, 0, 0)[:shardNeighborsHeader], uint8(0)) // no lists
+	f.Add(countOff(three, 0, MaxShardSearches+1), uint8(0))       // over the cap
 	f.Fuzz(func(t *testing.T, body []byte, dim uint8) {
 		if resp, err := DecodeShardNeighbors(body); err != nil {
-			if resp.Neighbors != nil || resp.Trace != nil {
+			if resp.Lists != nil || resp.Trace != nil {
 				t.Fatalf("rejected neighbours frame left %+v behind", resp)
 			}
 		} else {
@@ -481,11 +612,12 @@ type absurdCase struct {
 
 func absurdCounts(tb testing.TB) []absurdCase {
 	tr := replyTrace()
-	ns := frameOf(AppendShardNeighbors(nil, &ShardSearchResponse{Neighbors: []NeighborJSON{{ID: 1, Dist: 2, Label: "a"}}, Trace: tr}))
+	ns := frameOf(AppendShardNeighbors(nil, &ShardSearchReply{Lists: [][]NeighborJSON{{{ID: 1, DistSq: 4, Label: "a"}}}, Trace: tr}))
 	pts := frameOf(AppendShardPoints(nil, 1, &ShardPointsResponse{Points: []ShardPointJSON{{ID: 1, Vec: []float64{3}}}, Trace: tr}))
-	nsTail := shardNeighborsHeader + shardNeighborRow + 1 // one row, one label byte
-	ptsTail := shardPointsHeader + 16 + 8                 // one point of dim 1
-	nArgs := spanTailHeader + 2 + len("search") + 16      // the first span's n_args
+	nsRows := shardNeighborsHeader + shardListCount  // one list
+	nsTail := nsRows + shardNeighborRow + 1          // one row, one label byte
+	ptsTail := shardPointsHeader + 16 + 8            // one point of dim 1
+	nArgs := spanTailHeader + 2 + len("search") + 16 // the first span's n_args
 	patch := func(frame []byte, off int, wide bool) []byte {
 		b := append([]byte(nil), frame...)
 		if wide {
@@ -498,7 +630,8 @@ func absurdCounts(tb testing.TB) []absurdCase {
 	return []absurdCase{
 		{"neighbours n", patch(ns, 0, true), 0},
 		{"neighbours trace_len", patch(ns, 4, true), 0},
-		{"label_len", patch(ns, shardNeighborsHeader+16, true), 0},
+		{"list count", patch(ns, shardNeighborsHeader, true), 0},
+		{"label_len", patch(ns, nsRows+16, true), 0},
 		{"neighbours n_spans", patch(ns, nsTail+8, true), 0},
 		{"neighbours n_args", patch(ns, nsTail+nArgs, false), 0},
 		{"points n", patch(pts, 0, true), 1},
@@ -509,7 +642,8 @@ func absurdCounts(tb testing.TB) []absurdCase {
 }
 
 // TestShardReplyFramesRefuseAbsurdCounts: a count the body cannot hold — n,
-// trace_len, a label_len, a span tail's n_spans or a span's n_args — is
+// trace_len, a list's count, a label_len, a span tail's n_spans or a span's
+// n_args — is
 // refused before it sizes an allocation. Decoding such a frame allocates a
 // few hundred bytes (the error, the tail's string), never what the count
 // asks for.
@@ -540,38 +674,46 @@ func TestShardReplyFramesRefuseAbsurdCounts(t *testing.T) {
 	}
 }
 
-// TestDecodeShardNeighborsAllocs pins the router's per-leg decode of a k = 50
-// list: one slice and one string for the labels. A traced reply adds the
-// trace, its span slice, and each span's arg map, which is two allocations
-// (the map and its first group).
+// TestDecodeShardNeighborsAllocs pins the router's per-leg decode of a reply
+// to one search and to a seven-search final-round fetch, k = 50 each: one
+// slice backing every list, one slice of list headers and one string for the
+// labels, however many lists. A traced reply adds the trace, its span slice,
+// and each span's arg map, which is two allocations (the map and its first
+// group).
 func TestDecodeShardNeighborsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	ns := make([]NeighborJSON, 50)
 	for i := range ns {
-		ns[i] = NeighborJSON{ID: 1000 + i, Dist: float64(i) / 7, Label: fmt.Sprintf("emb/c%02d", i%20)}
+		ns[i] = NeighborJSON{ID: 1000 + i, DistSq: float64(i) / 7, Label: fmt.Sprintf("emb/c%02d", i%20)}
 	}
 	tr := &obs.RemoteTrace{DurationNS: 500_000, Spans: []obs.RemoteSpan{{Name: "search", DurationNS: 400_000, Args: map[string]int64{
 		"k": 50, "neighbors": 50, "node": 1, "scanned": 6685, "scored": 190,
 	}}}}
-	for _, tc := range []struct {
-		name  string
-		trace *obs.RemoteTrace
-		max   float64
-	}{
-		{"untraced", nil, 2},
-		{"traced", tr, 2 + 2 + 2*float64(len(tr.Spans))},
-	} {
-		frame := frameOf(AppendShardNeighbors(nil, &ShardSearchResponse{Neighbors: ns, Trace: tc.trace}))
-		got := testing.AllocsPerRun(200, func() {
-			if _, err := DecodeShardNeighbors(frame); err != nil {
-				t.Fatal(err)
+	for _, lists := range []int{1, 7} {
+		for _, tc := range []struct {
+			name  string
+			trace *obs.RemoteTrace
+			max   float64
+		}{
+			{"untraced", nil, 3},
+			{"traced", tr, 3 + 2 + 2*float64(len(tr.Spans))},
+		} {
+			reply := ShardSearchReply{Trace: tc.trace}
+			for i := 0; i < lists; i++ {
+				reply.Lists = append(reply.Lists, ns)
 			}
-		})
-		t.Logf("%s: %.0f allocations a decode", tc.name, got)
-		if got > tc.max {
-			t.Errorf("%s: decoding a k = 50 reply allocates %.0f times, budget %.0f", tc.name, got, tc.max)
+			frame := frameOf(AppendShardNeighbors(nil, &reply))
+			got := testing.AllocsPerRun(200, func() {
+				if _, err := DecodeShardNeighbors(frame); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%d lists, %s: %.0f allocations a decode", lists, tc.name, got)
+			if got > tc.max {
+				t.Errorf("%d lists, %s: decoding a k = 50 reply allocates %.0f times, budget %.0f", lists, tc.name, got, tc.max)
+			}
 		}
 	}
 }

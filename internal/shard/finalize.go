@@ -19,6 +19,23 @@ type Searcher interface {
 	SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, weights []float64, k int) ([]Neighbor, error)
 }
 
+// NodeSearch is one search of a batch: the K nearest images to Q under the
+// topology node NodeID.
+type NodeSearch struct {
+	NodeID uint64
+	Q      vec.Vector
+	K      int
+}
+
+// BatchSearcher is a Searcher that answers several searches under one
+// weighting in one call: list i answers searches[i] under SearchNode's
+// contract. A router's scatter is one, sending each shard one leg per call
+// rather than one per search.
+type BatchSearcher interface {
+	Searcher
+	SearchNodes(ctx context.Context, searches []NodeSearch, weights []float64) ([][]Neighbor, error)
+}
+
 // RelPoint is one relevant image prepared for distributed finalize: its ID,
 // its assigned subcluster (a leaf for stateless /v1/query-style calls; any
 // node for a resumed feedback session), and its feature vector. Callers must
@@ -40,7 +57,9 @@ func Claim(n Neighbor) (int, float64, core.AnswerImage) {
 // FinalizeScatter runs the final localized multipoint k-NN round (§3.3/§3.4)
 // against a Searcher. The grouping and the §3.3 boundary expansion are the
 // single-node engine's, over the shared Topology; the rest is core.FinalRound,
-// the tail every backing runs. Given a Searcher that honours its contract,
+// the tail every backing runs. A BatchSearcher answers each of FinalRound's
+// fetches in one call; any other Searcher answers its requests one by one,
+// up to parallelism at a time. Given a Searcher that honours its contract,
 // the output is bit-identical to the single-node finalize over the same
 // inputs.
 func FinalizeScatter(ctx context.Context, topo *Topology, s Searcher, rel []RelPoint, k int, weights []float64, boundary float64, parallelism int) (*core.Answer, error) {
@@ -91,10 +110,24 @@ func FinalizeScatter(ctx context.Context, topo *Topology, s Searcher, rel []RelP
 		subs[i].Lo, subs[i].Hi = topo.Span(l.searchIdx)
 	}
 
-	claims, err := core.FinalRound(ctx, k, subs, core.FetchEach(parallelism, func(ctx context.Context, r core.Request) ([]Neighbor, error) {
+	search := func(r core.Request) NodeSearch {
 		l := &locals[r.Group]
-		return s.SearchNode(ctx, topo.Nodes[l.searchIdx].ID, l.centroid, weights, r.Want)
-	}), Claim)
+		return NodeSearch{NodeID: topo.Nodes[l.searchIdx].ID, Q: l.centroid, K: r.Want}
+	}
+	fetch := core.FetchEach(parallelism, func(ctx context.Context, r core.Request) ([]Neighbor, error) {
+		ns := search(r)
+		return s.SearchNode(ctx, ns.NodeID, ns.Q, weights, ns.K)
+	})
+	if bs, ok := s.(BatchSearcher); ok {
+		fetch = func(ctx context.Context, reqs []core.Request) ([][]Neighbor, error) {
+			searches := make([]NodeSearch, len(reqs))
+			for i, r := range reqs {
+				searches[i] = search(r)
+			}
+			return bs.SearchNodes(ctx, searches, weights)
+		}
+	}
+	claims, err := core.FinalRound(ctx, k, subs, fetch, Claim)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"qdcbir/internal/store"
@@ -13,17 +13,19 @@ import (
 )
 
 // Neighbor is one restricted-search result: a global image ID and its
-// distance. Distances are exactly the values the single-node tree search
-// produces for the same (query, image) pair — float64 sqrt of the kernel's
-// squared distance, computed at the store's precision — so per-shard lists
-// merge into the single-node ranking without re-scoring. Label is the
-// owning shard's ground truth for the image (empty when the corpus carries
-// none): it rides on the neighbour so a router can label a result without
-// fetching the image's vector.
+// distance. DistSq is exactly the squared distance the single-node tree
+// search selects by for the same (query, image) pair — the kernel's, computed
+// at the store's precision — and Dist is its float64 square root, so
+// per-shard lists merge into the single-node ranking without re-scoring.
+// Merging orders by DistSq: two squared distances can round to one root.
+// Label is the owning shard's ground truth for the image (empty when the
+// corpus carries none): it rides on the neighbour so a router can label a
+// result without fetching the image's vector.
 type Neighbor struct {
-	ID    int     `json:"id"`
-	Dist  float64 `json:"dist"`
-	Label string  `json:"label,omitempty"`
+	ID     int     `json:"id"`
+	Dist   float64 `json:"dist"`
+	DistSq float64 `json:"-"`
+	Label  string  `json:"label,omitempty"`
 }
 
 // Replica is one shard loaded for serving: the scatter-gather machinery over
@@ -620,28 +622,30 @@ func (r *Replica) neighbors(sel *topSelect) []Neighbor {
 	cands := sel.sorted()
 	ns := make([]Neighbor, len(cands))
 	for i, c := range cands {
-		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d), Label: r.labels[r.localOf[c.gid]]}
+		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d), DistSq: c.d, Label: r.labels[r.localOf[c.gid]]}
 	}
 	return ns
 }
 
 // MergeNeighbors merges per-shard restricted-search results into the global
-// top-k under the canonical (distance, ID) order. Shards hold disjoint rows,
-// so no deduplication is needed; because every list is itself the k smallest
-// of its shard, the merged prefix equals the single-node top-k.
+// top-k under the (squared distance, ID) order a single node selects by, and
+// sets each kept neighbour's Dist to the root of its DistSq. Shards hold
+// disjoint rows, so no deduplication is needed; because every list is itself
+// the k smallest of its shard, the merged prefix equals the single-node
+// top-k.
 func MergeNeighbors(lists [][]Neighbor, k int) []Neighbor {
-	var all []Neighbor
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
+	all := slices.Concat(lists...)
+	slices.SortFunc(all, func(a, b Neighbor) int {
+		if c := cmp.Compare(a.DistSq, b.DistSq); c != 0 {
+			return c
 		}
-		return all[i].ID < all[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	if len(all) > k {
 		all = all[:k]
+	}
+	for i := range all {
+		all[i].Dist = math.Sqrt(all[i].DistSq)
 	}
 	return all
 }
@@ -708,6 +712,11 @@ func (s *topSelect) add(d float64, gid int) {
 
 func (s *topSelect) sorted() []cand {
 	out := append([]cand(nil), s.h...)
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
+	slices.SortFunc(out, func(a, b cand) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.gid, b.gid)
+	})
 	return out
 }

@@ -76,9 +76,18 @@ QUERY='{"relevant":[3,9,12,200,201,430,77],"k":25}'
 # byte-identical.
 NORM='{groups: .groups, feedback_reads: .stats.feedback_reads, expansions: .stats.expansions}'
 curl -sf -X POST -d "$QUERY" "http://localhost:$SINGLE/v1/query" | jq -S "$NORM" > "$WORK/single_query.json"
+SCATTERS_BEFORE=$(curl -sf "http://localhost:$ROUTER/v1/stats" | jq .scatters)
 curl -sf -X POST -d "$QUERY" "http://localhost:$ROUTER/v1/query" | jq -S "$NORM" > "$WORK/router_query.json"
+SCATTERS_AFTER=$(curl -sf "http://localhost:$ROUTER/v1/stats" | jq .scatters)
 diff -u "$WORK/single_query.json" "$WORK/router_query.json" \
   || { echo "cluster_smoke: routed /v1/query diverges from single node" >&2; exit 1; }
+# The final round sends every group's search in one frame per shard: the
+# query's one fetch (its groups claim k images at once, so no top-up) is one
+# scatter, however many groups it has.
+jq -e '.groups | length >= 2' "$WORK/router_query.json" >/dev/null \
+  || { echo "cluster_smoke: one-shot query formed fewer than 2 groups; the scatter count below would prove nothing" >&2; exit 1; }
+[ $((SCATTERS_AFTER - SCATTERS_BEFORE)) -eq 1 ] \
+  || { echo "cluster_smoke: one-shot query scattered $((SCATTERS_AFTER - SCATTERS_BEFORE)) times, want 1 (one per final-round fetch)" >&2; exit 1; }
 
 # A replica holds one slice, so it refuses what only the whole corpus can
 # answer, naming the router; it describes the corpus exactly as the single

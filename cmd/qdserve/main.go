@@ -53,7 +53,6 @@ func main() {
 		dynamic  = flag.Bool("dynamic", false, "serve through the segmented online-ingest engine: POST /v1/images inserts, DELETE /v1/images/{id} tombstones, queries pin epoch snapshots (dynamic v4 archives enable this automatically)")
 		maxConc  = flag.Int("max-concurrent", 0, "admission control: searches executing at once (0 disables admission control)")
 		queueCap = flag.Int("queue-bound", 64, "admission control: requests waiting per endpoint before shedding with 503 overloaded")
-		coalesce = flag.Duration("coalesce-window", 0, "group concurrent same-node shard-search legs arriving within this window into one multi-query batch dispatch (0 disables)")
 		shedP99  = flag.Duration("shed-p99", 0, "p99 latency target for backpressure: while an endpoint's 1m p99 exceeds it, the effective queue bound shrinks to a quarter (0 disables)")
 	)
 	flag.Parse()
@@ -96,16 +95,14 @@ func main() {
 	srv.SetLogger(log)
 	srv.SetQueryTimeout(*queryTO)
 	srv.SetArchiveInfo(ld.version, ld.precision, ld.quantized)
-	if *maxConc > 0 || *coalesce > 0 {
+	if *maxConc > 0 {
 		srv.SetScheduler(server.SchedConfig{
 			MaxConcurrent: *maxConc,
 			QueueBound:    *queueCap,
-			Window:        *coalesce,
 			ShedP99:       *shedP99,
 		})
 		log.Info("scheduler enabled",
-			"max_concurrent", *maxConc, "queue_bound", *queueCap,
-			"coalesce_window", *coalesce, "shed_p99", *shedP99)
+			"max_concurrent", *maxConc, "queue_bound", *queueCap, "shed_p99", *shedP99)
 	}
 	if ld.rasters != nil {
 		srv.SetImages(ld.rasters)

@@ -5,8 +5,8 @@
 // targets), the segmented engine's shape (dynamic servers): epoch, segment
 // count, memtable rows, tombstone ratio, and compaction activity — and, when
 // the target runs the admission scheduler, the load-shedding state: queue
-// depth, shed counts, coalesced batches, and an [OVERLOAD] flag while load
-// is actively being refused.
+// depth, shed counts, and an [OVERLOAD] flag while load is actively being
+// refused.
 //
 // Usage:
 //
@@ -249,7 +249,7 @@ func digestRows(b *strings.Builder, rep obs.LatencyReport, window, indent string
 }
 
 // admissionLine renders the load-shedding view: a replica's scheduler state
-// (queue depth, inflight, shed counts, coalesced batches) or the router's
+// (queue depth, inflight, shed counts) or the router's
 // fleet-facing view (single-flight joins, shard sheds observed). Targets
 // without the scheduler metrics render nothing. The [OVERLOAD] flag fires
 // while load is actively being refused — sheds advanced since the previous
@@ -283,9 +283,8 @@ func admissionLine(b *strings.Builder, s, prev *sample) {
 	if overload {
 		flag = "  [OVERLOAD]"
 	}
-	fmt.Fprintf(b, "admission: queue %d, inflight %d, %d shed, %d queued-deadline, %d batches (%d coalesced queries)%s\n",
-		depth, gs["qd_sched_inflight"], sheds, ctrs["qd_sched_deadline_queued_total"],
-		ctrs["qd_sched_batches_total"], ctrs["qd_sched_batched_queries_total"], flag)
+	fmt.Fprintf(b, "admission: queue %d, inflight %d, %d shed, %d queued-deadline%s\n",
+		depth, gs["qd_sched_inflight"], sheds, ctrs["qd_sched_deadline_queued_total"], flag)
 }
 
 // render lays out one frame. prev (the previous sample) turns cumulative

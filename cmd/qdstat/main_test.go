@@ -149,7 +149,7 @@ func TestRenderDynamicEngineLine(t *testing.T) {
 }
 
 // TestRenderAdmissionLine pins the replica-side scheduler view: queue depth
-// and inflight gauges, shed/deadline/batch counters, and the [OVERLOAD] flag
+// and inflight gauges, shed/deadline counters, and the [OVERLOAD] flag
 // raised by a shed delta or a non-empty queue — and absent entirely on
 // replicas without a scheduler.
 func TestRenderAdmissionLine(t *testing.T) {
@@ -163,8 +163,6 @@ func TestRenderAdmissionLine(t *testing.T) {
 					"qd_http_requests_total":         10,
 					"qd_sched_shed_total":            sheds,
 					"qd_sched_deadline_queued_total": 2,
-					"qd_sched_batches_total":         30,
-					"qd_sched_batched_queries_total": 96,
 				},
 				Gauges: map[string]int64{
 					"qd_sched_queue_depth": depth,
@@ -174,7 +172,7 @@ func TestRenderAdmissionLine(t *testing.T) {
 		}
 	}
 	frame := render(mk(8, 0), mk(5, 0), "1m")
-	want := "admission: queue 0, inflight 4, 8 shed, 2 queued-deadline, 30 batches (96 coalesced queries)  [OVERLOAD]"
+	want := "admission: queue 0, inflight 4, 8 shed, 2 queued-deadline  [OVERLOAD]"
 	if !strings.Contains(frame, want) {
 		t.Fatalf("frame missing %q:\n%s", want, frame)
 	}

@@ -131,7 +131,7 @@ func (t *TreeKNN) Name() string { return "TreeKNN" }
 // Search runs a weighted global k-NN through the index.
 func (t *TreeKNN) Search(k int) []int {
 	// The error can only be the context's, and Background never cancels.
-	ns, _ := t.tree.KNNOne(context.Background(), t.tree.Root(), t.weights, t.query, k, t.acc, nil)
+	ns, _ := t.tree.KNNSearch(context.Background(), t.tree.Root(), t.weights, rstar.Query{Q: t.query, K: k, Acc: t.acc})
 	out := make([]int, len(ns))
 	for i, n := range ns {
 		out[i] = int(n.ID)

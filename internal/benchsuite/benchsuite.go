@@ -8,8 +8,7 @@
 // fast: the global k-NN read path with and without an Observer (the
 // zero-cost-when-nil contract) and at the paper's largest database size and
 // on unprunable embeddings (scale.go), opening a feedback session and its full
-// finalize fan-out, the SQ8 candidate selector's drain, the multi-query batch
-// kernels against M independent single-query sweeps (batch.go), the
+// finalize fan-out, the SQ8 candidate selector's drain, the
 // sliding-window digest's observe and rotate operations, a routed k-NN and
 // one-shot query through an in-process three-shard fleet (routed.go), and
 // one shard replica's search leg (shardleg.go).
@@ -106,10 +105,9 @@ func benchKNN(sys *qdcbir.System) func(b *testing.B, fix *fixture) {
 	}
 }
 
-// suite returns the benchmark list over the given fixture-backed systems
-// (the static list plus the generated multi-query batch curves, batch.go).
+// suite returns the benchmark list over the given fixture-backed systems.
 func suite(fix *fixture) []entry {
-	es := []entry{
+	return []entry{
 		{"BenchmarkSystemKNNObserver/none", benchKNN(fix.plain)},
 		{"BenchmarkSystemKNNObserver/live", benchKNN(fix.observed)},
 		{"BenchmarkSystemKNNScan/exact", benchKNN(fix.plain)},
@@ -142,7 +140,6 @@ func suite(fix *fixture) []entry {
 		{"BenchmarkShardLeg/f32-leaf", benchShardLeg(legShape{rows: 20000, dim: embedDim, clustered: true, f32: true, leaf: true})},
 		{"BenchmarkShardLeg/f64-37d", benchShardLeg(legShape{rows: 50000, dim: featureDim, clustered: true})},
 	}
-	return append(es, batchEntries()...)
 }
 
 // benchSessionOpen prices starting a feedback session, which every hosted

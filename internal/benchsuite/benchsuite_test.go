@@ -85,54 +85,6 @@ func TestRunFilteredKernels(t *testing.T) {
 	}
 }
 
-// TestRunFilteredBatchKernels runs one width of the multi-query batch curves
-// (coalesced and serial, all three modes) fixture-free and checks each pair
-// is present with usable numbers — the regression harness's hook on the
-// batching speedup (the full M sweep is priced in CI and BENCH_batch.json).
-func TestRunFilteredBatchKernels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark suite run (seconds) skipped in -short")
-	}
-	var lines []string
-	f, err := Run(Options{Filter: `LeafScanMulti(Serial)?/(f64|f32|sq8)/m=4$`}, func(format string, args ...any) {
-		lines = append(lines, format)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"BenchmarkLeafScanMulti/f64/m=4":       false,
-		"BenchmarkLeafScanMultiSerial/f64/m=4": false,
-		"BenchmarkLeafScanMulti/f32/m=4":       false,
-		"BenchmarkLeafScanMultiSerial/f32/m=4": false,
-		"BenchmarkLeafScanMulti/sq8/m=4":       false,
-		"BenchmarkLeafScanMultiSerial/sq8/m=4": false,
-	}
-	if len(f.Benchmarks) != len(want) {
-		t.Fatalf("filtered suite ran %d benchmarks, want %d", len(f.Benchmarks), len(want))
-	}
-	for _, b := range f.Benchmarks {
-		if _, ok := want[b.Name]; !ok {
-			t.Errorf("unexpected benchmark %q", b.Name)
-			continue
-		}
-		want[b.Name] = true
-		if b.Result == nil || b.Result.NsPerOp <= 0 {
-			t.Errorf("%s: no result recorded: %+v", b.Name, b.Result)
-		}
-	}
-	for name, ran := range want {
-		if !ran {
-			t.Errorf("%s missing from the run", name)
-		}
-	}
-	for _, l := range lines {
-		if strings.Contains(l, "corpus") {
-			t.Errorf("batch-kernel filter still built the corpus")
-		}
-	}
-}
-
 // TestRunFilteredRouted boots the in-process fleet behind both routed
 // benchmarks (a non-200 fails the benchmark, and so this test) and checks
 // each reports time and allocations, fixture-free.

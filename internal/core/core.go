@@ -25,7 +25,6 @@ import (
 
 	"qdcbir/internal/disk"
 	"qdcbir/internal/obs"
-	"qdcbir/internal/par"
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/vec"
@@ -685,26 +684,20 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 		subs[i].Lo, subs[i].Hi = l.search.Rows()
 	}
 
-	// The first fetch runs the subqueries on the engine's worker pool, each
-	// recording its node accesses in a private trace. The traces are then
-	// replayed into finalIO in group order, so results AND simulated I/O
-	// counts are identical at every Parallelism setting.
-	//
-	// Subqueries whose boundary-expanded search areas resolved to the SAME
-	// node sweep identical leaves, so they are laid out as one contiguous run
-	// of queries and answered by one KNNSearch call, amortizing every
-	// leaf-block load across the run. A run is bit-identical per subquery to
-	// independent calls — results, stats, and recorder traces alike — so
-	// grouping changes throughput only; a run of one is the plain search.
-	// Top-up searches run one at a time, straight into finalIO.
-	recorders := make([]*disk.Recorder, len(subs))
-	slot := make([]int, len(subs)) // subquery i is queries[slot[i]]
+	// Every fetch answers its requests on the engine's worker pool, one
+	// KNNSearch per request. The first fetch's subqueries each record their
+	// node accesses in a private trace; the traces are then replayed into
+	// finalIO in final order, so results AND simulated I/O counts are
+	// identical at every Parallelism setting. A top-up search reports
+	// straight into finalIO. Per-subquery state is indexed by group: a group
+	// has one subquery.
+	recorders := make([]disk.Recorder, len(locals))
 	var sqStats []rstar.SearchStats
 	var sqDur, sqOff []int64
 	if o != nil {
-		sqStats = make([]rstar.SearchStats, len(subs))
-		sqDur = make([]int64, len(subs))
-		sqOff = make([]int64, len(subs))
+		sqStats = make([]rstar.SearchStats, len(locals))
+		sqDur = make([]int64, len(locals))
+		sqOff = make([]int64, len(locals))
 	}
 	var mergeStart time.Time
 	var mergeOffsetNS int64
@@ -712,88 +705,49 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 	var topupSt *rstar.SearchStats
 	tree := eng.rfs.Tree()
 	first := true
+	each := FetchEach(eng.cfg.Parallelism, func(ctx context.Context, r Request) ([]rstar.Neighbor, error) {
+		l, g := &locals[r.Group], r.Group
+		if !first {
+			return tree.KNNSearch(ctx, l.search, weights, rstar.Query{Q: l.centroid, K: r.Want, Acc: finalIO, Stats: topupSt})
+		}
+		q := rstar.Query{Q: l.centroid, K: r.Want, Acc: &recorders[g]}
+		if o == nil {
+			return tree.KNNSearch(ctx, l.search, weights, q)
+		}
+		q.Stats = &sqStats[g]
+		sqOff[g] = trace.SinceStart()
+		start := time.Now()
+		ns, err := tree.KNNSearch(ctx, l.search, weights, q)
+		sqDur[g] = time.Since(start).Nanoseconds()
+		return ns, err
+	})
 	fetch := func(ctx context.Context, reqs []Request) ([][]rstar.Neighbor, error) {
 		if !first {
-			l := &locals[reqs[0].Group]
-			more, err := tree.KNNOne(ctx, l.search, weights, l.centroid, reqs[0].Want, finalIO, topupSt)
-			return [][]rstar.Neighbor{more}, err
+			return each(ctx, reqs)
 		}
-		first = false
-		type run struct {
-			search *rstar.Node
-			lo, hi int // the run is queries[lo:hi]
-		}
-		var runs []run
-		queries := make([]rstar.Query, 0, len(reqs))
-		for i := range slot {
-			slot[i] = -1
-		}
-		for i := range reqs {
-			if slot[i] >= 0 {
-				continue // already placed in an earlier subquery's run
-			}
-			r := run{search: locals[reqs[i].Group].search, lo: len(queries)}
-			for j := i; j < len(reqs); j++ {
-				l := &locals[reqs[j].Group]
-				if l.search != r.search {
-					continue
-				}
-				slot[j] = len(queries)
-				recorders[j] = &disk.Recorder{}
-				q := rstar.Query{Q: l.centroid, K: reqs[j].Want, Acc: recorders[j]}
-				if o != nil {
-					q.Stats = &sqStats[j]
-				}
-				queries = append(queries, q)
-			}
-			r.hi = len(queries)
-			runs = append(runs, r)
-		}
-		runSubqueries := func() error {
-			return par.Do(ctx, len(runs), eng.cfg.Parallelism, func(ri int) error {
-				r := runs[ri]
-				var start time.Time
-				if o != nil {
-					for s := r.lo; s < r.hi; s++ {
-						sqOff[s] = trace.SinceStart()
-					}
-					start = time.Now()
-				}
-				if err := tree.KNNSearch(ctx, r.search, weights, queries[r.lo:r.hi]); err != nil {
-					return err
-				}
-				if o != nil {
-					for s := r.lo; s < r.hi; s++ {
-						sqDur[s] = time.Since(start).Nanoseconds()
-					}
-				}
-				return nil
-			})
-		}
+		var lists [][]rstar.Neighbor
+		var err error
 		if o != nil {
 			// Tag the subquery pool so CPU profiles attribute samples to the
 			// finalize fan-out. pprof.Do costs a goroutine-label swap, so it is
 			// gated on the observer like every other instrumentation point.
-			inner := runSubqueries
-			runSubqueries = func() (err error) {
-				pprof.Do(ctx, pprof.Labels("phase", "subquery"), func(context.Context) {
-					err = inner()
-				})
-				return err
-			}
+			pprof.Do(ctx, pprof.Labels("phase", "subquery"), func(context.Context) {
+				lists, err = each(ctx, reqs)
+			})
+		} else {
+			lists, err = each(ctx, reqs)
 		}
-		if err := runSubqueries(); err != nil {
+		if err != nil {
 			return nil, err
 		}
+		first = false
 		if o != nil {
 			mergeOffsetNS = trace.SinceStart()
 			mergeStart = time.Now()
 			topupSt = &topupStats
 		}
-		lists := make([][]rstar.Neighbor, len(reqs))
-		for i := range reqs {
-			recorders[i].Replay(finalIO)
-			lists[i] = queries[slot[i]].Result
+		for _, r := range reqs {
+			recorders[r.Group].Replay(finalIO)
 		}
 		return lists, nil
 	}
@@ -821,24 +775,25 @@ func finalizeGroups(ctx context.Context, eng *Engine, relevant []rstar.ItemID, a
 			MergeNS:         time.Since(mergeStart).Nanoseconds(),
 			DurationNS:      time.Since(t0).Nanoseconds(),
 		}
-		for i, sq := range subs {
-			l := &locals[sq.Group]
-			span.HeapPops += sqStats[i].HeapPops
-			span.RerankFallbacks += sqStats[i].RerankFallbacks
+		for _, sq := range subs {
+			g := sq.Group
+			l, st := &locals[g], &sqStats[g]
+			span.HeapPops += st.HeapPops
+			span.RerankFallbacks += st.RerankFallbacks
 			span.Subspans = append(span.Subspans, obs.SubquerySpan{
 				Node:            uint64(l.node.ID()),
-				OffsetNS:        sqOff[slot[i]],
+				OffsetNS:        sqOff[g],
 				QueryImages:     len(l.ids),
 				Allocated:       sq.Alloc,
 				Expanded:        l.search != l.node,
-				HeapPops:        sqStats[i].HeapPops,
-				NodesRead:       sqStats[i].NodesRead,
-				PageAccesses:    uint64(len(recorders[i].Trace())),
-				Quantized:       sqStats[i].CodesScanned > 0,
-				CodesScanned:    sqStats[i].CodesScanned,
-				Reranked:        sqStats[i].Reranked,
-				RerankFallbacks: sqStats[i].RerankFallbacks,
-				DurationNS:      sqDur[slot[i]],
+				HeapPops:        st.HeapPops,
+				NodesRead:       st.NodesRead,
+				PageAccesses:    uint64(len(recorders[g].Trace())),
+				Quantized:       st.CodesScanned > 0,
+				CodesScanned:    st.CodesScanned,
+				Reranked:        st.Reranked,
+				RerankFallbacks: st.RerankFallbacks,
+				DurationNS:      sqDur[g],
 			})
 		}
 		o.FinalizeDone(trace, span)

@@ -19,14 +19,7 @@ package rstar
 // descent's order; the descent stops at its float32 radius widened by the
 // narrowing errors. A subtree search (KNNSearch) is the forest of one, whose
 // selection IDs are its ItemIDs; KNNForest is the same loop over several.
-//
-// It is written for M queries over the same forest: each runs its own
-// descent as a coroutine — private queue, selector, accounter and effort
-// counters, exactly the operation sequence it would perform alone — and
-// SUSPENDS when it pops a leaf. Once every query is suspended or finished,
-// the driver groups the suspended ones by leaf and scores each leaf once for
-// all its visitors. With M = 1 every group has one visitor, which is the
-// plain single-query search.
+// A descent answers one query.
 
 import (
 	"context"
@@ -95,8 +88,7 @@ func (r *root) item(it Item) Item {
 	return it
 }
 
-// forest is what every query of one descend call searches: its roots, all of
-// one dim, and the stop rule they share. Either every root scores in float32
+// forest is what one descend call searches: its roots, all of one dim, and the stop rule they share. Either every root scores in float32
 // or none does; f32Err is then the largest root's narrowing error, which
 // widens the forest's stop key the most.
 type forest struct {
@@ -284,8 +276,7 @@ func (ts *treeState) limit(qz *store.Quantized, radiusSq float64) int32 {
 	return ts.codeLimit
 }
 
-// descent is one query's private search state. pending marks a popped leaf,
-// of the root at, whose scoring is deferred to the driver.
+// descent is one query's search state.
 type descent struct {
 	pq    nodePQ
 	sel   selector
@@ -299,10 +290,6 @@ type descent struct {
 	q32Err float64
 
 	pops, nodes, items, reranked, codes uint64
-
-	pending *Node
-	at      int
-	done    bool
 }
 
 // tightened moves the stop key after the selector's radius changed.
@@ -310,12 +297,10 @@ func (d *descent) tightened(f *forest) {
 	d.stopSq = f.stop(d.sel.radiusSq, d.q32Err)
 }
 
-// takeBlock resumes a descent suspended on a leaf with the leaf's exact block
-// scores: rows beyond the radius, and skipped rows, are dropped unseen by the
-// selector.
-func (d *descent) takeBlock(f *forest, distSq []float64) {
-	r, skip := &f.roots[d.at], d.trees[d.at].skip
-	items := d.pending.items
+// takeBlock offers the exact block scores of a leaf of root t: rows beyond
+// the radius, and skipped rows, are dropped unseen by the selector.
+func (d *descent) takeBlock(f *forest, t int, items []Item, distSq []float64) {
+	r, skip := &f.roots[t], d.trees[t].skip
 	d.items += uint64(len(items))
 	for i, sq := range distSq {
 		if sq > d.sel.radiusSq || skip.Get(int(items[i].ID)) {
@@ -325,15 +310,13 @@ func (d *descent) takeBlock(f *forest, distSq []float64) {
 			d.tightened(f)
 		}
 	}
-	d.pending = nil
 }
 
 // takeBlock32 is takeBlock for the float32 scorer: the leaf's float32 kernel
 // values are offered widened, which keeps their order, and a NaN value is
 // never taken. Each radius change moves the stop key with it.
-func (d *descent) takeBlock32(f *forest, distSq []float32) {
-	r, skip := &f.roots[d.at], d.trees[d.at].skip
-	items := d.pending.items
+func (d *descent) takeBlock32(f *forest, t int, items []Item, distSq []float32) {
+	r, skip := &f.roots[t], d.trees[t].skip
 	d.items += uint64(len(items))
 	for i, sq := range distSq {
 		if !(float64(sq) <= d.sel.radiusSq) || skip.Get(int(items[i].ID)) {
@@ -343,14 +326,13 @@ func (d *descent) takeBlock32(f *forest, distSq []float32) {
 			d.tightened(f)
 		}
 	}
-	d.pending = nil
 }
 
-// takeCodes resumes a descent suspended on a leaf with the leaf's SQ8 code
-// distances: only rows the bracket cannot place outside the radius are
-// scored exactly — vec.SqL2's bits on the slab row, the value the block
-// kernel produces — and the code-space limit follows the radius as it
-// tightens. A skipped row is not scored at all.
+// takeCodes filters a leaf of root t by its SQ8 code distances: only rows
+// the bracket cannot place outside the radius are scored exactly — vec.SqL2's
+// bits on the slab row, the value the block kernel produces — and the
+// code-space limit follows the radius as it tightens. A skipped row is not
+// scored at all.
 //
 // Rows are scored four at a time: the next four the current limit admits go
 // through vec.SqL2x4 together. The limit only tightens (the radius only
@@ -360,10 +342,9 @@ func (d *descent) takeBlock32(f *forest, distSq []float32) {
 // before it is counted and offered. The rows counted, the offers and the
 // limit's every step are therefore the sequential loop's; a row the re-test
 // drops cost one lane of work and nothing else.
-func (d *descent) takeCodes(f *forest, q vec.Vector, raw []int32) {
-	r, ts := &f.roots[d.at], &d.trees[d.at]
+func (d *descent) takeCodes(f *forest, t int, items []Item, q vec.Vector, raw []int32) {
+	r, ts := &f.roots[t], &d.trees[t]
 	qz := r.m.quant
-	items := d.pending.items
 	d.codes += uint64(len(items))
 	limit := ts.limit(qz, d.sel.radiusSq)
 	var at [4]int
@@ -399,41 +380,74 @@ func (d *descent) takeCodes(f *forest, q vec.Vector, raw []int32) {
 			}
 		}
 	}
-	d.pending = nil
 }
 
 // descentScratch is the pooled working memory of one descend call, so a
-// steady-state search allocates nothing but its result slices — at M = 1 as
-// at any other M, over one root as over several.
+// steady-state search allocates nothing but its result slice, over one root
+// as over several.
 type descentScratch struct {
 	roots   []root // a KNNForest call's roots
-	ds      []descent
-	waiting []int     // queries suspended on a leaf this round
-	group   []int     // the visitors of one leaf
-	qbuf    []float64 // a group's query vectors, packed for the multi kernel
+	d       descent
+	qcodes  []uint8   // the query's code row in every root (SQ8)
+	q32     []float32 // the query's float32 narrowing
 	dists   []float64 // kernel output
-	qcodes  []uint8   // every query's code row in every root (SQ8)
-	cbuf    []uint8   // a group's code rows, packed for the multi kernel
 	raw     []int32   // code kernel output
 	bounds  []float64 // an opened node's children's MINDISTs
-	q32s    []float32 // every query's float32 narrowing
-	q32buf  []float32 // a group's narrowed queries, packed for the multi kernel
 	dists32 []float32 // float32 kernel output
 }
 
 var descentPool = sync.Pool{New: func() interface{} { return new(descentScratch) }}
 
-// advance runs one query's best-first loop until it completes or pops a
-// leaf, which is left in d.pending with its access already charged. An
-// opened internal node bounds its children from its box in one kernel pass
-// and pushes them in order. Under the float32 scorer a node beyond its own
-// root's stop key, narrower than the forest's, is dropped unopened.
-func (f *forest) advance(ctx context.Context, sc *descentScratch, q *Query, d *descent) error {
+// descend answers q over f, offering it the pre-scored rows before the
+// descent starts. The best-first loop pops nodes until the nearest unopened
+// one lies beyond the stop key. An opened internal node bounds its children
+// from its box in one kernel pass and pushes them in order; a popped leaf is
+// scored by its root's leaf scorer. Under the float32 scorer a node beyond
+// its own root's stop key, narrower than the forest's, is dropped unopened.
+func (f *forest) descend(ctx context.Context, sc *descentScratch, rows []Scored, q Query) ([]Neighbor, error) {
+	if q.K <= 0 {
+		return nil, nil
+	}
+	dim, nr := f.dim, len(f.roots)
+	d := &sc.d
+	*d = descent{pq: d.pq[:0], sel: selector{k: q.K, h: d.sel.h[:0], radiusSq: math.Inf(1)},
+		trees: grown(d.trees, nr), stopSq: math.Inf(1)}
+	if f.f32 {
+		sc.q32 = vec.Narrow32(q.Q, sc.q32)
+		d.q32, d.q32Err = sc.q32, narrowErr(q.Q, sc.q32)
+	}
+	for _, p := range rows {
+		if p.DistSq <= d.sel.radiusSq {
+			d.sel.offer(p.DistSq, Item{ID: p.ID})
+		}
+	}
+	d.tightened(f)
+	sc.qcodes = grown(sc.qcodes, nr*dim)
+	for t := range f.roots {
+		r := &f.roots[t]
+		ts := &d.trees[t]
+		*ts = treeState{skip: r.skip, limitAt: math.Inf(1), codeLimit: math.MaxInt32}
+		if ts.skip == nil {
+			ts.skip = q.Skip
+		}
+		if r.m.quant != nil {
+			// A NaN query defeats the bracket (its decode error is NaN): it
+			// keeps a nil code row and scores every leaf exactly.
+			lo := t * dim
+			code, qErr := r.m.quant.EncodeQuery(q.Q, sc.qcodes[lo:lo+dim:lo+dim])
+			if !math.IsNaN(qErr) {
+				ts.code, ts.qErr = code, qErr
+			} else if q.Stats != nil {
+				q.Stats.RerankFallbacks++
+			}
+		}
+		d.pq.push(nodeEntry{distSq: r.m.bound(r.n.rect, q.Q), node: r.n, tree: t})
+	}
 	acc := q.accounter()
 	for len(d.pq) > 0 {
 		if d.pops%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		e := d.pq.pop()
@@ -448,8 +462,8 @@ func (f *forest) advance(ctx context.Context, sc *descentScratch, q *Query, d *d
 		acc.Access(e.node.id)
 		d.nodes++
 		if e.node.leaf {
-			d.pending, d.at = e.node, e.tree
-			return nil
+			f.scoreLeaf(sc, d, e.tree, e.node, q.Q)
+			continue
 		}
 		kids := e.node.children
 		sc.bounds = grown(sc.bounds, len(kids))
@@ -458,189 +472,35 @@ func (f *forest) advance(ctx context.Context, sc *descentScratch, q *Query, d *d
 			d.pq.push(nodeEntry{distSq: sc.bounds[i], node: c, tree: e.tree})
 		}
 	}
-	d.done = true
-	return nil
+	if st := q.Stats; st != nil {
+		st.HeapPops += d.pops
+		st.NodesRead += d.nodes
+		st.ItemsScored += d.items
+		st.CodesScanned += d.codes
+		st.Reranked += d.reranked
+	}
+	return d.sel.drain(), nil
 }
 
-// descend answers qs over f, offering every query the pre-scored rows before
-// its descent starts.
-func (f *forest) descend(ctx context.Context, sc *descentScratch, rows []Scored, qs []Query) error {
-	dim, nr := f.dim, len(f.roots)
-	sc.ds = grown(sc.ds, len(qs))
-	ds := sc.ds
-	sc.qcodes = grown(sc.qcodes, len(qs)*nr*dim)
-	if f.f32 {
-		sc.q32s = grown(sc.q32s, len(qs)*dim)
-	}
-	for j := range qs {
-		d := &ds[j]
-		*d = descent{pq: d.pq[:0], sel: selector{k: qs[j].K, h: d.sel.h[:0], radiusSq: math.Inf(1)},
-			trees: grown(d.trees, nr), stopSq: math.Inf(1)}
-		if qs[j].K <= 0 {
-			d.done = true
-			continue
-		}
-		if f.f32 {
-			d.q32 = vec.Narrow32(qs[j].Q, sc.q32s[j*dim:(j+1)*dim:(j+1)*dim])
-			d.q32Err = narrowErr(qs[j].Q, d.q32)
-		}
-		for _, p := range rows {
-			if p.DistSq <= d.sel.radiusSq {
-				d.sel.offer(p.DistSq, Item{ID: p.ID})
-			}
-		}
-		d.tightened(f)
-		for t := range f.roots {
-			r := &f.roots[t]
-			ts := &d.trees[t]
-			*ts = treeState{skip: r.skip, limitAt: math.Inf(1), codeLimit: math.MaxInt32}
-			if ts.skip == nil {
-				ts.skip = qs[j].Skip
-			}
-			if r.m.quant != nil {
-				// A NaN query defeats the bracket (its decode error is NaN): it
-				// keeps a nil code row and scores every leaf exactly.
-				lo := (j*nr + t) * dim
-				code, qErr := r.m.quant.EncodeQuery(qs[j].Q, sc.qcodes[lo:lo+dim:lo+dim])
-				if !math.IsNaN(qErr) {
-					ts.code, ts.qErr = code, qErr
-				} else if st := qs[j].Stats; st != nil {
-					st.RerankFallbacks++
-				}
-			}
-			d.pq.push(nodeEntry{distSq: r.m.bound(r.n.rect, qs[j].Q), node: r.n, tree: t})
-		}
-	}
-	for {
-		waiting := sc.waiting[:0]
-		for j := range ds {
-			d := &ds[j]
-			if d.done {
-				continue
-			}
-			if err := f.advance(ctx, sc, &qs[j], d); err != nil {
-				return err
-			}
-			if !d.done {
-				waiting = append(waiting, j)
-			}
-		}
-		sc.waiting = waiting
-		if len(waiting) == 0 {
-			break
-		}
-		for i, j := range waiting {
-			leaf := ds[j].pending
-			if leaf == nil {
-				continue // scored with an earlier visitor of the same leaf
-			}
-			r := &f.roots[ds[j].at]
-			coded := ds[j].trees[ds[j].at].code != nil
-			group := sc.group[:0]
-			for _, v := range waiting[i:] {
-				if ds[v].pending == leaf && (ds[v].trees[ds[v].at].code != nil) == coded {
-					group = append(group, v)
-				}
-			}
-			sc.group = group
-			switch {
-			case r.m.fslab != nil:
-				f.scoreLeaf32(sc, r, leaf, ds, group)
-			case coded:
-				f.filterLeaf(sc, r, leaf, qs, ds, group)
-			default:
-				f.scoreLeaf(sc, r, leaf, qs, ds, group)
-			}
-		}
-	}
-	for j := range ds {
-		d := &ds[j]
-		if qs[j].K <= 0 {
-			continue
-		}
-		qs[j].Result = d.sel.drain()
-		if st := qs[j].Stats; st != nil {
-			st.HeapPops += d.pops
-			st.NodesRead += d.nodes
-			st.ItemsScored += d.items
-			st.CodesScanned += d.codes
-			st.Reranked += d.reranked
-		}
-	}
-	return nil
-}
-
-// scoreLeaf scores leaf's block exactly for the queries in group, all
-// suspended on it, and resumes them. Several visitors share one pass over the
-// block through the multi-query kernel; a lone visitor — always the case at
-// M = 1 — takes the single-query kernel, as does every visitor under the
-// weighted metric, which has no multi-query kernel.
-func (f *forest) scoreLeaf(sc *descentScratch, r *root, leaf *Node, qs []Query, ds []descent, group []int) {
-	rows := len(leaf.items)
-	g := len(group)
-	if g == 1 || r.m.weights != nil {
+// scoreLeaf scores a popped leaf of root t under that root's leaf scorer:
+// the float32 kernel over the leaf's rows of the float32 mirror, the SQ8
+// filter in front of the exact rows when the query has a code row there, or
+// the exact (or weighted) float64 block kernel.
+func (f *forest) scoreLeaf(sc *descentScratch, d *descent, t int, leaf *Node, q vec.Vector) {
+	r := &f.roots[t]
+	rows, dim := len(leaf.items), f.dim
+	switch code := d.trees[t].code; {
+	case r.m.fslab != nil:
+		sc.dists32 = grown(sc.dists32, rows)
+		vec.SquaredDistsTo32(d.q32, r.m.fslab[leaf.qlo*dim:leaf.qhi*dim], sc.dists32)
+		d.takeBlock32(f, t, leaf.items, sc.dists32)
+	case code != nil:
+		sc.raw = grown(sc.raw, rows)
+		vec.Uint8SquaredDistsTo(code, r.t.qcodes[leaf.qlo*dim:leaf.qhi*dim], sc.raw)
+		d.takeCodes(f, t, leaf.items, q, sc.raw)
+	default:
 		sc.dists = grown(sc.dists, rows)
-		for _, j := range group {
-			r.m.block(qs[j].Q, leaf.block, sc.dists)
-			ds[j].takeBlock(f, sc.dists)
-		}
-		return
-	}
-	dim := f.dim
-	sc.qbuf = grown(sc.qbuf, g*dim)
-	for gi, j := range group {
-		copy(sc.qbuf[gi*dim:(gi+1)*dim], qs[j].Q)
-	}
-	sc.dists = grown(sc.dists, g*rows)
-	vec.SquaredDistsToMulti(sc.qbuf, g, leaf.block, sc.dists)
-	for gi, j := range group {
-		ds[j].takeBlock(f, sc.dists[gi*rows:(gi+1)*rows])
-	}
-}
-
-// filterLeaf is scoreLeaf for visitors behind the SQ8 filter: one pass over
-// the leaf's code rows gives every visitor its code distances, and each then
-// scores exactly the rows its own radius cannot exclude.
-func (f *forest) filterLeaf(sc *descentScratch, r *root, leaf *Node, qs []Query, ds []descent, group []int) {
-	rows := len(leaf.items)
-	g := len(group)
-	dim := f.dim
-	codes := r.t.qcodes[leaf.qlo*dim : leaf.qhi*dim]
-	sc.raw = grown(sc.raw, g*rows)
-	if g == 1 {
-		j := group[0]
-		vec.Uint8SquaredDistsTo(ds[j].trees[ds[j].at].code, codes, sc.raw)
-	} else {
-		sc.cbuf = grown(sc.cbuf, g*dim)
-		for gi, j := range group {
-			copy(sc.cbuf[gi*dim:(gi+1)*dim], ds[j].trees[ds[j].at].code)
-		}
-		vec.Uint8SquaredDistsToMulti(sc.cbuf, g, codes, sc.raw)
-	}
-	for gi, j := range group {
-		ds[j].takeCodes(f, qs[j].Q, sc.raw[gi*rows:(gi+1)*rows])
-	}
-}
-
-// scoreLeaf32 is scoreLeaf for the float32 scorer: the leaf's rows of the
-// float32 mirror are scored against every visitor's narrowed query, in one
-// pass through the multi-query kernel when there are several.
-func (f *forest) scoreLeaf32(sc *descentScratch, r *root, leaf *Node, ds []descent, group []int) {
-	rows := len(leaf.items)
-	g := len(group)
-	dim := f.dim
-	block := r.m.fslab[leaf.qlo*dim : leaf.qhi*dim]
-	sc.dists32 = grown(sc.dists32, g*rows)
-	if g == 1 {
-		vec.SquaredDistsTo32(ds[group[0]].q32, block, sc.dists32)
-	} else {
-		sc.q32buf = grown(sc.q32buf, g*dim)
-		for gi, j := range group {
-			copy(sc.q32buf[gi*dim:(gi+1)*dim], ds[j].q32)
-		}
-		vec.SquaredDistsToMulti32(sc.q32buf, g, block, sc.dists32)
-	}
-	for gi, j := range group {
-		ds[j].takeBlock32(f, sc.dists32[gi*rows:(gi+1)*rows])
+		r.m.block(q, leaf.block, sc.dists)
+		d.takeBlock(f, t, leaf.items, sc.dists)
 	}
 }

@@ -90,7 +90,7 @@ func TestKNNF32MatchesBruteForce(t *testing.T) {
 			for _, root := range roots {
 				for _, k := range []int{1, 5, root.Len() + 3, tr.Len() + 1} {
 					var st SearchStats
-					got, err := tr.KNNOne(context.Background(), root, nil, q, k, nil, &st)
+					got, err := tr.KNNSearch(context.Background(), root, nil, Query{Q: q, K: k, Stats: &st})
 					if err != nil {
 						t.Fatalf("seed %d: %v", tc.seed, err)
 					}
@@ -165,7 +165,7 @@ func TestInstallScorerOneWay(t *testing.T) {
 		t.Fatalf("narrowing an SQ8 tree: err=%v, installed %v", err, sq8.Float32Scoring())
 	}
 	var st SearchStats
-	got, err := sq8.KNNOne(context.Background(), sq8.Root(), nil, q, 9, nil, &st)
+	got, err := sq8.KNNSearch(context.Background(), sq8.Root(), nil, Query{Q: q, K: 9, Stats: &st})
 	if err != nil || st.CodesScanned == 0 {
 		t.Fatalf("SQ8 KNN: err=%v, %d code rows scanned", err, st.CodesScanned)
 	}

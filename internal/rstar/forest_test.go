@@ -165,11 +165,11 @@ func FuzzKNNForest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs := []Query{{Q: q, K: k, Skip: roots[0].Skip, Stats: &searchSt}}
-		if err := tr.KNNSearch(context.Background(), tr.Root(), weights, qs); err != nil {
+		alone, err := tr.KNNSearch(context.Background(), tr.Root(), weights, Query{Q: q, K: k, Skip: roots[0].Skip, Stats: &searchSt})
+		if err != nil {
 			t.Fatal(err)
 		}
-		sameNeighbors(t, mode+"/forest-of-one", one, qs[0].Result)
+		sameNeighbors(t, mode+"/forest-of-one", one, alone)
 		if oneSt != searchSt {
 			t.Fatalf("%s: the forest of one spent %+v, KNNSearch %+v", mode, oneSt, searchSt)
 		}
@@ -195,10 +195,10 @@ func TestKNNForestRejects(t *testing.T) {
 	}
 }
 
-// BenchmarkKNNOneSQ8 is the one-tree SQ8 search at the embedded workload's
+// BenchmarkKNNSearchSQ8 is the one-tree SQ8 search at the embedded workload's
 // scale: 50,000 clustered 37-d rows, a capacity-100 tree, k = 50, queries
 // near indexed rows.
-func BenchmarkKNNOneSQ8(b *testing.B) {
+func BenchmarkKNNSearchSQ8(b *testing.B) {
 	const n, dim, clusters, k = 50000, 37, 1000, 50
 	rng := rand.New(rand.NewSource(4))
 	centers := randPoints(rng, clusters, dim, 1)
@@ -221,7 +221,7 @@ func BenchmarkKNNOneSQ8(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.KNNOne(ctx, tr.Root(), nil, qs[i%len(qs)], k, nil, nil); err != nil {
+		if _, err := tr.KNNSearch(ctx, tr.Root(), nil, Query{Q: qs[i%len(qs)], K: k}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,12 +54,12 @@ func TestKNNQuantMatchesExact(t *testing.T) {
 			}
 			for ri, root := range roots {
 				for _, k := range []int{1, 5, root.Len() + 3} {
-					exact, err := exactTr.KNNOne(context.Background(), exactRoots[ri], nil, q, k, nil, nil)
+					exact, err := exactTr.KNNSearch(context.Background(), exactRoots[ri], nil, Query{Q: q, K: k})
 					if err != nil {
 						t.Fatalf("exact: %v", err)
 					}
 					var st SearchStats
-					quant, err := tr.KNNOne(context.Background(), root, nil, q, k, nil, &st)
+					quant, err := tr.KNNSearch(context.Background(), root, nil, Query{Q: q, K: k, Stats: &st})
 					if err != nil {
 						t.Fatalf("quant: %v", err)
 					}
@@ -95,7 +95,7 @@ func TestKNNQuantUncleanCorpusFallsBack(t *testing.T) {
 	q := vec.Vector{0.1, -0.2, 0.3}
 	exact := scorerTree(t, "f64", smallCfg, pts, 8).KNN(q, 5, nil)
 	var st SearchStats
-	quant, err := tr.KNNOne(context.Background(), tr.Root(), nil, q, 5, nil, &st)
+	quant, err := tr.KNNSearch(context.Background(), tr.Root(), nil, Query{Q: q, K: 5, Stats: &st})
 	if err != nil {
 		t.Fatalf("quant: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestKNNQuantRerankFallback(t *testing.T) {
 	q := vec.Vector{0, 5e-4}
 	exact := scorerTree(t, "f64", smallCfg, pts, 8).KNN(q, 4, nil)
 	var st SearchStats
-	quant, err := tr.KNNOne(context.Background(), tr.Root(), nil, q, 4, nil, &st)
+	quant, err := tr.KNNSearch(context.Background(), tr.Root(), nil, Query{Q: q, K: 4, Stats: &st})
 	if err != nil {
 		t.Fatalf("quant: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestKNNQuantCancellation(t *testing.T) {
 	tr := scorerTree(t, "sq8", smallCfg, pts, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.KNNOne(ctx, tr.Root(), nil, pts[0], 5, nil, nil); err == nil {
+	if _, err := tr.KNNSearch(ctx, tr.Root(), nil, Query{Q: pts[0], K: 5}); err == nil {
 		t.Fatal("cancelled search returned no error")
 	}
 }

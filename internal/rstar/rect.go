@@ -147,12 +147,13 @@ func (r Rect) Center() vec.Vector {
 
 // Diagonal returns the Euclidean length of r's main diagonal. The RFS
 // boundary test (§3.3) divides a point's distance from the node centre by
-// this value.
+// this value. Each product is rounded before it is summed (float64(...), as
+// in vec), so no platform fuses it into a multiply-add.
 func (r Rect) Diagonal() float64 {
 	var s float64
 	for i := range r.Min {
 		d := r.Max[i] - r.Min[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }
@@ -163,12 +164,13 @@ func (r Rect) Diagonal() float64 {
 func (r Rect) MinDistSq(p vec.Vector) float64 { return vec.MinDistSq(p, r.Min, r.Max) }
 
 // centerDistSq returns the squared distance between the centers of r and o;
-// used by forced reinsertion to order entries.
+// used by forced reinsertion to order entries. Products are rounded as in
+// Diagonal.
 func (r Rect) centerDistSq(o Rect) float64 {
 	var s float64
 	for i := range r.Min {
-		d := (r.Min[i]+r.Max[i])/2 - (o.Min[i]+o.Max[i])/2
-		s += d * d
+		d := float64((r.Min[i]+r.Max[i])/2) - float64((o.Min[i]+o.Max[i])/2)
+		s += float64(d * d)
 	}
 	return s
 }

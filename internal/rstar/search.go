@@ -52,24 +52,21 @@ func grown[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// Query is one k-NN search of a KNNSearch call: the query point, how many
-// neighbours to return, the ItemIDs it must pass over (Skip), and where its
-// node accesses (Acc) and effort counters (Stats) go — any of the three may
-// be nil. The search stores the neighbours in Result, ordered by ascending
-// distance with ties broken by ItemID; K <= 0 leaves Result nil.
+// Query is one k-NN search: the query point, how many neighbours to return,
+// the ItemIDs it must pass over (Skip), and where its node accesses (Acc)
+// and effort counters (Stats) go — any of the three may be nil.
 //
 // A row whose ItemID is in Skip is neither returned nor let set the pruning
-// radius: Result is exactly the K nearest unskipped rows, and the descent
+// radius: the answer is exactly the K nearest unskipped rows, and the descent
 // prunes at the K-th of those. The set is read-only for the search and must
 // not change while it runs (the segmented engine's tombstone sets are
 // copy-on-write, so a snapshot's set never does).
 type Query struct {
-	Q      vec.Vector
-	K      int
-	Skip   *bitset.Set
-	Acc    disk.Accounter
-	Stats  *SearchStats
-	Result []Neighbor
+	Q     vec.Vector
+	K     int
+	Skip  *bitset.Set
+	Acc   disk.Accounter
+	Stats *SearchStats
 }
 
 // accounter returns the query's accounter, or a no-op when it has none.
@@ -93,29 +90,17 @@ func (t *Tree) KNN(q vec.Vector, k int, acc disk.Accounter) []Neighbor {
 // computations of §3.3: each final subquery searches only its own subcluster
 // (or, after boundary expansion, an ancestor's subtree).
 func (t *Tree) KNNFrom(n *Node, q vec.Vector, k int, acc disk.Accounter) []Neighbor {
-	ns, _ := t.KNNOne(context.Background(), n, nil, q, k, acc, nil)
+	ns, _ := t.KNNSearch(context.Background(), n, nil, Query{Q: q, K: k, Acc: acc})
 	return ns
 }
 
-// KNNOne is KNNSearch for a single query: M = 1 is not a separate code path,
-// only a one-element batch.
-func (t *Tree) KNNOne(ctx context.Context, n *Node, weights vec.Vector, q vec.Vector, k int, acc disk.Accounter, st *SearchStats) ([]Neighbor, error) {
-	qs := [1]Query{{Q: q, K: k, Acc: acc, Stats: st}}
-	err := t.KNNSearch(ctx, n, weights, qs[:])
-	return qs[0].Result, err
-}
-
-// KNNSearch is the tree's one k-NN search: it answers every query in qs over
-// the subtree rooted at n and stores each answer in its Query's Result.
-// Running queries together only shares work — a leaf wanted by several of
-// them is loaded once and scored through the multi-query kernels, which are
-// bit-identical per query to the single-query kernels — so each query's
-// Result, Stats deltas and Acc trace are exactly what it would get searching
-// alone: callers batch or not on load, never on semantics.
+// KNNSearch is the tree's one k-NN search: it answers q over the subtree
+// rooted at n with its q.K nearest rows, ordered by ascending distance with
+// ties broken by ItemID; q.K <= 0 returns nil.
 //
-// Each query passes over the rows in its Skip set inside the descent (see
+// The query passes over the rows in its Skip set inside the descent (see
 // Query), so it prunes at its K-th unskipped distance however much of the
-// subtree is skipped; queries with and without a Skip set batch together.
+// subtree is skipped.
 //
 // Rows are scored by the tree's installed leaf scorer: exact float64, the SQ8
 // row filter in front of it (same bits), or the float32 mirror (a distinct
@@ -127,21 +112,18 @@ func (t *Tree) KNNOne(ctx context.Context, n *Node, weights vec.Vector, q vec.Ve
 // (quant.go).
 //
 // The search polls ctx as it runs and returns ctx.Err() once it sees the
-// context done; Results and Stats are then unspecified. A search that ran to
-// completion returns nil whatever the context's state afterwards.
-func (t *Tree) KNNSearch(ctx context.Context, n *Node, weights vec.Vector, qs []Query) error {
-	for j := range qs {
-		qs[j].Result = nil
-	}
+// context done; q.Stats is then unspecified. A search that ran to completion
+// returns a nil error whatever the context's state afterwards.
+func (t *Tree) KNNSearch(ctx context.Context, n *Node, weights vec.Vector, q Query) ([]Neighbor, error) {
 	if n == nil || n.Len() == 0 {
-		return nil
+		return nil, nil
 	}
 	m := t.metric(weights)
 	roots := [1]root{{t: t, n: n, m: m}}
 	f := forest{roots: roots[:], dim: t.dim, f32: m.fslab != nil, f32Err: m.rowErr}
 	sc := descentPool.Get().(*descentScratch)
 	defer descentPool.Put(sc)
-	return f.descend(ctx, sc, nil, qs)
+	return f.descend(ctx, sc, nil, q)
 }
 
 // metric returns the leaf scorer a search of t runs under weights.
@@ -177,8 +159,8 @@ type Scored struct {
 }
 
 // KNNForest answers q over several trees at once, as if one tree held all
-// their unskipped rows under their global IDs plus the pre-scored rows:
-// q.Result is the q.K smallest of them under (squared distance, global ID),
+// their unskipped rows under their global IDs plus the pre-scored rows: the
+// answer is the q.K smallest of them under (squared distance, global ID),
 // ordered as KNNSearch orders a result, with global IDs in Neighbor.ID and a
 // nil Point for a pre-scored row. It is KNNSearch's one descent with every
 // root in its queue: each tree keeps its own leaf scorer, stop rule, Skip set
@@ -212,10 +194,7 @@ func KNNForest(ctx context.Context, roots []Root, weights vec.Vector, rows []Sco
 		sc.roots = append(sc.roots, root{t: r.Tree, n: n, m: m, skip: r.Skip, ids: r.IDs})
 	}
 	f.roots = sc.roots
-	qs := [1]Query{q}
-	qs[0].Result = nil
-	err := f.descend(ctx, sc, rows, qs[:])
-	return qs[0].Result, err
+	return f.descend(ctx, sc, rows, q)
 }
 
 // neighborLess is the documented result order: ascending (Dist, ID). IDs are

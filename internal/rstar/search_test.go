@@ -58,7 +58,7 @@ func searchModes(weights vec.Vector) []searchMode {
 	return []searchMode{{"f64", "f64", nil}, {"weighted", "f64", weights}, {"f32", "f32", nil}, {"sq8", "sq8", nil}}
 }
 
-func batchQueries(rng *rand.Rand, pts []vec.Vector, m, dim int, scale float64) []vec.Vector {
+func testQueries(rng *rand.Rand, pts []vec.Vector, m, dim int, scale float64) []vec.Vector {
 	qs := make([]vec.Vector, m)
 	for i := range qs {
 		switch i % 3 {
@@ -96,24 +96,15 @@ func sameNeighbors(t *testing.T, label string, got, want []Neighbor) {
 	}
 }
 
-func sameStats(t *testing.T, label string, got, want SearchStats) {
-	t.Helper()
-	if got.HeapPops != want.HeapPops || got.NodesRead != want.NodesRead ||
-		got.ItemsScored != want.ItemsScored || got.CodesScanned != want.CodesScanned ||
-		got.Reranked != want.Reranked || got.RerankFallbacks != want.RerankFallbacks {
-		t.Fatalf("%s: stats diverge: batch %+v single %+v", label, got, want)
-	}
-}
-
 func sameTrace(t *testing.T, label string, got, want *disk.Recorder) {
 	t.Helper()
 	g, w := got.Trace(), want.Trace()
 	if len(g) != len(w) {
-		t.Fatalf("%s: trace length %d batch, %d single", label, len(g), len(w))
+		t.Fatalf("%s: trace length %d, want %d", label, len(g), len(w))
 	}
 	for i := range w {
 		if g[i] != w[i] {
-			t.Fatalf("%s: trace[%d] = %d batch, %d single", label, i, g[i], w[i])
+			t.Fatalf("%s: trace[%d] = %d, want %d", label, i, g[i], w[i])
 		}
 	}
 }
@@ -202,9 +193,9 @@ func degenerateCorpus(rng *rand.Rand) searchCorpus {
 // at a time: each row tested against the limit, scored with vec.SqL2 and
 // offered, one after another. It is the reference the batched loop's effort
 // counts and selector evolution are pinned against.
-func (d *descent) takeCodesSequential(f *forest, q vec.Vector, raw []int32) {
-	r, ts := &f.roots[d.at], &d.trees[d.at]
-	items := d.pending.items
+func (d *descent) takeCodesSequential(f *forest, leaf *Node, q vec.Vector, raw []int32) {
+	r, ts := &f.roots[0], &d.trees[0]
+	items := leaf.items
 	d.codes += uint64(len(items))
 	for i, c := range raw {
 		if c > ts.limit(r.m.quant, d.sel.radiusSq) || ts.skip.Get(int(items[i].ID)) {
@@ -219,11 +210,10 @@ func (d *descent) takeCodesSequential(f *forest, q vec.Vector, raw []int32) {
 			d.tightened(f)
 		}
 	}
-	d.pending = nil
 }
 
 // checkSequentialRerank runs one finite query's SQ8 descent of n, passing
-// over the rows in skip, to the end with every leaf resumed through
+// over the rows in skip, to the end with every leaf filtered through
 // takeCodesSequential, and requires the search's own effort counters (st,
 // from a search behind the filter) and answer (got) to be that loop's.
 func checkSequentialRerank(t *testing.T, label string, tr *Tree, n *Node, q vec.Vector, k int, skip *bitset.Set, st SearchStats, got []Neighbor) {
@@ -234,19 +224,22 @@ func checkSequentialRerank(t *testing.T, label string, tr *Tree, n *Node, q vec.
 	d := descent{sel: selector{k: k, radiusSq: math.Inf(1)}, stopSq: math.Inf(1),
 		trees: []treeState{{skip: skip, code: code, qErr: qErr, codeLimit: math.MaxInt32, limitAt: math.Inf(1)}}}
 	d.pq.push(nodeEntry{distSq: m.bound(n.rect, q), node: n})
-	sc := new(descentScratch)
-	query := Query{Q: q, K: k}
-	for {
-		if err := f.advance(context.Background(), sc, &query, &d); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if d.done {
+	for len(d.pq) > 0 {
+		e := d.pq.pop()
+		if e.distSq > d.stopSq {
 			break
 		}
-		leaf := d.pending
-		raw := make([]int32, len(leaf.items))
-		vec.Uint8SquaredDistsTo(code, tr.qcodes[leaf.qlo*tr.dim:leaf.qhi*tr.dim], raw)
-		d.takeCodesSequential(&f, q, raw)
+		if leaf := e.node; leaf.leaf {
+			raw := make([]int32, len(leaf.items))
+			vec.Uint8SquaredDistsTo(code, tr.qcodes[leaf.qlo*tr.dim:leaf.qhi*tr.dim], raw)
+			d.takeCodesSequential(&f, leaf, q, raw)
+			continue
+		}
+		bounds := make([]float64, len(e.node.children))
+		m.bounds(q, e.node.box, bounds)
+		for i, c := range e.node.children {
+			d.pq.push(nodeEntry{distSq: bounds[i], node: c})
+		}
 	}
 	if st.ItemsScored != d.items || st.Reranked != d.items || st.CodesScanned != d.codes {
 		t.Fatalf("%s: scored %d (reranked %d) of %d code rows, the sequential loop %d of %d",
@@ -309,18 +302,15 @@ func skipSet(rng *rand.Rand, kind int, tr *Tree, n *Node, q vec.Vector, ids int)
 // TestKNNSearchMatchesOracle is the search's one equivalence table. From
 // each corpus it builds one STR tree per leaf scorer (f64, SQ8, f32) and one
 // insertion-built tree, and searches every tree unweighted and weighted
-// (weights score in float64 whatever the tree holds) × batch width × subtree
-// level × k × Skip set (skipKinds). Per query, an M-wide KNNSearch must give
-// exactly the Result, SearchStats deltas and accounter trace of the same
-// query searched alone, and the Result must be the linear-scan oracle's over
-// the rows outside its Skip set. From M = 2 on, the batch's last query
-// repeats its first at the same point, one with a Skip set and one without,
-// so the two share every leaf they pop.
+// (weights score in float64 whatever the tree holds) × subtree level × k ×
+// Skip set (skipKinds) × query, a NaN query among them. Each answer must be
+// the linear-scan oracle's over the rows outside its Skip set. The last query
+// repeats the first at the same point, one with a Skip set and one without.
 //
-// At M = 1 and 16 each SQ8 batch is also replayed on the f64 tree: per
-// query, the trace, HeapPops, NodesRead and Result must be the f64 tree's.
-// Every finite SQ8 search's ItemsScored/Reranked must be the sequential
-// rerank loop's (checkSequentialRerank).
+// Every SQ8 search is also replayed on the f64 tree: the trace, HeapPops,
+// NodesRead and answer must be the f64 tree's. Every finite SQ8 search's
+// ItemsScored/Reranked must be the sequential rerank loop's
+// (checkSequentialRerank).
 func TestKNNSearchMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, corpus := range []searchCorpus{duplicatedCorpus(rng), degenerateCorpus(rng)} {
@@ -351,89 +341,64 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 				for si, subName := range []string{"root", "internal", "leaf"} {
 					sub := subs[si]
 					rows := len(itemsInSubtree(sub, nil))
-					for _, m := range []int{1, 2, 5, 16} {
-						label := fmt.Sprintf("%s/%s/%s/m=%d", corpus.name, mode, subName, m)
-						points := batchQueries(rng, corpus.pts, m, corpus.dim, corpus.scale)
-						if m >= 5 {
-							// A NaN query inside the batch: under SQ8 it alone
-							// takes the exact descent.
-							points[3] = points[3].Clone()
-							points[3][0] = math.NaN()
+					const nq = 16
+					points := testQueries(rng, corpus.pts, nq, corpus.dim, corpus.scale)
+					// A NaN query: under SQ8 it takes the exact descent.
+					points[3] = points[3].Clone()
+					points[3][0] = math.NaN()
+					kinds := make([]int, nq)
+					for i := range kinds {
+						kinds[i] = rng.Intn(len(skipKinds))
+					}
+					points[nq-1] = points[0]
+					kinds[0], kinds[nq-1] = 0, 1+rng.Intn(len(skipKinds)-1)
+					for i, p := range points {
+						l := fmt.Sprintf("%s/%s/%s/q%d/skip=%s", corpus.name, mode, subName, i, skipKinds[kinds[i]])
+						rec := &disk.Recorder{}
+						var st SearchStats
+						q := Query{
+							Q:     p,
+							K:     []int{1, 10, 0, rows + 3, -2}[i%5],
+							Skip:  skipSet(rng, kinds[i], tr, sub, p, len(corpus.pts)),
+							Acc:   rec,
+							Stats: &st,
 						}
-						kinds := make([]int, m)
-						for i := range kinds {
-							kinds[i] = rng.Intn(len(skipKinds))
+						got, err := tr.KNNSearch(context.Background(), sub, w, q)
+						if err != nil {
+							t.Fatalf("%s: %v", l, err)
 						}
-						if m >= 2 {
-							points[m-1] = points[0]
-							kinds[0], kinds[m-1] = 0, 1+rng.Intn(len(skipKinds)-1)
-						}
-						qs := make([]Query, m)
-						recs := make([]*disk.Recorder, m)
-						sts := make([]SearchStats, m)
-						for i := range qs {
-							recs[i] = &disk.Recorder{}
-							qs[i] = Query{
-								Q:     points[i],
-								K:     []int{1, 10, 0, rows + 3, -2}[(i+m)%5],
-								Skip:  skipSet(rng, kinds[i], tr, sub, points[i], len(corpus.pts)),
-								Acc:   recs[i],
-								Stats: &sts[i],
+						if name == "sq8" {
+							twinRec := &disk.Recorder{}
+							var twinSt SearchStats
+							twin, err := trees["f64"].KNNSearch(context.Background(), exactSubs[si], w,
+								Query{Q: q.Q, K: q.K, Skip: q.Skip, Acc: twinRec, Stats: &twinSt})
+							if err != nil {
+								t.Fatalf("%s: f64: %v", l, err)
 							}
-						}
-						if err := tr.KNNSearch(context.Background(), sub, w, qs); err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if name == "sq8" && (m == 1 || m == 16) {
-							twin := make([]Query, m)
-							twinRecs := make([]*disk.Recorder, m)
-							twinSts := make([]SearchStats, m)
-							for i, q := range qs {
-								twinRecs[i] = &disk.Recorder{}
-								twin[i] = Query{Q: q.Q, K: q.K, Skip: q.Skip, Acc: twinRecs[i], Stats: &twinSts[i]}
-							}
-							if err := trees["f64"].KNNSearch(context.Background(), exactSubs[si], w, twin); err != nil {
-								t.Fatalf("%s: f64: %v", label, err)
-							}
-							for i := range qs {
-								l := fmt.Sprintf("%s/q%d/f64", label, i)
-								sameNeighbors(t, l, qs[i].Result, twin[i].Result)
-								sameTrace(t, l, recs[i], twinRecs[i])
-								if sts[i].HeapPops != twinSts[i].HeapPops || sts[i].NodesRead != twinSts[i].NodesRead {
-									t.Fatalf("%s: %d pops and %d nodes read, f64 %d and %d", l,
-										sts[i].HeapPops, sts[i].NodesRead, twinSts[i].HeapPops, twinSts[i].NodesRead)
-								}
+							sameNeighbors(t, l+"/f64", got, twin)
+							sameTrace(t, l+"/f64", rec, twinRec)
+							if st.HeapPops != twinSt.HeapPops || st.NodesRead != twinSt.NodesRead {
+								t.Fatalf("%s: %d pops and %d nodes read, f64 %d and %d", l,
+									st.HeapPops, st.NodesRead, twinSt.HeapPops, twinSt.NodesRead)
 							}
 						}
-						for i, q := range qs {
-							l := fmt.Sprintf("%s/q%d/skip=%s", label, i, skipKinds[kinds[i]])
-							rec := &disk.Recorder{}
-							var st SearchStats
-							alone := [1]Query{{Q: q.Q, K: q.K, Skip: q.Skip, Acc: rec, Stats: &st}}
-							if err := tr.KNNSearch(context.Background(), sub, w, alone[:]); err != nil {
-								t.Fatalf("%s: alone: %v", l, err)
-							}
-							sameNeighbors(t, l, q.Result, alone[0].Result)
-							sameStats(t, l, sts[i], st)
-							sameTrace(t, l, recs[i], rec)
-							if math.IsNaN(q.Q[0]) {
-								continue // no order to check a NaN query's answer against
-							}
-							if name == "sq8" && w == nil && q.K > 0 {
-								checkSequentialRerank(t, l, tr, sub, q.Q, q.K, q.Skip, st, alone[0].Result)
-							}
-							// A skipped row's code is scanned but the row is never
-							// scored, so only a search without a Skip set measures
-							// the filter.
-							if q.Skip == nil && st.Reranked < st.CodesScanned {
-								filtered = true
-								if corpus.name == "code-degenerate" {
-									t.Errorf("%s: the filter excluded %d of %d code rows that carry no information",
-										l, st.CodesScanned-st.Reranked, st.CodesScanned)
-								}
-							}
-							sameNeighbors(t, l+"/oracle", alone[0].Result, oracleKNN(tr, sub, w, q.Q, q.K, q.Skip))
+						if math.IsNaN(q.Q[0]) {
+							continue // no order to check a NaN query's answer against
 						}
+						if name == "sq8" && w == nil && q.K > 0 {
+							checkSequentialRerank(t, l, tr, sub, q.Q, q.K, q.Skip, st, got)
+						}
+						// A skipped row's code is scanned but the row is never
+						// scored, so only a search without a Skip set measures
+						// the filter.
+						if q.Skip == nil && st.Reranked < st.CodesScanned {
+							filtered = true
+							if corpus.name == "code-degenerate" {
+								t.Errorf("%s: the filter excluded %d of %d code rows that carry no information",
+									l, st.CodesScanned-st.Reranked, st.CodesScanned)
+							}
+						}
+						sameNeighbors(t, l+"/oracle", got, oracleKNN(tr, sub, w, q.Q, q.K, q.Skip))
 					}
 				}
 			}
@@ -448,9 +413,9 @@ func TestKNNSearchMatchesOracle(t *testing.T) {
 // points of 1 to 12 dimensions from seed (on a coarse grid when coarse is
 // set, so distances tie), a Skip bit per row read from skipBits (rows past
 // its end are kept), k from 0 to n + 2, and a scorer: f64, sq8, f32, an
-// insertion-built tree, or the weighted metric. The query searches in a
-// batch beside the same point without a Skip set; each Result must be the
-// oracle's k nearest over the rows it may return.
+// insertion-built tree, or the weighted metric. The query searches with its
+// Skip set and again without one; each answer must be the oracle's k
+// nearest over the rows it may return.
 func FuzzKNNSkip(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(7), uint16(10), uint8(0), false, []byte{0xff, 0x0f, 0x33, 0x80})
 	f.Add(int64(2), uint16(299), uint8(3), uint16(50), uint8(1), true, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -499,12 +464,13 @@ func FuzzKNNSkip(f *testing.F) {
 				q[j] += rng.NormFloat64()
 			}
 		}
-		qs := []Query{{Q: q, K: k, Skip: skip}, {Q: q, K: k}}
-		if err := tr.KNNSearch(context.Background(), tr.Root(), weights, qs); err != nil {
-			t.Fatal(err)
+		for _, sk := range []*bitset.Set{skip, nil} {
+			got, err := tr.KNNSearch(context.Background(), tr.Root(), weights, Query{Q: q, K: k, Skip: sk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameNeighbors(t, fmt.Sprintf("%s/skip=%v", name, sk != nil), got, oracleKNN(tr, tr.Root(), weights, q, k, sk))
 		}
-		sameNeighbors(t, name+"/skip", qs[0].Result, oracleKNN(tr, tr.Root(), weights, q, k, skip))
-		sameNeighbors(t, name+"/nil", qs[1].Result, oracleKNN(tr, tr.Root(), weights, q, k, nil))
 	})
 }
 
@@ -525,47 +491,41 @@ func (c *pollCtx) Err() error {
 
 // TestKNNSearchCompletedReturnsNil: a search that ran to completion returns
 // its results with a nil error even when the context lapses right after its
-// final in-loop poll — batched exactly as alone — while a context that lapses
-// AT the final poll still cancels it.
+// final in-loop poll, while a context that lapses AT the final poll still
+// cancels it.
 func TestKNNSearchCompletedReturnsNil(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	pts := randPoints(rng, 3000, 8, 10)
 	trees := scorerTrees(t, smallCfg, pts, 8)
 	for _, mode := range searchModes(vec.Vector{2, 1, 1, 0.5, 1, 1, 3, 1}) {
 		tr := trees[mode.scorer]
-		for _, m := range []int{1, 3} {
-			points := batchQueries(rng, pts, m, 8, 10)
-			run := func(live int) ([]Query, int, error) {
-				qs := make([]Query, m)
-				for i := range qs {
-					qs[i] = Query{Q: points[i], K: 7}
-				}
+		for i, q := range testQueries(rng, pts, 3, 8, 10) {
+			label := fmt.Sprintf("%s/q%d", mode.name, i)
+			run := func(live int) ([]Neighbor, int, error) {
 				ctx := &pollCtx{Context: context.Background(), live: live}
-				err := tr.KNNSearch(ctx, tr.Root(), mode.weights, qs)
-				return qs, ctx.calls, err
+				ns, err := tr.KNNSearch(ctx, tr.Root(), mode.weights, Query{Q: q, K: 7})
+				return ns, ctx.calls, err
 			}
 			want, polls, err := run(math.MaxInt)
 			if err != nil || polls == 0 {
-				t.Fatalf("%s m=%d: live context: %d polls, err=%v", mode.name, m, polls, err)
+				t.Fatalf("%s: live context: %d polls, err=%v", label, polls, err)
 			}
 			got, _, err := run(polls)
 			if err != nil {
-				t.Fatalf("%s m=%d: context lapsing after the final poll: err=%v, want nil", mode.name, m, err)
+				t.Fatalf("%s: context lapsing after the final poll: err=%v, want nil", label, err)
 			}
-			for i := range want {
-				sameNeighbors(t, mode.name, got[i].Result, want[i].Result)
-			}
+			sameNeighbors(t, label, got, want)
 			if _, _, err := run(polls - 1); err != context.Canceled {
-				t.Fatalf("%s m=%d: context lapsing at the final poll: err=%v, want Canceled", mode.name, m, err)
+				t.Fatalf("%s: context lapsing at the final poll: err=%v, want Canceled", label, err)
 			}
 		}
 	}
 }
 
-// TestKNNSearchAllocs pins the single-query search to its allocation budget
-// on a paper-shaped tree (5,000 × 37-d, k = 10): the result slice, in every
-// scan mode, without a Skip set and with one. Everything else is pooled, so
-// an edit that puts M = 1 on an unpooled path fails here.
+// TestKNNSearchAllocs pins the search to its allocation budget on a
+// paper-shaped tree (5,000 × 37-d, k = 10): the result slice, in every scan
+// mode, without a Skip set and with one. Everything else is pooled, so an
+// edit that puts the search on an unpooled path fails here.
 func TestKNNSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -588,10 +548,10 @@ func TestKNNSearchAllocs(t *testing.T) {
 		for _, skip := range []*bitset.Set{nil, everyThird} {
 			i := 0
 			got := testing.AllocsPerRun(200, func() {
-				qs := [1]Query{{Q: pts[i%n], K: k, Skip: skip}}
+				ns, err := tr.KNNSearch(context.Background(), tr.Root(), mode.weights, Query{Q: pts[i%n], K: k, Skip: skip})
 				i++
-				if err := tr.KNNSearch(context.Background(), tr.Root(), mode.weights, qs[:]); err != nil || len(qs[0].Result) != k {
-					t.Fatalf("%s: %d results, err=%v", mode.name, len(qs[0].Result), err)
+				if err != nil || len(ns) != k {
+					t.Fatalf("%s: %d results, err=%v", mode.name, len(ns), err)
 				}
 			})
 			if got > budget[mode.name] {
@@ -601,8 +561,8 @@ func TestKNNSearchAllocs(t *testing.T) {
 	}
 }
 
-// TestKNNSearchCancellation: a cancelled context aborts a batch in every scan
-// mode with the context's error.
+// TestKNNSearchCancellation: a cancelled context aborts a search in every
+// scan mode with the context's error.
 func TestKNNSearchCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pts := randPoints(rng, 500, 8, 10)
@@ -610,12 +570,11 @@ func TestKNNSearchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, mode := range searchModes(vec.Vector{2, 1, 1, 0.5, 1, 1, 3, 1}) {
-		qs := make([]Query, 4)
-		for i, q := range batchQueries(rng, pts, 4, 8, 10) {
-			qs[i] = Query{Q: q, K: 5}
-		}
-		if err := trees[mode.scorer].KNNSearch(ctx, trees[mode.scorer].Root(), mode.weights, qs); err != context.Canceled {
-			t.Fatalf("%s: expected context.Canceled, got %v", mode.name, err)
+		for _, q := range testQueries(rng, pts, 3, 8, 10) {
+			tr := trees[mode.scorer]
+			if _, err := tr.KNNSearch(ctx, tr.Root(), mode.weights, Query{Q: q, K: 5}); err != context.Canceled {
+				t.Fatalf("%s: expected context.Canceled, got %v", mode.name, err)
+			}
 		}
 	}
 }
@@ -632,12 +591,12 @@ func TestKNNSearchConcurrent(t *testing.T) {
 		weights[i] = math.Abs(weights[i])
 	}
 	modes := searchModes(weights)
-	points := batchQueries(rng, pts, 3, 16, 10)
+	points := testQueries(rng, pts, 3, 16, 10)
 	want := make([][][]Neighbor, len(modes))
 	for s, mode := range modes {
 		tr := trees[mode.scorer]
 		for _, q := range points {
-			ns, _ := tr.KNNOne(context.Background(), tr.Root(), mode.weights, q, 9, nil, nil)
+			ns, _ := tr.KNNSearch(context.Background(), tr.Root(), mode.weights, Query{Q: q, K: 9})
 			want[s] = append(want[s], ns)
 		}
 	}
@@ -646,19 +605,16 @@ func TestKNNSearchConcurrent(t *testing.T) {
 		go func(g int) {
 			for rep := 0; rep < 20; rep++ {
 				s := (g + rep) % len(modes)
-				qs := make([]Query, len(points))
-				for i, q := range points {
-					qs[i] = Query{Q: q, K: 9}
-				}
 				tr := trees[modes[s].scorer]
-				if err := tr.KNNSearch(context.Background(), tr.Root(), modes[s].weights, qs); err != nil {
-					errs <- err
-					return
-				}
-				for i := range qs {
-					same := len(qs[i].Result) == len(want[s][i])
+				for i, q := range points {
+					ns, err := tr.KNNSearch(context.Background(), tr.Root(), modes[s].weights, Query{Q: q, K: 9})
+					if err != nil {
+						errs <- err
+						return
+					}
+					same := len(ns) == len(want[s][i])
 					for r := 0; same && r < len(want[s][i]); r++ {
-						same = qs[i].Result[r].ID == want[s][i][r].ID
+						same = ns[r].ID == want[s][i][r].ID
 					}
 					if !same {
 						errs <- fmt.Errorf("goroutine %d %s query %d diverges from the serial answer", g, modes[s].name, i)
@@ -688,7 +644,7 @@ func TestKNNSearchHugeK(t *testing.T) {
 		for _, sub := range []*Node{tr.Root(), tr.Root().Children()[0]} {
 			rows := len(itemsInSubtree(sub, nil))
 			label := fmt.Sprintf("%s/rows=%d", mode.name, rows)
-			got, err := tr.KNNOne(context.Background(), sub, mode.weights, pts[3], 1<<40, nil, nil)
+			got, err := tr.KNNSearch(context.Background(), sub, mode.weights, Query{Q: pts[3], K: 1 << 40})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -726,7 +682,7 @@ func TestSQ8DescentReadsWhatExactReads(t *testing.T) {
 	})
 	var scanned, scored, nodes uint64
 	const searches = 300
-	for qi, q := range batchQueries(rng, pts, searches, dim, 40) {
+	for qi, q := range testQueries(rng, pts, searches, dim, 40) {
 		c := qi % len(tr.Root().Children())
 		for _, subs := range [][2]*Node{{tr.Root(), exactTr.Root()}, {tr.Root().Children()[c], exactTr.Root().Children()[c]}} {
 			sub := subs[0]
@@ -734,11 +690,11 @@ func TestSQ8DescentReadsWhatExactReads(t *testing.T) {
 			label := fmt.Sprintf("q%d/k=%d/node=%d", qi, k, sub.ID())
 			var exactRec, sq8Rec disk.Recorder
 			var exactSt, sq8St SearchStats
-			exact, err := exactTr.KNNOne(context.Background(), subs[1], nil, q, k, &exactRec, &exactSt)
+			exact, err := exactTr.KNNSearch(context.Background(), subs[1], nil, Query{Q: q, K: k, Acc: &exactRec, Stats: &exactSt})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sq8, err := tr.KNNOne(context.Background(), sub, nil, q, k, &sq8Rec, &sq8St)
+			sq8, err := tr.KNNSearch(context.Background(), sub, nil, Query{Q: q, K: k, Acc: &sq8Rec, Stats: &sq8St})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -819,7 +775,7 @@ func TestF32DescentReadsWhatExactReads(t *testing.T) {
 			}
 		})
 		var nodes, scored uint64
-		for qi, q := range batchQueries(rng, pts, searches, dim, 40) {
+		for qi, q := range testQueries(rng, pts, searches, dim, 40) {
 			c := qi % len(tr.Root().Children())
 			for _, subs := range [][2]*Node{{tr.Root(), exactTr.Root()}, {tr.Root().Children()[c], exactTr.Root().Children()[c]}} {
 				sub := subs[0]
@@ -827,10 +783,10 @@ func TestF32DescentReadsWhatExactReads(t *testing.T) {
 				label := fmt.Sprintf("native=%v/q%d/k=%d/node=%d", native, qi, k, sub.ID())
 				var exactRec, f32Rec disk.Recorder
 				var exactSt, f32St SearchStats
-				if _, err := exactTr.KNNOne(context.Background(), subs[1], nil, q, k, &exactRec, &exactSt); err != nil {
+				if _, err := exactTr.KNNSearch(context.Background(), subs[1], nil, Query{Q: q, K: k, Acc: &exactRec, Stats: &exactSt}); err != nil {
 					t.Fatal(err)
 				}
-				got, err := tr.KNNOne(context.Background(), sub, nil, q, k, &f32Rec, &f32St)
+				got, err := tr.KNNSearch(context.Background(), sub, nil, Query{Q: q, K: k, Acc: &f32Rec, Stats: &f32St})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -214,7 +214,7 @@ func TestKNNWeightedMatchesLinear(t *testing.T) {
 	w := vec.Vector{4, 0.25, 1, 2}
 	for trial := 0; trial < 10; trial++ {
 		q := randPoints(rng, 1, 4, 8)[0]
-		got, _ := tr.KNNOne(context.Background(), tr.Root(), w, q, 10, nil, nil)
+		got, _ := tr.KNNSearch(context.Background(), tr.Root(), w, Query{Q: q, K: 10})
 		// Linear reference under the weighted metric.
 		ds := make([]float64, len(pts))
 		for i, p := range pts {

@@ -25,7 +25,7 @@ func overRequestSearch(t *testing.T, sv segView, q vec.Vector, k int, st *rstar.
 		kk = sv.seg.len()
 	}
 	tree := sv.seg.rfs.Tree()
-	ns, err := tree.KNNOne(context.Background(), tree.Root(), nil, q, kk, nil, st)
+	ns, err := tree.KNNSearch(context.Background(), tree.Root(), nil, rstar.Query{Q: q, K: kk, Stats: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +175,12 @@ func perSegmentKNN(t *testing.T, s *Snapshot, q vec.Vector, k int, st *rstar.Sea
 			continue
 		}
 		tree := sv.seg.rfs.Tree()
-		qs := []rstar.Query{{Q: q, K: k, Skip: sv.tomb, Stats: st}}
-		if err := tree.KNNSearch(context.Background(), tree.Root(), nil, qs); err != nil {
+		ns, err := tree.KNNSearch(context.Background(), tree.Root(), nil, rstar.Query{Q: q, K: k, Skip: sv.tomb, Stats: st})
+		if err != nil {
 			t.Fatal(err)
 		}
 		var l []Neighbor
-		for _, n := range qs[0].Result {
+		for _, n := range ns {
 			l = append(l, Neighbor{ID: sv.seg.ids[int(n.ID)], Dist: n.Dist, DistSq: n.Dist * n.Dist})
 		}
 		lists = append(lists, l)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -12,7 +15,6 @@ import (
 
 	"qdcbir"
 	"qdcbir/internal/obs"
-	"qdcbir/internal/shard"
 )
 
 // newSchedServer builds a single-node server with the given scheduler config.
@@ -148,11 +150,13 @@ func TestSchedBackpressureShrinksQueue(t *testing.T) {
 	}
 }
 
-// TestSchedCoalescedShardSearch drives four concurrent shard-search legs at
-// the same topology node through a scheduler with a coalescing window and
-// demands (a) every leg's answer is bit-identical to a direct single-query
-// SearchNode, and (b) at least one multi-query batch dispatch happened.
-func TestSchedCoalescedShardSearch(t *testing.T) {
+// TestSchedShedShardFlood floods a shard replica whose only execution slot
+// is held (max-concurrent 1, queue-bound 0) with 20 concurrent weighted
+// shard searches: every one is shed as a 503 with Retry-After and code
+// "overloaded", qd_sched_shed_total reads 20, and once the slot is free the
+// replica answers a fresh search byte-identically to an unscheduled replica
+// of the same shard.
+func TestSchedShedShardFlood(t *testing.T) {
 	cfg := qdcbir.SmallConfig()
 	cfg.VectorMode = true
 	cfg.Images = 400
@@ -169,69 +173,87 @@ func TestSchedCoalescedShardSearch(t *testing.T) {
 	if err := archives[0].Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := qdcbir.OpenShard(&buf)
-	if err != nil {
-		t.Fatalf("OpenShard: %v", err)
-	}
-	srv := NewShard(rep, nil)
-	srv.SetScheduler(SchedConfig{
-		MaxConcurrent: 8,
-		QueueBound:    16,
-		Window:        2 * time.Second,
-		MaxBatch:      4,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	root := rep.Topo().RootID()
-	const m, k = 4, 10
-	queries := make([][]float64, m)
-	want := make([][]shard.Neighbor, m)
-	for j := 0; j < m; j++ {
-		queries[j] = sys.Corpus().Vectors[j*31+5]
-		ns, err := rep.SearchNode(context.Background(), root, queries[j], nil, k)
+	archive := buf.Bytes()
+	serve := func(sched bool) (*Server, *httptest.Server) {
+		rep, _, err := qdcbir.OpenShard(bytes.NewReader(archive))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("OpenShard: %v", err)
 		}
-		want[j] = ns
+		srv := NewShard(rep, nil)
+		if sched {
+			srv.SetScheduler(SchedConfig{MaxConcurrent: 1, QueueBound: 0})
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, ts
 	}
+	srv, ts := serve(true)
+	_, ref := serve(false)
 
-	got := make([]ShardSearchResponse, m)
-	errs := make([]error, m)
+	req := ShardSearchRequest{NodeID: srv.shard.Topo().RootID(), Query: sys.Corpus().Vectors[5], K: 10}
+	plain, _ := json.Marshal(req)
+	req.Weights = make([]float64, len(req.Query))
+	for i := range req.Weights {
+		req.Weights[i] = 1
+	}
+	weighted, _ := json.Marshal(req)
+
+	srv.sched.sem <- struct{}{} // hold the only execution slot
+	const flood = 20
 	var wg sync.WaitGroup
-	for j := 0; j < m; j++ {
+	errs := make([]error, flood)
+	for i := 0; i < flood; i++ {
 		wg.Add(1)
-		go func(j int) {
+		go func(i int) {
 			defer wg.Done()
-			body, _ := json.Marshal(ShardSearchRequest{NodeID: root, Query: queries[j], K: k})
-			resp, err := http.Post(ts.URL+"/v1/shard/search", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/shard/search", "application/json", bytes.NewReader(weighted))
 			if err != nil {
-				errs[j] = err
+				errs[i] = err
 				return
 			}
 			defer resp.Body.Close()
-			errs[j] = json.NewDecoder(resp.Body).Decode(&got[j])
-		}(j)
+			var e errorResponse
+			switch err := json.NewDecoder(resp.Body).Decode(&e); {
+			case resp.StatusCode != http.StatusServiceUnavailable:
+				errs[i] = fmt.Errorf("status %d, want 503", resp.StatusCode)
+			case resp.Header.Get("Retry-After") == "":
+				errs[i] = errors.New("503 without Retry-After")
+			case err != nil:
+				errs[i] = err
+			case e.Code != ErrCodeOverloaded:
+				errs[i] = fmt.Errorf("code %q, want %q", e.Code, ErrCodeOverloaded)
+			}
+		}(i)
 	}
 	wg.Wait()
-	for j := 0; j < m; j++ {
-		if errs[j] != nil {
-			t.Fatalf("leg %d: %v", j, errs[j])
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("flood request %d: %v", i, err)
 		}
-		if len(got[j].Neighbors) != len(want[j]) {
-			t.Fatalf("leg %d: %d neighbors, want %d", j, len(got[j].Neighbors), len(want[j]))
-		}
-		for i, n := range want[j] {
-			g := got[j].Neighbors[i]
-			if g.ID != n.ID || g.Dist != n.Dist {
-				t.Fatalf("leg %d rank %d: (%d, %v), want (%d, %v)", j, i, g.ID, g.Dist, n.ID, n.Dist)
+	}
+	if n := counterValue(srv, "qd_sched_shed_total"); n != flood {
+		t.Errorf("shed_total = %d, want %d", n, flood)
+	}
+	<-srv.sched.sem
+
+	for _, body := range [][]byte{plain, weighted} {
+		var got, want []byte
+		for _, c := range []struct {
+			url string
+			out *[]byte
+		}{{ts.URL, &got}, {ref.URL, &want}} {
+			resp, err := http.Post(c.url+"/v1/shard/search", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			*c.out, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("after the flood: status %d, err %v: %s", resp.StatusCode, err, *c.out)
 			}
 		}
-	}
-	if n := counterValue(srv, "qd_sched_batches_total"); n < 1 {
-		t.Errorf("batches_total = %d, want >= 1", n)
-	}
-	if n := counterValue(srv, "qd_sched_batched_queries_total"); n < 2 {
-		t.Errorf("batched_queries_total = %d, want >= 2", n)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("after the flood the scheduled replica answers\n%s\nan unscheduled one\n%s", got, want)
+		}
 	}
 }

@@ -107,8 +107,8 @@ type Server struct {
 	// tighten (never widen) it per request with the X-Qd-Deadline-Ms header.
 	queryTimeout time.Duration
 
-	// sched, when set, applies admission control to the search endpoints and
-	// coalesces concurrent shard-search legs (see SetScheduler in sched.go).
+	// sched, when set, applies admission control to the search endpoints
+	// (see SetScheduler in sched.go).
 	sched *scheduler
 
 	// Archive provenance, surfaced in /v1/buildinfo so operators (and the

@@ -162,17 +162,12 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	// A lone search may join a coalescing batch; a frame's searches run in
-	// order, each on a sweep of its own.
-	search := s.sched.searchShard
-	if len(f.Searches) > 1 {
-		search = searchLeg
-	}
+	// A frame's searches run in order, each on a sweep of its own.
 	rec := shardRecorder(r)
 	lists := make([][]NeighborJSON, len(f.Searches))
 	for i, sr := range f.Searches {
 		searchStart := time.Now()
-		ns, st, err := search(r.Context(), s.shard, sr.NodeID, vec.Vector(sr.Query), f.Weights, sr.K)
+		ns, st, err := s.shard.Sweep(r.Context(), sr.NodeID, vec.Vector(sr.Query), f.Weights, sr.K)
 		if err != nil {
 			writeQueryError(w, err)
 			return

@@ -217,59 +217,37 @@ type LegStats struct {
 // float64 path, exactly as weights passed to rstar.Tree.KNNSearch do on a
 // single node.
 func (r *Replica) SearchNode(ctx context.Context, nodeID uint64, q vec.Vector, weights []float64, k int) ([]Neighbor, error) {
-	out, err := r.Sweep(ctx, nodeID, []vec.Vector{q}, weights, []int{k}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	ns, _, err := r.Sweep(ctx, nodeID, q, weights, k)
+	return ns, err
 }
 
-// Sweep answers the k-NN searches qs restricted to the subtree rooted at
-// nodeID in one pass over the shard's rows: the code kernel reads each code
-// row once for all of them, and each query has its own bounded selector, so
-// per query the result is bit-identical to SearchNode, which is Sweep with
-// one query. Weights select the weighted float64 kernel and take one query;
-// they must pass vec.CheckWeights. When stats is non-nil, stats[j] receives
-// query j's sweep work.
-func (r *Replica) Sweep(ctx context.Context, nodeID uint64, qs []vec.Vector, weights []float64, ks []int, stats []LegStats) ([][]Neighbor, error) {
-	m := len(qs)
+// Sweep is SearchNode that also reports the search's sweep work. Weights
+// must pass vec.CheckWeights.
+func (r *Replica) Sweep(ctx context.Context, nodeID uint64, q vec.Vector, weights []float64, k int) ([]Neighbor, LegStats, error) {
 	if err := vec.CheckWeights(weights, r.dim); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
+		return nil, LegStats{}, fmt.Errorf("shard: %w", err)
 	}
-	switch {
-	case weights != nil && m != 1:
-		return nil, fmt.Errorf("shard: a weighted sweep takes one query, got %d", m)
-	case len(ks) != m:
-		return nil, fmt.Errorf("shard: %d queries but %d ks", m, len(ks))
-	case stats != nil && len(stats) != m:
-		return nil, fmt.Errorf("shard: %d queries but %d stats", m, len(stats))
+	if k <= 0 {
+		return nil, LegStats{}, fmt.Errorf("shard: invalid k=%d", k)
 	}
-	sels := make([]*topSelect, m)
-	for j, q := range qs {
-		if ks[j] <= 0 {
-			return nil, fmt.Errorf("shard: invalid k=%d", ks[j])
-		}
-		if len(q) != r.dim {
-			return nil, fmt.Errorf("shard: query dim %d != corpus dim %d", len(q), r.dim)
-		}
-		sels[j] = &topSelect{k: ks[j]}
+	if len(q) != r.dim {
+		return nil, LegStats{}, fmt.Errorf("shard: query dim %d != corpus dim %d", len(q), r.dim)
 	}
 	idx, ok := r.topo.IdxOf(nodeID)
 	if !ok {
-		return nil, fmt.Errorf("shard: unknown search node %d", nodeID)
+		return nil, LegStats{}, fmt.Errorf("shard: unknown search node %d", nodeID)
 	}
-	if lo, hi := r.ranges[idx][0], r.ranges[idx][1]; lo < hi && m > 0 {
+	sel := &topSelect{k: k}
+	var st LegStats
+	if lo, hi := r.ranges[idx][0], r.ranges[idx][1]; lo < hi {
 		sc := legPool.Get().(*legScratch)
 		defer legPool.Put(sc)
-		if err := r.sweep(ctx, sc, lo, hi, qs, weights, sels, stats); err != nil {
-			return nil, err
+		var err error
+		if st, err = r.sweep(ctx, sc, lo, hi, q, weights, sel); err != nil {
+			return nil, LegStats{}, err
 		}
 	}
-	out := make([][]Neighbor, m)
-	for j, sel := range sels {
-		out[j] = r.neighbors(sel)
-	}
-	return out, nil
+	return r.neighbors(sel), st, nil
 }
 
 // sweepChunk is the row count of one kernel call over a stored slab.
@@ -285,21 +263,16 @@ const sweepChunk = 1024
 const filterRowsPerResult = 8
 
 // legScratch is one Sweep's pooled working memory, so a steady-state leg
-// allocates only its selectors and result lists.
+// allocates only its selector and result list.
 type legScratch struct {
-	plain, coded []int     // query indices, by the path each takes
-	q32          []float32 // every query narrowed (float32 sweeps)
-	qw           []float64 // one narrowed query widened back, to encode it
-	codes        []uint8   // the coded queries' code rows, packed
-	qerr         []float64 // the coded queries' decode errors
-	raw          []int32   // code distances, query-major over the range
-	rawChunk     []int32   // one chunk's multi-query code distances
-	seeds        []uint64  // one query's nearest rows by code
-	pack32       []float32 // the plain queries, packed for the multi kernels
-	pack64       []float64
-	d32          []float32 // exact kernel output
-	d64          []float64
-	wide         []float64 // float32 rows widened for a float64 kernel
+	q32   []float32 // the query narrowed (float32 sweeps)
+	qw    []float64 // the narrowed query widened back, to encode it
+	codes []uint8   // the query's code row
+	raw   []int32   // code distances over the range
+	seeds []uint64  // the query's nearest rows by code
+	d32   []float32 // exact kernel output
+	d64   []float64
+	wide  []float64 // float32 rows widened for a float64 kernel
 }
 
 var legPool = sync.Pool{New: func() any { return new(legScratch) }}
@@ -325,154 +298,93 @@ func (r *Replica) widening(sc *legScratch) (rows int, buf []float64) {
 	return rows, sc.wide
 }
 
-// sweep scores qs over slab rows [lo,hi). A query the SQ8 bracket can act
-// on — unweighted, on a replica with codes, over more than
-// filterRowsPerResult·k rows, with a finite decode error — takes the filtered
-// sweep; the rest share one plain sweep of every row. Unweighted sweeps of an
-// f32 replica run the float32 kernels on the narrowed queries; the rest run
-// the float64 kernels, over float32 storage on rows widened a block at a time.
-func (r *Replica) sweep(ctx context.Context, sc *legScratch, lo, hi int, qs []vec.Vector, weights []float64, sels []*topSelect, stats []LegStats) error {
-	dim, m := r.dim, len(qs)
-	sc.plain, sc.coded, sc.qerr = sc.plain[:0], sc.coded[:0], sc.qerr[:0]
+// sweep scores q over slab rows [lo,hi) and returns its sweep work. A query
+// the SQ8 bracket can act on — unweighted, on a replica with codes, over
+// more than filterRowsPerResult·k rows, with a finite decode error — takes
+// the filtered sweep; any other takes the plain sweep of every row.
+// Unweighted sweeps of an f32 replica run the float32 kernels on the
+// narrowed query; the rest run the float64 kernels, over float32 storage on
+// rows widened a block at a time.
+func (r *Replica) sweep(ctx context.Context, sc *legScratch, lo, hi int, q vec.Vector, weights []float64, sel *topSelect) (LegStats, error) {
+	var q32 []float32
 	if r.f32 && weights == nil {
-		sc.q32 = grown(sc.q32, m*dim)
-		for j, q := range qs {
-			vec.Narrow32(q, sc.q32[j*dim:(j+1)*dim])
-		}
+		sc.q32 = vec.Narrow32(q, sc.q32)
+		q32 = sc.q32
 	}
-	if r.quant != nil && weights == nil {
-		sc.codes = grown(sc.codes, m*dim)
-	}
-	for j, q := range qs {
-		if r.quant == nil || weights != nil || hi-lo <= filterRowsPerResult*sels[j].k {
-			sc.plain = append(sc.plain, j)
-			continue
-		}
+	if r.quant != nil && weights == nil && hi-lo > filterRowsPerResult*sel.k {
 		// The code row encodes the query the kernel scores: at f32, its
 		// narrowing. A NaN or infinite decode error bounds nothing.
+		cq := q
 		if r.f32 {
-			sc.qw = vec.Widen64(sc.q32[j*dim:(j+1)*dim], sc.qw)
-			q = sc.qw
+			sc.qw = vec.Widen64(q32, sc.qw)
+			cq = sc.qw
 		}
-		g := len(sc.coded)
-		if _, qErr := r.quant.EncodeQuery(q, sc.codes[g*dim:(g+1)*dim]); qErr < math.Inf(1) {
-			sc.coded = append(sc.coded, j)
-			sc.qerr = append(sc.qerr, qErr)
-			continue
-		}
-		sc.plain = append(sc.plain, j)
-	}
-	if len(sc.plain) > 0 {
-		if err := r.scan(ctx, sc, lo, hi, qs, weights, sels); err != nil {
-			return err
-		}
-		for _, j := range sc.plain {
-			if stats != nil {
-				stats[j] = LegStats{Scored: hi - lo}
-			}
+		var qErr float64
+		if sc.codes, qErr = r.quant.EncodeQuery(cq, sc.codes); qErr < math.Inf(1) {
+			return r.filter(ctx, sc, lo, hi, q32, q, qErr, sel)
 		}
 	}
-	if len(sc.coded) > 0 {
-		return r.filter(ctx, sc, lo, hi, qs, sels, stats)
+	if err := r.scan(ctx, sc, lo, hi, q32, q, weights, sel); err != nil {
+		return LegStats{}, err
 	}
-	return nil
+	return LegStats{Scored: hi - lo}, nil
 }
 
-// scan is the plain sweep: every row of [lo,hi) scored against the queries
-// sc.plain a chunk at a time, one chunk load shared by all of them through
-// the multi-query kernels.
-func (r *Replica) scan(ctx context.Context, sc *legScratch, lo, hi int, qs []vec.Vector, weights []float64, sels []*topSelect) error {
-	js, dim, m := sc.plain, r.dim, len(sc.plain)
-	if r.f32 && weights == nil {
-		sc.pack32 = grown(sc.pack32, m*dim)
-		for g, j := range js {
-			copy(sc.pack32[g*dim:(g+1)*dim], sc.q32[j*dim:(j+1)*dim])
-		}
-		sc.d32 = grown(sc.d32, m*sweepChunk)
+// scan is the plain sweep: every row of [lo,hi) scored a chunk at a time,
+// by the float32 kernel on q32 when it is set and by the float64 (or
+// weighted) kernel on q otherwise.
+func (r *Replica) scan(ctx context.Context, sc *legScratch, lo, hi int, q32 []float32, q vec.Vector, weights []float64, sel *topSelect) error {
+	dim := r.dim
+	if q32 != nil {
+		sc.d32 = grown(sc.d32, sweepChunk)
 		for base := lo; base < hi; base += sweepChunk {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			end := min(base+sweepChunk, hi)
-			db, rows := sc.d32[:m*(end-base)], r.slab32[base*dim:end*dim]
-			if m == 1 {
-				vec.SquaredDistsTo32(sc.pack32, rows, db)
-			} else {
-				vec.SquaredDistsToMulti32(sc.pack32, m, rows, db)
-			}
-			admit(r, sels, js, base, end-base, db)
+			db := sc.d32[:end-base]
+			vec.SquaredDistsTo32(q32, r.slab32[base*dim:end*dim], db)
+			admit(r, sel, base, db)
 		}
 		return nil
 	}
-	qbuf := []float64(qs[js[0]])
-	if m > 1 {
-		sc.pack64 = grown(sc.pack64, m*dim)
-		for g, j := range js {
-			copy(sc.pack64[g*dim:(g+1)*dim], qs[j])
-		}
-		qbuf = sc.pack64
-	}
 	step, wide := r.widening(sc)
-	sc.d64 = grown(sc.d64, m*step)
+	sc.d64 = grown(sc.d64, step)
 	for base := lo; base < hi; base += step {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		end := min(base+step, hi)
-		db, rows := sc.d64[:m*(end-base)], r.rows64(base, end, wide)
+		db, rows := sc.d64[:end-base], r.rows64(base, end, wide)
 		if weights != nil {
-			vec.WeightedSquaredDistsTo(qbuf, vec.Vector(weights), rows, db)
+			vec.WeightedSquaredDistsTo(q, vec.Vector(weights), rows, db)
 		} else {
-			vec.SquaredDistsToMulti(qbuf, m, rows, db)
+			vec.SquaredDistsTo(q, rows, db)
 		}
-		admit(r, sels, js, base, end-base, db)
+		admit(r, sel, base, db)
 	}
 	return nil
 }
 
-// filter is the SQ8-filtered sweep of the queries sc.coded, whose code rows
-// and decode errors sweep has set: one pass of the code kernel over the
-// range's code rows — a byte per component where a float32 row has four —
-// gives every one of them its code distances, and refine then exact-scores
-// what each query's bracket cannot exclude.
-func (r *Replica) filter(ctx context.Context, sc *legScratch, lo, hi int, qs []vec.Vector, sels []*topSelect, stats []LegStats) error {
-	js, dim, m, n := sc.coded, r.dim, len(sc.coded), hi-lo
-	codes := sc.codes[:m*dim]
-	sc.raw = grown(sc.raw, m*n)
-	if m > 1 {
-		sc.rawChunk = grown(sc.rawChunk, m*sweepChunk)
-	}
+// filter is the SQ8-filtered sweep of a query whose code row sweep has left
+// in sc.codes, with decode error qErr: the code kernel over the range's code
+// rows — a byte per component where a float32 row has four — gives its code
+// distances, and refine then exact-scores what its bracket cannot exclude.
+func (r *Replica) filter(ctx context.Context, sc *legScratch, lo, hi int, q32 []float32, q vec.Vector, qErr float64, sel *topSelect) (LegStats, error) {
+	n := hi - lo
+	sc.raw = grown(sc.raw, n)
 	for base := lo; base < hi; base += sweepChunk {
 		if err := ctx.Err(); err != nil {
-			return err
+			return LegStats{}, err
 		}
 		end := min(base+sweepChunk, hi)
-		block := r.quant.Block(base, end)
-		if m == 1 {
-			vec.Uint8SquaredDistsTo(codes, block, sc.raw[base-lo:end-lo])
-			continue
-		}
-		c := end - base
-		out := sc.rawChunk[:m*c]
-		vec.Uint8SquaredDistsToMulti(codes, m, block, out)
-		for g := 0; g < m; g++ {
-			copy(sc.raw[g*n+base-lo:], out[g*c:(g+1)*c])
-		}
+		vec.Uint8SquaredDistsTo(sc.codes, r.quant.Block(base, end), sc.raw[base-lo:end-lo])
 	}
-	for g, j := range js {
-		var q32 []float32
-		if r.f32 {
-			q32 = sc.q32[j*dim : (j+1)*dim]
-		}
-		scored, err := r.refine(ctx, sc, lo, sc.raw[g*n:(g+1)*n], q32, qs[j], sc.qerr[g], sels[j])
-		if err != nil {
-			return err
-		}
-		if stats != nil {
-			stats[j] = LegStats{Scanned: n, Scored: scored}
-		}
+	scored, err := r.refine(ctx, sc, lo, sc.raw, q32, q, qErr, sel)
+	if err != nil {
+		return LegStats{}, err
 	}
-	return nil
+	return LegStats{Scanned: n, Scored: scored}, nil
 }
 
 // refine exact-scores one query's rows of the range that starts at slab row
@@ -602,17 +514,13 @@ func nearestCodes(raw []int32, k int, keys []uint64) []uint64 {
 	return keys
 }
 
-// admit feeds one block's distances to the selectors of the queries js:
-// query js[g]'s squared distances to slab rows [base, base+rows) are
-// db[g*rows:(g+1)*rows]. Widening float32 to float64 is exact and
-// order-preserving, so one float64 selector serves both precisions; the
+// admit feeds one block's distances to sel: db holds the squared distances
+// to slab rows [base, base+len(db)). Widening float32 to float64 is exact
+// and order-preserving, so one float64 selector serves both precisions; the
 // final Dist is math.Sqrt(float64(d32)) — the f32 path's formula.
-func admit[T float32 | float64](r *Replica, sels []*topSelect, js []int, base, rows int, db []T) {
-	for g, j := range js {
-		sel := sels[j]
-		for i, d := range db[g*rows : (g+1)*rows] {
-			sel.add(float64(d), r.slabGID[base+i])
-		}
+func admit[T float32 | float64](r *Replica, sel *topSelect, base int, db []T) {
+	for i, d := range db {
+		sel.add(float64(d), r.slabGID[base+i])
 	}
 }
 

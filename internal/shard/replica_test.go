@@ -154,10 +154,10 @@ func clusteredCorpus(rng *rand.Rand, n, dim, clusters int) *oracleCorpus {
 	return c
 }
 
-// TestSweepMatchesLinearScan pins every sweep — filtered or plain, single or
-// batched — to a brute-force linear scan, bit for bit: f32 and f64 scans over
-// either storage, at the root, an inner node and a leaf, for k from 1 to past
-// the range, batches of 1, 2 and 5 queries. The corpora are a clustered one
+// TestSweepMatchesLinearScan pins every sweep — filtered or plain — to a
+// brute-force linear scan, bit for bit: f32 and f64 scans over either
+// storage, at the root, an inner node and a leaf, for k from 1 to past the
+// range. The corpora are a clustered one
 // with twelve duplicate rows straddling k = 10, one with a non-finite row and
 // a constant one; the queries include a duplicate itself, a NaN query and
 // one whose float32 narrowing overflows.
@@ -210,46 +210,36 @@ func TestSweepMatchesLinearScan(t *testing.T) {
 				idx, _ := rep.topo.IdxOf(node)
 				rows := rep.ranges[idx][1] - rep.ranges[idx][0]
 				for _, k := range []int{1, 10, 50, n + 1} {
-					for _, m := range []int{1, 2, 5} {
-						for start := range queries {
-							qs := make([]vec.Vector, m)
-							ks := make([]int, m)
-							for j := range qs {
-								qs[j], ks[j] = queries[(start+j)%len(queries)], k
+					for qi, q := range queries {
+						tag := fmt.Sprintf("%s %v node %d k=%d query %d", tc.name, mode, node, k, qi)
+						got, st, err := rep.Sweep(ctx, node, q, nil, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						finite := !slices.ContainsFunc(q, math.IsNaN) && !(rep.f32 && math.IsInf(float64(float32(q[0])), 0))
+						if want := tc.filters && finite && rows > filterRowsPerResult*k; (st.Scanned > 0) != want {
+							t.Fatalf("%s: filter acted = %v, want %v (%+v)", tag, st.Scanned > 0, want, st)
+						}
+						if st.Scanned > 0 {
+							read += st.Scanned
+							scored += st.Scored
+							if st.Scanned != rows || st.Scored < k || st.Scored > rows {
+								t.Fatalf("%s: stats %+v over %d rows", tag, st, rows)
 							}
-							stats := make([]LegStats, m)
-							got, err := rep.Sweep(ctx, node, qs, nil, ks, stats)
-							if err != nil {
-								t.Fatal(err)
+						} else if st.Scored != rows {
+							t.Fatalf("%s: plain sweep scored %d of %d rows", tag, st.Scored, rows)
+						}
+						if !finite && math.IsNaN(q[4]) {
+							// NaN distances have no order: the plain sweep's
+							// answer is its own, and must be SearchNode's.
+							again, err := rep.SearchNode(ctx, node, q, nil, k)
+							if err != nil || !sameNeighbors(got, again) || len(again) != min(k, rows) {
+								t.Fatalf("%s: NaN query swept %v, searched %v (%v)", tag, got, again, err)
 							}
-							for j, q := range qs {
-								tag := fmt.Sprintf("%s %v node %d k=%d m=%d query %d", tc.name, mode, node, k, m, (start+j)%len(queries))
-								finite := !slices.ContainsFunc(q, math.IsNaN) && !(rep.f32 && math.IsInf(float64(float32(q[0])), 0))
-								if want := tc.filters && finite && rows > filterRowsPerResult*k; (stats[j].Scanned > 0) != want {
-									t.Fatalf("%s: filter acted = %v, want %v (%+v)", tag, stats[j].Scanned > 0, want, stats[j])
-								}
-								if stats[j].Scanned > 0 {
-									read += stats[j].Scanned
-									scored += stats[j].Scored
-									if stats[j].Scanned != rows || stats[j].Scored < k || stats[j].Scored > rows {
-										t.Fatalf("%s: stats %+v over %d rows", tag, stats[j], rows)
-									}
-								} else if stats[j].Scored != rows {
-									t.Fatalf("%s: plain sweep scored %d of %d rows", tag, stats[j].Scored, rows)
-								}
-								if !finite && math.IsNaN(q[4]) {
-									// NaN distances have no order: the plain sweep's
-									// answer is its own, and must not depend on the batch.
-									alone, err := rep.SearchNode(ctx, node, q, nil, k)
-									if err != nil || !sameNeighbors(got[j], alone) || len(alone) != min(k, rows) {
-										t.Fatalf("%s: NaN query in a batch %v, alone %v (%v)", tag, got[j], alone, err)
-									}
-									continue
-								}
-								if want := tc.c.linearScan(rep, node, q, k); !sameNeighbors(got[j], want) {
-									t.Fatalf("%s:\n  sweep  %v\n  oracle %v", tag, got[j], want)
-								}
-							}
+							continue
+						}
+						if want := tc.c.linearScan(rep, node, q, k); !sameNeighbors(got, want) {
+							t.Fatalf("%s:\n  sweep  %v\n  oracle %v", tag, got, want)
 						}
 					}
 				}
@@ -300,18 +290,17 @@ func TestSweepAtRoutedShape(t *testing.T) {
 	ctx := context.Background()
 	scored := 0
 	for i, q := range queries {
-		var st [1]LegStats
-		got, err := rep.Sweep(ctx, rep.topo.RootID(), []vec.Vector{q}, nil, []int{k}, st[:])
+		got, st, err := rep.Sweep(ctx, rep.topo.RootID(), q, nil, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st[0].Scanned != n {
-			t.Errorf("query %d: read %d code rows of %d", i, st[0].Scanned, n)
+		if st.Scanned != n {
+			t.Errorf("query %d: read %d code rows of %d", i, st.Scanned, n)
 		}
-		if want := c.linearScan(rep, rep.topo.RootID(), q, k); !sameNeighbors(got[0], want) {
-			t.Fatalf("query %d:\n  sweep  %v\n  oracle %v", i, got[0], want)
+		if want := c.linearScan(rep, rep.topo.RootID(), q, k); !sameNeighbors(got, want) {
+			t.Fatalf("query %d:\n  sweep  %v\n  oracle %v", i, got, want)
 		}
-		scored += st[0].Scored
+		scored += st.Scored
 	}
 	frac := float64(scored) / float64(len(queries)*n)
 	t.Logf("%d rows: a root leg scores %.1f rows exactly on average (%.2f %%)", n, float64(scored)/float64(len(queries)), 100*frac)

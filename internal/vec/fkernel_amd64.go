@@ -14,19 +14,8 @@ package vec
 //go:noescape
 func float32SqDistsAVX2(q *float32, dim int, block *float32, out *float32, rows int)
 
-// float32SqDistsMulti4AVX2 is the AVX2 multi-query kernel behind
-// SquaredDistsToMulti32: four contiguous query rows scored against every row
-// of block with one load of each row chunk, out query-major with stride
-// ostride. Per query it replays float32SqDistsAVX2's exact dataflow, so the
-// results are bit-identical to four single-query calls. Implemented in
-// fkernel_amd64.s.
-//
-//go:noescape
-func float32SqDistsMulti4AVX2(qs *float32, dim int, block *float32, out *float32, ostride int, rows int)
-
 func init() {
 	if hasAVX2() {
 		float32BatchKernel = float32SqDistsAVX2
-		float32MultiKernel = float32SqDistsMulti4AVX2
 	}
 }

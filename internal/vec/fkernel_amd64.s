@@ -68,154 +68,3 @@ store:
 done:
 	VZEROUPPER
 	RET
-
-// func float32SqDistsMulti4AVX2(qs *float32, dim int, block *float32, out *float32, ostride int, rows int)
-//
-// Scores FOUR query rows (packed contiguously in qs) against every row of
-// block, loading each 8-component row chunk ONCE and reusing it for all four
-// queries: out[j*ostride+r] = SqL232(q_j, row_r). Each query accumulates in
-// its own ymm register with exactly the single-query kernel's dataflow —
-// VSUBPS/VMULPS/VADDPS per chunk (never FMA), the same horizontal reduction,
-// a left-to-right scalar tail — so every output is bit-identical to four
-// float32SqDistsAVX2 calls. The batch shares loads, never sums.
-TEXT ·float32SqDistsMulti4AVX2(SB), NOSPLIT, $0-48
-	MOVQ qs+0(FP), SI
-	MOVQ dim+8(FP), DX
-	MOVQ block+16(FP), DI
-	MOVQ out+24(FP), R8
-	MOVQ ostride+32(FP), AX
-	MOVQ rows+40(FP), R9
-
-	SHLQ $2, AX               // AX = ostride in bytes
-	LEAQ (SI)(DX*4), R12      // q1
-	LEAQ (R12)(DX*4), R13     // q2
-	LEAQ (R13)(DX*4), R14     // q3
-	MOVQ DX, R10
-	ANDQ $-8, R10             // R10 = dim &^ 7: the SIMD-covered prefix
-
-mrowloop:
-	TESTQ  R9, R9
-	JLE    mdone
-	VXORPS Y0, Y0, Y0         // q0 lane accumulator
-	VXORPS Y1, Y1, Y1         // q1
-	VXORPS Y2, Y2, Y2         // q2
-	VXORPS Y3, Y3, Y3         // q3
-	XORQ   R11, R11           // i = 0
-	CMPQ   R10, $0
-	JE     mhsum
-
-msimd:
-	VMOVUPS (DI)(R11*4), Y4   // 8 row components, loaded once for all queries
-	VMOVUPS (SI)(R11*4), Y5
-	VSUBPS  Y4, Y5, Y5        // d = q0 - row
-	VMULPS  Y5, Y5, Y5
-	VADDPS  Y5, Y0, Y0
-	VMOVUPS (R12)(R11*4), Y5
-	VSUBPS  Y4, Y5, Y5
-	VMULPS  Y5, Y5, Y5
-	VADDPS  Y5, Y1, Y1
-	VMOVUPS (R13)(R11*4), Y5
-	VSUBPS  Y4, Y5, Y5
-	VMULPS  Y5, Y5, Y5
-	VADDPS  Y5, Y2, Y2
-	VMOVUPS (R14)(R11*4), Y5
-	VSUBPS  Y4, Y5, Y5
-	VMULPS  Y5, Y5, Y5
-	VADDPS  Y5, Y3, Y3
-	ADDQ    $8, R11
-	CMPQ    R11, R10
-	JL      msimd
-
-mhsum:
-	VEXTRACTF128 $1, Y0, X5
-	VADDPS       X5, X0, X0
-	VPSHUFD      $0x4E, X0, X5
-	VADDPS       X5, X0, X0
-	VPSHUFD      $0xB1, X0, X5
-	VADDPS       X5, X0, X0   // X0 lane0 = q0 reduction
-	VEXTRACTF128 $1, Y1, X5
-	VADDPS       X5, X1, X1
-	VPSHUFD      $0x4E, X1, X5
-	VADDPS       X5, X1, X1
-	VPSHUFD      $0xB1, X1, X5
-	VADDPS       X5, X1, X1
-	VEXTRACTF128 $1, Y2, X5
-	VADDPS       X5, X2, X2
-	VPSHUFD      $0x4E, X2, X5
-	VADDPS       X5, X2, X2
-	VPSHUFD      $0xB1, X2, X5
-	VADDPS       X5, X2, X2
-	VEXTRACTF128 $1, Y3, X5
-	VADDPS       X5, X3, X3
-	VPSHUFD      $0x4E, X3, X5
-	VADDPS       X5, X3, X3
-	VPSHUFD      $0xB1, X3, X5
-	VADDPS       X5, X3, X3
-
-	CMPQ R11, DX
-	JGE  mstore
-	MOVQ R11, CX              // ≤7-component tails, one query at a time
-
-mtail0:
-	CMPQ   CX, DX
-	JGE    mtail1i
-	VMOVSS (SI)(CX*4), X5
-	VSUBSS (DI)(CX*4), X5, X5
-	VMULSS X5, X5, X5
-	VADDSS X5, X0, X0
-	INCQ   CX
-	JMP    mtail0
-
-mtail1i:
-	MOVQ R11, CX
-
-mtail1:
-	CMPQ   CX, DX
-	JGE    mtail2i
-	VMOVSS (R12)(CX*4), X5
-	VSUBSS (DI)(CX*4), X5, X5
-	VMULSS X5, X5, X5
-	VADDSS X5, X1, X1
-	INCQ   CX
-	JMP    mtail1
-
-mtail2i:
-	MOVQ R11, CX
-
-mtail2:
-	CMPQ   CX, DX
-	JGE    mtail3i
-	VMOVSS (R13)(CX*4), X5
-	VSUBSS (DI)(CX*4), X5, X5
-	VMULSS X5, X5, X5
-	VADDSS X5, X2, X2
-	INCQ   CX
-	JMP    mtail2
-
-mtail3i:
-	MOVQ R11, CX
-
-mtail3:
-	CMPQ   CX, DX
-	JGE    mstore
-	VMOVSS (R14)(CX*4), X5
-	VSUBSS (DI)(CX*4), X5, X5
-	VMULSS X5, X5, X5
-	VADDSS X5, X3, X3
-	INCQ   CX
-	JMP    mtail3
-
-mstore:
-	VMOVSS X0, (R8)
-	VMOVSS X1, (R8)(AX*1)
-	VMOVSS X2, (R8)(AX*2)
-	LEAQ   (R8)(AX*2), BX     // 3*stride is not an x86 scale; hop via 2*stride
-	VMOVSS X3, (BX)(AX*1)
-	ADDQ   $4, R8
-	LEAQ   (DI)(DX*4), DI     // next row
-	DECQ   R9
-	JMP    mrowloop
-
-mdone:
-	VZEROUPPER
-	RET

@@ -35,6 +35,11 @@ var float32BatchKernel func(q *float32, dim int, block *float32, out *float32, r
 // backs SquaredDistsTo32 on this CPU.
 func HasAcceleratedFloat32Batch() bool { return float32BatchKernel != nil }
 
+// HasAcceleratedFloat32Multi always reports false: there is no multi-query
+// kernel. It stays only for the benchmark header (bench/qdload/header.go),
+// which records it.
+func HasAcceleratedFloat32Multi() bool { return false }
+
 // SqL232 returns the squared Euclidean distance between two float32 vectors
 // in the canonical float32 accumulation order (see the file comment) — the
 // value SquaredDistsTo32 produces for the same row. It panics on a length

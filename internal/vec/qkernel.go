@@ -25,6 +25,11 @@ var uint8BatchKernel func(q *uint8, dim int, block *uint8, out *int32, rows int)
 // backs Uint8SquaredDistsTo on this CPU.
 func HasAcceleratedUint8Batch() bool { return uint8BatchKernel != nil }
 
+// HasAcceleratedUint8Multi always reports false: there is no multi-query
+// kernel. It stays only for the benchmark header (bench/qdload/header.go),
+// which records it.
+func HasAcceleratedUint8Multi() bool { return false }
+
 // Uint8SquaredDistsTo computes out[r] = Σ_i (q[i]−row_r[i])² in int32 for
 // every dimension-strided row of block, where block holds len(out) rows of
 // len(q) contiguous codes. It panics if len(block) != len(out)*len(q).

@@ -17,18 +17,8 @@ func hasAVX2() bool
 //go:noescape
 func uint8SqDistsAVX2(q *uint8, dim int, block *uint8, out *int32, rows int)
 
-// uint8SqDistsMulti4AVX2 is the AVX2 multi-query kernel behind
-// Uint8SquaredDistsToMulti: four contiguous query code rows scored against
-// every row of block with one widening of each row chunk, int32 out
-// query-major with stride ostride. All integer, so results are identical to
-// four single-query calls. Implemented in qkernel_amd64.s.
-//
-//go:noescape
-func uint8SqDistsMulti4AVX2(qs *uint8, dim int, block *uint8, out *int32, ostride int, rows int)
-
 func init() {
 	if hasAVX2() {
 		uint8BatchKernel = uint8SqDistsAVX2
-		uint8MultiKernel = uint8SqDistsMulti4AVX2
 	}
 }

@@ -403,7 +403,7 @@ func (s *System) searchKNN(ctx context.Context, q vec.Vector, k int) ([]Scored, 
 		t0 = time.Now()
 	}
 	tree := s.rfs.Tree()
-	ns, err := tree.KNNOne(ctx, tree.Root(), nil, q, k, acc, st)
+	ns, err := tree.KNNSearch(ctx, tree.Root(), nil, rstar.Query{Q: q, K: k, Acc: acc, Stats: st})
 	if err != nil {
 		return nil, err
 	}

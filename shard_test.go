@@ -359,80 +359,20 @@ func TestShardPrecisionModes(t *testing.T) {
 					}
 				}
 			}
-		})
-	}
-}
-
-// TestShardSearchNodeBatchEquivalence pins the coalesced multi-query shard
-// sweep (Replica.Sweep) to per-query SearchNode calls, bit for bit, in both slab precisions,
-// across batch widths and subtree restrictions.
-func TestShardSearchNodeBatchEquivalence(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"f64", nil},
-		{"f32", func(c *Config) { c.Float32 = true }},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := shardTestConfig()
-			if mode.mutate != nil {
-				mode.mutate(&cfg)
+			// Argument validation.
+			rep, ctx, q := fleet[0], context.Background(), sys.Corpus().Vectors[0]
+			if _, err := rep.SearchNode(ctx, root, q, nil, 0); err == nil {
+				t.Fatal("k = 0 accepted")
 			}
-			sys, err := Build(cfg)
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
-			fleet := buildFleet(t, sys, 2)
-			ctx := context.Background()
-			rep := fleet[1]
-			topo := rep.Topo()
-			nodes := []uint64{topo.RootID()}
-			if cs := topo.Children(topo.Root()); len(cs) > 0 {
-				nodes = append(nodes, topo.Nodes[cs[0]].ID)
-			}
-			for _, nodeID := range nodes {
-				for _, m := range []int{1, 2, 4, 5, 8} {
-					qs := make([]vec.Vector, m)
-					ks := make([]int, m)
-					for j := range qs {
-						qs[j] = sys.Corpus().Vectors[(j*97+13)%sys.Len()]
-						ks[j] = []int{1, 7, 25, 400}[j%4]
-					}
-					got, err := rep.Sweep(ctx, nodeID, qs, nil, ks, nil)
-					if err != nil {
-						t.Fatalf("m=%d batch: %v", m, err)
-					}
-					for j := range qs {
-						want, err := rep.SearchNode(ctx, nodeID, qs[j], nil, ks[j])
-						if err != nil {
-							t.Fatalf("single: %v", err)
-						}
-						if len(got[j]) != len(want) {
-							t.Fatalf("node %d m=%d q=%d: %d results vs %d", nodeID, m, j, len(got[j]), len(want))
-						}
-						for i := range want {
-							if got[j][i].ID != want[i].ID || got[j][i].Dist != want[i].Dist {
-								t.Fatalf("node %d m=%d q=%d rank %d: (%d, %v) vs (%d, %v)",
-									nodeID, m, j, i, got[j][i].ID, got[j][i].Dist, want[i].ID, want[i].Dist)
-							}
-						}
-					}
-				}
-			}
-			// Shape and argument validation.
-			if _, err := rep.Sweep(ctx, topo.RootID(), make([]vec.Vector, 2), nil, []int{5}, nil); err == nil {
-				t.Fatal("mismatched qs/ks accepted")
-			}
-			if _, err := rep.Sweep(ctx, topo.RootID(), []vec.Vector{{1, 2}}, nil, []int{5}, nil); err == nil {
+			if _, err := rep.SearchNode(ctx, root, vec.Vector{1, 2}, nil, 5); err == nil {
 				t.Fatal("wrong-dim query accepted")
 			}
-			if _, err := rep.Sweep(ctx, 1<<60, nil, nil, nil, nil); err == nil {
+			if _, err := rep.SearchNode(ctx, 1<<60, q, nil, 5); err == nil {
 				t.Fatal("unknown node accepted")
 			}
 			neg := make([]float64, rep.Meta().Dim)
 			neg[0] = -1
-			if _, err := rep.Sweep(ctx, topo.RootID(), []vec.Vector{sys.Corpus().Vectors[0]}, neg, []int{5}, nil); err == nil {
+			if _, err := rep.SearchNode(ctx, root, q, neg, 5); err == nil {
 				t.Fatal("negative weight accepted")
 			}
 		})

@@ -3,7 +3,6 @@ package qdcbir
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"qdcbir/internal/core"
@@ -241,18 +240,6 @@ func (d *Dynamic) QueryByExamples(ctx context.Context, examples []int, k int, we
 	s := d.db.Acquire()
 	defer s.Release()
 	return s.QueryByExamplesCtx(ctx, examples, k, weights)
-}
-
-// NewSession starts a relevance-feedback session pinned to the current
-// snapshot. The caller must Release (or Finalize and Release) it.
-func (d *Dynamic) NewSession(seed int64) *seg.Session {
-	return d.db.NewSession(rand.New(rand.NewSource(seed)))
-}
-
-// RestoreSession resumes an exported session state against the current
-// snapshot (see seg.SessionState for what survives the trip).
-func (d *Dynamic) RestoreSession(st *seg.SessionState, seed int64) (*seg.Session, error) {
-	return d.db.RestoreSession(st, rand.New(rand.NewSource(seed)))
 }
 
 // Compact merges all sealed segments into one, inline. Background

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -49,7 +50,7 @@ func main() {
 		seen := map[int]bool{}
 		for d := 0; d < 15 && len(marks) < 8; d++ {
 			for _, c := range sess.Candidates() { // local, zero server traffic
-				if !seen[c.ID] && wanted[c.Label] && len(marks) < 8 {
+				if !seen[c.ID] && wanted[client.Label(c.ID)] && len(marks) < 8 {
 					seen[c.ID] = true
 					marks = append(marks, c.ID)
 				}
@@ -59,11 +60,11 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("round %d (client-local): %d marks, %d subqueries\n",
-			round, len(marks), sess.Subqueries())
+			round, len(marks), len(sess.Frontier()))
 	}
 
 	// The single server round trip.
-	res, err := sess.Finalize(24)
+	res, err := client.Finalize(context.Background(), sess, 24)
 	if err != nil {
 		log.Fatal(err)
 	}

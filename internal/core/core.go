@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime/pprof"
 	"sort"
@@ -77,7 +76,7 @@ func (c Config) withDefaults() Config {
 		c.BoundaryThreshold = 0.4
 	}
 	if c.DisplayCount <= 0 {
-		c.DisplayCount = 21
+		c.DisplayCount = DefaultDisplayCount
 	}
 	if c.Float32 {
 		c.Quantized = false // Float32 selects a precision; SQ8 serves the f64 path
@@ -123,10 +122,7 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Candidate is one displayable representative image together with the
 // frontier node it represents.
-type Candidate struct {
-	ID   rstar.ItemID
-	Node *rstar.Node
-}
+type Candidate = Shown[*rstar.Node, rstar.ItemID]
 
 // Stats accumulates the session's simulated I/O, split the way the paper's
 // scalability argument splits work: feedback processing (runs against the
@@ -139,263 +135,37 @@ type Stats struct {
 	Rounds        int    // feedback rounds processed
 }
 
-// Session is one user's relevance-feedback interaction.
+// Session is one user's relevance-feedback interaction with the engine: the
+// round machine over the engine's RFS structure, finalized by the engine's
+// own localized k-NN.
 type Session struct {
+	Machine[*rstar.Node, rstar.ItemID]
 	eng *Engine
-	rng *rand.Rand
-
-	frontier []*rstar.Node
-	relevant []rstar.ItemID
-	relSet   map[rstar.ItemID]bool
-	// assign is the query panel: each relevant image's currently associated
-	// subcluster, re-localized one level per round (§3.3 "the system records
-	// each relevant image and its associated subcluster").
-	assign map[rstar.ItemID]*rstar.Node
-
-	displayed map[rstar.ItemID]*rstar.Node // last display: rep -> frontier node
-	cursors   map[disk.PageID]*displayCursor
-	weights   vec.Vector // optional §6 feature-importance weighting
-	// feedbackIO is the session-lifetime page cache of the feedback rounds:
-	// §5.2.2's cost model counts one read per distinct node — representatives
-	// marked from the same cluster share the node access, and a node stays
-	// buffered for the rest of the session. The final k-NN's cache lives in
-	// the FinalizeCtx call that fills it.
-	feedbackIO disk.Visited
-	// stats.FeedbackReads and stats.FinalReads hold what feedbackIO does not
-	// count: a restored session's earlier life (RestoreSession) and the
-	// finalize that returned a result.
-	stats     Stats
-	finalized bool
-
-	// trace is the session's observability span (nil when the engine has no
-	// Observer). lastFbReads/lastFbAccesses checkpoint the feedback cache
-	// counters so each round's span reports deltas, attributing the browsing
-	// I/O between two rounds to the later round.
-	trace          *obs.Trace
-	lastFbReads    uint64
-	lastFbAccesses uint64
 }
 
 // NewSession starts a query session; the rng drives the random candidate
 // displays.
 func (e *Engine) NewSession(rng *rand.Rand) *Session {
-	s := &Session{
-		eng:      e,
-		rng:      rng,
-		frontier: []*rstar.Node{e.rfs.Root()},
-		relSet:   make(map[rstar.ItemID]bool),
-	}
-	if o := e.cfg.Observer; o != nil {
-		o.SessionStarted()
-		s.trace = o.StartTrace("session")
-	}
+	s := &Session{eng: e}
+	s.init((*structure)(e.rfs), rng, e.cfg.DisplayCount)
+	s.observe(e.cfg.Observer)
 	return s
 }
 
-// Trace returns the session's trace span (nil when the engine has no
-// observer). Callers may attach a correlation label via Trace.SetLabel.
-func (s *Session) Trace() *obs.Trace { return s.trace }
-
-// Frontier returns the current subquery anchor nodes (shared slice; do not
-// modify).
-func (s *Session) Frontier() []*rstar.Node { return s.frontier }
-
-// Relevant returns all images marked relevant so far (shared; do not modify).
-func (s *Session) Relevant() []rstar.ItemID { return s.relevant }
-
-// Stats returns the session's accumulated cost statistics.
-func (s *Session) Stats() Stats {
-	st := s.stats
-	st.FeedbackReads += s.feedbackIO.Reads()
-	return st
-}
-
-// Candidates draws up to DisplayCount representatives across the frontier,
-// sampling each node proportionally to its representative count (so large
-// clusters contribute more, mirroring the prototype's random browsing). The
-// returned slice records which frontier node each candidate represents;
-// Feedback only accepts images that have been displayed.
-func (s *Session) Candidates() []Candidate {
-	limit := s.eng.cfg.DisplayCount
-	type pool struct {
-		node *rstar.Node
-		reps []rstar.ItemID
+// RestoreSession reconstructs a session from an exported state (see
+// RestoreMachine). Node IDs are resolved against this engine's structure, so
+// the state must come from a replica of the same build.
+func (e *Engine) RestoreSession(st *SessionState, rng *rand.Rand) (*Session, error) {
+	s := &Session{eng: e}
+	s.init((*structure)(e.rfs), rng, e.cfg.DisplayCount)
+	if err := s.restore(st); err != nil {
+		return nil, err
 	}
-	var pools []pool
-	total := 0
-	for _, n := range s.frontier {
-		reps := s.eng.rfs.Reps(n, &s.feedbackIO)
-		if len(reps) == 0 {
-			continue
-		}
-		pools = append(pools, pool{node: n, reps: reps})
-		total += len(reps)
+	if err := s.SetFeatureWeights(s.weights); err != nil {
+		return nil, err
 	}
-	if total == 0 {
-		return nil
-	}
-	if s.displayed == nil {
-		s.displayed = make(map[rstar.ItemID]*rstar.Node)
-	}
-	var out []Candidate
-	if total <= limit {
-		for _, p := range pools {
-			for _, id := range p.reps {
-				out = append(out, Candidate{ID: id, Node: p.node})
-			}
-		}
-	} else {
-		// Proportional allocation with at least one slot per pool, then a
-		// random draw without replacement inside each pool.
-		remaining := limit
-		for i, p := range pools {
-			share := int(math.Round(float64(limit) * float64(len(p.reps)) / float64(total)))
-			if share < 1 {
-				share = 1
-			}
-			if i == len(pools)-1 {
-				share = remaining
-			}
-			if share > len(p.reps) {
-				share = len(p.reps)
-			}
-			if share > remaining {
-				share = remaining
-			}
-			for _, id := range s.take(p.node.ID(), p.reps, share) {
-				out = append(out, Candidate{ID: id, Node: p.node})
-			}
-			remaining -= share
-			if remaining <= 0 {
-				break
-			}
-		}
-	}
-	for _, c := range out {
-		s.displayed[c.ID] = c.Node
-	}
-	s.trace.AddDisplayed(len(out))
-	return out
-}
-
-// displayCursor pages through one node's representatives in a shuffled order
-// without repetition, reshuffling once exhausted — the effective behaviour of
-// a user repeatedly pressing the GUI's "Random" button until they have seen
-// the candidate pool (§4). With-replacement sampling would leave rarely-drawn
-// representatives unseen no matter how long the user browses.
-type displayCursor struct {
-	order []rstar.ItemID
-	pos   int
-}
-
-// take returns the next n representatives under the cursor.
-func (s *Session) take(nodeID disk.PageID, reps []rstar.ItemID, n int) []rstar.ItemID {
-	if s.cursors == nil {
-		s.cursors = make(map[disk.PageID]*displayCursor)
-	}
-	cur, ok := s.cursors[nodeID]
-	if !ok || len(cur.order) != len(reps) {
-		cur = &displayCursor{order: append([]rstar.ItemID(nil), reps...)}
-		s.rng.Shuffle(len(cur.order), func(i, j int) { cur.order[i], cur.order[j] = cur.order[j], cur.order[i] })
-		s.cursors[nodeID] = cur
-	}
-	out := make([]rstar.ItemID, 0, n)
-	for len(out) < n {
-		if cur.pos >= len(cur.order) {
-			s.rng.Shuffle(len(cur.order), func(i, j int) { cur.order[i], cur.order[j] = cur.order[j], cur.order[i] })
-			cur.pos = 0
-		}
-		out = append(out, cur.order[cur.pos])
-		cur.pos++
-		if len(out) >= len(cur.order) {
-			break // pool smaller than the request: one full pass is enough
-		}
-	}
-	return out
-}
-
-// ErrFinalized is returned when a session is used after Finalize.
-var ErrFinalized = errors.New("core: session already finalized")
-
-// Feedback processes one round of user relevance feedback: the marked images
-// must have appeared in a previous Candidates call.
-//
-// The session mirrors the prototype's ImageGrouper protocol (§4): relevant
-// images persist in the query panel, and every round the system re-localizes
-// each one — the subquery anchored at an image's current subcluster descends
-// one level toward the image's leaf (§3.2, "the system records each relevant
-// image and its associated subcluster"). New marks join the panel at the
-// child of the cluster that displayed them. The frontier — the set of active
-// localized subqueries — is the set of distinct subclusters currently
-// assigned to relevant images, so the query splits exactly when relevant
-// images diverge into different clusters and discards branches in which the
-// user never marked anything.
-func (s *Session) Feedback(marked []rstar.ItemID) error {
-	if s.finalized {
-		return ErrFinalized
-	}
-	o := s.eng.cfg.Observer
-	var t0 time.Time
-	var offsetNS int64
-	if o != nil {
-		offsetNS = s.trace.SinceStart()
-		t0 = time.Now()
-	}
-	s.stats.Rounds++
-	if s.assign == nil {
-		s.assign = make(map[rstar.ItemID]*rstar.Node)
-	}
-	// New marks enter the panel at the displaying cluster's child containing
-	// them. Determining the child reads the node's entry table — one page
-	// access (§5.2.2).
-	for _, id := range marked {
-		node, ok := s.displayed[id]
-		if !ok {
-			return fmt.Errorf("core: image %d was not displayed", id)
-		}
-		if !s.relSet[id] {
-			s.relSet[id] = true
-			s.relevant = append(s.relevant, id)
-		}
-		s.feedbackIO.Access(node.ID())
-		child := s.eng.rfs.ChildContaining(node, id)
-		if child == nil {
-			child = node // displaying node is a leaf: maximally localized
-		}
-		// A re-mark from a shallower display must not regress a deeper
-		// assignment.
-		if cur, ok := s.assign[id]; !ok || s.eng.rfs.SubtreeSize(child) < s.eng.rfs.SubtreeSize(cur) {
-			s.assign[id] = child
-		}
-	}
-	// Re-localize the whole panel: every relevant image's subquery descends
-	// one level toward its leaf.
-	for _, id := range s.relevant {
-		n := s.assign[id]
-		if n == nil || n.IsLeaf() {
-			continue
-		}
-		s.feedbackIO.Access(n.ID())
-		if child := s.eng.rfs.ChildContaining(n, id); child != nil {
-			s.assign[id] = child
-		}
-	}
-	s.rebuildFrontier()
-	if o != nil {
-		reads, accesses := s.feedbackIO.Reads(), s.feedbackIO.Accesses()
-		o.RoundDone(s.trace, obs.RoundSpan{
-			Round:        s.stats.Rounds,
-			OffsetNS:     offsetNS,
-			Marked:       len(marked),
-			Relevant:     len(s.relevant),
-			Subqueries:   len(s.frontier),
-			NodesVisited: accesses - s.lastFbAccesses,
-			PageReads:    reads - s.lastFbReads,
-			DurationNS:   time.Since(t0).Nanoseconds(),
-		})
-		s.lastFbReads, s.lastFbAccesses = reads, accesses
-	}
-	return nil
+	s.observe(e.cfg.Observer)
+	return s, nil
 }
 
 // SetFeatureWeights installs a per-dimension importance weighting (e.g.
@@ -415,53 +185,24 @@ func (s *Session) SetFeatureWeights(w vec.Vector) error {
 	return nil
 }
 
-// Retract removes previously marked images from the query panel (the
-// ImageGrouper interface lets users drag images back out). Subqueries kept
-// alive only by retracted marks are discarded; retracting everything returns
-// the session to browsing the root.
-func (s *Session) Retract(ids []rstar.ItemID) {
-	if s.finalized {
-		return
-	}
-	drop := make(map[rstar.ItemID]bool, len(ids))
-	for _, id := range ids {
-		if s.relSet[id] {
-			drop[id] = true
-			delete(s.relSet, id)
-			delete(s.assign, id)
-		}
-	}
-	if len(drop) == 0 {
-		return
-	}
-	kept := s.relevant[:0]
-	for _, id := range s.relevant {
-		if !drop[id] {
-			kept = append(kept, id)
-		}
-	}
-	s.relevant = kept
-	s.rebuildFrontier()
-}
+// structure is the engine's RFS structure as a round machine's hierarchy.
+type structure rfs.Structure
 
-// rebuildFrontier derives the active subqueries from the panel assignments.
-func (s *Session) rebuildFrontier() {
-	if len(s.assign) == 0 {
-		// Empty panel (nothing marked, or everything retracted): browse the
-		// whole database again.
-		s.frontier = []*rstar.Node{s.eng.rfs.Root()}
-		return
-	}
-	next := make(map[disk.PageID]*rstar.Node, len(s.assign))
-	for _, n := range s.assign {
-		next[n.ID()] = n
-	}
-	s.frontier = s.frontier[:0]
-	for _, n := range next {
-		s.frontier = append(s.frontier, n)
-	}
-	// Deterministic order for reproducible displays.
-	sort.Slice(s.frontier, func(i, j int) bool { return s.frontier[i].ID() < s.frontier[j].ID() })
+func (h *structure) rfs() *rfs.Structure { return (*rfs.Structure)(h) }
+
+func (h *structure) Roots(dst []*rstar.Node) []*rstar.Node { return append(dst, h.rfs().Root()) }
+func (h *structure) Reps(n *rstar.Node) []rstar.ItemID     { return h.rfs().Reps(n, nil) }
+func (h *structure) Child(n *rstar.Node, id rstar.ItemID) (*rstar.Node, bool) {
+	c := h.rfs().ChildContaining(n, id)
+	return c, c != nil
+}
+func (h *structure) Leaf(n *rstar.Node) bool  { return n.IsLeaf() }
+func (h *structure) Size(n *rstar.Node) int   { return h.rfs().SubtreeSize(n) }
+func (h *structure) Key(n *rstar.Node) uint64 { return uint64(n.ID()) }
+func (h *structure) Has(id rstar.ItemID) bool { return id >= 0 && int(id) < h.rfs().Len() }
+func (h *structure) Node(key uint64) (*rstar.Node, bool) {
+	n := h.rfs().NodeByID(disk.PageID(key))
+	return n, n != nil
 }
 
 // ScoredImage is one result image with its similarity score (Euclidean
@@ -533,33 +274,13 @@ func (s *Session) Finalize(k int) (*Result, error) {
 // a lapsed deadline) it is exactly as it was, so the call can be retried and
 // the retry reports the reads and expansions of a first attempt.
 func (s *Session) FinalizeCtx(ctx context.Context, k int) (*Result, error) {
-	if s.finalized {
-		return nil, ErrFinalized
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("core: invalid k=%d", k)
-	}
-	if len(s.relevant) == 0 {
-		return nil, errors.New("core: no relevant feedback given")
-	}
-	if o := s.eng.cfg.Observer; o != nil {
-		// Browsing I/O after the last feedback round has no round span to carry
-		// it; flush it into the feedback-reads counter so the observer's totals
-		// match the session's Stats.
-		reads := s.feedbackIO.Reads()
-		o.AddFeedbackReads(reads - s.lastFbReads)
-		s.lastFbReads = reads
-	}
-	var finalIO disk.Visited
-	stats := s.stats
-	res, err := finalizeGroups(ctx, s.eng, s.relevant, s.assign, k, s.weights, &finalIO, &stats, s.trace)
-	if err != nil {
-		return nil, err
-	}
-	stats.FinalReads += finalIO.Reads()
-	s.stats = stats
-	s.finalized = true
-	return res, nil
+	return Finalize(&s.Machine, k, func(relevant []rstar.ItemID, weights vec.Vector) (*Result, Stats, error) {
+		var finalIO disk.Visited
+		var st Stats
+		res, err := finalizeGroups(ctx, s.eng, relevant, s.assign, k, weights, &finalIO, &st, s.trace)
+		st.FinalReads = finalIO.Reads()
+		return res, st, err
+	})
 }
 
 // QueryByExamples runs the final localized query processing directly from a

@@ -38,8 +38,8 @@ func perOp(n int, f func(i int)) (bytes, allocs float64) {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n), float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
-// TestSessionAllocationGates pins what opening a session and answering a
-// one-shot query may allocate. Both once carried a page cache pre-sized for
+// TestSessionAllocationGates pins what opening a session, drawing a display
+// and answering a one-shot query may allocate. Both once carried a page cache pre-sized for
 // 65,536 pages (4.7 MB per session, 2.4 MB per query) over a tree of a few
 // hundred; a session's accounters now grow with the pages it touches.
 func TestSessionAllocationGates(t *testing.T) {
@@ -54,6 +54,27 @@ func TestSessionAllocationGates(t *testing.T) {
 	t.Logf("NewSession: %.0f B, %.1f allocs", bytes, allocs)
 	if bytes >= 64<<10 || allocs > 32 {
 		t.Errorf("NewSession allocates %.0f B in %.1f allocations; the gate is < 64 KB and <= 32", bytes, allocs)
+	}
+
+	// A display over a decomposed frontier: seed 11's root display, every
+	// third candidate marked, then displays of the 6-node frontier that round
+	// left. Before the four session copies became one round machine this
+	// measured 16.09 allocations per display (a slice per pool's draw, and
+	// the pool and display lists grown by append); the gate holds that line.
+	sess := eng.NewSession(rand.New(rand.NewSource(11)))
+	var marks []rstar.ItemID
+	for i, c := range sess.Candidates() {
+		if i%3 == 0 {
+			marks = append(marks, c.ID)
+		}
+	}
+	if err := sess.Feedback(marks); err != nil {
+		t.Fatal(err)
+	}
+	_, displayAllocs := perOp(runs, func(int) { sess.Candidates() })
+	t.Logf("display over %d subqueries: %.2f allocs", len(sess.Frontier()), displayAllocs)
+	if displayAllocs > 16.09 {
+		t.Errorf("a display allocates %.2f times; the gate is <= 16.09", displayAllocs)
 	}
 
 	// Five examples from three leaves: a query that decomposes.

@@ -149,6 +149,12 @@ func New(cfg Config) (*Router, error) {
 		if rc.URL == "" {
 			return nil, fmt.Errorf("router: shard %d replica with empty URL", rc.Shard)
 		}
+		// Shards are 0..n-1 and each needs a replica, so an index past the
+		// replica count leaves some shard without one. Refusing it here keeps
+		// a typo'd index from sizing the shard tables before the check below.
+		if rc.Shard >= len(cfg.Replicas) {
+			return nil, fmt.Errorf("router: shard index %d needs shards 0..%d, but only %d replicas are configured", rc.Shard, rc.Shard, len(cfg.Replicas))
+		}
 		if rc.Shard+1 > nShards {
 			nShards = rc.Shard + 1
 		}

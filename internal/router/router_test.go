@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -502,5 +503,30 @@ func TestVerifyFleetRefusesMixedPrecision(t *testing.T) {
 	err = rt.VerifyFleet(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "mixed-precision") {
 		t.Fatalf("VerifyFleet = %v, want mixed-precision refusal", err)
+	}
+}
+
+// TestNewRefusesOutOfRangeShard: shards are 0..n-1 and each needs a
+// replica, so a shard index at or past the replica count is refused before
+// New sizes anything by it. At index 1<<20 the old order allocated ~32 MB of
+// shard tables before finding shard 0 empty.
+func TestNewRefusesOutOfRangeShard(t *testing.T) {
+	cfg := Config{Replicas: []ReplicaConfig{{Shard: 1 << 20, URL: "http://unused"}}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rt, err := New(cfg)
+	runtime.ReadMemStats(&after)
+	if err == nil || rt != nil {
+		t.Fatalf("New accepted shard index %d with one replica", cfg.Replicas[0].Shard)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 64<<10 {
+		t.Fatalf("refusing shard index %d allocated %d B; the gate is < 64 KB", cfg.Replicas[0].Shard, b)
+	}
+	// An index inside the replica count but with a gap below it is still
+	// refused by the per-shard check.
+	gap := Config{Replicas: []ReplicaConfig{{Shard: 0, URL: "http://a"}, {Shard: 0, URL: "http://b"}, {Shard: 2, URL: "http://c"}}}
+	if _, err := New(gap); err == nil || !strings.Contains(err.Error(), "shard 1 has no replicas") {
+		t.Fatalf("New with shard 1 missing: %v", err)
 	}
 }

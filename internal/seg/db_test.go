@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"qdcbir/internal/core"
 	"qdcbir/internal/vec"
 )
 
@@ -306,9 +307,10 @@ func TestSessionFeedbackLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := db.NewSession(rand.New(rand.NewSource(1)))
-	defer s.Release()
-	cands := s.Candidates(21)
+	snap := db.Acquire()
+	defer snap.Release()
+	s := core.NewMachine(snap.Forest(), rand.New(rand.NewSource(1)), 21)
+	cands := s.Candidates()
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -326,7 +328,7 @@ func TestSessionFeedbackLoop(t *testing.T) {
 	}
 	// More rounds localize further; then finalize.
 	for round := 0; round < 3; round++ {
-		cs := s.Candidates(21)
+		cs := s.Candidates()
 		if len(cs) == 0 {
 			break
 		}
@@ -334,7 +336,7 @@ func TestSessionFeedbackLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.FinalizeCtx(context.Background(), 21)
+	res, err := snap.FinalizeSession(context.Background(), s, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +354,10 @@ func TestSessionFeedbackLoop(t *testing.T) {
 			t.Fatal("tombstoned image in results")
 		}
 	}
-	if _, err := s.FinalizeCtx(context.Background(), 21); !errors.Is(err, ErrFinalized) {
+	if _, err := snap.FinalizeSession(context.Background(), s, 21); !errors.Is(err, core.ErrFinalized) {
 		t.Fatalf("second finalize: %v", err)
 	}
-	if err := s.Feedback(marked); !errors.Is(err, ErrFinalized) {
+	if err := s.Feedback(marked); !errors.Is(err, core.ErrFinalized) {
 		t.Fatalf("feedback after finalize: %v", err)
 	}
 }

@@ -31,8 +31,6 @@ type DynamicStore interface {
 	Insert(v vec.Vector, label string) (int, error)
 	Delete(id int) error
 	LabelOf(id int) string
-	NewSession(seed int64) *seg.Session
-	RestoreSession(st *seg.SessionState, seed int64) (*seg.Session, error)
 	Compact(ctx context.Context) error
 	Stats() seg.Stats
 }
@@ -40,17 +38,12 @@ type DynamicStore interface {
 // ErrCodeReadOnly rejects write endpoints on a static (non-dynamic) server.
 const ErrCodeReadOnly = "read_only"
 
-// DefaultDynamicDisplay is the candidate-panel size for hosted dynamic
-// sessions (the paper GUI's 21).
-const DefaultDynamicDisplay = 21
-
 // NewDynamic creates a server over a write-capable segmented corpus. o may
 // be nil (a standalone observer is created); pass the same observer the
 // store was built with so ingest and HTTP telemetry land in one registry.
 func NewDynamic(ds DynamicStore, o *obs.Observer) *Server {
 	s := newServer(ds.LabelOf, o)
 	s.dyn = ds
-	s.displayCount = DefaultDynamicDisplay
 	return s
 }
 

@@ -54,14 +54,6 @@ func (s *testDynStore) LabelOf(id int) string {
 	return s.labels[id]
 }
 
-func (s *testDynStore) NewSession(seed int64) *seg.Session {
-	return s.db.NewSession(rand.New(rand.NewSource(seed)))
-}
-
-func (s *testDynStore) RestoreSession(st *seg.SessionState, seed int64) (*seg.Session, error) {
-	return s.db.RestoreSession(st, rand.New(rand.NewSource(seed)))
-}
-
 func (s *testDynStore) Compact(ctx context.Context) error { return s.db.Compact(ctx) }
 
 func (s *testDynStore) Stats() seg.Stats { return s.db.Stats() }
@@ -260,9 +252,19 @@ func TestDynamicHostedSessions(t *testing.T) {
 	if code, _ := dynPost(t, ts.URL+"/v1/sessions/import", ex, &sr2); code != http.StatusOK {
 		t.Fatalf("import: %d", code)
 	}
-	// Retract remains unimplemented for dynamic sessions.
-	if code, _ := dynPost(t, base+"/retract", FeedbackRequest{Relevant: marked[:1]}, nil); code != http.StatusNotImplemented {
-		t.Fatalf("retract: %d", code)
+	// Dynamic sessions retract like every other backing: a second import
+	// drops one mark, and its export shows the panel without it.
+	var sr3 SessionResponse
+	if code, _ := dynPost(t, ts.URL+"/v1/sessions/import", ex, &sr3); code != http.StatusOK {
+		t.Fatalf("second import: %d", code)
+	}
+	var rr FeedbackResponse
+	if code, _ := dynPost(t, ts.URL+"/v1/sessions/"+sr3.SessionID+"/retract", FeedbackRequest{Relevant: marked[:1]}, &rr); code != http.StatusOK || rr.Relevant != 1 {
+		t.Fatalf("retract: code %d, %+v", code, rr)
+	}
+	var ex3 SessionExport
+	if code := dynGet(t, ts.URL+"/v1/sessions/"+sr3.SessionID+"/export", &ex3); code != http.StatusOK || !reflect.DeepEqual(ex3.State.Relevant, marked[1:]) {
+		t.Fatalf("export after retract: code %d, state %+v", code, ex3.State)
 	}
 
 	var qr QueryResponse

@@ -22,8 +22,12 @@ type Payload struct {
 	Images int `json:"images"`
 }
 
-// PayloadNode mirrors one RFS node.
+// PayloadNode mirrors one RFS node: its page ID (the page key a smart-client
+// session orders its frontier by and exports), the images under it (the
+// regression guard's subtree size), and its representatives.
 type PayloadNode struct {
+	ID       uint64         `json:"id"`
+	Size     int            `json:"size"`
 	Reps     []int          `json:"reps"`
 	Children []*PayloadNode `json:"children,omitempty"`
 }
@@ -34,7 +38,7 @@ func BuildPayload(engine *core.Engine, label Labeler) (*Payload, error) {
 	labels := make(map[int]string)
 	var build func(n *rstar.Node) *PayloadNode
 	build = func(n *rstar.Node) *PayloadNode {
-		pn := &PayloadNode{}
+		pn := &PayloadNode{ID: uint64(n.ID()), Size: s.SubtreeSize(n)}
 		for _, id := range s.Reps(n, nil) {
 			pn.Reps = append(pn.Reps, int(id))
 			if label != nil {
@@ -55,18 +59,23 @@ func BuildPayload(engine *core.Engine, label Labeler) (*Payload, error) {
 	return &Payload{Root: root, Labels: labels, Images: s.Len()}, nil
 }
 
-// Validate checks structural sanity: every node has representatives, and
-// every internal node's representatives appear in some child's subtree (the
-// property client-side descent depends on).
+// Validate checks structural sanity: node IDs are distinct, every node has
+// representatives, and every internal node's representatives appear in some
+// child's subtree (the property client-side descent depends on).
 func (p *Payload) Validate() error {
 	if p == nil || p.Root == nil {
 		return fmt.Errorf("server: empty payload")
 	}
+	ids := make(map[uint64]bool)
 	var walk func(n *PayloadNode) (map[int]bool, error)
 	walk = func(n *PayloadNode) (map[int]bool, error) {
 		if len(n.Reps) == 0 {
 			return nil, fmt.Errorf("server: node with no representatives")
 		}
+		if ids[n.ID] {
+			return nil, fmt.Errorf("server: payload node id %d repeats", n.ID)
+		}
+		ids[n.ID] = true
 		subtree := make(map[int]bool)
 		if len(n.Children) == 0 {
 			for _, id := range n.Reps {
@@ -110,4 +119,62 @@ func (p *Payload) RepCount() int {
 		walk(p.Root)
 	}
 	return len(seen)
+}
+
+// payloadTree is the payload as a feedback round machine's hierarchy. Page
+// keys are the node IDs BuildPayload copied from the RFS structure, so a
+// smart-client session orders, guards and exports exactly as a hosted one.
+type payloadTree struct {
+	p      *Payload
+	parent map[*PayloadNode]*PayloadNode
+	leafOf map[int]*PayloadNode // representative -> the leaf that stores it
+	byID   map[uint64]*PayloadNode
+}
+
+// Hierarchy indexes a validated payload as a feedback round machine's
+// hierarchy: the smart client's backing.
+func (p *Payload) Hierarchy() core.Hierarchy[*PayloadNode, int] {
+	t := &payloadTree{
+		p:      p,
+		parent: make(map[*PayloadNode]*PayloadNode),
+		leafOf: make(map[int]*PayloadNode),
+		byID:   make(map[uint64]*PayloadNode),
+	}
+	var walk func(n *PayloadNode)
+	walk = func(n *PayloadNode) {
+		t.byID[n.ID] = n
+		if len(n.Children) == 0 {
+			for _, id := range n.Reps {
+				t.leafOf[id] = n
+			}
+		}
+		for _, c := range n.Children {
+			t.parent[c] = n
+			walk(c)
+		}
+	}
+	walk(p.Root)
+	return t
+}
+
+func (t *payloadTree) Roots(dst []*PayloadNode) []*PayloadNode { return append(dst, t.p.Root) }
+func (t *payloadTree) Reps(n *PayloadNode) []int               { return n.Reps }
+func (t *payloadTree) Leaf(n *PayloadNode) bool                { return len(n.Children) == 0 }
+func (t *payloadTree) Size(n *PayloadNode) int                 { return n.Size }
+func (t *payloadTree) Key(n *PayloadNode) uint64               { return n.ID }
+func (t *payloadTree) Has(id int) bool                         { return id >= 0 && id < t.p.Images }
+
+func (t *payloadTree) Node(key uint64) (*PayloadNode, bool) {
+	n, ok := t.byID[key]
+	return n, ok
+}
+
+// Child walks up from the representative's leaf until the parent is n.
+func (t *payloadTree) Child(n *PayloadNode, id int) (*PayloadNode, bool) {
+	for cur := t.leafOf[id]; cur != nil; cur = t.parent[cur] {
+		if t.parent[cur] == n {
+			return cur, true
+		}
+	}
+	return nil, false
 }

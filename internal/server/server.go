@@ -96,7 +96,7 @@ type Server struct {
 	// NewShard in shard.go): engine is nil, hosted sessions run over the
 	// full-corpus topology and the scatter-gather endpoints come alive.
 	shard        *shard.Replica
-	displayCount int // shard/dynamic session display budget
+	displayCount int // shard session display budget (0: the machine's default)
 
 	// dyn, when set, switches the server into dynamic mode (see NewDynamic in
 	// dynamic.go): engine is nil, queries pin engine snapshots, and the
@@ -118,17 +118,56 @@ type Server struct {
 	archiveQuantized bool
 }
 
-// hostedSession is one thin-client feedback session. Exactly one of sess
-// (single-node mode), ssess (shard-replica mode), and dsess (dynamic mode,
-// pinning one engine snapshot for its lifetime) is non-nil.
+// hostedSession is one thin-client feedback session: the round machine over
+// the mode's hierarchy (the engine's structure, a replica's topology, or a
+// pinned snapshot's forest) plus that backing's final round.
 type hostedSession struct {
-	mu    sync.Mutex
-	sess  *core.Session
-	ssess *shard.Session
-	dsess *seg.Session
-	seed  int64 // display RNG seed, reported by /export for reproducibility
+	mu   sync.Mutex
+	sess roundMachine
+	// finalize runs the backing's final round and renders its response; nil
+	// on a shard replica, whose sessions finalize through the router.
+	finalize func(ctx context.Context, k int) (any, error)
+	// release drops what the backing pins (a dynamic session's snapshot);
+	// nil when nothing is pinned.
+	release func()
+	seed    int64 // display RNG seed, reported by /export for reproducibility
 
 	el *list.Element // position in Server.lru; guarded by Server.mu
+}
+
+// roundMachine is a round machine as the HTTP handlers drive it, whatever
+// backs it: image IDs travel as ints.
+type roundMachine interface {
+	display(label Labeler) []CandidateJSON
+	feedback(marks []int) error
+	retract(ids []int)
+	widths() (subqueries, relevant int)
+	ExportState() *core.SessionState
+	Trace() *obs.Trace
+}
+
+// hosted adapts a core.Machine over any hierarchy to roundMachine.
+type hosted[N comparable, ID core.Image] struct{ *core.Machine[N, ID] }
+
+func (h hosted[N, ID]) display(label Labeler) []CandidateJSON {
+	cands := h.Candidates()
+	out := make([]CandidateJSON, len(cands))
+	for i, c := range cands {
+		out[i] = CandidateJSON{ID: int(c.ID), Label: label(int(c.ID))}
+	}
+	return out
+}
+
+func (h hosted[N, ID]) feedback(marks []int) error { return h.Feedback(imageIDs[ID](marks)) }
+func (h hosted[N, ID]) retract(ids []int)          { h.Retract(imageIDs[ID](ids)) }
+func (h hosted[N, ID]) widths() (int, int)         { return len(h.Frontier()), len(h.Relevant()) }
+
+func imageIDs[ID core.Image](ids []int) []ID {
+	out := make([]ID, len(ids))
+	for i, id := range ids {
+		out[i] = ID(id)
+	}
+	return out
 }
 
 // New creates a server over the engine. label may be nil (empty labels).
@@ -717,58 +756,91 @@ func (s *Server) addSession(seed int64, st *core.SessionState) (string, error) {
 	}
 	s.mu.Unlock()
 	for _, ev := range evicted {
-		if ev != nil && ev.dsess != nil {
-			ev.dsess.Release()
+		if ev != nil && ev.release != nil {
+			ev.release()
 		}
 	}
 
-	hs := &hostedSession{seed: seed}
-	rng := rand.New(rand.NewSource(seed))
-	var err error
-	if s.dyn != nil {
-		if st != nil {
-			// The snapshot pin itself is not serializable; the restore re-pins
-			// this server's current snapshot and carries over the panel,
-			// weights, and round count — all Finalize needs.
-			hs.dsess, err = s.dyn.RestoreSession(&seg.SessionState{
-				Relevant: st.Relevant,
-				Weights:  st.Weights,
-				Rounds:   st.Rounds,
-			}, seed)
-		} else {
-			hs.dsess = s.dyn.NewSession(seed)
-		}
-	} else if s.shard != nil {
-		dc := s.displayCount
-		if dc <= 0 {
-			dc = 20
-		}
-		if st != nil {
-			hs.ssess, err = shard.RestoreSession(s.shard.Topo(), st, rng, dc)
-		} else {
-			hs.ssess = shard.NewSession(s.shard.Topo(), rng, dc)
-		}
-	} else {
-		if st != nil {
-			hs.sess, err = s.engine.RestoreSession(st, rng)
-		} else {
-			hs.sess = s.engine.NewSession(rng)
-		}
-		if hs.sess != nil {
-			// Correlate the session's trace with its API handle so /v1/traces
-			// output can be joined against client logs.
-			hs.sess.Trace().SetLabel("session-" + id)
-		}
-	}
+	hs, err := s.newHosted(seed, st)
 	if err != nil {
 		return "", err
 	}
+	// Correlate the session's trace (an engine session's, under an
+	// observer) with its API handle so /v1/traces output can be joined
+	// against client logs.
+	hs.sess.Trace().SetLabel("session-" + id)
 	s.mu.Lock()
 	hs.el = s.lru.PushBack(id)
 	s.sessions[id] = hs
 	s.mu.Unlock()
 	s.obs.SessionHosted()
 	return id, nil
+}
+
+// newHosted builds a hosted session over the mode's hierarchy — fresh when st
+// is nil, restored from an exported state otherwise.
+func (s *Server) newHosted(seed int64, st *core.SessionState) (*hostedSession, error) {
+	hs := &hostedSession{seed: seed}
+	rng := rand.New(rand.NewSource(seed))
+	switch {
+	case s.dyn != nil:
+		if st != nil {
+			// Page keys name segment positions in the exporting snapshot, and
+			// this session pins the current one: the panel keeps its images,
+			// weights and counters and browses from the segment roots.
+			local := *st
+			local.Assign, local.Displayed = nil, nil
+			st = &local
+		}
+		snap := s.dyn.DB().Acquire()
+		m, err := startMachine(snap.Forest(), st, rng, 0)
+		if err != nil {
+			snap.Release()
+			return nil, err
+		}
+		hs.sess, hs.release = hosted[seg.Node, int]{m}, snap.Release
+		hs.finalize = func(ctx context.Context, k int) (any, error) {
+			res, err := snap.FinalizeSession(ctx, m, k)
+			if err != nil {
+				return nil, err
+			}
+			return AnswerResponse(res, 0, s.label), nil
+		}
+	case s.shard != nil:
+		m, err := startMachine(s.shard.Topo().Hierarchy(), st, rng, s.displayCount)
+		if err != nil {
+			return nil, err
+		}
+		hs.sess = hosted[int, int]{m}
+	default:
+		var cs *core.Session
+		if st == nil {
+			cs = s.engine.NewSession(rng)
+		} else {
+			var err error
+			if cs, err = s.engine.RestoreSession(st, rng); err != nil {
+				return nil, err
+			}
+		}
+		hs.sess = hosted[*rstar.Node, rstar.ItemID]{&cs.Machine}
+		hs.finalize = func(ctx context.Context, k int) (any, error) {
+			res, err := cs.FinalizeCtx(ctx, k)
+			if err != nil {
+				return nil, err
+			}
+			return s.toQueryResponse(res, cs.Stats()), nil
+		}
+	}
+	return hs, nil
+}
+
+// startMachine starts a round machine over h: fresh when st is nil, restored
+// from it otherwise.
+func startMachine[N comparable, ID core.Image](h core.Hierarchy[N, ID], st *core.SessionState, rng *rand.Rand, display int) (*core.Machine[N, ID], error) {
+	if st == nil {
+		return core.NewMachine(h, rng, display), nil
+	}
+	return core.RestoreMachine(h, st, rng, display)
 }
 
 // SessionExport is the /v1/sessions/{id}/export body: the wire-serializable
@@ -814,8 +886,8 @@ func (s *Server) release(id string) {
 	}
 	s.mu.Unlock()
 	if ok {
-		if hs.dsess != nil {
-			hs.dsess.Release()
+		if hs.release != nil {
+			hs.release()
 		}
 		s.obs.SessionReleased()
 	}
@@ -857,27 +929,8 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, struct{}{})
 
 	case op == "candidates" && r.Method == http.MethodGet:
-		var out []CandidateJSON
 		hs.mu.Lock()
-		if hs.dsess != nil {
-			cands := hs.dsess.Candidates(s.displayCount)
-			out = make([]CandidateJSON, len(cands))
-			for i, c := range cands {
-				out[i] = CandidateJSON{ID: c.ID, Label: s.label(c.ID)}
-			}
-		} else if hs.ssess != nil {
-			ids := hs.ssess.Candidates()
-			out = make([]CandidateJSON, len(ids))
-			for i, cid := range ids {
-				out[i] = CandidateJSON{ID: cid, Label: s.label(cid)}
-			}
-		} else {
-			cands := hs.sess.Candidates()
-			out = make([]CandidateJSON, len(cands))
-			for i, c := range cands {
-				out[i] = CandidateJSON{ID: int(c.ID), Label: s.label(int(c.ID))}
-			}
-		}
+		out := hs.sess.display(s.label)
 		hs.mu.Unlock()
 		writeJSON(w, http.StatusOK, struct {
 			Candidates []CandidateJSON `json:"candidates"`
@@ -889,26 +942,9 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}
-		var err error
-		var nsub, nrel int
 		hs.mu.Lock()
-		if hs.dsess != nil {
-			err = hs.dsess.Feedback(req.Relevant)
-			nsub = hs.dsess.Subqueries()
-			nrel = len(hs.dsess.Relevant())
-		} else if hs.ssess != nil {
-			err = hs.ssess.Feedback(req.Relevant)
-			nsub = hs.ssess.Subqueries()
-			nrel = len(hs.ssess.Relevant())
-		} else {
-			marks := make([]rstar.ItemID, len(req.Relevant))
-			for i, m := range req.Relevant {
-				marks[i] = rstar.ItemID(m)
-			}
-			err = hs.sess.Feedback(marks)
-			nsub = len(hs.sess.Frontier())
-			nrel = len(hs.sess.Relevant())
-		}
+		err := hs.sess.feedback(req.Relevant)
+		nsub, nrel := hs.sess.widths()
 		hs.mu.Unlock()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -922,48 +958,17 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}
-		var nrel int
 		hs.mu.Lock()
-		if hs.dsess != nil {
-			hs.mu.Unlock()
-			writeError(w, http.StatusNotImplemented, "dynamic sessions do not support retract")
-			return
-		}
-		if hs.ssess != nil {
-			hs.ssess.Retract(req.Relevant)
-			nrel = len(hs.ssess.Relevant())
-		} else {
-			ids := make([]rstar.ItemID, len(req.Relevant))
-			for i, m := range req.Relevant {
-				ids[i] = rstar.ItemID(m)
-			}
-			hs.sess.Retract(ids)
-			nrel = len(hs.sess.Relevant())
-		}
+		hs.sess.retract(req.Relevant)
+		_, nrel := hs.sess.widths()
 		hs.mu.Unlock()
 		writeJSON(w, http.StatusOK, FeedbackResponse{Relevant: nrel})
 
 	case op == "export" && r.Method == http.MethodGet:
 		hs.mu.Lock()
-		var st *core.SessionState
-		if hs.dsess != nil {
-			// Dynamic sessions export the snapshot-independent slice of their
-			// state; import re-pins the importing server's current snapshot.
-			dst := hs.dsess.ExportState()
-			st = &core.SessionState{
-				Version:  core.SessionStateVersion,
-				Relevant: dst.Relevant,
-				Weights:  dst.Weights,
-				Rounds:   dst.Rounds,
-			}
-		} else if hs.ssess != nil {
-			st = hs.ssess.ExportState()
-		} else {
-			st = hs.sess.ExportState()
-		}
-		seed := hs.seed
+		st := hs.sess.ExportState()
 		hs.mu.Unlock()
-		writeJSON(w, http.StatusOK, SessionExport{SessionID: id, Seed: seed, State: st})
+		writeJSON(w, http.StatusOK, SessionExport{SessionID: id, Seed: hs.seed, State: st})
 
 	case op == "finalize" && r.Method == http.MethodPost:
 		var req struct {
@@ -973,7 +978,7 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}
-		if hs.ssess != nil {
+		if hs.finalize == nil {
 			// A shard replica holds only its slice of the corpus, so the final
 			// k-NN round must scatter across the fleet — the router exports
 			// this session's state and runs the distributed finalize itself.
@@ -987,28 +992,15 @@ func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer release()
-		if hs.dsess != nil {
-			hs.mu.Lock()
-			res, err := hs.dsess.FinalizeCtx(r.Context(), req.K)
-			hs.mu.Unlock()
-			if err != nil {
-				writeQueryError(w, err)
-				return
-			}
-			s.release(id) // finalized sessions are done (this drops the pin)
-			writeJSON(w, http.StatusOK, AnswerResponse(res, 0, s.label))
-			return
-		}
 		hs.mu.Lock()
-		res, err := hs.sess.FinalizeCtx(r.Context(), req.K)
-		stats := hs.sess.Stats()
+		res, err := hs.finalize(r.Context(), req.K)
 		hs.mu.Unlock()
 		if err != nil {
 			writeQueryError(w, err)
 			return
 		}
-		s.release(id) // finalized sessions are done
-		writeJSON(w, http.StatusOK, s.toQueryResponse(res, stats))
+		s.release(id) // finalized sessions are done (a dynamic one drops its pin)
+		writeJSON(w, http.StatusOK, res)
 
 	default:
 		writeError(w, http.StatusNotFound, "unknown operation %q", op)

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -287,7 +289,7 @@ func TestClientSideSessionFlow(t *testing.T) {
 		seen := map[int]bool{}
 		for d := 0; d < 15 && len(marks) < 6; d++ {
 			for _, c := range sess.Candidates() {
-				if !seen[c.ID] && targets[c.Label] && len(marks) < 6 {
+				if !seen[c.ID] && targets[client.Label(c.ID)] && len(marks) < 6 {
 					seen[c.ID] = true
 					marks = append(marks, c.ID)
 				}
@@ -297,10 +299,11 @@ func TestClientSideSessionFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sess.Subqueries() == 0 || len(sess.Relevant()) == 0 {
+	if len(sess.Frontier()) == 0 || len(sess.Relevant()) == 0 {
 		t.Fatal("client session found nothing")
 	}
-	res, err := sess.Finalize(18)
+	ctx := context.Background()
+	res, err := client.Finalize(ctx, sess, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +324,7 @@ func TestClientSideSessionFlow(t *testing.T) {
 		t.Errorf("client-side QD covered only %d car subconcepts", len(covered))
 	}
 	// Double finalize is an error; so is feedback after finalize.
-	if _, err := sess.Finalize(5); err == nil {
+	if _, err := client.Finalize(ctx, sess, 5); err == nil {
 		t.Error("second finalize accepted")
 	}
 	if err := sess.Feedback(nil); err == nil {
@@ -455,11 +458,49 @@ func TestBuildPayloadDirect(t *testing.T) {
 		t.Errorf("payload reps %d != structure reps %d", p.RepCount(), eng.RFS().RepCount())
 	}
 	// Corrupt payloads are rejected.
-	bad := &Payload{Root: &PayloadNode{Reps: []int{1}, Children: []*PayloadNode{{Reps: []int{2}}}}}
+	bad := &Payload{Root: &PayloadNode{ID: 1, Reps: []int{1}, Children: []*PayloadNode{{ID: 2, Reps: []int{2}}}}}
 	if err := bad.Validate(); err == nil {
 		t.Error("orphan internal rep accepted")
 	}
+	// A smart-client session keys its frontier, cursors and exported state
+	// by node ID, so IDs must be distinct.
+	twin := &Payload{Root: &PayloadNode{ID: 1, Reps: []int{2}, Children: []*PayloadNode{{ID: 1, Reps: []int{2}}}}}
+	if err := twin.Validate(); err == nil {
+		t.Error("repeated node id accepted")
+	}
 	if err := (&Payload{}).Validate(); err == nil {
 		t.Error("empty payload accepted")
+	}
+}
+
+// TestRejectedFeedbackLeavesSessionUnchanged: a feedback round naming an
+// undisplayed image beside a displayed one answers 400 and changes nothing —
+// not the panel, not the round count.
+func TestRejectedFeedbackLeavesSessionUnchanged(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	var sess SessionResponse
+	postJSON(t, ts.URL+"/v1/sessions", map[string]int64{"seed": 3}, &sess)
+	base := ts.URL + "/v1/sessions/" + sess.SessionID
+	var cands struct {
+		Candidates []CandidateJSON `json:"candidates"`
+	}
+	getJSON(t, base+"/candidates", &cands)
+	if len(cands.Candidates) == 0 {
+		t.Fatal("no candidates")
+	}
+	var before, after SessionExport
+	getJSON(t, base+"/export", &before)
+	shown := cands.Candidates[0].ID
+	if r := postJSON(t, base+"/feedback", FeedbackRequest{Relevant: []int{shown, 1 << 30}}, nil); r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("feedback with an undisplayed image = %d", r.StatusCode)
+	}
+	getJSON(t, base+"/export", &after)
+	if !reflect.DeepEqual(after, before) || after.State.Rounds != 0 || len(after.State.Relevant) != 0 {
+		t.Fatalf("rejected round changed the session:\n  before %+v\n  after  %+v", before.State, after.State)
+	}
+	var fb FeedbackResponse
+	postJSON(t, base+"/feedback", FeedbackRequest{Relevant: []int{shown}}, &fb)
+	if fb.Relevant != 1 {
+		t.Fatalf("valid round after a rejected one: %+v", fb)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"qdcbir"
+	"qdcbir/internal/core"
 	"qdcbir/internal/obs"
 	"qdcbir/internal/shard"
 )
@@ -727,7 +728,7 @@ func TestClientFinalizeRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	play := func() *ClientSession {
+	play := func() *core.Machine[*PayloadNode, int] {
 		sess := client.NewSession(7, 21)
 		cands := sess.Candidates()
 		if len(cands) < 3 {
@@ -738,26 +739,73 @@ func TestClientFinalizeRetry(t *testing.T) {
 		}
 		return sess
 	}
-	want, err := play().Finalize(12)
+	ctx := context.Background()
+	want, err := client.Finalize(ctx, play(), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sess := play()
 	srv.SetQueryTimeout(time.Nanosecond) // the query answers 503 deadline_exceeded
-	_, err = sess.Finalize(12)
+	_, err = client.Finalize(ctx, sess, 12)
 	srv.SetQueryTimeout(0)
 	if err == nil {
 		t.Fatal("finalize past the server's budget returned a result")
 	}
-	got, err := sess.Finalize(12)
+	got, err := client.Finalize(ctx, sess, 12)
 	if err != nil {
 		t.Fatalf("retried finalize: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("retried finalize differs from a first finalize:\n  retry %+v\n  first %+v", got, want)
 	}
-	if _, err := sess.Finalize(12); err == nil {
+	if _, err := client.Finalize(ctx, sess, 12); err == nil {
 		t.Error("finalize after a returned result accepted")
+	}
+}
+
+// TestReplicaDefaultDisplayMatchesSingleNode: a replica whose archive leaves
+// display_count unset shows the round machine's default display — what the
+// single node shows for the same seed.
+func TestReplicaDefaultDisplayMatchesSingleNode(t *testing.T) {
+	cfg := qdcbir.SmallConfig()
+	cfg.VectorMode = true
+	cfg.Images = 400
+	cfg.Categories = 8
+	sys, err := qdcbir.Build(cfg)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	archives, err := qdcbir.SliceShards(context.Background(), sys, 2)
+	if err != nil {
+		t.Fatalf("SliceShards: %v", err)
+	}
+	archives[0].Meta.DisplayCount = 0
+	var buf bytes.Buffer
+	if err := archives[0].Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := qdcbir.OpenShard(&buf)
+	if err != nil {
+		t.Fatalf("OpenShard: %v", err)
+	}
+	if rep.Meta().DisplayCount != 0 {
+		t.Fatalf("archive display_count %d survived as nonzero", rep.Meta().DisplayCount)
+	}
+	display := func(srv *Server) []CandidateJSON {
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		var sess SessionResponse
+		postJSON(t, ts.URL+"/v1/sessions", map[string]int64{"seed": 11}, &sess)
+		var out struct {
+			Candidates []CandidateJSON `json:"candidates"`
+		}
+		getJSON(t, ts.URL+"/v1/sessions/"+sess.SessionID+"/candidates", &out)
+		return out.Candidates
+	}
+	got := display(NewShard(rep, nil))
+	want := display(New(sys.Engine(), sys.SubconceptOf))
+	if len(want) != core.DefaultDisplayCount || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replica display (display_count 0):\n  got  %v\n  want %v (%d candidates)", got, want, core.DefaultDisplayCount)
 	}
 }

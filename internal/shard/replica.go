@@ -86,7 +86,7 @@ func SlabLayout(t *Topology, leafID []uint64) (order []int, ranges [][2]int, err
 		}
 		ranges[i] = [2]int{lo, len(order)}
 	}
-	dfs(t.Root())
+	dfs(0)
 	if len(order) != len(leafID) {
 		return nil, nil, fmt.Errorf("shard: slab covers %d of %d rows (leaf table inconsistent)", len(order), len(leafID))
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"qdcbir/internal/core"
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/vec"
@@ -166,9 +167,6 @@ func (t *Topology) Height() int {
 // single-node structure's RepCount.
 func (t *Topology) RepCount() int { return len(t.repLeaf) }
 
-// Root returns the root node index (always 0 in pre-order).
-func (t *Topology) Root() int { return 0 }
-
 // RootID returns the root node's page ID.
 func (t *Topology) RootID() uint64 { return t.Nodes[0].ID }
 
@@ -221,29 +219,32 @@ func (t *Topology) ExpandForQuery(i int, queryPoints []vec.Vector, threshold flo
 	return cur
 }
 
-// ChildContaining returns the index of node i's child whose subtree holds the
-// representative image, or -1 when i is a leaf or the image's leaf does not
-// descend from i — the same contract as rfs.Structure.ChildContaining,
-// resolved through the representatives' leaf table instead of the live leaf
-// map.
-func (t *Topology) ChildContaining(i int, repID int) int {
-	if t.Nodes[i].Leaf {
-		return -1
+// Hierarchy returns the topology as a feedback round machine's hierarchy:
+// nodes are indices, page keys are node IDs, and representatives are the
+// full-corpus image IDs. A displayed image is a representative, so the
+// child containing it resolves through the representatives' leaf table.
+func (t *Topology) Hierarchy() core.Hierarchy[int, int] { return (*topoHierarchy)(t) }
+
+type topoHierarchy Topology
+
+func (h *topoHierarchy) Roots(dst []int) []int       { return append(dst, 0) }
+func (h *topoHierarchy) Reps(i int) []int            { return h.Nodes[i].Reps }
+func (h *topoHierarchy) Leaf(i int) bool             { return h.Nodes[i].Leaf }
+func (h *topoHierarchy) Size(i int) int              { return h.Nodes[i].Size }
+func (h *topoHierarchy) Key(i int) uint64            { return h.Nodes[i].ID }
+func (h *topoHierarchy) Node(key uint64) (int, bool) { return (*Topology)(h).IdxOf(key) }
+func (h *topoHierarchy) Has(id int) bool             { return id >= 0 && id < h.Nodes[0].Size }
+
+// Child walks up from the representative's leaf to node i's child.
+func (h *topoHierarchy) Child(i int, repID int) (int, bool) {
+	leaf, ok := h.repLeaf[repID]
+	if !ok || h.Nodes[i].Leaf {
+		return 0, false
 	}
-	leafID, ok := t.repLeaf[repID]
-	if !ok {
-		return -1
-	}
-	cur, ok := t.idxOf[leafID]
-	if !ok {
-		return -1
-	}
-	for cur >= 0 {
-		p := t.Nodes[cur].Parent
-		if p == i {
-			return cur
+	for cur, ok := h.idxOf[leaf]; ok && cur >= 0; cur = h.Nodes[cur].Parent {
+		if h.Nodes[cur].Parent == i {
+			return cur, true
 		}
-		cur = p
 	}
-	return -1
+	return 0, false
 }

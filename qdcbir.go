@@ -118,7 +118,7 @@ func DefaultConfig() Config {
 		NodeCapacity:      100,
 		RepFraction:       0.05,
 		BoundaryThreshold: 0.4,
-		DisplayCount:      21,
+		DisplayCount:      core.DefaultDisplayCount,
 	}
 }
 

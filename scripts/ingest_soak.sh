@@ -7,7 +7,8 @@
 # server streams ~300 inserts (crossing the seal threshold) with interleaved
 # deletes and sampled queries, then deletes everything it inserted — bringing
 # the live set back to the reference's — and the two servers' query results
-# are literally diffed: the segmented engine's contract is that a corpus
+# (and one seeded feedback session, marks, a retract and its finalize) are
+# literally diffed: the segmented engine's contract is that a corpus
 # smeared across sealed segments, memtable rows, and tombstones answers
 # bit-identically to a clean single-segment build of the same live rows.
 # A compaction pass then collapses the soak server's segments and the diff
@@ -137,6 +138,15 @@ diff -u "$WORK/ref_cands.json" "$WORK/soak_cands.json" \
 MARKS=$(jq -c '{relevant: [.[].id] | [.[range(0; length; 3)]]}' "$WORK/ref_cands.json")
 curl -sf -X POST -d "$MARKS" "http://localhost:$REF/v1/sessions/$SID_R/feedback" >/dev/null
 curl -sf -X POST -d "$MARKS" "http://localhost:$SOAK/v1/sessions/$SID_S/feedback" >/dev/null
+# Retract the first mark on both servers: dynamic sessions retract through the
+# same round machine, and the finalize diff below then covers the smaller panel.
+RETRACT=$(jq -c '{relevant: [.[0].id]}' "$WORK/ref_cands.json")
+curl -sf -X POST -d "$RETRACT" "http://localhost:$REF/v1/sessions/$SID_R/retract"  | jq -S . > "$WORK/ref_retract.json"
+curl -sf -X POST -d "$RETRACT" "http://localhost:$SOAK/v1/sessions/$SID_S/retract" | jq -S . > "$WORK/soak_retract.json"
+diff -u "$WORK/ref_retract.json" "$WORK/soak_retract.json" \
+  || { echo "ingest_soak: session retract diverges" >&2; exit 1; }
+jq -e --argjson marked "$(jq '.relevant | length' <<<"$MARKS")" '.relevant == $marked - 1' "$WORK/ref_retract.json" >/dev/null \
+  || { echo "ingest_soak: retract left $(cat "$WORK/ref_retract.json")" >&2; exit 1; }
 curl -sf -X POST -d '{"k":25}' "http://localhost:$REF/v1/sessions/$SID_R/finalize"  | jq -S "$NORM" > "$WORK/ref_final.json"
 curl -sf -X POST -d '{"k":25}' "http://localhost:$SOAK/v1/sessions/$SID_S/finalize" | jq -S "$NORM" > "$WORK/soak_final.json"
 diff -u "$WORK/ref_final.json" "$WORK/soak_final.json" \

@@ -483,7 +483,7 @@ func TestSessionExportRestoreFinalizeParity(t *testing.T) {
 	}
 }
 
-// TestShardSessionParity drives a topology-backed shard.Session and an
+// TestShardSessionParity drives a topology-backed round machine and an
 // engine-backed core.Session with the same seed through the same rounds and
 // demands identical displays, identical decomposition state, identical
 // exported state, and a distributed finalize identical to the single-node
@@ -496,10 +496,13 @@ func TestShardSessionParity(t *testing.T) {
 	}
 	dc := sys.Config().DisplayCount
 	cs := sys.Engine().NewSession(rand.New(rand.NewSource(11)))
-	ss := shard.NewSession(topo, rand.New(rand.NewSource(11)), dc)
+	ss := core.NewMachine(topo.Hierarchy(), rand.New(rand.NewSource(11)), dc)
 	for round := 0; round < 3; round++ {
 		cc := cs.Candidates()
-		sc := ss.Candidates()
+		var sc []int
+		for _, c := range ss.Candidates() {
+			sc = append(sc, c.ID)
+		}
 		ccIDs := make([]int, len(cc))
 		for i, c := range cc {
 			ccIDs[i] = int(c.ID)
@@ -521,8 +524,8 @@ func TestShardSessionParity(t *testing.T) {
 		if err := ss.Feedback(shardMarks); err != nil {
 			t.Fatal(err)
 		}
-		if len(cs.Frontier()) != ss.Subqueries() {
-			t.Fatalf("round %d: %d subqueries vs core %d", round, ss.Subqueries(), len(cs.Frontier()))
+		if len(cs.Frontier()) != len(ss.Frontier()) {
+			t.Fatalf("round %d: %d subqueries vs core %d", round, len(ss.Frontier()), len(cs.Frontier()))
 		}
 	}
 	// Retraction keeps the two in lockstep too.
@@ -567,11 +570,11 @@ func TestShardSessionParity(t *testing.T) {
 
 	// A shard session restored from the exported state replays identically to
 	// a second restore of the same state (stateless resume).
-	r1, err := shard.RestoreSession(topo, stShard, rand.New(rand.NewSource(5)), dc)
+	r1, err := core.RestoreMachine(topo.Hierarchy(), stShard, rand.New(rand.NewSource(5)), dc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := shard.RestoreSession(topo, stShard, rand.New(rand.NewSource(5)), dc)
+	r2, err := core.RestoreMachine(topo.Hierarchy(), stShard, rand.New(rand.NewSource(5)), dc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Command qdrouter fronts a fleet of qdserve shard replicas with a
-// stateless scatter-gather tier (see internal/router): fleet verification
-// at startup, health-checked failover between replicas of a shard, k-NN and
-// finalize rounds fanned out per shard and merged bit-identically to the
-// single-node engine, and feedback sessions pinned to their hosting replica
-// by composite handle.
+// scatter-gather tier (see internal/router): fleet verification at startup,
+// health-checked failover between replicas of a shard, k-NN and finalize
+// rounds fanned out per shard and merged bit-identically to the single-node
+// engine, and feedback sessions hosted here, over the fleet topology, so a
+// feedback round makes no replica request. A restart loses those sessions;
+// an exported session state resumes on any router over the same fleet.
 //
 // Usage:
 //

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"runtime/debug"
 	"sort"
@@ -220,8 +221,8 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/knn", rt.handleKNN)
 	mux.HandleFunc("/v1/query", rt.handleQuery)
-	mux.HandleFunc("/v1/sessions", rt.handleSessions)
-	mux.HandleFunc("/v1/sessions/", rt.handleSessionOp)
+	mux.Handle("/v1/sessions", rt.sessions)
+	mux.Handle("/v1/sessions/", rt.sessions)
 	mux.HandleFunc("/v1/stats", rt.handleStats)
 	mux.HandleFunc("/v1/buildinfo", rt.handleBuildInfo)
 	mux.HandleFunc("/v1/latency", rt.handleLatency)
@@ -440,211 +441,28 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // ---- hosted sessions ----
 
-// Session handles are composite: s<shard>-<replica>-<inner>, pinning the
-// hosting replica. The router is stateless — any router instance (or a
-// restarted one) routes the handle to the same host.
-func composeSessionID(shardIdx, repIdx int, inner string) string {
-	return fmt.Sprintf("s%d-%d-%s", shardIdx, repIdx, inner)
-}
-
-func (rt *Router) parseSessionID(id string) (*replica, string, error) {
-	if !strings.HasPrefix(id, "s") {
-		return nil, "", fmt.Errorf("malformed session id %q", id)
-	}
-	parts := strings.SplitN(id[1:], "-", 3)
-	if len(parts) != 3 {
-		return nil, "", fmt.Errorf("malformed session id %q", id)
-	}
-	sh, err1 := strconv.Atoi(parts[0])
-	ri, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil || sh < 0 || sh >= len(rt.shards) || ri < 0 || ri >= len(rt.shards[sh]) {
-		return nil, "", fmt.Errorf("malformed session id %q", id)
-	}
-	return rt.shards[sh][ri], parts[2], nil
-}
-
-// handleSessions places a new feedback session on a replica, spreading
-// sessions across the fleet round-robin and skipping dead replicas.
-func (rt *Router) handleSessions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "", "POST only")
-		return
-	}
-	var body json.RawMessage
-	if r.ContentLength > 0 {
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, "", "bad request: %v", err)
-			return
-		}
-	}
-	rt.placeSession(w, r, "/v1/sessions", body)
-}
-
-// placeSession POSTs the body to some live replica's path and rewraps the
-// returned session id into a composite handle.
-func (rt *Router) placeSession(w http.ResponseWriter, r *http.Request, path string, body interface{}) {
-	n := len(rt.all)
-	start := int(rt.sessSeq.Add(1)) % n
-	var lastErr error
-	for attempt := 0; attempt < n; attempt++ {
-		rep := rt.all[(start+attempt)%n]
-		if !rep.alive.Load() && attempt < n-1 {
-			continue
-		}
-		var resp server.SessionResponse
-		_, err := rt.call(r.Context(), rep, http.MethodPost, path, body, &resp)
-		if err == nil {
-			repIdx := 0
-			for i, cand := range rt.shards[rep.shard] {
-				if cand == rep {
-					repIdx = i
-					break
-				}
-			}
-			writeJSON(w, http.StatusOK, server.SessionResponse{SessionID: composeSessionID(rep.shard, repIdx, resp.SessionID)})
-			return
-		}
-		var be *backendError
-		if errors.As(err, &be) && !be.retryable() {
-			writeBackendError(w, err)
-			return
-		}
-		if r.Context().Err() != nil {
-			writeBackendError(w, err)
-			return
-		}
-		rep.alive.Store(false)
-		lastErr = err
-	}
-	writeBackendError(w, fmt.Errorf("router: no replica accepted the session: %w", lastErr))
-}
-
-// handleSessionOp proxies session operations to the hosting replica and
-// runs distributed finalizes.
-func (rt *Router) handleSessionOp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/sessions/")
-	if rest == "import" {
-		// Re-hosting an exported session: any replica can hold it.
-		var body json.RawMessage
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, "", "bad request: %v", err)
-			return
-		}
-		rt.placeSession(w, r, "/v1/sessions/import", body)
-		return
-	}
-	parts := strings.SplitN(rest, "/", 2)
-	rep, inner, err := rt.parseSessionID(parts[0])
+// startSession starts a feedback session at the router, on a round machine
+// over the fleet topology: every representative and subtree size a round
+// reads is already here, so a round makes no backend request. Displays hold
+// what the archives' display count says and carry the topology's
+// representative labels, as the single node's do. The final round is the
+// only one that needs the corpus rows; it scatters (finalizeState).
+func (rt *Router) startSession(rng *rand.Rand, st *core.SessionState) (*server.HostedSession, error) {
+	m, err := server.StartMachine(rt.topo.Hierarchy(), st, rng, rt.meta.DisplayCount)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "", "%v", err)
-		return
+		return nil, err
 	}
-	op := ""
-	if len(parts) == 2 {
-		op = parts[1]
-	}
-	if op == "finalize" && r.Method == http.MethodPost {
-		rt.finalizeSession(w, r, rep, inner)
-		return
-	}
-	// Plain proxy: candidates, feedback, retract, export, delete. The
-	// session state lives on rep, so there is no failover — if the host is
-	// gone the session is lost, and the client's recourse is re-importing
-	// the state it exported (410, code "session_lost").
-	var body json.RawMessage
-	if r.Body != nil && (r.Method == http.MethodPost || r.Method == http.MethodPut) {
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, "", "bad request: %v", err)
-			return
+	return server.Host(m, func(ctx context.Context, k int) (any, error) {
+		st := m.ExportState()
+		res, err := rt.finalizeState(ctx, st, k)
+		if err != nil {
+			return nil, err
 		}
-	}
-	path := "/v1/sessions/" + inner
-	if op != "" {
-		path += "/" + op
-	}
-	var in interface{}
-	if body != nil {
-		in = body
-	}
-	var out json.RawMessage
-	if _, err := rt.call(r.Context(), rep, r.Method, path, in, &out); err != nil {
-		var be *backendError
-		if errors.As(err, &be) || r.Context().Err() != nil {
-			writeBackendError(w, err)
-			return
-		}
-		rep.alive.Store(false)
-		writeErr(w, http.StatusGone, "session_lost",
-			"session host s%d unreachable (%v); re-import the session from an exported state", rep.shard, err)
-		return
-	}
-	// Rewrap any session_id the downstream response carries (export).
-	if op == "export" {
-		var exp server.SessionExport
-		if json.Unmarshal(out, &exp) == nil {
-			repIdx := 0
-			for i, cand := range rt.shards[rep.shard] {
-				if cand == rep {
-					repIdx = i
-					break
-				}
-			}
-			exp.SessionID = composeSessionID(rep.shard, repIdx, exp.SessionID)
-			writeJSON(w, http.StatusOK, exp)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out)
+		return server.AnswerResponse(res, st.FeedbackReads, nil), nil
+	}, nil), nil
 }
 
-// finalizeSession runs the distributed finalize: export the session state
-// from its host, gather the panel's vectors from their owning shards,
-// scatter the localized k-NN subqueries fleet-wide, and merge — the §3.3/3.4
-// arithmetic runs here, bit-identical to a single-node Finalize over the
-// same panel. The hosted session is released afterwards, like the
-// single-node finalize path.
-func (rt *Router) finalizeSession(w http.ResponseWriter, r *http.Request, rep *replica, inner string) {
-	var req struct {
-		K int `json:"k"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "", "bad request: %v", err)
-		return
-	}
-	var exp server.SessionExport
-	if _, err := rt.call(r.Context(), rep, http.MethodGet, "/v1/sessions/"+inner+"/export", nil, &exp); err != nil {
-		var be *backendError
-		if errors.As(err, &be) {
-			writeBackendError(w, err)
-			return
-		}
-		if r.Context().Err() != nil {
-			writeBackendError(w, err)
-			return
-		}
-		rep.alive.Store(false)
-		writeErr(w, http.StatusGone, "session_lost",
-			"session host s%d unreachable (%v); re-import the session from an exported state", rep.shard, err)
-		return
-	}
-	st := exp.State
-	if st == nil {
-		writeErr(w, http.StatusBadGateway, "", "session host returned no state")
-		return
-	}
-	res, err := rt.finalizeState(r.Context(), st, req.K)
-	if err != nil {
-		writeBackendError(w, err)
-		return
-	}
-	// The single-node finalize releases the session; mirror that.
-	_, _ = rt.call(r.Context(), rep, http.MethodDelete, "/v1/sessions/"+inner, nil, nil)
-	writeJSON(w, http.StatusOK, server.AnswerResponse(res, st.FeedbackReads, nil))
-}
-
-// finalizeState scatters a finalize over an exported session state.
+// finalizeState scatters a finalize over a session's state.
 func (rt *Router) finalizeState(ctx context.Context, st *core.SessionState, k int) (*core.Answer, error) {
 	var ids []int
 	for _, id := range st.Relevant {
@@ -693,14 +511,18 @@ type ShardStatus struct {
 	Replicas []ReplicaStatus `json:"replicas"`
 }
 
-// StatsResponse is the router's /v1/stats body.
+// StatsResponse is the router's /v1/stats body. Sessions counts the
+// feedback sessions the router hosts; SessionsEvicted those the session cap
+// evicted.
 type StatsResponse struct {
-	Shards    []ShardStatus `json:"shards"`
-	Requests  uint64        `json:"requests"`
-	Errors    uint64        `json:"errors"`
-	Scatters  uint64        `json:"scatters"`
-	Failovers uint64        `json:"failovers"`
-	Metrics   obs.Snapshot  `json:"metrics"`
+	Shards          []ShardStatus `json:"shards"`
+	Requests        uint64        `json:"requests"`
+	Errors          uint64        `json:"errors"`
+	Scatters        uint64        `json:"scatters"`
+	Failovers       uint64        `json:"failovers"`
+	Sessions        int           `json:"sessions"`
+	SessionsEvicted uint64        `json:"sessions_evicted"`
+	Metrics         obs.Snapshot  `json:"metrics"`
 }
 
 func (rt *Router) shardStatus() []ShardStatus {
@@ -727,12 +549,14 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := rt.obs.Registry().Snapshot()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		Shards:    rt.shardStatus(),
-		Requests:  snap.Counters["qd_router_requests_total"],
-		Errors:    snap.Counters["qd_router_errors_total"],
-		Scatters:  snap.Counters["qd_router_scatters_total"],
-		Failovers: snap.Counters["qd_router_failovers_total"],
-		Metrics:   snap,
+		Shards:          rt.shardStatus(),
+		Requests:        snap.Counters["qd_router_requests_total"],
+		Errors:          snap.Counters["qd_router_errors_total"],
+		Scatters:        snap.Counters["qd_router_scatters_total"],
+		Failovers:       snap.Counters["qd_router_failovers_total"],
+		Sessions:        rt.sessions.Count(),
+		SessionsEvicted: snap.Counters[obs.MetricSessionsEvicted],
+		Metrics:         snap,
 	})
 }
 

@@ -436,3 +436,50 @@ func TestSlowLogAndOverheadMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterSessionTelemetry: the router hosts routed sessions, so its
+// /v1/stats reports how many it holds and how many the cap evicted, and its
+// /metrics exports the same two through the session gauge and counter a
+// single node exports.
+func TestRouterSessionTelemetry(t *testing.T) {
+	f := fixture(t)
+	cfgs := []ReplicaConfig{
+		{Shard: 0, URL: startReplica(t, f.blobs[0]).URL},
+		{Shard: 1, URL: startReplica(t, f.blobs[1]).URL},
+		{Shard: 2, URL: startReplica(t, f.blobs[2]).URL},
+	}
+	rt, rts := startRouter(t, cfgs)
+	rt.sessions.SetMax(2)
+
+	stats := func() StatsResponse {
+		var st StatsResponse
+		mustJSON(t, http.MethodGet, rts.URL+"/v1/stats", nil, &st)
+		return st
+	}
+	var ids []string
+	for seed := int64(1); seed <= 3; seed++ {
+		var sess server.SessionResponse
+		mustJSON(t, http.MethodPost, rts.URL+"/v1/sessions", map[string]int64{"seed": seed}, &sess)
+		ids = append(ids, sess.SessionID)
+	}
+	if st := stats(); st.Sessions != 2 || st.SessionsEvicted != 1 {
+		t.Fatalf("after 3 creates at cap 2: sessions %d, evicted %d; want 2 and 1", st.Sessions, st.SessionsEvicted)
+	}
+	if status, _ := request(t, http.MethodGet, rts.URL+"/v1/sessions/"+ids[0]+"/candidates", nil); status != http.StatusNotFound {
+		t.Fatalf("evicted session answered HTTP %d, want 404", status)
+	}
+	mustJSON(t, http.MethodDelete, rts.URL+"/v1/sessions/"+ids[1], nil, nil)
+	if st := stats(); st.Sessions != 1 || st.SessionsEvicted != 1 {
+		t.Fatalf("after a delete: sessions %d, evicted %d; want 1 and 1", st.Sessions, st.SessionsEvicted)
+	}
+
+	status, body := request(t, http.MethodGet, rts.URL+"/metrics", nil)
+	if status != http.StatusOK {
+		t.Fatalf("/metrics: HTTP %d", status)
+	}
+	for _, line := range []string{obs.MetricSessionsHosted + " 1\n", obs.MetricSessionsEvicted + " 1\n"} {
+		if !strings.Contains(string(body), line) {
+			t.Fatalf("/metrics lacks %q:\n%s", line, body)
+		}
+	}
+}

@@ -1,8 +1,8 @@
-// Package router implements qdrouter's scatter-gather serving tier: a
-// stateless HTTP front over a fleet of shard replicas (qdserve processes
-// each loading one shard archive, see internal/shard).
+// Package router implements qdrouter's scatter-gather serving tier: an HTTP
+// front over a fleet of shard replicas (qdserve processes each loading one
+// shard archive, see internal/shard).
 //
-// The router owns no corpus data. At startup it verifies the fleet — every
+// The router owns no corpus rows. At startup it verifies the fleet — every
 // shard index covered, one corpus signature, one archive version, one scan
 // precision (mixed-precision fleets are refused outright: float32 and
 // float64 sweeps produce different distance bits, so their merged rankings
@@ -129,9 +129,11 @@ type Router struct {
 	sfMu sync.Mutex
 	sf   map[string]*sfCall
 
-	rr      []atomic.Uint64 // per-shard round-robin cursor
-	sessSeq atomic.Uint64   // spreads new sessions across shards
-	reqSeq  atomic.Uint64
+	// sessions hosts routed feedback sessions (see startSession).
+	sessions *server.Sessions
+
+	rr     []atomic.Uint64 // per-shard round-robin cursor
+	reqSeq atomic.Uint64
 }
 
 // New builds a router over the configured fleet. It validates only the
@@ -214,6 +216,12 @@ func New(cfg Config) (*Router, error) {
 		"Wall time merging per-shard top-k lists into the fleet ranking.", nil)
 	rt.stragglerHist = reg.Histogram("qd_router_straggler_wait_seconds",
 		"Per fan-out: slowest shard leg minus fastest — time spent waiting on the straggler.", nil)
+	rt.sessions = server.NewSessions(server.SessionsConfig{
+		Start:      rt.startSession,
+		Label:      func(id int) string { return rt.topo.RepLabel(id) },
+		Observer:   rt.obs,
+		WriteError: writeBackendError,
+	})
 	rt.shardReqs = make([]*obs.Counter, nShards)
 	rt.shardErrs = make([]*obs.Counter, nShards)
 	for i := range rt.shards {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"qdcbir"
+	"qdcbir/internal/core"
 	"qdcbir/internal/server"
 	"qdcbir/internal/shard"
 )
@@ -203,74 +205,150 @@ func TestRouterKNNAndQueryMatchSingleNode(t *testing.T) {
 	}
 }
 
-// TestRouterSessionFlowMatchesSingleNode drives a full multi-round feedback
-// session through the router — create, candidates, feedback, finalize — and
-// demands every display and the final ranking equal the single-node session
-// under the same seed.
-func TestRouterSessionFlowMatchesSingleNode(t *testing.T) {
-	f := fixture(t)
-	cfgs := []ReplicaConfig{
-		{Shard: 0, URL: startReplica(t, f.blobs[0]).URL},
-		{Shard: 1, URL: startReplica(t, f.blobs[1]).URL},
-		{Shard: 2, URL: startReplica(t, f.blobs[2]).URL},
+// byPath counts recorded backend requests by path.
+func byPath(legs []leg) map[string]int {
+	out := make(map[string]int)
+	for _, l := range legs {
+		out[l.path]++
 	}
-	_, rts := startRouter(t, cfgs)
-	ref := startRef(t, f)
+	return out
+}
 
-	seedBody := map[string]int64{"seed": 11}
-	var rsid, ssid server.SessionResponse
-	mustJSON(t, http.MethodPost, rts.URL+"/v1/sessions", seedBody, &ssid)
-	mustJSON(t, http.MethodPost, ref.URL+"/v1/sessions", seedBody, &rsid)
-	if !strings.HasPrefix(ssid.SessionID, "s") {
-		t.Fatalf("router issued non-composite session id %q", ssid.SessionID)
-	}
+type candList struct {
+	Candidates []server.CandidateJSON `json:"candidates"`
+}
 
-	type candList struct {
-		Candidates []server.CandidateJSON `json:"candidates"`
-	}
-	for round := 0; round < 3; round++ {
-		var sc, rc candList
-		mustJSON(t, http.MethodGet, rts.URL+"/v1/sessions/"+ssid.SessionID+"/candidates", nil, &sc)
-		mustJSON(t, http.MethodGet, ref.URL+"/v1/sessions/"+rsid.SessionID+"/candidates", nil, &rc)
-		if !reflect.DeepEqual(sc, rc) {
-			t.Fatalf("round %d displays diverge:\n  router %+v\n  single %+v", round, sc, rc)
-		}
-		var marks []int
-		for i, c := range sc.Candidates {
-			if i%3 == 0 {
-				marks = append(marks, c.ID)
-			}
-		}
-		fb := server.FeedbackRequest{Relevant: marks}
-		var sf, rf server.FeedbackResponse
-		mustJSON(t, http.MethodPost, rts.URL+"/v1/sessions/"+ssid.SessionID+"/feedback", fb, &sf)
-		mustJSON(t, http.MethodPost, ref.URL+"/v1/sessions/"+rsid.SessionID+"/feedback", fb, &rf)
-		if sf != rf {
-			t.Fatalf("round %d feedback diverges: router %+v single %+v", round, sf, rf)
+// everyThird marks every third displayed image, the scripted user of these
+// tests.
+func everyThird(cl candList) server.FeedbackRequest {
+	var marks []int
+	for i, c := range cl.Candidates {
+		if i%3 == 0 {
+			marks = append(marks, c.ID)
 		}
 	}
+	return server.FeedbackRequest{Relevant: marks}
+}
 
-	kReq := map[string]int{"k": 25}
-	var sres, rres server.QueryResponse
-	mustJSON(t, http.MethodPost, rts.URL+"/v1/sessions/"+ssid.SessionID+"/finalize", kReq, &sres)
-	mustJSON(t, http.MethodPost, ref.URL+"/v1/sessions/"+rsid.SessionID+"/finalize", kReq, &rres)
-	zeroFinalReads(&sres)
-	zeroFinalReads(&rres)
-	if !reflect.DeepEqual(sres, rres) {
-		t.Fatalf("routed finalize diverges:\n  router %+v\n  single %+v", sres, rres)
+// mirrorRound plays one round on two session handles: one display each,
+// which must agree, then the same marks, whose acks must agree.
+func mirrorRound(t *testing.T, what string, got, want string) {
+	t.Helper()
+	var gc, wc candList
+	mustJSON(t, http.MethodGet, got+"/candidates", nil, &gc)
+	mustJSON(t, http.MethodGet, want+"/candidates", nil, &wc)
+	if !reflect.DeepEqual(gc, wc) {
+		t.Fatalf("%s: displays diverge:\n  router %+v\n  single %+v", what, gc, wc)
 	}
-
-	// Finalize released the hosted session on its replica.
-	if status, _ := request(t, http.MethodGet, rts.URL+"/v1/sessions/"+ssid.SessionID+"/candidates", nil); status != http.StatusNotFound {
-		t.Fatalf("finalized session still reachable: HTTP %d", status)
+	var gf, wf server.FeedbackResponse
+	mustJSON(t, http.MethodPost, got+"/feedback", everyThird(gc), &gf)
+	mustJSON(t, http.MethodPost, want+"/feedback", everyThird(gc), &wf)
+	if gf != wf {
+		t.Fatalf("%s: feedback diverges: router %+v single %+v", what, gf, wf)
 	}
 }
 
-// TestRouterFailoverAndSessionRecovery kills the replica hosting a mid-flight
-// session: reads that can fail over (k-NN) stay bit-identical, the lost
-// session reports the structured 410, and re-importing the exported state
-// through the router resumes it with a finalize identical to a restore on the
-// unsharded reference server.
+// finalizeTraffic checks that a finalize sent only points requests and
+// search legs, and returns how many of each.
+func finalizeTraffic(t *testing.T, sent map[string]int) (points, legs int) {
+	t.Helper()
+	for path, n := range sent {
+		switch path {
+		case "/v1/shard/points":
+			points = n
+		case "/v1/shard/search":
+			legs = n
+		default:
+			t.Fatalf("finalize sent %d requests to %s; want only points requests and search legs (all: %v)", n, path, sent)
+		}
+	}
+	return points, legs
+}
+
+// TestRouterSessionFlowMatchesSingleNode drives a full multi-round feedback
+// session through the router — create, candidates, feedback, finalize — and
+// demands every display, ack and the final ranking equal the single-node
+// session under the same seed. The router hosts the session over its
+// topology, so create and every round send no backend request, and finalize
+// sends only the panel's points requests and the final round's search legs.
+func TestRouterSessionFlowMatchesSingleNode(t *testing.T) {
+	f := fixture(t)
+	ct := &countingTransport{}
+	rt, rtURL, _ := startCountedFleet(t, f, ct)
+	ref := startRef(t, f)
+
+	// play runs one session on both stacks: rounds of `displays` candidates
+	// calls then one feedback, then a finalize at k. It returns the backend
+	// requests the router sent before the finalize and during it.
+	play := func(seed int64, rounds, displays, k int) (before, during map[string]int) {
+		t.Helper()
+		var rsid, ssid server.SessionResponse
+		mustJSON(t, http.MethodPost, rtURL+"/v1/sessions", map[string]int64{"seed": seed}, &ssid)
+		mustJSON(t, http.MethodPost, ref.URL+"/v1/sessions", map[string]int64{"seed": seed}, &rsid)
+		routed, single := rtURL+"/v1/sessions/"+ssid.SessionID, ref.URL+"/v1/sessions/"+rsid.SessionID
+		for round := 0; round < rounds; round++ {
+			for d := 1; d < displays; d++ {
+				var sc, rc candList
+				mustJSON(t, http.MethodGet, routed+"/candidates", nil, &sc)
+				mustJSON(t, http.MethodGet, single+"/candidates", nil, &rc)
+				if !reflect.DeepEqual(sc, rc) {
+					t.Fatalf("seed %d round %d display %d diverges:\n  router %+v\n  single %+v", seed, round, d, sc, rc)
+				}
+			}
+			mirrorRound(t, fmt.Sprintf("seed %d round %d", seed, round), routed, single)
+		}
+		before = byPath(ct.take())
+		kReq := map[string]int{"k": k}
+		var sres, rres server.QueryResponse
+		mustJSON(t, http.MethodPost, routed+"/finalize", kReq, &sres)
+		during = byPath(ct.take())
+		mustJSON(t, http.MethodPost, single+"/finalize", kReq, &rres)
+		zeroFinalReads(&sres)
+		zeroFinalReads(&rres)
+		if !reflect.DeepEqual(sres, rres) {
+			t.Fatalf("seed %d: routed finalize diverges:\n  router %+v\n  single %+v", seed, sres, rres)
+		}
+		// Finalize released the session at the router.
+		if status, _ := request(t, http.MethodGet, routed+"/candidates", nil); status != http.StatusNotFound {
+			t.Fatalf("finalized session still reachable: HTTP %d", status)
+		}
+		return before, during
+	}
+
+	scatters := counter(rt, "qd_router_scatters_total")
+	before, during := play(11, 3, 1, 25)
+	if len(before) != 0 {
+		t.Fatalf("create and three rounds sent backend requests %v, want none", before)
+	}
+	points, legs := finalizeTraffic(t, during)
+	fetches := int(counter(rt, "qd_router_scatters_total") - scatters)
+	if shards := rt.Shards(); points < 1 || points > shards || legs != fetches*shards {
+		t.Fatalf("finalize sent %d points requests and %d search legs over %d fetches; want 1..%d and one leg per shard per fetch",
+			points, legs, fetches, shards)
+	}
+
+	// The benchmark's session shape: create, then two rounds of four
+	// displays and one feedback each. Hosted on a replica it cost 11
+	// backend requests before finalize and 8 in it (an export, 3 points
+	// requests, 3 search legs and a delete).
+	before, during = play(5, 2, 4, 20)
+	if len(before) != 0 {
+		t.Fatalf("bench-shaped session sent backend requests %v before finalize, want none", before)
+	}
+	points, legs = finalizeTraffic(t, during)
+	if points+legs != 6 {
+		t.Fatalf("bench-shaped finalize sent %d points requests and %d search legs, want 6 requests", points, legs)
+	}
+	t.Logf("bench-shaped session: 0 backend requests before finalize, %d in it (%d points, %d legs)", points+legs, points, legs)
+}
+
+// TestRouterFailoverAndSessionRecovery kills shard 0's first replica
+// between two rounds of a routed session. The session lives at the router,
+// so the next round succeeds with the single node's display, and finalize
+// fails over per leg to the surviving shard-0 replica, bit-identical to a
+// restore of the exported state on the unsharded reference server. A router
+// restart is recovered by the export: importing it into a fresh router over
+// the same fleet finalizes identically.
 func TestRouterFailoverAndSessionRecovery(t *testing.T) {
 	f := fixture(t)
 	// Two replicas on shard 0 so the shard survives losing one.
@@ -282,45 +360,25 @@ func TestRouterFailoverAndSessionRecovery(t *testing.T) {
 		{Shard: 1, URL: startReplica(t, f.blobs[1]).URL},
 		{Shard: 2, URL: startReplica(t, f.blobs[2]).URL},
 	}
-	_, rts := startRouter(t, cfgs)
+	rt, rts := startRouter(t, cfgs)
+	// A second router over the same fleet, holding none of the first's
+	// sessions: what a restarted router is.
+	_, fresh := startRouter(t, cfgs)
 	ref := startRef(t, f)
 
-	// Place a session on the doomed replica (placement round-robins, so a few
-	// tries suffice; surplus sessions are deleted).
-	var sid string
-	for try := 0; try < 8 && sid == ""; try++ {
-		var resp server.SessionResponse
-		mustJSON(t, http.MethodPost, rts.URL+"/v1/sessions", map[string]int64{"seed": 23}, &resp)
-		if strings.HasPrefix(resp.SessionID, "s0-0-") {
-			sid = resp.SessionID
-		} else {
-			mustJSON(t, http.MethodDelete, rts.URL+"/v1/sessions/"+resp.SessionID, nil, nil)
-		}
-	}
-	if sid == "" {
-		t.Fatal("round-robin placement never landed on shard 0 replica 0")
-	}
+	var rsid, ssid server.SessionResponse
+	mustJSON(t, http.MethodPost, rts.URL+"/v1/sessions", map[string]int64{"seed": 23}, &rsid)
+	mustJSON(t, http.MethodPost, ref.URL+"/v1/sessions", map[string]int64{"seed": 23}, &ssid)
+	routed, single := rts.URL+"/v1/sessions/"+rsid.SessionID, ref.URL+"/v1/sessions/"+ssid.SessionID
+	mirrorRound(t, "round 1", routed, single)
 
-	type candList struct {
-		Candidates []server.CandidateJSON `json:"candidates"`
-	}
-	for round := 0; round < 2; round++ {
-		var cl candList
-		mustJSON(t, http.MethodGet, rts.URL+"/v1/sessions/"+sid+"/candidates", nil, &cl)
-		var marks []int
-		for i, c := range cl.Candidates {
-			if i%3 == 0 {
-				marks = append(marks, c.ID)
-			}
-		}
-		mustJSON(t, http.MethodPost, rts.URL+"/v1/sessions/"+sid+"/feedback",
-			server.FeedbackRequest{Relevant: marks}, nil)
-	}
+	s0a.Close() // shard 0's first replica goes down mid-session
 
-	// Snapshot the session, then compute the reference finalize by restoring
-	// the same state on the unsharded server.
+	mirrorRound(t, "round 2 (replica down)", routed, single)
+
+	// The reference: the exported state restored on the unsharded server.
 	var exported server.SessionExport
-	mustJSON(t, http.MethodGet, rts.URL+"/v1/sessions/"+sid+"/export", nil, &exported)
+	mustJSON(t, http.MethodGet, routed+"/export", nil, &exported)
 	if exported.State == nil {
 		t.Fatal("export returned no state")
 	}
@@ -328,21 +386,34 @@ func TestRouterFailoverAndSessionRecovery(t *testing.T) {
 	mustJSON(t, http.MethodPost, ref.URL+"/v1/sessions/import", exported, &refSid)
 	var want server.QueryResponse
 	mustJSON(t, http.MethodPost, ref.URL+"/v1/sessions/"+refSid.SessionID+"/finalize", map[string]int{"k": 10}, &want)
+	zeroFinalReads(&want)
 
-	s0a.Close() // the host goes down mid-session
-
-	// The session is gone — structured 410 so clients know to re-import.
-	status, raw := request(t, http.MethodGet, rts.URL+"/v1/sessions/"+sid+"/candidates", nil)
-	if status != http.StatusGone {
-		t.Fatalf("lost session: HTTP %d (%s), want 410", status, raw)
+	// Aim the finalize's first shard-0 leg at the dead replica (pick starts
+	// at cursor+1 mod 2), so the finalize itself has to fail over.
+	rt.rr[0].Store(1)
+	failovers := counter(rt, "qd_router_failovers_total")
+	var got server.QueryResponse
+	mustJSON(t, http.MethodPost, routed+"/finalize", map[string]int{"k": 10}, &got)
+	zeroFinalReads(&got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("finalize after failover diverges:\n  router %+v\n  single %+v", got, want)
 	}
-	var eb errorBody
-	if err := json.Unmarshal(raw, &eb); err != nil || eb.Code != "session_lost" {
-		t.Fatalf("lost session body %s, want code session_lost", raw)
+	if counter(rt, "qd_router_failovers_total") == failovers || rt.shards[0][0].alive.Load() {
+		t.Fatal("finalize never failed over from the dead shard-0 replica")
 	}
 
-	// Stateless reads fail over to the surviving shard-0 replica, still
-	// bit-identical.
+	// Router restart: the export imported into a fresh router finalizes
+	// identically.
+	var resumed server.SessionResponse
+	mustJSON(t, http.MethodPost, fresh.URL+"/v1/sessions/import", exported, &resumed)
+	var again server.QueryResponse
+	mustJSON(t, http.MethodPost, fresh.URL+"/v1/sessions/"+resumed.SessionID+"/finalize", map[string]int{"k": 10}, &again)
+	zeroFinalReads(&again)
+	if !reflect.DeepEqual(again, want) {
+		t.Fatalf("finalize on a fresh router diverges:\n  router %+v\n  single %+v", again, want)
+	}
+
+	// Stateless reads fail over too, still bit-identical.
 	knnWant, err := f.sys.KNN(37, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -355,35 +426,75 @@ func TestRouterFailoverAndSessionRecovery(t *testing.T) {
 			t.Fatalf("failover knn rank %d: (%d, %v) vs (%d, %v)", i, n.ID, n.Dist, knnWant[i].ID, knnWant[i].Score)
 		}
 	}
-
-	// Re-import the exported state through the router and finalize: identical
-	// to the unsharded restore.
-	var resumed server.SessionResponse
-	mustJSON(t, http.MethodPost, rts.URL+"/v1/sessions/import", exported, &resumed)
-	var got server.QueryResponse
-	mustJSON(t, http.MethodPost, rts.URL+"/v1/sessions/"+resumed.SessionID+"/finalize", map[string]int{"k": 10}, &got)
-	zeroFinalReads(&got)
-	zeroFinalReads(&want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed finalize diverges:\n  router %+v\n  single %+v", got, want)
-	}
 }
 
-// TestReplicaRefusesLocalFinalize pins the replica-side guard: a shard server
-// cannot finalize a hosted session by itself (it holds one slice of the
-// corpus) and says so with the structured 409.
+// TestReplicaRefusesLocalFinalize pins the replica-side guard on sessions:
+// a shard server holds one slice of the corpus and hosts no session (routed
+// sessions live at the router), so creating, importing or finalizing one on
+// it is refused with the structured 409 naming the router.
 func TestReplicaRefusesLocalFinalize(t *testing.T) {
 	f := fixture(t)
 	rep := startReplica(t, f.blobs[1])
-	var sid server.SessionResponse
-	mustJSON(t, http.MethodPost, rep.URL+"/v1/sessions", map[string]int64{"seed": 3}, &sid)
-	status, raw := request(t, http.MethodPost, rep.URL+"/v1/sessions/"+sid.SessionID+"/finalize", map[string]int{"k": 10})
-	if status != http.StatusConflict {
-		t.Fatalf("local finalize: HTTP %d (%s), want 409", status, raw)
+	for _, c := range []struct {
+		path string
+		body interface{}
+	}{
+		{"/v1/sessions", map[string]int64{"seed": 3}},
+		{"/v1/sessions/import", server.SessionExport{Seed: 3}},
+		{"/v1/sessions/1/finalize", map[string]int{"k": 10}},
+	} {
+		status, raw := request(t, http.MethodPost, rep.URL+c.path, c.body)
+		if status != http.StatusConflict {
+			t.Fatalf("replica %s: HTTP %d (%s), want 409", c.path, status, raw)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(raw, &eb); err != nil || eb.Code != server.ErrCodeShardFinalize || !strings.Contains(eb.Error, "router") {
+			t.Fatalf("replica %s body %s, want code %s naming the router", c.path, raw, server.ErrCodeShardFinalize)
+		}
 	}
-	var eb errorBody
-	if err := json.Unmarshal(raw, &eb); err != nil || eb.Code != server.ErrCodeShardFinalize {
-		t.Fatalf("local finalize body %s, want code %s", raw, server.ErrCodeShardFinalize)
+}
+
+// TestRouterDefaultDisplayMatchesSingleNode: over a fleet whose archives
+// leave display_count unset, routed sessions show the round machine's
+// default display — what the single node shows for the same seed.
+func TestRouterDefaultDisplayMatchesSingleNode(t *testing.T) {
+	cfg := qdcbir.SmallConfig()
+	cfg.VectorMode = true
+	cfg.Images = 400
+	cfg.Categories = 8
+	sys, err := qdcbir.Build(cfg)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	archives, err := qdcbir.SliceShards(context.Background(), sys, 2)
+	if err != nil {
+		t.Fatalf("SliceShards: %v", err)
+	}
+	var cfgs []ReplicaConfig
+	for i, a := range archives {
+		a.Meta.DisplayCount = 0
+		var buf bytes.Buffer
+		if err := a.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, ReplicaConfig{Shard: i, URL: startReplica(t, buf.Bytes()).URL})
+	}
+	rt, rts := startRouter(t, cfgs)
+	if rt.Meta().DisplayCount != 0 {
+		t.Fatalf("fleet display_count %d survived as nonzero", rt.Meta().DisplayCount)
+	}
+	refSrv := httptest.NewServer(server.New(sys.Engine(), sys.SubconceptOf).Handler())
+	t.Cleanup(refSrv.Close)
+	display := func(url string) []server.CandidateJSON {
+		var sess server.SessionResponse
+		mustJSON(t, http.MethodPost, url+"/v1/sessions", map[string]int64{"seed": 11}, &sess)
+		var out candList
+		mustJSON(t, http.MethodGet, url+"/v1/sessions/"+sess.SessionID+"/candidates", nil, &out)
+		return out.Candidates
+	}
+	got, want := display(rts.URL), display(refSrv.URL)
+	if len(want) != core.DefaultDisplayCount || !reflect.DeepEqual(got, want) {
+		t.Fatalf("routed display (display_count 0):\n  got  %v\n  want %v (%d candidates)", got, want, core.DefaultDisplayCount)
 	}
 }
 

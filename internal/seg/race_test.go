@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestConcurrentQueriesDuringIngest(t *testing.T) {
@@ -25,6 +26,9 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 		writers  = 1 // the DB serializes writers; one goroutine drives churn
 		readers  = 4
 		totalOps = 1200
+		// compactionWait bounds how long the window stays open after the
+		// last write for a compaction to land.
+		compactionWait = 30 * time.Second
 	)
 	db, err := New(Config{Dim: dim, SealThreshold: 32, MaxSegments: 2, Seed: 11, NodeCapacity: 8})
 	if err != nil {
@@ -84,6 +88,14 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 				liveMu.Unlock()
 			}
 			wrote.Add(1)
+		}
+		// Background compaction is asynchronous: on a loaded host the
+		// writes can finish before the compactor publishes. Hold the stress
+		// window open, readers still querying, until one compaction has
+		// landed; the bound only stops a compactor that never runs from
+		// hanging the test, and the assertion below then fails.
+		for deadline := time.Now().Add(compactionWait); db.Stats().Compactions == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
 		}
 	}()
 

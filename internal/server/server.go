@@ -9,7 +9,8 @@
 // The Server exposes the retrieval system over HTTP/JSON in both modes:
 //
 //   - Thin-client mode: the server hosts feedback sessions
-//     (POST /v1/sessions, .../candidates, .../feedback, .../finalize).
+//     (POST /v1/sessions, .../candidates, .../feedback, .../finalize) in a
+//     Sessions table, the same one qdrouter mounts over a fleet.
 //   - Client-side mode: GET /v1/payload ships the representative structure —
 //     the only information relevance feedback needs, a small fraction of the
 //     database — and the Client type in this package runs the whole feedback
@@ -20,7 +21,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,7 +39,6 @@ import (
 	"qdcbir/internal/img"
 	"qdcbir/internal/obs"
 	"qdcbir/internal/rstar"
-	"qdcbir/internal/seg"
 	"qdcbir/internal/shard"
 	"qdcbir/internal/vec"
 )
@@ -48,16 +47,10 @@ import (
 // subconcepts in the synthetic corpus; thumbnails in a real deployment).
 type Labeler func(id int) string
 
-// DefaultMaxSessions bounds concurrent hosted sessions; the oldest idle
-// session is evicted when the cap is hit, so abandoned thin clients cannot
-// exhaust server memory.
-const DefaultMaxSessions = 1024
-
 // Server serves one built retrieval system.
 type Server struct {
-	engine      *core.Engine
-	label       Labeler
-	maxSessions int
+	engine *core.Engine
+	label  Labeler
 
 	// obs is never nil: the server adopts the engine's Observer when one is
 	// configured (so engine and HTTP telemetry land in one registry) and
@@ -77,14 +70,7 @@ type Server struct {
 	// reqSeq numbers requests that arrive without an X-Request-Id header.
 	reqSeq atomic.Uint64
 
-	mu       sync.Mutex
-	sessions map[string]*hostedSession
-	// lru orders hosted sessions by last touch (front = least recently used;
-	// values are session ids). Every session operation moves its entry to the
-	// back, so cap-pressure eviction removes the longest-idle session rather
-	// than the oldest-created one.
-	lru    *list.List
-	nextID uint64
+	sessions *Sessions
 
 	payload    *Payload
 	payloadErr error
@@ -93,10 +79,10 @@ type Server struct {
 	images []*img.Image // optional rasters for the web UI (see webui.go)
 
 	// shard, when set, switches the server into shard-replica mode (see
-	// NewShard in shard.go): engine is nil, hosted sessions run over the
-	// full-corpus topology and the scatter-gather endpoints come alive.
-	shard        *shard.Replica
-	displayCount int // shard session display budget (0: the machine's default)
+	// NewShard in shard.go): engine is nil, the scatter-gather endpoints come
+	// alive, and what needs the whole corpus (sessions, one-shot queries) is
+	// refused in favour of the router.
+	shard *shard.Replica
 
 	// dyn, when set, switches the server into dynamic mode (see NewDynamic in
 	// dynamic.go): engine is nil, queries pin engine snapshots, and the
@@ -118,58 +104,6 @@ type Server struct {
 	archiveQuantized bool
 }
 
-// hostedSession is one thin-client feedback session: the round machine over
-// the mode's hierarchy (the engine's structure, a replica's topology, or a
-// pinned snapshot's forest) plus that backing's final round.
-type hostedSession struct {
-	mu   sync.Mutex
-	sess roundMachine
-	// finalize runs the backing's final round and renders its response; nil
-	// on a shard replica, whose sessions finalize through the router.
-	finalize func(ctx context.Context, k int) (any, error)
-	// release drops what the backing pins (a dynamic session's snapshot);
-	// nil when nothing is pinned.
-	release func()
-	seed    int64 // display RNG seed, reported by /export for reproducibility
-
-	el *list.Element // position in Server.lru; guarded by Server.mu
-}
-
-// roundMachine is a round machine as the HTTP handlers drive it, whatever
-// backs it: image IDs travel as ints.
-type roundMachine interface {
-	display(label Labeler) []CandidateJSON
-	feedback(marks []int) error
-	retract(ids []int)
-	widths() (subqueries, relevant int)
-	ExportState() *core.SessionState
-	Trace() *obs.Trace
-}
-
-// hosted adapts a core.Machine over any hierarchy to roundMachine.
-type hosted[N comparable, ID core.Image] struct{ *core.Machine[N, ID] }
-
-func (h hosted[N, ID]) display(label Labeler) []CandidateJSON {
-	cands := h.Candidates()
-	out := make([]CandidateJSON, len(cands))
-	for i, c := range cands {
-		out[i] = CandidateJSON{ID: int(c.ID), Label: label(int(c.ID))}
-	}
-	return out
-}
-
-func (h hosted[N, ID]) feedback(marks []int) error { return h.Feedback(imageIDs[ID](marks)) }
-func (h hosted[N, ID]) retract(ids []int)          { h.Retract(imageIDs[ID](ids)) }
-func (h hosted[N, ID]) widths() (int, int)         { return len(h.Frontier()), len(h.Relevant()) }
-
-func imageIDs[ID core.Image](ids []int) []ID {
-	out := make([]ID, len(ids))
-	for i, id := range ids {
-		out[i] = ID(id)
-	}
-	return out
-}
-
 // New creates a server over the engine. label may be nil (empty labels).
 func New(engine *core.Engine, label Labeler) *Server {
 	if label == nil {
@@ -186,16 +120,22 @@ func newServer(label Labeler, o *obs.Observer) *Server {
 	if o == nil {
 		o = obs.New(obs.NewRegistry())
 	}
-	return &Server{
-		label:       label,
-		maxSessions: DefaultMaxSessions,
-		obs:         o,
-		httpReqs:    o.Registry().Counter("qd_http_requests_total", "HTTP requests served."),
-		httpErrs:    o.Registry().Counter("qd_http_errors_total", "HTTP responses with status >= 400."),
-		slow:        obs.NewSlowLog(0),
-		sessions:    make(map[string]*hostedSession),
-		lru:         list.New(),
+	s := &Server{
+		label:    label,
+		obs:      o,
+		httpReqs: o.Registry().Counter("qd_http_requests_total", "HTTP requests served."),
+		httpErrs: o.Registry().Counter("qd_http_errors_total", "HTTP responses with status >= 400."),
+		slow:     obs.NewSlowLog(0),
 	}
+	s.sessions = NewSessions(SessionsConfig{
+		Start:    s.newHosted,
+		Label:    label,
+		Observer: o,
+		Admit: func(ctx context.Context, endpoint string) (func(), error) {
+			return s.sched.admit(ctx, endpoint)
+		},
+	})
+	return s
 }
 
 // Observer returns the server's telemetry sink (never nil).
@@ -209,11 +149,7 @@ func (s *Server) SetLogger(l *slog.Logger) { s.log = l }
 
 // SetMaxSessions overrides the hosted-session cap (values < 1 keep the
 // default). Call before serving traffic.
-func (s *Server) SetMaxSessions(n int) {
-	if n >= 1 {
-		s.maxSessions = n
-	}
-}
+func (s *Server) SetMaxSessions(n int) { s.sessions.SetMax(n) }
 
 // ---- JSON wire types ----
 
@@ -300,7 +236,8 @@ const (
 	// ErrCodeCancelled marks a client disconnect or server drain.
 	ErrCodeCancelled = "cancelled"
 	// ErrCodeShardFinalize rejects, on a shard replica, whatever needs the
-	// whole corpus: finalize of a hosted session, /v1/query, /v1/payload.
+	// whole corpus: hosted sessions (/v1/sessions*, which the router hosts
+	// over the fleet topology), /v1/query and /v1/payload.
 	ErrCodeShardFinalize = "shard_finalize"
 	// ErrCodeShardFrame rejects a binary shard-leg body whose header, length
 	// and the corpus dimension disagree (see shardwire.go).
@@ -341,7 +278,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/payload", s.handlePayload)
 	mux.HandleFunc("/v1/query", s.handleQuery)
 	mux.HandleFunc("/v1/sessions", s.handleSessions)
-	mux.HandleFunc("/v1/sessions/", s.handleSessionOp)
+	mux.HandleFunc("/v1/sessions/", s.handleSessions)
 	mux.HandleFunc("/v1/image/", s.handleImage)
 	mux.HandleFunc("/v1/images", s.handleImages)
 	mux.HandleFunc("/v1/images/", s.handleImageOp)
@@ -709,81 +646,19 @@ func (s *Server) toQueryResponse(res *core.Result, stats core.Stats) QueryRespon
 	return out
 }
 
-// handleSessions creates thin-client sessions.
+// handleSessions serves the hosted-session table. A replica refuses it:
+// routed sessions live at the router, over the fleet topology.
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	if s.refuseLocal(w, "/v1/sessions") {
 		return
 	}
-	var req struct {
-		Seed int64 `json:"seed"`
-	}
-	if r.ContentLength > 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
-	}
-	id, err := s.addSession(req.Seed, nil)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SessionResponse{SessionID: id})
-}
-
-// addSession registers a hosted session — fresh when st is nil, restored
-// from an exported state otherwise — and returns its handle. seed == 0 picks
-// a server-derived default.
-func (s *Server) addSession(seed int64, st *core.SessionState) (string, error) {
-	s.mu.Lock()
-	s.nextID++
-	id := strconv.FormatUint(s.nextID, 10)
-	if seed == 0 {
-		seed = int64(s.nextID) * 7919
-	}
-	// Evict the longest-idle sessions past the cap so abandoned clients
-	// cannot exhaust memory. Evicted dynamic sessions must drop their
-	// snapshot pins, else abandoned clients would pin old epochs forever.
-	var evicted []*hostedSession
-	for len(s.sessions) >= s.maxSessions && s.lru.Len() > 0 {
-		front := s.lru.Front()
-		s.lru.Remove(front)
-		eid := front.Value.(string)
-		evicted = append(evicted, s.sessions[eid])
-		delete(s.sessions, eid)
-		s.obs.SessionEvicted()
-	}
-	s.mu.Unlock()
-	for _, ev := range evicted {
-		if ev != nil && ev.release != nil {
-			ev.release()
-		}
-	}
-
-	hs, err := s.newHosted(seed, st)
-	if err != nil {
-		return "", err
-	}
-	// Correlate the session's trace (an engine session's, under an
-	// observer) with its API handle so /v1/traces output can be joined
-	// against client logs.
-	hs.sess.Trace().SetLabel("session-" + id)
-	s.mu.Lock()
-	hs.el = s.lru.PushBack(id)
-	s.sessions[id] = hs
-	s.mu.Unlock()
-	s.obs.SessionHosted()
-	return id, nil
+	s.sessions.ServeHTTP(w, r)
 }
 
 // newHosted builds a hosted session over the mode's hierarchy — fresh when st
 // is nil, restored from an exported state otherwise.
-func (s *Server) newHosted(seed int64, st *core.SessionState) (*hostedSession, error) {
-	hs := &hostedSession{seed: seed}
-	rng := rand.New(rand.NewSource(seed))
-	switch {
-	case s.dyn != nil:
+func (s *Server) newHosted(rng *rand.Rand, st *core.SessionState) (*HostedSession, error) {
+	if s.dyn != nil {
 		if st != nil {
 			// Page keys name segment positions in the exporting snapshot, and
 			// this session pins the current one: the panel keeps its images,
@@ -793,223 +668,36 @@ func (s *Server) newHosted(seed int64, st *core.SessionState) (*hostedSession, e
 			st = &local
 		}
 		snap := s.dyn.DB().Acquire()
-		m, err := startMachine(snap.Forest(), st, rng, 0)
+		m, err := StartMachine(snap.Forest(), st, rng, 0)
 		if err != nil {
 			snap.Release()
 			return nil, err
 		}
-		hs.sess, hs.release = hosted[seg.Node, int]{m}, snap.Release
-		hs.finalize = func(ctx context.Context, k int) (any, error) {
+		return Host(m, func(ctx context.Context, k int) (any, error) {
 			res, err := snap.FinalizeSession(ctx, m, k)
 			if err != nil {
 				return nil, err
 			}
 			return AnswerResponse(res, 0, s.label), nil
+		}, snap.Release), nil
+	}
+	var cs *core.Session
+	if st == nil {
+		cs = s.engine.NewSession(rng)
+	} else {
+		var err error
+		if cs, err = s.engine.RestoreSession(st, rng); err != nil {
+			return nil, err
 		}
-	case s.shard != nil:
-		m, err := startMachine(s.shard.Topo().Hierarchy(), st, rng, s.displayCount)
+	}
+	return Host(&cs.Machine, func(ctx context.Context, k int) (any, error) {
+		res, err := cs.FinalizeCtx(ctx, k)
 		if err != nil {
 			return nil, err
 		}
-		hs.sess = hosted[int, int]{m}
-	default:
-		var cs *core.Session
-		if st == nil {
-			cs = s.engine.NewSession(rng)
-		} else {
-			var err error
-			if cs, err = s.engine.RestoreSession(st, rng); err != nil {
-				return nil, err
-			}
-		}
-		hs.sess = hosted[*rstar.Node, rstar.ItemID]{&cs.Machine}
-		hs.finalize = func(ctx context.Context, k int) (any, error) {
-			res, err := cs.FinalizeCtx(ctx, k)
-			if err != nil {
-				return nil, err
-			}
-			return s.toQueryResponse(res, cs.Stats()), nil
-		}
-	}
-	return hs, nil
-}
-
-// startMachine starts a round machine over h: fresh when st is nil, restored
-// from it otherwise.
-func startMachine[N comparable, ID core.Image](h core.Hierarchy[N, ID], st *core.SessionState, rng *rand.Rand, display int) (*core.Machine[N, ID], error) {
-	if st == nil {
-		return core.NewMachine(h, rng, display), nil
-	}
-	return core.RestoreMachine(h, st, rng, display)
-}
-
-// SessionExport is the /v1/sessions/{id}/export body: the wire-serializable
-// session state plus the seed that drove its displays. POSTing it to any
-// replica's /v1/sessions/import resumes the session there.
-type SessionExport struct {
-	SessionID string             `json:"session_id,omitempty"`
-	Seed      int64              `json:"seed"`
-	State     *core.SessionState `json:"state"`
-}
-
-// handleSessionImport restores an exported session on this replica.
-func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req SessionExport
-	if err := decodeJSON(w, r, &req); err != nil {
-		return
-	}
-	if req.State == nil {
-		writeError(w, http.StatusBadRequest, "missing state")
-		return
-	}
-	id, err := s.addSession(req.Seed, req.State)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SessionResponse{SessionID: id})
-}
-
-// release drops a hosted session (client delete or finalize). A dynamic
-// session's snapshot pin is released here, so compaction can reclaim the
-// segments it was reading.
-func (s *Server) release(id string) {
-	s.mu.Lock()
-	hs, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
-		s.lru.Remove(hs.el)
-	}
-	s.mu.Unlock()
-	if ok {
-		if hs.release != nil {
-			hs.release()
-		}
-		s.obs.SessionReleased()
-	}
-}
-
-// handleSessionOp dispatches /v1/sessions/{id}/{op}.
-func (s *Server) handleSessionOp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/sessions/")
-	if rest == "import" {
-		s.handleSessionImport(w, r)
-		return
-	}
-	parts := strings.SplitN(rest, "/", 2)
-	if len(parts) == 0 || parts[0] == "" {
-		writeError(w, http.StatusNotFound, "missing session id")
-		return
-	}
-	id := parts[0]
-	s.mu.Lock()
-	hs := s.sessions[id]
-	if hs != nil {
-		// Touch: every operation marks the session most recently used, so
-		// cap-pressure eviction targets the longest-idle session.
-		s.lru.MoveToBack(hs.el)
-	}
-	s.mu.Unlock()
-	if hs == nil {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
-		return
-	}
-	op := ""
-	if len(parts) == 2 {
-		op = parts[1]
-	}
-
-	switch {
-	case op == "" && r.Method == http.MethodDelete:
-		s.release(id)
-		writeJSON(w, http.StatusOK, struct{}{})
-
-	case op == "candidates" && r.Method == http.MethodGet:
-		hs.mu.Lock()
-		out := hs.sess.display(s.label)
-		hs.mu.Unlock()
-		writeJSON(w, http.StatusOK, struct {
-			Candidates []CandidateJSON `json:"candidates"`
-		}{out})
-
-	case op == "feedback" && r.Method == http.MethodPost:
-		var req FeedbackRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
-		hs.mu.Lock()
-		err := hs.sess.feedback(req.Relevant)
-		nsub, nrel := hs.sess.widths()
-		hs.mu.Unlock()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, FeedbackResponse{Subqueries: nsub, Relevant: nrel})
-
-	case op == "retract" && r.Method == http.MethodPost:
-		var req FeedbackRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
-		hs.mu.Lock()
-		hs.sess.retract(req.Relevant)
-		_, nrel := hs.sess.widths()
-		hs.mu.Unlock()
-		writeJSON(w, http.StatusOK, FeedbackResponse{Relevant: nrel})
-
-	case op == "export" && r.Method == http.MethodGet:
-		hs.mu.Lock()
-		st := hs.sess.ExportState()
-		hs.mu.Unlock()
-		writeJSON(w, http.StatusOK, SessionExport{SessionID: id, Seed: hs.seed, State: st})
-
-	case op == "finalize" && r.Method == http.MethodPost:
-		var req struct {
-			K int `json:"k"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
-		if hs.finalize == nil {
-			// A shard replica holds only its slice of the corpus, so the final
-			// k-NN round must scatter across the fleet — the router exports
-			// this session's state and runs the distributed finalize itself.
-			writeErrorCode(w, http.StatusConflict, ErrCodeShardFinalize,
-				"shard-hosted sessions finalize via the router (export the state and scatter)")
-			return
-		}
-		release, err := s.sched.admit(r.Context(), "/v1/sessions/{id}/finalize")
-		if err != nil {
-			writeQueryError(w, err)
-			return
-		}
-		defer release()
-		hs.mu.Lock()
-		res, err := hs.finalize(r.Context(), req.K)
-		hs.mu.Unlock()
-		if err != nil {
-			writeQueryError(w, err)
-			return
-		}
-		s.release(id) // finalized sessions are done (a dynamic one drops its pin)
-		writeJSON(w, http.StatusOK, res)
-
-	default:
-		writeError(w, http.StatusNotFound, "unknown operation %q", op)
-	}
+		return s.toQueryResponse(res, cs.Stats()), nil
+	}, nil), nil
 }
 
 // SessionCount reports the live thin-client sessions (for monitoring/tests).
-func (s *Server) SessionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
+func (s *Server) SessionCount() int { return s.sessions.Count() }

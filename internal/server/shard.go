@@ -11,18 +11,16 @@ import (
 	"qdcbir/internal/vec"
 )
 
-// NewShard creates a shard-replica server: it hosts feedback sessions over
-// the full-corpus topology (not the local slice) and serves the
-// scatter-gather endpoints a router fans out to — /v1/shard/meta,
-// /v1/shard/topology, /v1/shard/search, /v1/shard/points. A replica has no
-// local engine: what a single node answers from its own tree (/v1/query,
-// /v1/payload, hosted finalize) needs the whole corpus, and a replica refuses
-// it with 409 shard_finalize naming the router. o may be nil (a standalone
-// observer is created).
+// NewShard creates a shard-replica server: it serves the scatter-gather
+// endpoints a router fans out to — /v1/shard/meta, /v1/shard/topology,
+// /v1/shard/search, /v1/shard/points. A replica has no local engine and
+// hosts no sessions: what a single node answers from its own tree
+// (/v1/query, /v1/payload, /v1/sessions*) needs the whole corpus or lives at
+// the router, and a replica refuses it with 409 shard_finalize naming the
+// router. o may be nil (a standalone observer is created).
 func NewShard(r *shard.Replica, o *obs.Observer) *Server {
 	s := newServer(r.Labeler(), o)
 	s.shard = r
-	s.displayCount = r.Meta().DisplayCount
 	return s
 }
 

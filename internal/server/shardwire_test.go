@@ -763,49 +763,3 @@ func TestClientFinalizeRetry(t *testing.T) {
 		t.Error("finalize after a returned result accepted")
 	}
 }
-
-// TestReplicaDefaultDisplayMatchesSingleNode: a replica whose archive leaves
-// display_count unset shows the round machine's default display — what the
-// single node shows for the same seed.
-func TestReplicaDefaultDisplayMatchesSingleNode(t *testing.T) {
-	cfg := qdcbir.SmallConfig()
-	cfg.VectorMode = true
-	cfg.Images = 400
-	cfg.Categories = 8
-	sys, err := qdcbir.Build(cfg)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	archives, err := qdcbir.SliceShards(context.Background(), sys, 2)
-	if err != nil {
-		t.Fatalf("SliceShards: %v", err)
-	}
-	archives[0].Meta.DisplayCount = 0
-	var buf bytes.Buffer
-	if err := archives[0].Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rep, _, err := qdcbir.OpenShard(&buf)
-	if err != nil {
-		t.Fatalf("OpenShard: %v", err)
-	}
-	if rep.Meta().DisplayCount != 0 {
-		t.Fatalf("archive display_count %d survived as nonzero", rep.Meta().DisplayCount)
-	}
-	display := func(srv *Server) []CandidateJSON {
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		var sess SessionResponse
-		postJSON(t, ts.URL+"/v1/sessions", map[string]int64{"seed": 11}, &sess)
-		var out struct {
-			Candidates []CandidateJSON `json:"candidates"`
-		}
-		getJSON(t, ts.URL+"/v1/sessions/"+sess.SessionID+"/candidates", &out)
-		return out.Candidates
-	}
-	got := display(NewShard(rep, nil))
-	want := display(New(sys.Engine(), sys.SubconceptOf))
-	if len(want) != core.DefaultDisplayCount || !reflect.DeepEqual(got, want) {
-		t.Fatalf("replica display (display_count 0):\n  got  %v\n  want %v (%d candidates)", got, want, core.DefaultDisplayCount)
-	}
-}

@@ -5,8 +5,10 @@
 # shard replicas plus an unsharded reference qdserve, fronts the shards with
 # qdrouter, drives a scripted feedback session through both stacks, and diffs
 # the results. The sharded tier's contract is bit-exactness, so the diff is
-# literal: same JSON groups, same IDs, same distances, same displays. A
-# replica must refuse a one-shot /v1/query (409 naming the router). A final
+# literal: same JSON groups, same IDs, same distances, same displays. The
+# router hosts the routed session: mid-session it holds one and no replica
+# holds any. A replica must refuse a one-shot /v1/query and a new session
+# (409 naming the router). A final
 # stanza boots an admission-controlled replica and checks its scheduler is
 # live and its answers stay bit-correct.
 #
@@ -115,6 +117,21 @@ for round in 1 2; do
   diff <(jq -S . "$WORK/single_fb.json") <(jq -S . "$WORK/router_fb.json") \
     || { echo "cluster_smoke: round $round feedback acks diverge" >&2; exit 1; }
 done
+
+# The session lives at the router: before its finalize the router holds
+# one and no replica holds any.
+curl -sf "http://localhost:$ROUTER/v1/stats" | jq -e '.sessions == 1' >/dev/null \
+  || { echo "cluster_smoke: router does not report its one hosted session: $(curl -sf "http://localhost:$ROUTER/v1/stats" | jq -c '{sessions, sessions_evicted}')" >&2; exit 1; }
+for port in $SHARD0 $SHARD1 $SHARD2; do
+  curl -sf "http://localhost:$port/v1/stats" | jq -e '.sessions == 0' >/dev/null \
+    || { echo "cluster_smoke: replica on :$port hosts a session" >&2; exit 1; }
+done
+# A replica hosts no session: creating one there is refused, naming the
+# router.
+curl -s -X POST -d '{"seed":11}' "http://localhost:$SHARD0/v1/sessions" -w '%{http_code}' -o "$WORK/replica_session.json" \
+  | grep -q '^409$' \
+  && jq -e '.code == "shard_finalize" and (.error | contains("router"))' "$WORK/replica_session.json" >/dev/null \
+  || { echo "cluster_smoke: replica /v1/sessions not refused: $(cat "$WORK/replica_session.json")" >&2; exit 1; }
 
 say "diffing distributed finalize against single node"
 curl -sf -X POST -d '{"k":25}' "http://localhost:$SINGLE/v1/sessions/$SID_S/finalize" | jq -S "$NORM" > "$WORK/single_final.json"

@@ -278,6 +278,9 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 		if dynamic {
 			return nil, fmt.Errorf("shard archive %s: shard replicas are read-only slices and cannot be served dynamically", path)
 		}
+		// The replica's rows and codes are mapped outside the Go heap and
+		// held for the life of the process: in-flight legs may read them
+		// until it exits, so it never closes the replica.
 		rep, _, err := qdcbir.OpenShardFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("shard archive %s: %w", path, err)

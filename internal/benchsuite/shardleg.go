@@ -128,6 +128,7 @@ func legShard(b *testing.B, s legShape) (*shard.Replica, uint64, []vec.Vector) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { rep.Close() })
 	node := topo.RootID()
 	if s.leaf {
 		node = 2

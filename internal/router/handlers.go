@@ -344,8 +344,7 @@ func (rt *Router) handleKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req KNNRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "", "bad request: %v", err)
+	if !server.DecodeBody(w, r, server.VectorBodyLimit(rt.meta.Dim), &req) {
 		return
 	}
 	if req.K <= 0 {
@@ -382,8 +381,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "", "bad request: %v", err)
+	if !server.DecodeBody(w, r, server.QueryBodyLimit(rt.meta.Images, rt.meta.Dim), &req) {
 		return
 	}
 	if req.K <= 0 {

@@ -219,6 +219,7 @@ func New(cfg Config) (*Router, error) {
 	rt.sessions = server.NewSessions(server.SessionsConfig{
 		Start:      rt.startSession,
 		Label:      func(id int) string { return rt.topo.RepLabel(id) },
+		Shape:      func() (int, int) { return rt.meta.Images, rt.meta.Dim },
 		Observer:   rt.obs,
 		WriteError: writeBackendError,
 	})

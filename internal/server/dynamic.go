@@ -13,7 +13,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -90,8 +89,7 @@ func (s *Server) handleImages(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !DecodeBody(w, r, VectorBodyLimit(s.dyn.DB().Config().Dim), &req) {
 		return
 	}
 	id, err := s.dyn.Insert(vec.Vector(req.Vector), req.Label)

@@ -130,6 +130,7 @@ func newServer(label Labeler, o *obs.Observer) *Server {
 	s.sessions = NewSessions(SessionsConfig{
 		Start:    s.newHosted,
 		Label:    label,
+		Shape:    s.bodyShape,
 		Observer: o,
 		Admit: func(ctx context.Context, endpoint string) (func(), error) {
 			return s.sched.admit(ctx, endpoint)
@@ -550,6 +551,23 @@ func (s *Server) Info() InfoResponse {
 	return InfoResponse{Images: f.Len(), TreeHeight: f.Tree().Height(), Representatives: f.RepCount()}
 }
 
+// bodyShape is what a request body to this server can name: the images of
+// the served corpus (its live ones, when dynamic) and vectors of its
+// dimension.
+func (s *Server) bodyShape() (images, dim int) {
+	switch {
+	case s.dyn != nil:
+		snap := s.dyn.DB().Acquire()
+		defer snap.Release()
+		return snap.Live(), s.dyn.DB().Config().Dim
+	case s.shard != nil:
+		m := s.shard.Meta()
+		return m.Images, m.Dim
+	}
+	f := s.engine.RFS()
+	return f.Len(), f.Tree().Dim()
+}
+
 func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -583,8 +601,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !DecodeBody(w, r, QueryBodyLimit(s.bodyShape()), &req) {
 		return
 	}
 	release, err := s.sched.admit(r.Context(), "/v1/query")

@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -45,6 +44,9 @@ type SessionsConfig struct {
 	Start func(rng *rand.Rand, st *core.SessionState) (*HostedSession, error)
 	// Label names displayed images.
 	Label Labeler
+	// Shape reports the corpus request bodies are bounded by: how many
+	// images an ID list can name, and the vector dimension.
+	Shape func() (images, dim int)
 	// Observer counts hosted and evicted sessions (nil: not counted).
 	Observer *obs.Observer
 	// Admit, when set, gates each finalize; the release it returns runs
@@ -174,13 +176,16 @@ func (t *Sessions) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Seed int64 `json:"seed"`
 	}
-	if r.ContentLength > 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
+	if r.ContentLength > 0 && !DecodeBody(w, r, bodySlack, &req) {
+		return
 	}
 	t.add(w, req.Seed, nil)
+}
+
+// idListBodyLimit bounds a feedback or retract body: one list of image IDs.
+func (t *Sessions) idListBodyLimit() int64 {
+	images, _ := t.cfg.Shape()
+	return IDListBodyLimit(images)
 }
 
 // handleImport resumes an exported session here.
@@ -190,7 +195,7 @@ func (t *Sessions) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionExport
-	if err := decodeJSON(w, r, &req); err != nil {
+	if !DecodeBody(w, r, sessionStateBodyLimit(t.cfg.Shape()), &req) {
 		return
 	}
 	if req.State == nil {
@@ -300,8 +305,7 @@ func (t *Sessions) handleOp(w http.ResponseWriter, r *http.Request, rest string)
 
 	case op == "feedback" && r.Method == http.MethodPost:
 		var req FeedbackRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		if !DecodeBody(w, r, t.idListBodyLimit(), &req) {
 			return
 		}
 		hs.mu.Lock()
@@ -316,8 +320,7 @@ func (t *Sessions) handleOp(w http.ResponseWriter, r *http.Request, rest string)
 
 	case op == "retract" && r.Method == http.MethodPost:
 		var req FeedbackRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		if !DecodeBody(w, r, t.idListBodyLimit(), &req) {
 			return
 		}
 		hs.mu.Lock()
@@ -336,8 +339,7 @@ func (t *Sessions) handleOp(w http.ResponseWriter, r *http.Request, rest string)
 		var req struct {
 			K int `json:"k"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		if !DecodeBody(w, r, bodySlack, &req) {
 			return
 		}
 		if t.cfg.Admit != nil {

@@ -205,11 +205,8 @@ func (s *Server) handleShardPoints(w http.ResponseWriter, r *http.Request) {
 	if !s.shardEndpoint(w, r, http.MethodPost) {
 		return
 	}
-	if !boundBody(w, r, shardPointsBodyLimit(s.shard.Meta().Images)) {
-		return
-	}
 	var req ShardPointsRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if !DecodeBody(w, r, IDListBodyLimit(s.shard.Meta().Images), &req) {
 		return
 	}
 	rec := shardRecorder(r)

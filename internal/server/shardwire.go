@@ -87,14 +87,49 @@ func shardSearchBodyLimit(dim int) int64 {
 	return 4096 + int64(max(64*d, searchFrameSize(MaxShardSearches, d, d)))
 }
 
-// shardPointsBodyLimit bounds a /v1/shard/points request, which names images
-// and carries no vector: no panel is larger than the corpus, and a printed id
-// with its separator is under 24 bytes.
-func shardPointsBodyLimit(images int) int64 { return 4096 + 24*int64(images) }
+// Request body bounds. Every body that arrives from outside is refused past
+// what its endpoint can carry: bodySlack bytes for scalar fields, labels and
+// whitespace, idBytes per image ID a list names (no list names more distinct
+// images than the corpus holds), keyedIDBytes per entry of a map keyed by
+// image ID, and componentBytes per vector component.
+const (
+	bodySlack      = 4096
+	idBytes        = 24 // a printed int and its separator
+	keyedIDBytes   = 48 // "id":uint64 and its separator
+	componentBytes = 32 // a printed float64 and its separator
+)
 
-// boundBody caps a shard leg's request body at limit. A body that declares a
-// longer length is answered 413 at once, before any of it is read; false
+// IDListBodyLimit bounds a body that names images and carries no vector
+// (a /v1/shard/points request, session feedback).
+func IDListBodyLimit(images int) int64 { return bodySlack + idBytes*int64(images) }
+
+// VectorBodyLimit bounds a body that carries one dim-long vector (a k-NN
+// query, an inserted image).
+func VectorBodyLimit(dim int) int64 { return bodySlack + componentBytes*int64(dim) }
+
+// QueryBodyLimit bounds a one-shot query: the example IDs and a weights
+// vector.
+func QueryBodyLimit(images, dim int) int64 {
+	return IDListBodyLimit(images) + componentBytes*int64(dim)
+}
+
+// sessionStateBodyLimit bounds a session import: the relevant IDs, two maps
+// keyed by image ID (subcluster assignments, the display) and the weights.
+func sessionStateBodyLimit(images, dim int) int64 {
+	return QueryBodyLimit(images, dim) + 2*keyedIDBytes*int64(images)
+}
+
+// DecodeBody decodes a JSON request body of at most limit bytes into v,
+// answering 413 body_too_large past the limit — before reading any of a body
+// that declares a longer length — and 400 on anything unparseable. False
 // means the caller stops.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	return boundBody(w, r, limit) && decodeJSON(w, r, v) == nil
+}
+
+// boundBody caps a request body at limit. A body that declares a longer
+// length is answered 413 at once, before any of it is read; false means the
+// caller stops.
 func boundBody(w http.ResponseWriter, r *http.Request, limit int64) bool {
 	if r.ContentLength > limit {
 		writeTooLarge(w, limit)

@@ -344,7 +344,7 @@ func TestShardSearchRejectsBadBodies(t *testing.T) {
 		t.Errorf("1 GB declared over a %d-byte body: HTTP %d %s after %d reads, want 413 code %s and no read",
 			len(good), rec.Code, rec.Body.Bytes(), body.reads, ErrCodeBodyTooLarge)
 	}
-	ids := bytes.Repeat([]byte("1,"), int(shardPointsBodyLimit(rep.Meta().Images)))
+	ids := bytes.Repeat([]byte("1,"), int(IDListBodyLimit(rep.Meta().Images)))
 	status, _, raw := post(t, ts.URL+"/v1/shard/points", "application/json", "", append(append([]byte(`{"ids":[`), ids...), []byte("1]}")...), false)
 	if status != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized points request: HTTP %d %s, want 413", status, raw)

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"qdcbir/internal/offheap"
 	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
@@ -31,15 +32,18 @@ type Neighbor struct {
 // Replica is one shard loaded for serving: the scatter-gather machinery over
 // the local subset — the full single-node topology and a slab of the local
 // rows grouped by full-tree leaf, so any single-node subtree maps to a
-// contiguous row range. The slab is the archive's rows, adopted as decoded,
-// beside the SQ8 codes of the rows unweighted sweeps score.
+// contiguous row range. The slab and the SQ8 codes of the rows unweighted
+// sweeps score live in one sealed, read-only mapping outside the Go heap,
+// which the replica owns until Close; the heap holds the topology and the
+// per-row tables.
 type Replica struct {
 	meta    Meta
 	topo    *Topology
-	localOf map[int]int // global ID -> local row
-	leafID  []uint64    // full-tree leaf per local row
-	labels  []string    // per local row
-	rowOf   []int       // local row -> slab row
+	globals []int    // global ID per local row, ascending
+	leafID  []uint64 // full-tree leaf per local row
+	labels  []string // per local row
+	rowOf   []int    // local row -> slab row
+	mem     *offheap.Region
 
 	dim int
 	f32 bool // unweighted sweeps run the float32 kernels (Meta.Precision "f32")
@@ -93,9 +97,68 @@ func SlabLayout(t *Topology, leafID []uint64) (order []int, ranges [][2]int, err
 	return order, ranges, nil
 }
 
-// NewReplica assembles a replica from an archive, adopting its rows as the
-// slab and training the SQ8 filter over them. The archive must not be
-// modified afterwards.
+// slabLayout places a replica's arrays in its mapping: float64 rows at offset
+// 0, then float32 rows, then the SQ8 codes, each section present or empty.
+// Every section's size is a multiple of the next's element size, so each
+// view is aligned.
+type slabLayout struct {
+	values          int // rows × dim
+	f64, f32, codes bool
+}
+
+// layoutOf sizes the mapping of a shard: its rows at storage precision, the
+// float32 narrowing a float32 scan of float64 storage sweeps, and a code byte
+// per value wherever SQ8 can train.
+func layoutOf(m Meta) slabLayout {
+	return slabLayout{
+		values: m.LocalImages * m.Dim,
+		f64:    m.Storage == "f64",
+		f32:    m.Storage == "f32" || m.Precision == "f32",
+		codes:  m.Dim <= store.MaxSQ8Dim,
+	}
+}
+
+// bytesPerValue is the mapping's size per row value: at most 13, for float64
+// rows, their float32 narrowing and a code byte.
+func (l slabLayout) bytesPerValue() int {
+	n := 0
+	if l.f64 {
+		n += 8
+	}
+	if l.f32 {
+		n += 4
+	}
+	if l.codes {
+		n++
+	}
+	return n
+}
+
+func (l slabLayout) size() int { return l.bytesPerValue() * l.values }
+
+// views returns the layout's sections of mem; an absent one is nil.
+func (l slabLayout) views(mem *offheap.Region) (f64 []float64, f32 []float32, codes []uint8) {
+	off := 0
+	if l.f64 {
+		f64 = offheap.View[float64](mem, off, l.values)
+		off += 8 * l.values
+	}
+	if l.f32 {
+		f32 = offheap.View[float32](mem, off, l.values)
+		off += 4 * l.values
+	}
+	if l.codes {
+		codes = offheap.View[uint8](mem, off, l.values)
+	}
+	return f64, f32, codes
+}
+
+// NewReplica assembles a replica from an archive. It adopts the mapping of
+// an archive from ReadArchive, or copies an in-memory archive's rows into a
+// new one, fills in the float32 narrowing and SQ8 codes it sweeps, and seals
+// the mapping read-only. On success the replica owns the mapping (free it
+// with Close) and the archive must not be modified afterwards; on failure an
+// archive from ReadArchive still holds its mapping, which Release frees.
 func NewReplica(a *Archive) (*Replica, error) {
 	if err := a.check(); err != nil {
 		return nil, err
@@ -107,42 +170,80 @@ func NewReplica(a *Archive) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
+	lay := layoutOf(a.Meta)
+	mem, adopted := a.mem, a.mem != nil
+	if !adopted {
+		if mem, err = offheap.Alloc(lay.size()); err != nil {
+			return nil, fmt.Errorf("shard: slab: %w", err)
+		}
+	}
+	f64, f32, codes := lay.views(mem)
+	if !adopted {
+		copy(f64, a.Rows.F64)
+		copy(f32, a.Rows.F32)
+	}
 	r := &Replica{
 		meta:    a.Meta,
 		topo:    a.Topo,
-		localOf: make(map[int]int, len(a.Globals)),
+		globals: a.Globals,
 		leafID:  a.LeafID,
 		labels:  a.Labels,
 		rowOf:   make([]int, len(order)),
+		mem:     mem,
 		dim:     a.Meta.Dim,
 		f32:     a.Meta.Precision == "f32",
-		slab:    a.Rows.F64,
-		slab32:  a.Rows.F32,
+		slab:    f64,
+		slab32:  f32,
 		slabGID: make([]int, len(order)),
 		ranges:  ranges,
-	}
-	for li, gid := range a.Globals {
-		r.localOf[gid] = li
 	}
 	for row, li := range order {
 		r.slabGID[row] = a.Globals[li]
 		r.rowOf[li] = row
 	}
-	if r.f32 && r.slab32 == nil {
-		r.slab32 = vec.Narrow32(r.slab, nil)
+	if r.slab != nil && r.slab32 != nil {
+		vec.Narrow32(r.slab, r.slab32)
 	}
-	// Archives carry no codes: training is two passes over the rows, and its
-	// one failure, a dimension past SQ8's limit, only leaves the filter off.
-	var qz *store.Quantized
-	if r.slab32 != nil {
-		qz, _ = store.QuantizeBacking32(r.dim, r.slab32)
-	} else {
-		qz, _ = store.QuantizeBacking(r.dim, r.slab)
+	// Archives carry no codes: training is two passes over the rows. A
+	// filter that would bound nothing leaves its codes unread in the mapping.
+	if codes != nil {
+		var qz *store.Quantized
+		if r.slab32 != nil {
+			qz, _ = store.QuantizeBackingInto(r.dim, r.slab32, codes)
+		} else {
+			qz, _ = store.QuantizeBackingInto(r.dim, r.slab, codes)
+		}
+		if qz != nil && qz.Clean() && qz.Delta() > 0 {
+			r.quant = qz
+		}
 	}
-	if qz != nil && qz.Clean() && qz.Delta() > 0 {
-		r.quant = qz
+	if err := mem.Seal(); err != nil {
+		if !adopted {
+			mem.Free()
+		}
+		return nil, fmt.Errorf("shard: slab: %w", err)
 	}
+	a.mem = nil
 	return r, nil
+}
+
+// Close frees the replica's mapping: its rows and codes. The replica must not
+// be searched during or after Close, nor the rows of the archive it was
+// built from read; a server that keeps its replica for the life of the
+// process never calls it.
+func (r *Replica) Close() error {
+	err := r.mem.Free()
+	r.slab, r.slab32, r.quant = nil, nil, nil
+	return err
+}
+
+// MappedBytes is the size of the replica's mapping: the rows it sweeps and
+// their SQ8 codes. It is 0 after Close.
+func (r *Replica) MappedBytes() int { return r.mem.Len() }
+
+// local returns the local row of a global ID stored here.
+func (r *Replica) local(gid int) (int, bool) {
+	return slices.BinarySearch(r.globals, gid)
 }
 
 // Meta returns the shard identity.
@@ -152,7 +253,7 @@ func (r *Replica) Meta() Meta { return r.meta }
 func (r *Replica) Topo() *Topology { return r.topo }
 
 // Owns reports whether the image's row is stored on this shard.
-func (r *Replica) Owns(gid int) bool { _, ok := r.localOf[gid]; return ok }
+func (r *Replica) Owns(gid int) bool { _, ok := r.local(gid); return ok }
 
 // Point is one locally stored image: its full-tree leaf and feature vector,
 // which routers fetch to plan finalize rounds.
@@ -168,7 +269,7 @@ type Point struct {
 // storage, the exact widening), so router-side centroid and boundary
 // arithmetic reproduces the single-node values bit-for-bit.
 func (r *Replica) PointInfo(gid int) (Point, bool) {
-	li, ok := r.localOf[gid]
+	li, ok := r.local(gid)
 	if !ok {
 		return Point{}, false
 	}
@@ -194,7 +295,7 @@ func (r *Replica) rows64(lo, hi int, buf []float64) []float64 {
 // table (displays only ever show representatives).
 func (r *Replica) Labeler() func(id int) string {
 	return func(id int) string {
-		if li, ok := r.localOf[id]; ok {
+		if li, ok := r.local(id); ok {
 			return r.labels[li]
 		}
 		return r.topo.RepLabel(id)
@@ -530,7 +631,8 @@ func (r *Replica) neighbors(sel *topSelect) []Neighbor {
 	cands := sel.sorted()
 	ns := make([]Neighbor, len(cands))
 	for i, c := range cands {
-		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d), DistSq: c.d, Label: r.labels[r.localOf[c.gid]]}
+		li, _ := r.local(c.gid)
+		ns[i] = Neighbor{ID: c.gid, Dist: math.Sqrt(c.d), DistSq: c.d, Label: r.labels[li]}
 	}
 	return ns
 }

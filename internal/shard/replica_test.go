@@ -78,6 +78,7 @@ func (c *oracleCorpus) replica(t testing.TB, precision, storage string) *Replica
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { rep.Close() })
 	return rep
 }
 

@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"qdcbir/internal/offheap"
 )
 
 // Meta identifies a shard archive and the fleet it belongs to. A router
@@ -56,9 +58,12 @@ func IsArchiveHeader(head []byte) bool {
 // Archive is one shard's self-contained form: fleet identity, the full
 // single-node topology, and the shard's own rows — each exactly once. Globals,
 // LeafID and Labels are per local row (ascending global ID); Rows is in slab
-// order (see SlabLayout), which is the order a replica sweeps, so a replica
-// adopts it as its slab without copying. Archives are produced by the root
-// package's SliceShard and opened by OpenShard.
+// order (see SlabLayout), which is the order a replica sweeps. Archives are
+// produced by the root package's SliceShard and opened by OpenShard.
+//
+// An archive from ReadArchive holds its rows in a mapping outside the Go heap
+// (package offheap), sized for the replica's whole slab: NewReplica adopts
+// it, and otherwise Release frees it.
 type Archive struct {
 	Meta    Meta
 	Topo    *Topology
@@ -66,6 +71,20 @@ type Archive struct {
 	LeafID  []uint64 // full-tree leaf node ID per local row
 	Rows    Rows     // feature rows in slab order, at Meta.Storage precision
 	Labels  []string // ground-truth label per local row
+
+	mem *offheap.Region // ReadArchive's slab mapping, until a replica adopts it
+}
+
+// Release frees the rows ReadArchive mapped, which are dead afterwards. It
+// does nothing once NewReplica has adopted them (Replica.Close frees them
+// then) or for an archive built in memory.
+func (a *Archive) Release() error {
+	if a.mem == nil {
+		return nil
+	}
+	err := a.mem.Free()
+	a.mem, a.Rows = nil, Rows{}
+	return err
 }
 
 // Rows holds a shard's feature rows at their storage precision, Dim values
@@ -85,11 +104,10 @@ func (a *Archive) checkHeader() error {
 	if m.Precision != "f64" && m.Precision != "f32" {
 		return fmt.Errorf("shard: unknown scan precision %q", m.Precision)
 	}
-	elem := map[string]int{"f64": 8, "f32": 4}[m.Storage]
-	if elem == 0 {
+	if m.Storage != "f64" && m.Storage != "f32" {
 		return fmt.Errorf("shard: unknown storage precision %q", m.Storage)
 	}
-	if m.Dim < 1 || m.LocalImages < 1 || m.LocalImages > m.Images || m.Dim > math.MaxInt/elem/m.LocalImages {
+	if m.Dim < 1 || m.LocalImages < 1 || m.LocalImages > m.Images || m.Dim > math.MaxInt/layoutOf(*m).bytesPerValue()/m.LocalImages {
 		return fmt.Errorf("shard: %d local images of %d at dim %d", m.LocalImages, m.Images, m.Dim)
 	}
 	if len(a.Globals) != m.LocalImages || len(a.LeafID) != m.LocalImages || len(a.Labels) != m.LocalImages {
@@ -149,17 +167,17 @@ func (a *Archive) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// readRows decodes n little-endian values straight into a new slab, through
-// one small buffer.
-func readRows[T float32 | float64](r io.Reader, n int) ([]T, error) {
+// readRows decodes len(rows) little-endian values straight into rows,
+// through one small buffer.
+func readRows[T float32 | float64](r io.Reader, rows []T) error {
 	const chunk = 8 << 10 // values per read
-	rows, size := make([]T, n), binary.Size(T(0))
+	n, size := len(rows), binary.Size(T(0))
 	buf := make([]byte, chunk*size)
 	for i := 0; i < n; i += chunk {
 		part := rows[i:min(i+chunk, n)]
 		b := buf[:len(part)*size]
 		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, fmt.Errorf("shard: rows truncated after %d of %d values: %w", i, n, err)
+			return fmt.Errorf("shard: rows truncated after %d of %d values: %w", i, n, err)
 		}
 		switch p := any(part).(type) {
 		case []float32:
@@ -172,7 +190,7 @@ func readRows[T float32 | float64](r io.Reader, n int) ([]T, error) {
 			}
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // WriteFile persists the archive to a file.
@@ -190,7 +208,8 @@ func (a *Archive) WriteFile(path string) error {
 
 // ReadArchive decodes a shard archive stream. Every count in the header is
 // checked against the others before the rows are allocated, and the stream
-// must end exactly where the rows do.
+// must end exactly where the rows do. The rows are decoded into a mapping
+// sized for the replica's slab (see Archive); a failed read leaves none.
 func ReadArchive(r io.Reader) (*Archive, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
@@ -210,21 +229,28 @@ func ReadArchive(r io.Reader) (*Archive, error) {
 	if err := a.checkHeader(); err != nil {
 		return nil, err
 	}
-	n := a.Meta.LocalImages * a.Meta.Dim
+	lay := layoutOf(a.Meta)
+	if a.mem, err = offheap.Alloc(lay.size()); err != nil {
+		return nil, fmt.Errorf("shard: slab: %w", err)
+	}
+	f64, f32, _ := lay.views(a.mem)
 	a.Rows = Rows{}
 	if a.Meta.Storage == "f32" {
-		a.Rows.F32, err = readRows[float32](br, n)
+		a.Rows.F32, err = f32, readRows(br, f32)
 	} else {
-		a.Rows.F64, err = readRows[float64](br, n)
+		a.Rows.F64, err = f64, readRows(br, f64)
+	}
+	if err == nil {
+		switch _, rerr := br.ReadByte(); {
+		case rerr == nil:
+			err = fmt.Errorf("shard: trailing bytes after %d rows", a.Meta.LocalImages)
+		case rerr != io.EOF:
+			err = fmt.Errorf("shard: read past rows: %w", rerr)
+		}
 	}
 	if err != nil {
+		a.Release()
 		return nil, err
-	}
-	switch _, err := br.ReadByte(); {
-	case err == nil:
-		return nil, fmt.Errorf("shard: trailing bytes after %d rows", a.Meta.LocalImages)
-	case err != io.EOF:
-		return nil, fmt.Errorf("shard: read past rows: %w", err)
 	}
 	return &a, nil
 }

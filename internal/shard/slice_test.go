@@ -7,8 +7,11 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
+	"runtime/debug"
 	"strings"
 	"testing"
+
+	"qdcbir/internal/offheap"
 )
 
 // tinyArchive is a hand-built three-row shard over a two-leaf, 2-d topology:
@@ -79,6 +82,7 @@ func TestShardArchiveRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", storage, err)
 		}
+		defer rep.Close()
 		// Local row 1 (global 2) is the last slab row.
 		p, ok := rep.PointInfo(2)
 		if !ok || p.Vec[0] != 1 || p.Vec[1] != 2 || p.Leaf != 3 || p.Label != "b" {
@@ -135,6 +139,7 @@ func TestShardArchiveRetiredQuantizedFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rep.Close()
 	if ns, err := rep.SearchNode(context.Background(), 1, []float64{1, 2}, nil, 2); err != nil || len(ns) != 2 || ns[0].ID != 2 {
 		t.Fatalf("SearchNode = %+v, %v", ns, err)
 	}
@@ -186,7 +191,9 @@ func TestShardArchiveChecks(t *testing.T) {
 
 // FuzzReadShardArchive feeds ReadArchive and replica assembly truncations,
 // bit flips and absurd counts: every input either opens a replica that
-// answers searches or fails with a shard error — never a panic.
+// answers searches or fails with a shard error — never a panic — and leaves
+// no slab mapping behind once its archive is released and its replica
+// closed.
 func FuzzReadShardArchive(f *testing.F) {
 	for _, storage := range []string{"f64", "f32"} {
 		good := encode(f, tinyArchive(storage))
@@ -201,6 +208,12 @@ func FuzzReadShardArchive(f *testing.F) {
 	f.Add(encodeUnchecked(f, huge, 0))
 	f.Add([]byte{0xD1, 'Q', 'S', 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		live := offheap.Live()
+		defer func() {
+			if now := offheap.Live(); now != live {
+				t.Fatalf("%d slab mappings live after the input, %d before", now, live)
+			}
+		}()
 		a, err := ReadArchive(bytes.NewReader(data))
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "shard: ") {
@@ -208,6 +221,7 @@ func FuzzReadShardArchive(f *testing.F) {
 			}
 			return
 		}
+		defer a.Release()
 		rep, err := NewReplica(a)
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "shard: ") {
@@ -215,6 +229,7 @@ func FuzzReadShardArchive(f *testing.F) {
 			}
 			return
 		}
+		defer rep.Close()
 		q := make([]float64, rep.Meta().Dim)
 		if _, err := rep.SearchNode(context.Background(), rep.Topo().RootID(), q, nil, 3); err != nil {
 			t.Fatalf("opened replica cannot search: %v", err)
@@ -225,4 +240,39 @@ func FuzzReadShardArchive(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReplicaSlabSealed: a replica's mapping is read-only once assembled, so
+// a store into its slab faults, whichever path filled it — ReadArchive's
+// decode or NewReplica's copy of an in-memory archive.
+func TestReplicaSlabSealed(t *testing.T) {
+	if !offheap.Mapped {
+		t.Skip("slabs are heap arrays on this platform")
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for _, storage := range []string{"f64", "f32"} {
+		decoded, err := ReadArchive(bytes.NewReader(encode(t, tinyArchive(storage))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, a := range map[string]*Archive{"decoded": decoded, "in memory": tinyArchive(storage)} {
+			rep, err := NewReplica(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: a store into the slab did not fault", storage, name)
+					}
+				}()
+				if rep.slab != nil {
+					rep.slab[0] = 7
+				} else {
+					rep.slab32[0] = 7
+				}
+			}()
+			rep.Close()
+		}
+	}
 }

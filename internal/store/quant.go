@@ -39,9 +39,9 @@ import (
 // ±Inf components set clean=false and DBErr=+Inf: every search over them
 // falls back to the exact path rather than trust the bound.
 
-// maxSQ8Dim bounds the dimensionality so a full code distance fits int32:
-// dim * 255² <= MaxInt32.
-const maxSQ8Dim = math.MaxInt32 / (255 * 255)
+// MaxSQ8Dim bounds the dimensionality so a full code distance fits int32:
+// dim * 255² <= MaxInt32. Quantizing wider rows fails.
+const MaxSQ8Dim = math.MaxInt32 / (255 * 255)
 
 // Quantized is the SQ8 companion of a FeatureStore: n dimension-strided
 // uint8 code vectors in one contiguous backing array, in the same row order
@@ -72,35 +72,49 @@ func Quantize(s *FeatureStore) (*Quantized, error) {
 // holding that widened copy: it allocates the codes and O(dim) bounds. The
 // data is read, never retained.
 func QuantizeBacking32(dim int, data []float32) (*Quantized, error) {
-	return quantizeBacking(dim, data)
+	return quantizeBacking(dim, data, nil)
 }
 
 // QuantizeBacking trains on and encodes a dimension-strided backing array
 // (len(data) must be a multiple of dim). The data is read, never retained.
 func QuantizeBacking(dim int, data []float64) (*Quantized, error) {
-	return quantizeBacking(dim, data)
+	return quantizeBacking(dim, data, nil)
 }
 
-// quantizeBacking is QuantizeBacking at either storage precision: training
-// and encoding read every value through its exact float64 widening.
-func quantizeBacking[T float32 | float64](dim int, data []T) (*Quantized, error) {
+// QuantizeBackingInto is QuantizeBacking (or QuantizeBacking32) that encodes
+// into codes, one per value of data, instead of a new array: the result
+// views codes, which the caller owns and must leave unmodified.
+func QuantizeBackingInto[T float32 | float64](dim int, data []T, codes []uint8) (*Quantized, error) {
+	if len(codes) != len(data) {
+		return nil, fmt.Errorf("store: %d codes for %d values", len(codes), len(data))
+	}
+	return quantizeBacking(dim, data, codes)
+}
+
+// quantizeBacking is QuantizeBacking at either storage precision, encoding
+// into codes (a new array when nil): training and encoding read every value
+// through its exact float64 widening.
+func quantizeBacking[T float32 | float64](dim int, data []T, codes []uint8) (*Quantized, error) {
 	if dim <= 0 {
 		if len(data) != 0 {
 			return nil, fmt.Errorf("store: quantize dim %d with %d values", dim, len(data))
 		}
 		return &Quantized{clean: true}, nil
 	}
-	if dim > maxSQ8Dim {
-		return nil, fmt.Errorf("store: quantize dim %d exceeds SQ8 limit %d", dim, maxSQ8Dim)
+	if dim > MaxSQ8Dim {
+		return nil, fmt.Errorf("store: quantize dim %d exceeds SQ8 limit %d", dim, MaxSQ8Dim)
 	}
 	if len(data)%dim != 0 {
 		return nil, fmt.Errorf("store: quantize backing length %d not a multiple of dim %d", len(data), dim)
 	}
 	n := len(data) / dim
+	if codes == nil {
+		codes = make([]uint8, len(data))
+	}
 	q := &Quantized{
 		dim:   dim,
 		n:     n,
-		codes: make([]uint8, len(data)),
+		codes: codes,
 		mins:  make([]float64, dim),
 		maxs:  make([]float64, dim),
 		clean: true,
@@ -362,8 +376,8 @@ func FromQuantParts(dim int, codes []uint8, mins, maxs []float64, clean bool) (*
 		}
 		return &Quantized{clean: clean}, nil
 	}
-	if dim > maxSQ8Dim {
-		return nil, fmt.Errorf("store: quantized dim %d exceeds SQ8 limit %d", dim, maxSQ8Dim)
+	if dim > MaxSQ8Dim {
+		return nil, fmt.Errorf("store: quantized dim %d exceeds SQ8 limit %d", dim, MaxSQ8Dim)
 	}
 	if len(mins) != dim || len(maxs) != dim {
 		return nil, fmt.Errorf("store: quantized bounds %d/%d values, want %d", len(mins), len(maxs), dim)

@@ -192,7 +192,7 @@ func TestQuantPartsRoundTrip(t *testing.T) {
 		{Dim: 3, Codes: make([]uint8, 6), Mins: make([]float64, 2), Maxs: make([]float64, 3)},
 		{Dim: 2, Codes: make([]uint8, 4), Mins: []float64{1, 0}, Maxs: []float64{0, 1}},
 		{Dim: 2, Codes: make([]uint8, 4), Mins: []float64{math.NaN(), 0}, Maxs: []float64{1, 1}},
-		{Dim: maxSQ8Dim + 1},
+		{Dim: MaxSQ8Dim + 1},
 	}
 	for i, p := range bad {
 		if _, err := FromParts(p); err == nil {
@@ -220,7 +220,7 @@ func TestQuantizeShapeErrors(t *testing.T) {
 	if _, err := QuantizeBacking(3, make([]float64, 7)); err == nil {
 		t.Error("ragged backing accepted")
 	}
-	if _, err := QuantizeBacking(maxSQ8Dim+1, nil); err == nil {
+	if _, err := QuantizeBacking(MaxSQ8Dim+1, nil); err == nil {
 		t.Error("over-limit dimensionality accepted")
 	}
 	if _, err := QuantizeBacking(0, make([]float64, 3)); err == nil {

@@ -51,7 +51,7 @@ func TestUint8KernelsAgree(t *testing.T) {
 // TestUint8KernelMaxDistance: the extreme corpus (all-0 vs all-255 codes at
 // the dimensionality limit) must not overflow int32.
 func TestUint8KernelMaxDistance(t *testing.T) {
-	const dim = math.MaxInt32 / (255 * 255) // maxSQ8Dim in package store
+	const dim = math.MaxInt32 / (255 * 255) // MaxSQ8Dim in package store
 	q := make([]uint8, dim)
 	v := make([]uint8, dim)
 	for i := range v {

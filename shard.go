@@ -119,16 +119,21 @@ func scanPrecision(cfg Config) string {
 }
 
 // OpenShard reads a shard archive and assembles the serving replica, whose
-// slab is the archive's rows as decoded. A replica has no local engine: the
-// *System result is always nil and remains only for callers written against
-// the shape that once carried one.
+// slab is the archive's rows as decoded, in a read-only mapping outside the
+// Go heap that the replica owns: Replica.Close frees it. A replica has no
+// local engine: the *System result is always nil and remains only for
+// callers written against the shape that once carried one.
 func OpenShard(r io.Reader) (*shard.Replica, *System, error) {
 	a, err := shard.ReadArchive(r)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep, err := shard.NewReplica(a)
-	return rep, nil, err
+	if err != nil {
+		a.Release()
+		return nil, nil, err
+	}
+	return rep, nil, nil
 }
 
 // OpenShardFile reads a shard archive from a file.

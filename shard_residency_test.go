@@ -19,9 +19,10 @@ import (
 
 // TestOpenShardResidency gates what a replica costs to open: over a
 // 2,000 × 512 float32 corpus sliced three ways, each shard's OpenShard may
-// allocate at most 3× its row bytes in total and keep at most its row bytes,
-// its SQ8 code bytes and 1 MB live after GC — the rows once, the codes the
-// filter reads (a byte per component), plus topology and ID maps.
+// allocate at most 3× its row bytes in total and keep at most 1 MB of Go heap
+// live after GC — the topology and the per-row tables — while its rows and
+// their SQ8 codes (a byte per component) sit in its mapping outside the heap,
+// whose size is exactly theirs.
 func TestOpenShardResidency(t *testing.T) {
 	const n, dim = 2000, 512
 	rng := rand.New(rand.NewSource(9))
@@ -48,7 +49,7 @@ func TestOpenShardResidency(t *testing.T) {
 		}
 		blob := buf.Bytes()
 		rowBytes := float64(a.Meta.LocalImages * dim * 4)
-		codeBytes := float64(a.Meta.LocalImages * dim)
+		codeBytes := a.Meta.LocalImages * dim
 
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -62,16 +63,22 @@ func TestOpenShardResidency(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-		runtime.KeepAlive(rep)
 		runtime.KeepAlive(blob) // the archive bytes are the caller's, live throughout
+		mapped := rep.MappedBytes()
+		if err := rep.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-		t.Logf("shard %d: %.0f row bytes, allocated %.0f (%.2fx), retained %.0f (%.2fx)",
-			i, rowBytes, allocated, allocated/rowBytes, retained, retained/rowBytes)
+		t.Logf("shard %d: %.0f row bytes, allocated %.0f (%.2fx), retained %.0f, mapped %d",
+			i, rowBytes, allocated, allocated/rowBytes, retained, mapped)
 		if allocated > 3*rowBytes {
 			t.Errorf("shard %d: OpenShard allocated %.0f B, gate is 3 x %.0f row bytes", i, allocated, rowBytes)
 		}
-		if retained > rowBytes+codeBytes+(1<<20) {
-			t.Errorf("shard %d: replica retains %.0f B, gate is %.0f row bytes + %.0f code bytes + 1 MB", i, retained, rowBytes, codeBytes)
+		if retained > 1<<20 {
+			t.Errorf("shard %d: replica retains %.0f B of Go heap, gate is 1 MB", i, retained)
+		}
+		if want := int(rowBytes) + codeBytes; mapped != want {
+			t.Errorf("shard %d: replica maps %d B, want %.0f row bytes + %d code bytes", i, mapped, rowBytes, codeBytes)
 		}
 	}
 }

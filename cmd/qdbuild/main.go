@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -141,19 +142,37 @@ func shardPath(out string, i int) string {
 
 // writeShards persists the fleet artifacts: the full single-node archive at
 // out (the bit-exactness reference; skipped when only one shard was asked
-// for) plus one shard archive per slice, sliced and written one at a time.
+// for) plus one shard archive per slice. The slices share one topology table
+// and corpus signature, derived once, and are sliced and written one at a
+// time while the full archive is written beside them.
 func writeShards(sys *qdcbir.System, out string, shards, only int, log *slog.Logger) error {
+	var waitFull func() error
 	if only < 0 {
-		if err := sys.SaveFile(out); err != nil {
-			return err
+		waitFull = sys.SaveFileAsync(out)
+	}
+	err := writeSlices(sys, out, shards, only, log)
+	if waitFull != nil {
+		ferr := waitFull()
+		if ferr == nil {
+			logWritten(log, out)
 		}
-		logWritten(log, out)
+		err = errors.Join(err, ferr)
+	}
+	return err
+}
+
+// writeSlices writes shard only's archive, or every shard's when only < 0.
+func writeSlices(sys *qdcbir.System, out string, shards, only int, log *slog.Logger) error {
+	ctx := context.Background()
+	sl, err := qdcbir.NewSlicer(ctx, sys, shards)
+	if err != nil {
+		return err
 	}
 	for i := 0; i < shards; i++ {
 		if only >= 0 && i != only {
 			continue
 		}
-		a, err := qdcbir.SliceShard(context.Background(), sys, shards, i)
+		a, err := sl.Slice(ctx, i)
 		if err != nil {
 			return err
 		}

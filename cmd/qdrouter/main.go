@@ -88,21 +88,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	deadline := time.Now().Add(*wait)
-	for {
-		err = rt.VerifyFleet(ctx)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) || ctx.Err() != nil {
-			log.Error("fleet verification failed", "err", err)
-			os.Exit(1)
-		}
-		log.Info("fleet not ready, retrying", "err", err)
-		select {
-		case <-ctx.Done():
-		case <-time.After(500 * time.Millisecond):
-		}
+	if err := awaitFleet(ctx, rt.VerifyFleet, *wait, log); err != nil {
+		log.Error("fleet verification failed", "err", err)
+		os.Exit(1)
 	}
 	rt.Start(ctx)
 
@@ -134,5 +122,44 @@ func main() {
 			log.Error("shutdown failed", "err", err)
 			os.Exit(1)
 		}
+	}
+}
+
+// Fleet verification is retried first after retryFirst, the interval
+// doubling to retryMax: replicas still loading their archives refuse the
+// connection at once, so a short interval costs little and the router is
+// verified within retryMax of its last replica coming up. A failure is
+// logged at most once per logEvery.
+const (
+	retryFirst = 10 * time.Millisecond
+	retryMax   = 50 * time.Millisecond
+	logEvery   = time.Second
+)
+
+// awaitFleet calls verify until it succeeds, ctx ends, or wait has passed
+// since the first call, and returns nil or the last error. With wait 0 it
+// calls verify once.
+func awaitFleet(ctx context.Context, verify func(context.Context) error, wait time.Duration, log *slog.Logger) error {
+	deadline := time.Now().Add(wait)
+	interval := retryFirst
+	var logged time.Time
+	for {
+		err := verify(ctx)
+		if err == nil {
+			return nil
+		}
+		now := time.Now()
+		if now.After(deadline) || ctx.Err() != nil {
+			return err
+		}
+		if logged.IsZero() || now.Sub(logged) >= logEvery {
+			log.Info("fleet not ready, retrying", "err", err)
+			logged = now
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(interval):
+		}
+		interval = min(2*interval, retryMax)
 	}
 }

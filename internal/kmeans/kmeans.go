@@ -87,24 +87,23 @@ func Cluster(points []vec.Vector, k int, cfg Config, rng *rand.Rand) *Result {
 		return r
 	}
 
-	centroids := seedPlusPlus(points, k, rng)
+	dim := len(points[0])
+	for _, p := range points {
+		if len(p) != dim {
+			panic(fmt.Sprintf("kmeans: dims %d != %d", len(p), dim))
+		}
+	}
+
+	// d and scratch hold one distance per point for the lane passes.
+	d, scratch := make([]float64, len(points)), make([]float64, len(points))
+	centroids := seedPlusPlus(points, k, rng, d, scratch)
 	assign := make([]int, len(points))
 	counts := make([]int, k)
 
 	var iters int
 	for iters = 1; iters <= cfg.MaxIter; iters++ {
-		// Assignment step.
-		for i, p := range points {
-			best, bestD := 0, math.Inf(1)
-			for c, ctr := range centroids {
-				if d := vec.SqL2(p, ctr); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			assign[i] = best
-		}
+		assignNearest(points, centroids, assign, d, scratch)
 		// Update step.
-		dim := len(points[0])
 		sums := make([]vec.Vector, k)
 		for c := range sums {
 			sums[c] = make(vec.Vector, dim)
@@ -119,7 +118,7 @@ func Cluster(points []vec.Vector, k int, cfg Config, rng *rand.Rand) *Result {
 			if counts[c] == 0 {
 				// Empty cluster: reseed at the point farthest from its
 				// current centroid to break the degeneracy.
-				centroids[c] = farthestPoint(points, centroids, assign).Clone()
+				centroids[c] = farthestPoint(points, centroids, assign, d).Clone()
 				maxMove = math.Inf(1)
 				continue
 			}
@@ -138,23 +137,109 @@ func Cluster(points []vec.Vector, k int, cfg Config, rng *rand.Rand) *Result {
 		iters = cfg.MaxIter
 	}
 
+	ownDists(points, centroids, assign, d)
 	var inertia float64
-	for i, p := range points {
-		inertia += vec.SqL2(p, centroids[assign[i]])
+	for _, di := range d {
+		inertia += di
 	}
 	return &Result{K: k, Centroids: centroids, Assign: assign, Inertia: inertia, Iters: iters}
+}
+
+// assignNearest sets assign[i] to the centroid nearest points[i], the
+// lowest index on ties, and d[i] to its squared distance: what the scalar
+// scan over the centroids in order finds. Nearest scores the centroids four
+// to a kernel call; the k%4 left over are each scored against four points
+// per call, after the others, so every point still meets its centroids in
+// index order. scratch is a per-point buffer.
+func assignNearest(points, centroids []vec.Vector, assign []int, d, scratch []float64) {
+	k4 := len(centroids) &^ 3
+	for i, p := range points {
+		best, bestD := Nearest(p, centroids[:k4])
+		assign[i], d[i] = max(best, 0), bestD
+	}
+	for c := k4; c < len(centroids); c++ {
+		sqDistsTo(centroids[c], points, scratch)
+		for i, di := range scratch {
+			if di < d[i] {
+				assign[i], d[i] = c, di
+			}
+		}
+	}
+}
+
+// Nearest returns the index of the centroid nearest p, the lowest on ties,
+// and its squared distance, four centroids per vec.SqL2x4 call: what the
+// scalar scan over the centroids in order finds, bit for bit. It returns -1
+// and +Inf when no distance is below +Inf.
+func Nearest(p vec.Vector, centroids []vec.Vector) (int, float64) {
+	best, bestD := -1, math.Inf(1)
+	c := 0
+	for ; c+4 <= len(centroids); c += 4 {
+		d0, d1, d2, d3 := vec.SqL2x4(p, centroids[c], centroids[c+1], centroids[c+2], centroids[c+3])
+		if d0 < bestD {
+			best, bestD = c, d0
+		}
+		if d1 < bestD {
+			best, bestD = c+1, d1
+		}
+		if d2 < bestD {
+			best, bestD = c+2, d2
+		}
+		if d3 < bestD {
+			best, bestD = c+3, d3
+		}
+	}
+	for ; c < len(centroids); c++ {
+		if d := vec.SqL2(p, centroids[c]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best, bestD
+}
+
+// sqDistsTo sets out[i] = vec.SqL2(points[i], c), four points per kernel
+// call. A lane computes c - p where SqL2 computes p - c; the two differences
+// are exact negations of each other, so every square and sum is the same bit
+// for bit.
+func sqDistsTo(c vec.Vector, points []vec.Vector, out []float64) {
+	i := 0
+	for ; i+4 <= len(points); i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] = vec.SqL2x4(c, points[i], points[i+1], points[i+2], points[i+3])
+	}
+	for ; i < len(points); i++ {
+		out[i] = vec.SqL2(points[i], c)
+	}
+}
+
+// ownDists sets out[i] = vec.SqL2(points[i], centroids[assign[i]]), scoring
+// each centroid's members together, four per kernel call.
+func ownDists(points, centroids []vec.Vector, assign []int, out []float64) {
+	members := make([][]int, len(centroids))
+	for i, c := range assign {
+		members[c] = append(members[c], i)
+	}
+	pts := make([]vec.Vector, 0, len(points))
+	d := make([]float64, len(points))
+	for c, m := range members {
+		pts = pts[:0]
+		for _, i := range m {
+			pts = append(pts, points[i])
+		}
+		sqDistsTo(centroids[c], pts, d)
+		for j, i := range m {
+			out[i] = d[j]
+		}
+	}
 }
 
 // seedPlusPlus performs k-means++ initialization: the first centroid is
 // uniform-random, subsequent centroids are drawn with probability
 // proportional to squared distance from the nearest chosen centroid.
-func seedPlusPlus(points []vec.Vector, k int, rng *rand.Rand) []vec.Vector {
+// d2 and scratch are per-point buffers.
+func seedPlusPlus(points []vec.Vector, k int, rng *rand.Rand, d2, scratch []float64) []vec.Vector {
 	centroids := make([]vec.Vector, 0, k)
 	centroids = append(centroids, points[rng.Intn(len(points))].Clone())
-	d2 := make([]float64, len(points))
-	for i, p := range points {
-		d2[i] = vec.SqL2(p, centroids[0])
-	}
+	sqDistsTo(centroids[0], points, d2)
 	for len(centroids) < k {
 		var total float64
 		for _, d := range d2 {
@@ -177,8 +262,9 @@ func seedPlusPlus(points []vec.Vector, k int, rng *rand.Rand) []vec.Vector {
 		}
 		c := points[next].Clone()
 		centroids = append(centroids, c)
-		for i, p := range points {
-			if d := vec.SqL2(p, c); d < d2[i] {
+		sqDistsTo(c, points, scratch)
+		for i, d := range scratch {
+			if d < d2[i] {
 				d2[i] = d
 			}
 		}
@@ -187,12 +273,13 @@ func seedPlusPlus(points []vec.Vector, k int, rng *rand.Rand) []vec.Vector {
 }
 
 // farthestPoint returns the point with the largest distance to its assigned
-// centroid; used to reseed empty clusters.
-func farthestPoint(points []vec.Vector, centroids []vec.Vector, assign []int) vec.Vector {
+// centroid; used to reseed empty clusters. d is a per-point buffer.
+func farthestPoint(points []vec.Vector, centroids []vec.Vector, assign []int, d []float64) vec.Vector {
+	ownDists(points, centroids, assign, d)
 	best, bestD := 0, -1.0
-	for i, p := range points {
-		if d := vec.SqL2(p, centroids[assign[i]]); d > bestD {
-			best, bestD = i, d
+	for i, di := range d {
+		if di > bestD {
+			best, bestD = i, di
 		}
 	}
 	return points[best]
@@ -209,9 +296,8 @@ func NearestToCentroids(points []vec.Vector, r *Result) []int {
 		best[c] = -1
 		bestD[c] = math.Inf(1)
 	}
-	for i, p := range points {
-		c := r.Assign[i]
-		if d := vec.SqL2(p, r.Centroids[c]); d < bestD[c] {
+	for i, d := range AssignedSqDists(points, r) {
+		if c := r.Assign[i]; d < bestD[c] {
 			best[c], bestD[c] = i, d
 		}
 	}
@@ -221,5 +307,14 @@ func NearestToCentroids(points []vec.Vector, r *Result) []int {
 			out = append(out, i)
 		}
 	}
+	return out
+}
+
+// AssignedSqDists returns each point's squared distance to the centroid it
+// is assigned to, vec.SqL2(points[i], r.Centroids[r.Assign[i]]) bit for bit,
+// scored four points per kernel call.
+func AssignedSqDists(points []vec.Vector, r *Result) []float64 {
+	out := make([]float64, len(points))
+	ownDists(points, r.Centroids, r.Assign, out)
 	return out
 }

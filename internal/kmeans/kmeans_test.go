@@ -1,8 +1,10 @@
 package kmeans
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"qdcbir/internal/vec"
@@ -252,5 +254,208 @@ func TestInertiaMonotoneInIterations(t *testing.T) {
 			t.Errorf("inertia increased at MaxIter=%d: %v > %v", iters, r.Inertia, prev)
 		}
 		prev = r.Inertia
+	}
+}
+
+// refCluster is Cluster as it reads with one scalar vec.SqL2 call per
+// (point, centroid) pair: the reference the four-lane passes must equal.
+func refCluster(points []vec.Vector, k int, cfg Config, rng *rand.Rand) *Result {
+	cfg = cfg.withDefaults()
+	if k >= len(points) {
+		r := &Result{K: len(points), Assign: make([]int, len(points))}
+		for i, p := range points {
+			r.Centroids = append(r.Centroids, p.Clone())
+			r.Assign[i] = i
+		}
+		return r
+	}
+	centroids := refSeedPlusPlus(points, k, rng)
+	assign := make([]int, len(points))
+	counts := make([]int, k)
+	var iters int
+	for iters = 1; iters <= cfg.MaxIter; iters++ {
+		for i, p := range points {
+			best, bestD := 0, math.Inf(1)
+			for c, ctr := range centroids {
+				if d := vec.SqL2(p, ctr); d < bestD {
+					best, bestD = c, d
+				}
+			}
+			assign[i] = best
+		}
+		dim := len(points[0])
+		sums := make([]vec.Vector, k)
+		for c := range sums {
+			sums[c] = make(vec.Vector, dim)
+			counts[c] = 0
+		}
+		for i, p := range points {
+			sums[assign[i]].AddInPlace(p)
+			counts[assign[i]]++
+		}
+		var maxMove float64
+		for c := range centroids {
+			if counts[c] == 0 {
+				centroids[c] = refFarthestPoint(points, centroids, assign).Clone()
+				maxMove = math.Inf(1)
+				continue
+			}
+			sums[c].ScaleInPlace(1 / float64(counts[c]))
+			move := vec.L2(centroids[c], sums[c])
+			if move > maxMove {
+				maxMove = move
+			}
+			centroids[c] = sums[c]
+		}
+		if maxMove <= cfg.Tol {
+			break
+		}
+	}
+	if iters > cfg.MaxIter {
+		iters = cfg.MaxIter
+	}
+	var inertia float64
+	for i, p := range points {
+		inertia += vec.SqL2(p, centroids[assign[i]])
+	}
+	return &Result{K: k, Centroids: centroids, Assign: assign, Inertia: inertia, Iters: iters}
+}
+
+func refSeedPlusPlus(points []vec.Vector, k int, rng *rand.Rand) []vec.Vector {
+	centroids := make([]vec.Vector, 0, k)
+	centroids = append(centroids, points[rng.Intn(len(points))].Clone())
+	d2 := make([]float64, len(points))
+	for i, p := range points {
+		d2[i] = vec.SqL2(p, centroids[0])
+	}
+	for len(centroids) < k {
+		var total float64
+		for _, d := range d2 {
+			total += d
+		}
+		var next int
+		if total == 0 {
+			next = rng.Intn(len(points))
+		} else {
+			target := rng.Float64() * total
+			var acc float64
+			for i, d := range d2 {
+				acc += d
+				if acc >= target {
+					next = i
+					break
+				}
+			}
+		}
+		c := points[next].Clone()
+		centroids = append(centroids, c)
+		for i, p := range points {
+			if d := vec.SqL2(p, c); d < d2[i] {
+				d2[i] = d
+			}
+		}
+	}
+	return centroids
+}
+
+func refFarthestPoint(points []vec.Vector, centroids []vec.Vector, assign []int) vec.Vector {
+	best, bestD := 0, -1.0
+	for i, p := range points {
+		if d := vec.SqL2(p, centroids[assign[i]]); d > bestD {
+			best, bestD = i, d
+		}
+	}
+	return points[best]
+}
+
+func refNearestToCentroids(points []vec.Vector, r *Result) []int {
+	best := make([]int, r.K)
+	bestD := make([]float64, r.K)
+	for c := range best {
+		best[c] = -1
+		bestD[c] = math.Inf(1)
+	}
+	for i, p := range points {
+		c := r.Assign[i]
+		if d := vec.SqL2(p, r.Centroids[c]); d < bestD[c] {
+			best[c], bestD[c] = i, d
+		}
+	}
+	out := best[:0]
+	for _, i := range best {
+		if i >= 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// lanePoints draws n points of dim components. With distinct > 0 they are
+// copies of that many base points, so distances tie and clusters empty out.
+func lanePoints(rng *rand.Rand, n, dim, distinct int) []vec.Vector {
+	m := n
+	if distinct > 0 {
+		m = distinct
+	}
+	base := make([]vec.Vector, m)
+	for i := range base {
+		base[i] = make(vec.Vector, dim)
+		for j := range base[i] {
+			base[i][j] = rng.NormFloat64() * float64(1+i%3)
+		}
+	}
+	out := make([]vec.Vector, n)
+	for i := range out {
+		out[i] = base[rng.Intn(len(base))].Clone()
+	}
+	if distinct == 0 {
+		out = base
+	}
+	return out
+}
+
+// TestClusterLanesMatchScalar: Cluster and NearestToCentroids, whose
+// distance passes score four centroids or four points per kernel call,
+// equal the scalar reference bit for bit — assignments, centroid and inertia
+// bits, iteration counts and representatives — over sizes, cluster counts
+// and dimensions that are not multiples of four (k < 4 included), with and
+// without duplicate points.
+func TestClusterLanesMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{2, 5, 7, 13, 34, 101} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 9, 13} {
+			for _, dim := range []int{1, 3, 4, 5, 17, 37} {
+				for _, distinct := range []int{0, 1, 3, 6} {
+					pts := lanePoints(rng, n, dim, distinct)
+					seed := rng.Int63()
+					cfg := Config{MaxIter: 1 + int(seed%30)}
+					want := refCluster(pts, k, cfg, rand.New(rand.NewSource(seed)))
+					got := Cluster(pts, k, cfg, rand.New(rand.NewSource(seed)))
+					tag := fmt.Sprintf("n=%d k=%d dim=%d distinct=%d", n, k, dim, distinct)
+					sameResult(t, tag, got, want)
+					if g, w := NearestToCentroids(pts, got), refNearestToCentroids(pts, want); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s: NearestToCentroids %v, scalar %v", tag, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameResult(t *testing.T, tag string, got, want *Result) {
+	t.Helper()
+	if got.K != want.K || got.Iters != want.Iters || !reflect.DeepEqual(got.Assign, want.Assign) {
+		t.Fatalf("%s: K=%d iters=%d assign=%v, scalar K=%d iters=%d assign=%v",
+			tag, got.K, got.Iters, got.Assign, want.K, want.Iters, want.Assign)
+	}
+	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+		t.Fatalf("%s: inertia %v, scalar %v", tag, got.Inertia, want.Inertia)
+	}
+	for c := range want.Centroids {
+		for j, x := range want.Centroids[c] {
+			if math.Float64bits(got.Centroids[c][j]) != math.Float64bits(x) {
+				t.Fatalf("%s: centroid %d[%d] = %v, scalar %v", tag, c, j, got.Centroids[c][j], x)
+			}
+		}
 	}
 }

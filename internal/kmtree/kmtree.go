@@ -142,9 +142,9 @@ func splitBalanced(points []vec.Vector, ids []int, k, maxSize int, cfg Config, r
 		dist float64
 	}
 	byCluster := make([][]member, r.K)
-	for i := range ids {
+	for i, d := range kmeans.AssignedSqDists(pts, r) {
 		c := r.Assign[i]
-		byCluster[c] = append(byCluster[c], member{idx: i, dist: vec.SqL2(pts[i], r.Centroids[c])})
+		byCluster[c] = append(byCluster[c], member{idx: i, dist: d})
 	}
 	for c := range byCluster {
 		sort.Slice(byCluster[c], func(a, b int) bool { return byCluster[c][a].dist < byCluster[c][b].dist })
@@ -157,21 +157,21 @@ func splitBalanced(points []vec.Vector, ids []int, k, maxSize int, cfg Config, r
 		}
 	}
 	// Overflow points go to the nearest centroid with spare room.
+	var open []int
+	var openCtrs []vec.Vector
 	for _, idx := range overflow {
-		best, bestD := -1, math.Inf(1)
+		open, openCtrs = open[:0], openCtrs[:0]
 		for c := range groups {
-			if len(groups[c]) >= maxSize {
-				continue
-			}
-			if d := vec.SqL2(pts[idx], r.Centroids[c]); d < bestD {
-				best, bestD = c, d
+			if len(groups[c]) < maxSize {
+				open, openCtrs = append(open, c), append(openCtrs, r.Centroids[c])
 			}
 		}
-		if best < 0 {
+		j, _ := kmeans.Nearest(pts[idx], openCtrs)
+		if j < 0 {
 			// Should be impossible: k*maxSize >= len(ids) by construction.
 			panic(fmt.Sprintf("kmtree: no capacity for overflow point (k=%d maxSize=%d n=%d)", k, maxSize, len(ids)))
 		}
-		groups[best] = append(groups[best], ids[idx])
+		groups[open[j]] = append(groups[open[j]], ids[idx])
 	}
 	// Drop empty groups (k-means can produce them on degenerate data).
 	out := groups[:0]

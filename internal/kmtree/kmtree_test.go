@@ -1,10 +1,13 @@
 package kmtree
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
+	"qdcbir/internal/kmeans"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/vec"
 )
@@ -189,4 +192,132 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("nondeterministic at %d", i)
 		}
 	}
+}
+
+// refOverflow counts the points refSplitBalanced moved for capacity, so the
+// lanes test can tell it reached the overflow loop.
+var refOverflow int
+
+// refBuild is Build as it reads with one scalar vec.SqL2 call per distance
+// in the split loops. Its k-means is kmeans.Cluster, which the kmeans tests
+// hold equal to a scalar reference.
+func refBuild(points []vec.Vector, cfg Config) *rstar.TreeSnapshot {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	ids := make([]int, len(points))
+	for i := range ids {
+		ids[i] = i
+	}
+	return &rstar.TreeSnapshot{
+		Dim:      len(points[0]),
+		Cfg:      rstar.Config{MaxFill: max(cfg.LeafCap, cfg.Fanout)},
+		FromBulk: true,
+		Root:     refBuildNode(points, ids, targetDepth(len(points), cfg.LeafCap, cfg.Fanout), cfg, rng),
+	}
+}
+
+func refBuildNode(points []vec.Vector, ids []int, depth int, cfg Config, rng *rand.Rand) *rstar.NodeSnapshot {
+	if depth == 0 {
+		leaf := &rstar.NodeSnapshot{Leaf: true}
+		for _, id := range ids {
+			leaf.Items = append(leaf.Items, rstar.Item{ID: rstar.ItemID(id), Point: points[id]})
+		}
+		return leaf
+	}
+	childCap := cfg.LeafCap
+	for d := 1; d < depth; d++ {
+		childCap *= cfg.Fanout
+	}
+	k := min(max(int(math.Ceil(float64(len(ids))/float64(childCap))), 1), cfg.Fanout)
+	node := &rstar.NodeSnapshot{}
+	for _, g := range refSplitBalanced(points, ids, k, childCap, cfg, rng) {
+		node.Children = append(node.Children, refBuildNode(points, g, depth-1, cfg, rng))
+	}
+	return node
+}
+
+func refSplitBalanced(points []vec.Vector, ids []int, k, maxSize int, cfg Config, rng *rand.Rand) [][]int {
+	if k == 1 || len(ids) <= 1 {
+		return [][]int{ids}
+	}
+	pts := make([]vec.Vector, len(ids))
+	for i, id := range ids {
+		pts[i] = points[id]
+	}
+	r := kmeans.Cluster(pts, k, kmeans.Config{MaxIter: cfg.KMeansIter}, rng)
+	groups := make([][]int, r.K)
+	var overflow []int
+	type member struct {
+		idx  int
+		dist float64
+	}
+	byCluster := make([][]member, r.K)
+	for i := range ids {
+		c := r.Assign[i]
+		byCluster[c] = append(byCluster[c], member{idx: i, dist: vec.SqL2(pts[i], r.Centroids[c])})
+	}
+	for c := range byCluster {
+		sort.Slice(byCluster[c], func(a, b int) bool { return byCluster[c][a].dist < byCluster[c][b].dist })
+		for j, m := range byCluster[c] {
+			if j < maxSize {
+				groups[c] = append(groups[c], ids[m.idx])
+			} else {
+				overflow = append(overflow, m.idx)
+			}
+		}
+	}
+	refOverflow += len(overflow)
+	for _, idx := range overflow {
+		best, bestD := -1, math.Inf(1)
+		for c := range groups {
+			if len(groups[c]) >= maxSize {
+				continue
+			}
+			if d := vec.SqL2(pts[idx], r.Centroids[c]); d < bestD {
+				best, bestD = c, d
+			}
+		}
+		groups[best] = append(groups[best], ids[idx])
+	}
+	out := groups[:0]
+	for _, g := range groups {
+		if len(g) > 0 {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestBuildLanesMatchScalar: Build, whose split loops score four centroids
+// or four members per kernel call, emits the same tree as the scalar
+// reference over sizes, fanouts and dimensions that are not multiples of
+// four, with and without duplicate points (ties), through the overflow path.
+func TestBuildLanesMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	refOverflow = 0
+	for _, n := range []int{9, 37, 101, 203} {
+		for _, fanout := range []int{2, 3, 5, 6, 9} {
+			for _, dim := range []int{1, 3, 6, 13} {
+				for _, distinct := range []int{0, 2, 7} {
+					var pts []vec.Vector
+					if distinct == 0 {
+						pts = blobs(rng, 3, n/3+1, dim)[:n]
+					} else {
+						base := randomPoints(rng, distinct, dim)
+						for i := 0; i < n; i++ {
+							pts = append(pts, base[rng.Intn(distinct)].Clone())
+						}
+					}
+					cfg := Config{LeafCap: 5, Fanout: fanout, Seed: rng.Int63(), KMeansIter: 3 + n%7}
+					if got, want := Build(pts, cfg), refBuild(pts, cfg); !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d fanout=%d dim=%d distinct=%d: tree differs from the scalar reference", n, fanout, dim, distinct)
+					}
+				}
+			}
+		}
+	}
+	if refOverflow == 0 {
+		t.Fatal("no split reached the overflow loop")
+	}
+	t.Logf("%d points moved for capacity", refOverflow)
 }

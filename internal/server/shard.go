@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"time"
 
@@ -115,7 +117,37 @@ func (s *Server) handleShardTopology(w http.ResponseWriter, r *http.Request) {
 	if !s.shardEndpoint(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.shard.Topo())
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = writeTopology(w, s.shard.Topo())
+}
+
+// writeTopology writes what json.NewEncoder(w).Encode(t) writes, byte for
+// byte, one node at a time: a 512-d corpus's table is megabytes of JSON, and
+// a replica need not hold all of it in memory to send it.
+func writeTopology(w io.Writer, t *shard.Topology) error {
+	if t.Nodes == nil {
+		return json.NewEncoder(w).Encode(t)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	buf.WriteString(`{"nodes":[`)
+	for i := range t.Nodes {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		if err := enc.Encode(&t.Nodes[i]); err != nil {
+			return err
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's newline
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return err
+		}
+		buf.Reset()
+	}
+	buf.WriteString("]}\n")
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {

@@ -212,6 +212,21 @@ func (s *System) SaveFile(path string) error {
 	return f.Close()
 }
 
+// SaveFileAsync starts writing what SaveFile writes to path on another
+// goroutine and returns a function that waits for it and returns its error.
+// gob numbers types process-wide in the order they are first encoded, so the
+// archive's types are numbered before SaveFileAsync returns: another archive
+// written meanwhile (a shard slice) gets the same numbers, and the same
+// bytes, as if it were written after this one.
+func (s *System) SaveFileAsync(path string) (wait func() error) {
+	if err := gob.NewEncoder(io.Discard).Encode(&archiveV3{}); err != nil {
+		panic(fmt.Sprintf("qdcbir: register archive types: %v", err)) // unreachable
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.SaveFile(path) }()
+	return func() error { return <-done }
+}
+
 // Load reconstructs a system persisted by Save. Every archive version this
 // build knows — the current version 3, versions 1 and 2, and the header-less
 // version-0 gob format — is accepted; the version is detected from the first

@@ -29,6 +29,7 @@ import (
 
 	"qdcbir"
 	"qdcbir/internal/source"
+	"qdcbir/internal/store"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 		quantize   = flag.Bool("quantize", false, "train and embed the SQ8 quantizer (8x smaller scan tables; identical results)")
 		importPath = flag.String("import", "", "build over this embedding file (jsonl|csv|fvecs) instead of the synthetic generator")
 		format     = flag.String("format", "", "embedding file format for -import: jsonl|csv|fvecs (empty = infer from extension)")
-		f32        = flag.Bool("f32", false, "with -import: scan at float32 precision (natural for .fvecs, whose values are float32 already)")
+		f32        = flag.Bool("f32", false, "with -import: store and search the corpus as float32 (natural for .fvecs, whose values are float32 already)")
 		shards     = flag.Int("shards", 0, "also slice the build into N shard archives (<out>.shardI) for a qdrouter fleet")
 		shardIdx   = flag.Int("shard", -1, "with -shards: write only shard I's archive (rebuilds deterministically, for per-shard build farms)")
 		dynamic    = flag.Bool("dynamic", false, "write a dynamic segmented archive (v4): the build becomes one sealed segment and qdserve accepts online inserts/deletes against it")
@@ -194,22 +195,25 @@ func logWritten(log *slog.Logger, path string) {
 	log.Info("wrote archive", "path", path, "size_mb", fmt.Sprintf("%.1f", float64(info.Size())/(1<<20)))
 }
 
-// buildImported ingests an embedding file and assembles the full system over
-// it.
+// buildImported ingests an embedding file at the corpus precision f32
+// selects and assembles the full system over it.
 func buildImported(path, format string, f32 bool, seed int64, capacity int, reps float64, hierarchy string, quantize bool, log *slog.Logger) (*qdcbir.System, error) {
-	src, err := source.File(path, format)
+	file, err := source.File(path, format)
 	if err != nil {
 		return nil, err
 	}
-	log.Info("importing vectors", "path", path, "format", src.Format(), "float32", f32)
+	prec := store.Float64
+	if f32 {
+		prec = store.Float32
+	}
+	log.Info("importing vectors", "path", path, "format", file.Format(), "precision", prec.String())
 	sys, err := qdcbir.BuildFromSource(qdcbir.Config{
 		Seed:         seed,
 		NodeCapacity: capacity,
 		RepFraction:  reps,
 		Hierarchy:    hierarchy,
 		Quantized:    quantize,
-		Float32:      f32,
-	}, src)
+	}, source.AtPrecision(file, prec))
 	if err != nil {
 		return nil, err
 	}

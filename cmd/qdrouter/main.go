@@ -98,7 +98,7 @@ func main() {
 		"addr", *addr,
 		"shards", rt.Shards(),
 		"images", rt.Meta().Images,
-		"precision", rt.Meta().Precision,
+		"precision", rt.Meta().Storage,
 		"archive_version", rt.Meta().ArchiveVersion)
 
 	hs := &http.Server{

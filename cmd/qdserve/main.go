@@ -208,11 +208,13 @@ type loaded struct {
 	quantized bool
 }
 
-func precisionTag(quantized, f32 bool) string {
+// precisionTag names what unweighted searches score with: SQ8 codes in
+// front of float64 rows, or the rows at the precision they are stored at.
+func precisionTag(quantized bool, prec store.Precision) string {
 	switch {
 	case quantized:
 		return "sq8"
-	case f32:
+	case prec == store.Float32:
 		return "float32"
 	default:
 		return "float64"
@@ -243,7 +245,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 			return nil, err
 		}
 		return &loaded{
-			dyn: dyn, precision: precisionTag(dyn.Config().Quantized, dyn.Config().Float32),
+			dyn: dyn, precision: precisionTag(dyn.Config().Quantized, dyn.DB().Precision()),
 			quantized: dyn.Config().Quantized,
 		}, nil
 	}
@@ -264,7 +266,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 		eng := core.NewEngine(structure, core.Config{Parallelism: parallelism, Observer: observer, Quantized: quantize})
 		return &loaded{
 			eng: eng, label: corpus.SubconceptOf, rasters: corpus.Images,
-			precision: precisionTag(quantize, false), quantized: quantize,
+			precision: precisionTag(quantize, store.Float64), quantized: quantize,
 		}, nil
 	}
 	f, err := os.Open(path)
@@ -288,7 +290,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 		m := rep.Meta()
 		return &loaded{
 			replica: rep,
-			version: m.ArchiveVersion, precision: m.Precision,
+			version: m.ArchiveVersion, precision: m.Storage,
 		}, nil
 	}
 	if v, ok := qdcbir.ArchiveHeaderVersion(head); headErr == nil && ok {
@@ -301,7 +303,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 			}
 			return &loaded{
 				dyn: dyn, version: v,
-				precision: precisionTag(dyn.Config().Quantized, dyn.Config().Float32),
+				precision: precisionTag(dyn.Config().Quantized, dyn.DB().Precision()),
 				quantized: dyn.Config().Quantized,
 			}, nil
 		}
@@ -313,7 +315,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 		return &loaded{
 			eng: sys.Engine(), label: sys.SubconceptOf,
 			version:   v,
-			precision: precisionTag(sys.Quantized(), sys.Config().Float32),
+			precision: precisionTag(sys.Quantized(), sys.Corpus().Store().Precision()),
 			quantized: sys.Quantized(),
 		}, nil
 	}
@@ -358,6 +360,6 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 	eng := core.NewEngine(structure, core.Config{Parallelism: parallelism, Observer: observer, Quantized: quantize})
 	return &loaded{
 		eng: eng, label: label,
-		precision: precisionTag(quantize, false), quantized: quantize,
+		precision: precisionTag(quantize, store.Float64), quantized: quantize,
 	}, nil
 }

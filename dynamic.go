@@ -37,12 +37,10 @@ type DynamicConfig struct {
 	BoundaryThreshold float64
 	Parallelism       int
 
-	// Quantized enables the per-segment SQ8 row filter; Float32 selects the
-	// float32 result mode. Semantics match Config: quantization is an
-	// invisible optimization (every returned distance is exact), Float32 is
-	// a distinct documented precision mode and takes precedence.
+	// Quantized enables the per-segment SQ8 row filter. Semantics match
+	// Config: quantization is an invisible optimization (every returned
+	// distance is exact), inert over float32 rows.
 	Quantized bool
-	Float32   bool
 
 	// DisableAutoCompact turns off background compaction (Compact can still
 	// be called explicitly). Mostly for tests and benchmarks.
@@ -58,7 +56,6 @@ func (c DynamicConfig) segConfig() seg.Config {
 		Dim:                c.Dim,
 		SealThreshold:      c.SealThreshold,
 		MaxSegments:        c.MaxSegments,
-		Float32:            c.Float32,
 		Quantized:          c.Quantized,
 		BoundaryThreshold:  c.BoundaryThreshold,
 		Seed:               c.Seed,
@@ -85,7 +82,8 @@ type Dynamic struct {
 	labels map[int]string
 }
 
-// NewDynamic creates an empty dynamic system. cfg.Dim must be positive.
+// NewDynamic creates an empty dynamic system of float64 rows. cfg.Dim must be
+// positive. One of float32 rows starts from a float32 System (OpenDynamic).
 func NewDynamic(cfg DynamicConfig) (*Dynamic, error) {
 	db, err := seg.New(cfg.segConfig())
 	if err != nil {
@@ -108,7 +106,6 @@ func dynamicConfigFrom(sc seg.Config, observer *obs.Observer) DynamicConfig {
 		BoundaryThreshold:  sc.BoundaryThreshold,
 		Parallelism:        sc.Parallelism,
 		Quantized:          sc.Quantized,
-		Float32:            sc.Float32,
 		DisableAutoCompact: sc.DisableAutoCompact,
 		Observer:           observer,
 	}
@@ -148,9 +145,6 @@ func OpenDynamic(sys *System, cfg DynamicConfig) (*Dynamic, error) {
 	}
 	if !cfg.Quantized {
 		cfg.Quantized = sys.cfg.Quantized
-	}
-	if !cfg.Float32 {
-		cfg.Float32 = sys.cfg.Float32
 	}
 
 	n := st.Len()
@@ -250,13 +244,19 @@ func (d *Dynamic) Compact(ctx context.Context) error { return d.db.Compact(ctx) 
 // snapshots remain valid and may drain.
 func (d *Dynamic) Close() { d.db.Close() }
 
-// labelsCopy snapshots the label table (persistence).
-func (d *Dynamic) labelsCopy() map[int]string {
+// labelsByID snapshots the label table indexed by image ID, "" where an
+// image has none, so an archive's bytes do not depend on map iteration order
+// (persistence).
+func (d *Dynamic) labelsByID() []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make(map[int]string, len(d.labels))
-	for k, v := range d.labels {
-		out[k] = v
+	n := 0
+	for id := range d.labels {
+		n = max(n, id+1)
+	}
+	out := make([]string, n)
+	for id, label := range d.labels {
+		out[id] = label
 	}
 	return out
 }

@@ -24,6 +24,7 @@ import (
 	"qdcbir/internal/benchjson"
 	"qdcbir/internal/obs"
 	"qdcbir/internal/rstar"
+	"qdcbir/internal/source"
 	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
@@ -71,9 +72,8 @@ func buildFixture() (*fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	fcfg := cfg
-	fcfg.Float32 = true
-	fsys, err := qdcbir.Build(fcfg)
+	// The float32 system is the same corpus narrowed once at import.
+	fsys, err := qdcbir.BuildFromSource(cfg, source.AtPrecision(source.FromCorpus(sys.Corpus()), store.Float32))
 	if err != nil {
 		return nil, err
 	}
@@ -221,8 +221,8 @@ func benchLeafScanF64(dim int) func(b *testing.B, _ *fixture) {
 }
 
 // benchLeafScanF32 prices the float32 batch kernel over the same rows
-// narrowed once up front — the sweep Config.Float32 substitutes for the
-// float64 kernel.
+// narrowed once up front — the sweep a float32 corpus runs where a float64
+// one runs the float64 kernel.
 func benchLeafScanF32(dim int) func(b *testing.B, _ *fixture) {
 	return func(b *testing.B, _ *fixture) {
 		data, q := leafScanBlock(dim)

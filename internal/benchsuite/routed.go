@@ -64,7 +64,7 @@ func routedSystem(b *testing.B) *qdcbir.System {
 		}
 		batch.Labels[i] = fmt.Sprintf("emb/c%02d", c)
 	}
-	sys, err := qdcbir.BuildFromSource(qdcbir.Config{Seed: 3, Float32: true, NodeCapacity: 40, RepFraction: 0.1}, batchSource{batch})
+	sys, err := qdcbir.BuildFromSource(qdcbir.Config{Seed: 3, NodeCapacity: 40, RepFraction: 0.1}, batchSource{batch})
 	if err != nil {
 		b.Fatal(err)
 	}

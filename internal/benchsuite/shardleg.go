@@ -108,7 +108,7 @@ func legShard(b *testing.B, s legShape) (*shard.Replica, uint64, []vec.Vector) {
 		precision = "f32"
 	}
 	a.Meta = shard.Meta{ShardCount: legShards, Images: s.rows, LocalImages: len(a.Globals), Dim: s.dim,
-		Precision: precision, Storage: precision, ArchiveVersion: shard.ArchiveVersion}
+		Storage: precision, ArchiveVersion: shard.ArchiveVersion}
 	if err := topo.Index(); err != nil {
 		b.Fatal(err)
 	}

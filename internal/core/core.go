@@ -55,20 +55,9 @@ type Config struct {
 	// code rows then decide which of its rows unweighted searches score
 	// exactly. Results, node reads and page traces are the exact path's —
 	// the filter only skips rows it proves are outside the answer. Weighted
-	// searches (§6 feature importance) always use the exact path.
+	// searches (§6 feature importance) always use the exact path. A tree
+	// over float32 rows holds the float32 scorer and takes no codes.
 	Quantized bool
-	// Float32 installs the float32 leaf scorer on the structure's tree
-	// (rstar/f32.go): unweighted searches score leaves with the float32
-	// kernel over the tree's float32 mirror — half-width rows, double the
-	// SIMD lanes, and the same best-first descent as every other mode.
-	// Unlike Quantized this is a distinct PRECISION, not an optimization of
-	// the float64 path — distances are computed in float32 and may rank close
-	// neighbours differently — so it takes precedence over Quantized
-	// (withDefaults clears that flag) rather than compose with it. Results
-	// are deterministic across platforms and build tags (the float32 kernels
-	// share one canonical accumulation order). Weighted searches (§6 feature
-	// importance) always use the exact float64 path.
-	Float32 bool
 }
 
 func (c Config) withDefaults() Config {
@@ -77,9 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DisplayCount <= 0 {
 		c.DisplayCount = DefaultDisplayCount
-	}
-	if c.Float32 {
-		c.Quantized = false // Float32 selects a precision; SQ8 serves the f64 path
 	}
 	return c
 }
@@ -91,26 +77,22 @@ type Engine struct {
 }
 
 // NewEngine returns a QD engine over the structure. The tree's leaf scorer
-// is fixed once installed: cfg.Float32 narrows it to float32 and
-// cfg.Quantized trains the SQ8 filter (an archive restore installs one via
-// AdoptQuantized first), and installing the scorer a tree already holds is a
-// no-op, so engines sharing a structure share its scorer. The returned
-// engine's Config reports the scorer the tree holds, which is what its
-// searches run. Like construction itself, installing requires exclusion
-// against concurrent searches.
+// is fixed once installed: a tree over float32 rows holds the float32 scorer
+// from construction, cfg.Quantized trains the SQ8 filter on a float64 tree
+// (an archive restore installs one via AdoptQuantized first), and installing
+// the scorer a tree already holds is a no-op, so engines sharing a structure
+// share its scorer. The returned engine's Config reports whether the tree
+// holds SQ8 codes, which is what its searches run. Like construction itself,
+// installing requires exclusion against concurrent searches.
 func NewEngine(s *rfs.Structure, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	tree := s.Tree()
-	// Installing fails on a corpus SQ8 cannot train (e.g. dimensionality
-	// past its limit) and on a tree that already holds the other scorer.
-	// Either way the tree keeps the scorer it has, and Config says which.
-	if cfg.Float32 {
-		_ = tree.NarrowFloat32()
-	}
+	// Training fails on a corpus SQ8 cannot train (e.g. dimensionality past
+	// its limit) and on a float32 tree, which keeps its scorer.
 	if cfg.Quantized {
 		_ = tree.TrainQuantized()
 	}
-	cfg.Float32, cfg.Quantized = tree.Float32Scoring(), tree.QuantizedScoring()
+	cfg.Quantized = tree.QuantizedScoring()
 	return &Engine{rfs: s, cfg: cfg}
 }
 

@@ -20,9 +20,26 @@ import (
 // BuildStoreCtx constructs the RFS structure over a feature store, with
 // cancellation as BuildCtx. Image IDs are the store rows. The structure's
 // point table aliases the store's backing array; the tree copies the values
-// into its own leaf-block slab.
+// into its own leaf-block slab. A Float32 store's tree scores its leaves
+// with the float32 scorer (see scoreAtPrecision).
 func BuildStoreCtx(ctx context.Context, st *store.FeatureStore, cfg BuildConfig) (*Structure, error) {
-	return BuildCtx(ctx, st.Views(), cfg)
+	s, err := BuildCtx(ctx, st.Views(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.scoreAtPrecision(st); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// scoreAtPrecision installs the float32 scorer on the tree of a Float32
+// store's rows.
+func (s *Structure) scoreAtPrecision(st *store.FeatureStore) error {
+	if st.Precision() != store.Float32 {
+		return nil
+	}
+	return s.tree.NarrowFloat32()
 }
 
 // TopologySnapshot is the point-free serializable form of a Structure: the
@@ -52,6 +69,7 @@ func (s *Structure) TopologySnapshot() *TopologySnapshot {
 // and the corpus feature store. The resulting structure is identical to what
 // FromSnapshot produces from the equivalent full snapshot: page IDs are
 // reassigned in the same pre-order and the representative walk is the same.
+// As in BuildStoreCtx, a Float32 store's tree scores in float32.
 func FromTopologySnapshot(snap *TopologySnapshot, st *store.FeatureStore) (*Structure, error) {
 	if snap == nil || snap.Tree == nil {
 		return nil, fmt.Errorf("rfs: nil topology snapshot")
@@ -75,6 +93,9 @@ func FromTopologySnapshot(snap *TopologySnapshot, st *store.FeatureStore) (*Stru
 		return nil, err
 	}
 	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.scoreAtPrecision(st); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -578,7 +578,7 @@ func (rt *Router) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 		Shards:         len(rt.shards),
 		Replicas:       len(rt.all),
 		Images:         rt.meta.Images,
-		Precision:      rt.meta.Precision,
+		Precision:      rt.meta.Storage,
 		ArchiveVersion: rt.meta.ArchiveVersion,
 		CorpusSig:      fmt.Sprintf("%016x", rt.meta.CorpusSig),
 	}

@@ -3,10 +3,11 @@
 // shard archive, see internal/shard).
 //
 // The router owns no corpus rows. At startup it verifies the fleet — every
-// shard index covered, one corpus signature, one archive version, one scan
-// precision (mixed-precision fleets are refused outright: float32 and
-// float64 sweeps produce different distance bits, so their merged rankings
-// would match neither a pure fleet nor the single-node engine) — and caches
+// shard index covered, one corpus signature, one archive version, one row
+// precision (mixed-precision fleets are refused outright: float32 rows are
+// swept in float32 and float64 rows in float64, whose distance bits differ,
+// so their merged rankings would match neither a pure fleet nor the
+// single-node engine) — and caches
 // the shared full-corpus topology from one replica. After that every query
 // is a fan-out: a k-NN, or each fetch of a finalize's final round, sends one
 // leg to one replica per shard, per-shard top-k lists merge by (squared
@@ -280,7 +281,7 @@ type buildInfoBody struct {
 // VerifyFleet contacts every replica and refuses to serve unless the fleet
 // is coherent: every replica is a shard server, shard counts agree with the
 // config, every shard index is covered by the replicas claiming it, and the
-// corpus signature, archive version, and scan precision are uniform. A
+// corpus signature, archive version, and row precision are uniform. A
 // mixed-precision fleet is rejected here — merging float32 and float64
 // distance lists would produce a ranking no single-node build emits. So is a
 // replica that does not speak this router's shard wire version: the router
@@ -309,8 +310,8 @@ func (rt *Router) VerifyFleet(ctx context.Context) error {
 		if meta.ShardIndex != rep.shard {
 			return fmt.Errorf("router: replica %s serves shard %d, configured as shard %d", rep.url, meta.ShardIndex, rep.shard)
 		}
-		if bi.Precision != "" && bi.Precision != meta.Precision {
-			return fmt.Errorf("router: replica %s reports precision %q in buildinfo but %q in shard meta", rep.url, bi.Precision, meta.Precision)
+		if bi.Precision != "" && bi.Precision != meta.Storage {
+			return fmt.Errorf("router: replica %s reports precision %q in buildinfo but %q in shard meta", rep.url, bi.Precision, meta.Storage)
 		}
 		if !haveRef {
 			ref, haveRef = meta, true
@@ -319,8 +320,8 @@ func (rt *Router) VerifyFleet(ctx context.Context) error {
 		if meta.CorpusSig != ref.CorpusSig {
 			return fmt.Errorf("router: replica %s corpus signature %016x != fleet %016x (mixed builds)", rep.url, meta.CorpusSig, ref.CorpusSig)
 		}
-		if meta.Precision != ref.Precision {
-			return fmt.Errorf("router: mixed-precision fleet refused: replica %s runs %q, fleet runs %q", rep.url, meta.Precision, ref.Precision)
+		if meta.Storage != ref.Storage {
+			return fmt.Errorf("router: mixed-precision fleet refused: replica %s stores %q rows, fleet stores %q", rep.url, meta.Storage, ref.Storage)
 		}
 		if meta.ArchiveVersion != ref.ArchiveVersion {
 			return fmt.Errorf("router: replica %s archive version %d != fleet %d", rep.url, meta.ArchiveVersion, ref.ArchiveVersion)
@@ -342,7 +343,7 @@ func (rt *Router) VerifyFleet(ctx context.Context) error {
 			slog.Int("shards", len(rt.shards)),
 			slog.Int("replicas", len(rt.all)),
 			slog.Int("images", ref.Images),
-			slog.String("precision", ref.Precision),
+			slog.String("precision", ref.Storage),
 			slog.Int("archive_version", ref.ArchiveVersion),
 			slog.String("corpus_sig", fmt.Sprintf("%016x", ref.CorpusSig)),
 		)

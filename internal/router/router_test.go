@@ -79,7 +79,7 @@ func startReplica(t *testing.T, blob []byte) *httptest.Server {
 	}
 	srv := server.NewShard(rep, nil)
 	m := rep.Meta()
-	srv.SetArchiveInfo(m.ArchiveVersion, m.Precision, false)
+	srv.SetArchiveInfo(m.ArchiveVersion, m.Storage, false)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
@@ -581,7 +581,7 @@ func TestReplicaBuildInfoExposesShard(t *testing.T) {
 }
 
 // TestVerifyFleetRefusesMixedPrecision builds a doctored fleet whose replicas
-// disagree on the scan precision and demands VerifyFleet rejects it — merging
+// disagree on the row precision and demands VerifyFleet rejects it — merging
 // float32 and float64 distance lists would produce a ranking no single-node
 // build emits.
 func TestVerifyFleetRefusesMixedPrecision(t *testing.T) {
@@ -589,7 +589,7 @@ func TestVerifyFleetRefusesMixedPrecision(t *testing.T) {
 		mux := http.NewServeMux()
 		meta := shard.Meta{
 			ShardIndex: idx, ShardCount: 2, Images: 10, LocalImages: 5, Dim: 2,
-			Precision: prec, ArchiveVersion: 3, CorpusSig: 42,
+			Storage: prec, ArchiveVersion: 3, CorpusSig: 42,
 		}
 		mux.HandleFunc("/v1/shard/meta", func(w http.ResponseWriter, r *http.Request) {
 			_ = json.NewEncoder(w).Encode(server.ShardMetaResponse{Meta: meta, WireVersion: server.ShardWireVersion})

@@ -57,7 +57,7 @@ func fixtureF32(t *testing.T) *fleetFix {
 			}
 			b.Labels[i] = fmt.Sprintf("emb/c%02d", c)
 		}
-		sys, err := qdcbir.BuildFromSource(qdcbir.Config{Seed: 3, Float32: true, NodeCapacity: 40, RepFraction: 0.1}, batchSource{b})
+		sys, err := qdcbir.BuildFromSource(qdcbir.Config{Seed: 3, NodeCapacity: 40, RepFraction: 0.1}, batchSource{b})
 		if err != nil {
 			fix32.err = err
 			return
@@ -586,7 +586,7 @@ func TestRouterReusesShardConnections(t *testing.T) {
 // carry distances, not their squares — is refused by name, before any query
 // could be framed at it.
 func TestVerifyFleetRefusesOtherWire(t *testing.T) {
-	meta := shard.Meta{ShardCount: 1, Images: 10, LocalImages: 10, Dim: 2, Precision: "f64", ArchiveVersion: 3, CorpusSig: 42}
+	meta := shard.Meta{ShardCount: 1, Images: 10, LocalImages: 10, Dim: 2, Storage: "f64", ArchiveVersion: 3, CorpusSig: 42}
 	for _, body := range []any{meta, server.ShardMetaResponse{Meta: meta, WireVersion: 2}} {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/v1/shard/meta", func(w http.ResponseWriter, r *http.Request) {

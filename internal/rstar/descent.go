@@ -17,7 +17,7 @@ package rstar
 // the one scorer with answers of its own: it ranks the leaf's float32 mirror
 // rows by the float32 kernel's values. Nodes still pop in the float64
 // descent's order; the descent stops at its float32 radius widened by the
-// narrowing errors. A subtree search (KNNSearch) is the forest of one, whose
+// query's narrowing error. A subtree search (KNNSearch) is the forest of one, whose
 // selection IDs are its ItemIDs; KNNForest is the same loop over several.
 // A descent answers one query.
 
@@ -40,10 +40,7 @@ import (
 type metric struct {
 	weights vec.Vector
 	quant   *store.Quantized
-	// fslab is the float32 mirror of the slab, and rowErr its largest finite
-	// row narrowing error (see f32.go).
-	fslab  []float32
-	rowErr float64
+	fslab   []float32 // the float32 mirror of the slab (see f32.go)
 }
 
 // bound returns the metric's MINDIST from q to r.
@@ -88,24 +85,22 @@ func (r *root) item(it Item) Item {
 	return it
 }
 
-// forest is what one descend call searches: its roots, all of one dim, and the stop rule they share. Either every root scores in float32
-// or none does; f32Err is then the largest root's narrowing error, which
-// widens the forest's stop key the most.
+// forest is what one descend call searches: its roots, all of one dim, and
+// the stop rule they share. Either every root scores in float32 or none
+// does.
 type forest struct {
-	roots  []root
-	dim    int
-	f32    bool
-	f32Err float64
+	roots []root
+	dim   int
+	f32   bool
 }
 
 // stop is the forest's stop key for the squared radius r: r itself, or under
-// the float32 scorer the widest root's stop32(r). qErr is the query's
-// float32 narrowing error.
+// the float32 scorer stop32(r). qErr is the query's float32 narrowing error.
 func (f *forest) stop(r, qErr float64) float64 {
 	if !f.f32 {
 		return r
 	}
-	return stop32(r, qErr, f.f32Err, f.dim)
+	return stop32(r, qErr, f.dim)
 }
 
 // nodePQ is a binary min-heap of nodes keyed by MINDIST, with
@@ -402,8 +397,7 @@ var descentPool = sync.Pool{New: func() interface{} { return new(descentScratch)
 // descent starts. The best-first loop pops nodes until the nearest unopened
 // one lies beyond the stop key. An opened internal node bounds its children
 // from its box in one kernel pass and pushes them in order; a popped leaf is
-// scored by its root's leaf scorer. Under the float32 scorer a node beyond
-// its own root's stop key, narrower than the forest's, is dropped unopened.
+// scored by its root's leaf scorer.
 func (f *forest) descend(ctx context.Context, sc *descentScratch, rows []Scored, q Query) ([]Neighbor, error) {
 	if q.K <= 0 {
 		return nil, nil
@@ -456,9 +450,6 @@ func (f *forest) descend(ctx context.Context, sc *descentScratch, rows []Scored,
 			break
 		}
 		r := &f.roots[e.tree]
-		if r.m.rowErr < f.f32Err && e.distSq > stop32(d.sel.radiusSq, d.q32Err, r.m.rowErr, f.dim) {
-			continue
-		}
 		acc.Access(e.node.id)
 		d.nodes++
 		if e.node.leaf {

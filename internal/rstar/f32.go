@@ -21,43 +21,42 @@ package rstar
 // k-th row held. The descent ends at the first key above stop32(r), because:
 //
 // Theorem. Let q be a query, q32 its narrowing, p a row inside the rectangle
-// R, p32 the row's mirror, and K = SqL232(q32, p32). If the float64
-// MinDistSq(q, R) exceeds
+// R whose components are float32 values (the mirror p32 is then p exactly),
+// and K = SqL232(q32, p32). If the float64 MinDistSq(q, R) exceeds
 //
-//	S(r) = (√((r + dim·η)(1+2γ)) + ‖q − q32‖ + e_rows)² · (1 + 1e-9)
+//	S(r) = (√((r + dim·η)(1+2γ)) + ‖q − q32‖)² · (1 + 1e-9)
 //
 // then K > r or K is NaN: no row of R can be taken. Here γ and η are the
 // float32 kernel's rounding terms from store.Quantized.CodeRadius32's proof
-// (γ = (⌊dim/8⌋ + 3 + dim mod 8 + 3)·2⁻²⁴, η = 2⁻¹⁴⁹), and e_rows is the
-// largest finite ‖p − p32‖ over the mirror (0 when the corpus was float32).
+// (γ = (⌊dim/8⌋ + 3 + dim mod 8 + 3)·2⁻²⁴, η = 2⁻¹⁴⁹).
 //
-// Proof. A row whose mirror has a non-finite component has K = +Inf or NaN
-// against every query: one of its terms is +Inf or NaN and none is
-// negative. Any other row has finite p and p32 with ‖p − p32‖ ≤ e_rows.
-// Write D for the real squared distance between q32 and p32. The triangle
-// inequality through q32 and p32 gives √D ≥ ‖q − p‖ − ‖q − q32‖ − e_rows, and
+// Proof. A row with a non-finite component has K = +Inf or NaN against every
+// query: one of its terms is +Inf or NaN and none is negative. For any other
+// row, write D for the real squared distance between q32 and p32 = p. The
+// triangle inequality through q32 gives √D ≥ ‖q − p‖ − ‖q − q32‖, and
 // ‖q − p‖² is at least R's real MINDIST, which the float64 MinDistSq exceeds
 // by a relative (dim+2)·2⁻⁵³ at most. So √D > √((r + dim·η)(1+2γ)), the 1e-9
 // margin absorbing the float64 roundings of MinDistSq, S and the measured
-// errors (a measured error can underflow by at most dim·2⁻¹⁰⁷⁴, far inside
-// the dim·η term). CodeRadius32's proof then gives K > r. A NaN or infinite
+// query error (which can underflow by at most dim·2⁻¹⁰⁷⁴, far inside the
+// dim·η term). CodeRadius32's proof then gives K > r. A NaN or infinite
 // query error makes S NaN or +Inf, which stops nothing. FuzzF32Stop tests
 // the claim.
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"qdcbir/internal/vec"
 )
 
-// NarrowFloat32 installs the float32 leaf scorer: the slab narrows to a
-// float32 mirror (one rounding per component — exact when the indexed points
-// came from float32 data, since float32→float64→float32 round-trips bit for
-// bit), and the mirror's largest row narrowing error is measured. It is a
-// no-op on an empty tree and on one that already holds the mirror, and an
-// error on one that holds the SQ8 row filter. Installing requires exclusion
-// against searches.
+// NarrowFloat32 installs the float32 leaf scorer on a tree over a float32
+// corpus: the slab narrows to its float32 mirror, which must widen back to
+// the slab bit for bit (NaN payloads aside) — the stop rule above assumes it.
+// It is an error on a slab holding a value float32 cannot represent, and on
+// a tree that holds the SQ8 row filter; it is a no-op on an empty tree and on
+// one that already holds the mirror. Installing requires exclusion against
+// searches.
 func (t *Tree) NarrowFloat32() error {
 	if t.fslab != nil || t.size == 0 {
 		return nil
@@ -65,8 +64,13 @@ func (t *Tree) NarrowFloat32() error {
 	if t.quant != nil {
 		return errors.New("rstar: tree already filters leaves through SQ8 codes")
 	}
-	t.fslab = vec.Narrow32(t.slab, nil)
-	t.f32Err = rowsNarrowErr(t.slab, t.fslab, t.dim)
+	fslab := vec.Narrow32(t.slab, nil)
+	for i, v := range t.slab {
+		if float64(fslab[i]) != v && !math.IsNaN(v) {
+			return fmt.Errorf("rstar: slab value %v is not a float32: the float32 scorer needs float32 rows", v)
+		}
+	}
+	t.fslab = fslab
 	return nil
 }
 
@@ -83,24 +87,11 @@ func narrowErr(p []float64, p32 []float32) float64 {
 	return math.Sqrt(s)
 }
 
-// rowsNarrowErr returns e_rows: the largest finite narrowErr over the rows
-// of slab and their mirror rows. A NaN or infinite error marks a mirror row
-// with a non-finite component, which the stop rule does not need to cover.
-func rowsNarrowErr(slab []float64, mirror []float32, dim int) float64 {
-	var worst float64
-	for lo := 0; lo < len(slab); lo += dim {
-		if e := narrowErr(slab[lo:lo+dim], mirror[lo:lo+dim]); e > worst && !math.IsInf(e, 1) {
-			worst = e
-		}
-	}
-	return worst
-}
-
 // stop32 is the float32 descent's stop key S(r) for the squared radius r (a
-// widened float32 kernel value), the query's narrowing error qErr and the
-// tree's e_rows, rowErr; see the theorem above.
-func stop32(r, qErr, rowErr float64, dim int) float64 {
+// widened float32 kernel value) and the query's narrowing error qErr; see
+// the theorem above.
+func stop32(r, qErr float64, dim int) float64 {
 	gamma := float64(dim/8+3+dim%8+3) * 0x1p-24
-	reach := math.Sqrt((r+float64(dim)*0x1p-149)*(1+2*gamma)) + qErr + rowErr
+	reach := math.Sqrt((r+float64(dim)*0x1p-149)*(1+2*gamma)) + qErr
 	return reach * reach * (1 + 1e-9)
 }

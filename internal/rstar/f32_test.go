@@ -15,8 +15,8 @@ import (
 )
 
 // f32Reference computes the float32-mode answer for a subtree by brute force:
-// narrow the query and every subtree point to float32, score with the
-// canonical float32 kernel, drop NaN values and the rows in skip, sort
+// narrow the query and every subtree point (a float32 value, so exactly) to
+// float32, score with the canonical float32 kernel, drop NaN values and the rows in skip, sort
 // ascending (Dist, ID).
 func f32Reference(tr *Tree, n *Node, q vec.Vector, k int, skip *bitset.Set) []Neighbor {
 	q32 := vec.Narrow32(q, nil)
@@ -46,14 +46,14 @@ func f32Reference(tr *Tree, n *Node, q vec.Vector, k int, skip *bitset.Set) []Ne
 // order) for whole-tree and subtree-restricted searches. Distance ties at the
 // k boundary are resolved identically because both sides order by (Dist, ID).
 // A NaN query has a NaN value against every row and so an empty answer; rows
-// with a +Inf component, or one beyond float32 range, rank last by ItemID.
+// with an infinite component rank last by ItemID.
 func TestKNNF32MatchesBruteForce(t *testing.T) {
 	cases := []struct {
 		seed  int64
 		n     int
 		dim   int
 		scale float64
-		inf   bool // give every tenth row an infinite or beyond-float32 component
+		inf   bool // give every tenth row an infinite component
 	}{
 		{seed: 1, n: 60, dim: 2, scale: 1},
 		{seed: 2, n: 400, dim: 8, scale: 10},
@@ -63,10 +63,10 @@ func TestKNNF32MatchesBruteForce(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(tc.seed))
-		pts := randPoints(rng, tc.n, tc.dim, tc.scale)
+		pts := float32Points(randPoints(rng, tc.n, tc.dim, tc.scale))
 		if tc.inf {
 			for i := 0; i < len(pts); i += 10 {
-				pts[i][i%tc.dim] = []float64{math.Inf(1), 1e39}[i/10%2]
+				pts[i][i%tc.dim] = math.Inf(1 - 2*(i/10%2))
 			}
 		}
 		tr := scorerTree(t, "f32", smallCfg, pts, 8)
@@ -125,11 +125,12 @@ func TestKNNF32MatchesBruteForce(t *testing.T) {
 // Installing the scorer it holds again changes nothing, installing the other
 // kind is an error that leaves the tree as it was, and KNN runs the installed
 // scorer — on a float32 tree, the brute-force float32 ranking; on an SQ8 tree,
-// the exact answer. An empty tree takes no scorer.
+// the exact answer. A tree of rows float32 cannot hold refuses the float32
+// scorer, and an empty tree takes no scorer.
 func TestInstallScorerOneWay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dim = 5
-	pts := randPoints(rng, 200, dim, 1)
+	pts := float32Points(randPoints(rng, 200, dim, 1))
 	flat := make([]float64, 0, len(pts)*dim)
 	for _, p := range pts {
 		flat = append(flat, p...)
@@ -171,6 +172,11 @@ func TestInstallScorerOneWay(t *testing.T) {
 	}
 	sameNeighbors(t, "sq8", got, oracleKNN(sq8, sq8.Root(), nil, q, 9, nil))
 
+	wide := BulkLoad(dim, smallCfg, bulkItems(randPoints(rng, 50, dim, 1)), 8)
+	if err := wide.NarrowFloat32(); err == nil || wide.Float32Scoring() {
+		t.Fatalf("narrowing a tree of float64 rows: err=%v, installed %v", err, wide.Float32Scoring())
+	}
+
 	empty := BulkLoad(dim, smallCfg, nil, 8)
 	if err := empty.NarrowFloat32(); err != nil || empty.Float32Scoring() {
 		t.Fatalf("narrowing an empty tree: err=%v, installed %v", err, empty.Float32Scoring())
@@ -181,9 +187,9 @@ func TestInstallScorerOneWay(t *testing.T) {
 }
 
 // checkF32Stop tests the float32 stop rule (f32.go) on one rectangle
-// [lo, hi], the rows inside it and a radius r: when MinDistSq(q, rect)
-// exceeds the stop key, no row's float32 kernel value may be at or below r.
-// It reports whether the stop key was exceeded.
+// [lo, hi], the rows inside it (float32 values) and a radius r: when
+// MinDistSq(q, rect) exceeds the stop key, no row's float32 kernel value may
+// be at or below r. It reports whether the stop key was exceeded.
 func checkF32Stop(t *testing.T, label string, q, lo, hi vec.Vector, rows []vec.Vector, r float32) bool {
 	t.Helper()
 	dim := len(q)
@@ -193,7 +199,12 @@ func checkF32Stop(t *testing.T, label string, q, lo, hi vec.Vector, rows []vec.V
 		slab = append(slab, p...)
 	}
 	mirror := vec.Narrow32(slab, nil)
-	stop := stop32(float64(r), narrowErr(q, q32), rowsNarrowErr(slab, mirror, dim), dim)
+	for i, v := range slab {
+		if float64(mirror[i]) != v && !math.IsNaN(v) {
+			t.Fatalf("%s: row value %v is not a float32", label, v)
+		}
+	}
+	stop := stop32(float64(r), narrowErr(q, q32), dim)
 	mind := vec.MinDistSq(q, lo, hi)
 	if !(mind > stop) {
 		return false
@@ -208,54 +219,48 @@ func checkF32Stop(t *testing.T, label string, q, lo, hi vec.Vector, rows []vec.V
 }
 
 // TestF32StopRule checks the stop rule on rectangles at three scales, with
-// float64 and float32-native rows and the row nearest the query among them,
-// for radii reaching from 0 up past MINDIST, at dims 1, 8, 37 and 512. A
-// radius 0.1 % below MINDIST must already stop the descent: the rule is
-// tight enough to prune.
+// float32 rows and the one nearest the query among them, for radii reaching
+// from 0 up past MINDIST, at dims 1, 8, 37 and 512. A radius 0.1 % below
+// MINDIST must already stop the descent: the rule is tight enough to prune.
 func TestF32StopRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	round := func(v float64) float64 { return float64(float32(v)) }
 	for _, dim := range []int{1, 8, 37, 512} {
 		for _, scale := range []float64{1e-3, 1, 1e3} {
-			for _, native := range []bool{false, true} {
-				for trial := 0; trial < 20; trial++ {
-					label := fmt.Sprintf("dim=%d/scale=%g/native=%v/%d", dim, scale, native, trial)
-					round := func(v float64) float64 {
-						if native {
-							return float64(float32(v))
-						}
-						return v
-					}
-					q, lo, hi := make(vec.Vector, dim), make(vec.Vector, dim), make(vec.Vector, dim)
-					for i := range q {
-						c := rng.NormFloat64() * scale
-						w := rng.Float64() * scale
-						lo[i], hi[i] = round(c-w), round(c+w)
-						q[i] = c + rng.NormFloat64()*2*scale
-					}
-					rows := make([]vec.Vector, 6)
-					for j := range rows {
-						rows[j] = make(vec.Vector, dim)
-						for i := range rows[j] {
-							switch {
-							case j == 0: // the row nearest the query
-								rows[j][i] = math.Min(math.Max(q[i], lo[i]), hi[i])
-							default:
-								rows[j][i] = round(lo[i] + rng.Float64()*(hi[i]-lo[i]))
-							}
+			for trial := 0; trial < 40; trial++ {
+				label := fmt.Sprintf("dim=%d/scale=%g/%d", dim, scale, trial)
+				q, lo, hi := make(vec.Vector, dim), make(vec.Vector, dim), make(vec.Vector, dim)
+				for i := range q {
+					c := rng.NormFloat64() * scale
+					w := rng.Float64() * scale
+					lo[i], hi[i] = round(c-w), round(c+w)
+					q[i] = c + rng.NormFloat64()*2*scale
+				}
+				rows := make([]vec.Vector, 6)
+				for j := range rows {
+					rows[j] = make(vec.Vector, dim)
+					for i := range rows[j] {
+						// Rounding is monotone and lo, hi are float32
+						// values, so every row stays inside the rectangle.
+						switch {
+						case j == 0: // the row nearest the query
+							rows[j][i] = round(math.Min(math.Max(q[i], lo[i]), hi[i]))
+						default:
+							rows[j][i] = round(lo[i] + rng.Float64()*(hi[i]-lo[i]))
 						}
 					}
-					mind := vec.MinDistSq(q, lo, hi)
-					q32 := vec.Narrow32(q, nil)
-					radii := []float32{0, float32(mind * 0.5), float32(mind * 0.999), float32(mind * (1 - 1e-6)),
-						float32(mind), float32(mind * (1 + 1e-6))}
-					for _, p := range rows {
-						radii = append(radii, vec.SqL232(q32, vec.Narrow32(p, nil)))
-					}
-					for ri, r := range radii {
-						stopped := checkF32Stop(t, fmt.Sprintf("%s/r%d", label, ri), q, lo, hi, rows, r)
-						if ri == 2 && mind > 0 && !stopped {
-							t.Fatalf("%s: a radius 0.1%% below MINDIST %g does not stop the descent", label, mind)
-						}
+				}
+				mind := vec.MinDistSq(q, lo, hi)
+				q32 := vec.Narrow32(q, nil)
+				radii := []float32{0, float32(mind * 0.5), float32(mind * 0.999), float32(mind * (1 - 1e-6)),
+					float32(mind), float32(mind * (1 + 1e-6))}
+				for _, p := range rows {
+					radii = append(radii, vec.SqL232(q32, vec.Narrow32(p, nil)))
+				}
+				for ri, r := range radii {
+					stopped := checkF32Stop(t, fmt.Sprintf("%s/r%d", label, ri), q, lo, hi, rows, r)
+					if ri == 2 && mind > 0 && !stopped {
+						t.Fatalf("%s: a radius 0.1%% below MINDIST %g does not stop the descent", label, mind)
 					}
 				}
 			}
@@ -274,10 +279,11 @@ func f32StopBytes(vals ...float64) []byte {
 }
 
 // FuzzF32Stop fuzzes the float32 stop rule over raw float64 bit patterns: a
-// query, a rectangle (each dimension's two values ordered, NaN read as 0) and
-// 1 to 8 rows clamped into it, at dims 1 to 64, with one row's kernel value
-// or an arbitrary float32 as the radius. Subnormals, ±0 and values beyond
-// float32 range (which narrow to ±Inf) are all in reach.
+// query, a rectangle of float32 bounds (each dimension's two values narrowed
+// and ordered, NaN read as 0) and 1 to 8 float32 rows clamped into it, at
+// dims 1 to 64, with one row's kernel value or an arbitrary float32 as the
+// radius. Subnormals, ±0 and values beyond float32 range (which narrow to
+// ±Inf) are all in reach.
 func FuzzF32Stop(f *testing.F) {
 	sub := math.Float64frombits(1)
 	f.Add(uint8(0), uint8(0), true, uint32(0), f32StopBytes(3, 5, 6, 5.5))
@@ -300,7 +306,7 @@ func FuzzF32Stop(f *testing.F) {
 		q, lo, hi := make(vec.Vector, dim), make(vec.Vector, dim), make(vec.Vector, dim)
 		for i := range q {
 			q[i] = word(i)
-			a, b := word(dim+2*i), word(dim+2*i+1)
+			a, b := float64(float32(word(dim+2*i))), float64(float32(word(dim+2*i+1)))
 			if math.IsNaN(a) {
 				a = 0
 			}
@@ -313,7 +319,7 @@ func FuzzF32Stop(f *testing.F) {
 		for j := range rows {
 			rows[j] = make(vec.Vector, dim)
 			for i := range rows[j] {
-				rows[j][i] = math.Min(math.Max(word(3*dim+j*dim+i), lo[i]), hi[i])
+				rows[j][i] = math.Min(math.Max(float64(float32(word(3*dim+j*dim+i))), lo[i]), hi[i])
 			}
 		}
 		r := math.Float32frombits(rbits)

@@ -78,6 +78,9 @@ func FuzzKNNForest(f *testing.F) {
 				if coarse {
 					p[j] = math.Round(p[j] / 8)
 				}
+				if mode == "f32" {
+					p[j] = float64(float32(p[j]))
+				}
 			}
 			return p
 		}
@@ -124,6 +127,9 @@ func FuzzKNNForest(f *testing.F) {
 				p[0]++
 				if i == 0 {
 					p[1] += 0x1p-26 // squared distance 1+2⁻⁵² from q
+				}
+				if mode == "f32" {
+					float32Points([]vec.Vector{p})
 				}
 				pts[rng.Intn(n)] = p
 			}
@@ -180,7 +186,7 @@ func FuzzKNNForest(f *testing.F) {
 // float32 and float64 leaf scorers.
 func TestKNNForestRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	pts := randPoints(rng, 50, 3, 1)
+	pts := float32Points(randPoints(rng, 50, 3, 1))
 	f64, f32 := scorerTree(t, "f64", smallCfg, pts, 8), scorerTree(t, "f32", smallCfg, pts, 8)
 	ctx := context.Background()
 	q := pts[0]

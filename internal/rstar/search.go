@@ -3,7 +3,6 @@ package rstar
 import (
 	"context"
 	"errors"
-	"math"
 
 	"qdcbir/internal/bitset"
 	"qdcbir/internal/disk"
@@ -120,7 +119,7 @@ func (t *Tree) KNNSearch(ctx context.Context, n *Node, weights vec.Vector, q Que
 	}
 	m := t.metric(weights)
 	roots := [1]root{{t: t, n: n, m: m}}
-	f := forest{roots: roots[:], dim: t.dim, f32: m.fslab != nil, f32Err: m.rowErr}
+	f := forest{roots: roots[:], dim: t.dim, f32: m.fslab != nil}
 	sc := descentPool.Get().(*descentScratch)
 	defer descentPool.Put(sc)
 	return f.descend(ctx, sc, nil, q)
@@ -133,7 +132,7 @@ func (t *Tree) metric(weights vec.Vector) metric {
 	case weights != nil:
 		m.weights = weights
 	case t.fslab != nil:
-		m.fslab, m.rowErr = t.fslab, t.f32Err
+		m.fslab = t.fslab
 	case t.quant != nil && t.quant.Clean():
 		m.quant = t.quant
 	}
@@ -190,7 +189,6 @@ func KNNForest(ctx context.Context, roots []Root, weights vec.Vector, rows []Sco
 			return nil, errors.New("rstar: forest mixes float32 and float64 leaf scorers")
 		}
 		f.f32 = m.fslab != nil
-		f.f32Err = math.Max(f.f32Err, m.rowErr)
 		sc.roots = append(sc.roots, root{t: r.Tree, n: n, m: m, skip: r.Skip, ids: r.IDs})
 	}
 	f.roots = sc.roots

@@ -17,7 +17,7 @@ import (
 var scorers = []string{"f64", "sq8", "f32"}
 
 // scorerTree bulk-loads pts at fill and installs the named leaf scorer:
-// "f64" (none), "sq8" or "f32". Trees built from the same points share their
+// "f64" (none), "sq8" or "f32" (pts must then be float32 values). Trees built from the same points share their
 // page IDs whatever their scorer, so their traces compare directly.
 func scorerTree(t testing.TB, scorer string, cfg Config, pts []vec.Vector, fill int) *Tree {
 	t.Helper()
@@ -165,7 +165,7 @@ type searchCorpus struct {
 // so a query at a corpus point meets distance ties at the k boundary.
 func duplicatedCorpus(rng *rand.Rand) searchCorpus {
 	const dim, scale = 16, 10.0
-	base := randPoints(rng, 500, dim, scale)
+	base := float32Points(randPoints(rng, 500, dim, scale))
 	pts := append([]vec.Vector(nil), base...)
 	for i, p := range base {
 		pts = append(pts, p.Clone())
@@ -184,7 +184,7 @@ func duplicatedCorpus(rng *rand.Rand) searchCorpus {
 func degenerateCorpus(rng *rand.Rand) searchCorpus {
 	pts := make([]vec.Vector, 400)
 	for i := range pts {
-		pts[i] = vec.Vector{float64(i%2) * 1000, rng.Float64() * 1e-3}
+		pts[i] = vec.Vector{float64(i%2) * 1000, float64(float32(rng.Float64() * 1e-3))}
 	}
 	return searchCorpus{name: "code-degenerate", dim: 2, scale: 1e-3, pts: pts}
 }
@@ -441,6 +441,9 @@ func FuzzKNNSkip(f *testing.F) {
 			}
 		}
 		name := []string{"f64", "sq8", "f32", "insert", "weighted"}[int(scorer)%5]
+		if name == "f32" {
+			float32Points(pts)
+		}
 		var tr *Tree
 		var weights vec.Vector
 		switch name {
@@ -495,7 +498,7 @@ func (c *pollCtx) Err() error {
 // cancels it.
 func TestKNNSearchCompletedReturnsNil(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	pts := randPoints(rng, 3000, 8, 10)
+	pts := float32Points(randPoints(rng, 3000, 8, 10))
 	trees := scorerTrees(t, smallCfg, pts, 8)
 	for _, mode := range searchModes(vec.Vector{2, 1, 1, 0.5, 1, 1, 3, 1}) {
 		tr := trees[mode.scorer]
@@ -532,7 +535,7 @@ func TestKNNSearchAllocs(t *testing.T) {
 	}
 	const n, dim, k = 5000, 37, 10
 	rng := rand.New(rand.NewSource(91))
-	pts := randPoints(rng, n, dim, 1)
+	pts := float32Points(randPoints(rng, n, dim, 1))
 	trees := scorerTrees(t, Config{}, pts, 85)
 	weights := make(vec.Vector, dim)
 	for i := range weights {
@@ -565,7 +568,7 @@ func TestKNNSearchAllocs(t *testing.T) {
 // scan mode with the context's error.
 func TestKNNSearchCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	pts := randPoints(rng, 500, 8, 10)
+	pts := float32Points(randPoints(rng, 500, 8, 10))
 	trees := scorerTrees(t, smallCfg, pts, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -584,7 +587,7 @@ func TestKNNSearchCancellation(t *testing.T) {
 // the answers they get alone (run under -race).
 func TestKNNSearchConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	pts := randPoints(rng, 800, 16, 10)
+	pts := float32Points(randPoints(rng, 800, 16, 10))
 	trees := scorerTrees(t, smallCfg, pts, 8)
 	weights := pts[0].Clone()
 	for i := range weights {
@@ -637,7 +640,7 @@ func TestKNNSearchConcurrent(t *testing.T) {
 // order, in every scan mode.
 func TestKNNSearchHugeK(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
-	pts := randPoints(rng, 600, 8, 10)
+	pts := float32Points(randPoints(rng, 600, 8, 10))
 	trees := scorerTrees(t, smallCfg, pts, 8)
 	for _, mode := range searchModes(vec.Vector{2, 1, 1, 0.5, 1, 0, 3, 1}) {
 		tr := trees[mode.scorer]
@@ -744,79 +747,71 @@ func TestSQ8DescentReadsWhatExactReads(t *testing.T) {
 
 // TestF32DescentReadsWhatExactReads: the float32 scorer changes how a popped
 // leaf's rows are scored, and its stop key lies above the float64 radius by
-// the narrowing errors alone. Per query of a paper-shaped table — 37-d,
-// clustered, float64 and float32-native corpora, the whole tree and one of
-// its subtrees, k = 1, 10 and 50 — it opens the float64 descent's nodes in
+// the query's narrowing error alone. Per query of a paper-shaped table —
+// 37-d, clustered float32 rows, the whole tree and one of its subtrees,
+// k = 1, 10 and 50 — it opens the float64 descent's nodes in
 // the float64 descent's order, scores the rows of exactly the leaves it
 // popped, and answers what the brute-force float32 ranking answers.
 func TestF32DescentReadsWhatExactReads(t *testing.T) {
 	const n, dim, searches = 6000, 37, 150
-	for _, native := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(131))
-		pts := make([]vec.Vector, n)
-		for i := range pts { // clustered, so the tree has something to prune
-			c := float64(i % 40)
-			pts[i] = make(vec.Vector, dim)
-			for j := range pts[i] {
-				pts[i][j] = c*float64(1+j%3) + rng.NormFloat64()
-				if native {
-					pts[i][j] = float64(float32(pts[i][j]))
-				}
+	rng := rand.New(rand.NewSource(131))
+	pts := make([]vec.Vector, n)
+	for i := range pts { // clustered, so the tree has something to prune
+		c := float64(i % 40)
+		pts[i] = make(vec.Vector, dim)
+		for j := range pts[i] {
+			pts[i][j] = float64(float32(c*float64(1+j%3) + rng.NormFloat64()))
+		}
+	}
+	exactTr, tr := scorerTree(t, "f64", Config{}, pts, 85), scorerTree(t, "f32", Config{}, pts, 85)
+	leafRows := map[disk.PageID]uint64{}
+	tr.Walk(func(nd *Node, _ int) {
+		if nd.IsLeaf() {
+			leafRows[nd.ID()] = uint64(nd.Len())
+		}
+	})
+	var nodes, scored uint64
+	for qi, q := range testQueries(rng, pts, searches, dim, 40) {
+		c := qi % len(tr.Root().Children())
+		for _, subs := range [][2]*Node{{tr.Root(), exactTr.Root()}, {tr.Root().Children()[c], exactTr.Root().Children()[c]}} {
+			sub := subs[0]
+			k := []int{1, 10, 50}[qi%3]
+			label := fmt.Sprintf("q%d/k=%d/node=%d", qi, k, sub.ID())
+			var exactRec, f32Rec disk.Recorder
+			var exactSt, f32St SearchStats
+			if _, err := exactTr.KNNSearch(context.Background(), subs[1], nil, Query{Q: q, K: k, Acc: &exactRec, Stats: &exactSt}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := tr.KNNSearch(context.Background(), sub, nil, Query{Q: q, K: k, Acc: &f32Rec, Stats: &f32St})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTrace(t, label, &f32Rec, &exactRec)
+			if f32St.NodesRead != exactSt.NodesRead || f32St.HeapPops != exactSt.HeapPops {
+				t.Fatalf("%s: float32 read %d nodes in %d pops, float64 %d in %d",
+					label, f32St.NodesRead, f32St.HeapPops, exactSt.NodesRead, exactSt.HeapPops)
+			}
+			var popped uint64
+			for _, p := range f32Rec.Trace() {
+				popped += leafRows[p]
+			}
+			if f32St.ItemsScored != popped || f32St.CodesScanned != 0 {
+				t.Fatalf("%s: scored %d rows (%d codes), the leaves popped hold %d",
+					label, f32St.ItemsScored, f32St.CodesScanned, popped)
+			}
+			if qi%5 == 0 {
+				sameNeighbors(t, label+"/brute-force", got, f32Reference(tr, sub, q, k, nil))
+			}
+			if sub == tr.Root() {
+				nodes += f32St.NodesRead
+				scored += f32St.ItemsScored
 			}
 		}
-		exactTr, tr := scorerTree(t, "f64", Config{}, pts, 85), scorerTree(t, "f32", Config{}, pts, 85)
-		if native != (tr.f32Err == 0) {
-			t.Fatalf("native=%v: the mirror's row error is %g", native, tr.f32Err)
-		}
-		leafRows := map[disk.PageID]uint64{}
-		tr.Walk(func(nd *Node, _ int) {
-			if nd.IsLeaf() {
-				leafRows[nd.ID()] = uint64(nd.Len())
-			}
-		})
-		var nodes, scored uint64
-		for qi, q := range testQueries(rng, pts, searches, dim, 40) {
-			c := qi % len(tr.Root().Children())
-			for _, subs := range [][2]*Node{{tr.Root(), exactTr.Root()}, {tr.Root().Children()[c], exactTr.Root().Children()[c]}} {
-				sub := subs[0]
-				k := []int{1, 10, 50}[qi%3]
-				label := fmt.Sprintf("native=%v/q%d/k=%d/node=%d", native, qi, k, sub.ID())
-				var exactRec, f32Rec disk.Recorder
-				var exactSt, f32St SearchStats
-				if _, err := exactTr.KNNSearch(context.Background(), subs[1], nil, Query{Q: q, K: k, Acc: &exactRec, Stats: &exactSt}); err != nil {
-					t.Fatal(err)
-				}
-				got, err := tr.KNNSearch(context.Background(), sub, nil, Query{Q: q, K: k, Acc: &f32Rec, Stats: &f32St})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameTrace(t, label, &f32Rec, &exactRec)
-				if f32St.NodesRead != exactSt.NodesRead || f32St.HeapPops != exactSt.HeapPops {
-					t.Fatalf("%s: float32 read %d nodes in %d pops, float64 %d in %d",
-						label, f32St.NodesRead, f32St.HeapPops, exactSt.NodesRead, exactSt.HeapPops)
-				}
-				var popped uint64
-				for _, p := range f32Rec.Trace() {
-					popped += leafRows[p]
-				}
-				if f32St.ItemsScored != popped || f32St.CodesScanned != 0 {
-					t.Fatalf("%s: scored %d rows (%d codes), the leaves popped hold %d",
-						label, f32St.ItemsScored, f32St.CodesScanned, popped)
-				}
-				if qi%5 == 0 {
-					sameNeighbors(t, label+"/brute-force", got, f32Reference(tr, sub, q, k, nil))
-				}
-				if sub == tr.Root() {
-					nodes += f32St.NodesRead
-					scored += f32St.ItemsScored
-				}
-			}
-		}
-		t.Logf("native=%v: per whole-tree float32 search over %d rows in %d nodes: %.1f nodes read, %.0f rows scored",
-			native, n, tr.NodeCount(), float64(nodes)/searches, float64(scored)/searches)
-		if scored/searches > n/5 {
-			t.Errorf("native=%v: a float32 search scores %d rows on average, more than a fifth of the %d-row corpus",
-				native, scored/searches, n)
-		}
+	}
+	t.Logf("per whole-tree float32 search over %d rows in %d nodes: %.1f nodes read, %.0f rows scored",
+		n, tr.NodeCount(), float64(nodes)/searches, float64(scored)/searches)
+	if scored/searches > n/5 {
+		t.Errorf("a float32 search scores %d rows on average, more than a fifth of the %d-row corpus",
+			scored/searches, n)
 	}
 }

@@ -151,12 +151,11 @@ type Tree struct {
 
 	// The installed leaf scorer, if not plain float64: the SQ8 codes
 	// mirroring slab row for row and their quantizer (see quant.go), or the
-	// float32 mirror of the slab and its largest finite row narrowing error
-	// (see f32.go). At most one of quant and fslab is set.
+	// float32 mirror of a slab of float32 values (see f32.go). At most one
+	// of quant and fslab is set.
 	qcodes []uint8
 	quant  *store.Quantized
 	fslab  []float32
-	f32Err float64
 }
 
 // newTree returns an empty, unpacked tree for points of the given

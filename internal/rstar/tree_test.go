@@ -25,6 +25,17 @@ func randPoints(rng *rand.Rand, n, dim int, scale float64) []vec.Vector {
 	return pts
 }
 
+// float32Points rounds every component of pts to float32 in place — the
+// rows a tree with the float32 scorer indexes — and returns pts.
+func float32Points(pts []vec.Vector) []vec.Vector {
+	for _, p := range pts {
+		for j, v := range p {
+			p[j] = float64(float32(v))
+		}
+	}
+	return pts
+}
+
 // insertLoad builds a tree over items by R* insertion.
 func insertLoad(t *testing.T, dim int, cfg Config, items []Item) *Tree {
 	t.Helper()

@@ -29,6 +29,7 @@ var ErrUnknownImage = errors.New("seg: unknown or deleted image")
 // package comment for the architecture.
 type DB struct {
 	cfg     Config
+	prec    store.Precision // the precision every row is stored and scanned at
 	metrics *obs.SegMetrics
 
 	// mu serializes writers (Insert/Delete/seal/compaction-publish). Readers
@@ -46,7 +47,8 @@ type DB struct {
 	compactions atomic.Uint64
 }
 
-// New creates an empty DB.
+// New creates an empty DB of float64 rows. A DB of float32 rows starts from
+// Restore over float32 stores.
 func New(cfg Config) (*DB, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("seg: invalid dimension %d", cfg.Dim)
@@ -56,7 +58,7 @@ func New(cfg Config) (*DB, error) {
 	if cfg.Observer != nil {
 		db.metrics = obs.NewSegMetrics(cfg.Observer.Registry(), cfg.Observer.Windows())
 	}
-	db.mt = newMemtable(cfg.Dim, cfg.Float32, 0)
+	db.mt = newMemtable(cfg.Dim, db.prec, 0)
 	db.publishLocked(nil, 0)
 	return db, nil
 }
@@ -72,24 +74,38 @@ type SealedInput struct {
 }
 
 // MemInput is the memtable image for Restore: the base global ID, the
-// row-major float64 rows (including physically-present tombstoned rows, so
-// slot arithmetic is preserved exactly), and tombstoned slot indices.
+// row-major rows (including physically-present tombstoned rows, so slot
+// arithmetic is preserved exactly) — float64 in Rows, or float32 in Rows32 —
+// and tombstoned slot indices.
 type MemInput struct {
 	BaseID     int
 	Rows       []float64
+	Rows32     []float32
 	Tombstoned []int
 }
 
 // Restore reassembles a DB from previously sealed parts — the load path
 // for dynamic archives and the adoption path for wrapping a monolithic
 // build as a single sealed segment. Segment ID ranges must be disjoint,
-// ascending across the input order, and below mem.BaseID.
+// ascending across the input order, and below mem.BaseID. The DB takes the
+// precision of its sealed stores, which must agree, or with none that of the
+// memtable rows (float32 when Rows32 is set); memtable rows are added at
+// that precision, as Insert adds them.
 func Restore(cfg Config, sealed []SealedInput, mem MemInput, nextID int, epoch uint64) (*DB, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("seg: invalid dimension %d", cfg.Dim)
 	}
 	cfg = cfg.withDefaults()
 	db := &DB{cfg: cfg}
+	switch {
+	case len(sealed) > 0 && sealed[0].Store != nil:
+		db.prec = sealed[0].Store.Precision()
+	case mem.Rows32 != nil:
+		db.prec = store.Float32
+	}
+	if db.prec == store.Float32 {
+		db.cfg.Quantized = false // float32 rows are scored by the float32 scorer
+	}
 	if cfg.Observer != nil {
 		db.metrics = obs.NewSegMetrics(cfg.Observer.Registry(), cfg.Observer.Windows())
 	}
@@ -100,6 +116,9 @@ func Restore(cfg Config, sealed []SealedInput, mem MemInput, nextID int, epoch u
 		if len(in.IDs) == 0 || in.Store == nil || in.Structure == nil {
 			return nil, fmt.Errorf("seg: restore segment %d is incomplete", si)
 		}
+		if in.Store.Precision() != db.prec {
+			return nil, fmt.Errorf("seg: restore segment %d holds %v rows, segment 0 %v", si, in.Store.Precision(), db.prec)
+		}
 		if in.Store.Len() != len(in.IDs) {
 			return nil, fmt.Errorf("seg: restore segment %d has %d rows for %d ids", si, in.Store.Len(), len(in.IDs))
 		}
@@ -108,12 +127,6 @@ func Restore(cfg Config, sealed []SealedInput, mem MemInput, nextID int, epoch u
 		}
 		maxID = in.IDs[len(in.IDs)-1]
 		g := &segment{ids: in.IDs, st: in.Store, rfs: in.Structure}
-		if cfg.Float32 {
-			in.Store.MaterializeFloat32()
-			if err := in.Structure.Tree().NarrowFloat32(); err != nil {
-				return nil, fmt.Errorf("seg: restore segment %d: %w", si, err)
-			}
-		}
 		sv := segView{seg: g}
 		for _, id := range in.Tombstoned {
 			local := g.localOf(id)
@@ -133,12 +146,16 @@ func Restore(cfg Config, sealed []SealedInput, mem MemInput, nextID int, epoch u
 	if mem.BaseID <= maxID {
 		return nil, fmt.Errorf("seg: memtable base %d overlaps sealed ids (max %d)", mem.BaseID, maxID)
 	}
-	if len(mem.Rows)%cfg.Dim != 0 {
+	if len(mem.Rows)%cfg.Dim != 0 || len(mem.Rows32)%cfg.Dim != 0 {
 		return nil, fmt.Errorf("seg: memtable backing not a multiple of dim %d", cfg.Dim)
 	}
-	db.mt = newMemtable(cfg.Dim, cfg.Float32, mem.BaseID)
+	db.mt = newMemtable(cfg.Dim, db.prec, mem.BaseID)
 	for off := 0; off < len(mem.Rows); off += cfg.Dim {
 		db.mt.add(vec.Vector(mem.Rows[off : off+cfg.Dim]))
+	}
+	row := make(vec.Vector, cfg.Dim)
+	for off := 0; off < len(mem.Rows32); off += cfg.Dim {
+		db.mt.add(vec.Widen64(mem.Rows32[off:off+cfg.Dim], row))
 	}
 	for _, slot := range mem.Tombstoned {
 		if slot < 0 || slot >= db.mt.rows {
@@ -162,6 +179,9 @@ func Restore(cfg Config, sealed []SealedInput, mem MemInput, nextID int, epoch u
 
 // Config returns the resolved configuration.
 func (db *DB) Config() Config { return db.cfg }
+
+// Precision returns the precision the DB's rows are stored and scanned at.
+func (db *DB) Precision() store.Precision { return db.prec }
 
 // Stats is a point-in-time summary for /v1/buildinfo and tooling.
 type Stats struct {
@@ -240,6 +260,9 @@ func (db *DB) Insert(v vec.Vector) (int, error) {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return 0, fmt.Errorf("seg: vector has non-finite component")
 		}
+		if db.prec == store.Float32 && math.IsInf(float64(float32(x)), 0) {
+			return 0, fmt.Errorf("seg: vector component %v is beyond float32 range", x)
+		}
 	}
 	start := time.Now()
 	db.mu.Lock()
@@ -315,21 +338,25 @@ func (db *DB) sealLocked() error {
 	live := db.mt.rows - db.mt.nTomb
 	if live == 0 {
 		// Nothing to seal; just drop the tombstoned rows.
-		db.mt = newMemtable(db.cfg.Dim, db.cfg.Float32, db.nextID)
+		db.mt = newMemtable(db.cfg.Dim, db.prec, db.nextID)
 		cur := db.cur.Load()
 		db.publishLocked(cur.segs, cur.epoch+1)
 		return nil
 	}
 	ids := make([]int, 0, live)
-	backing := make([]float64, 0, live*db.cfg.Dim)
+	rows := newMemtable(db.cfg.Dim, db.prec, 0)
 	for slot := 0; slot < db.mt.rows; slot++ {
 		if db.mt.tomb.Get(slot) {
 			continue
 		}
 		ids = append(ids, db.mt.baseID+slot)
-		backing = append(backing, db.mt.data[slot*db.cfg.Dim:(slot+1)*db.cfg.Dim]...)
+		rows.add(db.mt.row(slot))
 	}
-	g, err := buildSegment(context.Background(), db.cfg, ids, backing)
+	st, err := rows.store()
+	if err != nil {
+		return err
+	}
+	g, err := buildSegment(context.Background(), db.cfg, ids, st)
 	if err != nil {
 		return err
 	}
@@ -337,7 +364,7 @@ func (db *DB) sealLocked() error {
 	segs := make([]segView, len(cur.segs), len(cur.segs)+1)
 	copy(segs, cur.segs)
 	segs = append(segs, segView{seg: g})
-	db.mt = newMemtable(db.cfg.Dim, db.cfg.Float32, db.nextID)
+	db.mt = newMemtable(db.cfg.Dim, db.prec, db.nextID)
 	db.publishLocked(segs, cur.epoch+1)
 	db.seals.Add(1)
 	db.metrics.SealDone(time.Since(start).Nanoseconds())
@@ -392,7 +419,7 @@ func (db *DB) compact(ctx context.Context) error {
 
 	inputs := make(map[*segment]bool, len(pin.segs))
 	var ids []int
-	var backing []float64
+	rows := newMemtable(db.cfg.Dim, db.prec, 0) // a float32 row narrows back exactly
 	for _, sv := range pin.segs {
 		inputs[sv.seg] = true
 		for local, id := range sv.seg.ids {
@@ -400,14 +427,16 @@ func (db *DB) compact(ctx context.Context) error {
 				continue
 			}
 			ids = append(ids, id)
-			backing = append(backing, sv.seg.st.At(local)...)
+			rows.add(sv.seg.st.At(local))
 		}
 	}
 
 	var merged *segment
 	if len(ids) > 0 {
-		var err error
-		merged, err = buildSegment(ctx, db.cfg, ids, backing)
+		st, err := rows.store()
+		if err == nil {
+			merged, err = buildSegment(ctx, db.cfg, ids, st)
+		}
 		if err != nil {
 			return err
 		}

@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"qdcbir/internal/core"
+	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -225,13 +227,48 @@ func TestClosedDBRejectsWrites(t *testing.T) {
 	snap.Release()
 }
 
+// mustStore adopts a float64 backing of rows of dim as a store.
+func mustStore(tb testing.TB, dim int, backing []float64) *store.FeatureStore {
+	tb.Helper()
+	st, err := store.FromBacking(dim, backing)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
 func TestRestoreValidation(t *testing.T) {
 	cfg := Config{Dim: 2, Seed: 1}
 	if _, err := Restore(cfg, nil, MemInput{Rows: []float64{1}}, 0, 0); err == nil {
 		t.Fatal("ragged memtable backing accepted")
 	}
+	if _, err := Restore(cfg, nil, MemInput{Rows32: []float32{1}}, 0, 0); err == nil {
+		t.Fatal("ragged float32 memtable backing accepted")
+	}
 	if _, err := Restore(cfg, nil, MemInput{Rows: []float64{1, 2}, Tombstoned: []int{5}}, 0, 0); err == nil {
 		t.Fatal("out-of-range memtable tombstone accepted")
+	}
+	var mixed []SealedInput
+	for _, mode := range []string{"f64", "f32"} {
+		db, err := newTestDB(Config{Dim: 2, Seed: 1, SealThreshold: 4, DisableAutoCompact: true}, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		for i := 0; i < 4; i++ {
+			if _, err := db.Insert(vec.Vector{float64(i), 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := db.Acquire()
+		defer snap.Release()
+		mixed = append(mixed, snap.SealedInputs()...)
+	}
+	if len(mixed) != 2 {
+		t.Fatalf("%d sealed segments, want one of each precision", len(mixed))
+	}
+	if _, err := Restore(cfg, mixed, MemInput{BaseID: 8}, 9, 0); err == nil || !strings.Contains(err.Error(), "f32 rows") {
+		t.Fatalf("float64 and float32 segments restored together: %v", err)
 	}
 	if _, err := Restore(cfg, []SealedInput{{}}, MemInput{}, 0, 0); err == nil {
 		t.Fatal("incomplete segment accepted")

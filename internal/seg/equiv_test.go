@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qdcbir/internal/core"
+	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -24,13 +25,19 @@ func testConfig(mode string) Config {
 		NodeCapacity:       8,
 		DisableAutoCompact: true,
 	}
-	switch mode {
-	case "sq8":
+	if mode == "sq8" {
 		cfg.Quantized = true
-	case "f32":
-		cfg.Float32 = true
 	}
 	return cfg
+}
+
+// newTestDB returns an empty DB for mode: one of float32 rows for "f32" (a
+// restore from an empty float32 memtable), of float64 rows otherwise.
+func newTestDB(cfg Config, mode string) (*DB, error) {
+	if mode != "f32" {
+		return New(cfg)
+	}
+	return Restore(cfg, nil, MemInput{Rows32: []float32{}}, 0, 0)
 }
 
 func randVec(rng *rand.Rand, dim int) vec.Vector {
@@ -92,7 +99,14 @@ func rebuildRef(t *testing.T, cfg Config, snap *Snapshot) *DB {
 		}
 		backing = append(backing, v...)
 	}
-	g, err := buildSegment(context.Background(), cfg.withDefaults(), liveIDs, backing)
+	st, err := store.FromBacking(cfg.Dim, backing)
+	if snap.db.Precision() == store.Float32 {
+		st, err = store.FromBacking32(cfg.Dim, vec.Narrow32(backing, nil)) // exact: the rows are float32
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := buildSegment(context.Background(), cfg.withDefaults(), liveIDs, st)
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
@@ -243,7 +257,7 @@ func TestFloat32TakesPrecedenceOverQuantized(t *testing.T) {
 	both.Quantized = true
 	var snaps [2]*Snapshot
 	for i, cfg := range []Config{testConfig("f32"), both} {
-		db, err := New(cfg)
+		db, err := newTestDB(cfg, "f32")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +316,7 @@ func TestSegmentMergeEquivalence(t *testing.T) {
 	for _, mode := range []string{"f64", "sq8", "f32"} {
 		t.Run(mode, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			db, err := New(testConfig(mode))
+			db, err := newTestDB(testConfig(mode), mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -415,7 +429,7 @@ func TestSqrtTieMatchesRebuild(t *testing.T) {
 		for _, where := range []string{"sealed+sealed", "sealed+memtable"} {
 			t.Run(mode+"/"+where, func(t *testing.T) {
 				cfg := testConfig(mode)
-				db, err := New(cfg)
+				db, err := newTestDB(cfg, mode)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,10 +1,12 @@
 package seg
 
+import "qdcbir/internal/store"
+
 // Persistence export: a Snapshot dumps exactly the inputs Restore consumes,
 // so save/load is Restore(SealedInputs(), MemInput(), ...) — symmetric by
 // construction. The exported stores and structures are the live ones
-// (segments are immutable, so sharing is safe); the memtable rows are
-// copied, since the writer keeps appending to its backing.
+// (segments are immutable, so sharing is safe), and so are the memtable
+// rows up to the snapshot's row count: the writer only appends past them.
 
 // SealedInputs returns one SealedInput per sealed segment, tombstones
 // expressed as global IDs.
@@ -25,13 +27,16 @@ func (s *Snapshot) SealedInputs() []SealedInput {
 	return out
 }
 
-// MemInput returns the snapshot's memtable image: base ID, a copy of the
-// row-major float64 rows (tombstoned rows included, preserving slot
+// MemInput returns the snapshot's memtable image: base ID, the row-major
+// rows at the DB's precision (tombstoned rows included, preserving slot
 // arithmetic), and the tombstoned slots.
 func (s *Snapshot) MemInput() MemInput {
-	return MemInput{
-		BaseID:     s.mem.baseID,
-		Rows:       append([]float64(nil), s.mem.data[:s.mem.rows*s.mem.dim]...),
-		Tombstoned: s.mem.tomb.AppendIndices(nil),
+	in := MemInput{BaseID: s.mem.baseID, Tombstoned: s.mem.tomb.AppendIndices(nil)}
+	n := s.mem.rows * s.mem.dim
+	if s.mem.prec == store.Float32 {
+		in.Rows32 = s.mem.data32[:n:n]
+	} else {
+		in.Rows = s.mem.data[:n:n]
 	}
+	return in
 }

@@ -7,6 +7,7 @@ import (
 
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/shard"
+	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -14,10 +15,11 @@ import (
 type Neighbor = shard.Neighbor
 
 // KNNCtx returns the k nearest live images to q across the whole snapshot:
-// every sealed segment (each tree scoring in its configured mode — the
+// every sealed segment (each tree scoring with its leaf scorer — the
 // float64 block kernel, the same kernel behind the SQ8 row filter, or the
-// float32 leaf scorer) plus the memtable (always an exact block scan), found
-// by one search (rstar.KNNForest) over the segments' trees.
+// float32 leaf scorer over float32 rows) plus the memtable (a block scan
+// with the kernel of the DB's precision), found by one search
+// (rstar.KNNForest) over the segments' trees.
 //
 // Bit-exactness: every row is scored by the position-independent per-row
 // kernels a monolithic build runs on it (SQ8 codes only filter which rows are
@@ -38,6 +40,7 @@ type knnScratch struct {
 	dists   []float64
 	dists32 []float32
 	q32     []float32
+	wide    []float64 // a Float32 DB's memtable rows, widened for a weighted scan
 }
 
 var knnPool = sync.Pool{New: func() interface{} { return new(knnScratch) }}
@@ -76,7 +79,7 @@ func (s *Snapshot) knn(ctx context.Context, q, weights vec.Vector, k int, st *rs
 
 // scoreMem scores the memtable prefix's live rows with the block kernel
 // whose bits the same rows get once sealed: SquaredDistsTo, its weighted
-// form, or in float32 mode SquaredDistsTo32 on the insert-time narrowed rows.
+// form, or in a Float32 DB SquaredDistsTo32 (weighted scans widen the rows).
 func (s *Snapshot) scoreMem(sc *knnScratch, q, weights vec.Vector) []rstar.Scored {
 	m := s.mem
 	rows := sc.rows[:0]
@@ -84,7 +87,7 @@ func (s *Snapshot) scoreMem(sc *knnScratch, q, weights vec.Vector) []rstar.Score
 		return rows
 	}
 	n := m.rows * m.dim
-	if weights == nil && s.db.cfg.Float32 {
+	if weights == nil && m.prec == store.Float32 {
 		sc.q32 = vec.Narrow32(q, grown(sc.q32, len(q)))
 		sc.dists32 = grown(sc.dists32, m.rows)
 		vec.SquaredDistsTo32(sc.q32, m.data32[:n], sc.dists32)
@@ -95,10 +98,17 @@ func (s *Snapshot) scoreMem(sc *knnScratch, q, weights vec.Vector) []rstar.Score
 		}
 	} else {
 		sc.dists = grown(sc.dists, m.rows)
-		if weights == nil {
-			vec.SquaredDistsTo(q, m.data[:n], sc.dists)
+		var data []float64
+		if m.prec == store.Float32 {
+			sc.wide = vec.Widen64(m.data32[:n], grown(sc.wide, n))
+			data = sc.wide
 		} else {
-			vec.WeightedSquaredDistsTo(q, weights, m.data[:n], sc.dists)
+			data = m.data[:n]
+		}
+		if weights == nil {
+			vec.SquaredDistsTo(q, data, sc.dists)
+		} else {
+			vec.WeightedSquaredDistsTo(q, weights, data, sc.dists)
 		}
 		for slot, d := range sc.dists {
 			if !m.tomb.Get(slot) {

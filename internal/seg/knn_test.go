@@ -79,7 +79,7 @@ func TestSegmentSearchSkipsTombstones(t *testing.T) {
 		backing = append(backing, v...)
 	}
 	cfg := Config{Dim: dim, Quantized: true, NodeCapacity: 100, Seed: 3}.withDefaults()
-	g, err := buildSegment(context.Background(), cfg, ids, backing)
+	g, err := buildSegment(context.Background(), cfg, ids, mustStore(t, dim, backing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func newServedShape(tb testing.TB, rng *rand.Rand) (*DB, *servedShape) {
 		backing = append(backing, v...)
 	}
 	cfg := Config{Dim: dim, Quantized: true, NodeCapacity: 100, Seed: 3, DisableAutoCompact: true}
-	g, err := buildSegment(context.Background(), cfg.withDefaults(), ids, backing)
+	g, err := buildSegment(context.Background(), cfg.withDefaults(), ids, mustStore(tb, dim, backing))
 	if err != nil {
 		tb.Fatal(err)
 	}

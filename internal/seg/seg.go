@@ -56,16 +56,10 @@ type Config struct {
 	// compaction is triggered. Default 4.
 	MaxSegments int
 
-	// Float32 selects the float32 scan mode for sealed segments (memtable
-	// rows are narrowed at insert, matching MaterializeFloat32's narrowing).
-	// It takes precedence over Quantized, which withDefaults clears: a
-	// float32 segment holds no SQ8 codes.
-	Float32 bool
-
-	// Quantized enables the SQ8 row filter in sealed segments. Falls back
-	// silently to exact scoring per segment if training fails, exactly like
-	// the monolithic attachQuantizer path; correctness is unaffected because
-	// every returned distance is computed exactly.
+	// Quantized enables the SQ8 row filter in sealed segments of float64
+	// rows. Falls back silently to exact scoring per segment if training
+	// fails, exactly like the monolithic attachQuantizer path; correctness is
+	// unaffected because every returned distance is computed exactly.
 	Quantized bool
 
 	// BoundaryThreshold is the §3.3 search-area expansion threshold used by
@@ -115,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NodeCapacity <= 0 {
 		c.NodeCapacity = 32
-	}
-	if c.Float32 {
-		c.Quantized = false // Float32 selects a precision; SQ8 serves the f64 path
 	}
 	return c
 }

@@ -37,22 +37,19 @@ func (g *segment) localOf(id int) int {
 	return -1
 }
 
-// buildSegment seals the given rows (global IDs ascending, row-major f64
-// backing in the same order) into an immutable segment. The build mirrors
-// the monolithic assemble/attachQuantizer path knob for knob — RepFraction,
-// MaxFill = NodeCapacity, TargetFill = NodeCapacity·93/100, tree seed
-// cfg.Seed+2 — so a single sealed segment of the whole corpus is the same
-// structure a from-scratch build would produce.
-func buildSegment(ctx context.Context, cfg Config, ids []int, backing []float64) (*segment, error) {
+// buildSegment seals the given rows (global IDs ascending, st's rows in the
+// same order) into an immutable segment. The build mirrors the monolithic
+// assemble/attachQuantizer path knob for knob — RepFraction, MaxFill =
+// NodeCapacity, TargetFill = NodeCapacity·93/100, tree seed cfg.Seed+2 — so
+// a single sealed segment of the whole corpus is the same structure a
+// from-scratch build would produce. A store of float32 rows gets the float32
+// scorer and no SQ8 codes.
+func buildSegment(ctx context.Context, cfg Config, ids []int, st *store.FeatureStore) (*segment, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("seg: empty segment")
 	}
-	if len(backing) != len(ids)*cfg.Dim {
-		return nil, fmt.Errorf("seg: backing holds %d values for %d rows of dim %d", len(backing), len(ids), cfg.Dim)
-	}
-	st, err := store.FromBacking(cfg.Dim, backing)
-	if err != nil {
-		return nil, fmt.Errorf("seg: %w", err)
+	if st.Len() != len(ids) || st.Dim() != cfg.Dim {
+		return nil, fmt.Errorf("seg: store holds %d rows of dim %d for %d rows of dim %d", st.Len(), st.Dim(), len(ids), cfg.Dim)
 	}
 	structure, err := rfs.BuildStoreCtx(ctx, st, rfs.BuildConfig{
 		RepFraction: cfg.RepFraction,
@@ -65,17 +62,11 @@ func buildSegment(ctx context.Context, cfg Config, ids []int, backing []float64)
 		return nil, err
 	}
 	if cfg.Quantized {
-		// Train per segment. A segment whose corpus cannot be trained scores
-		// exactly, mirroring the monolithic attachQuantizer behaviour; that is
-		// invisible in results, because the SQ8 codes only filter which rows
-		// are scored exactly.
+		// Train per segment. A segment whose corpus cannot be trained (or
+		// that scores float32 rows) scores exactly, mirroring the monolithic
+		// attachQuantizer behaviour; that is invisible in results, because
+		// the SQ8 codes only filter which rows are scored exactly.
 		_ = structure.Tree().TrainQuantized()
-	}
-	if cfg.Float32 {
-		st.MaterializeFloat32()
-		if err := structure.Tree().NarrowFloat32(); err != nil {
-			return nil, fmt.Errorf("seg: %w", err)
-		}
 	}
 	return &segment{ids: ids, st: st, rfs: structure}, nil
 }

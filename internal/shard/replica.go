@@ -46,18 +46,15 @@ type Replica struct {
 	mem     *offheap.Region
 
 	dim int
-	f32 bool // unweighted sweeps run the float32 kernels (Meta.Precision "f32")
+	f32 bool // float32 rows, which unweighted sweeps score with the float32 kernels
 	// The rows in (full-tree leaf pre-order, global ID) order, at storage
-	// precision: slab for float64 storage, slab32 for float32 storage. A
-	// float32 scan over float64 storage is the one case that keeps both —
-	// slab32 is then the narrowing the single-node tree sweeps.
+	// precision: slab for float64 storage, slab32 for float32 storage.
 	slab   []float64
 	slab32 []float32
 	// quant is the SQ8 row filter of unweighted sweeps: codes in slab order,
-	// trained at load over the rows those sweeps score (slab32 whenever it
-	// exists, whose exact widening a float64 scan of float32 storage reads;
-	// slab otherwise). Nil where the bracket would bound nothing: non-finite
-	// rows, a constant corpus, rows past SQ8's dimension limit.
+	// trained at load over the rows. Nil where the bracket would bound
+	// nothing: non-finite rows, a constant corpus, rows past SQ8's
+	// dimension limit.
 	quant   *store.Quantized
 	slabGID []int    // global ID per slab row
 	ranges  [][2]int // per topology node index: slab row range [lo,hi)
@@ -97,36 +94,31 @@ func SlabLayout(t *Topology, leafID []uint64) (order []int, ranges [][2]int, err
 	return order, ranges, nil
 }
 
-// slabLayout places a replica's arrays in its mapping: float64 rows at offset
-// 0, then float32 rows, then the SQ8 codes, each section present or empty.
-// Every section's size is a multiple of the next's element size, so each
-// view is aligned.
+// slabLayout places a replica's arrays in its mapping: the rows at offset 0,
+// float64 or float32, then the SQ8 codes, present or empty. The rows'
+// section size is a multiple of a code's, so each view is aligned.
 type slabLayout struct {
-	values          int // rows × dim
-	f64, f32, codes bool
+	values int // rows × dim
+	f32    bool
+	codes  bool
 }
 
-// layoutOf sizes the mapping of a shard: its rows at storage precision, the
-// float32 narrowing a float32 scan of float64 storage sweeps, and a code byte
-// per value wherever SQ8 can train.
+// layoutOf sizes the mapping of a shard: its rows at storage precision and a
+// code byte per value wherever SQ8 can train.
 func layoutOf(m Meta) slabLayout {
 	return slabLayout{
 		values: m.LocalImages * m.Dim,
-		f64:    m.Storage == "f64",
-		f32:    m.Storage == "f32" || m.Precision == "f32",
+		f32:    m.Storage == "f32",
 		codes:  m.Dim <= store.MaxSQ8Dim,
 	}
 }
 
-// bytesPerValue is the mapping's size per row value: at most 13, for float64
-// rows, their float32 narrowing and a code byte.
+// bytesPerValue is the mapping's size per row value: at most 9, for float64
+// rows and a code byte.
 func (l slabLayout) bytesPerValue() int {
-	n := 0
-	if l.f64 {
-		n += 8
-	}
+	n := 8
 	if l.f32 {
-		n += 4
+		n = 4
 	}
 	if l.codes {
 		n++
@@ -139,13 +131,12 @@ func (l slabLayout) size() int { return l.bytesPerValue() * l.values }
 // views returns the layout's sections of mem; an absent one is nil.
 func (l slabLayout) views(mem *offheap.Region) (f64 []float64, f32 []float32, codes []uint8) {
 	off := 0
-	if l.f64 {
-		f64 = offheap.View[float64](mem, off, l.values)
-		off += 8 * l.values
-	}
 	if l.f32 {
 		f32 = offheap.View[float32](mem, off, l.values)
 		off += 4 * l.values
+	} else {
+		f64 = offheap.View[float64](mem, off, l.values)
+		off += 8 * l.values
 	}
 	if l.codes {
 		codes = offheap.View[uint8](mem, off, l.values)
@@ -155,8 +146,8 @@ func (l slabLayout) views(mem *offheap.Region) (f64 []float64, f32 []float32, co
 
 // NewReplica assembles a replica from an archive. It adopts the mapping of
 // an archive from ReadArchive, or copies an in-memory archive's rows into a
-// new one, fills in the float32 narrowing and SQ8 codes it sweeps, and seals
-// the mapping read-only. On success the replica owns the mapping (free it
+// new one, fills in the SQ8 codes it sweeps, and seals the mapping
+// read-only. On success the replica owns the mapping (free it
 // with Close) and the archive must not be modified afterwards; on failure an
 // archive from ReadArchive still holds its mapping, which Release frees.
 func NewReplica(a *Archive) (*Replica, error) {
@@ -191,7 +182,7 @@ func NewReplica(a *Archive) (*Replica, error) {
 		rowOf:   make([]int, len(order)),
 		mem:     mem,
 		dim:     a.Meta.Dim,
-		f32:     a.Meta.Precision == "f32",
+		f32:     lay.f32,
 		slab:    f64,
 		slab32:  f32,
 		slabGID: make([]int, len(order)),
@@ -201,14 +192,11 @@ func NewReplica(a *Archive) (*Replica, error) {
 		r.slabGID[row] = a.Globals[li]
 		r.rowOf[li] = row
 	}
-	if r.slab != nil && r.slab32 != nil {
-		vec.Narrow32(r.slab, r.slab32)
-	}
 	// Archives carry no codes: training is two passes over the rows. A
 	// filter that would bound nothing leaves its codes unread in the mapping.
 	if codes != nil {
 		var qz *store.Quantized
-		if r.slab32 != nil {
+		if r.f32 {
 			qz, _ = store.QuantizeBackingInto(r.dim, r.slab32, codes)
 		} else {
 			qz, _ = store.QuantizeBackingInto(r.dim, r.slab, codes)
@@ -387,18 +375,6 @@ func grown[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// widening sizes the float64 kernel calls: whole sweepChunk blocks over a
-// float64 slab, needing no buffer; over float32 storage, blocks small enough
-// that the widening buffer stays near 128 KB however wide the rows are.
-func (r *Replica) widening(sc *legScratch) (rows int, buf []float64) {
-	if r.slab != nil {
-		return sweepChunk, nil
-	}
-	rows = max(1, min(sweepChunk, (16<<10)/r.dim))
-	sc.wide = grown(sc.wide, rows*r.dim)
-	return rows, sc.wide
-}
-
 // sweep scores q over slab rows [lo,hi) and returns its sweep work. A query
 // the SQ8 bracket can act on — unweighted, on a replica with codes, over
 // more than filterRowsPerResult·k rows, with a finite decode error — takes
@@ -449,7 +425,15 @@ func (r *Replica) scan(ctx context.Context, sc *legScratch, lo, hi int, q32 []fl
 		}
 		return nil
 	}
-	step, wide := r.widening(sc)
+	// The float64 kernel reads a float64 slab in whole sweepChunk blocks, and
+	// float32 rows (a weighted sweep) widened in blocks small enough that the
+	// buffer stays near 128 KB however wide the rows are.
+	step, wide := sweepChunk, []float64(nil)
+	if r.f32 {
+		step = max(1, min(sweepChunk, (16<<10)/r.dim))
+		sc.wide = grown(sc.wide, step*r.dim)
+		wide = sc.wide
+	}
 	sc.d64 = grown(sc.d64, step)
 	for base := lo; base < hi; base += step {
 		if err := ctx.Err(); err != nil {
@@ -499,10 +483,7 @@ func (r *Replica) filter(ctx context.Context, sc *legScratch, lo, hi int, q32 []
 // boundary: the selector ends holding exactly what a plain sweep leaves in
 // it. It returns the number of rows scored.
 func (r *Replica) refine(ctx context.Context, sc *legScratch, lo int, raw []int32, q32 []float32, q vec.Vector, qErr float64, sel *topSelect) (int, error) {
-	step, wide := sweepChunk, []float64(nil)
-	if !r.f32 {
-		step, wide = r.widening(sc)
-	}
+	const step = sweepChunk
 	// The seeds are scored in slab order, runs of adjacent rows together: a
 	// query's nearest rows by code mostly share its leaves.
 	seeds := nearestCodes(raw, sel.k, sc.seeds[:0])
@@ -516,7 +497,7 @@ func (r *Replica) refine(ctx context.Context, sc *legScratch, lo int, raw []int3
 			e++
 		}
 		a, b := int(seeds[s]), int(seeds[e-1])+1
-		r.offer(sc, sel, q32, q, wide, lo+a, lo+b)
+		r.offer(sc, sel, q32, q, lo+a, lo+b)
 		for i := a; i < b; i++ {
 			raw[i] = -1 // scored
 		}
@@ -537,7 +518,7 @@ func (r *Replica) refine(ctx context.Context, sc *legScratch, lo int, raw []int3
 		for end < len(raw) && end-i < step && raw[end] >= 0 && raw[end] <= limit {
 			end++
 		}
-		r.offer(sc, sel, q32, q, wide, lo+i, lo+end)
+		r.offer(sc, sel, q32, q, lo+i, lo+end)
 		scored += end - i
 		limit = r.codeLimit(sel, qErr)
 		i = end
@@ -546,9 +527,9 @@ func (r *Replica) refine(ctx context.Context, sc *legScratch, lo int, raw []int3
 }
 
 // offer scores slab rows [a,b) exactly for one query — the float32 kernel on
-// its narrowing q32 at f32, the float64 kernel on q otherwise, over rows
-// widened into wide when the storage is float32 — and offers each to sel.
-func (r *Replica) offer(sc *legScratch, sel *topSelect, q32 []float32, q vec.Vector, wide []float64, a, b int) {
+// its narrowing q32 over float32 rows, the float64 kernel on q over float64
+// rows — and offers each to sel.
+func (r *Replica) offer(sc *legScratch, sel *topSelect, q32 []float32, q vec.Vector, a, b int) {
 	if r.f32 {
 		sc.d32 = grown(sc.d32, b-a)
 		vec.SquaredDistsTo32(q32, r.slab32[a*r.dim:b*r.dim], sc.d32)
@@ -558,7 +539,7 @@ func (r *Replica) offer(sc *legScratch, sel *topSelect, q32 []float32, q vec.Vec
 		return
 	}
 	sc.d64 = grown(sc.d64, b-a)
-	vec.SquaredDistsTo(q, r.rows64(a, b, wide), sc.d64)
+	vec.SquaredDistsTo(q, r.slab[a*r.dim:b*r.dim], sc.d64)
 	for i, d := range sc.d64 {
 		sel.add(d, r.slabGID[a+i])
 	}

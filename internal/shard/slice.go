@@ -16,16 +16,15 @@ import (
 // Meta identifies a shard archive and the fleet it belongs to. A router
 // refuses to assemble a fleet whose members disagree on any of these fields —
 // most importantly CorpusSig (the slices must come from one build of one
-// corpus) and Precision (float64 and float32 are distinct result modes whose
-// distances must never be merged).
+// corpus) and Storage (float32 rows are scanned in float32 and float64 rows
+// in float64, and the two kinds of distance must never be merged).
 type Meta struct {
 	ShardIndex     int     `json:"shard_index"`
 	ShardCount     int     `json:"shard_count"`
 	Images         int     `json:"images"`       // full corpus size
 	LocalImages    int     `json:"local_images"` // rows stored on this shard
 	Dim            int     `json:"dim"`
-	Precision      string  `json:"precision"`       // scan mode: "f64" or "f32"
-	Storage        string  `json:"storage"`         // precision the rows are stored at: "f64" or "f32"
+	Storage        string  `json:"storage"`         // precision the rows are stored and scanned at: "f64" or "f32"
 	ArchiveVersion int     `json:"archive_version"` // shard archive format version
 	CorpusSig      uint64  `json:"corpus_sig"`      // signature of (corpus, topology, shard count)
 	Boundary       float64 `json:"boundary"`        // §3.3 expansion threshold of the build
@@ -100,9 +99,6 @@ func (a *Archive) checkHeader() error {
 	m := &a.Meta
 	if m.ShardCount < 1 || m.ShardIndex < 0 || m.ShardIndex >= m.ShardCount {
 		return fmt.Errorf("shard: shard %d of %d is not a valid coordinate", m.ShardIndex, m.ShardCount)
-	}
-	if m.Precision != "f64" && m.Precision != "f32" {
-		return fmt.Errorf("shard: unknown scan precision %q", m.Precision)
 	}
 	if m.Storage != "f64" && m.Storage != "f32" {
 		return fmt.Errorf("shard: unknown storage precision %q", m.Storage)

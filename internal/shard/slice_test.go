@@ -27,7 +27,7 @@ func tinyArchive(storage string) *Archive {
 	a := &Archive{
 		Meta: Meta{
 			ShardIndex: 1, ShardCount: 2, Images: 6, LocalImages: 3, Dim: 2,
-			Precision: "f64", Storage: storage, ArchiveVersion: ArchiveVersion, DisplayCount: 2,
+			Storage: storage, ArchiveVersion: ArchiveVersion, DisplayCount: 2,
 		},
 		Topo:    topo,
 		Globals: []int{0, 2, 5},
@@ -37,7 +37,6 @@ func tinyArchive(storage string) *Archive {
 	// Slab order: leaf 2 holds local rows 0 and 2, then leaf 3 holds row 1.
 	slab := []float64{0.25, -1, 0.5, 0.125, 1, 2}
 	if storage == "f32" {
-		a.Meta.Precision = "f32"
 		for _, v := range slab {
 			a.Rows.F32 = append(a.Rows.F32, float32(v))
 		}
@@ -96,8 +95,9 @@ func TestShardArchiveRoundTrip(t *testing.T) {
 }
 
 // TestShardArchiveRetiredQuantizedFlag: an archive written while Meta still
-// carried a Quantized flag loads, and its replica answers; gob drops the
-// field, which no code path ever read.
+// carried a Quantized flag and a scan Precision beside Storage loads, and its
+// replica answers; gob drops the retired fields (the rows' storage is their
+// scan precision now).
 func TestShardArchiveRetiredQuantizedFlag(t *testing.T) {
 	a := tinyArchive("f32")
 	m := a.Meta
@@ -118,7 +118,7 @@ func TestShardArchiveRetiredQuantizedFlag(t *testing.T) {
 	}{Topo: a.Topo, Globals: a.Globals, LeafID: a.LeafID, Labels: a.Labels}
 	om := &old.Meta
 	om.ShardIndex, om.ShardCount, om.Images, om.LocalImages, om.Dim = m.ShardIndex, m.ShardCount, m.Images, m.LocalImages, m.Dim
-	om.Precision, om.Storage, om.Quantized, om.ArchiveVersion = m.Precision, m.Storage, true, m.ArchiveVersion
+	om.Precision, om.Storage, om.Quantized, om.ArchiveVersion = m.Storage, m.Storage, true, m.ArchiveVersion
 	om.CorpusSig, om.Boundary, om.DisplayCount = m.CorpusSig, m.Boundary, m.DisplayCount
 	var buf bytes.Buffer
 	buf.Write(shardMagic[:])
@@ -170,7 +170,6 @@ func TestShardArchiveChecks(t *testing.T) {
 		"absurd dim":                     func(a *Archive) { a.Meta.Dim = 1 << 40 },
 		"center of another dim":          func(a *Archive) { a.Meta.Dim = 3 },
 		"unknown storage":                func(a *Archive) { a.Meta.Storage = "f16" },
-		"unknown scan precision":         func(a *Archive) { a.Meta.Precision = "sq8" },
 		"shard outside fleet":            func(a *Archive) { a.Meta.ShardIndex = 2 },
 		"no topology":                    func(a *Archive) { a.Topo = nil },
 	} {

@@ -195,19 +195,21 @@ func ReadCSV(r io.Reader) (*Batch, error) {
 // an int32 dimension followed by that many float32 components. The first
 // record fixes the dimension; later records must agree. The batch keeps the
 // native float32 backing, so importing into a float32 system narrows
-// nothing.
+// nothing. Records are read through one buffer, and when r is a file the
+// backing is sized once from its length.
 func ReadFVecs(r io.Reader) (*Batch, error) {
+	size, sized := remaining(r)
 	br := bufio.NewReader(r)
 	b := &Batch{}
-	var head [4]byte
+	rec := make([]byte, 4) // one record: the dimension header, then its components
 	for row := 1; ; row++ {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
+		if _, err := io.ReadFull(br, rec[:4]); err != nil {
 			if err == io.EOF {
 				break
 			}
 			return nil, fmt.Errorf("source: row %d: truncated record header: %w", row, err)
 		}
-		dim := int(int32(binary.LittleEndian.Uint32(head[:])))
+		dim := int(int32(binary.LittleEndian.Uint32(rec[:4])))
 		switch {
 		case dim == 0:
 			return nil, fmt.Errorf("source: row %d: empty row", row)
@@ -215,15 +217,18 @@ func ReadFVecs(r io.Reader) (*Batch, error) {
 			return nil, fmt.Errorf("source: row %d: implausible dimension %d (max %d)", row, dim, maxFVecsDim)
 		case b.Dim == 0:
 			b.Dim = dim
+			rec = make([]byte, 4+4*dim)
+			if sized {
+				b.Data32 = make([]float32, 0, int(size/int64(len(rec)))*dim)
+			}
 		case dim != b.Dim:
 			return nil, fmt.Errorf("source: row %d: dimension %d, want %d", row, dim, b.Dim)
 		}
-		buf := make([]byte, 4*dim)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if _, err := io.ReadFull(br, rec[4:]); err != nil {
 			return nil, fmt.Errorf("source: row %d: truncated record: %w", row, err)
 		}
 		for i := 0; i < dim; i++ {
-			v := math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+			v := math.Float32frombits(binary.LittleEndian.Uint32(rec[4+4*i:]))
 			if err := checkComponent(row, i+1, float64(v)); err != nil {
 				return nil, err
 			}
@@ -234,6 +239,21 @@ func ReadFVecs(r io.Reader) (*Batch, error) {
 		return nil, fmt.Errorf("source: no vectors in input")
 	}
 	return b, nil
+}
+
+// remaining reports how many bytes r holds from its current position when
+// r is a regular file.
+func remaining(r io.Reader) (int64, bool) {
+	f, ok := r.(*os.File)
+	if !ok {
+		return 0, false
+	}
+	info, err := f.Stat()
+	if err != nil || !info.Mode().IsRegular() {
+		return 0, false
+	}
+	off, err := f.Seek(0, io.SeekCurrent)
+	return info.Size() - off, err == nil
 }
 
 // appendRow validates one parsed float64 row against the batch and appends

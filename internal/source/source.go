@@ -17,6 +17,8 @@ import (
 	"math"
 
 	"qdcbir/internal/dataset"
+	"qdcbir/internal/store"
+	"qdcbir/internal/vec"
 )
 
 // Batch is a dense row-major vector set: N rows of Dim components in exactly
@@ -144,6 +146,32 @@ func (s corpusSource) Vectors() (*Batch, error) {
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err
+	}
+	return b, nil
+}
+
+// AtPrecision wraps src so that its batch arrives at prec, the precision a
+// corpus built from it is stored and searched at: a float64 batch is
+// narrowed to float32 (one rounding per component), a float32 batch widened
+// to float64 (exact). A batch already at prec passes through untouched.
+func AtPrecision(src VectorSource, prec store.Precision) VectorSource {
+	return atPrecision{src, prec}
+}
+
+type atPrecision struct {
+	VectorSource
+	prec store.Precision
+}
+
+func (a atPrecision) Vectors() (*Batch, error) {
+	b, err := a.VectorSource.Vectors()
+	switch {
+	case err != nil:
+		return nil, err
+	case a.prec == store.Float32 && b.Data32 == nil:
+		return &Batch{Dim: b.Dim, Data32: vec.Narrow32(b.Data, nil), Labels: b.Labels}, nil
+	case a.prec == store.Float64 && b.Data == nil:
+		return &Batch{Dim: b.Dim, Data: vec.Widen64(b.Data32, nil), Labels: b.Labels}, nil
 	}
 	return b, nil
 }

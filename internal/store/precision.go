@@ -5,16 +5,16 @@ import "fmt"
 // Precision tags the native component width of a FeatureStore — the width the
 // corpus data arrived in and the one persistence round-trips losslessly.
 // Float64 is the historical default (the synthetic extractor, archives v0–v2);
-// Float32 marks imported embedding corpora (e.g. raw .fvecs files) or corpora
-// explicitly narrowed for the float32 scan path.
+// Float32 marks imported embedding corpora (e.g. raw .fvecs files, or a
+// float64 batch narrowed once at import).
 //
-// Regardless of tag, every store keeps a float64 backing: widening float32 to
-// float64 is exact, so the tree geometry, representative selection, and the
-// default float64 query path operate identically on either tag, and the
-// float64 golden results never depend on a store's precision. The tag decides
-// what persistence writes (archive v3 stores an f32-primary corpus as raw
-// float32, halving the archive) and lets callers reach the native float32
-// rows without a lossy round-trip.
+// The tag is the corpus's one precision: unweighted searches over a Float32
+// store score its rows with the float32 kernels, and over a Float64 store
+// with the float64 kernels (behind SQ8 where it trains). Every store keeps a
+// float64 backing as well: widening float32 to float64 is exact, so the tree
+// geometry, representative selection and weighted searches operate on the
+// same values at either tag. The tag also decides what persistence writes
+// (archive v3 stores a Float32 corpus as raw float32, halving the archive).
 type Precision uint8
 
 const (

@@ -26,15 +26,13 @@ import (
 // FeatureStore owns n dimension-strided feature vectors in one contiguous
 // backing array. The zero value is an empty store; construct with
 // FromVectors, FromBacking, or FromBacking32. A FeatureStore is immutable
-// after construction (MaterializeFloat32, the one lazy step, must run before
-// concurrent use) and safe for unsynchronized concurrent reads.
+// after construction and safe for unsynchronized concurrent reads.
 //
 // Precision: data is always populated — it is the ground truth of a Float64
 // store and the exact widening of a Float32 store's data32 — so every float64
 // consumer (tree build, batch kernels, golden paths) works identically on
-// either tag. data32 is the native backing of a Float32 store and a cached
-// narrowing for a Float64 store that has been materialized for the float32
-// scan path.
+// either tag. data32 is the native backing of a Float32 store and nil for a
+// Float64 store: a corpus has one precision, fixed when it is imported.
 type FeatureStore struct {
 	dim    int
 	n      int
@@ -145,33 +143,7 @@ func (s *FeatureStore) SquaredDistsTo(q vec.Vector, lo, hi int, out []float64) {
 	vec.SquaredDistsTo(q, s.Block(lo, hi), out)
 }
 
-// MaterializeFloat32 ensures the store has a float32 backing and returns it:
-// a Float32 store's native array, or a narrowing of a Float64 store's data
-// built (and cached) on first call. Narrowing rounds each component once —
-// the single corpus-side conversion of the float32 scan path. NOT
-// goroutine-safe on the first call; systems materialize during assembly,
-// before queries run.
-func (s *FeatureStore) MaterializeFloat32() []float32 {
-	if s.data32 == nil && len(s.data) > 0 {
-		s.data32 = vec.Narrow32(s.data, nil)
-	}
-	return s.data32
-}
-
-// Backing32 returns the store's float32 backing array, or nil if it has not
-// been materialized. It is shared, not copied: callers must treat it as
+// Backing32 returns the native backing array of a Float32 store, or nil for
+// a Float64 store. It is shared, not copied: callers must treat it as
 // read-only.
 func (s *FeatureStore) Backing32() []float32 { return s.data32 }
-
-// At32 returns a capped zero-copy view of row id in the float32 backing. The
-// backing must have been materialized.
-func (s *FeatureStore) At32(id int) []float32 {
-	base := id * s.dim
-	return s.data32[base : base+s.dim : base+s.dim]
-}
-
-// Block32 returns the contiguous float32 backing of rows [lo, hi), suitable
-// for vec.SquaredDistsTo32. The backing must have been materialized.
-func (s *FeatureStore) Block32(lo, hi int) []float32 {
-	return s.data32[lo*s.dim : hi*s.dim : hi*s.dim]
-}

@@ -35,7 +35,7 @@ func TestFromBacking32RoundTrip(t *testing.T) {
 	}
 	for id := 0; id < n; id++ {
 		row64 := st.At(id)
-		row32 := st.At32(id)
+		row32 := st.Backing32()[id*dim : (id+1)*dim]
 		for i := 0; i < dim; i++ {
 			want := data[id*dim+i]
 			if math.Float32bits(row32[i]) != math.Float32bits(want) {
@@ -72,9 +72,10 @@ func TestFromBacking32Validation(t *testing.T) {
 	}
 }
 
-// TestMaterializeFloat32: a Float64 store narrows on demand (cached), while a
-// Float32 store returns its native array without copying.
-func TestMaterializeFloat32(t *testing.T) {
+// TestBacking32Native: a Float64 store has no float32 backing (a corpus has
+// one precision), while a Float32 store hands out its native array without
+// copying.
+func TestBacking32Native(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const dim, n = 5, 11
 	data64 := make([]float64, dim*n)
@@ -86,16 +87,7 @@ func TestMaterializeFloat32(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st64.Backing32() != nil {
-		t.Fatal("f64 store has an f32 backing before materialization")
-	}
-	f32 := st64.MaterializeFloat32()
-	for i, v := range data64 {
-		if f32[i] != float32(v) {
-			t.Fatalf("narrowed[%d] %v != float32(%v)", i, f32[i], v)
-		}
-	}
-	if again := st64.MaterializeFloat32(); &again[0] != &f32[0] {
-		t.Fatal("materialization not cached")
+		t.Fatal("f64 store has an f32 backing")
 	}
 
 	data32 := randBacking32(rng, dim*n)
@@ -103,11 +95,8 @@ func TestMaterializeFloat32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st32.MaterializeFloat32(); &got[0] != &data32[0] {
-		t.Fatal("f32 store materialization copied its native backing")
-	}
-	if b := st32.Block32(2, 5); len(b) != 3*dim || &b[0] != &data32[2*dim] {
-		t.Fatal("Block32 does not alias the native backing")
+	if got := st32.Backing32(); len(got) != len(data32) || &got[0] != &data32[0] {
+		t.Fatal("f32 store copied its native backing")
 	}
 }
 

@@ -391,9 +391,6 @@ func assembleLoaded(cfg Config, corpus *dataset.Corpus, structure *rfs.Structure
 		return nil, fmt.Errorf("qdcbir: corpus: %w", err)
 	}
 	quant := attachQuantizer(&cfg, corpus, structure, qz)
-	if cfg.Float32 {
-		corpus.Store().MaterializeFloat32()
-	}
 	engine := newEngine(cfg, structure)
 	return &System{cfg: cfg, corpus: corpus, rfs: structure, engine: engine, quant: quant}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/seg"
 	"qdcbir/internal/store"
+	"qdcbir/internal/vec"
 )
 
 // archiveSegV4 is one sealed segment on the wire: the ascending global IDs,
@@ -30,11 +31,17 @@ type archiveSegV4 struct {
 }
 
 // archiveV4 is the dynamic-system wire format: the engine knobs, the sealed
-// segments, the memtable image (base ID, row-major float64 rows including
-// tombstoned slots, tombstoned slot indices), the ID allocator and epoch,
-// and the label table. Written by Dynamic.Save behind the versioned 4-byte
-// header with version 4; read only by LoadDynamic (the static Load rejects
-// it with a pointer here).
+// segments, the memtable image (base ID, row-major rows including tombstoned
+// slots at the system's precision — MemRows for float64, MemRows32 for
+// float32 — and tombstoned slot indices), the ID allocator and epoch, and
+// the label table indexed by image ID. Written by Dynamic.Save
+// behind the versioned 4-byte header with version 4; read only by
+// LoadDynamic (the static Load rejects it with a pointer here).
+//
+// The precision is the rows': float32 segment or memtable rows make a
+// float32 system. Archives written before LabelsByID carry the table as the
+// Labels map, and those written before MemRows32 carry a float32 system's
+// memtable rows in MemRows; both still decode.
 type archiveV4 struct {
 	Dim                int
 	SealThreshold      int
@@ -44,7 +51,6 @@ type archiveV4 struct {
 	RepFraction        float64
 	BoundaryThreshold  float64
 	Quantized          bool
-	Float32            bool
 	DisableAutoCompact bool
 
 	Epoch  uint64
@@ -53,9 +59,11 @@ type archiveV4 struct {
 
 	MemBaseID int
 	MemRows   []float64
+	MemRows32 []float32
 	MemTombs  []int
 
-	Labels map[int]string
+	LabelsByID []string       // "" where an image has no label
+	Labels     map[int]string // read only: the table of older archives
 }
 
 // Save persists the dynamic system in the version-4 format. The snapshot
@@ -76,12 +84,11 @@ func (d *Dynamic) Save(w io.Writer) error {
 		RepFraction:        cfg.RepFraction,
 		BoundaryThreshold:  cfg.BoundaryThreshold,
 		Quantized:          cfg.Quantized,
-		Float32:            cfg.Float32,
 		DisableAutoCompact: cfg.DisableAutoCompact,
 		Epoch:              snap.Epoch(),
 		NextID:             d.db.Stats().NextID,
-		Labels:             d.labelsCopy(),
 	}
+	a.LabelsByID = d.labelsByID()
 	for _, in := range snap.SealedInputs() {
 		as := archiveSegV4{
 			IDs:        in.IDs,
@@ -96,7 +103,7 @@ func (d *Dynamic) Save(w io.Writer) error {
 		a.Segs = append(a.Segs, as)
 	}
 	mem := snap.MemInput()
-	a.MemBaseID, a.MemRows, a.MemTombs = mem.BaseID, mem.Rows, mem.Tombstoned
+	a.MemBaseID, a.MemRows, a.MemRows32, a.MemTombs = mem.BaseID, mem.Rows, mem.Rows32, mem.Tombstoned
 
 	if _, err := w.Write(archiveHeader(archiveVersionV4)); err != nil {
 		return fmt.Errorf("qdcbir: write header: %w", err)
@@ -154,11 +161,11 @@ func LoadDynamicFile(path string, observer *obs.Observer) (*Dynamic, error) {
 
 // loadDynamicV4 decodes a version-4 payload: each segment's store adopts its
 // backing at the persisted precision, the tree is rebuilt point-free from
-// the topology snapshot, and (for quantized configs) each segment's tree
-// retrains its SQ8 quantizer — deterministic, and harmless to results either
-// way since every distance the SQ8 path returns is exact. The engine then
-// reassembles through seg.Restore, which re-applies float32 materialization
-// and tombstones.
+// the topology snapshot (with the float32 scorer over float32 rows), and
+// (for quantized configs) each float64 segment's tree retrains its SQ8
+// quantizer — deterministic, and harmless to results either way since every
+// distance the SQ8 path returns is exact. The engine then reassembles
+// through seg.Restore, which re-applies tombstones.
 func loadDynamicV4(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
 	var a archiveV4
 	if err := gob.NewDecoder(r).Decode(&a); err != nil {
@@ -173,23 +180,27 @@ func loadDynamicV4(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
 		RepFraction:        a.RepFraction,
 		BoundaryThreshold:  a.BoundaryThreshold,
 		Quantized:          a.Quantized,
-		Float32:            a.Float32,
 		DisableAutoCompact: a.DisableAutoCompact,
 		Observer:           observer,
 	}
-	// Float32 takes precedence, as seg resolves the pair: an archive saved
-	// with both flags restores float32 segments, which hold no SQ8 codes.
-	cfg.Quantized = cfg.Quantized && !cfg.Float32
+	// Any float32 rows make a float32 system. An older archive's float64
+	// segments beside them hold rows that system scanned narrowed.
+	f32 := a.MemRows32 != nil
+	for _, as := range a.Segs {
+		f32 = f32 || as.Points32 != nil
+	}
 	sealed := make([]seg.SealedInput, 0, len(a.Segs))
 	for si, as := range a.Segs {
 		var st *store.FeatureStore
 		var err error
-		if as.Points32 != nil {
-			if as.Points != nil {
-				return nil, fmt.Errorf("qdcbir: segment %d carries both float64 and float32 points", si)
-			}
+		switch {
+		case as.Points32 != nil && as.Points != nil:
+			return nil, fmt.Errorf("qdcbir: segment %d carries both float64 and float32 points", si)
+		case as.Points32 != nil:
 			st, err = store.FromBacking32(a.Dim, as.Points32)
-		} else {
+		case f32:
+			st, err = store.FromBacking32(a.Dim, vec.Narrow32(as.Points, nil))
+		default:
 			st, err = store.FromBacking(a.Dim, as.Points)
 		}
 		if err != nil {
@@ -200,22 +211,30 @@ func loadDynamicV4(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
 			return nil, fmt.Errorf("qdcbir: segment %d: %w", si, err)
 		}
 		if cfg.Quantized {
-			// Training failure leaves the segment exact, as in buildSegment.
+			// Training failure (or a float32 tree) leaves the segment
+			// without codes, as in buildSegment.
 			_ = structure.Tree().TrainQuantized()
 		}
 		sealed = append(sealed, seg.SealedInput{IDs: as.IDs, Store: st, Structure: structure, Tombstoned: as.Tombstoned})
 	}
+	// seg.Restore adds the memtable rows at the segments' precision.
 	db, err := seg.Restore(cfg.segConfig(), sealed, seg.MemInput{
 		BaseID:     a.MemBaseID,
 		Rows:       a.MemRows,
+		Rows32:     a.MemRows32,
 		Tombstoned: a.MemTombs,
 	}, a.NextID, a.Epoch)
 	if err != nil {
 		return nil, err
 	}
-	labels := a.Labels
+	labels := a.Labels // an older archive's table
 	if labels == nil {
-		labels = make(map[int]string)
+		labels = make(map[int]string, len(a.LabelsByID))
+	}
+	for id, label := range a.LabelsByID {
+		if label != "" {
+			labels[id] = label
+		}
 	}
 	return &Dynamic{cfg: dynamicConfigFrom(db.Config(), observer), db: db, labels: labels}, nil
 }

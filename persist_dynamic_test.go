@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"qdcbir/internal/seg"
+	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -21,13 +23,30 @@ func dynTestConfig(mode string) DynamicConfig {
 		NodeCapacity:       8,
 		DisableAutoCompact: true,
 	}
-	switch mode {
-	case "sq8":
+	if mode == "sq8" {
 		cfg.Quantized = true
-	case "f32":
-		cfg.Float32 = true
 	}
 	return cfg
+}
+
+// newTestDynamic returns an empty dynamic system for mode: one of float32
+// rows for "f32" (its engine restored from an empty float32 memtable, as
+// NewDynamic makes only float64 systems), of float64 rows otherwise.
+func newTestDynamic(t *testing.T, mode string) *Dynamic {
+	t.Helper()
+	cfg := dynTestConfig(mode)
+	if mode != "f32" {
+		d, err := NewDynamic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	db, err := seg.Restore(cfg.segConfig(), nil, seg.MemInput{Rows32: []float32{}}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Dynamic{cfg: dynamicConfigFrom(db.Config(), nil), db: db, labels: make(map[int]string)}
 }
 
 func dynRandVec(rng *rand.Rand, dim int) vec.Vector {
@@ -114,10 +133,7 @@ func sameDynamicAnswers(t *testing.T, label string, a, b *Dynamic) {
 func TestDynamicSaveLoadRoundTrip(t *testing.T) {
 	for _, mode := range []string{"f64", "sq8", "f32"} {
 		t.Run(mode, func(t *testing.T) {
-			d, err := NewDynamic(dynTestConfig(mode))
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := newTestDynamic(t, mode)
 			defer d.Close()
 			populateDynamic(t, d)
 			before := d.Stats()
@@ -172,14 +188,12 @@ func TestDynamicSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadDynamicV4BothPrecisionFlags: an archive that records both Float32
-// and Quantized (as a float32 engine built with both flags once saved) loads
-// as the float32 engine it was, with no SQ8 codes, and answers as it did.
+// TestLoadDynamicV4BothPrecisionFlags: an archive of float32 rows that
+// records Quantized (as a float32 engine built with both flags once saved)
+// loads as the float32 engine it was, with no SQ8 codes, and answers as it
+// did.
 func TestLoadDynamicV4BothPrecisionFlags(t *testing.T) {
-	d, err := NewDynamic(dynTestConfig("f32"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newTestDynamic(t, "f32")
 	defer d.Close()
 	populateDynamic(t, d)
 	var buf bytes.Buffer
@@ -202,8 +216,8 @@ func TestLoadDynamicV4BothPrecisionFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if cfg := loaded.Config(); !cfg.Float32 || cfg.Quantized {
-		t.Fatalf("loaded Float32 %v, Quantized %v; want a float32 engine", cfg.Float32, cfg.Quantized)
+	if prec, cfg := loaded.DB().Precision(), loaded.Config(); prec != store.Float32 || cfg.Quantized {
+		t.Fatalf("loaded %v rows, Quantized %v; want a float32 engine", prec, cfg.Quantized)
 	}
 	snap := loaded.db.Acquire()
 	defer snap.Release()
@@ -285,5 +299,115 @@ func TestStaticLoadRejectsDynamicArchive(t *testing.T) {
 	_, err = Load(&buf)
 	if err == nil || !strings.Contains(err.Error(), "LoadDynamic") {
 		t.Fatalf("static Load of a dynamic archive: err = %v, want LoadDynamic pointer", err)
+	}
+}
+
+// archiveV4Maps is the version-4 layout written before the label table
+// became ID-sorted slices and float32 memtable rows got their own field: the
+// labels in a map, the memtable rows always float64, and a Float32 flag.
+type archiveV4Maps struct {
+	Dim                int
+	SealThreshold      int
+	MaxSegments        int
+	Seed               int64
+	NodeCapacity       int
+	RepFraction        float64
+	BoundaryThreshold  float64
+	Quantized          bool
+	Float32            bool
+	DisableAutoCompact bool
+
+	Epoch  uint64
+	NextID int
+	Segs   []archiveSegV4
+
+	MemBaseID int
+	MemRows   []float64
+	MemTombs  []int
+
+	Labels map[int]string
+}
+
+// TestLoadDynamicV4LabelMap: an archive in the older layout — labels in a
+// map, a float32 system's memtable rows and a later-sealed segment's rows in
+// the float64 fields — loads with every label and answers as the system
+// that wrote it.
+func TestLoadDynamicV4LabelMap(t *testing.T) {
+	for _, mode := range []string{"f64", "f32"} {
+		t.Run(mode, func(t *testing.T) {
+			d := newTestDynamic(t, mode)
+			defer d.Close()
+			populateDynamic(t, d)
+			var buf bytes.Buffer
+			if err := d.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			header := archiveHeader(archiveVersionV4)
+			var a archiveV4
+			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[len(header):])).Decode(&a); err != nil {
+				t.Fatal(err)
+			}
+			old := archiveV4Maps{
+				Dim: a.Dim, SealThreshold: a.SealThreshold, MaxSegments: a.MaxSegments, Seed: a.Seed,
+				NodeCapacity: a.NodeCapacity, RepFraction: a.RepFraction, BoundaryThreshold: a.BoundaryThreshold,
+				Quantized: a.Quantized, Float32: mode == "f32", DisableAutoCompact: a.DisableAutoCompact,
+				Epoch: a.Epoch, NextID: a.NextID, Segs: a.Segs,
+				MemBaseID: a.MemBaseID, MemRows: a.MemRows, MemTombs: a.MemTombs,
+				Labels: make(map[int]string),
+			}
+			if a.MemRows32 != nil {
+				old.MemRows = vec.Widen64(a.MemRows32, nil)
+				last := &old.Segs[len(old.Segs)-1]
+				last.Points, last.Points32 = vec.Widen64(last.Points32, nil), nil
+			}
+			for id, label := range a.LabelsByID {
+				if label != "" {
+					old.Labels[id] = label
+				}
+			}
+			if len(old.Labels) == 0 || len(old.MemRows) == 0 {
+				t.Fatalf("fixture has %d labels and %d memtable values", len(old.Labels), len(old.MemRows))
+			}
+			buf.Reset()
+			buf.Write(header)
+			if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadDynamic(&buf, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			if got, want := loaded.DB().Precision(), d.DB().Precision(); got != want {
+				t.Fatalf("loaded %v rows, saved %v", got, want)
+			}
+			for id, want := range old.Labels {
+				if got := loaded.LabelOf(id); got != want {
+					t.Fatalf("label of %d: %q, want %q", id, got, want)
+				}
+			}
+			sameDynamicAnswers(t, mode, d, loaded)
+		})
+	}
+}
+
+// TestDynamicSaveDeterministic: saving one dynamic system again writes the
+// same bytes — the label table travels indexed by ID, not in map order.
+func TestDynamicSaveDeterministic(t *testing.T) {
+	d := newTestDynamic(t, "f64")
+	defer d.Close()
+	populateDynamic(t, d)
+	var first bytes.Buffer
+	if err := d.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		var again bytes.Buffer
+		if err := d.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("save %d wrote different bytes", i+2)
+		}
 	}
 }

@@ -33,7 +33,7 @@ func fvecsFixture(n, dim int) []byte {
 	return buf
 }
 
-// importedF32System builds a Float32 system over the deterministic .fvecs
+// importedF32System builds a system of float32 rows over the deterministic .fvecs
 // fixture through the public import path (file → source → BuildFromSource).
 func importedF32System(t *testing.T, n, dim int) *System {
 	t.Helper()
@@ -45,7 +45,7 @@ func importedF32System(t *testing.T, n, dim int) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Seed: 3, NodeCapacity: 16, RepFraction: 0.2, Float32: true}
+	cfg := Config{Seed: 3, NodeCapacity: 16, RepFraction: 0.2}
 	sys, err := BuildFromSource(cfg, src)
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +222,8 @@ func TestGoldenArchiveV3F32(t *testing.T) {
 	if got := loaded.Corpus().Store().Precision(); got != store.Float32 {
 		t.Fatalf("fixture store precision %v, want Float32", got)
 	}
-	if !loaded.Config().Float32 {
-		t.Fatal("fixture lost the Float32 config")
+	if !loaded.RFS().Tree().Float32Scoring() {
+		t.Fatal("fixture's float32 rows are not scored by the float32 scorer")
 	}
 	fresh := importedF32System(t, 240, 16)
 	if loaded.Len() != fresh.Len() {

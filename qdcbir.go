@@ -90,23 +90,9 @@ type Config struct {
 	// full precision — a row is skipped only when its code distance proves it
 	// lies outside the current k-th distance. Results, node reads and page
 	// traces are bit-identical to the exact path. Weighted searches always
-	// use the exact path. Off by default.
+	// use the exact path. Off by default, and inert over a float32 corpus
+	// (see BuildFromSource), which the float32 scorer scans instead.
 	Quantized bool
-
-	// Float32 runs unweighted searches at float32 precision: the corpus rows
-	// narrow to a float32 mirror once at build time, queries narrow once per
-	// search, and the sweeps run the float32 batch kernels (half the memory
-	// traffic, twice the SIMD lanes of the float64 path). Unlike Quantized —
-	// which is an optimization whose results stay bit-identical to float64 —
-	// Float32 is a distinct documented result mode: distances round to
-	// float32, so neighbours whose float64 distances differ only below
-	// float32 resolution may swap ranks. Within the mode, results are
-	// deterministic across platforms, with and without SIMD acceleration.
-	// Float32 takes precedence over Quantized; weighted searches always use
-	// the exact float64 path. Off by default, and natural for imported
-	// float32 embedding corpora (see BuildFromSource), where narrowing loses
-	// nothing.
-	Float32 bool
 }
 
 // DefaultConfig returns the paper's full-scale configuration.
@@ -154,9 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DisplayCount <= 0 {
 		c.DisplayCount = d.DisplayCount
-	}
-	if c.Float32 {
-		c.Quantized = false // Float32 selects a precision; SQ8 serves the f64 path
 	}
 	return c
 }
@@ -219,9 +202,14 @@ func BuildContext(ctx context.Context, cfg Config) (*System, error) {
 // BuildFromSource constructs a system over externally supplied vectors — an
 // embedding file opened with source.File, or any other VectorSource — instead
 // of the synthetic corpus generator. The batch's labels (when present) become
-// the ground truth; its dimension becomes the system dimension. A float32-
-// native batch (.fvecs) pairs naturally with Config.Float32, which then scans
-// the imported values untouched.
+// the ground truth; its dimension becomes the system dimension. The batch's
+// backing is the corpus precision, chosen once here: a float32 batch (.fvecs,
+// or a batch narrowed with source.AtPrecision) is stored as float32 and its
+// unweighted searches score in float32 — distances round to float32, so
+// neighbours whose exact distances differ below float32 resolution may swap
+// ranks, deterministically on every platform — while a float64 batch is
+// stored and searched in float64, behind SQ8 when Config.Quantized is set.
+// Weighted searches always score in float64.
 func BuildFromSource(cfg Config, src source.VectorSource) (*System, error) {
 	return BuildFromSourceContext(context.Background(), cfg, src)
 }
@@ -276,12 +264,6 @@ func assemble(ctx context.Context, cfg Config, corpus *dataset.Corpus) (*System,
 		return nil, fmt.Errorf("qdcbir: rfs: %w", err)
 	}
 	quant := attachQuantizer(&cfg, corpus, structure, nil)
-	if cfg.Float32 {
-		// One corpus-side narrowing, shared by every scan consumer (the tree
-		// mirrors its own slab inside newEngine). For float32-native imported
-		// stores this aliases the original data — no copy, no rounding.
-		corpus.Store().MaterializeFloat32()
-	}
 	return &System{cfg: cfg, corpus: corpus, rfs: structure, engine: newEngine(cfg, structure), quant: quant}, nil
 }
 
@@ -289,10 +271,11 @@ func assemble(ctx context.Context, cfg Config, corpus *dataset.Corpus) (*System,
 // quantizer restored from an archive) is adopted when given, otherwise one
 // is trained in store order — the order Save persists. The tree receives a
 // slab-ordered copy of the codes. Quantization is a pure optimization: if
-// the corpus can't be quantized (e.g. non-finite features) the flag is
-// cleared and the system falls back to exact scoring.
+// the corpus can't be quantized (e.g. non-finite features) or is scored by
+// the float32 scorer, the flag is cleared and the system scores without it.
 func attachQuantizer(cfg *Config, corpus *dataset.Corpus, structure *rfs.Structure, qz *store.Quantized) *store.Quantized {
-	if !cfg.Quantized {
+	if !cfg.Quantized || structure.Tree().Float32Scoring() {
+		cfg.Quantized = false
 		return nil
 	}
 	var err error
@@ -316,7 +299,6 @@ func newEngine(cfg Config, structure *rfs.Structure) *core.Engine {
 		DisplayCount:      cfg.DisplayCount,
 		Parallelism:       cfg.Parallelism,
 		Quantized:         cfg.Quantized,
-		Float32:           cfg.Float32,
 	})
 }
 

@@ -118,7 +118,6 @@ func (sl *Slicer) Slice(ctx context.Context, index int) (*shard.Archive, error) 
 			Images:         n,
 			LocalImages:    len(globals),
 			Dim:            dim,
-			Precision:      scanPrecision(base),
 			Storage:        st.Precision().String(),
 			ArchiveVersion: shard.ArchiveVersion,
 			CorpusSig:      sl.sig,
@@ -142,18 +141,6 @@ func gatherRows[T float32 | float64](backing []T, dim int, globals, order []int)
 		out = append(out, backing[gid*dim:(gid+1)*dim]...)
 	}
 	return out
-}
-
-// scanPrecision tags the configuration's distance result mode: "f32" when
-// unweighted sweeps run the float32 kernels (Config.Float32), "f64"
-// otherwise. This is a property of the scan, not of the storage — a float32
-// mode over float64-native data still rounds every distance to float32, so
-// two fleets differing only in this tag must never merge.
-func scanPrecision(cfg Config) string {
-	if cfg.Float32 {
-		return "f32"
-	}
-	return "f64"
 }
 
 // OpenShard reads a shard archive and assembles the serving replica, whose

@@ -34,7 +34,7 @@ func TestOpenShardResidency(t *testing.T) {
 		}
 		batch.Labels[i] = fmt.Sprintf("c%02d", c)
 	}
-	sys, err := BuildFromSource(Config{Seed: 3, Float32: true, NodeCapacity: 40, RepFraction: 0.1}, batchSource{batch})
+	sys, err := BuildFromSource(Config{Seed: 3, NodeCapacity: 40, RepFraction: 0.1}, batchSource{batch})
 	if err != nil {
 		t.Fatal(err)
 	}

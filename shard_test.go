@@ -14,6 +14,7 @@ import (
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/shard"
 	"qdcbir/internal/source"
+	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -163,27 +164,33 @@ func assertResultsEqual(t *testing.T, tag string, want *core.Result, got *core.A
 // TestShardMergeEquivalence is the correctness anchor of the sharded tier:
 // over 1, 2, 4, and 8 shards, both the initial k-NN round and the §3.3/§3.4
 // finalize round merge to results byte-identical (IDs and distances) to the
-// single-node engine — in the default float64 mode, the SQ8 quantized mode,
-// and the float32 result mode.
+// single-node engine — over float64 rows, with and without SQ8, and over the
+// same corpus narrowed to float32 rows at import.
 func TestShardMergeEquivalence(t *testing.T) {
 	modes := []struct {
-		name   string
-		mutate func(*Config)
+		name  string
+		build func() (*System, error)
 	}{
-		{"f64", nil},
-		{"quantized", func(c *Config) { c.Quantized = true }},
-		{"f32", func(c *Config) { c.Float32 = true }},
+		{"f64", func() (*System, error) { return Build(shardTestConfig()) }},
+		{"quantized", func() (*System, error) {
+			cfg := shardTestConfig()
+			cfg.Quantized = true
+			return Build(cfg)
+		}},
+		{"f32", func() (*System, error) {
+			base, err := Build(shardTestConfig())
+			if err != nil {
+				return nil, err
+			}
+			return BuildFromSource(shardTestConfig(), source.AtPrecision(source.FromCorpus(base.Corpus()), store.Float32))
+		}},
 	}
 	relevant := []int{3, 9, 9, 12, 200, 201, 430, 430, 77}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			cfg := shardTestConfig()
-			if mode.mutate != nil {
-				mode.mutate(&cfg)
-			}
-			sys, err := Build(cfg)
+			sys, err := mode.build()
 			if err != nil {
-				t.Fatalf("Build: %v", err)
+				t.Fatalf("build: %v", err)
 			}
 			eng := sys.Engine()
 			ctx := context.Background()
@@ -244,38 +251,38 @@ type batchSource struct{ b *source.Batch }
 func (batchSource) Format() string                    { return "test-batch" }
 func (s batchSource) Vectors() (*source.Batch, error) { return s.b, nil }
 
-// precisionSystem rebuilds the shared fleet corpus under one storage/scan
-// combination: "f64" is the float64 build itself, "f32-native" imports the
-// rows narrowed to float32 and scans them at float32, "f32-scan-over-f64"
-// scans the float64 rows at float32, and "f32-storage-f64-scan" imports the
-// float32 rows but scans at float64.
+// precisionSystem rebuilds the shared fleet corpus through one import:
+// "f64" is the float64 build itself, "f32-native" imports the rows narrowed
+// to float32, and two imports convert the batch once on the way in, where
+// they once crossed a storage precision with the other scan precision:
+// "f32-scan-over-f64" narrows the float64 rows at import, and
+// "f32-storage-f64-scan" widens the float32 rows back at import.
 func precisionSystem(t *testing.T, mode string) *System {
 	t.Helper()
 	base := sharedShardSystem(t)
-	switch mode {
-	case "f64":
+	if mode == "f64" {
 		return base
+	}
+	var src source.VectorSource = source.FromCorpus(base.Corpus())
+	switch mode {
 	case "f32-scan-over-f64":
-		cfg := shardTestConfig()
-		cfg.Float32 = true
-		sys, err := Build(cfg)
-		if err != nil {
-			t.Fatalf("Build: %v", err)
+		src = source.AtPrecision(src, store.Float32)
+	case "f32-native", "f32-storage-f64-scan":
+		st := base.Corpus().Store()
+		batch := &source.Batch{
+			Dim:    st.Dim(),
+			Data32: vec.Narrow32(st.Backing(), nil),
+			Labels: make([]string, st.Len()),
 		}
-		return sys
+		for i := range batch.Labels {
+			batch.Labels[i] = base.SubconceptOf(i)
+		}
+		src = batchSource{batch}
+		if mode == "f32-storage-f64-scan" {
+			src = source.AtPrecision(src, store.Float64)
+		}
 	}
-	st := base.Corpus().Store()
-	batch := &source.Batch{
-		Dim:    st.Dim(),
-		Data32: vec.Narrow32(st.Backing(), nil),
-		Labels: make([]string, st.Len()),
-	}
-	for i := range batch.Labels {
-		batch.Labels[i] = base.SubconceptOf(i)
-	}
-	cfg := shardTestConfig()
-	cfg.Float32 = mode == "f32-native"
-	sys, err := BuildFromSource(cfg, batchSource{batch})
+	sys, err := BuildFromSource(shardTestConfig(), src)
 	if err != nil {
 		t.Fatalf("BuildFromSource: %v", err)
 	}
@@ -312,15 +319,23 @@ func TestShardMergeEquivalenceWeighted(t *testing.T) {
 }
 
 // TestShardPrecisionModes pins what a replica keeps of its rows against the
-// single node, in every storage/scan combination: PointInfo hands out each
-// row's float64 view bit for bit (a float32 row's exact widening), and a
-// global k-NN merges to the single-node answer.
+// single node, for every import of precisionSystem: the replicas store the
+// rows at the precision the import chose, PointInfo hands out each row's
+// float64 view bit for bit (a float32 row's exact widening), and a global
+// k-NN merges to the single-node answer.
 func TestShardPrecisionModes(t *testing.T) {
+	storage := map[string]string{"f64": "f64", "f32-native": "f32", "f32-scan-over-f64": "f32", "f32-storage-f64-scan": "f64"}
 	for _, mode := range []string{"f64", "f32-native", "f32-scan-over-f64", "f32-storage-f64-scan"} {
 		t.Run(mode, func(t *testing.T) {
 			sys := precisionSystem(t, mode)
 			fleet := fleetSearcher(buildFleet(t, sys, 3))
 			st := sys.Corpus().Store()
+			if got := fleet[0].Meta().Storage; got != storage[mode] || st.Precision().String() != got {
+				t.Fatalf("replicas store %s rows, the single node %v; want %s", got, st.Precision(), storage[mode])
+			}
+			if sys.RFS().Tree().Float32Scoring() != (st.Precision() == store.Float32) {
+				t.Fatalf("%v rows, float32 scorer installed = %v", st.Precision(), sys.RFS().Tree().Float32Scoring())
+			}
 			for id := 0; id < st.Len(); id++ {
 				owners := 0
 				for _, rep := range fleet {

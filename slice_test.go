@@ -51,7 +51,6 @@ func refSliceShard(sys *System, shards, index int) (*shard.Archive, error) {
 			Images:         n,
 			LocalImages:    len(globals),
 			Dim:            dim,
-			Precision:      scanPrecision(base),
 			Storage:        st.Precision().String(),
 			ArchiveVersion: shard.ArchiveVersion,
 			CorpusSig:      refCorpusSignature(sys, topo, shards),

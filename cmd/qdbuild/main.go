@@ -16,6 +16,7 @@
 //	qdbuild -out small.gob -images 1200 -categories 25 -capacity 24 -reps 0.2
 //	qdbuild -out emb.gob -import vectors.fvecs -f32
 //	qdbuild -out emb.gob -import labeled.csv -format csv
+//	qdbuild -upgrade old.gob -out new.gob   # rewrite an older static archive
 package main
 
 import (
@@ -49,9 +50,23 @@ func main() {
 		shards     = flag.Int("shards", 0, "also slice the build into N shard archives (<out>.shardI) for a qdrouter fleet")
 		shardIdx   = flag.Int("shard", -1, "with -shards: write only shard I's archive (rebuilds deterministically, for per-shard build farms)")
 		dynamic    = flag.Bool("dynamic", false, "write a dynamic segmented archive (v4): the build becomes one sealed segment and qdserve accepts online inserts/deletes against it")
+		upgrade    = flag.String("upgrade", "", "rewrite this static archive (any version this build reads) in the current format at -out, and build nothing")
 	)
 	flag.Parse()
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
+
+	if *upgrade != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "upgrade" && f.Name != "out" {
+				fatal(fmt.Errorf("-upgrade takes only -out, not -%s", f.Name))
+			}
+		})
+		if err := upgradeArchive(*upgrade, *out); err != nil {
+			fatal(err)
+		}
+		logWritten(log, *out)
+		return
+	}
 
 	if *shards < 0 || *shards == 1 {
 		fatal(fmt.Errorf("-shards must be 0 or >= 2, got %d", *shards))
@@ -185,6 +200,20 @@ func writeSlices(sys *qdcbir.System, out string, shards, only int, log *slog.Log
 			"local_images", a.Meta.LocalImages, "corpus_sig", fmt.Sprintf("%016x", a.Meta.CorpusSig))
 	}
 	return nil
+}
+
+// upgradeArchive loads the static archive at in and writes it to out in
+// the current format. LoadFile refuses a dynamic (version 4) archive, which
+// is not a static archive.
+func upgradeArchive(in, out string) error {
+	if filepath.Clean(in) == filepath.Clean(out) {
+		return fmt.Errorf("-upgrade %s: write the upgrade to another path, then replace the original", in)
+	}
+	sys, err := qdcbir.LoadFile(in)
+	if err != nil {
+		return fmt.Errorf("-upgrade %s: %w", in, err)
+	}
+	return sys.SaveFile(out)
 }
 
 func logWritten(log *slog.Logger, path string) {

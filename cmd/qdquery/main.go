@@ -136,7 +136,7 @@ func open(path string, seed int64, parallelism int, quantize bool, observer *obs
 		// They carry their own configuration (dimension, precision, quantizer),
 		// so the engine flags of this command don't apply to them.
 		if head, err := br.Peek(3); err == nil && head[0] == 0xD1 && head[1] == 'Q' && head[2] == 'D' {
-			sys, err := qdcbir.Load(br)
+			sys, err := qdcbir.LoadFile(path)
 			if err != nil {
 				return nil, fmt.Errorf("decode %s: %w", path, err)
 			}

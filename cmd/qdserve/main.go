@@ -74,27 +74,8 @@ func main() {
 		log.Error("load failed", "err", err)
 		os.Exit(1)
 	}
-	var srv *server.Server
-	switch {
-	case ld.replica != nil:
-		srv = server.NewShard(ld.replica, observer)
-		m := ld.replica.Meta()
-		log.Info("shard replica mode",
-			"shard", m.ShardIndex, "of", m.ShardCount,
-			"local_images", m.LocalImages, "corpus_images", m.Images,
-			"corpus_sig", fmt.Sprintf("%016x", m.CorpusSig))
-	case ld.dyn != nil:
-		srv = server.NewDynamic(ld.dyn, observer)
-		st := ld.dyn.Stats()
-		log.Info("dynamic ingest mode",
-			"epoch", st.Epoch, "segments", st.Segments, "mem_rows", st.MemRows,
-			"tombstones", st.Tombstones, "live", st.Live)
-	default:
-		srv = server.New(ld.eng, ld.label)
-	}
-	srv.SetLogger(log)
+	srv := newServer(ld, observer, log)
 	srv.SetQueryTimeout(*queryTO)
-	srv.SetArchiveInfo(ld.version, ld.precision, ld.quantized)
 	if *maxConc > 0 {
 		srv.SetScheduler(server.SchedConfig{
 			MaxConcurrent: *maxConc,
@@ -196,6 +177,32 @@ func logDigests(ctx context.Context, log *slog.Logger, o *obs.Observer, every ti
 	}
 }
 
+// newServer wraps what load opened in the server of its mode, which
+// reports the archive's provenance on /v1/buildinfo.
+func newServer(ld *loaded, observer *obs.Observer, log *slog.Logger) *server.Server {
+	var srv *server.Server
+	switch {
+	case ld.replica != nil:
+		srv = server.NewShard(ld.replica, observer)
+		m := ld.replica.Meta()
+		log.Info("shard replica mode",
+			"shard", m.ShardIndex, "of", m.ShardCount,
+			"local_images", m.LocalImages, "corpus_images", m.Images,
+			"corpus_sig", fmt.Sprintf("%016x", m.CorpusSig))
+	case ld.dyn != nil:
+		srv = server.NewDynamic(ld.dyn, observer)
+		st := ld.dyn.Stats()
+		log.Info("dynamic ingest mode",
+			"epoch", st.Epoch, "segments", st.Segments, "mem_rows", st.MemRows,
+			"tombstones", st.Tombstones, "live", st.Live)
+	default:
+		srv = server.New(ld.eng, ld.label)
+	}
+	srv.SetLogger(log)
+	srv.SetArchiveInfo(ld.version, ld.precision, ld.quantized)
+	return srv
+}
+
 // loaded is everything main needs from whichever archive flavor was opened.
 type loaded struct {
 	eng       *core.Engine
@@ -204,21 +211,8 @@ type loaded struct {
 	rasters   []*img.Image
 	replica   *shard.Replica // non-nil in shard-replica mode
 	version   int            // archive format version (0 = in-memory or legacy gob)
-	precision string         // "float64", "float32", or "sq8"
+	precision string         // the corpus precision: "f64" or "f32" (SQ8 is quantized)
 	quantized bool
-}
-
-// precisionTag names what unweighted searches score with: SQ8 codes in
-// front of float64 rows, or the rows at the precision they are stored at.
-func precisionTag(quantized bool, prec store.Precision) string {
-	switch {
-	case quantized:
-		return "sq8"
-	case prec == store.Float32:
-		return "float32"
-	default:
-		return "float64"
-	}
 }
 
 // load opens the database by sniffing the archive's magic header: a shard
@@ -245,7 +239,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 			return nil, err
 		}
 		return &loaded{
-			dyn: dyn, precision: precisionTag(dyn.Config().Quantized, dyn.DB().Precision()),
+			dyn: dyn, precision: dyn.DB().Precision().String(),
 			quantized: dyn.Config().Quantized,
 		}, nil
 	}
@@ -266,7 +260,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 		eng := core.NewEngine(structure, core.Config{Parallelism: parallelism, Observer: observer, Quantized: quantize})
 		return &loaded{
 			eng: eng, label: corpus.SubconceptOf, rasters: corpus.Images,
-			precision: precisionTag(quantize, store.Float64), quantized: quantize,
+			precision: store.Float64.String(), quantized: quantize,
 		}, nil
 	}
 	f, err := os.Open(path)
@@ -303,7 +297,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 			}
 			return &loaded{
 				dyn: dyn, version: v,
-				precision: precisionTag(dyn.Config().Quantized, dyn.DB().Precision()),
+				precision: dyn.DB().Precision().String(),
 				quantized: dyn.Config().Quantized,
 			}, nil
 		}
@@ -315,7 +309,7 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 		return &loaded{
 			eng: sys.Engine(), label: sys.SubconceptOf,
 			version:   v,
-			precision: precisionTag(sys.Quantized(), sys.Corpus().Store().Precision()),
+			precision: sys.Corpus().Store().Precision().String(),
 			quantized: sys.Quantized(),
 		}, nil
 	}
@@ -360,6 +354,6 @@ func load(path string, images int, seed int64, keepImages bool, parallelism int,
 	eng := core.NewEngine(structure, core.Config{Parallelism: parallelism, Observer: observer, Quantized: quantize})
 	return &loaded{
 		eng: eng, label: label,
-		precision: precisionTag(quantize, store.Float64), quantized: quantize,
+		precision: store.Float64.String(), quantized: quantize,
 	}, nil
 }

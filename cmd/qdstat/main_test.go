@@ -13,7 +13,7 @@ func routerSample(at time.Time, requests uint64) *sample {
 		kind: kindRouter,
 		at:   at,
 		build: buildInfoBody{
-			Images: 600, Shards: 3, Replicas: 4, Precision: "float32",
+			Images: 600, Shards: 3, Replicas: 4, Precision: "f32",
 		},
 		stats: statsBody{
 			Metrics: obs.Snapshot{
@@ -87,7 +87,7 @@ func TestRenderRouterFrame(t *testing.T) {
 	frame := render(cur, prev, "1m")
 	for _, want := range []string{
 		"qdstat — router",
-		"fleet: 3 shards, 4 replicas, 600 images (float32)   qps 25.0",
+		"fleet: 3 shards, 4 replicas, 600 images (f32)   qps 25.0",
 		"endpoint:/v1/knn",
 		"router:fanout",
 		"admission: 12 knn single-flight joins, 3 shard sheds observed  [OVERLOAD]",
@@ -122,7 +122,7 @@ func TestRenderDynamicEngineLine(t *testing.T) {
 			kind: kindServer,
 			at:   time.Now(),
 			build: buildInfoBody{
-				Images: 900, Precision: "float32",
+				Images: 900, Precision: "f32",
 				Dynamic: true, Epoch: 12, Segments: 5, MemRows: 137,
 				Tombstones: 100, Seals: 9, Compactions: compactions,
 			},
@@ -135,7 +135,7 @@ func TestRenderDynamicEngineLine(t *testing.T) {
 	frame := render(cur, prev, "1m")
 	for _, want := range []string{
 		"qdstat — replica",
-		"corpus: 900 images (float32)",
+		"corpus: 900 images (f32)",
 		"engine: epoch 12, 5 segments, 137 memtable rows, tombstones 10.0%, 9 seals, 4 compactions  [compacting]",
 	} {
 		if !strings.Contains(frame, want) {

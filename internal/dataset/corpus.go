@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -268,17 +269,8 @@ func BuildVectors(spec Spec, dim int, spread float64, seed int64) *Corpus {
 // the vector table (usually recovered from an RFS snapshot), and optional
 // per-channel vectors. It validates the result before returning.
 func Reassemble(infos []Info, vectors []vec.Vector, channels map[img.Channel][]vec.Vector) (*Corpus, error) {
-	c := &Corpus{
-		Infos:          infos,
-		Vectors:        vectors,
-		ChannelVectors: channels,
-		bySubconcept:   make(map[string][]int),
-		byCategory:     make(map[string][]int),
-	}
-	for _, info := range infos {
-		c.bySubconcept[info.Subconcept] = append(c.bySubconcept[info.Subconcept], info.ID)
-		c.byCategory[info.Category] = append(c.byCategory[info.Category], info.ID)
-	}
+	c := &Corpus{Infos: infos, Vectors: vectors, ChannelVectors: channels}
+	c.index()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -290,24 +282,62 @@ func Reassemble(infos []Info, vectors []vec.Vector, channels map[img.Channel][]v
 // flat feature store — an imported embedding batch or a decoded archive. The
 // store is adopted as-is, preserving its precision tag and any native
 // float32 backing, instead of being copied through FromVectors; the caller
-// must not mutate it afterwards. Channel vectors (an image-mode concept)
-// don't apply to adopted stores.
+// must not mutate it afterwards.
 func ReassembleStore(infos []Info, st *store.FeatureStore) (*Corpus, error) {
-	c := &Corpus{
-		Infos:        infos,
-		Vectors:      st.Views(),
-		bySubconcept: make(map[string][]int),
-		byCategory:   make(map[string][]int),
-	}
-	for _, info := range infos {
-		c.bySubconcept[info.Subconcept] = append(c.bySubconcept[info.Subconcept], info.ID)
-		c.byCategory[info.Category] = append(c.byCategory[info.Category], info.ID)
+	return ReassembleStores(infos, st, nil)
+}
+
+// ReassembleStores is ReassembleStore with MV colour channels: channels maps
+// each channel to the store of its rows, adopted as-is like st; the original
+// channel, when listed, is st itself. A nil map means no channels.
+func ReassembleStores(infos []Info, st *store.FeatureStore, channels map[img.Channel]*store.FeatureStore) (*Corpus, error) {
+	c := &Corpus{Infos: infos, Vectors: st.Views(), store: st}
+	c.index()
+	if channels != nil {
+		c.ChannelVectors = make(map[img.Channel][]vec.Vector, len(channels))
+		c.channelStores = make(map[img.Channel]*store.FeatureStore, len(channels))
+		for ch, cst := range channels {
+			if ch == img.ChannelOriginal {
+				cst = st
+			}
+			if cst.Len() != st.Len() || cst.Dim() != st.Dim() {
+				return nil, fmt.Errorf("dataset: channel %v holds %d rows of dim %d, the corpus %d of dim %d",
+					ch, cst.Len(), cst.Dim(), st.Len(), st.Dim())
+			}
+			c.channelStores[ch] = cst
+			c.ChannelVectors[ch] = cst.Views()
+		}
+		if _, ok := channels[img.ChannelOriginal]; ok {
+			c.ChannelVectors[img.ChannelOriginal] = c.Vectors
+		}
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	c.store = st
 	return c, nil
+}
+
+// index builds the subconcept and category lists from the infos, each in
+// info order, carved from one array sized by a counting pass.
+func (c *Corpus) index() {
+	subN, catN := make(map[string]int), make(map[string]int)
+	for _, info := range c.Infos {
+		subN[info.Subconcept]++
+		catN[info.Category]++
+	}
+	ids := make([]int, 0, 2*len(c.Infos))
+	lists := func(counts map[string]int) map[string][]int {
+		m := make(map[string][]int, len(counts))
+		for k, n := range counts {
+			m[k], ids = ids[len(ids):len(ids):len(ids)+n], ids[:len(ids)+n]
+		}
+		return m
+	}
+	c.bySubconcept, c.byCategory = lists(subN), lists(catN)
+	for _, info := range c.Infos {
+		c.bySubconcept[info.Subconcept] = append(c.bySubconcept[info.Subconcept], info.ID)
+		c.byCategory[info.Category] = append(c.byCategory[info.Category], info.ID)
+	}
 }
 
 // Len returns the number of images in the corpus.
@@ -377,7 +407,9 @@ func (c *Corpus) GroundTruthSize(q Query) int {
 }
 
 // Validate checks internal consistency (index maps vs infos, vector count,
-// contiguous IDs) and returns the first problem found.
+// contiguous IDs) and returns the first problem found. It is one pass over
+// the infos and one over the subconcept index, whose lists every
+// constructor builds in ascending ID order.
 func (c *Corpus) Validate() error {
 	if len(c.Vectors) != len(c.Infos) {
 		return fmt.Errorf("dataset: %d vectors for %d infos", len(c.Vectors), len(c.Infos))
@@ -386,23 +418,31 @@ func (c *Corpus) Validate() error {
 		if info.ID != i {
 			return fmt.Errorf("dataset: info %d has ID %d", i, info.ID)
 		}
-		found := false
-		for _, id := range c.bySubconcept[info.Subconcept] {
-			if id == i {
-				found = true
-				break
+	}
+	// Every listed ID is in range, listed under its own label and listed
+	// after a smaller one, so no image is listed twice; if the lists then
+	// hold as many entries as there are images, none is missing.
+	var indexed int
+	for key, ids := range c.bySubconcept {
+		for j, id := range ids {
+			switch {
+			case id < 0 || id >= len(c.Infos):
+				return fmt.Errorf("dataset: subconcept index %q lists unknown image %d", key, id)
+			case c.Infos[id].Subconcept != key:
+				return fmt.Errorf("dataset: image %d listed under subconcept %q, labeled %q", id, key, c.Infos[id].Subconcept)
+			case j > 0 && id <= ids[j-1]:
+				return fmt.Errorf("dataset: subconcept index %q lists image %d after image %d", key, id, ids[j-1])
 			}
 		}
-		if !found {
-			return fmt.Errorf("dataset: image %d missing from subconcept index %q", i, info.Subconcept)
-		}
-	}
-	var indexed int
-	for _, ids := range c.bySubconcept {
 		indexed += len(ids)
 	}
 	if indexed != len(c.Infos) {
-		return fmt.Errorf("dataset: subconcept index holds %d entries for %d images", indexed, len(c.Infos))
+		for i, info := range c.Infos {
+			if _, found := slices.BinarySearch(c.bySubconcept[info.Subconcept], i); !found {
+				return fmt.Errorf("dataset: image %d missing from subconcept index %q", i, info.Subconcept)
+			}
+		}
+		return fmt.Errorf("dataset: subconcept index holds %d entries for %d images", indexed, len(c.Infos)) // unreachable
 	}
 	return nil
 }

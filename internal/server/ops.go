@@ -27,8 +27,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // BuildInfoResponse identifies the running binary and the corpus it serves,
 // including archive provenance: which on-disk format version the corpus was
-// loaded from and the scan precision it runs at ("float64", "float32", or
-// "sq8"). The router's fleet verification reads these to refuse
+// loaded from, the precision its rows are stored and scanned at ("f64" or
+// "f32", in every mode), and whether SQ8 codes filter its float64 scans
+// (quantized). The router's fleet verification reads these to refuse
 // mixed-precision fleets, whose distances would not merge bit-identically.
 type BuildInfoResponse struct {
 	GoVersion      string `json:"go_version"`

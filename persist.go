@@ -3,18 +3,20 @@ package qdcbir
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
+	"qdcbir/internal/archive"
 	"qdcbir/internal/dataset"
 	"qdcbir/internal/feature"
 	"qdcbir/internal/img"
 	"qdcbir/internal/rfs"
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/store"
-	"qdcbir/internal/vec"
 )
 
 // Versioned archives open with a 4-byte header: the 3-byte family prefix
@@ -27,15 +29,16 @@ var archivePrefix = [3]byte{0xD1, 'Q', 'D'}
 
 // Archive versions this build reads (Save always writes the newest).
 const (
-	archiveVersionV1  = 1 // flat feature store, point-free RFS topology
-	archiveVersionV2  = 2 // v1 plus the optional SQ8 quantizer sidecar
-	archiveVersionV3  = 3 // v2 plus the store precision and a native float32 backing
+	archiveVersionV1  = 1 // flat feature store, point-free RFS topology (gob)
+	archiveVersionV2  = 2 // v1 plus the optional SQ8 quantizer sidecar (gob)
+	archiveVersionV3  = 3 // v2 plus the store precision and a native float32 backing (gob)
 	archiveVersionV4  = 4 // dynamic segmented archive (Dynamic.Save / LoadDynamic)
-	archiveVersionMax = archiveVersionV3
+	archiveVersionV5  = 5 // flat checksummed sections (internal/archive)
+	archiveVersionMax = archiveVersionV5
 )
 
 // ArchiveVersionCurrent is the archive format version Save writes.
-const ArchiveVersionCurrent = archiveVersionMax
+const ArchiveVersionCurrent = archiveVersionV5
 
 // DynamicArchiveVersion is the archive format version Dynamic.Save writes.
 // Dynamic archives share the 4-byte header family with static archives but
@@ -62,139 +65,106 @@ func archiveHeader(version byte) []byte {
 	return []byte{archivePrefix[0], archivePrefix[1], archivePrefix[2], version}
 }
 
-// archive is the version-0 gob wire format for a whole System, kept so
-// archives written before the flat feature store still load. It stores every
-// corpus vector twice (once in the RFS snapshot's point table, once inside
-// the tree's leaf items) and the original colour channel a third time inside
-// ChannelVectors.
-type archive struct {
-	Cfg            Config
-	Infos          []dataset.Info
-	RFS            *rfs.Snapshot
-	ChannelVectors map[img.Channel][]vec.Vector
-	NormMin        vec.Vector // extractor state (min-max normalizer)
-	NormMax        vec.Vector
+// magicV5 opens a version-5 archive, an internal/archive container.
+var magicV5 = [4]byte{archivePrefix[0], archivePrefix[1], archivePrefix[2], archiveVersionV5}
+
+// The sections of a version-5 archive. rows holds the corpus rows at the
+// store's precision; chanN holds MV colour channel N's rows (float64; the
+// original channel is rows itself). norm, the chanN and the sq8 pair are
+// present only when the system has them.
+const (
+	secMeta      = "meta"       // metaV5 as JSON
+	secLabels    = "labels"     // each row's index into metaV5.Labels
+	secTopo      = "topo"       // tree shape, leaf IDs and representatives, pre-order
+	secNorm      = "norm"       // feature normalizer: mins, then maxs (float64)
+	secSQ8Bounds = "sq8.bounds" // quantizer: mins, then maxs (float64)
+	secRows      = "rows"
+	secSQ8Codes  = "sq8.codes" // quantizer codes, store order
+)
+
+func chanSection(ch img.Channel) string { return fmt.Sprintf("chan%d", ch) }
+
+// metaV5 is the small, self-describing part of a version-5 archive.
+type metaV5 struct {
+	Config    Config
+	Rows      int
+	Dim       int
+	Precision string        // "f64" or "f32"
+	Channels  []img.Channel `json:",omitempty"` // MV channels, original included; nil without
+	Labels    [][2]string   // distinct (category, subconcept) pairs; the labels section indexes them
+	RFS       rfs.BuildConfig
+	Tree      rstar.Config
+	FromBulk  bool
+	SQ8Clean  bool `json:",omitempty"`
 }
 
-// archiveV1 is the version-1 wire format: the corpus feature vectors travel
-// once, as the flat store's backing array, and the RFS hierarchy travels
-// point-free (leaf item IDs only). Channels holds the backing arrays of the
-// derived colour channels; the original channel is the main Points array and
-// is re-aliased on load rather than stored again.
-type archiveV1 struct {
-	Cfg         Config
-	Infos       []dataset.Info
-	Dim         int
-	Points      []float64
-	HasChannels bool
-	Channels    map[img.Channel][]float64
-	RFS         *rfs.TopologySnapshot
-	NormMin     vec.Vector // extractor state (min-max normalizer)
-	NormMax     vec.Vector
+// sectionError names the archive section a decoding step failed in.
+func sectionError(name, format string, args ...any) error {
+	return &archive.Error{Section: name, Err: fmt.Errorf(format, args...)}
 }
 
-// archiveV2 is the current wire format: every archiveV1 field (same names,
-// same encodings — gob matches fields by name, so a v1 payload decodes into
-// this struct with Quant left nil) plus the optional SQ8 quantizer of a
-// Config.Quantized system, persisted so loads skip retraining.
-type archiveV2 struct {
-	Cfg         Config
-	Infos       []dataset.Info
-	Dim         int
-	Points      []float64
-	HasChannels bool
-	Channels    map[img.Channel][]float64
-	RFS         *rfs.TopologySnapshot
-	NormMin     vec.Vector // extractor state (min-max normalizer)
-	NormMax     vec.Vector
-	Quant       *store.QuantParts // nil unless the system is quantized
-}
-
-// archiveV3 is the current wire format: every archiveV2 field (same names,
-// same encodings) plus the corpus store's precision tag. A float32-precision
-// store — an imported float32 embedding corpus — persists its rows once, in
-// the native Points32 backing (half the bytes, no rounding), leaving Points
-// nil; a float64 store persists Points exactly as version 2 did, leaving
-// Points32 nil. Gob's field-by-name matching means v1 and v2 payloads decode
-// into this struct with Precision empty, which reads as float64.
-type archiveV3 struct {
-	Cfg         Config
-	Infos       []dataset.Info
-	Dim         int
-	Points      []float64
-	HasChannels bool
-	Channels    map[img.Channel][]float64
-	RFS         *rfs.TopologySnapshot
-	NormMin     vec.Vector // extractor state (min-max normalizer)
-	NormMax     vec.Vector
-	Quant       *store.QuantParts // nil unless the system is quantized
-	Precision   string            // store precision ("f64", "f32"; "" = f64)
-	Points32    []float32         // store backing of an "f32" archive; Points is nil
-}
-
-// archiveBody captures the system's persistent state in the version-1
-// layout, which versions 2 and 3 extend field-for-field.
-func (s *System) archiveBody() archiveV1 {
-	st := s.corpus.Store()
-	a := archiveV1{
-		Cfg:         s.cfg,
-		Infos:       s.corpus.Infos,
-		Dim:         st.Dim(),
-		Points:      st.Backing(),
-		HasChannels: s.corpus.ChannelVectors != nil,
-		RFS:         s.rfs.TopologySnapshot(),
-	}
-	for ch, cst := range s.corpus.ChannelStores() {
-		if ch == img.ChannelOriginal {
-			continue // aliases the main store; re-aliased on load
-		}
-		if a.Channels == nil {
-			a.Channels = make(map[img.Channel][]float64)
-		}
-		a.Channels[ch] = cst.Backing()
-	}
-	if s.corpus.Extractor != nil {
-		min, max := s.corpus.Extractor.NormalizerBounds()
-		a.NormMin, a.NormMax = min, max
-	}
-	return a
-}
-
-// Save persists the system to w in the version-3 format: a 4-byte header
-// followed by the gob-encoded archiveV3. Ground truth, configuration, the
-// feature normalizer, the store precision, and (for quantized systems) the
-// SQ8 quantizer travel alongside the store backing and the point-free RFS
-// topology, so a Load-ed system answers queries identically. A system saved
-// from an older archive upgrades to version 3 on the next Save.
+// Save persists the system to w as a version-5 archive: the 4-byte header
+// opens an internal/archive container whose sections carry the metadata
+// (configuration, dimension, precision), the ground-truth labels, the
+// point-free RFS topology, the feature normalizer, the corpus rows at their
+// native precision, the MV channel rows and, for a quantized system, the
+// SQ8 quantizer — so a Load-ed system answers queries identically. Only the
+// small sections are built in memory; the rows, channels and codes are
+// written straight from their backing arrays. A system loaded from an older
+// archive is written as version 5.
 func (s *System) Save(w io.Writer) error {
-	body := s.archiveBody()
 	st := s.corpus.Store()
-	a := archiveV3{
-		Cfg:         body.Cfg,
-		Infos:       body.Infos,
-		Dim:         body.Dim,
-		Points:      body.Points,
-		HasChannels: body.HasChannels,
-		Channels:    body.Channels,
-		RFS:         body.RFS,
-		NormMin:     body.NormMin,
-		NormMax:     body.NormMax,
-		Precision:   st.Precision().String(),
+	topo := s.rfs.TopologySnapshot()
+	m := metaV5{
+		Config: s.cfg, Rows: st.Len(), Dim: st.Dim(), Precision: st.Precision().String(),
+		RFS: topo.Cfg, Tree: topo.Tree.Cfg, FromBulk: topo.Tree.FromBulk,
 	}
-	if st.Precision() == store.Float32 {
-		// Persist the native rows once; the float64 view is rebuilt by exact
-		// widening on load.
-		a.Points, a.Points32 = nil, st.Backing32()
+	for ch := range s.corpus.ChannelStores() {
+		m.Channels = append(m.Channels, ch)
+	}
+	slices.Sort(m.Channels)
+	var quant store.QuantParts
+	if s.quant != nil {
+		quant = s.quant.Parts()
+		m.SQ8Clean = quant.Clean
+	}
+	var labels []byte
+	var err error
+	if m.Labels, labels, err = encodeLabels(s.corpus.Infos); err != nil {
+		return err
+	}
+	meta, err := json.Marshal(&m)
+	if err != nil {
+		return fmt.Errorf("qdcbir: encode meta: %w", err)
+	}
+	// The small sections first, then the rows, channels and codes.
+	secs := []archive.Section{
+		archive.Bytes(secMeta, meta),
+		archive.Bytes(secLabels, labels),
+		archive.Bytes(secTopo, encodeTopology(topo)),
+	}
+	if ex := s.corpus.Extractor; ex != nil {
+		min, max := ex.NormalizerBounds()
+		secs = append(secs, archive.Float64s(secNorm, append(min, max...)))
 	}
 	if s.quant != nil {
-		parts := s.quant.Parts()
-		a.Quant = &parts
+		secs = append(secs, archive.Float64s(secSQ8Bounds, append(slices.Clip(quant.Mins), quant.Maxs...)))
 	}
-	if _, err := w.Write(archiveHeader(archiveVersionV3)); err != nil {
-		return fmt.Errorf("qdcbir: write header: %w", err)
+	if st.Precision() == store.Float32 {
+		secs = append(secs, archive.Float32s(secRows, st.Backing32()))
+	} else {
+		secs = append(secs, archive.Float64s(secRows, st.Backing()))
 	}
-	if err := gob.NewEncoder(w).Encode(&a); err != nil {
-		return fmt.Errorf("qdcbir: encode: %w", err)
+	for _, ch := range m.Channels {
+		if ch != img.ChannelOriginal {
+			secs = append(secs, archive.Float64s(chanSection(ch), s.corpus.ChannelStores()[ch].Backing()))
+		}
+	}
+	if s.quant != nil {
+		secs = append(secs, archive.Bytes(secSQ8Codes, quant.Codes))
+	}
+	if err := archive.Write(w, magicV5, secs...); err != nil {
+		return fmt.Errorf("qdcbir: %w", err)
 	}
 	return nil
 }
@@ -214,25 +184,58 @@ func (s *System) SaveFile(path string) error {
 
 // SaveFileAsync starts writing what SaveFile writes to path on another
 // goroutine and returns a function that waits for it and returns its error.
-// gob numbers types process-wide in the order they are first encoded, so the
-// archive's types are numbered before SaveFileAsync returns: another archive
-// written meanwhile (a shard slice) gets the same numbers, and the same
-// bytes, as if it were written after this one.
 func (s *System) SaveFileAsync(path string) (wait func() error) {
-	if err := gob.NewEncoder(io.Discard).Encode(&archiveV3{}); err != nil {
-		panic(fmt.Sprintf("qdcbir: register archive types: %v", err)) // unreachable
-	}
 	done := make(chan error, 1)
 	go func() { done <- s.SaveFile(path) }()
 	return func() error { return <-done }
 }
 
-// Load reconstructs a system persisted by Save. Every archive version this
-// build knows — the current version 3, versions 1 and 2, and the header-less
-// version-0 gob format — is accepted; the version is detected from the first
-// bytes of the stream. A headered archive of an unknown version is rejected
-// with an error naming the on-disk version and the supported range.
+// Load reconstructs a system persisted by Save. Every static archive
+// version this build knows — the current version 5, the gob versions 1
+// through 3, and the header-less version-0 gob format — is accepted; the
+// version is detected from the first bytes of the stream. A headered archive
+// of an unknown version is rejected with an error naming the on-disk version
+// and the supported range.
 func Load(r io.Reader) (*System, error) {
+	return load(r, streamLen(r))
+}
+
+// LoadFile reconstructs a system from a file written by SaveFile. A
+// version-5 archive is read into one buffer of the file's size.
+func LoadFile(path string) (*System, error) {
+	f, size, err := openSized(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return load(f, size)
+}
+
+// streamLen returns the bytes left in r when r tells them (a bytes.Reader
+// or bytes.Buffer does), and -1 otherwise.
+func streamLen(r io.Reader) int64 {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return int64(l.Len())
+	}
+	return -1
+}
+
+// openSized opens the file at path and returns its length.
+func openSized(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
+}
+
+// load is Load over a stream of size bytes (negative when unknown).
+func load(r io.Reader, size int64) (*System, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
 	if len(head) == 0 || head[0] != archivePrefix[0] {
@@ -246,12 +249,13 @@ func Load(r io.Reader) (*System, error) {
 	if !bytes.Equal(head[:3], archivePrefix[:]) {
 		return nil, fmt.Errorf("qdcbir: corrupt archive header % x: want prefix % x", head, archivePrefix)
 	}
-	version := head[3]
-	if version == archiveVersionV4 {
+	switch version := head[3]; {
+	case version == archiveVersionV5:
+		return loadV5(br, size)
+	case version == archiveVersionV4:
 		return nil, fmt.Errorf("qdcbir: archive version %d is a dynamic segmented archive: load it with LoadDynamic", version)
-	}
-	if version < archiveVersionV1 || version > archiveVersionMax {
-		return nil, fmt.Errorf("qdcbir: archive version %d unsupported: this build reads versions 0 through %d (version 0 archives are header-less)",
+	case version < archiveVersionV1 || version > archiveVersionMax:
+		return nil, fmt.Errorf("qdcbir: archive version %d unsupported: this build reads versions 0 through %d (version 0 archives are header-less; version 4 is dynamic)",
 			version, archiveVersionMax)
 	}
 	if _, err := br.Discard(4); err != nil {
@@ -263,118 +267,330 @@ func Load(r io.Reader) (*System, error) {
 	return loadStoreBacked(br)
 }
 
-// loadStoreBacked decodes the store-backed formats (versions 1-3): the
-// corpus adopts the decoded backing array — at the persisted precision for a
-// version-3 archive — and the RFS structure is rebuilt over the corpus
-// store's row views. A quantizer sidecar, when present, is validated and
-// adopted so the loaded system scans quantized without retraining.
-func loadStoreBacked(r io.Reader) (*System, error) {
-	var a archiveV3
-	if err := gob.NewDecoder(r).Decode(&a); err != nil {
-		return nil, fmt.Errorf("qdcbir: decode: %w", err)
-	}
-	prec, err := store.ParsePrecision(a.Precision)
+// loadV5 reads and verifies a version-5 archive, then builds the system
+// from its sections. The rows (and SQ8 codes) alias the archive's buffer on
+// a little-endian host.
+func loadV5(r io.Reader, size int64) (*System, error) {
+	f, err := archive.Read(r, magicV5, size)
 	if err != nil {
-		return nil, fmt.Errorf("qdcbir: corpus store: %w", err)
+		return nil, fmt.Errorf("qdcbir: %w", err)
 	}
-	var main *store.FeatureStore
-	if prec == store.Float32 {
-		if a.Points != nil {
-			return nil, fmt.Errorf("qdcbir: corpus store: float32 archive carries %d float64 points", len(a.Points))
-		}
-		main, err = store.FromBacking32(a.Dim, a.Points32)
-	} else {
-		if a.Points32 != nil {
-			return nil, fmt.Errorf("qdcbir: corpus store: float64 archive carries %d float32 points", len(a.Points32))
-		}
-		main, err = store.FromBacking(a.Dim, a.Points)
-	}
+	parts, err := decodeV5(f)
 	if err != nil {
-		return nil, fmt.Errorf("qdcbir: corpus store: %w", err)
+		return nil, fmt.Errorf("qdcbir: %w", err)
 	}
-	var corpus *dataset.Corpus
-	if prec == store.Float32 {
-		// Channels are an image-mode concept; float32 stores come from
-		// imported vectors, so the store is adopted directly (keeping the
-		// native backing) and there are no channels to rebuild.
-		corpus, err = dataset.ReassembleStore(a.Infos, main)
-	} else {
-		vectors := main.Views()
-		var channelVectors map[img.Channel][]vec.Vector
-		if a.HasChannels {
-			channelVectors = map[img.Channel][]vec.Vector{
-				img.ChannelOriginal: vectors,
-			}
-			for ch, backing := range a.Channels {
-				cst, err := store.FromBacking(a.Dim, backing)
-				if err != nil {
-					return nil, fmt.Errorf("qdcbir: channel %v store: %w", ch, err)
-				}
-				channelVectors[ch] = cst.Views()
-			}
-		}
-		corpus, err = dataset.Reassemble(a.Infos, vectors, channelVectors)
-	}
+	return assembleLoaded(parts.cfg, parts.corpus, parts.rfs, parts.quant)
+}
+
+// decodeV5 decodes the sections of a verified archive into the parts of a
+// system, which assembleLoaded then wires.
+func decodeV5(f *archive.File) (*System, error) {
+	raw, err := f.Bytes(secMeta)
 	if err != nil {
 		return nil, err
 	}
-	if a.NormMin != nil {
-		corpus.Extractor = feature.NewExtractorFromBounds(a.NormMin, a.NormMax)
+	var m metaV5
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return nil, sectionError(secMeta, "%v", err)
 	}
-	structure, err := rfs.FromTopologySnapshot(a.RFS, corpus.Store())
+	prec, err := store.ParsePrecision(m.Precision)
+	if err != nil || m.Dim < 1 || m.Rows < 1 || (prec == store.Float32 && m.Channels != nil) {
+		return nil, sectionError(secMeta, "%d rows of dim %d at precision %q with channels %v", m.Rows, m.Dim, m.Precision, m.Channels)
+	}
+	// rows checks that a float section read without error holds m.Rows rows.
+	rows := func(name string, n int, err error) error {
+		if err == nil && (n%m.Dim != 0 || n/m.Dim != m.Rows) {
+			err = sectionError(name, "%d values for %d rows of dim %d", n, m.Rows, m.Dim)
+		}
+		return err
+	}
+	var main *store.FeatureStore
+	if prec == store.Float32 {
+		v, err := f.Float32s(secRows)
+		if err := rows(secRows, len(v), err); err != nil {
+			return nil, err
+		}
+		main, _ = store.FromBacking32(m.Dim, v)
+	} else {
+		v, err := f.Float64s(secRows)
+		if err := rows(secRows, len(v), err); err != nil {
+			return nil, err
+		}
+		main, _ = store.FromBacking(m.Dim, v)
+	}
+	var channels map[img.Channel]*store.FeatureStore
+	for _, ch := range m.Channels {
+		if channels == nil {
+			channels = make(map[img.Channel]*store.FeatureStore, len(m.Channels))
+		}
+		if ch == img.ChannelOriginal {
+			channels[ch] = main
+			continue
+		}
+		v, err := f.Float64s(chanSection(ch))
+		if err := rows(chanSection(ch), len(v), err); err != nil {
+			return nil, err
+		}
+		channels[ch], _ = store.FromBacking(m.Dim, v)
+	}
+	if raw, err = f.Bytes(secLabels); err != nil {
+		return nil, err
+	}
+	infos, err := decodeLabels(m.Labels, raw, m.Rows)
+	if err != nil {
+		return nil, err
+	}
+	corpus, err := dataset.ReassembleStores(infos, main, channels)
+	if err != nil {
+		return nil, err
+	}
+	if f.Has(secNorm) {
+		bounds, err := f.Float64s(secNorm)
+		if err == nil && len(bounds)%2 != 0 {
+			err = sectionError(secNorm, "%d values do not split into mins and maxs", len(bounds))
+		}
+		if err != nil {
+			return nil, err
+		}
+		corpus.Extractor = feature.NewExtractorFromBounds(bounds[:len(bounds)/2], bounds[len(bounds)/2:])
+	}
+	if raw, err = f.Bytes(secTopo); err != nil {
+		return nil, err
+	}
+	topo, err := decodeTopology(raw, &m)
+	if err != nil {
+		return nil, err
+	}
+	structure, err := rfs.FromTopologySnapshot(topo, corpus.Store())
 	if err != nil {
 		return nil, err
 	}
 	var qz *store.Quantized
-	if a.Quant != nil {
-		qz, err = store.FromParts(*a.Quant)
+	if f.Has(secSQ8Codes) {
+		codes, _ := f.Bytes(secSQ8Codes)
+		bounds, err := f.Float64s(secSQ8Bounds)
+		if err == nil && (len(bounds) != 2*m.Dim || len(codes) != m.Rows*m.Dim) {
+			err = sectionError(secSQ8Codes, "%d codes and %d bounds for %d rows of dim %d", len(codes), len(bounds), m.Rows, m.Dim)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("qdcbir: quantizer: %w", err)
+			return nil, err
+		}
+		if qz, err = store.FromQuantParts(m.Dim, codes, bounds[:m.Dim], bounds[m.Dim:], m.SQ8Clean); err != nil {
+			return nil, fmt.Errorf("quantizer: %w", err)
 		}
 	}
-	return assembleLoaded(a.Cfg, corpus, structure, qz)
+	return &System{cfg: m.Config, corpus: corpus, rfs: structure, quant: qz}, nil
 }
 
-// loadV0 decodes the legacy gob format. The duplicated original channel in
-// old archives is discarded in favour of an alias when the corpus adopts its
-// feature store, so version-0 archives load into exactly the deduplicated
-// in-memory layout that version-1 archives produce.
-func loadV0(r io.Reader) (*System, error) {
-	var a archive
-	if err := gob.NewDecoder(r).Decode(&a); err != nil {
-		return nil, fmt.Errorf("qdcbir: decode: %w", err)
+// encodeLabels returns the distinct (category, subconcept) pairs of infos,
+// in order of first appearance, and the labels section: each row's pair
+// index, in 1, 2 or 4 little-endian bytes as the pair count requires.
+func encodeLabels(infos []dataset.Info) ([][2]string, []byte, error) {
+	index := make(map[[2]string]int)
+	var table [][2]string
+	for i, in := range infos {
+		if in.ID != i {
+			return nil, nil, fmt.Errorf("qdcbir: encode labels: info %d has ID %d", i, in.ID)
+		}
+		if p := [2]string{in.Category, in.Subconcept}; index[p] == 0 {
+			table = append(table, p)
+			index[p] = len(table) // 1-based, so 0 reads as absent
+		}
 	}
-	structure, err := rfs.FromSnapshot(a.RFS)
-	if err != nil {
-		return nil, err
+	width := labelWidth(len(table))
+	le := binary.LittleEndian
+	b := make([]byte, 0, width*len(infos))
+	for _, in := range infos {
+		k := index[[2]string{in.Category, in.Subconcept}] - 1
+		switch width {
+		case 1:
+			b = append(b, byte(k))
+		case 2:
+			b = le.AppendUint16(b, uint16(k))
+		default:
+			b = le.AppendUint32(b, uint32(k))
+		}
 	}
-	corpus, err := dataset.Reassemble(a.Infos, vectorsOf(structure), a.ChannelVectors)
-	if err != nil {
-		return nil, err
-	}
-	if a.NormMin != nil {
-		corpus.Extractor = feature.NewExtractorFromBounds(a.NormMin, a.NormMax)
-	}
-	return assembleLoaded(a.Cfg, corpus, structure, nil)
+	return table, b, nil
 }
 
-// LoadFile reconstructs a system from a file written by SaveFile.
-func LoadFile(path string) (*System, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// labelWidth is the bytes of a row's index into n label pairs.
+func labelWidth(n int) int {
+	switch {
+	case n > 1<<16:
+		return 4
+	case n > 1<<8:
+		return 2
 	}
-	defer f.Close()
-	return Load(f)
+	return 1
 }
 
-// vectorsOf extracts the dense vector table from a reconstructed structure.
-func vectorsOf(s *rfs.Structure) []vec.Vector {
-	out := make([]vec.Vector, s.Len())
-	for i := range out {
-		out[i] = s.Point(rstar.ItemID(i))
+// decodeLabels builds rows infos from the pair table and the labels
+// section. Every row shares its pair's strings; none is allocated per row.
+func decodeLabels(table [][2]string, idx []byte, rows int) ([]dataset.Info, error) {
+	width := labelWidth(len(table))
+	if len(idx) != width*rows {
+		return nil, sectionError(secLabels, "%d bytes for %d rows of %d-byte indexes", len(idx), rows, width)
 	}
-	return out
+	le := binary.LittleEndian
+	infos := make([]dataset.Info, rows)
+	for i := range infos {
+		var k int
+		switch width {
+		case 1:
+			k = int(idx[i])
+		case 2:
+			k = int(le.Uint16(idx[2*i:]))
+		default:
+			k = int(le.Uint32(idx[4*i:]))
+		}
+		if k >= len(table) {
+			return nil, sectionError(secLabels, "row %d has label %d of %d", i, k, len(table))
+		}
+		infos[i] = dataset.Info{ID: i, Category: table[k][0], Subconcept: table[k][1]}
+	}
+	return infos, nil
+}
+
+// encodeTopology writes the topo section as uint32 words: the node count;
+// per node in pre-order, its entry count shifted left once, or'ed with 1 for
+// a leaf (a leaf's entries are item IDs, an internal node's its children);
+// every leaf's item IDs in pre-order; per node its representative count;
+// and every node's representative IDs in pre-order.
+func encodeTopology(t *rfs.TopologySnapshot) []byte {
+	var nodes []*rstar.TopologyNode
+	var walk func(n *rstar.TopologyNode)
+	walk = func(n *rstar.TopologyNode) {
+		nodes = append(nodes, n)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(t.Tree.Root)
+	words := 1 + 2*len(nodes)
+	for i, n := range nodes {
+		words += len(n.IDs) + len(t.RepsPreorder[i])
+	}
+	le := binary.LittleEndian
+	b := le.AppendUint32(make([]byte, 0, 4*words), uint32(len(nodes)))
+	for _, n := range nodes {
+		if n.Leaf {
+			b = le.AppendUint32(b, uint32(len(n.IDs))<<1|1)
+		} else {
+			b = le.AppendUint32(b, uint32(len(n.Children))<<1)
+		}
+	}
+	for _, n := range nodes {
+		for _, id := range n.IDs {
+			b = le.AppendUint32(b, uint32(id))
+		}
+	}
+	for _, reps := range t.RepsPreorder {
+		b = le.AppendUint32(b, uint32(len(reps)))
+	}
+	for _, reps := range t.RepsPreorder {
+		for _, id := range reps {
+			b = le.AppendUint32(b, uint32(id))
+		}
+	}
+	return b
+}
+
+// maxTreeDepth bounds the tree a topo section may describe.
+const maxTreeDepth = 64
+
+// decodeTopology reads what encodeTopology wrote into one snapshot whose
+// nodes, child lists, item IDs and representative lists each share one
+// array. Item IDs are checked by rfs.FromTopologySnapshot; representative
+// IDs are checked here against the row count.
+func decodeTopology(b []byte, m *metaV5) (*rfs.TopologySnapshot, error) {
+	le := binary.LittleEndian
+	if len(b)%4 != 0 || len(b) < 4 {
+		return nil, sectionError(secTopo, "%d bytes is not a whole number of words", len(b))
+	}
+	words := len(b) / 4
+	word := func(i int) uint32 { return le.Uint32(b[4*i:]) }
+	n := int(word(0))
+	if n < 1 || n > (words-1)/2 {
+		return nil, sectionError(secTopo, "%d nodes in %d words", n, words)
+	}
+	var items, kids int
+	for i := 1; i <= n; i++ {
+		if w := int(word(i) >> 1); word(i)&1 == 1 {
+			items += w
+		} else {
+			kids += w
+		}
+	}
+	if kids != n-1 || items > words-1-2*n {
+		return nil, sectionError(secTopo, "%d nodes with %d children and %d items in %d words", n, kids, items, words)
+	}
+	repsAt := 1 + n + items
+	var reps int
+	for i := 0; i < n; i++ {
+		reps += int(word(repsAt + i))
+	}
+	if reps != words-repsAt-n {
+		return nil, sectionError(secTopo, "%d representatives in %d words", reps, words-repsAt-n)
+	}
+	nodes := make([]rstar.TopologyNode, n)
+	children := make([]*rstar.TopologyNode, 0, kids)
+	itemIDs := make([]rstar.ItemID, items)
+	for i := range itemIDs {
+		itemIDs[i] = rstar.ItemID(word(1 + n + i))
+	}
+	// Re-link the pre-order: open holds the internal nodes still owed
+	// children, innermost last.
+	type owed struct{ node, left int }
+	open := make([]owed, 0, maxTreeDepth)
+	for i := range nodes {
+		nd, w := &nodes[i], int(word(1+i)>>1)
+		if i > 0 {
+			if len(open) == 0 {
+				return nil, sectionError(secTopo, "node %d has no parent", i)
+			}
+			top := &open[len(open)-1]
+			p := &nodes[top.node]
+			p.Children = append(p.Children, nd)
+			if top.left--; top.left == 0 {
+				open = open[:len(open)-1]
+			}
+		}
+		if nd.Leaf = word(1+i)&1 == 1; nd.Leaf {
+			nd.IDs, itemIDs = itemIDs[:w:w], itemIDs[w:]
+			continue
+		}
+		if w == 0 {
+			return nil, sectionError(secTopo, "internal node %d has no children", i)
+		}
+		if len(open) == maxTreeDepth {
+			return nil, sectionError(secTopo, "tree deeper than %d levels", maxTreeDepth)
+		}
+		nd.Children, children = children[len(children):len(children):len(children)+w], children[:len(children)+w]
+		open = append(open, owed{i, w})
+	}
+	if len(open) != 0 {
+		return nil, sectionError(secTopo, "node %d is owed %d more children", open[len(open)-1].node, open[len(open)-1].left)
+	}
+	repLists := make([][]rstar.ItemID, n)
+	repIDs := make([]rstar.ItemID, reps)
+	at := repsAt + n
+	for i := range repIDs {
+		if id := word(at + i); int64(id) < int64(m.Rows) {
+			repIDs[i] = rstar.ItemID(id)
+		} else {
+			return nil, sectionError(secTopo, "representative %d of %d rows", id, m.Rows)
+		}
+	}
+	for i := range repLists {
+		c := int(word(repsAt + i))
+		repLists[i], repIDs = repIDs[:c:c], repIDs[c:]
+	}
+	return &rfs.TopologySnapshot{
+		Cfg:          m.RFS,
+		Tree:         &rstar.Topology{Dim: m.Dim, Cfg: m.Tree, FromBulk: m.FromBulk, Root: &nodes[0]},
+		RepsPreorder: repLists,
+	}, nil
 }
 
 // assembleLoaded wires a reconstructed structure without rebuilding it. A

@@ -129,11 +129,27 @@ func (d *Dynamic) SaveFile(path string) error {
 
 // LoadDynamic reconstructs a dynamic system from any archive this build
 // knows: a version-4 dynamic archive restores segments, memtable,
-// tombstones, epoch, and labels; a static archive (versions 0 through 3)
-// loads through the monolithic path and is adopted as a single sealed
-// segment via OpenDynamic. observer may be nil; when set it receives the
-// restored engine's ingest metrics.
+// tombstones, epoch, and labels; a static archive (versions 0 through 3,
+// and 5) loads through the monolithic path and is adopted as a single
+// sealed segment via OpenDynamic. observer may be nil; when set it
+// receives the restored engine's ingest metrics.
 func LoadDynamic(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
+	return loadDynamic(r, streamLen(r), observer)
+}
+
+// LoadDynamicFile reconstructs a dynamic system from a file.
+func LoadDynamicFile(path string, observer *obs.Observer) (*Dynamic, error) {
+	f, size, err := openSized(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return loadDynamic(f, size, observer)
+}
+
+// loadDynamic is LoadDynamic over a stream of size bytes (negative when
+// unknown).
+func loadDynamic(r io.Reader, size int64, observer *obs.Observer) (*Dynamic, error) {
 	br := bufio.NewReader(r)
 	head, _ := br.Peek(4)
 	if len(head) == 4 && bytes.Equal(head[:3], archivePrefix[:]) && head[3] == archiveVersionV4 {
@@ -142,21 +158,11 @@ func LoadDynamic(r io.Reader, observer *obs.Observer) (*Dynamic, error) {
 		}
 		return loadDynamicV4(br, observer)
 	}
-	sys, err := Load(br)
+	sys, err := load(br, size)
 	if err != nil {
 		return nil, err
 	}
 	return OpenDynamic(sys, DynamicConfig{Observer: observer})
-}
-
-// LoadDynamicFile reconstructs a dynamic system from a file.
-func LoadDynamicFile(path string, observer *obs.Observer) (*Dynamic, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadDynamic(f, observer)
 }
 
 // loadDynamicV4 decodes a version-4 payload: each segment's store adopts its

@@ -11,7 +11,7 @@ import (
 )
 
 // quantSystem builds a small quantized vector-mode system for archive tests.
-func quantSystem(t *testing.T) *System {
+func quantSystem(t testing.TB) *System {
 	t.Helper()
 	cfg := SmallConfig()
 	cfg.VectorMode = true
@@ -140,7 +140,7 @@ func TestArchiveV0LoadCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := archive{
+	legacy := archiveV0{
 		Cfg:            sys.cfg,
 		Infos:          sys.corpus.Infos,
 		RFS:            sys.rfs.Snapshot(),
@@ -173,15 +173,17 @@ func TestLoadHeaderErrors(t *testing.T) {
 		{"truncated 2 of 4", []byte{0xD1, 'Q'}, []string{"truncated archive header", "2 byte"}},
 		{"truncated 3 of 4", []byte{0xD1, 'Q', 'D'}, []string{"truncated archive header", "3 byte"}},
 		{"corrupt prefix", []byte{0xD1, 'X', 'D', 0x02, 1, 2, 3}, []string{"corrupt archive header"}},
-		{"version 0 headered", []byte{0xD1, 'Q', 'D', 0x00, 1, 2, 3}, []string{"version 0 unsupported", "versions 0 through 3"}},
-		{"version 7", []byte{0xD1, 'Q', 'D', 0x07, 1, 2, 3}, []string{"version 7 unsupported", "versions 0 through 3"}},
-		{"version 255", []byte{0xD1, 'Q', 'D', 0xFF, 1, 2, 3}, []string{"version 255 unsupported", "versions 0 through 3"}},
+		{"version 0 headered", []byte{0xD1, 'Q', 'D', 0x00, 1, 2, 3}, []string{"version 0 unsupported", "versions 0 through 5"}},
+		{"version 7", []byte{0xD1, 'Q', 'D', 0x07, 1, 2, 3}, []string{"version 7 unsupported", "versions 0 through 5"}},
+		{"version 255", []byte{0xD1, 'Q', 'D', 0xFF, 1, 2, 3}, []string{"version 255 unsupported", "versions 0 through 5"}},
 		{"v2 header, empty payload", archiveHeader(archiveVersionV2), []string{"decode"}},
 		{"v2 header, garbage payload", append(archiveHeader(archiveVersionV2), []byte("garbage")...), []string{"decode"}},
 		{"v3 header, empty payload", archiveHeader(archiveVersionV3), []string{"decode"}},
 		{"v3 header, garbage payload", append(archiveHeader(archiveVersionV3), []byte("garbage")...), []string{"decode"}},
 		{"v3 header, truncated gob", append(archiveHeader(archiveVersionV3), 0x3F, 0xFF), []string{"decode"}},
 		{"v3 corrupt prefix", []byte{0xD1, 'Q', 'X', 0x03, 1, 2, 3}, []string{"corrupt archive header"}},
+		{"v5 header only", archiveHeader(archiveVersionV5), []string{"archive: header", "truncated"}},
+		{"v5 header, garbage table", append(archiveHeader(archiveVersionV5), []byte("garbage garbage garbage garbage")...), []string{"section table"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -94,7 +94,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestArchiveFormat pins the store-backed wire format: the versioned magic
+// TestArchiveFormat pins the store-backed wire format: the version-5 magic
 // header, the size win over the version-0 encoding of the same system
 // (points stored once instead of twice, original channel aliased instead of
 // duplicated), and byte-identical retrieval — including simulated I/O
@@ -110,12 +110,12 @@ func TestArchiveFormat(t *testing.T) {
 	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), archiveHeader(archiveVersionV3)) {
-		t.Fatalf("archive does not start with the v3 magic: % x", buf.Bytes()[:8])
+	if !bytes.HasPrefix(buf.Bytes(), archiveHeader(archiveVersionV5)) {
+		t.Fatalf("archive does not start with the v5 magic: % x", buf.Bytes()[:8])
 	}
 
 	// The version-0 encoding of the same system, for the size comparison.
-	legacy := archive{
+	legacy := archiveV0{
 		Cfg:            sys.cfg,
 		Infos:          sys.corpus.Infos,
 		RFS:            sys.rfs.Snapshot(),
@@ -133,7 +133,7 @@ func TestArchiveFormat(t *testing.T) {
 	// arrays, so the expected ratio is about 2/3; channel-less archives drop
 	// to about 1/2.
 	if ratio := float64(buf.Len()) / float64(legacyBuf.Len()); ratio > 0.70 {
-		t.Errorf("v1 archive is %d bytes, %.0f%% of the v0 encoding (%d bytes); want ≤70%%",
+		t.Errorf("v5 archive is %d bytes, %.0f%% of the v0 encoding (%d bytes); want ≤70%%",
 			buf.Len(), 100*ratio, legacyBuf.Len())
 	}
 

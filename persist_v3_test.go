@@ -35,7 +35,7 @@ func fvecsFixture(n, dim int) []byte {
 
 // importedF32System builds a system of float32 rows over the deterministic .fvecs
 // fixture through the public import path (file → source → BuildFromSource).
-func importedF32System(t *testing.T, n, dim int) *System {
+func importedF32System(t testing.TB, n, dim int) *System {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "emb.fvecs")
 	if err := os.WriteFile(path, fvecsFixture(n, dim), 0o644); err != nil {
@@ -87,30 +87,22 @@ func TestBuildFromSourceFVecs(t *testing.T) {
 	}
 }
 
-// TestArchiveV3Float32RoundTrip pins the float32 wire format: the archive
-// carries the native float32 rows (and no float64 table), the precision tag
-// survives, and retrieval is bit-identical across the round trip.
+// TestArchiveV3Float32RoundTrip pins the float32 wire format (introduced
+// by version 3, kept by version 5): the archive carries the native float32
+// rows (and no float64 table), the precision tag survives, and retrieval is
+// bit-identical across the round trip.
 func TestArchiveV3Float32RoundTrip(t *testing.T) {
 	sys := importedF32System(t, 250, 9)
 	var buf bytes.Buffer
 	if err := sys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), archiveHeader(archiveVersionV3)) {
-		t.Fatalf("archive does not start with the v3 magic: % x", buf.Bytes()[:8])
+	f, m := openV5(t, buf.Bytes())
+	if m.Precision != "f32" {
+		t.Fatalf("persisted precision %q, want f32", m.Precision)
 	}
-	var a archiveV3
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[4:])).Decode(&a); err != nil {
-		t.Fatal(err)
-	}
-	if a.Precision != "f32" {
-		t.Fatalf("persisted precision %q, want f32", a.Precision)
-	}
-	if a.Points != nil {
-		t.Fatalf("float32 archive carries %d float64 points", len(a.Points))
-	}
-	if len(a.Points32) != 250*9 {
-		t.Fatalf("float32 backing holds %d values, want %d", len(a.Points32), 250*9)
+	if rows, err := f.Bytes(secRows); err != nil || len(rows) != 250*9*4 {
+		t.Fatalf("rows section holds %d bytes (%v), want %d float32 values", len(rows), err, 250*9)
 	}
 
 	loaded, err := Load(bytes.NewReader(buf.Bytes()))
@@ -134,7 +126,7 @@ func TestArchiveV3Float32RoundTrip(t *testing.T) {
 }
 
 // TestV2UpgradeOnSave: loading a version-2 archive and saving it again must
-// produce a version-3 archive that answers identically — the upgrade is a
+// produce a version-5 archive that answers identically — the upgrade is a
 // pure re-encoding.
 func TestV2UpgradeOnSave(t *testing.T) {
 	sys := quantSystem(t)
@@ -161,22 +153,19 @@ func TestV2UpgradeOnSave(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v2 archive rejected: %v", err)
 	}
-	var v3buf bytes.Buffer
-	if err := loaded.Save(&v3buf); err != nil {
+	var v5buf bytes.Buffer
+	if err := loaded.Save(&v5buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(v3buf.Bytes(), archiveHeader(archiveVersionV3)) {
-		t.Fatalf("re-save did not upgrade to v3: % x", v3buf.Bytes()[:4])
+	if !bytes.HasPrefix(v5buf.Bytes(), archiveHeader(archiveVersionV5)) {
+		t.Fatalf("re-save did not upgrade to v5: % x", v5buf.Bytes()[:4])
 	}
-	var a archiveV3
-	if err := gob.NewDecoder(bytes.NewReader(v3buf.Bytes()[4:])).Decode(&a); err != nil {
-		t.Fatal(err)
+	f, m := openV5(t, v5buf.Bytes())
+	if rows, _ := f.Bytes(secRows); m.Precision != "f64" || len(rows) != 8*sys.Len()*m.Dim || !f.Has(secSQ8Codes) {
+		t.Fatalf("upgraded archive precision %q with %d row bytes (sq8 codes: %t), want a quantized f64 v5",
+			m.Precision, len(rows), f.Has(secSQ8Codes))
 	}
-	if a.Precision != "f64" || a.Points == nil || a.Points32 != nil {
-		t.Fatalf("upgraded archive precision %q (f64 points: %t, f32 points: %t), want a pure f64 v3",
-			a.Precision, a.Points != nil, a.Points32 != nil)
-	}
-	upgraded, err := Load(bytes.NewReader(v3buf.Bytes()))
+	upgraded, err := Load(bytes.NewReader(v5buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +173,7 @@ func TestV2UpgradeOnSave(t *testing.T) {
 		t.Fatal("upgrade dropped the quantizer")
 	}
 	if !reflect.DeepEqual(knnIDs(t, sys, 11, 15), knnIDs(t, upgraded, 11, 15)) {
-		t.Fatal("retrieval diverged across the v2 → v3 upgrade")
+		t.Fatal("retrieval diverged across the v2 → v5 upgrade")
 	}
 }
 
@@ -203,7 +192,13 @@ func TestGoldenArchiveV3F32(t *testing.T) {
 		if err := os.MkdirAll(filepath.Dir(goldenV3ArchivePath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.SaveFile(goldenV3ArchivePath); err != nil {
+		// Save writes version 5 now, so the historical v3 fixture is
+		// encoded explicitly.
+		var buf bytes.Buffer
+		if err := sys.saveV3(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenV3ArchivePath, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("regenerated %s", goldenV3ArchivePath)

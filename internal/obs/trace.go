@@ -101,7 +101,8 @@ type SubquerySpan struct {
 	// Quantized marks a subquery answered behind the SQ8 row filter:
 	// CodesScanned is the code rows of the leaves it popped, Reranked how
 	// many of them the filter could not exclude and scored exactly, and
-	// RerankFallbacks is 1 for a NaN query, which the filter cannot serve.
+	// RerankFallbacks is 1 for a query with a NaN or infinite component,
+	// which the filter cannot serve.
 	Quantized       bool   `json:"quantized,omitempty"`
 	CodesScanned    uint64 `json:"codes_scanned,omitempty"`
 	Reranked        uint64 `json:"reranked,omitempty"`

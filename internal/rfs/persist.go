@@ -1,9 +1,7 @@
 package rfs
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/vec"
@@ -57,18 +55,4 @@ func FromSnapshot(snap *Snapshot) (*Structure, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Save gob-encodes the structure to w.
-func (s *Structure) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(s.Snapshot())
-}
-
-// Load gob-decodes a structure from r.
-func Load(r io.Reader) (*Structure, error) {
-	var snap Snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("rfs: decode: %w", err)
-	}
-	return FromSnapshot(&snap)
 }

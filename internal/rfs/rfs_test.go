@@ -1,7 +1,6 @@
 package rfs
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -371,13 +370,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	pts := clusteredCorpus(rng, 6, 40, 4)
 	s := buildTest(t, pts, testCfg)
 
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(&buf)
+	loaded, err := FromSnapshot(s.Snapshot())
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("FromSnapshot: %v", err)
 	}
 	if loaded.Len() != s.Len() || loaded.RepCount() != s.RepCount() {
 		t.Fatalf("loaded len=%d reps=%d, want %d/%d", loaded.Len(), loaded.RepCount(), s.Len(), s.RepCount())
@@ -407,9 +402,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Fatal("Load accepted garbage")
-	}
 	if _, err := FromSnapshot(nil); err == nil {
 		t.Fatal("FromSnapshot accepted nil")
 	}

@@ -18,8 +18,11 @@ package rstar
 // rows by the float32 kernel's values. Nodes still pop in the float64
 // descent's order; the descent stops at its float32 radius widened by the
 // query's narrowing error. A subtree search (KNNSearch) is the forest of one, whose
-// selection IDs are its ItemIDs; KNNForest is the same loop over several.
-// A descent answers one query.
+// selection IDs are its ItemIDs; KNNForest is the same loop over several,
+// and over slabs whose rows it sweeps before the first pop (slab.go). Every
+// scorer reads a run of rows of a Slab — a leaf's [qlo, qhi) of its tree's
+// slab, or a chunk of a flat range — and at every precision a NaN value is
+// never taken. A descent answers one query.
 
 import (
 	"context"
@@ -31,17 +34,20 @@ import (
 	"qdcbir/internal/vec"
 )
 
-// metric is how a descent measures in one tree: plain squared L2, the
-// diagonal-weighted form when weights is set, plain squared L2 behind the SQ8
-// row filter when quant is set, or the float32 kernel over the tree's float32
-// mirror when fslab is set. Its methods are all the descent knows about
-// distances, so another precision is another leaf scorer, not another
-// descent. Nodes are keyed by the float64 MINDIST in every mode.
+// metric is how a descent measures in one tree: the rows its leaves score
+// (s), plain squared L2 or the diagonal-weighted form when weights is set,
+// and the SQ8 row filter over s.Codes when quant is set. Its methods are all
+// the descent knows about distances, so another precision is another leaf
+// scorer, not another descent. Nodes are keyed by the float64 MINDIST in
+// every mode.
 type metric struct {
 	weights vec.Vector
 	quant   *store.Quantized
-	fslab   []float32 // the float32 mirror of the slab (see f32.go)
+	s       Slab
 }
+
+// f32 reports whether the metric scores rows with the float32 kernel.
+func (m *metric) f32() bool { return m.weights == nil && m.s.F32 != nil }
 
 // bound returns the metric's MINDIST from q to r.
 func (m metric) bound(r Rect, q vec.Vector) float64 {
@@ -65,12 +71,13 @@ func (m metric) block(q vec.Vector, block, out []float64) {
 	vec.WeightedSquaredDistsTo(q, m.weights, block, out)
 }
 
-// root is one tree of a forest: the subtree searched, the tree's leaf
-// scorer, the Skip set its rows are tested against (nil: the query's own),
-// and ids, which maps an ItemID to the selection ID the selector keys and
-// returns it by (nil: the ItemID itself).
+// root is one tree of a forest, or one slab: the subtree searched (nil for
+// a slab root, whose every row is swept), the leaf scorer over its rows, the
+// Skip set its rows are tested against (nil: the query's own), and ids,
+// which maps a tree's ItemID to the selection ID the selector keys and
+// returns it by (nil: the ItemID itself). A slab root's rows go under the
+// slab's own IDs.
 type root struct {
-	t    *Tree
 	n    *Node
 	m    metric
 	skip *bitset.Set
@@ -83,6 +90,26 @@ func (r *root) item(it Item) Item {
 		it.ID = ItemID(r.ids[it.ID])
 	}
 	return it
+}
+
+// key is the Skip key of the i-th row of a run that starts at slab row lo:
+// its ItemID in a tree leaf, whose items are the run's rows, and its slab
+// row in a flat run (nil items).
+func (r *root) key(items []Item, lo, i int) int {
+	if items != nil {
+		return int(items[i].ID)
+	}
+	return lo + i
+}
+
+// take returns the i-th row of such a run as the selector holds it: the
+// leaf's item under its selection ID, or a slab row's selection ID with no
+// point.
+func (r *root) take(items []Item, lo, i int) Item {
+	if items != nil {
+		return r.item(items[i])
+	}
+	return Item{ID: r.m.s.id(lo + i)}
 }
 
 // forest is what one descend call searches: its roots, all of one dim, and
@@ -226,20 +253,29 @@ func (s *selector) down(n int) {
 	}
 }
 
-// drain empties the selector into a new result list. Rows leave worst first,
-// into the list's tail, so the list is ascending by (distSq, ID) — the key
-// membership was decided by; the reported order is (Dist, ID), which differs
-// only where two squared distances round to one root, so one insertion pass
-// over an all but sorted list finishes it.
-func (s *selector) drain() []Neighbor {
-	out := make([]Neighbor, len(s.h))
-	for n := len(s.h) - 1; n >= 0; n-- {
-		e := &s.h[0]
-		out[n] = Neighbor{ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq)}
-		s.h[0] = s.h[n]
+// sorted orders the rows held ascending by (distSq, selection ID) — the key
+// membership was decided by — in place, and empties the selector; the rows
+// stay valid until it is next offered one.
+func (s *selector) sorted() []selected {
+	for n := len(s.h) - 1; n > 0; n-- {
+		s.h[0], s.h[n] = s.h[n], s.h[0]
 		s.down(n)
 	}
+	h := s.h
 	s.h = s.h[:0]
+	return h
+}
+
+// drain empties the selector into a new result list. The reported order is
+// (Dist, ID), which differs from the selection key only where two squared
+// distances round to one root, so one insertion pass over the sorted rows
+// finishes it.
+func (s *selector) drain() []Neighbor {
+	h := s.sorted()
+	out := make([]Neighbor, len(h))
+	for i, e := range h {
+		out[i] = Neighbor{ID: e.item.ID, Point: e.item.Point, Dist: math.Sqrt(e.distSq)}
+	}
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && neighborLess(out[j], out[j-1]); j-- {
 			out[j], out[j-1] = out[j-1], out[j]
@@ -251,22 +287,31 @@ func (s *selector) drain() []Neighbor {
 // treeState is one query's state in one root of its forest: the rows it
 // passes over, and the SQ8 filter's per-quantizer state — the query's code
 // row under that root's quantizer (nil when the root scores every row
-// exactly), the measured decode error of that row, and the selector's radius
-// carried into that root's code space, solved lazily: limitAt is the radius
-// codeLimit was solved for, so a radius that moved in another tree is
-// carried over before this root's next leaf is filtered.
+// exactly), the measured decode error of that row, whether the rows score in
+// float32, and the selector's radius carried into that root's code space,
+// solved lazily: limitAt is the radius codeLimit was solved for, so a radius
+// that moved in another tree is carried over before this root's next leaf is
+// filtered.
 type treeState struct {
 	skip      *bitset.Set
 	code      []uint8
 	qErr      float64
+	f32       bool
 	codeLimit int32
 	limitAt   float64
 }
 
-// limit returns the code-space limit of the selector's current radius.
+// limit returns the code-space limit of the selector's current radius, a
+// kernel value: one rule per kernel precision, CodeRadius32 for the float32
+// kernel and CodeRadius64 for the float64 one.
 func (ts *treeState) limit(qz *store.Quantized, radiusSq float64) int32 {
 	if ts.limitAt != radiusSq {
-		ts.codeLimit, ts.limitAt = qz.CodeRadius(math.Sqrt(radiusSq), ts.qErr), radiusSq
+		if ts.f32 {
+			ts.codeLimit = qz.CodeRadius32(float32(radiusSq), ts.qErr)
+		} else {
+			ts.codeLimit = qz.CodeRadius64(radiusSq, ts.qErr)
+		}
+		ts.limitAt = radiusSq
 	}
 	return ts.codeLimit
 }
@@ -283,6 +328,7 @@ type descent struct {
 	// float32) and q32Err the measured error of that form.
 	q32    []float32
 	q32Err float64
+	one32  [1]float32 // one float32 row's kernel output (takeCodes)
 
 	pops, nodes, items, reranked, codes uint64
 }
@@ -292,62 +338,64 @@ func (d *descent) tightened(f *forest) {
 	d.stopSq = f.stop(d.sel.radiusSq, d.q32Err)
 }
 
-// takeBlock offers the exact block scores of a leaf of root t: rows beyond
-// the radius, and skipped rows, are dropped unseen by the selector.
-func (d *descent) takeBlock(f *forest, t int, items []Item, distSq []float64) {
+// fold adds the descent's effort to st, if set.
+func (d *descent) fold(st *SearchStats) {
+	if st == nil {
+		return
+	}
+	st.HeapPops += d.pops
+	st.NodesRead += d.nodes
+	st.ItemsScored += d.items
+	st.CodesScanned += d.codes
+	st.Reranked += d.reranked
+}
+
+// take offers the exact scores of a run of root t's rows that starts at slab
+// row lo (items: the leaf's items, nil for a flat run): rows beyond the
+// radius, NaN values and skipped rows are dropped unseen by the selector.
+// Float32 kernel values are offered widened, which keeps their order. Each
+// radius change moves the stop key with it.
+func take[T float32 | float64](d *descent, f *forest, t, lo int, items []Item, distSq []T) {
 	r, skip := &f.roots[t], d.trees[t].skip
-	d.items += uint64(len(items))
+	d.items += uint64(len(distSq))
 	for i, sq := range distSq {
-		if sq > d.sel.radiusSq || skip.Get(int(items[i].ID)) {
+		if !(float64(sq) <= d.sel.radiusSq) || skip.Get(r.key(items, lo, i)) {
 			continue
 		}
-		if d.sel.offer(sq, r.item(items[i])) {
+		if d.sel.offer(float64(sq), r.take(items, lo, i)) {
 			d.tightened(f)
 		}
 	}
 }
 
-// takeBlock32 is takeBlock for the float32 scorer: the leaf's float32 kernel
-// values are offered widened, which keeps their order, and a NaN value is
-// never taken. Each radius change moves the stop key with it.
-func (d *descent) takeBlock32(f *forest, t int, items []Item, distSq []float32) {
-	r, skip := &f.roots[t], d.trees[t].skip
-	d.items += uint64(len(items))
-	for i, sq := range distSq {
-		if !(float64(sq) <= d.sel.radiusSq) || skip.Get(int(items[i].ID)) {
-			continue
-		}
-		if d.sel.offer(float64(sq), r.item(items[i])) {
-			d.tightened(f)
-		}
-	}
-}
-
-// takeCodes filters a leaf of root t by its SQ8 code distances: only rows
-// the bracket cannot place outside the radius are scored exactly — vec.SqL2's
-// bits on the slab row, the value the block kernel produces — and the
-// code-space limit follows the radius as it tightens. A skipped row is not
-// scored at all.
+// takeCodes filters a run of root t's rows that starts at slab row lo by
+// their SQ8 code distances raw: only rows the bracket cannot place outside
+// the radius are scored exactly — vec.SqL2's bits on a float64 row, the
+// value the block kernel produces, or the float32 kernel's on a float32 row
+// — and the code-space limit follows the radius as it tightens. A skipped
+// row is not scored at all, nor is a row whose code distance is negative
+// (as a uint32 it exceeds every limit): a filtered sweep marks its seeds
+// so.
 //
-// Rows are scored four at a time: the next four the current limit admits go
-// through vec.SqL2x4 together. The limit only tightens (the radius only
-// shrinks, and CodeRadius is monotone in it), so those four include every
-// row of their span the one-row-at-a-time loop would score; each is then
-// re-tested, in row order, against the limit as the rows before it left it,
-// before it is counted and offered. The rows counted, the offers and the
-// limit's every step are therefore the sequential loop's; a row the re-test
-// drops cost one lane of work and nothing else.
-func (d *descent) takeCodes(f *forest, t int, items []Item, q vec.Vector, raw []int32) {
+// Float64 rows are scored four at a time: the next four the current limit
+// admits go through vec.SqL2x4 together. The limit only tightens (the radius
+// only shrinks, and the code radius is monotone in it), so those four
+// include every row of their span the one-row-at-a-time loop would score;
+// each is then re-tested, in row order, against the limit as the rows before
+// it left it, before it is counted and offered. The rows counted, the offers
+// and the limit's every step are therefore the sequential loop's; a row the
+// re-test drops cost one lane of work and nothing else.
+func (d *descent) takeCodes(f *forest, t, lo int, items []Item, q vec.Vector, raw []int32) {
 	r, ts := &f.roots[t], &d.trees[t]
-	qz := r.m.quant
-	d.codes += uint64(len(items))
+	s, qz := &r.m.s, r.m.quant
+	d.codes += uint64(len(raw))
 	limit := ts.limit(qz, d.sel.radiusSq)
 	var at [4]int
 	var sq [4]float64
 	for i := 0; i < len(raw); {
 		n := 0
 		for ; i < len(raw) && n < len(at); i++ {
-			if raw[i] <= limit && !ts.skip.Get(int(items[i].ID)) {
+			if uint32(raw[i]) <= uint32(limit) && !ts.skip.Get(r.key(items, lo, i)) {
 				at[n] = i
 				n++
 			}
@@ -355,26 +403,43 @@ func (d *descent) takeCodes(f *forest, t int, items []Item, q vec.Vector, raw []
 		if n == 0 {
 			break
 		}
-		for j := n; j < len(at); j++ {
-			at[j] = at[0] // a short group repeats a row: four lanes cost what one does
-		}
-		sq[0], sq[1], sq[2], sq[3] = vec.SqL2x4(q,
-			items[at[0]].Point, items[at[1]].Point, items[at[2]].Point, items[at[3]].Point)
+		d.exact4(s, q, lo, &at, n, &sq)
 		for j, row := range at[:n] {
 			if raw[row] > limit {
 				continue
 			}
 			d.items++
 			d.reranked++
-			if sq[j] > d.sel.radiusSq {
+			if !(sq[j] <= d.sel.radiusSq) {
 				continue
 			}
-			if d.sel.offer(sq[j], r.item(items[row])) {
+			if d.sel.offer(sq[j], r.take(items, lo, row)) {
 				d.tightened(f)
 				limit = ts.limit(qz, d.sel.radiusSq)
 			}
 		}
 	}
+}
+
+// exact4 sets sq[j] to the exact kernel value of slab row lo+at[j], j < n:
+// float64 rows through one vec.SqL2x4 call (a short group repeats a row:
+// four lanes cost what one does), float32 rows one at a time through the
+// float32 batch kernel on the query's narrowing.
+func (d *descent) exact4(s *Slab, q vec.Vector, lo int, at *[4]int, n int, sq *[4]float64) {
+	dim := s.Dim
+	if s.F32 != nil {
+		for j, row := range at[:n] {
+			row += lo
+			vec.SquaredDistsTo32(d.q32, s.F32[row*dim:(row+1)*dim], d.one32[:])
+			sq[j] = float64(d.one32[0])
+		}
+		return
+	}
+	for j := n; j < len(at); j++ {
+		at[j] = at[0]
+	}
+	o0, o1, o2, o3 := (lo+at[0])*dim, (lo+at[1])*dim, (lo+at[2])*dim, (lo+at[3])*dim
+	sq[0], sq[1], sq[2], sq[3] = vec.SqL2x4(q, s.F64[o0:o0+dim], s.F64[o1:o1+dim], s.F64[o2:o2+dim], s.F64[o3:o3+dim])
 }
 
 // descentScratch is the pooled working memory of one descend call, so a
@@ -384,56 +449,85 @@ type descentScratch struct {
 	roots   []root // a KNNForest call's roots
 	d       descent
 	qcodes  []uint8   // the query's code row in every root (SQ8)
+	qw      []float64 // the query's float32 narrowing widened back, to encode it
 	q32     []float32 // the query's float32 narrowing
 	dists   []float64 // kernel output
 	raw     []int32   // code kernel output
 	bounds  []float64 // an opened node's children's MINDISTs
 	dists32 []float32 // float32 kernel output
+	wide    []float64 // float32 rows widened for a weighted kernel
+	seeds   []uint64  // a filtered sweep's rows nearest by code
 }
 
 var descentPool = sync.Pool{New: func() interface{} { return new(descentScratch) }}
 
-// descend answers q over f, offering it the pre-scored rows before the
-// descent starts. The best-first loop pops nodes until the nearest unopened
-// one lies beyond the stop key. An opened internal node bounds its children
-// from its box in one kernel pass and pushes them in order; a popped leaf is
-// scored by its root's leaf scorer.
-func (f *forest) descend(ctx context.Context, sc *descentScratch, rows []Scored, q Query) ([]Neighbor, error) {
-	if q.K <= 0 {
-		return nil, nil
-	}
-	dim, nr := f.dim, len(f.roots)
+// begin resets sc's descent for one query over f: an empty selector and
+// queue, the query's float32 narrowing when the forest scores in float32,
+// and each root's Skip set. No root has a code row yet (encode).
+func (f *forest) begin(sc *descentScratch, q Query) *descent {
 	d := &sc.d
 	*d = descent{pq: d.pq[:0], sel: selector{k: q.K, h: d.sel.h[:0], radiusSq: math.Inf(1)},
-		trees: grown(d.trees, nr), stopSq: math.Inf(1)}
+		trees: grown(d.trees, len(f.roots)), stopSq: math.Inf(1)}
 	if f.f32 {
 		sc.q32 = vec.Narrow32(q.Q, sc.q32)
 		d.q32, d.q32Err = sc.q32, narrowErr(q.Q, sc.q32)
 	}
-	for _, p := range rows {
-		if p.DistSq <= d.sel.radiusSq {
-			d.sel.offer(p.DistSq, Item{ID: p.ID})
-		}
-	}
 	d.tightened(f)
-	sc.qcodes = grown(sc.qcodes, nr*dim)
+	sc.qcodes = grown(sc.qcodes, len(f.roots)*f.dim)
 	for t := range f.roots {
-		r := &f.roots[t]
 		ts := &d.trees[t]
-		*ts = treeState{skip: r.skip, limitAt: math.Inf(1), codeLimit: math.MaxInt32}
+		*ts = treeState{skip: f.roots[t].skip, f32: f.f32, limitAt: math.Inf(1), codeLimit: math.MaxInt32}
 		if ts.skip == nil {
 			ts.skip = q.Skip
 		}
-		if r.m.quant != nil {
-			// A NaN query defeats the bracket (its decode error is NaN): it
-			// keeps a nil code row and scores every leaf exactly.
-			lo := t * dim
-			code, qErr := r.m.quant.EncodeQuery(q.Q, sc.qcodes[lo:lo+dim:lo+dim])
-			if !math.IsNaN(qErr) {
-				ts.code, ts.qErr = code, qErr
-			} else if q.Stats != nil {
-				q.Stats.RerankFallbacks++
+	}
+	return d
+}
+
+// encode gives root t, whose metric filters through SQ8 codes, the query's
+// code row — of its float32 narrowing when the rows are float32, the query
+// the kernel scores — and reports whether it did. A query whose decode
+// error is not finite (a NaN or an infinite component) defeats the bracket:
+// it keeps a nil code row and is scored exactly, counted as a
+// RerankFallback.
+func (d *descent) encode(f *forest, sc *descentScratch, t int, q Query) bool {
+	cq := q.Q
+	if f.f32 {
+		sc.qw = vec.Widen64(d.q32, sc.qw)
+		cq = sc.qw
+	}
+	lo := t * f.dim
+	code, qErr := f.roots[t].m.quant.EncodeQuery(cq, sc.qcodes[lo:lo+f.dim:lo+f.dim])
+	if !(qErr < math.Inf(1)) {
+		if q.Stats != nil {
+			q.Stats.RerankFallbacks++
+		}
+		return false
+	}
+	d.trees[t].code, d.trees[t].qErr = code, qErr
+	return true
+}
+
+// descend answers q over f. Slab roots are swept before the first node pops,
+// so their rows seed the radius. The best-first loop then pops nodes until
+// the nearest unopened one lies beyond the stop key. An opened internal node
+// bounds its children from its box in one kernel pass and pushes them in
+// order; a popped leaf is scored by its root's leaf scorer.
+func (f *forest) descend(ctx context.Context, sc *descentScratch, q Query) ([]Neighbor, error) {
+	if q.K <= 0 {
+		return nil, nil
+	}
+	d := f.begin(sc, q)
+	for t := range f.roots {
+		r := &f.roots[t]
+		switch {
+		case r.n == nil:
+			if err := f.sweep(ctx, sc, d, t, 0, r.m.s.Len(), q); err != nil {
+				return nil, err
 			}
+			continue
+		case r.m.quant != nil:
+			d.encode(f, sc, t, q)
 		}
 		d.pq.push(nodeEntry{distSq: r.m.bound(r.n.rect, q.Q), node: r.n, tree: t})
 	}
@@ -463,35 +557,46 @@ func (f *forest) descend(ctx context.Context, sc *descentScratch, rows []Scored,
 			d.pq.push(nodeEntry{distSq: sc.bounds[i], node: c, tree: e.tree})
 		}
 	}
-	if st := q.Stats; st != nil {
-		st.HeapPops += d.pops
-		st.NodesRead += d.nodes
-		st.ItemsScored += d.items
-		st.CodesScanned += d.codes
-		st.Reranked += d.reranked
-	}
+	d.fold(q.Stats)
 	return d.sel.drain(), nil
 }
 
-// scoreLeaf scores a popped leaf of root t under that root's leaf scorer:
-// the float32 kernel over the leaf's rows of the float32 mirror, the SQ8
-// filter in front of the exact rows when the query has a code row there, or
-// the exact (or weighted) float64 block kernel.
+// scoreLeaf scores a popped leaf of root t, its slab rows [qlo,qhi): through
+// the SQ8 filter when the query has a code row there, else with the exact
+// kernel.
 func (f *forest) scoreLeaf(sc *descentScratch, d *descent, t int, leaf *Node, q vec.Vector) {
-	r := &f.roots[t]
-	rows, dim := len(leaf.items), f.dim
-	switch code := d.trees[t].code; {
-	case r.m.fslab != nil:
-		sc.dists32 = grown(sc.dists32, rows)
-		vec.SquaredDistsTo32(d.q32, r.m.fslab[leaf.qlo*dim:leaf.qhi*dim], sc.dists32)
-		d.takeBlock32(f, t, leaf.items, sc.dists32)
-	case code != nil:
-		sc.raw = grown(sc.raw, rows)
-		vec.Uint8SquaredDistsTo(code, r.t.qcodes[leaf.qlo*dim:leaf.qhi*dim], sc.raw)
-		d.takeCodes(f, t, leaf.items, q, sc.raw)
-	default:
-		sc.dists = grown(sc.dists, rows)
-		r.m.block(q, leaf.block, sc.dists)
-		d.takeBlock(f, t, leaf.items, sc.dists)
+	lo, hi := leaf.qlo, leaf.qhi
+	if code := d.trees[t].code; code != nil {
+		s := &f.roots[t].m.s
+		sc.raw = grown(sc.raw, hi-lo)
+		vec.Uint8SquaredDistsTo(code, s.Codes[lo*s.Dim:hi*s.Dim], sc.raw)
+		d.takeCodes(f, t, lo, leaf.items, q, sc.raw)
+		return
 	}
+	f.exact(sc, d, t, lo, hi, leaf.items, q)
+}
+
+// exact scores root t's slab rows [lo,hi) with its exact kernel and offers
+// them through take: the float32 kernel on the query's narrowing over
+// float32 rows, else the float64 (or weighted) block kernel, over float32
+// rows widened exactly. items are the rows' tree items, nil for a flat run.
+func (f *forest) exact(sc *descentScratch, d *descent, t, lo, hi int, items []Item, q vec.Vector) {
+	m := &f.roots[t].m
+	dim := m.s.Dim
+	if m.f32() {
+		sc.dists32 = grown(sc.dists32, hi-lo)
+		vec.SquaredDistsTo32(d.q32, m.s.F32[lo*dim:hi*dim], sc.dists32)
+		take(d, f, t, lo, items, sc.dists32)
+		return
+	}
+	var rows []float64
+	if m.s.F64 != nil {
+		rows = m.s.F64[lo*dim : hi*dim]
+	} else {
+		sc.wide = vec.Widen64(m.s.F32[lo*dim:hi*dim], sc.wide)
+		rows = sc.wide
+	}
+	sc.dists = grown(sc.dists, hi-lo)
+	m.block(q, rows, sc.dists)
+	take(d, f, t, lo, items, sc.dists)
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // forestRow is one row of a forest fixture under its global ID: a tree row
-// (Point set) or a pre-scored one (Point nil).
+// (Point set) or a slab row (Point nil).
 type forestRow struct {
 	id     ItemID
 	point  vec.Vector
@@ -41,16 +41,16 @@ func forestOracle(rows []forestRow, k int) []Neighbor {
 }
 
 // FuzzKNNForest searches a forest of 1–5 trees, each with a random Skip set
-// and its global IDs drawn from one shuffled range, beside a memtable-like
-// set of pre-scored rows, under every leaf scorer: float64, SQ8 (one tree of
-// the forest holding no codes, as a segment whose quantizer could not be
-// trained), float32, and weighted. The answer must be the brute-force k
-// nearest of the union of the unskipped rows and the pre-scored ones under
+// and its global IDs drawn from one shuffled range, beside a memtable: a
+// slab root whose rows take consecutive global IDs from a base and whose
+// tombstones are its Skip set. Every leaf scorer runs: float64, SQ8 (one
+// tree of the forest holding no codes, as a segment whose quantizer could
+// not be trained), float32 (float32 memtable rows), and weighted. The answer
+// must be the brute-force k nearest of the union of the unskipped rows under
 // (squared distance, global ID) — the key of one tree holding them all —
 // including on a coarse grid, where distances tie, and with a pair of rows in
 // different trees at squared distances 1 and 1+2⁻⁵², which tie at one square
-// root. A forest of one tree and no pre-scored rows must be KNNSearch, effort
-// counters included.
+// root. A forest of one tree must be KNNSearch, effort counters included.
 func FuzzKNNForest(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(10), uint8(0), false, false, []byte{0xff, 0x0f, 0x33, 0x80})
 	f.Add(int64(2), uint8(3), uint16(50), uint8(1), true, true, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -104,16 +104,15 @@ func FuzzKNNForest(f *testing.F) {
 			return vec.SqL2(q, p)
 		}
 
-		// Each tree's rows, then the pre-scored ones, under one shuffled ID
-		// range; the tie pair goes into the first and last trees.
+		// Each tree's rows under one shuffled ID range, the memtable's after
+		// it; the tie pair goes into the first and last trees.
 		sizes := make([]int, nt)
 		total := 0
 		for i := range sizes {
 			sizes[i] = 1 + rng.Intn(120)
 			total += sizes[i]
 		}
-		nPre := rng.Intn(40)
-		gids := rng.Perm(total + nPre)
+		gids := rng.Perm(total)
 		var union []forestRow
 		roots := make([]Root, nt)
 		bit := 0
@@ -150,15 +149,25 @@ func FuzzKNNForest(f *testing.F) {
 			}
 			roots[i] = Root{Tree: tr, Skip: skip, IDs: ids}
 		}
-		pre := make([]Scored, nPre)
-		for i := range pre {
+		mem := &Slab{Dim: dim, Base: total}
+		tomb := bitset.New(40)
+		for slot := range rng.Intn(40) {
 			p := point()
-			pre[i] = Scored{ID: ItemID(gids[i]), DistSq: score(p)}
-			union = append(union, forestRow{id: pre[i].ID, distSq: pre[i].DistSq})
+			if mode == "f32" {
+				mem.F32 = append(mem.F32, vec.Narrow32(p, nil)...)
+			} else {
+				mem.F64 = append(mem.F64, p...)
+			}
+			if rng.Intn(4) == 0 {
+				tomb.Set(slot)
+				continue
+			}
+			union = append(union, forestRow{id: ItemID(total + slot), distSq: score(p)})
 		}
+		roots = append(roots, Root{Slab: mem, Skip: tomb})
 		k := int(kSel) % (len(union) + 3)
 
-		got, err := KNNForest(context.Background(), roots, weights, pre, Query{Q: q, K: k})
+		got, err := KNNForest(context.Background(), roots, weights, Query{Q: q, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +176,7 @@ func FuzzKNNForest(f *testing.F) {
 		// The forest of one is KNNSearch.
 		tr := roots[0].Tree
 		var oneSt, searchSt SearchStats
-		one, err := KNNForest(context.Background(), []Root{{Tree: tr, Skip: roots[0].Skip}}, weights, nil, Query{Q: q, K: k, Stats: &oneSt})
+		one, err := KNNForest(context.Background(), []Root{{Tree: tr, Skip: roots[0].Skip}}, weights, Query{Q: q, K: k, Stats: &oneSt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,13 +199,13 @@ func TestKNNForestRejects(t *testing.T) {
 	f64, f32 := scorerTree(t, "f64", smallCfg, pts, 8), scorerTree(t, "f32", smallCfg, pts, 8)
 	ctx := context.Background()
 	q := pts[0]
-	if _, err := KNNForest(ctx, []Root{{Tree: f64}}, nil, nil, Query{Q: q, K: 3, Skip: bitset.New(50)}); err == nil {
+	if _, err := KNNForest(ctx, []Root{{Tree: f64}}, nil, Query{Q: q, K: 3, Skip: bitset.New(50)}); err == nil {
 		t.Error("a forest query with a Query.Skip set was accepted")
 	}
-	if _, err := KNNForest(ctx, []Root{{Tree: f64}, {Tree: f32}}, nil, nil, Query{Q: q, K: 3}); err == nil {
+	if _, err := KNNForest(ctx, []Root{{Tree: f64}, {Tree: f32}}, nil, Query{Q: q, K: 3}); err == nil {
 		t.Error("a forest mixing float32 and float64 scorers was accepted")
 	}
-	if _, err := KNNForest(ctx, []Root{{Tree: f64}, {Tree: f32}}, vec.Vector{1, 1, 1}, nil, Query{Q: q, K: 3}); err != nil {
+	if _, err := KNNForest(ctx, []Root{{Tree: f64}, {Tree: f32}}, vec.Vector{1, 1, 1}, Query{Q: q, K: 3}); err != nil {
 		t.Errorf("weights score every tree in float64, yet: %v", err)
 	}
 }

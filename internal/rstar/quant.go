@@ -7,22 +7,24 @@ package rstar
 // code rows are the contiguous range [qlo, qhi) of the code slab. A tree
 // holding the codes runs every unweighted search through the filter.
 //
-// Exactness. The descent keeps the query's k best exact distances; once k are
+// Exactness. The descent keeps the query's k best kernel values; once k are
 // held, their worst is the pruning radius. For a row with code distance raw,
 // store.Quantized.LowerDist brackets its true distance from below
 // (DecodedDist(raw) − qErr − DBErr ≤ exact), so a row whose bound exceeds the
-// radius is strictly farther than the k-th best row — outside the top-k and
-// outside its boundary ties alike — and is skipped unscored; the descent
-// compares raw with store.Quantized.CodeRadius, the same inequality solved
-// for raw once per radius change. Every other row is scored with the exact
-// float kernel on its slab row. The selector therefore receives exactly the
-// rows it would have admitted from an exact block score: results, node reads
-// and page traces are the exact descent's, there is nothing to certify and
-// nothing to widen.
+// radius, widened by the kernel's rounding, has a kernel value strictly above
+// the k-th best row's — outside the top-k and outside its boundary ties alike
+// — and is skipped unscored; the descent compares raw with
+// store.Quantized.CodeRadius64 (CodeRadius32 over a slab's float32 rows), the
+// same inequality solved for raw once per radius change. Every other row is
+// scored with the exact kernel on its slab row. The selector therefore
+// receives exactly the rows it would have admitted from an exact block score:
+// results, node reads and page traces are the exact descent's, there is
+// nothing to certify and nothing to widen.
 //
 // Unclean corpora (NaN/±Inf components) have DBErr = +Inf and are routed to
-// the exact scorer up front; a NaN query defeats the bound the same way and
-// is scored exactly, leaf by leaf, counted as a RerankFallback.
+// the exact scorer up front; a query with a NaN or infinite component
+// defeats the bound the same way and is scored exactly, leaf by leaf,
+// counted as a RerankFallback.
 
 import (
 	"errors"

@@ -35,8 +35,9 @@ type SearchStats struct {
 
 	// SQ8 row-filter effort (zero on exact searches): the code rows of the
 	// leaves a search popped, and how many of them the filter could not
-	// exclude and so scored exactly. A fallback is a NaN query, which defeats
-	// the filter's bound and scores every popped leaf exactly instead.
+	// exclude and so scored exactly. A fallback is a query with a NaN or
+	// infinite component, which defeats the filter's bound and scores every
+	// popped leaf exactly instead.
 	CodesScanned    uint64 // SQ8 code distances computed
 	Reranked        uint64 // rows that passed the filter and were scored exactly
 	RerankFallbacks uint64 // searches that could not use the filter
@@ -107,8 +108,9 @@ func (t *Tree) KNNFrom(n *Node, q vec.Vector, k int, acc disk.Accounter) []Neigh
 // Euclidean metric instead (the paper's §6 feature-importance extension; the
 // Query Point Movement baseline re-weights dimensions each round), always in
 // exact float64; weights must be non-negative for its MINDIST bound to hold.
-// An SQ8 tree over an unclean corpus scores exactly, and so does a NaN query
-// (quant.go).
+// An SQ8 tree over an unclean corpus scores exactly, and so does a query
+// with a NaN or infinite component (quant.go); a NaN query's answer is
+// empty, since a NaN distance is never taken.
 //
 // The search polls ctx as it runs and returns ctx.Err() once it sees the
 // context done; q.Stats is then unspecified. A search that ran to completion
@@ -117,82 +119,84 @@ func (t *Tree) KNNSearch(ctx context.Context, n *Node, weights vec.Vector, q Que
 	if n == nil || n.Len() == 0 {
 		return nil, nil
 	}
-	m := t.metric(weights)
-	roots := [1]root{{t: t, n: n, m: m}}
-	f := forest{roots: roots[:], dim: t.dim, f32: m.fslab != nil}
+	roots := [1]root{{n: n, m: t.metric(weights)}}
+	f := forest{roots: roots[:], dim: t.dim, f32: roots[0].m.f32()}
 	sc := descentPool.Get().(*descentScratch)
 	defer descentPool.Put(sc)
-	return f.descend(ctx, sc, nil, q)
+	return f.descend(ctx, sc, q)
 }
 
-// metric returns the leaf scorer a search of t runs under weights.
+// metric returns the leaf scorer a search of t runs under weights: the
+// weighted kernel over the float64 slab, the float32 mirror, the SQ8 filter
+// over a clean corpus's codes, or the plain float64 slab.
 func (t *Tree) metric(weights vec.Vector) metric {
-	var m metric
+	s := Slab{Dim: t.dim, F64: t.slab}
 	switch {
 	case weights != nil:
-		m.weights = weights
 	case t.fslab != nil:
-		m.fslab = t.fslab
+		s = Slab{Dim: t.dim, F32: t.fslab}
 	case t.quant != nil && t.quant.Clean():
-		m.quant = t.quant
+		s.Codes, s.Quant = t.qcodes, t.quant
 	}
-	return m
+	return s.metric(weights)
 }
 
-// Root is one tree of a KNNForest search: the tree, the ItemIDs the search
+// Root is one part of a KNNForest search: a tree, the ItemIDs the search
 // must pass over in it (Skip, as Query.Skip), and the global ID of each of
-// its ItemIDs (IDs[id]; nil leaves IDs as they are). Global IDs must be
-// unique across the forest.
+// its ItemIDs (IDs[id]; nil leaves IDs as they are) — or, with Tree nil, a
+// slab whose every row is swept, under the slab's own IDs, passing over the
+// rows in Skip. Global IDs must be unique across the forest.
 type Root struct {
 	Tree *Tree
+	Slab *Slab
 	Skip *bitset.Set
 	IDs  []int
 }
 
-// Scored is a row a KNNForest caller scored itself: its global ID and its
-// squared distance to the query, computed as the forest's trees compute one
-// (the float32 kernel's value, widened, when they score in float32).
-type Scored struct {
-	ID     ItemID
-	DistSq float64
-}
-
-// KNNForest answers q over several trees at once, as if one tree held all
-// their unskipped rows under their global IDs plus the pre-scored rows: the
-// answer is the q.K smallest of them under (squared distance, global ID),
-// ordered as KNNSearch orders a result, with global IDs in Neighbor.ID and a
-// nil Point for a pre-scored row. It is KNNSearch's one descent with every
-// root in its queue: each tree keeps its own leaf scorer, stop rule, Skip set
-// and SQ8 state, and all of them prune against the one radius, which the
-// pre-scored rows seed. A pre-scored row whose distance is NaN is never
-// taken. q.Skip must be nil (each Root carries its own); the node IDs
-// reported to q.Acc are per tree. Empty trees are passed over. Under nil
-// weights the trees must all score in float32 or none may.
-func KNNForest(ctx context.Context, roots []Root, weights vec.Vector, rows []Scored, q Query) ([]Neighbor, error) {
+// KNNForest answers q over several trees and slabs at once, as if one tree
+// held all their unskipped rows under their global IDs: the answer is the
+// q.K smallest of them under (squared distance, global ID), ordered as
+// KNNSearch orders a result, with global IDs in Neighbor.ID and a nil Point
+// for a slab row. It is KNNSearch's one descent with every tree root in its
+// queue: each tree keeps its own leaf scorer, stop rule, Skip set and SQ8
+// state, and all of them prune against the one radius, which the slabs'
+// rows, swept first, seed. q.Skip must be nil (each Root carries its own);
+// the node IDs reported to q.Acc are per tree. Empty trees and slabs are
+// passed over. Under nil weights the roots must all score in float32 or none
+// may.
+func KNNForest(ctx context.Context, roots []Root, weights vec.Vector, q Query) ([]Neighbor, error) {
 	if q.Skip != nil {
 		return nil, errors.New("rstar: a forest query passes over rows by root, not by Query.Skip")
 	}
 	sc := descentPool.Get().(*descentScratch)
 	defer func() {
-		clear(sc.roots) // drop the trees' references before the scratch is pooled
+		clear(sc.roots) // drop the roots' references before the scratch is pooled
 		descentPool.Put(sc)
 	}()
 	f := forest{dim: len(q.Q)}
 	sc.roots = sc.roots[:0]
 	for _, r := range roots {
-		n := r.Tree.root
-		if n == nil || n.Len() == 0 {
+		var n *Node
+		var m metric
+		switch {
+		case r.Tree != nil:
+			if n = r.Tree.root; n == nil || n.Len() == 0 {
+				continue
+			}
+			m = r.Tree.metric(weights)
+		case r.Slab.Len() == 0:
 			continue
+		default:
+			m = r.Slab.metric(weights)
 		}
-		m := r.Tree.metric(weights)
-		if len(sc.roots) > 0 && f.f32 != (m.fslab != nil) {
+		if len(sc.roots) > 0 && f.f32 != m.f32() {
 			return nil, errors.New("rstar: forest mixes float32 and float64 leaf scorers")
 		}
-		f.f32 = m.fslab != nil
-		sc.roots = append(sc.roots, root{t: r.Tree, n: n, m: m, skip: r.Skip, ids: r.IDs})
+		f.f32 = m.f32()
+		sc.roots = append(sc.roots, root{n: n, m: m, skip: r.Skip, ids: r.IDs})
 	}
 	f.roots = sc.roots
-	return f.descend(ctx, sc, rows, q)
+	return f.descend(ctx, sc, q)
 }
 
 // neighborLess is the documented result order: ascending (Dist, ID). IDs are

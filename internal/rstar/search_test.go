@@ -219,7 +219,7 @@ func (d *descent) takeCodesSequential(f *forest, leaf *Node, q vec.Vector, raw [
 func checkSequentialRerank(t *testing.T, label string, tr *Tree, n *Node, q vec.Vector, k int, skip *bitset.Set, st SearchStats, got []Neighbor) {
 	t.Helper()
 	m := metric{quant: tr.quant}
-	f := forest{roots: []root{{t: tr, n: n, m: m}}, dim: tr.dim}
+	f := forest{roots: []root{{n: n, m: m}}, dim: tr.dim}
 	code, qErr := tr.quant.EncodeQuery(q, make([]uint8, tr.dim))
 	d := descent{sel: selector{k: k, radiusSq: math.Inf(1)}, stopSq: math.Inf(1),
 		trees: []treeState{{skip: skip, code: code, qErr: qErr, codeLimit: math.MaxInt32, limitAt: math.Inf(1)}}}

@@ -7,7 +7,6 @@ import (
 
 	"qdcbir/internal/rstar"
 	"qdcbir/internal/shard"
-	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
 
@@ -17,30 +16,28 @@ type Neighbor = shard.Neighbor
 // KNNCtx returns the k nearest live images to q across the whole snapshot:
 // every sealed segment (each tree scoring with its leaf scorer — the
 // float64 block kernel, the same kernel behind the SQ8 row filter, or the
-// float32 leaf scorer over float32 rows) plus the memtable (a block scan
-// with the kernel of the DB's precision), found by one search
-// (rstar.KNNForest) over the segments' trees.
+// float32 leaf scorer over float32 rows) plus the memtable (a slab of the
+// DB's precision, swept by the same scorers), found by one search
+// (rstar.KNNForest) over the segments' trees and the memtable.
 //
 // Bit-exactness: every row is scored by the position-independent per-row
 // kernels a monolithic build runs on it (SQ8 codes only filter which rows are
 // scored exactly, so per-segment quantizer training differences never reach
-// the output), each segment's tombstoned rows are passed over inside the
-// descent (rstar.Root.Skip), and the one selector every segment and the
-// memtable feed keys rows by (squared distance, global ID), the key of a
-// single-segment rebuild of the live set. The answer is therefore
-// bit-identical to that rebuild's, ties at one square root included.
+// the output), each segment's and the memtable's tombstoned rows are passed
+// over inside the search (rstar.Root.Skip), and the one selector every
+// segment and the memtable feed keys rows by (squared distance, global ID),
+// the key of a single-segment rebuild of the live set. The answer is
+// therefore bit-identical to that rebuild's, ties at one square root
+// included.
 func (s *Snapshot) KNNCtx(ctx context.Context, q vec.Vector, k int) ([]Neighbor, error) {
 	return s.knn(ctx, q, nil, k, nil)
 }
 
-// knnScratch is the pooled working memory of one snapshot k-NN.
+// knnScratch is the pooled working memory of one snapshot k-NN: the
+// forest's roots and the memtable's slab.
 type knnScratch struct {
-	roots   []rstar.Root
-	rows    []rstar.Scored
-	dists   []float64
-	dists32 []float32
-	q32     []float32
-	wide    []float64 // a Float32 DB's memtable rows, widened for a weighted scan
+	roots []rstar.Root
+	mem   rstar.Slab
 }
 
 var knnPool = sync.Pool{New: func() interface{} { return new(knnScratch) }}
@@ -64,9 +61,14 @@ func (s *Snapshot) knn(ctx context.Context, q, weights vec.Vector, k int, st *rs
 			roots = append(roots, rstar.Root{Tree: sv.seg.rfs.Tree(), Skip: sv.tomb, IDs: sv.seg.ids})
 		}
 	}
+	if s.mem.live() > 0 {
+		sc.mem = s.mem.slab()
+		roots = append(roots, rstar.Root{Slab: &sc.mem, Skip: s.mem.tomb})
+	}
 	sc.roots = roots
-	ns, err := rstar.KNNForest(ctx, roots, weights, s.scoreMem(sc, q, weights), rstar.Query{Q: q, K: k, Stats: st})
-	clear(roots) // drop the segments' references from the pool
+	ns, err := rstar.KNNForest(ctx, roots, weights, rstar.Query{Q: q, K: k, Stats: st})
+	clear(roots) // drop the segments' and the memtable's references from the pool
+	sc.mem = rstar.Slab{}
 	if err != nil {
 		return nil, err
 	}
@@ -75,56 +77,4 @@ func (s *Snapshot) knn(ctx context.Context, q, weights vec.Vector, k int, st *rs
 		out[i] = Neighbor{ID: int(n.ID), Dist: n.Dist}
 	}
 	return out, nil
-}
-
-// scoreMem scores the memtable prefix's live rows with the block kernel
-// whose bits the same rows get once sealed: SquaredDistsTo, its weighted
-// form, or in a Float32 DB SquaredDistsTo32 (weighted scans widen the rows).
-func (s *Snapshot) scoreMem(sc *knnScratch, q, weights vec.Vector) []rstar.Scored {
-	m := s.mem
-	rows := sc.rows[:0]
-	if m.live() == 0 {
-		return rows
-	}
-	n := m.rows * m.dim
-	if weights == nil && m.prec == store.Float32 {
-		sc.q32 = vec.Narrow32(q, grown(sc.q32, len(q)))
-		sc.dists32 = grown(sc.dists32, m.rows)
-		vec.SquaredDistsTo32(sc.q32, m.data32[:n], sc.dists32)
-		for slot, d := range sc.dists32 {
-			if !m.tomb.Get(slot) {
-				rows = append(rows, rstar.Scored{ID: rstar.ItemID(m.baseID + slot), DistSq: float64(d)})
-			}
-		}
-	} else {
-		sc.dists = grown(sc.dists, m.rows)
-		var data []float64
-		if m.prec == store.Float32 {
-			sc.wide = vec.Widen64(m.data32[:n], grown(sc.wide, n))
-			data = sc.wide
-		} else {
-			data = m.data[:n]
-		}
-		if weights == nil {
-			vec.SquaredDistsTo(q, data, sc.dists)
-		} else {
-			vec.WeightedSquaredDistsTo(q, weights, data, sc.dists)
-		}
-		for slot, d := range sc.dists {
-			if !m.tomb.Get(slot) {
-				rows = append(rows, rstar.Scored{ID: rstar.ItemID(m.baseID + slot), DistSq: d})
-			}
-		}
-	}
-	sc.rows = rows
-	return rows
-}
-
-// grown returns buf resized to n elements, reallocating only when its
-// capacity falls short; the contents are unspecified.
-func grown[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }

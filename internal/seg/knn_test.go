@@ -292,7 +292,8 @@ func (sh *servedShape) churn(tb testing.TB, db *DB, rng *rand.Rand, small, memRo
 // searches it replaced. The answers must agree. Summed over every k-NN, the
 // forest may read no more nodes and code rows than the per-segment searches,
 // and no more than 10 % over the MINDIST bound, and score at most 0.6× their
-// exact rows (the memtable, scored in both, excluded).
+// exact rows (the memtable, scored in both, excluded: the forest counts its
+// live rows in ItemsScored, the per-segment reference does not).
 func TestServedShapeForestEffort(t *testing.T) {
 	const k, examples = 50, 7
 	ctx := context.Background()
@@ -301,7 +302,7 @@ func TestServedShapeForestEffort(t *testing.T) {
 	defer db.Close()
 
 	var forest, old rstar.SearchStats
-	var boundNodes, boundCodes uint64
+	var boundNodes, boundCodes, memRows uint64
 	knns := 0
 	for stage := 1; stage <= 4; stage++ {
 		sh.churn(t, db, rng, stage, 40*stage)
@@ -336,6 +337,7 @@ func TestServedShapeForestEffort(t *testing.T) {
 					n, c := mindistBound(snap, q, radiusSq)
 					boundNodes += n
 					boundCodes += c
+					memRows += uint64(snap.mem.live())
 					knns++
 					lists[i] = got
 				}
@@ -351,9 +353,10 @@ func TestServedShapeForestEffort(t *testing.T) {
 		snap.Release()
 	}
 	per := func(n uint64) float64 { return float64(n) / float64(knns) }
-	t.Logf("%d snapshot k-NNs; per k-NN: NodesRead %.1f -> %.1f (bound %.1f), CodesScanned %.0f -> %.0f (bound %.0f), ItemsScored %.1f -> %.1f",
+	segScored := forest.ItemsScored - memRows
+	t.Logf("%d snapshot k-NNs; per k-NN: NodesRead %.1f -> %.1f (bound %.1f), CodesScanned %.0f -> %.0f (bound %.0f), ItemsScored %.1f -> %.1f in segments (+%.1f memtable rows)",
 		knns, per(old.NodesRead), per(forest.NodesRead), per(boundNodes),
-		per(old.CodesScanned), per(forest.CodesScanned), per(boundCodes), per(old.ItemsScored), per(forest.ItemsScored))
+		per(old.CodesScanned), per(forest.CodesScanned), per(boundCodes), per(old.ItemsScored), per(segScored), per(memRows))
 	if forest.NodesRead > old.NodesRead || forest.CodesScanned > old.CodesScanned {
 		t.Errorf("the forest read more than the per-segment searches: %+v vs %+v", forest, old)
 	}
@@ -361,8 +364,8 @@ func TestServedShapeForestEffort(t *testing.T) {
 		t.Errorf("the forest read %d nodes and %d code rows, over 10 %% above the MINDIST bound's %d and %d",
 			forest.NodesRead, forest.CodesScanned, boundNodes, boundCodes)
 	}
-	if float64(forest.ItemsScored) > 0.6*float64(old.ItemsScored) {
-		t.Errorf("the forest scored %d rows exactly, over 0.6x the per-segment searches' %d", forest.ItemsScored, old.ItemsScored)
+	if float64(segScored) > 0.6*float64(old.ItemsScored) {
+		t.Errorf("the forest scored %d segment rows exactly, over 0.6x the per-segment searches' %d", segScored, old.ItemsScored)
 	}
 }
 

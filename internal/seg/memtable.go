@@ -2,6 +2,7 @@ package seg
 
 import (
 	"qdcbir/internal/bitset"
+	"qdcbir/internal/rstar"
 	"qdcbir/internal/store"
 	"qdcbir/internal/vec"
 )
@@ -76,6 +77,16 @@ func (v memView) row(i int) vec.Vector {
 		return vec.Widen64(v.data32[i*v.dim:(i+1)*v.dim], nil)
 	}
 	return vec.Vector(v.data[i*v.dim : (i+1)*v.dim])
+}
+
+// slab returns the view's rows as a search sweeps them, slot i under global
+// ID baseID+i; a Skip set over them is indexed by slot, as tomb is.
+func (v memView) slab() rstar.Slab {
+	n := v.rows * v.dim
+	if v.prec == store.Float32 {
+		return rstar.Slab{Dim: v.dim, F32: v.data32[:n:n], Base: v.baseID}
+	}
+	return rstar.Slab{Dim: v.dim, F64: v.data[:n:n], Base: v.baseID}
 }
 
 // store adopts the view's rows as a store at its precision. The writer only

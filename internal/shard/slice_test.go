@@ -265,10 +265,10 @@ func TestReplicaSlabSealed(t *testing.T) {
 						t.Errorf("%s %s: a store into the slab did not fault", storage, name)
 					}
 				}()
-				if rep.slab != nil {
-					rep.slab[0] = 7
+				if rep.rows.F64 != nil {
+					rep.rows.F64[0] = 7
 				} else {
-					rep.slab32[0] = 7
+					rep.rows.F32[0] = 7
 				}
 			}()
 			rep.Close()

@@ -35,7 +35,7 @@ import (
 // ||q - decode(codes(q))|| is measured directly (EncodeQuery). The triangle
 // inequality then bounds how far a code distance can sit from the true
 // distance (LowerDist), which is what lets the R*-tree descent and the shard
-// legs skip rows unscored (CodeRadius). Corpora containing NaN or
+// legs skip rows unscored (CodeRadius32, CodeRadius64). Corpora containing NaN or
 // ±Inf components set clean=false and DBErr=+Inf: every search over them
 // falls back to the exact path rather than trust the bound.
 
@@ -281,31 +281,17 @@ func (q *Quantized) LowerDist(raw int32, qErr float64) float64 {
 	return q.DecodedDist(raw) - qErr - q.dbErr
 }
 
-// CodeRadius turns a pruning radius into code space: a stored row whose true
-// distance to the query is at most radius has a code distance of at most
-// CodeRadius(radius, qErr), so a search holding k rows within radius may skip
-// every row whose code distance is larger without scoring it — such a row is
-// strictly farther than radius, and so not even a tie at the k-th distance.
-// This is LowerDist(raw, qErr) > radius solved for raw, with certMargin on
-// both sides. MaxInt32 (skip nothing) whenever the bound says nothing: an
-// infinite radius, a NaN query, an unclean corpus, a constant one.
-func (q *Quantized) CodeRadius(radius, qErr float64) int32 {
-	reach := (radius*(1+certMargin) + qErr + q.dbErr) * (1 + certMargin) / q.delta
-	if r := reach * reach; r < math.MaxInt32 {
-		return int32(r)
-	}
-	return math.MaxInt32
-}
-
-// CodeRadius32 and CodeRadius64 are CodeRadius for a radius stated the way a
-// linear sweep holds it: kth, the squared distance a rounding kernel computed
-// for the k-th row, not a real distance. A stored row whose code distance
-// exceeds the returned limit has a kernel value strictly greater than kth, so
-// it is neither in the top-k nor a tie at its boundary. CodeRadius32 serves
-// the float32 kernel (vec.SqL232, SquaredDistsTo32); qErr must then be the
-// decode error of the query that kernel scores, the float32 narrowing,
-// widened back. CodeRadius64 serves the float64 kernel (vec.SqL2,
-// SquaredDistsTo).
+// CodeRadius32 and CodeRadius64 are the code-space limits of a search's
+// radius, stated the way a search holds it: kth, the squared distance a
+// rounding kernel computed for the k-th row, not a real distance. A stored
+// row whose code distance exceeds the returned limit has a kernel value
+// strictly greater than kth, so it is neither in the top-k nor a tie at its
+// boundary. CodeRadius32 serves the float32 kernel (vec.SqL232,
+// SquaredDistsTo32); qErr must then be the decode error of the query that
+// kernel scores, the float32 narrowing, widened back. CodeRadius64 serves
+// the float64 kernel (vec.SqL2, SquaredDistsTo). Every SQ8 filter uses one
+// of the two (rstar's treeState.limit), by the precision of the rows it
+// scores.
 //
 // Why. Let u be the kernel's unit roundoff (2⁻²⁴, 2⁻⁵³) and η its smallest
 // subnormal (2⁻¹⁴⁹, 2⁻¹⁰⁷⁴). For query and row values exact at the kernel's
@@ -321,26 +307,36 @@ func (q *Quantized) CodeRadius(radius, qErr float64) int32 {
 //     order in vec/kernel32.go), at most dim left to right for float64.
 //
 // Hence K ≥ (1−u)^(h+3)·D − dim·η ≥ (1−γ)D − dim·η with γ = (h+3)u. A row
-// with D > (kth + dim·η)(1+2γ) therefore has K > kth, because
-// (1−γ)(1+2γ) ≥ 1 for γ ≤ ½. The limit is CodeRadius at the square root of
-// that bound, whose 1e-9 margin absorbs the float64 roundings computing it.
+// with D > (kth + τ)(1+2γ), for any τ ≥ dim·η, therefore has K > kth,
+// because (1−γ)(1+2γ) ≥ 1 for γ ≤ ½. τ is dim·η for float32; for float64 it
+// is the smallest normal float64, 2⁻¹⁰²², above dim·2⁻¹⁰⁷⁴ for every dim
+// below 2⁵², because dim·2⁻¹⁰⁷⁴ is itself subnormal, and subnormal operands
+// cost x86 a microcode assist on every call. The limit is
+// LowerDist(raw, qErr) > √bound solved for raw, with a 1e-9 margin on both
+// sides that absorbs the float64 roundings computing it. It is MaxInt32 (skip nothing) whenever the bound
+// says nothing: an infinite radius, a NaN query, an unclean corpus, a
+// constant one.
 // FuzzSQ8Bracket32, and checkSQ8Bracket for float64, test the claim over
 // every pair of rows, one row's kernel value serving as the other's radius.
 func (q *Quantized) CodeRadius32(kth float32, qErr float64) int32 {
-	return q.kernelCodeRadius(float64(kth), qErr, q.dim/8+3+q.dim%8, 0x1p-24, 0x1p-149)
+	return q.kernelCodeRadius(float64(kth), qErr, q.dim/8+3+q.dim%8, 0x1p-24, float64(q.dim)*0x1p-149)
 }
 
 // CodeRadius64 is CodeRadius32 for the float64 kernel; see CodeRadius32.
 func (q *Quantized) CodeRadius64(kth, qErr float64) int32 {
-	return q.kernelCodeRadius(kth, qErr, q.dim, 0x1p-53, 0x1p-1074)
+	return q.kernelCodeRadius(kth, qErr, q.dim, 0x1p-53, 0x1p-1022)
 }
 
 // kernelCodeRadius is the shared bound of CodeRadius32 and CodeRadius64: h
-// additions per term, unit roundoff u, smallest subnormal eta.
-func (q *Quantized) kernelCodeRadius(kth, qErr float64, h int, u, eta float64) int32 {
+// additions per term, unit roundoff u, and tau ≥ dim·η, a normal float64.
+func (q *Quantized) kernelCodeRadius(kth, qErr float64, h int, u, tau float64) int32 {
 	gamma := float64(h+3) * u
-	reach := (kth + float64(q.dim)*eta) * (1 + 2*gamma)
-	return q.CodeRadius(math.Sqrt(reach), qErr)
+	radius := math.Sqrt((kth + tau) * (1 + 2*gamma))
+	reach := (radius*(1+certMargin) + qErr + q.dbErr) * (1 + certMargin) / q.delta
+	if r := reach * reach; r < math.MaxInt32 {
+		return int32(r)
+	}
+	return math.MaxInt32
 }
 
 // QuantParts is the serializable form of a Quantized: exactly the trained

@@ -313,11 +313,11 @@ func FuzzSQ8EncodeDecode(f *testing.F) {
 	})
 }
 
-// checkSQ8Bracket states the theorem the R*-tree's SQ8 row filter rests on,
-// for every row of data against the query v: the code distance lower-bounds
-// the exact distance (LowerDist <= exact), and therefore a search whose
-// pruning radius is that row's own exact distance — the tightest radius that
-// must still keep it — never skips it (raw <= CodeRadius).
+// checkSQ8Bracket states the theorem the SQ8 row filter rests on, for every
+// row of data against the query v: the code distance lower-bounds the exact
+// distance (LowerDist <= exact), and therefore a search whose pruning radius
+// is that row's own kernel value — the tightest radius that must still keep
+// it — never skips it (raw <= CodeRadius64).
 func checkSQ8Bracket(t *testing.T, dim int, data []float64, v vec.Vector) {
 	t.Helper()
 	q, err := QuantizeBacking(dim, data)
@@ -326,7 +326,8 @@ func checkSQ8Bracket(t *testing.T, dim int, data []float64, v vec.Vector) {
 	}
 	qc, qErr := q.EncodeQuery(v, nil)
 	for r := 0; r < q.Len(); r++ {
-		exact := math.Sqrt(vec.SqL2(v, data[r*dim:(r+1)*dim]))
+		kernel := vec.SqL2(v, data[r*dim:(r+1)*dim])
+		exact := math.Sqrt(kernel)
 		raw := vec.Uint8SquaredDist(qc, q.Row(r))
 		// Rounding in the three terms of LowerDist is relative to their own
 		// magnitudes, not to their (possibly cancelling) difference.
@@ -335,8 +336,8 @@ func checkSQ8Bracket(t *testing.T, dim int, data []float64, v vec.Vector) {
 			t.Fatalf("row %d: LowerDist %g > exact distance %g (raw %d, qErr %g, DBErr %g, delta %g)",
 				r, lower, exact, raw, qErr, q.DBErr(), q.Delta())
 		}
-		if limit := q.CodeRadius(exact, qErr); raw > limit {
-			t.Fatalf("row %d at exact distance %g would be skipped: code distance %d > CodeRadius %d (qErr %g, DBErr %g, delta %g)",
+		if limit := q.CodeRadius64(kernel, qErr); raw > limit {
+			t.Fatalf("row %d at exact distance %g would be skipped: code distance %d > CodeRadius64 %d (qErr %g, DBErr %g, delta %g)",
 				r, exact, raw, limit, qErr, q.DBErr(), q.Delta())
 		}
 	}
@@ -517,20 +518,23 @@ func TestSQ8Bracket(t *testing.T) {
 	// What the filter does with a bound that bounds nothing: skip no row.
 	data := bracketCorpus(rng, 50, 3, 0)
 	clean, _ := QuantizeBacking(3, data)
-	if got := clean.CodeRadius(math.Inf(1), 0.1); got != math.MaxInt32 {
-		t.Errorf("CodeRadius(+Inf) = %d, want MaxInt32", got)
+	if got := clean.CodeRadius64(math.Inf(1), 0.1); got != math.MaxInt32 {
+		t.Errorf("CodeRadius64(+Inf) = %d, want MaxInt32", got)
 	}
-	if got := clean.CodeRadius(1, math.NaN()); got != math.MaxInt32 {
-		t.Errorf("CodeRadius with a NaN query error = %d, want MaxInt32", got)
+	if got := clean.CodeRadius32(float32(math.Inf(1)), 0.1); got != math.MaxInt32 {
+		t.Errorf("CodeRadius32(+Inf) = %d, want MaxInt32", got)
+	}
+	if got := clean.CodeRadius64(1, math.NaN()); got != math.MaxInt32 {
+		t.Errorf("CodeRadius64 with a NaN query error = %d, want MaxInt32", got)
 	}
 	data[4] = math.Inf(1)
 	unclean, _ := QuantizeBacking(3, data)
-	if got := unclean.CodeRadius(1, 0.1); got != math.MaxInt32 {
-		t.Errorf("CodeRadius on an unclean corpus = %d, want MaxInt32", got)
+	if got := unclean.CodeRadius64(1, 0.1); got != math.MaxInt32 {
+		t.Errorf("CodeRadius64 on an unclean corpus = %d, want MaxInt32", got)
 	}
 	constant, _ := QuantizeBacking(3, bracketCorpus(rng, 50, 3, 3))
-	if got := constant.CodeRadius(0, 0); got != math.MaxInt32 {
-		t.Errorf("CodeRadius on a constant corpus = %d, want MaxInt32", got)
+	if got := constant.CodeRadius64(0, 0); got != math.MaxInt32 {
+		t.Errorf("CodeRadius64 on a constant corpus = %d, want MaxInt32", got)
 	}
 }
 

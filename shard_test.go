@@ -597,3 +597,44 @@ func TestShardSessionParity(t *testing.T) {
 		t.Fatal("restored shard sessions diverge under one seed")
 	}
 }
+
+// TestNaNQueryAnswersNothing: a query with a NaN component lies at a NaN
+// distance from every row, and a NaN distance is never an answer. One such
+// query goes, over float64 rows and over float32 rows, to the system's tree,
+// to every replica sliced from it, and to a dynamic snapshot over the same
+// corpus with rows in its memtable: every answer is empty, so routed and
+// single-node answers agree.
+func TestNaNQueryAnswersNothing(t *testing.T) {
+	const k = 10
+	ctx := context.Background()
+	for _, mode := range []string{"f64", "f32-native"} {
+		sys := precisionSystem(t, mode)
+		q := sys.Corpus().Vectors[7].Clone()
+		q[2] = math.NaN()
+		tree := sys.RFS().Tree()
+		if ns, err := tree.KNNSearch(ctx, tree.Root(), nil, rstar.Query{Q: q, K: k}); err != nil || len(ns) != 0 {
+			t.Errorf("%s tree (float32 %v): %d rows, err %v", mode, tree.Float32Scoring(), len(ns), err)
+		}
+		for i, rep := range buildFleet(t, sys, 3) {
+			if ns, err := rep.SearchNode(ctx, rep.Topo().RootID(), q, nil, k); err != nil || len(ns) != 0 {
+				t.Errorf("%s replica %d: %v, err %v", mode, i, ns, err)
+			}
+		}
+		dyn, err := OpenDynamic(sys, DynamicConfig{DisableAutoCompact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := dyn.Insert(sys.Corpus().Vectors[i], ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := dyn.Stats(); st.MemRows != 5 {
+			t.Fatalf("%s: %d memtable rows, want 5", mode, st.MemRows)
+		}
+		if ns, err := dyn.KNN(ctx, q, k); err != nil || len(ns) != 0 {
+			t.Errorf("%s snapshot: %v, err %v", mode, ns, err)
+		}
+		dyn.Close()
+	}
+}
